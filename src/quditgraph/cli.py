@@ -132,7 +132,7 @@ def cmd_make_mes(args) -> int:
 
 
 def cmd_relations_test(args) -> int:
-    fields = [_prime_power_field(int(d_str)) for d_str in args.fields.split(",")]
+    fields = [Field.of_order(int(d_str)) for d_str in args.fields.split(",")]
     all_ok = True
     reports = []
     for fld in fields:
@@ -157,20 +157,6 @@ def cmd_simulate(args) -> int:
     state = circuit.simulate(args.tolerance)
     print(dump_state(state.amps, state.d, state.n), end="")
     return EXIT_OK
-
-
-def _prime_power_field(d: int) -> Field:
-    for p in range(2, d + 1):
-        if d % p == 0:
-            n = 0
-            m = d
-            while m % p == 0:
-                m //= p
-                n += 1
-            if m != 1:
-                raise ValueError(f"{d} is not a prime power")
-            return Field(p, n)
-    raise ValueError(f"{d} is not a prime power")
 
 
 # ---------------------------------------------------------------------------

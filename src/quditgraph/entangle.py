@@ -219,9 +219,15 @@ def mes_verdict(state: StateVector | RingState, tol: float = DEFAULT_TOL) -> Bip
 
     For 4 parties the report covers the 4 singletons plus the 3 unordered
     two-against-two splits, each listed once from the side containing
-    system 1.
+    system 1.  Raises ValueError for fewer than two systems, which have no
+    bipartition, and for a state whose norm is off 1 by more than tol.
     """
     d, n, amps = state.d, state.n, state.amps
+    if n < 2:
+        raise ValueError(f"maximal entanglement needs at least 2 systems, got {n}")
+    norm = float(np.linalg.norm(amps))
+    if abs(norm - 1.0) > tol:
+        raise ValueError(f"state norm {norm!r} differs from 1 by more than the tolerance {tol!r}")
     records = []
     verdict = True
     for subset in bipartition_subsets(n):

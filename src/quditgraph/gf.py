@@ -328,6 +328,21 @@ class Field:
         return f"{self.p} {self.n} {self.poly_index}"
 
     @classmethod
+    def of_order(cls, d: int) -> "Field":
+        """GF(d) with its default polynomial; raises ValueError unless d is a prime power."""
+        if d > ORDER_LIMIT:
+            raise ValueError(f"field order {d} exceeds supported limit {ORDER_LIMIT}")
+        if d >= 2:
+            p = next(q for q in range(2, d + 1) if d % q == 0)
+            n, m = 0, d
+            while m % p == 0:
+                m //= p
+                n += 1
+            if m == 1:
+                return cls(p, n)
+        raise ValueError(f"{d} is not a prime power")
+
+    @classmethod
     def from_descriptor(cls, text: str) -> "Field":
         parts = text.split()
         if len(parts) == 2:

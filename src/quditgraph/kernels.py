@@ -1,107 +1,58 @@
-"""Hot kernels for dense state updates: numba-jitted with a numpy fallback.
+"""Gate kernels: the basis permutations of the A, D, C, V and W gates.
 
-Every gate except the Fourier gate permutes basis states, so the inner loop
-is "gather amplitudes through an index map built from small digit tables".
-The numba path fuses that loop; the numpy path builds the index arrays
-explicitly.  Selection happens once at import time:
+Every gate except the Fourier gate permutes the base-d digits of one or two
+wires.  A state of d^N amplitudes viewed as (outer, d, stride) puts the digit
+of the wire with that stride on its own axis, so each gate is a gather along
+one axis of a strided view:
 
-    QUDITGRAPH_KERNELS=numpy   force the pure-numpy path
-    QUDITGRAPH_KERNELS=numba   force numba (raises if unavailable)
-    unset / auto               numba when importable, else numpy
+    axis_perm   one take along the digit axis (A, D and V gates)
+    swap        one copy through the (outer, d, mid, d, inner) view with the
+                two digit axes exchanged (W gate)
+    cnot        one take along the target axis per control value (C gate)
 
-`benchmarks/bench_kernels.py` times the two paths against each other.
+The kernels are dtype-agnostic: run on an integer arange they return the
+gate's gather map.  They call the ndarray.take method rather than np.take,
+whose wrapper overhead shows on the tiny registers of relations-test, and
+pass mode="clip" so take writes straight into `out`; every index is a digit
+in range(d), so clipping never changes one.  `amps` and `out` must be
+distinct C-contiguous arrays of the same size.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-try:
-    import numba
-except ImportError:  # pragma: no cover - exercised via env flag instead
-    numba = None
+BACKEND = "numpy"
 
 
-# ---------------------------------------------------------------------------
-# numpy implementations
-# ---------------------------------------------------------------------------
+def _pair_shape(size: int, d: int, stride_a: int, stride_b: int) -> tuple[int, ...]:
+    """(outer, d, mid, d, inner) view shape for the digits of two wires."""
+    hi, lo = max(stride_a, stride_b), min(stride_a, stride_b)
+    return (size // (d * hi), d, hi // (d * lo), d, lo)
 
-def axis_perm_numpy(amps, out, d, stride, src_digit):
-    """out[..., w, ...] = amps[..., src_digit[w], ...] along the stride axis."""
-    idx = np.arange(amps.size, dtype=np.int64)
-    x = (idx // stride) % d
-    np.take(amps, idx + (src_digit[x] - x) * stride, out=out)
+
+def axis_perm(amps, out, d, stride, src_digit):
+    """out[..., w, ...] = amps[..., src_digit[w], ...] along the digit axis of `stride`."""
+    shape = (amps.size // (d * stride), d, stride)
+    amps.reshape(shape).take(src_digit, axis=1, out=out.reshape(shape), mode="clip")
     return out
 
 
-def cnot_numpy(amps, out, d, stride_c, stride_t, mul_row, sub_table):
+def cnot(amps, out, d, stride_c, stride_t, mul_row, sub_table):
     """Permute target digit t -> t - b*c; mul_row[c] = b*c, sub_table[t, v] = t - v."""
-    idx = np.arange(amps.size, dtype=np.int64)
-    xc = (idx // stride_c) % d
-    xt = (idx // stride_t) % d
-    np.take(amps, idx + (sub_table[xt, mul_row[xc]] - xt) * stride_t, out=out)
+    shape = _pair_shape(amps.size, d, stride_c, stride_t)
+    src, dst = amps.reshape(shape), out.reshape(shape)
+    for c in range(d):
+        if stride_c > stride_t:
+            s, o, axis = src[:, c], dst[:, c], 2
+        else:
+            s, o, axis = src[..., c, :], dst[..., c, :], 1
+        s.take(sub_table[:, mul_row[c]], axis=axis, out=o, mode="clip")
     return out
 
 
-def swap_numpy(amps, out, d, stride_a, stride_b):
-    idx = np.arange(amps.size, dtype=np.int64)
-    xa = (idx // stride_a) % d
-    xb = (idx // stride_b) % d
-    np.take(amps, idx + (xb - xa) * stride_a + (xa - xb) * stride_b, out=out)
+def swap(amps, out, d, stride_a, stride_b):
+    """Exchange the digits of the wires with strides stride_a and stride_b."""
+    shape = _pair_shape(amps.size, d, stride_a, stride_b)
+    np.copyto(out.reshape(shape), amps.reshape(shape).swapaxes(1, 3))
     return out
-
-
-# ---------------------------------------------------------------------------
-# numba implementations
-# ---------------------------------------------------------------------------
-
-if numba is not None:
-
-    @numba.njit(cache=False)
-    def axis_perm_numba(amps, out, d, stride, src_digit):
-        for i in range(amps.size):
-            x = (i // stride) % d
-            out[i] = amps[i + (src_digit[x] - x) * stride]
-        return out
-
-    @numba.njit(cache=False)
-    def cnot_numba(amps, out, d, stride_c, stride_t, mul_row, sub_table):
-        for i in range(amps.size):
-            xc = (i // stride_c) % d
-            xt = (i // stride_t) % d
-            out[i] = amps[i + (sub_table[xt, mul_row[xc]] - xt) * stride_t]
-        return out
-
-    @numba.njit(cache=False)
-    def swap_numba(amps, out, d, stride_a, stride_b):
-        for i in range(amps.size):
-            xa = (i // stride_a) % d
-            xb = (i // stride_b) % d
-            out[i] = amps[i + (xb - xa) * stride_a + (xa - xb) * stride_b]
-        return out
-
-else:
-    axis_perm_numba = None
-    cnot_numba = None
-    swap_numba = None
-
-
-def _pick_backend() -> str:
-    choice = os.environ.get("QUDITGRAPH_KERNELS", "auto").lower()
-    if choice not in ("auto", "numba", "numpy"):
-        raise ValueError(f"QUDITGRAPH_KERNELS must be auto|numba|numpy, got {choice!r}")
-    if choice == "numba" and numba is None:
-        raise RuntimeError("QUDITGRAPH_KERNELS=numba but numba is not installed")
-    if choice == "auto":
-        return "numba" if numba is not None else "numpy"
-    return choice
-
-
-BACKEND = _pick_backend()
-
-if BACKEND == "numba":
-    axis_perm, cnot, swap = axis_perm_numba, cnot_numba, swap_numba
-else:
-    axis_perm, cnot, swap = axis_perm_numpy, cnot_numpy, swap_numpy

@@ -14,8 +14,9 @@ Gates
     V m     coefficient reversal permutation
     W m n   swap
 
-All gates except H permute basis states; their application is routed through
-the kernels module (numba or numpy backend).
+All gates except H permute basis states.  They are applied by the kernels
+module, the one place that knows how each gate maps digits; the gather maps
+and dense operators below are derived by running the same kernels.
 """
 
 from __future__ import annotations
@@ -190,18 +191,23 @@ def _apply_gate_raw(field: Field, n: int, gate: Gate, amps: np.ndarray, out: np.
         src_digit = field.reverse_table
     else:  # pragma: no cover - validate_gate rules this out
         raise ValueError(f"unknown gate kind {kind!r}")
-    kernels.axis_perm(amps, out, d, s, np.ascontiguousarray(src_digit))
+    kernels.axis_perm(amps, out, d, s, src_digit)
 
 
 def run_gates(state: StateVector, gates: Iterable[Gate]) -> StateVector:
     """Apply a time-ordered gate sequence (first gate acts first)."""
-    cur = state.amps.copy()
+    amps = _run_raw(state.field, state.n, gates, state.amps.copy())
+    return StateVector(state.field, state.n, amps, state.tol)
+
+
+def _run_raw(field: Field, n: int, gates: Iterable[Gate], cur: np.ndarray) -> np.ndarray:
+    """Apply gates in order, ping-ponging between cur, which is overwritten, and one more buffer."""
     buf = np.empty_like(cur)
     for gate in gates:
-        validate_gate(state.field, state.n, gate)
-        _apply_gate_raw(state.field, state.n, gate, cur, buf)
+        validate_gate(field, n, gate)
+        _apply_gate_raw(field, n, gate, cur, buf)
         cur, buf = buf, cur
-    return StateVector(state.field, state.n, cur, state.tol)
+    return cur
 
 
 # ---------------------------------------------------------------------------
@@ -223,40 +229,18 @@ def reversal_matrix(field: Field) -> np.ndarray:
 
 def gate_source_map(field: Field, n_wires: int, gate: Gate) -> np.ndarray:
     """Gather map src with new_amps = amps[src], for permutation gates only."""
-    validate_gate(field, n_wires, gate)
-    if gate.kind == "H":
-        raise ValueError("the Fourier gate is not a basis permutation")
-    d = field.d
-    idx = np.arange(d ** n_wires, dtype=np.int64)
-    if gate.kind == "C":
-        sc = _stride(d, n_wires, gate.control)
-        st = _stride(d, n_wires, gate.target)
-        xc = (idx // sc) % d
-        xt = (idx // st) % d
-        return idx + (field.sub_table[xt, field.mul_table[gate.param][xc]] - xt) * st
-    if gate.kind == "W":
-        sa = _stride(d, n_wires, gate.wires[0])
-        sb = _stride(d, n_wires, gate.wires[1])
-        xa = (idx // sa) % d
-        xb = (idx // sb) % d
-        return idx + (xb - xa) * sa + (xa - xb) * sb
-    s = _stride(d, n_wires, gate.wires[0])
-    x = (idx // s) % d
-    if gate.kind == "A":
-        src_digit = field.sub_table[:, gate.param]
-    elif gate.kind == "D":
-        src_digit = field.mul_table[field.inv(gate.param)]
-    else:  # V
-        src_digit = field.reverse_table
-    return idx + (src_digit[x] - x) * s
+    return sequence_source_map(field, n_wires, (gate,))
 
 
 def sequence_source_map(field: Field, n_wires: int, ops: Sequence[Gate]) -> np.ndarray:
-    """Gather map of an operator product (ops[0] applied last, ops[-1] first)."""
-    total = np.arange(field.d ** n_wires, dtype=np.int64)
-    for gate in ops:
-        total = gate_source_map(field, n_wires, gate)[total]
-    return total
+    """Gather map of an operator product (ops[0] applied last, ops[-1] first).
+
+    Running the gates on the integer state src[i] = i leaves the map itself:
+    a permutation gate sends amps to amps[src].
+    """
+    if any(g.kind == "H" for g in ops):
+        raise ValueError("the Fourier gate is not a basis permutation")
+    return _run_raw(field, n_wires, reversed(ops), np.arange(field.d ** n_wires, dtype=np.int64))
 
 
 def gate_matrix(field: Field, n_wires: int, gate: Gate) -> np.ndarray:

@@ -219,6 +219,24 @@ def test_verify_mes_on_square_state_dump(tmp_path, capsys):
     assert json.loads(out)["verdict"] is True
 
 
+def test_verify_mes_rejects_single_qudit_dump(tmp_path, capsys):
+    path = tmp_path / "one.state"
+    path.write_text("# quditgraph-state d=3 qudits=1\n0 1.0 0.0\n")
+    code, out, err = run_cli(capsys, "verify-mes", str(path))
+    assert code == 2
+    assert out == ""
+    assert "at least 2 systems" in err
+
+
+def test_verify_mes_rejects_unnormalized_state(tmp_path, capsys):
+    path = tmp_path / "bell_x2.state"
+    path.write_text("# quditgraph-state d=2 qudits=2\n00 1.4142135623730951 0.0\n11 1.4142135623730951 0.0\n")
+    code, out, err = run_cli(capsys, "verify-mes", str(path))
+    assert code == 2
+    assert out == ""
+    assert "norm 2.0" in err
+
+
 # ---------------------------------------------------------------------------
 # relations-test / simulate
 # ---------------------------------------------------------------------------
@@ -235,6 +253,12 @@ def test_relations_cli_json(capsys):
     assert code == 0
     data = json.loads(out)
     assert data[0]["ok"] is True
+
+
+def test_relations_cli_rejects_non_prime_power(capsys):
+    code, out, err = run_cli(capsys, "relations-test", "--fields", "6")
+    assert code == 2
+    assert "6 is not a prime power" in err
 
 
 def test_simulate_cli(tmp_path, capsys):

@@ -230,6 +230,14 @@ def test_descriptor_errors():
         Field.from_descriptor("2 2 9")  # poly index out of range
 
 
+def test_of_order():
+    for d, (p, n) in {2: (2, 1), 4: (2, 2), 9: (3, 2), 25: (5, 2), 128: (2, 7)}.items():
+        assert Field.of_order(d) == Field(p, n)
+    for d in (0, 1, 6, 12, 100, 1 << 17):
+        with pytest.raises(ValueError):
+            Field.of_order(d)
+
+
 def test_coeff_round_trip():
     for d in (4, 8, 9):
         fld = field_for(d)

@@ -1,63 +1,105 @@
-import subprocess
-import sys
+"""Permutation gates against a ket-by-ket oracle built from scalar field arithmetic.
+
+The expected action of each gate is computed on Python ints with the scalar
+Field methods, one basis ket at a time, with qudit 1 as the most significant
+digit.  It shares no code with the kernels, so it checks both `apply_gate`
+and `gate_source_map` (from which `gate_matrix` is derived).
+"""
+
+from itertools import permutations
 
 import numpy as np
 import pytest
 
-from quditgraph import kernels
+from quditgraph import Gate, StateVector, apply_gate
+from quditgraph.simulator import gate_source_map, sequence_source_map
 
 from util import field_for
 
-
-def _random_state(size, seed=0):
-    rng = np.random.default_rng(seed)
-    amps = rng.standard_normal(size) + 1j * rng.standard_normal(size)
-    return amps / np.linalg.norm(amps)
+CASES = [(d, 3) for d in (2, 3, 4, 5, 7, 8, 9)] + [(d, 4) for d in (2, 3, 4)]
 
 
-@pytest.mark.skipif(kernels.numba is None, reason="numba unavailable")
-def test_backends_agree_on_cnot():
-    for d in (2, 3, 4, 5):
-        fld = field_for(d)
-        amps = _random_state(d ** 3, seed=d)
-        out_np = np.empty_like(amps)
-        out_nb = np.empty_like(amps)
-        for b in range(d):
-            kernels.cnot_numpy(amps, out_np, d, d ** 2, 1, fld.mul_table[b], fld.sub_table)
-            kernels.cnot_numba(amps, out_nb, d, d ** 2, 1, fld.mul_table[b], fld.sub_table)
-            assert np.array_equal(out_np, out_nb)
+def every_permutation_gate(fld, n):
+    wires = range(1, n + 1)
+    for m in wires:
+        yield from (Gate("A", (m,), a) for a in range(fld.d))
+        yield from (Gate("D", (m,), a) for a in range(1, fld.d))
+        yield Gate("V", (m,))
+    for m, t in permutations(wires, 2):
+        yield from (Gate("C", (m, t), a) for a in range(fld.d))
+        yield Gate("W", (m, t))
 
 
-@pytest.mark.skipif(kernels.numba is None, reason="numba unavailable")
-def test_backends_agree_on_axis_perm_and_swap():
-    for d in (2, 3, 4):
-        fld = field_for(d)
-        amps = _random_state(d ** 3, seed=10 + d)
-        out_np = np.empty_like(amps)
-        out_nb = np.empty_like(amps)
-        for a in range(d):
-            src = fld.sub_table[:, a]
-            kernels.axis_perm_numpy(amps, out_np, d, d, src)
-            kernels.axis_perm_numba(amps, out_nb, d, d, src)
-            assert np.array_equal(out_np, out_nb)
-        kernels.swap_numpy(amps, out_np, d, d ** 2, 1)
-        kernels.swap_numba(amps, out_nb, d, d ** 2, 1)
-        assert np.array_equal(out_np, out_nb)
+def digits_of(index, d, n):
+    out = []
+    for _ in range(n):
+        index, x = divmod(index, d)
+        out.append(x)
+    return out[::-1]
 
 
-def test_env_flag_forces_numpy_backend():
-    code = "import quditgraph.kernels as k; print(k.BACKEND)"
-    out = subprocess.run(
-        [sys.executable, "-c", code],
-        env={"QUDITGRAPH_KERNELS": "numpy", "PATH": "/usr/bin:/bin"},
-        capture_output=True,
-        text=True,
-        check=True,
-    )
-    assert out.stdout.strip() == "numpy"
+def index_of(digits, d):
+    index = 0
+    for x in digits:
+        index = index * d + x
+    return index
 
 
-def test_env_flag_rejects_unknown_value(monkeypatch):
-    monkeypatch.setenv("QUDITGRAPH_KERNELS", "cuda")
-    with pytest.raises(ValueError):
-        kernels._pick_backend()
+def image(fld, gate, digits):
+    """Digits of the ket that `gate` sends the ket `digits` to."""
+    x = list(digits)
+    m = gate.wires[0] - 1
+    if gate.kind == "A":
+        x[m] = fld.add(x[m], gate.param)
+    elif gate.kind == "D":
+        x[m] = fld.mul(gate.param, x[m])
+    elif gate.kind == "V":
+        x[m] = fld.reverse(x[m])
+    elif gate.kind == "C":
+        t = gate.wires[1] - 1
+        x[t] = fld.add(x[t], fld.mul(gate.param, x[m]))
+    else:  # W
+        t = gate.wires[1] - 1
+        x[m], x[t] = x[t], x[m]
+    return x
+
+
+def oracle_source_map(fld, n, gate):
+    """src with new_amps = amps[src]: the ket x lands on image(x)."""
+    src = np.full(fld.d ** n, -1, dtype=np.int64)
+    for i in range(fld.d ** n):
+        src[index_of(image(fld, gate, digits_of(i, fld.d, n)), fld.d)] = i
+    assert (src >= 0).all(), f"{gate} is not a permutation in the oracle"
+    return src
+
+
+@pytest.mark.parametrize("d,n", CASES)
+def test_permutation_gates_match_ket_oracle(d, n):
+    fld = field_for(d)
+    rng = np.random.default_rng(100 * d + n)
+    amps = rng.standard_normal(d ** n) + 1j * rng.standard_normal(d ** n)
+    state = StateVector(fld, n, amps)
+    checked = 0
+    for gate in every_permutation_gate(fld, n):
+        src = oracle_source_map(fld, n, gate)
+        assert np.array_equal(gate_source_map(fld, n, gate), src), gate
+        assert np.array_equal(apply_gate(state, gate).amps, amps[src]), gate
+        checked += 1
+    assert checked == n * (2 * d) + n * (n - 1) * (d + 1)
+
+
+def test_sequence_source_map_composes_oracle_maps():
+    fld = field_for(4)
+    ops = [Gate("C", (3, 1), 2), Gate("A", (2,), 3), Gate("W", (1, 3)), Gate("D", (1,), 2), Gate("V", (2,))]
+    want = np.arange(fld.d ** 3)
+    for gate in ops:  # ops[-1] acts first, so its map is the outermost gather
+        want = oracle_source_map(fld, 3, gate)[want]
+    assert np.array_equal(sequence_source_map(fld, 3, ops), want)
+
+
+def test_source_maps_reject_the_fourier_gate():
+    fld = field_for(3)
+    with pytest.raises(ValueError, match="not a basis permutation"):
+        gate_source_map(fld, 2, Gate("H", (1,)))
+    with pytest.raises(ValueError, match="not a basis permutation"):
+        sequence_source_map(fld, 2, [Gate("C", (1, 2), 1), Gate("H", (2,))])

@@ -2,20 +2,13 @@
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from quditgraph import Circuit, Field, Gate
 
-_FIELDS: dict[int, Field] = {}
-
-PRIME_POWER = {2: (2, 1), 3: (3, 1), 4: (2, 2), 5: (5, 1), 7: (7, 1), 8: (2, 3), 9: (3, 2)}
-
-
-def field_for(d: int) -> Field:
-    if d not in _FIELDS:
-        p, n = PRIME_POWER[d]
-        _FIELDS[d] = Field(p, n)
-    return _FIELDS[d]
+field_for = functools.cache(Field.of_order)
 
 
 def random_init(n: int, k: int, rng: np.random.Generator) -> tuple[str, ...]:
