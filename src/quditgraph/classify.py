@@ -8,12 +8,18 @@ isolated vertex).
 
 Each k is one class of the reported table - that is the granularity at which
 the families of entangled types live (sweeping all labels of one class stays
-within it, while no local-unitary move crosses classes).  Within a class the
-enumeration additionally buckets the label assignments by their
-local-unitary invariant signature and reports those orbits, since for some
-fields the labels split a class into several invariant orbits (the square
-with twist 1 is not equivalent to the square with twist 2 over GF(3), for
-instance).  That finer structure is data, not a class count.
+within it).  That no local-unitary move crosses classes is a premise checked
+at run time (RuntimeError when an invariant recurs in another class); it is
+known to fail at N >= 6.  Within a class the enumeration additionally buckets
+the label assignments by an exact local-unitary invariant and reports those
+orbits, since for some fields the labels split a class into several invariant
+orbits (the square with twist 1 is not equivalent to the square with twist 2
+over GF(3), for instance).  That finer structure is data, not a class count.
+
+The invariant is the RDM rank profile, with no tolerance and no dense state:
+a graph state is uniform over an affine space, so each RDM is flat and one
+rank (symbolic_rdm_rank) fixes its spectrum.  Sorted (-rank, |A|) pairs order
+orbits exactly as sorted spectra do.
 """
 
 from __future__ import annotations
@@ -22,23 +28,20 @@ from itertools import product
 
 import numpy as np
 
+from .entangle import symbolic_rdm_rank
 from .gf import Field
-from .simulator import ResourceGuardError, STATE_SIZE_LIMIT, signature_key
 from .rewrite import SymbolicState
+from .simulator import STATE_SIZE_LIMIT, ResourceGuardError, bipartition_subsets
 
 
-def _dense_from_matrix(fld: Field, matrix: np.ndarray, n: int) -> np.ndarray:
-    sym = SymbolicState(fld, n, matrix, np.zeros(n, dtype=np.int64))
-    return sym.dense_amps()
-
-
-def classify(fld: Field, n_qudits: int, tol: float = 1e-10) -> dict:
+def classify(fld: Field, n_qudits: int) -> dict:
     """Classify product-free standard-form graph states on n_qudits wires."""
     d = fld.d
     if n_qudits < 2:
         raise ValueError("classification needs at least two qudits")
     if d ** n_qudits > STATE_SIZE_LIMIT:
         raise ResourceGuardError(f"{d}**{n_qudits} amplitudes exceed the 2^24 guard")
+    subsets = bipartition_subsets(n_qudits)
     classes = []
     seen_keys: dict[tuple, int] = {}
     for k in range(1, n_qudits // 2 + 1):
@@ -51,10 +54,9 @@ def classify(fld: Field, n_qudits: int, tol: float = 1e-10) -> dict:
                 continue  # isolated source vertex: its qudit stays in |s>
             if any(not grid[:, j].any() for j in range(n_sinks)):
                 continue  # isolated sink vertex: its qudit stays in |0>
-            matrix = np.zeros((k, n_qudits), dtype=np.int64)
-            matrix[:, :k] = np.eye(k, dtype=np.int64)
-            matrix[:, k:] = grid
-            key = signature_key(_dense_from_matrix(fld, matrix, n_qudits), d, n_qudits)
+            matrix = np.hstack([np.eye(k, dtype=np.int64), grid])
+            sym = SymbolicState(fld, n_qudits, matrix, np.zeros(n_qudits, dtype=np.int64))
+            key = tuple(sorted((-symbolic_rdm_rank(sym, a), len(a)) for a in subsets))
             if key in seen_keys and seen_keys[key] != k:
                 raise RuntimeError("invariant signature crossed class boundaries")
             seen_keys[key] = k

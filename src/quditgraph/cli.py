@@ -87,7 +87,7 @@ def cmd_normalize(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    report = classify(args.field, args.n, args.tolerance)
+    report = classify(args.field, args.n)
     if args.format == "text":
         print(f"field {report['field']}  N={report['n']}  classes={report['count']}")
         for cls in report["classes"]:
@@ -181,7 +181,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("n", type=int)
     p.add_argument("--field", type=_field_arg, required=True, metavar="'p n [poly]'")
     p.add_argument("--format", choices=["json", "text"], default="json")
-    add_common(p)
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("dual-check", help="verify a graph against its dual (JSON graph input)")
@@ -200,7 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.set_defaults(func=cmd_make_mes)
 
-    p = sub.add_parser("relations-test", help="dense-operator check of all rewrite rules")
+    p = sub.add_parser("relations-test", help="exact operator check of all rewrite rules")
     p.add_argument("--fields", default="2,3,4,5", help="comma-separated prime powers")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--samples", type=int, default=1000, help="random tuples for d > 5")

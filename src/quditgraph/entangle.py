@@ -62,14 +62,8 @@ def square_state(fld: Field, twist: int, tol: float = DEFAULT_TOL) -> StateVecto
     """
     if not 0 <= twist < fld.d:
         raise ValueError(f"twist {twist} out of range for order-{fld.d} field")
-    d = fld.d
-    amps = np.zeros(d ** 4, dtype=np.complex128)
-    for i in range(d):
-        for k in range(d):
-            digits = (i, fld.add(i, fld.mul(twist, k)), k, fld.add(i, k))
-            idx = ((digits[0] * d + digits[1]) * d + digits[2]) * d + digits[3]
-            amps[idx] = 1.0 / d
-    return StateVector(fld, 4, amps, tol)
+    zeros = np.zeros(4, dtype=np.int64)
+    return SymbolicState(fld, 4, [[1, 1, 0, 1], [0, twist, 1, 1]], zeros).to_state(tol)
 
 
 def ring_square_state(d: int) -> RingState:

@@ -28,10 +28,9 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from . import kernels
-from .gf import Field
+from .gf import TABLE_LIMIT, Field
 
 STATE_SIZE_LIMIT = 2 ** 24
-TABLE_FIELD_LIMIT = 256
 DEFAULT_TOL = 1e-10
 
 GATE_KINDS = ("A", "D", "C", "H", "V", "W")
@@ -134,8 +133,8 @@ def init_state(field: Field, n_qudits: int, pattern: Sequence[str], tol: float =
         raise ValueError(f"pattern length {len(pattern)} != qudit count {n_qudits}")
     d = field.d
     _check_size(d, n_qudits)
-    if d > TABLE_FIELD_LIMIT:
-        raise ResourceGuardError(f"dense simulation requires a tabulated field (d <= {TABLE_FIELD_LIMIT})")
+    if d > TABLE_LIMIT:
+        raise ResourceGuardError(f"dense simulation requires a tabulated field (d <= {TABLE_LIMIT})")
     zero = np.zeros(d, dtype=np.complex128)
     zero[0] = 1.0
     uniform = np.full(d, 1.0 / math.sqrt(d), dtype=np.complex128)

@@ -211,7 +211,7 @@ def test_criterion_09_classification_counts():
     for d in (2, 3):
         fld = field_for(d)
         for n, count in expected.items():
-            report = classify(fld, n, tol=TOL)
+            report = classify(fld, n)
             assert report["count"] == count, (d, n, report["count"])
     _report(9, "class counts are 1,1,2,2 for N=2..5 over d=2 and d=3", t0)
 

@@ -1,6 +1,10 @@
+from itertools import product
+
+import numpy as np
 import pytest
 
-from quditgraph import ResourceGuardError, classify
+from quditgraph import ResourceGuardError, SymbolicState, bipartition_subsets, classify, symbolic_rdm_rank
+from quditgraph.simulator import signature_key
 
 from util import field_for
 
@@ -57,3 +61,42 @@ def test_classify_deterministic():
     a = classify(field_for(3), 4)
     b = classify(field_for(3), 4)
     assert a == b
+
+
+def _labelings(d, n):
+    """(k, labels, coefficient matrix) of every product-free standard-form graph, in sweep order."""
+    for k in range(1, n // 2 + 1):
+        for labels in product(range(d), repeat=k * (n - k)):
+            grid = np.array(labels, dtype=np.int64).reshape(k, n - k)
+            if grid.any(axis=1).all() and grid.any(axis=0).all():
+                yield k, list(labels), np.hstack([np.eye(k, dtype=np.int64), grid])
+
+
+def _partition(keyed):
+    """Labelings grouped by key, groups in sorted key order."""
+    groups = {}
+    for key, item in keyed:
+        groups.setdefault(key, []).append(item)
+    return [groups[key] for key in sorted(groups)]
+
+
+@pytest.mark.parametrize("d,n", [(d, n) for d in (2, 3, 4) for n in (2, 3, 4, 5)] + [(5, 3), (5, 4)])
+def test_rank_profile_partitions_like_dense_spectra(d, n):
+    # dense oracle: rounded RDM spectra of the built state; exact key: the
+    # sorted (-rank, |A|) profile classify uses
+    fld = field_for(d)
+    subsets = bipartition_subsets(n)
+    dense, exact = [], []
+    for k, labels, matrix in _labelings(d, n):
+        sym = SymbolicState(fld, n, matrix, np.zeros(n, dtype=np.int64))
+        dense.append((signature_key(sym.dense_amps(), d, n), (k, labels)))
+        exact.append((tuple(sorted((-symbolic_rdm_rank(sym, a), len(a)) for a in subsets)), (k, labels)))
+    groups = _partition(dense)
+    assert _partition(exact) == groups
+    reported = [
+        (cls["sources"], orbit["count"], orbit["representative_labels"])
+        for cls in classify(fld, n)["classes"]
+        for orbit in cls["signature_orbits"]
+    ]
+    from_dense = sorted(((g[0][0], len(g), g[0][1]) for g in groups), key=lambda t: t[0])
+    assert reported == from_dense

@@ -135,6 +135,15 @@ def test_classify_guard_exit_3(capsys):
     assert "guard" in err.lower()
 
 
+def test_classify_untabulated_field(capsys):
+    # GF(257) has no lookup tables; the rank key needs only scalar arithmetic
+    code, out, _ = run_cli(capsys, "classify", "2", "--field", "257 1")
+    assert code == 0
+    report = json.loads(out)
+    assert report["count"] == 1
+    assert report["classes"][0]["graphs"] == 256
+
+
 # ---------------------------------------------------------------------------
 # dual-check
 # ---------------------------------------------------------------------------
@@ -170,6 +179,19 @@ def test_dual_check_gf4_square(tmp_path, capsys):
     data = json.loads(out)
     assert data["signature_match"] is True
     assert data["state_equivalence_holds"] is False
+
+
+def test_dual_check_untabulated_field_exit_3(tmp_path, capsys):
+    graph = {
+        "field": {"p": 257, "n": 1, "poly": 0},
+        "S": [1], "O": [2],
+        "edges": [{"from": 1, "to": 2, "label": 1}],
+    }
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps(graph))
+    code, _, err = run_cli(capsys, "dual-check", str(path))
+    assert code == 3
+    assert "tabulated field" in err
 
 
 # ---------------------------------------------------------------------------

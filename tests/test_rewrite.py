@@ -20,7 +20,7 @@ from quditgraph import (
     states_equal_symbolic,
     symbolic_apply,
 )
-from quditgraph.rewrite import mat_rank, mat_rref
+from quditgraph.rewrite import compare_sequences, mat_rank, mat_rref
 
 from util import field_for, ket_strings, random_c_circuit, random_cadw_circuit
 
@@ -231,6 +231,19 @@ def test_relations_suite_reports_corrupted_rule():
     assert bad["first_failure"] is not None
     assert bad["first_failure"]["max_deviation"] > 0.5
     assert report["relations"]["cnot_chain"]["ok"]
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_compare_sequences_exact_and_dense(d):
+    fld = field_for(d)
+    # permutation products compare exactly through their basis maps
+    assert compare_sequences(fld, 2, [Gate("C", (1, 2), 1)], [Gate("C", (1, 2), 1)]) == (True, 0.0)
+    assert compare_sequences(fld, 2, [Gate("C", (1, 2), 1)], [Gate("C", (2, 1), 1)]) == (False, 1.0)
+    # with H the products go dense: H^2 sends |x> to |-x>, which is D(-1)
+    ok, dev = compare_sequences(fld, 1, [Gate("H", (1,)), Gate("H", (1,))], [Gate("D", (1,), fld.neg(1))])
+    assert ok and dev < 1e-12
+    ok, dev = compare_sequences(fld, 1, [Gate("H", (1,))], [Gate("D", (1,), 1)])
+    assert not ok and dev > 0.1
 
 
 def test_relations_random_mode_seeded():
