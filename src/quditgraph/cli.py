@@ -2,7 +2,8 @@
 
 Verbs: normalize, classify, dual-check, verify-mes, make-mes, relations-test,
 simulate.  Exit codes: 0 success / verdict true, 1 verdict false, 2 usage or
-parse error, 3 resource guard.
+parse error, 3 resource guard, 4 internal error (one `internal error: ...`
+line on stderr).  Only the verbs that decide by it take --tolerance.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 from pathlib import Path
 
 import numpy as np
@@ -37,6 +39,7 @@ EXIT_OK = 0
 EXIT_FALSE = 1
 EXIT_USAGE = 2
 EXIT_GUARD = 3
+EXIT_INTERNAL = 4
 
 
 def _emit_json(obj) -> None:
@@ -56,8 +59,8 @@ def cmd_normalize(args) -> int:
     perm, graph = canonicalize(circuit)
     verification = None
     if args.verify:
-        original = circuit.simulate(args.tolerance)
-        rebuilt = graph.state(args.tolerance)
+        original = circuit.simulate()
+        rebuilt = graph.state()
         dev = float(np.max(np.abs(original.amps - rebuilt.amps)))
         verification = {"equal": dev <= args.tolerance, "max_deviation": dev}
     if args.format == "dot":
@@ -137,8 +140,7 @@ def cmd_relations_test(args) -> int:
     reports = []
     for fld in fields:
         exhaustive = fld.d <= 5
-        report = relations_suite(fld, exhaustive=exhaustive, samples=args.samples,
-                                 seed=args.seed, tol=args.tolerance)
+        report = relations_suite(fld, exhaustive=exhaustive, samples=args.samples, seed=args.seed)
         reports.append(report)
         all_ok &= report["ok"]
         if args.format == "text":
@@ -154,7 +156,7 @@ def cmd_relations_test(args) -> int:
 
 def cmd_simulate(args) -> int:
     circuit = parse_circuit(Path(args.circuit).read_text())
-    state = circuit.simulate(args.tolerance)
+    state = circuit.simulate()
     print(dump_state(state.amps, state.d, state.n), end="")
     return EXIT_OK
 
@@ -167,14 +169,14 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="quditgraph", description=__doc__)
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def add_common(p):
+    def add_tolerance(p):
         p.add_argument("--tolerance", type=float, default=1e-10)
 
     p = sub.add_parser("normalize", help="reduce a C-only circuit file to its bipartite graph")
     p.add_argument("circuit")
     p.add_argument("--format", choices=["json", "dot", "text"], default="json")
     p.add_argument("--verify", action="store_true", help="re-simulate and compare dense states")
-    add_common(p)
+    add_tolerance(p)
     p.set_defaults(func=cmd_normalize)
 
     p = sub.add_parser("classify", help="enumerate and classify graph states at small N")
@@ -185,18 +187,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dual-check", help="verify a graph against its dual (JSON graph input)")
     p.add_argument("graph")
-    add_common(p)
+    add_tolerance(p)
     p.set_defaults(func=cmd_dual_check)
 
     p = sub.add_parser("verify-mes", help="check a state dump for 4-party maximal entanglement")
     p.add_argument("state")
-    add_common(p)
+    add_tolerance(p)
     p.set_defaults(func=cmd_verify_mes)
 
     p = sub.add_parser("make-mes", help="construct a maximally entangled 4-party state")
     p.add_argument("d", type=int)
     p.add_argument("--output", help="write the state dump to this path")
-    add_common(p)
+    add_tolerance(p)
     p.set_defaults(func=cmd_make_mes)
 
     p = sub.add_parser("relations-test", help="exact operator check of all rewrite rules")
@@ -204,12 +206,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--samples", type=int, default=1000, help="random tuples for d > 5")
     p.add_argument("--format", choices=["json", "text"], default="text")
-    add_common(p)
     p.set_defaults(func=cmd_relations_test)
 
     p = sub.add_parser("simulate", help="dense-simulate a circuit file and dump the state")
     p.add_argument("circuit")
-    add_common(p)
     p.set_defaults(func=cmd_simulate)
 
     return parser
@@ -232,6 +232,10 @@ def main(argv=None) -> int:
     except (ValueError, OSError, json.JSONDecodeError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:  # never let a stray exception exit 1, which means "false"
+        where = traceback.extract_tb(exc.__traceback__)[-1]
+        print(f"internal error: {exc!r} at {Path(where.filename).name}:{where.lineno}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

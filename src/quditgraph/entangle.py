@@ -53,7 +53,7 @@ class RingState:
 # Constructions
 # ---------------------------------------------------------------------------
 
-def square_state(fld: Field, twist: int, tol: float = DEFAULT_TOL) -> StateVector:
+def square_state(fld: Field, twist: int) -> StateVector:
     """Four-qudit square-graph state with edge labels (1, 1, 1, twist).
 
     Amplitude d^-1 on every ket |i, i + twist*k, k, i + k> for i, k in the
@@ -63,7 +63,7 @@ def square_state(fld: Field, twist: int, tol: float = DEFAULT_TOL) -> StateVecto
     if not 0 <= twist < fld.d:
         raise ValueError(f"twist {twist} out of range for order-{fld.d} field")
     zeros = np.zeros(4, dtype=np.int64)
-    return SymbolicState(fld, 4, [[1, 1, 0, 1], [0, twist, 1, 1]], zeros).to_state(tol)
+    return SymbolicState(fld, 4, [[1, 1, 0, 1], [0, twist, 1, 1]], zeros).to_state()
 
 
 def ring_square_state(d: int) -> RingState:
@@ -81,20 +81,18 @@ def ring_square_state(d: int) -> RingState:
     return RingState(d, 4, amps)
 
 
-def compose_mes(states: Sequence[StateVector | RingState], tol: float = DEFAULT_TOL,
-                check_inputs: bool = True) -> StateVector | RingState:
+def compose_mes(states: Sequence[StateVector | RingState], tol: float = DEFAULT_TOL) -> StateVector | RingState:
     """Systemwise tensor product of maximally entangled states.
 
     System q of the output is the tuple of the inputs' systems q, so the
-    per-system dimension multiplies.  Inputs must individually pass
-    mes_verdict (disable with check_inputs for experiments).
+    per-system dimension multiplies.  Each input must pass mes_verdict at
+    tol, else ValueError.
     """
     if not states:
         raise ValueError("need at least one state")
-    if check_inputs:
-        for s in states:
-            if not mes_verdict(s, tol).verdict:
-                raise ValueError("compose_mes inputs must be maximally entangled")
+    for s in states:
+        if not mes_verdict(s, tol).verdict:
+            raise ValueError("compose_mes inputs must be maximally entangled")
     if len(states) == 1:
         return states[0]
     n = states[0].n
@@ -151,6 +149,7 @@ def build_mes(d: int, tol: float = DEFAULT_TOL) -> MesConstruction:
     GF(2^m) square state (smallest admissible twist, element index 2) with
     one ring factor per odd prime.  Dimensions of the form 2 mod 4 are
     refused: no such state is known, and the even ring construction fails.
+    tol decides compose_mes's check of the factors.
     """
     if d < 2:
         raise ValueError("dimension must be at least 2")
@@ -166,7 +165,7 @@ def build_mes(d: int, tol: float = DEFAULT_TOL) -> MesConstruction:
     m = factors.count(2)
     odd = [p for p in factors if p != 2]
     fld = Field(2, m)
-    parts: list[StateVector | RingState] = [square_state(fld, 2, tol)]
+    parts: list[StateVector | RingState] = [square_state(fld, 2)]
     parts += [ring_square_state(p) for p in odd]
     label = f"square(GF(2^{m}),twist=2)"
     if odd:

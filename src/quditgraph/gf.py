@@ -63,18 +63,6 @@ def _poly_trim(c: Sequence[int]) -> tuple[int, ...]:
     return tuple(c[:i])
 
 
-def _poly_mul(a: Sequence[int], b: Sequence[int], p: int) -> tuple[int, ...]:
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai == 0:
-            continue
-        for j, bj in enumerate(b):
-            out[i + j] = (out[i + j] + ai * bj) % p
-    return _poly_trim(out)
-
-
 def _poly_mod(a: Sequence[int], m: Sequence[int], p: int) -> tuple[int, ...]:
     """Remainder of a modulo the monic polynomial m."""
     r = list(a)
@@ -261,8 +249,6 @@ class Field:
 
         self.reverse_table = (cmat[:, ::-1] @ powers).astype(np.int64)
         self.dot_table = (cmat @ cmat.T) % p
-
-        self._coeff_matrix = cmat
 
     # -- scalar arithmetic ----------------------------------------------------
 

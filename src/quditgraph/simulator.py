@@ -32,6 +32,7 @@ from .gf import TABLE_LIMIT, Field
 
 STATE_SIZE_LIMIT = 2 ** 24
 DEFAULT_TOL = 1e-10
+SIGNATURE_DIGITS = 8  # spectra are rounded to this many decimals before they are sorted or hashed
 
 GATE_KINDS = ("A", "D", "C", "H", "V", "W")
 _PARAM_KINDS = ("A", "D", "C")
@@ -96,11 +97,10 @@ def validate_gate(field: Field, n_qudits: int, gate: Gate) -> None:
 class StateVector:
     """Dense complex amplitudes of an N-qudit register over a field."""
 
-    def __init__(self, field: Field, n_qudits: int, amps: np.ndarray, tol: float = DEFAULT_TOL):
+    def __init__(self, field: Field, n_qudits: int, amps: np.ndarray):
         self.field = field
         self.n = int(n_qudits)
         self.amps = np.asarray(amps, dtype=np.complex128).reshape(-1)
-        self.tol = tol
         if self.amps.size != field.d ** self.n:
             raise ValueError("amplitude array size does not match d**n")
 
@@ -109,7 +109,7 @@ class StateVector:
         return self.field.d
 
     def copy(self) -> "StateVector":
-        return StateVector(self.field, self.n, self.amps.copy(), self.tol)
+        return StateVector(self.field, self.n, self.amps.copy())
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.amps))
@@ -123,11 +123,11 @@ def _check_size(d: int, n: int) -> None:
         raise ResourceGuardError(f"state of {d}**{n} amplitudes exceeds the 2^24 guard")
 
 
-def init_state(field: Field, n_qudits: int, pattern: Sequence[str], tol: float = DEFAULT_TOL) -> StateVector:
+def init_state(field: Field, n_qudits: int, pattern: Sequence[str]) -> StateVector:
     """Tensor product of |s> (uniform superposition) and |0> factors.
 
-    pattern entries are 's' for the uniform superposition and '0' (alias
-    'zero') for the computational zero state.
+    pattern entries are 's' for the uniform superposition and '0' for the
+    computational zero state.
     """
     if len(pattern) != n_qudits:
         raise ValueError(f"pattern length {len(pattern)} != qudit count {n_qudits}")
@@ -142,11 +142,11 @@ def init_state(field: Field, n_qudits: int, pattern: Sequence[str], tol: float =
     for token in pattern:
         if token == "s":
             amps = np.kron(amps, uniform)
-        elif token in ("0", "zero"):
+        elif token == "0":
             amps = np.kron(amps, zero)
         else:
             raise ValueError(f"pattern entries must be 's' or '0', got {token!r}")
-    return StateVector(field, n_qudits, amps, tol)
+    return StateVector(field, n_qudits, amps)
 
 
 def _stride(d: int, n: int, wire: int) -> int:
@@ -158,7 +158,7 @@ def apply_gate(state: StateVector, gate: Gate) -> StateVector:
     validate_gate(state.field, state.n, gate)
     out = np.empty_like(state.amps)
     _apply_gate_raw(state.field, state.n, gate, state.amps, out)
-    return StateVector(state.field, state.n, out, state.tol)
+    return StateVector(state.field, state.n, out)
 
 
 def _apply_gate_raw(field: Field, n: int, gate: Gate, amps: np.ndarray, out: np.ndarray) -> None:
@@ -196,7 +196,7 @@ def _apply_gate_raw(field: Field, n: int, gate: Gate, amps: np.ndarray, out: np.
 def run_gates(state: StateVector, gates: Iterable[Gate]) -> StateVector:
     """Apply a time-ordered gate sequence (first gate acts first)."""
     amps = _run_raw(state.field, state.n, gates, state.amps.copy())
-    return StateVector(state.field, state.n, amps, state.tol)
+    return StateVector(state.field, state.n, amps)
 
 
 def _run_raw(field: Field, n: int, gates: Iterable[Gate], cur: np.ndarray) -> np.ndarray:
@@ -349,13 +349,13 @@ def bipartition_subsets(n: int) -> list[tuple[int, ...]]:
 def bipartite_spectra(amps: np.ndarray, d: int, n: int) -> list[np.ndarray]:
     """RDM spectra over all bipartitions, sorted into a canonical multiset order."""
     specs = [spectrum(reduced_density_raw(amps, d, n, s)) for s in bipartition_subsets(n)]
-    specs.sort(key=lambda s: tuple(np.round(s, 8)))
+    specs.sort(key=lambda s: tuple(np.round(s, SIGNATURE_DIGITS)))
     return specs
 
 
-def signature_key(amps: np.ndarray, d: int, n: int, digits: int = 8) -> tuple:
+def signature_key(amps: np.ndarray, d: int, n: int) -> tuple:
     """Hashable local-unitary invariant: the sorted multiset of RDM spectra."""
-    return tuple(tuple(np.round(s, digits)) for s in bipartite_spectra(amps, d, n))
+    return tuple(tuple(np.round(s, SIGNATURE_DIGITS)) for s in bipartite_spectra(amps, d, n))
 
 
 def signatures_match(amps1: np.ndarray, amps2: np.ndarray, d: int, n: int, tol: float = DEFAULT_TOL) -> tuple[bool, float]:

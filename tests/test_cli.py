@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 
+import quditgraph
 from quditgraph.cli import main
 
 EXAMPLE_CIRCUIT = """\
@@ -135,6 +140,13 @@ def test_classify_guard_exit_3(capsys):
     assert "guard" in err.lower()
 
 
+def test_classify_guard_counts_labellings(capsys):
+    # 7^4 + 7^6 = 120050 labellings: the sweep would take over a minute
+    code, _, err = run_cli(capsys, "classify", "5", "--field", "7 1")
+    assert code == 3
+    assert "120050 labellings" in err
+
+
 def test_classify_untabulated_field(capsys):
     # GF(257) has no lookup tables; the rank key needs only scalar arithmetic
     code, out, _ = run_cli(capsys, "classify", "2", "--field", "257 1")
@@ -192,6 +204,26 @@ def test_dual_check_untabulated_field_exit_3(tmp_path, capsys):
     code, _, err = run_cli(capsys, "dual-check", str(path))
     assert code == 3
     assert "tabulated field" in err
+
+
+def test_dual_check_does_not_measure_the_field(tmp_path, capsys, monkeypatch):
+    # the H/V identity over the whole field is no part of a graph's verdict;
+    # over GF(32) it alone would take tens of seconds
+    def boom(*args, **kwargs):
+        raise AssertionError("dual-check measured the field-wide conjugation identity")
+
+    monkeypatch.setattr("quditgraph.duality.conjugation_report", boom)
+    monkeypatch.setattr("quditgraph.duality.check_conjugation_identity", boom)
+    graph = {
+        "field": {"p": 2, "n": 5, "poly": quditgraph.Field(2, 5).poly_index},
+        "S": [1], "O": [2],
+        "edges": [{"from": 1, "to": 2, "label": 7}],
+    }
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps(graph))
+    code, out, _ = run_cli(capsys, "dual-check", str(path))
+    assert code == 0
+    assert json.loads(out)["signature_match"] is True
 
 
 # ---------------------------------------------------------------------------
@@ -293,5 +325,42 @@ def test_simulate_cli(tmp_path, capsys):
     assert all(abs(float(l.split()[1]) - 1 / np.sqrt(3)) < 1e-12 for l in lines)
 
 
+def test_tolerance_only_on_verbs_that_read_it(tmp_path, capsys):
+    path = tmp_path / "bell.qc"
+    path.write_text(BELL_CIRCUIT)
+    assert run_cli(capsys, "simulate", str(path), "--tolerance", "1e-9")[0] == 2
+    assert run_cli(capsys, "relations-test", "--fields", "2", "--tolerance", "1e-9")[0] == 2
+
+
 def test_unknown_verb_exit_2(capsys):
     assert main(["frobnicate"]) == 2
+
+
+# ---------------------------------------------------------------------------
+# stray exceptions
+# ---------------------------------------------------------------------------
+
+def test_stray_exception_exit_4(capsys, monkeypatch):
+    def broken(fld, n):
+        raise RuntimeError("broken\ninvariant")
+
+    monkeypatch.setattr("quditgraph.cli.classify", broken)
+    code, out, err = run_cli(capsys, "classify", "4", "--field", "2 1")
+    assert code == 4
+    assert out == ""
+    assert err.startswith("internal error: RuntimeError(")
+    assert err.count("\n") == 1
+
+
+def test_stray_exception_process_status_4():
+    # classify at N = 6 still trips its class-boundary premise (a known defect)
+    src = str(Path(quditgraph.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-m", "quditgraph.cli", "classify", "6", "--field", "2 1"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 4
+    assert done.stdout == ""
+    assert done.stderr.startswith("internal error: RuntimeError(")
+    assert "Traceback" not in done.stderr

@@ -128,7 +128,6 @@ def test_dual_equivalence_gf4_square_signature_only():
     g = make_graph_state(fld, [1, 3], [2, 4], [(1, 2, 1), (1, 4, 1), (3, 4, 1), (3, 2, 2)])
     rep = verify_dual_equivalence(g)
     assert rep.signature_match
-    assert not rep.conjugation_identity_holds
     assert not rep.state_equivalence_holds  # explicit dressing fails over GF(4)
     assert rep.counterexample is not None and rep.counterexample["kind"] == "dressing"
 
@@ -190,8 +189,8 @@ def test_report_serialization():
     g = make_graph_state(fld, [1], [2], [(1, 2, 2)])
     data = verify_dual_equivalence(g).to_dict()
     assert set(data) == {
-        "field", "conjugation_identity_holds", "state_equivalence_holds",
-        "signature_match", "max_deviation", "counterexample", "details",
+        "field", "state_equivalence_holds", "signature_match",
+        "max_deviation", "counterexample", "details",
     }
     assert data["max_deviation"] >= 0.0
 
