@@ -18,22 +18,24 @@ over GF(3), for instance).  That finer structure is data, not a class count.
 
 The invariant is the RDM rank profile, with no tolerance and no dense state:
 a graph state is uniform over an affine space, so each RDM is flat and one
-rank (symbolic_rdm_rank) fixes its spectrum.  Sorted (-rank, |A|) pairs order
-orbits exactly as sorted spectra do.
+rank, d^(r_A + r_B - k) from the ranks of the two column blocks
+(symbolic_rdm_rank), fixes its spectrum.  Sorted (-rank, |A|) pairs order
+orbits exactly as sorted spectra do.  The sweep holds all labellings of one k
+as one array and gets r_A (or r_B) of every labelling from one rref_stack call
+per bipartition side.
 The guard bounds what the sweep visits: at most 2^16 labellings, the sum
-over k = 1..N/2 of d^(k(N-k)) (about 40 s at 0.65 ms each, as measured for N = 5
-over GF(5)).
+over k = 1..N/2 of d^(k(N-k)).  Measured on a 2-core Xeon, N = 5 over GF(5)
+(16250 labellings) takes about 0.4 s, some 25 us per labelling, and N = 3 over
+GF(256) (65536) 0.09 s; fields without tables (d > 256) fall back to scalar
+arithmetic at about 0.5-0.9 ms per labelling.
 """
 
 from __future__ import annotations
 
-from itertools import product
-
 import numpy as np
 
-from .entangle import symbolic_rdm_rank
 from .gf import Field
-from .rewrite import SymbolicState
+from .rewrite import rref_stack
 from .simulator import ResourceGuardError, bipartition_subsets
 
 LABELLING_LIMIT = 2 ** 16
@@ -55,28 +57,31 @@ def classify(fld: Field, n_qudits: int) -> dict:
     seen_keys: dict[tuple, int] = {}
     for k in range(1, n_qudits // 2 + 1):
         n_sinks = n_qudits - k
-        orbits: dict[tuple, dict] = {}
-        total = 0
-        for labels in product(range(d), repeat=k * n_sinks):
-            grid = np.array(labels, dtype=np.int64).reshape(k, n_sinks)
-            if any(not grid[i].any() for i in range(k)):
-                continue  # isolated source vertex: its qudit stays in |s>
-            if any(not grid[:, j].any() for j in range(n_sinks)):
-                continue  # isolated sink vertex: its qudit stays in |0>
-            matrix = np.hstack([np.eye(k, dtype=np.int64), grid])
-            sym = SymbolicState(fld, n_qudits, matrix, np.zeros(n_qudits, dtype=np.int64))
-            key = tuple(sorted((-symbolic_rdm_rank(sym, a), len(a)) for a in subsets))
-            if key in seen_keys and seen_keys[key] != k:
-                raise RuntimeError("invariant signature crossed class boundaries")
-            seen_keys[key] = k
-            entry = orbits.get(key)
-            if entry is None:
-                orbits[key] = {"count": 1, "representative_labels": [int(v) for v in labels]}
-            else:
-                entry["count"] += 1
-            total += 1
+        # every k x (N-k) labelling, in itertools.product order (last label fastest)
+        labels = np.indices((d,) * (k * n_sinks)).reshape(k * n_sinks, -1).T
+        edge = labels.reshape(-1, k, n_sinks) != 0
+        # an isolated source stays in |s>, an isolated sink in |0>
+        labels = labels[edge.any(axis=2).all(axis=1) & edge.any(axis=1).all(axis=1)]
+        total = len(labels)
         if total == 0:
             continue
+        eye = np.broadcast_to(np.eye(k, dtype=np.int64), (total, k, k))
+        matrices = np.concatenate([eye, labels.reshape(total, k, n_sinks)], axis=2)
+        # RDM rank d^e with e = r_A + r_B - k, coded so that codes order like
+        # the pairs (-rank, |A|): larger e first, then smaller |A|.
+        codes = np.empty((total, len(subsets)), dtype=np.int64)
+        for col, subset in enumerate(subsets):
+            side_a = [q - 1 for q in subset]
+            side_b = [q for q in range(n_qudits) if q + 1 not in subset]
+            r_a = rref_stack(fld, matrices[:, :, side_a])[1].sum(axis=1)
+            r_b = rref_stack(fld, matrices[:, :, side_b])[1].sum(axis=1)
+            codes[:, col] = (n_qudits - (r_a + r_b - k)) * n_qudits + len(subset)
+        codes.sort(axis=1)
+        # unique rows come out in lexicographic order, i.e. sorted by key
+        keys, first, counts = np.unique(codes, axis=0, return_index=True, return_counts=True)
+        for key in map(tuple, keys.tolist()):
+            if seen_keys.setdefault(key, k) != k:
+                raise RuntimeError("invariant signature crossed class boundaries")
         rep_edges = [
             {"from": i + 1, "to": k + j + 1, "label": 1}
             for i in range(k)
@@ -89,8 +94,8 @@ def classify(fld: Field, n_qudits: int) -> dict:
                 "graphs": total,
                 "representative": {"S": list(range(1, k + 1)), "O": list(range(k + 1, n_qudits + 1)), "edges": rep_edges},
                 "signature_orbits": [
-                    {"count": orbits[key]["count"], "representative_labels": orbits[key]["representative_labels"]}
-                    for key in sorted(orbits)
+                    {"count": int(c), "representative_labels": labels[i].tolist()}
+                    for c, i in zip(counts, first)
                 ],
             }
         )

@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .gf import Field
-from .rewrite import SymbolicState, mat_rank
+from .rewrite import SymbolicState, rref_stack
 from .simulator import (
     DEFAULT_TOL,
     ResourceGuardError,
@@ -251,9 +251,12 @@ def symbolic_rdm_rank(sym: SymbolicState, subset: Sequence[int]) -> int:
     fld = sym.field
     cols_a = [q - 1 for q in keep]
     cols_b = [q - 1 for q in range(1, sym.n + 1) if q not in keep]
-    r_a = mat_rank(fld, sym.matrix[:, cols_a])
-    r_b = mat_rank(fld, sym.matrix[:, cols_b])
-    return fld.d ** (r_a + r_b - sym.k)
+    # both blocks in one stack; zero columns pad the narrower without changing its rank
+    blocks = np.zeros((2, sym.k, max(len(cols_a), len(cols_b))), dtype=np.int64)
+    blocks[0, :, : len(cols_a)] = sym.matrix[:, cols_a]
+    blocks[1, :, : len(cols_b)] = sym.matrix[:, cols_b]
+    r_a, r_b = rref_stack(fld, blocks)[1].sum(axis=1)
+    return fld.d ** int(r_a + r_b - sym.k)
 
 
 # ---------------------------------------------------------------------------

@@ -211,6 +211,12 @@ class Field:
             if not 0 <= e < self.d:
                 raise ValueError(f"element index {e} out of range for order-{self.d} field")
 
+    def check_arr(self, a: np.ndarray) -> None:
+        """Raise ValueError unless every entry of the array is an element index."""
+        if a.size and (a.min() < 0 or a.max() >= self.d):
+            bad = a[(a < 0) | (a >= self.d)].flat[0]
+            raise ValueError(f"element index {bad} out of range for order-{self.d} field")
+
     # -- tables --------------------------------------------------------------
 
     def _build_tables(self) -> None:
@@ -306,6 +312,37 @@ class Field:
         if self._has_tables:
             return int(self.reverse_table[a])
         return self.element(tuple(reversed(self.coeffs(a))))
+
+    # -- array arithmetic -----------------------------------------------------
+    #
+    # Elementwise over broadcast integer arrays, one table gather each.  They do
+    # not range-check: callers validate their inputs once with check_arr, since
+    # a check per gather would cost as much as the gather.  Fields without
+    # tables fall back to the scalar methods entry by entry.
+
+    def _scalar_arr(self, op, *arrs) -> np.ndarray:
+        return np.vectorize(op, otypes=[np.int64])(*arrs)
+
+    def add_arr(self, a, b) -> np.ndarray:
+        if self._has_tables:
+            return self.add_table[a, b]
+        return self._scalar_arr(self.add, a, b)
+
+    def sub_arr(self, a, b) -> np.ndarray:
+        if self._has_tables:
+            return self.sub_table[a, b]
+        return self._scalar_arr(self.sub, a, b)
+
+    def mul_arr(self, a, b) -> np.ndarray:
+        if self._has_tables:
+            return self.mul_table[a, b]
+        return self._scalar_arr(self.mul, a, b)
+
+    def inv_arr(self, a) -> np.ndarray:
+        """Inverses, with 0 mapped to 0 (inv_table's entry) rather than raising."""
+        if self._has_tables:
+            return self.inv_table[a]
+        return self._scalar_arr(lambda e: self.inv(e) if e else 0, a)
 
     # -- descriptor -----------------------------------------------------------
 

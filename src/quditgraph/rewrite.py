@@ -21,7 +21,17 @@ from typing import Callable, Iterable, Optional, Sequence
 import numpy as np
 
 from .gf import TABLE_LIMIT, Field
-from .simulator import Gate, ResourceGuardError, StateVector, init_state, run_gates, sequence_matrix, sequence_source_map, validate_gate
+from .simulator import (
+    Gate,
+    ResourceGuardError,
+    StateVector,
+    check_state_size,
+    init_state,
+    run_gates,
+    sequence_matrix,
+    sequence_source_map,
+    validate_gate,
+)
 
 
 class CircuitParseError(ValueError):
@@ -60,36 +70,61 @@ class Circuit:
 
 
 # ---------------------------------------------------------------------------
-# Field linear algebra (small matrices, scalar ops)
+# Field linear algebra (whole-stack table gathers)
 # ---------------------------------------------------------------------------
+
+def rref_stack(fld: Field, mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Reduced row echelon forms of a (batch, rows, cols) stack over the field.
+
+    Returns the RREF stack and a (batch, cols) boolean mask of the pivot
+    columns.  Each column step works on every matrix at once with table
+    gathers: the first nonzero entry among the rows holding no pivot yet
+    becomes the pivot, and the column is cleared in every other row; a matrix
+    with no such entry is left unchanged.  Rows are put in echelon order at
+    the end.  Raises ValueError for an entry outside [0, d).
+    """
+    m = np.array(mats, dtype=np.int64)
+    if m.ndim != 3:
+        raise ValueError(f"rref_stack expects a (batch, rows, cols) stack, got shape {m.shape}")
+    fld.check_arr(m)
+    batch, rows, cols = m.shape
+    pivots = np.zeros((batch, cols), dtype=bool)
+    if m.size == 0:
+        return m, pivots
+    lanes = np.arange(batch)
+    free = np.ones((batch, rows), dtype=bool)  # rows not yet holding a pivot
+    for c in range(cols):
+        col = m[:, :, c]
+        cand = (col != 0) & free
+        has = cand.any(axis=1)
+        if not has.any():
+            continue
+        p = cand.argmax(axis=1)
+        # Free rows are zero left of column c, so only columns c.. change.
+        row = m[lanes, p, c:]
+        prow = fld.mul_arr(fld.inv_arr(row[:, 0])[:, None], row)
+        # Subtract f * prow from every row: f is the entry in column c, and
+        # pivot - 1 on the pivot row itself, which turns that row into prow.
+        f = col * has[:, None]
+        f[lanes, p] = fld.sub_arr(row[:, 0], 1) * has
+        m[:, :, c:] = fld.sub_arr(m[:, :, c:], fld.mul_arr(f[:, :, None], prow[:, None, :]))
+        free[lanes, p] &= ~has
+        pivots[:, c] = has
+        if not free.any():
+            break
+    # Pivot rows in the order of their pivot columns, then the zero rows.
+    lead = np.where(m.any(axis=2), (m != 0).argmax(axis=2), cols)
+    order = np.argsort(lead, axis=1, kind="stable")
+    return m[lanes[:, None], order], pivots
+
 
 def mat_rref(fld: Field, mat: np.ndarray) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form over the field; returns (rref, pivot columns)."""
-    rows, cols = np.shape(mat)
-    m = np.asarray(mat, dtype=np.int64).tolist()  # Python ints: numpy scalar indexing costs more
-    pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        pr = next((i for i in range(r, rows) if m[i][c]), None)
-        if pr is None:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        inv = fld.inv(m[r][c])
-        m[r] = [fld.mul(inv, v) for v in m[r]]
-        for i in range(rows):
-            f = m[i][c]
-            if i != r and f:
-                m[i] = [fld.sub(a, fld.mul(f, b)) for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-    return np.array(m, dtype=np.int64).reshape(rows, cols), pivots
+    rref, pivots = rref_stack(fld, np.asarray(mat)[None])
+    return rref[0], np.flatnonzero(pivots[0]).tolist()
 
 
 def mat_rank(fld: Field, mat: np.ndarray) -> int:
-    if mat.size == 0:
-        return 0
     return len(mat_rref(fld, mat)[1])
 
 
@@ -109,6 +144,8 @@ class SymbolicState:
         self.n = int(n_qudits)
         self.matrix = np.array(matrix, dtype=np.int64).reshape(-1, self.n)
         self.offsets = np.array(offsets, dtype=np.int64).reshape(self.n)
+        fld.check_arr(self.matrix)
+        fld.check_arr(self.offsets)
 
     @property
     def k(self) -> int:
@@ -139,23 +176,25 @@ class SymbolicState:
         return SymbolicState(self.field, self.n, self.matrix.copy(), self.offsets.copy())
 
     def apply(self, gate: Gate) -> "SymbolicState":
-        """Apply one gate in place.  Fourier and reversal gates are rejected."""
+        """Apply one gate in place.  Fourier and reversal gates are rejected.
+
+        Entries were range-checked on construction and validate_gate checks
+        the parameter, so the column updates are unchecked table gathers.
+        """
         validate_gate(self.field, self.n, gate)
         fld = self.field
         if gate.kind == "C":
             m, n = gate.control - 1, gate.target - 1
             b = gate.param
-            for i in range(self.k):
-                self.matrix[i, n] = fld.add(int(self.matrix[i, n]), fld.mul(b, int(self.matrix[i, m])))
-            self.offsets[n] = fld.add(int(self.offsets[n]), fld.mul(b, int(self.offsets[m])))
+            self.matrix[:, n] = fld.add_arr(self.matrix[:, n], fld.mul_arr(b, self.matrix[:, m]))
+            self.offsets[n] = fld.add_arr(self.offsets[n], fld.mul_arr(b, self.offsets[m]))
         elif gate.kind == "A":
             q = gate.wires[0] - 1
-            self.offsets[q] = fld.add(int(self.offsets[q]), gate.param)
+            self.offsets[q] = fld.add_arr(self.offsets[q], gate.param)
         elif gate.kind == "D":
             q = gate.wires[0] - 1
-            for i in range(self.k):
-                self.matrix[i, q] = fld.mul(gate.param, int(self.matrix[i, q]))
-            self.offsets[q] = fld.mul(gate.param, int(self.offsets[q]))
+            self.matrix[:, q] = fld.mul_arr(gate.param, self.matrix[:, q])
+            self.offsets[q] = fld.mul_arr(gate.param, self.offsets[q])
         elif gate.kind == "W":
             a, b = gate.wires[0] - 1, gate.wires[1] - 1
             self.matrix[:, [a, b]] = self.matrix[:, [b, a]]
@@ -167,6 +206,7 @@ class SymbolicState:
     def dense_amps(self) -> np.ndarray:
         """Reconstruct the dense amplitude vector (requires a tabulated field)."""
         fld, d, n, k = self.field, self.field.d, self.n, self.k
+        check_state_size(d, n)
         if d > TABLE_LIMIT:
             raise ResourceGuardError(f"dense states require a tabulated field (d <= {TABLE_LIMIT})")
         count = d ** k
@@ -205,7 +245,7 @@ def states_equal_symbolic(s1: SymbolicState, s2: SymbolicState) -> bool:
         return False
     if not np.array_equal(r1[: len(p1)], r2[: len(p2)]):
         return False
-    delta = np.array([fld.sub(int(a), int(b)) for a, b in zip(s1.offsets, s2.offsets)], dtype=np.int64)
+    delta = fld.sub_arr(s1.offsets, s2.offsets)
     stacked = np.vstack([r1[: len(p1)], delta])
     return mat_rank(fld, stacked) == len(p1)
 
@@ -283,21 +323,15 @@ def graph_from_symbolic(sym: SymbolicState) -> tuple[GraphState, dict[int, int]]
     if k == 0 or k == sym.n:
         raise ValueError("graph extraction needs 1 <= k <= N-1 superposition wires")
     s_wires = tuple(c + 1 for c in pivots)
-    o_wires = tuple(q for q in range(1, sym.n + 1) if q not in s_wires)
-    edges = []
-    for row, i in enumerate(s_wires):
-        for j in o_wires:
-            b = int(rref[row, j - 1])
-            if b != 0:
-                edges.append((i, j, b))
-    residual: dict[int, int] = {}
-    t_piv = [int(sym.offsets[c]) for c in pivots]
-    for j in o_wires:
-        acc = int(sym.offsets[j - 1])
-        for row in range(k):
-            acc = fld.sub(acc, fld.mul(t_piv[row], int(rref[row, j - 1])))
-        if acc != 0:
-            residual[j] = acc
+    sinks = sorted(set(range(sym.n)) - set(pivots))
+    o_wires = tuple(c + 1 for c in sinks)
+    block = rref[:k, sinks]
+    edges = [(s_wires[row], o_wires[col], int(block[row, col])) for row, col in zip(*np.nonzero(block))]
+    # Offsets on pivot wires relabel u; what they leave on a sink is its residual.
+    acc = sym.offsets[sinks]
+    for row, c in enumerate(pivots):
+        acc = fld.sub_arr(acc, fld.mul_arr(sym.offsets[c], block[row]))
+    residual = {j: int(v) for j, v in zip(o_wires, acc) if v}
     return make_graph_state(fld, s_wires, o_wires, edges), residual
 
 

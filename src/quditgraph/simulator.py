@@ -118,7 +118,7 @@ class StateVector:
         return f"StateVector(d={self.d}, n={self.n})"
 
 
-def _check_size(d: int, n: int) -> None:
+def check_state_size(d: int, n: int) -> None:
     if d ** n > STATE_SIZE_LIMIT:
         raise ResourceGuardError(f"state of {d}**{n} amplitudes exceeds the 2^24 guard")
 
@@ -132,7 +132,7 @@ def init_state(field: Field, n_qudits: int, pattern: Sequence[str]) -> StateVect
     if len(pattern) != n_qudits:
         raise ValueError(f"pattern length {len(pattern)} != qudit count {n_qudits}")
     d = field.d
-    _check_size(d, n_qudits)
+    check_state_size(d, n_qudits)
     if d > TABLE_LIMIT:
         raise ResourceGuardError(f"dense simulation requires a tabulated field (d <= {TABLE_LIMIT})")
     zero = np.zeros(d, dtype=np.complex128)
@@ -420,7 +420,7 @@ def parse_state_dump(text: str) -> tuple[np.ndarray, int, int]:
             if line.startswith("# quditgraph-state"):
                 fields = dict(part.split("=") for part in line.split()[2:])
                 d, n = int(fields["d"]), int(fields["qudits"])
-                _check_size(d, n)
+                check_state_size(d, n)
                 amps = np.zeros(d ** n, dtype=np.complex128)
             continue
         if amps is None:

@@ -1,5 +1,6 @@
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -204,6 +205,40 @@ def test_dual_check_untabulated_field_exit_3(tmp_path, capsys):
     code, _, err = run_cli(capsys, "dual-check", str(path))
     assert code == 3
     assert "tabulated field" in err
+
+
+def _run_capped(tmp_path, *argv):
+    """Run the CLI in a child process whose address space is capped at 1.5 GiB."""
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (1536 << 20, 1536 << 20))
+
+    src = str(Path(quditgraph.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run(
+        [sys.executable, "-m", "quditgraph.cli", *argv],
+        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120, preexec_fn=cap,
+    )
+
+
+def test_make_mes_dense_guard_exit_3(tmp_path):
+    # the GF(128) square state has 128^4 = 2^28 amplitudes (4 GiB); without the
+    # guard the allocation fails under the cap and exits 4
+    done = _run_capped(tmp_path, "make-mes", "128")
+    assert done.returncode == 3, done.stderr
+    assert "2^24 guard" in done.stderr
+
+
+def test_dual_check_dense_guard_exit_3(tmp_path):
+    graph = {
+        "field": {"p": 2, "n": 4, "poly": quditgraph.Field(2, 4).poly_index},
+        "S": [1, 2, 3], "O": [4, 5, 6, 7],
+        "edges": [{"from": i, "to": j, "label": 1} for i in (1, 2, 3) for j in (4, 5, 6, 7)],
+    }
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps(graph))
+    done = _run_capped(tmp_path, "dual-check", str(path))  # 16^7 = 2^28 amplitudes
+    assert done.returncode == 3, done.stderr
+    assert "2^24 guard" in done.stderr
 
 
 def test_dual_check_does_not_measure_the_field(tmp_path, capsys, monkeypatch):

@@ -243,3 +243,37 @@ def test_coeff_round_trip():
         fld = field_for(d)
         for a in fld.elements():
             assert fld.element(fld.coeffs(a)) == a
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 7, 8, 9])
+def test_array_ops_match_scalar_on_every_pair(d):
+    fld = field_for(d)
+    a, b = np.meshgrid(np.arange(d), np.arange(d), indexing="ij")
+    for arr, scalar in ((fld.add_arr, fld.add), (fld.sub_arr, fld.sub), (fld.mul_arr, fld.mul)):
+        want = [[scalar(x, y) for y in range(d)] for x in range(d)]
+        assert np.array_equal(arr(a, b), want)
+    assert fld.inv_arr(np.arange(d)).tolist() == [0] + [fld.inv(x) for x in range(1, d)]
+
+
+@pytest.mark.parametrize("p,n", [(257, 1), (2, 9)])
+def test_array_ops_match_scalar_untabulated(p, n):
+    fld = Field(p, n)
+    rng = np.random.default_rng(p + n)
+    a, b = rng.integers(0, fld.d, size=(2, 200))
+    assert fld.add_arr(a, b).tolist() == [fld.add(x, y) for x, y in zip(a, b)]
+    assert fld.sub_arr(a, b).tolist() == [fld.sub(x, y) for x, y in zip(a, b)]
+    assert fld.mul_arr(a, b).tolist() == [fld.mul(x, y) for x, y in zip(a, b)]
+    assert fld.inv_arr(a).tolist() == [fld.inv(x) if x else 0 for x in a]
+    # broadcasting, 0-d and empty operands behave as for the tables
+    assert fld.mul_arr(3, a[:5]).tolist() == [fld.mul(3, x) for x in a[:5]]
+    assert fld.add_arr(np.int64(5), np.int64(7)) == fld.add(5, 7)
+    assert fld.add_arr(np.zeros(0, dtype=np.int64), 1).shape == (0,)
+
+
+def test_check_arr():
+    fld = field_for(3)
+    fld.check_arr(np.array([[0, 1, 2]]))
+    fld.check_arr(np.zeros((0, 4), dtype=np.int64))
+    for bad in ([[5, 1]], [[-1, 1]]):
+        with pytest.raises(ValueError, match="out of range"):
+            fld.check_arr(np.array(bad))

@@ -20,9 +20,9 @@ from quditgraph import (
     states_equal_symbolic,
     symbolic_apply,
 )
-from quditgraph.rewrite import compare_sequences, mat_rank, mat_rref
+from quditgraph.rewrite import compare_sequences, mat_rank, mat_rref, rref_stack
 
-from util import field_for, ket_strings, random_c_circuit, random_cadw_circuit
+from util import field_for, ket_strings, random_c_circuit, random_cadw_circuit, scalar_matmul, scalar_rref
 
 # ---------------------------------------------------------------------------
 # Symbolic tracking
@@ -359,3 +359,63 @@ def test_rref_basics():
     assert np.array_equal(r, [[1, 1, 0], [0, 0, 1]])
     assert mat_rank(fld, m) == 2
     assert mat_rank(fld, np.array([[2, 2, 1], [1, 1, 2]])) == 1  # second row = 2 * first
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 7, 8, 9, 257, 512])
+def test_rref_stack_matches_scalar_oracle(d):
+    fld = field_for(d)
+    rng = np.random.default_rng(d)
+    for rows, cols in [(3, 5), (4, 4), (5, 3), (1, 6), (6, 1)]:
+        mats = [np.zeros((rows, cols), dtype=np.int64)]
+        for rank in range(1, min(rows, cols) + 1):  # a rank-r product has rank at most r
+            coeffs = rng.integers(0, d, size=(rows, rank))
+            basis = rng.integers(0, d, size=(rank, cols))
+            mats.append(scalar_matmul(fld, coeffs, basis))
+        stack = np.array(mats)
+        rref, pivots = rref_stack(fld, stack)
+        assert np.array_equal(stack, mats)  # the input is not modified
+        for mat, got, mask in zip(mats, rref, pivots):
+            want, want_pivots = scalar_rref(fld, mat)
+            assert np.array_equal(got, want)
+            assert np.flatnonzero(mask).tolist() == want_pivots
+    for shape in [(0, 3, 4), (2, 0, 4), (2, 3, 0)]:
+        rref, pivots = rref_stack(fld, np.zeros(shape, dtype=np.int64))
+        assert rref.shape == shape
+        assert pivots.shape == (shape[0], shape[2]) and not pivots.any()
+    r, pivots = mat_rref(fld, np.zeros((0, 3), dtype=np.int64))
+    assert r.shape == (0, 3) and pivots == []
+    assert mat_rank(fld, np.zeros((2, 0), dtype=np.int64)) == 0
+
+
+def test_entries_range_checked_at_entry_points():
+    fld = field_for(3)
+    for bad in ([[5, 1]], [[-1, 1]]):
+        with pytest.raises(ValueError, match="out of range"):
+            mat_rref(fld, np.array(bad))
+        with pytest.raises(ValueError, match="out of range"):
+            rref_stack(fld, np.array([bad]))
+        with pytest.raises(ValueError, match="out of range"):
+            SymbolicState(fld, 2, bad, [0, 0])
+    with pytest.raises(ValueError, match="out of range"):
+        SymbolicState(fld, 2, [[1, 1]], [0, 3])
+    with pytest.raises(ValueError):
+        rref_stack(fld, np.array([1, 2]))  # not a stack of matrices
+
+
+def test_canonicalize_untabulated_field_matches_scalar_oracle():
+    fld = field_for(257)
+    rng = np.random.default_rng(257)
+    n = 6
+    circ = random_c_circuit(fld, n, 3, 30, rng)
+    # oracle: the coefficient matrix tracked and reduced with scalar Field calls
+    mat = SymbolicState.from_pattern(fld, circ.init).matrix.tolist()
+    for g in circ.gates:
+        m, t = g.control - 1, g.target - 1
+        for row in mat:
+            row[t] = fld.add(row[t], fld.mul(g.param, row[m]))
+    rref, pivots = scalar_rref(fld, mat)
+    sinks = [c for c in range(n) if c not in pivots]
+    edges = sorted((pivots[r] + 1, j + 1, int(rref[r, j])) for r in range(len(pivots)) for j in sinks if rref[r, j])
+    _, graph = canonicalize(circ)
+    assert graph.s_wires == tuple(c + 1 for c in pivots)
+    assert list(graph.edges) == edges

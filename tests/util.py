@@ -52,3 +52,39 @@ def ket_strings(amps: np.ndarray, d: int, n: int, tol: float = 1e-12) -> list[st
             v //= d
         out.append("".join(str(x) for x in reversed(digits)))
     return out
+
+
+def scalar_rref(fld: Field, mat) -> tuple[np.ndarray, list[int]]:
+    """Gauss-Jordan elimination one scalar Field call per entry: the oracle for rref_stack."""
+    m = [[int(v) for v in row] for row in np.asarray(mat).tolist()]
+    rows, cols = np.shape(mat)
+    pivots: list[int] = []
+    r = 0
+    for c in range(cols):
+        pr = next((i for i in range(r, rows) if m[i][c]), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        inv = fld.inv(m[r][c])
+        m[r] = [fld.mul(inv, v) for v in m[r]]
+        for i in range(rows):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [fld.sub(a, fld.mul(f, b)) for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+    return np.array(m, dtype=np.int64).reshape(rows, cols), pivots
+
+
+def scalar_matmul(fld: Field, a, b) -> np.ndarray:
+    """Matrix product over the field with scalar Field calls."""
+    rows, inner = np.shape(a)
+    cols = np.shape(b)[1]
+    out = np.zeros((rows, cols), dtype=np.int64)
+    for i in range(rows):
+        for j in range(cols):
+            acc = 0
+            for t in range(inner):
+                acc = fld.add(acc, fld.mul(int(a[i][t]), int(b[t][j])))
+            out[i, j] = acc
+    return out
