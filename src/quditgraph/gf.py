@@ -7,12 +7,12 @@ external representation is the integer index
     e = sum_i c_i * p**i  in  [0, p**n),
 
 so index 0 is the additive unit and index 1 the multiplicative unit.
-Coefficient tuples (low degree first) are the internal representation.
+Coefficient vectors are listed lowest degree first.
 
 When no polynomial is supplied, the monic irreducible polynomial with the
 smallest index (its non-leading coefficients read as a base-p integer) is
 chosen, which is deterministic across runs.  For GF(4) this is x^2 + x + 1
-and the resulting tables are
+and its addition and multiplication are
 
     +  0 1 2 3        *  0 1 2 3
     0  0 1 2 3        0  0 0 0 0
@@ -22,8 +22,13 @@ and the resulting tables are
 
 For GF(8) the default is x^3 + x + 1.
 
-Fields with order up to 256 carry dense lookup tables; larger fields (up to
-2^16) compute on the fly.
+Every field, of any order up to 2^16, carries the same O(d) tables: the
+base-p digits of each element, its negative, inverse and coefficient
+reversal, and exp/log of a primitive element g, built by doubling (the
+powers g^m .. g^(2m-1) are g^0 .. g^(m-1) times g^m, a Z_p-linear map on
+coefficient vectors).  A product is one gather, exp[log a + log b]; a sum is
+XOR of the indices for p = 2 and digitwise addition mod p otherwise, a
+single digit for a prime field.
 """
 
 from __future__ import annotations
@@ -32,7 +37,6 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-TABLE_LIMIT = 256
 ORDER_LIMIT = 1 << 16
 
 
@@ -170,28 +174,74 @@ class Field:
         self.d = d
         self.poly = tuple(poly)
         self.poly_index = _poly_index(self.poly, p)
+        self._build_tables()
 
-        # Reduction table: x^k mod poly as coefficient rows, k = 0..2n-2.
-        self._xpow = np.zeros((2 * n - 1, n), dtype=np.int64)
+    # -- tables --------------------------------------------------------------
+
+    def _build_tables(self) -> None:
+        """The O(d) tables behind every operation.
+
+        exp[k] = g^k for a primitive element g, listed twice (k < 2(d-1)) and
+        followed by a zero tail; log inverts it, with log[0] = 2(d-1), so that
+        exp[log a + log b] is the product, zero whenever a factor is.
+        """
+        d, p, n = self.d, self.p, self.n
+        self.powers = p ** np.arange(n, dtype=np.int64)
+        # mod_p[s] = s mod p for -p <= s < 2p, negative s indexing from the end:
+        # every digit sum and difference lands in that range
+        self.mod_p = np.arange(2 * p, dtype=np.int64) % p
+        # digits[e, i] = c_i; np.indices counts with its last axis fastest, like c_0
+        self.digits = np.indices((p,) * n, dtype=np.int64).reshape(n, d)[::-1].T.copy()
+        self.neg_table = self.sub_arr(0, np.arange(d))
+        self.reverse_table = self.digits[:, ::-1] @ self.powers
+
+        # Multiplication by h is Z_p-linear on coefficient rows:
+        # coeffs(h e) = coeffs(e) @ times(h) mod p, from x^k mod poly (k < 2n - 1).
+        xpow = np.zeros((2 * n - 1, n), dtype=np.int64)
         for k in range(2 * n - 1):
             rem = _poly_mod([0] * k + [1], self.poly, p)
-            for i, c in enumerate(rem):
-                self._xpow[k, i] = c
+            xpow[k, : len(rem)] = rem
+        shifted = xpow[np.add.outer(np.arange(n), np.arange(n))]  # [i, j] -> x^(i+j)
 
-        self._has_tables = d <= TABLE_LIMIT
-        if self._has_tables:
-            self._build_tables()
+        def times(h: int) -> np.ndarray:
+            return np.tensordot(self.digits[h], shifted, axes=1) % p
+
+        def power(h: int, e: int) -> int:
+            row, t = self.digits[1], times(h)
+            while e:
+                if e & 1:
+                    row = row @ t % p
+                t = t @ t % p
+                e >>= 1
+            return int(row @ self.powers)
+
+        # g is primitive iff g^((d-1)/q) != 1 for every prime q dividing d - 1
+        factors = [q for q in range(2, d) if (d - 1) % q == 0 and is_prime(q)]
+        g = next(h for h in range(1, d) if all(power(h, (d - 1) // q) != 1 for q in factors))
+        # g^k for k < d - 1 by doubling: block [m, 2m) is block [0, m) times g^m
+        rows = np.zeros((d - 1, n), dtype=np.int64)
+        rows[0, 0] = 1
+        m, t = 1, times(g)
+        while m < d - 1:
+            take = min(m, d - 1 - m)
+            rows[m : m + take] = rows[:take] @ t % p
+            t = t @ t % p
+            m *= 2
+        cycle = rows @ self.powers
+        self.exp = np.zeros(4 * d - 3, dtype=np.int64)
+        self.exp[: d - 1] = self.exp[d - 1 : 2 * d - 2] = cycle
+        self.log = np.empty(d, dtype=np.int64)
+        self.log[cycle] = np.arange(d - 1)
+        self.log[0] = 2 * (d - 1)
+        self.inv_table = np.zeros(d, dtype=np.int64)
+        self.inv_table[cycle] = self.exp[d - 1 : 0 : -1]  # 1 / g^k = g^(d-1-k)
 
     # -- representation -----------------------------------------------------
 
     def coeffs(self, e: int) -> tuple[int, ...]:
         """Coefficient vector (length n, lowest degree first) of element e."""
         self._check(e)
-        out = []
-        for _ in range(self.n):
-            out.append(e % self.p)
-            e //= self.p
-        return tuple(out)
+        return tuple(self.digits[e].tolist())
 
     def element(self, coeffs: Iterable[int]) -> int:
         """Element index from a coefficient vector."""
@@ -217,84 +267,56 @@ class Field:
             bad = a[(a < 0) | (a >= self.d)].flat[0]
             raise ValueError(f"element index {bad} out of range for order-{self.d} field")
 
-    # -- tables --------------------------------------------------------------
+    # -- array arithmetic -----------------------------------------------------
+    #
+    # Elementwise over broadcast integer arrays.  They do not range-check:
+    # callers validate their inputs once with check_arr, since a check per
+    # call would cost as much as the operation.
 
-    def _build_tables(self) -> None:
-        d, p, n = self.d, self.p, self.n
-        cmat = np.zeros((d, n), dtype=np.int64)
-        for e in range(d):
-            v, k = e, 0
-            while v:
-                cmat[e, k] = v % p
-                v //= p
-                k += 1
-        powers = p ** np.arange(n, dtype=np.int64)
+    def add_arr(self, a, b) -> np.ndarray:
+        if self.p == 2:
+            return np.bitwise_xor(a, b)
+        if self.n == 1:
+            return self.mod_p[np.add(a, b)]
+        return self.mod_p[self.digits[a] + self.digits[b]] @ self.powers
 
-        add_c = (cmat[:, None, :] + cmat[None, :, :]) % p
-        self.add_table = (add_c @ powers).astype(np.int64)
-        self.neg_table = ((-cmat) % p @ powers).astype(np.int64)
-        self.sub_table = self.add_table[:, self.neg_table]
+    def sub_arr(self, a, b) -> np.ndarray:
+        if self.p == 2:
+            return np.bitwise_xor(a, b)
+        if self.n == 1:
+            return self.mod_p[np.subtract(a, b)]
+        return self.mod_p[self.digits[a] - self.digits[b]] @ self.powers
 
-        mul = np.zeros((d, d), dtype=np.int64)
-        for a in range(d):
-            ca = cmat[a]
-            for b in range(a, d):
-                conv = np.convolve(ca, cmat[b]) % p
-                red = (conv @ self._xpow[: len(conv)]) % p
-                v = int(red @ powers)
-                mul[a, b] = v
-                mul[b, a] = v
-        self.mul_table = mul
+    def mul_arr(self, a, b) -> np.ndarray:
+        return self.exp[self.log[a] + self.log[b]]
 
-        self.inv_table = np.zeros(d, dtype=np.int64)
-        for a in range(1, d):
-            hits = np.where(mul[a] == 1)[0]
-            if hits.size != 1:
-                raise RuntimeError("multiplication table is not a group on nonzero elements")
-            self.inv_table[a] = hits[0]
-
-        self.reverse_table = (cmat[:, ::-1] @ powers).astype(np.int64)
-        self.dot_table = (cmat @ cmat.T) % p
+    def inv_arr(self, a) -> np.ndarray:
+        """Inverses, with 0 mapped to 0 rather than raising."""
+        return self.inv_table[a]
 
     # -- scalar arithmetic ----------------------------------------------------
 
     def add(self, a: int, b: int) -> int:
         self._check(a, b)
-        if self._has_tables:
-            return int(self.add_table[a, b])
-        return self.element((np.array(self.coeffs(a)) + self.coeffs(b)) % self.p)
+        return int(self.add_arr(a, b))
 
     def neg(self, a: int) -> int:
         self._check(a)
-        if self._has_tables:
-            return int(self.neg_table[a])
-        return self.element((-np.array(self.coeffs(a))) % self.p)
+        return int(self.neg_table[a])
 
     def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
+        self._check(a, b)
+        return int(self.sub_arr(a, b))
 
     def mul(self, a: int, b: int) -> int:
         self._check(a, b)
-        if self._has_tables:
-            return int(self.mul_table[a, b])
-        conv = np.convolve(self.coeffs(a), self.coeffs(b)) % self.p
-        red = (conv @ self._xpow[: len(conv)]) % self.p
-        return self.element(red)
+        return int(self.mul_arr(a, b))
 
     def inv(self, a: int) -> int:
         self._check(a)
         if a == 0:
             raise ZeroDivisionError("0 has no multiplicative inverse")
-        if self._has_tables:
-            return int(self.inv_table[a])
-        # a^(d-2) by square and multiply
-        result, base, k = 1, a, self.d - 2
-        while k:
-            if k & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            k >>= 1
-        return result
+        return int(self.inv_table[a])
 
     def div(self, a: int, b: int) -> int:
         return self.mul(a, self.inv(b))
@@ -302,47 +324,12 @@ class Field:
     def dot(self, a: int, b: int) -> int:
         """Coefficientwise dot product sum_i a_i b_i mod p (an integer in Z_p)."""
         self._check(a, b)
-        if self._has_tables:
-            return int(self.dot_table[a, b])
-        return int(np.dot(self.coeffs(a), self.coeffs(b)) % self.p)
+        return int(self.digits[a] @ self.digits[b] % self.p)
 
     def reverse(self, a: int) -> int:
         """Coefficient reversal: result coefficient n-1-k equals a's coefficient k."""
         self._check(a)
-        if self._has_tables:
-            return int(self.reverse_table[a])
-        return self.element(tuple(reversed(self.coeffs(a))))
-
-    # -- array arithmetic -----------------------------------------------------
-    #
-    # Elementwise over broadcast integer arrays, one table gather each.  They do
-    # not range-check: callers validate their inputs once with check_arr, since
-    # a check per gather would cost as much as the gather.  Fields without
-    # tables fall back to the scalar methods entry by entry.
-
-    def _scalar_arr(self, op, *arrs) -> np.ndarray:
-        return np.vectorize(op, otypes=[np.int64])(*arrs)
-
-    def add_arr(self, a, b) -> np.ndarray:
-        if self._has_tables:
-            return self.add_table[a, b]
-        return self._scalar_arr(self.add, a, b)
-
-    def sub_arr(self, a, b) -> np.ndarray:
-        if self._has_tables:
-            return self.sub_table[a, b]
-        return self._scalar_arr(self.sub, a, b)
-
-    def mul_arr(self, a, b) -> np.ndarray:
-        if self._has_tables:
-            return self.mul_table[a, b]
-        return self._scalar_arr(self.mul, a, b)
-
-    def inv_arr(self, a) -> np.ndarray:
-        """Inverses, with 0 mapped to 0 (inv_table's entry) rather than raising."""
-        if self._has_tables:
-            return self.inv_table[a]
-        return self._scalar_arr(lambda e: self.inv(e) if e else 0, a)
+        return int(self.reverse_table[a])
 
     # -- descriptor -----------------------------------------------------------
 

@@ -38,8 +38,11 @@ def axis_perm(amps, out, d, stride, src_digit):
     return out
 
 
-def cnot(amps, out, d, stride_c, stride_t, mul_row, sub_table):
-    """Permute target digit t -> t - b*c; mul_row[c] = b*c, sub_table[t, v] = t - v."""
+def cnot(amps, out, d, stride_c, stride_t, src_digits):
+    """Where the control digit is c, target digit t takes the amplitude of src_digits[c, t].
+
+    For the gate C(b), src_digits[c, t] = t - b*c: one d x d table per gate.
+    """
     shape = _pair_shape(amps.size, d, stride_c, stride_t)
     src, dst = amps.reshape(shape), out.reshape(shape)
     for c in range(d):
@@ -47,7 +50,7 @@ def cnot(amps, out, d, stride_c, stride_t, mul_row, sub_table):
             s, o, axis = src[:, c], dst[:, c], 2
         else:
             s, o, axis = src[..., c, :], dst[..., c, :], 1
-        s.take(sub_table[:, mul_row[c]], axis=axis, out=o, mode="clip")
+        s.take(src_digits[c], axis=axis, out=o, mode="clip")
     return out
 
 

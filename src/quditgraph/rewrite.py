@@ -20,10 +20,9 @@ from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
-from .gf import TABLE_LIMIT, Field
+from .gf import Field
 from .simulator import (
     Gate,
-    ResourceGuardError,
     StateVector,
     check_state_size,
     init_state,
@@ -70,15 +69,15 @@ class Circuit:
 
 
 # ---------------------------------------------------------------------------
-# Field linear algebra (whole-stack table gathers)
+# Field linear algebra (whole-stack array ops)
 # ---------------------------------------------------------------------------
 
 def rref_stack(fld: Field, mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Reduced row echelon forms of a (batch, rows, cols) stack over the field.
 
     Returns the RREF stack and a (batch, cols) boolean mask of the pivot
-    columns.  Each column step works on every matrix at once with table
-    gathers: the first nonzero entry among the rows holding no pivot yet
+    columns.  Each column step works on every matrix at once with field
+    array ops: the first nonzero entry among the rows holding no pivot yet
     becomes the pivot, and the column is cleared in every other row; a matrix
     with no such entry is left unchanged.  Rows are put in echelon order at
     the end.  Raises ValueError for an entry outside [0, d).
@@ -137,15 +136,17 @@ class SymbolicState:
 
     The dense state it denotes is d^(-k/2) * sum over u in F^k of the
     basis ket whose digit on wire q is sum_i matrix[i, q-1]*u_i + offset[q-1].
+    matrix and offsets are views of one (k + 1) x N array, the matrix rows
+    then the offsets, so a gate updates a wire's whole column at once.
     """
 
     def __init__(self, fld: Field, n_qudits: int, matrix: np.ndarray, offsets: np.ndarray):
         self.field = fld
         self.n = int(n_qudits)
-        self.matrix = np.array(matrix, dtype=np.int64).reshape(-1, self.n)
-        self.offsets = np.array(offsets, dtype=np.int64).reshape(self.n)
-        fld.check_arr(self.matrix)
-        fld.check_arr(self.offsets)
+        matrix = np.asarray(matrix, dtype=np.int64).reshape(-1, self.n)
+        self._rows = np.concatenate([matrix, np.asarray(offsets, dtype=np.int64).reshape(1, self.n)])
+        fld.check_arr(self._rows)
+        self.matrix, self.offsets = self._rows[:-1], self._rows[-1]
 
     @property
     def k(self) -> int:
@@ -179,44 +180,37 @@ class SymbolicState:
         """Apply one gate in place.  Fourier and reversal gates are rejected.
 
         Entries were range-checked on construction and validate_gate checks
-        the parameter, so the column updates are unchecked table gathers.
+        the parameter, so the column updates are unchecked array ops.
         """
         validate_gate(self.field, self.n, gate)
-        fld = self.field
+        fld, rows = self.field, self._rows
         if gate.kind == "C":
             m, n = gate.control - 1, gate.target - 1
-            b = gate.param
-            self.matrix[:, n] = fld.add_arr(self.matrix[:, n], fld.mul_arr(b, self.matrix[:, m]))
-            self.offsets[n] = fld.add_arr(self.offsets[n], fld.mul_arr(b, self.offsets[m]))
+            rows[:, n] = fld.add_arr(rows[:, n], fld.mul_arr(gate.param, rows[:, m]))
         elif gate.kind == "A":
             q = gate.wires[0] - 1
             self.offsets[q] = fld.add_arr(self.offsets[q], gate.param)
         elif gate.kind == "D":
             q = gate.wires[0] - 1
-            self.matrix[:, q] = fld.mul_arr(gate.param, self.matrix[:, q])
-            self.offsets[q] = fld.mul_arr(gate.param, self.offsets[q])
+            rows[:, q] = fld.mul_arr(gate.param, rows[:, q])
         elif gate.kind == "W":
             a, b = gate.wires[0] - 1, gate.wires[1] - 1
-            self.matrix[:, [a, b]] = self.matrix[:, [b, a]]
-            self.offsets[[a, b]] = self.offsets[[b, a]]
+            rows[:, [a, b]] = rows[:, [b, a]]
         else:
             raise ValueError(f"{gate.kind} gate has no affine representation")
         return self
 
     def dense_amps(self) -> np.ndarray:
-        """Reconstruct the dense amplitude vector (requires a tabulated field)."""
+        """Reconstruct the dense amplitude vector."""
         fld, d, n, k = self.field, self.field.d, self.n, self.k
         check_state_size(d, n)
-        if d > TABLE_LIMIT:
-            raise ResourceGuardError(f"dense states require a tabulated field (d <= {TABLE_LIMIT})")
         count = d ** k
         grids = np.indices([d] * k).reshape(k, count) if k else np.zeros((0, 1), dtype=np.int64)
         idx = np.zeros(count if k else 1, dtype=np.int64)
         for q in range(n):
             digit = np.full(count if k else 1, int(self.offsets[q]), dtype=np.int64)
             for i in range(k):
-                term = fld.mul_table[int(self.matrix[i, q])][grids[i]]
-                digit = fld.add_table[digit, term]
+                digit = fld.add_arr(digit, fld.mul_arr(self.matrix[i, q], grids[i]))
             idx = idx * d + digit
         amps = np.zeros(d ** n, dtype=np.complex128)
         np.add.at(amps, idx, d ** (-k / 2) if k else 1.0)

@@ -28,7 +28,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from . import kernels
-from .gf import TABLE_LIMIT, Field
+from .gf import Field
 
 STATE_SIZE_LIMIT = 2 ** 24
 DEFAULT_TOL = 1e-10
@@ -133,8 +133,6 @@ def init_state(field: Field, n_qudits: int, pattern: Sequence[str]) -> StateVect
         raise ValueError(f"pattern length {len(pattern)} != qudit count {n_qudits}")
     d = field.d
     check_state_size(d, n_qudits)
-    if d > TABLE_LIMIT:
-        raise ResourceGuardError(f"dense simulation requires a tabulated field (d <= {TABLE_LIMIT})")
     zero = np.zeros(d, dtype=np.complex128)
     zero[0] = 1.0
     uniform = np.full(d, 1.0 / math.sqrt(d), dtype=np.complex128)
@@ -174,7 +172,9 @@ def _apply_gate_raw(field: Field, n: int, gate: Gate, amps: np.ndarray, out: np.
     if kind == "C":
         sc = _stride(d, n, gate.control)
         st = _stride(d, n, gate.target)
-        kernels.cnot(amps, out, d, sc, st, field.mul_table[gate.param], field.sub_table)
+        digits = np.arange(d)
+        src_digits = field.sub_arr(digits, field.mul_arr(gate.param, digits)[:, None])
+        kernels.cnot(amps, out, d, sc, st, src_digits)
         return
     if kind == "W":
         sa = _stride(d, n, gate.wires[0])
@@ -183,9 +183,9 @@ def _apply_gate_raw(field: Field, n: int, gate: Gate, amps: np.ndarray, out: np.
         return
     s = _stride(d, n, gate.wires[0])
     if kind == "A":
-        src_digit = field.sub_table[:, gate.param]
+        src_digit = field.sub_arr(np.arange(d), gate.param)
     elif kind == "D":
-        src_digit = field.mul_table[field.inv(gate.param)]
+        src_digit = field.mul_arr(field.inv(gate.param), np.arange(d))
     elif kind == "V":
         src_digit = field.reverse_table
     else:  # pragma: no cover - validate_gate rules this out
@@ -215,8 +215,9 @@ def _run_raw(field: Field, n: int, gates: Iterable[Gate], cur: np.ndarray) -> np
 
 def fourier_matrix(field: Field) -> np.ndarray:
     """d x d Fourier gate: entry (x, y) = omega^(x.y)/sqrt(d), omega = exp(2 pi i/p)."""
+    check_state_size(field.d, 2)  # d^2 entries, as many as a two-qudit state
     omega = np.exp(2j * np.pi / field.p)
-    return omega ** field.dot_table / math.sqrt(field.d)
+    return omega ** (field.digits @ field.digits.T % field.p) / math.sqrt(field.d)
 
 
 def reversal_matrix(field: Field) -> np.ndarray:
@@ -235,10 +236,12 @@ def sequence_source_map(field: Field, n_wires: int, ops: Sequence[Gate]) -> np.n
     """Gather map of an operator product (ops[0] applied last, ops[-1] first).
 
     Running the gates on the integer state src[i] = i leaves the map itself:
-    a permutation gate sends amps to amps[src].
+    a permutation gate sends amps to amps[src].  The map has d^n_wires
+    entries, so it falls under the state-size guard.
     """
     if any(g.kind == "H" for g in ops):
         raise ValueError("the Fourier gate is not a basis permutation")
+    check_state_size(field.d, n_wires)
     return _run_raw(field, n_wires, reversed(ops), np.arange(field.d ** n_wires, dtype=np.int64))
 
 

@@ -47,8 +47,9 @@ def test_criterion_01_gf4_tables():
     f4 = Field(2, 2, (1, 1, 1))
     add_expected = np.array([[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]])
     mul_expected = np.array([[0, 0, 0, 0], [0, 1, 2, 3], [0, 2, 3, 1], [0, 3, 1, 2]])
-    assert np.array_equal(f4.add_table, add_expected)
-    assert np.array_equal(f4.mul_table, mul_expected)
+    a, b = np.meshgrid(np.arange(4), np.arange(4), indexing="ij")
+    assert np.array_equal(f4.add_arr(a, b), add_expected)
+    assert np.array_equal(f4.mul_arr(a, b), mul_expected)
     _report(1, "GF(4) addition and multiplication tables match the reference (32 entries)", t0)
 
 

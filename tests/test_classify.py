@@ -3,7 +3,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from quditgraph import ResourceGuardError, SymbolicState, bipartition_subsets, classify, symbolic_rdm_rank
+from quditgraph import Field, ResourceGuardError, SymbolicState, bipartition_subsets, classify, symbolic_rdm_rank
 from quditgraph.simulator import signature_key
 
 from util import field_for
@@ -48,6 +48,16 @@ def test_classify_counts_match_duality_bound():
     for d in (2, 3):
         for n in (2, 3, 4, 5):
             assert classify(field_for(d), n)["count"] == n // 2
+
+
+@pytest.mark.parametrize("p,n", [(65521, 1), (2, 16)])
+def test_two_qudits_over_the_largest_fields(p, n):
+    # every nonzero label gives the entangled pair; d - 1 labellings, one class
+    fld = Field(p, n)
+    report = classify(fld, 2)
+    assert report["count"] == 1
+    assert report["classes"][0]["graphs"] == fld.d - 1
+    assert [o["count"] for o in report["classes"][0]["signature_orbits"]] == [fld.d - 1]
 
 
 def test_classify_guard_and_validation():

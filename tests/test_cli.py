@@ -149,7 +149,7 @@ def test_classify_guard_counts_labellings(capsys):
 
 
 def test_classify_untabulated_field(capsys):
-    # GF(257) has no lookup tables; the rank key needs only scalar arithmetic
+    # GF(257), past the order-256 cap that the d x d tables once had
     code, out, _ = run_cli(capsys, "classify", "2", "--field", "257 1")
     assert code == 0
     report = json.loads(out)
@@ -194,7 +194,8 @@ def test_dual_check_gf4_square(tmp_path, capsys):
     assert data["state_equivalence_holds"] is False
 
 
-def test_dual_check_untabulated_field_exit_3(tmp_path, capsys):
+def test_dual_check_gf257(tmp_path, capsys):
+    # every field order up to 2^16 has the same tables, so dense states over GF(257) work
     graph = {
         "field": {"p": 257, "n": 1, "poly": 0},
         "S": [1], "O": [2],
@@ -202,9 +203,9 @@ def test_dual_check_untabulated_field_exit_3(tmp_path, capsys):
     }
     path = tmp_path / "graph.json"
     path.write_text(json.dumps(graph))
-    code, _, err = run_cli(capsys, "dual-check", str(path))
-    assert code == 3
-    assert "tabulated field" in err
+    code, out, _ = run_cli(capsys, "dual-check", str(path))
+    assert code == 0
+    assert json.loads(out)["signature_match"] is True
 
 
 def _run_capped(tmp_path, *argv):
@@ -342,6 +343,13 @@ def test_relations_cli_json(capsys):
     assert code == 0
     data = json.loads(out)
     assert data[0]["ok"] is True
+
+
+def test_relations_cli_guards_operator_maps(capsys):
+    # the three-wire rules need 257^3 > 2^24 entry maps
+    code, out, err = run_cli(capsys, "relations-test", "--fields", "257")
+    assert code == 3
+    assert "2^24 guard" in err
 
 
 def test_relations_cli_rejects_non_prime_power(capsys):

@@ -3,7 +3,7 @@ import pytest
 
 from quditgraph import Field, irreducible_polynomials, is_irreducible
 
-from util import field_for
+from util import field_for, poly_add, poly_mul
 
 # ---------------------------------------------------------------------------
 # Reference tables for GF(4) with x^2 + x + 1 (indices 0,1,2,3)
@@ -26,8 +26,9 @@ F4_MUL = np.array([
 
 def test_f4_tables_match_reference():
     f4 = Field(2, 2, (1, 1, 1))
-    assert np.array_equal(f4.add_table, F4_ADD)
-    assert np.array_equal(f4.mul_table, F4_MUL)
+    a, b = np.meshgrid(np.arange(4), np.arange(4), indexing="ij")
+    assert np.array_equal(f4.add_arr(a, b), F4_ADD)
+    assert np.array_equal(f4.mul_arr(a, b), F4_MUL)
 
 
 def test_f4_spec_values():
@@ -136,26 +137,36 @@ def test_field_axioms_random(p, n):
         assert fld.mul(a, fld.inv(a)) == 1
 
 
+ORACLE_FIELDS = [(3, 3), (2, 8), (257, 1), (2, 9), (3, 10), (2, 16), (65521, 1)]
+
+
 def test_tables_agree_with_manual_polynomial_arithmetic():
-    # independent oracle: coefficient convolution + long reduction
+    # independent oracle: coefficient convolution + long reduction (tests/util.py)
     for d in (8, 9):
         fld = field_for(d)
-        p, n = fld.p, fld.n
         for a in range(d):
             for b in range(d):
-                ca, cb = fld.coeffs(a), fld.coeffs(b)
-                conv = [0] * (2 * n - 1)
-                for i in range(n):
-                    for j in range(n):
-                        conv[i + j] = (conv[i + j] + ca[i] * cb[j]) % p
-                for k in range(2 * n - 2, n - 1, -1):
-                    lead = conv[k]
-                    if lead:
-                        conv[k] = 0
-                        for i, c in enumerate(fld.poly[:-1]):
-                            conv[k - n + i] = (conv[k - n + i] - lead * c) % p
-                expected = fld.element(conv[:n])
-                assert fld.mul(a, b) == expected
+                assert fld.add(a, b) == poly_add(fld, a, b)
+                assert fld.mul(a, b) == poly_mul(fld, a, b)
+    for p, n in ORACLE_FIELDS:
+        fld = Field(p, n)
+        rng = np.random.default_rng(p + n)
+        for a, b in rng.integers(0, fld.d, size=(300, 2)).tolist():
+            assert fld.add(a, b) == poly_add(fld, a, b), (fld, a, b)
+            assert fld.mul(a, b) == poly_mul(fld, a, b), (fld, a, b)
+
+
+@pytest.mark.parametrize("p,n", [(2, 1), (3, 1), (2, 2), (5, 1), (3, 2)] + ORACLE_FIELDS)
+def test_exp_hits_every_nonzero_element_once(p, n):
+    fld = Field(p, n)
+    cycle = fld.exp[: fld.d - 1]
+    assert cycle[0] == 1
+    assert np.array_equal(np.bincount(cycle, minlength=fld.d), [0] + [1] * (fld.d - 1))
+    # exp lists the powers of one element g: g^k * g = g^(k+1)
+    g, head = int(fld.exp[1]), cycle[:50].tolist()
+    assert [poly_mul(fld, x, g) for x in head] == fld.exp[1 : len(head) + 1].tolist()
+    # log[0] lands every product with a zero factor in the zero tail of exp
+    assert fld.mul_arr(0, 0) == 0 and fld.mul_arr(0, fld.d - 1) == 0 and fld.mul_arr(fld.d - 1, 0) == 0
 
 
 def test_inv_zero_raises():
@@ -255,19 +266,24 @@ def test_array_ops_match_scalar_on_every_pair(d):
     assert fld.inv_arr(np.arange(d)).tolist() == [0] + [fld.inv(x) for x in range(1, d)]
 
 
-@pytest.mark.parametrize("p,n", [(257, 1), (2, 9)])
+@pytest.mark.parametrize("p,n", [(257, 1), (2, 9), (3, 6)])
 def test_array_ops_match_scalar_untabulated(p, n):
+    # fields past the former 256 table cap, against the polynomial oracle
     fld = Field(p, n)
     rng = np.random.default_rng(p + n)
     a, b = rng.integers(0, fld.d, size=(2, 200))
-    assert fld.add_arr(a, b).tolist() == [fld.add(x, y) for x, y in zip(a, b)]
-    assert fld.sub_arr(a, b).tolist() == [fld.sub(x, y) for x, y in zip(a, b)]
-    assert fld.mul_arr(a, b).tolist() == [fld.mul(x, y) for x, y in zip(a, b)]
-    assert fld.inv_arr(a).tolist() == [fld.inv(x) if x else 0 for x in a]
-    # broadcasting, 0-d and empty operands behave as for the tables
-    assert fld.mul_arr(3, a[:5]).tolist() == [fld.mul(3, x) for x in a[:5]]
-    assert fld.add_arr(np.int64(5), np.int64(7)) == fld.add(5, 7)
+    pairs = list(zip(a.tolist(), b.tolist()))
+    assert fld.add_arr(a, b).tolist() == [poly_add(fld, x, y) for x, y in pairs]
+    assert [poly_add(fld, c, y) for c, y in zip(fld.sub_arr(a, b).tolist(), b.tolist())] == a.tolist()
+    assert fld.mul_arr(a, b).tolist() == [poly_mul(fld, x, y) for x, y in pairs]
+    assert [poly_mul(fld, x, y) for x, y in zip(a.tolist(), fld.inv_arr(a).tolist())] == [int(x != 0) for x in a]
+    assert fld.inv_arr(0) == 0
+    assert {poly_add(fld, x, y) for x, y in enumerate(fld.neg_table.tolist())} == {0}
+    # broadcasting, 0-d and empty operands
+    assert fld.mul_arr(3, a[:5]).tolist() == [poly_mul(fld, 3, x) for x in a[:5].tolist()]
+    assert fld.add_arr(np.int64(5), np.int64(7)) == poly_add(fld, 5, 7)
     assert fld.add_arr(np.zeros(0, dtype=np.int64), 1).shape == (0,)
+    assert fld.mul_arr(np.zeros((0, 3), dtype=np.int64), 1).shape == (0, 3)
 
 
 def test_check_arr():

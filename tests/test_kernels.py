@@ -3,7 +3,9 @@
 The expected action of each gate is computed on Python ints with the scalar
 Field methods, one basis ket at a time, with qudit 1 as the most significant
 digit.  It shares no code with the kernels, so it checks both `apply_gate`
-and `gate_source_map` (from which `gate_matrix` is derived).
+and `gate_source_map` (from which `gate_matrix` is derived).  Registers of
+up to EXHAUSTIVE_SIZE kets are checked on every ket with every label; larger
+ones (GF(257) at N = 2) on seeded samples of kets and labels.
 """
 
 from itertools import permutations
@@ -16,17 +18,18 @@ from quditgraph.simulator import gate_source_map, sequence_source_map
 
 from util import field_for
 
-CASES = [(d, 3) for d in (2, 3, 4, 5, 7, 8, 9)] + [(d, 4) for d in (2, 3, 4)]
+CASES = [(d, 3) for d in (2, 3, 4, 5, 7, 8, 9)] + [(d, 4) for d in (2, 3, 4)] + [(257, 2)]
+EXHAUSTIVE_SIZE = 1024
 
 
-def every_permutation_gate(fld, n):
+def every_permutation_gate(n, labels):
     wires = range(1, n + 1)
     for m in wires:
-        yield from (Gate("A", (m,), a) for a in range(fld.d))
-        yield from (Gate("D", (m,), a) for a in range(1, fld.d))
+        yield from (Gate("A", (m,), a) for a in labels)
+        yield from (Gate("D", (m,), a) for a in labels if a)
         yield Gate("V", (m,))
     for m, t in permutations(wires, 2):
-        yield from (Gate("C", (m, t), a) for a in range(fld.d))
+        yield from (Gate("C", (m, t), a) for a in labels)
         yield Gate("W", (m, t))
 
 
@@ -79,13 +82,19 @@ def test_permutation_gates_match_ket_oracle(d, n):
     rng = np.random.default_rng(100 * d + n)
     amps = rng.standard_normal(d ** n) + 1j * rng.standard_normal(d ** n)
     state = StateVector(fld, n, amps)
+    if d ** n <= EXHAUSTIVE_SIZE:
+        labels, kets = range(d), np.arange(d ** n)
+    else:
+        labels = sorted({0, 1, d - 1, *rng.integers(2, d - 1, size=5).tolist()})
+        kets = rng.choice(d ** n, size=300, replace=False)
     checked = 0
-    for gate in every_permutation_gate(fld, n):
-        src = oracle_source_map(fld, n, gate)
-        assert np.array_equal(gate_source_map(fld, n, gate), src), gate
-        assert np.array_equal(apply_gate(state, gate).amps, amps[src]), gate
+    for gate in every_permutation_gate(n, labels):
+        images = [index_of(image(fld, gate, digits_of(int(i), d, n)), d) for i in kets]
+        # over every ket this also proves the oracle a permutation, since src[j] is one ket
+        assert np.array_equal(gate_source_map(fld, n, gate)[images], kets), gate
+        assert np.array_equal(apply_gate(state, gate).amps[images], amps[kets]), gate
         checked += 1
-    assert checked == n * (2 * d) + n * (n - 1) * (d + 1)
+    assert checked == n * (2 * len(labels) + 1 - (0 in labels)) + n * (n - 1) * (len(labels) + 1)
 
 
 def test_sequence_source_map_composes_oracle_maps():

@@ -51,6 +51,18 @@ def test_init_guard():
         init_state(field_for(2), 25, ["0"] * 25)
 
 
+def test_dense_states_over_large_fields():
+    # one GF(65521) qudit is a small state, but its d x d Fourier matrix is 64 GiB
+    fld = field_for(65521)
+    st = init_state(fld, 1, ["s"])
+    assert np.allclose(st.amps, 1 / math.sqrt(fld.d))
+    assert np.array_equal(apply_gate(st, Gate("D", (1,), 3)).amps, st.amps)
+    with pytest.raises(ResourceGuardError):
+        apply_gate(st, Gate("H", (1,)))
+    with pytest.raises(ResourceGuardError):
+        sequence_source_map(fld, 2, [Gate("C", (1, 2), 1)])
+
+
 # ---------------------------------------------------------------------------
 # Gates
 # ---------------------------------------------------------------------------

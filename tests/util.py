@@ -54,6 +54,37 @@ def ket_strings(amps: np.ndarray, d: int, n: int, tol: float = 1e-12) -> list[st
     return out
 
 
+def poly_add(fld: Field, a: int, b: int) -> int:
+    """Field sum from coefficient vectors: the independent oracle for Field arithmetic."""
+    return fld.element(ca + cb for ca, cb in zip(_coeffs(fld, a), _coeffs(fld, b)))
+
+
+def poly_mul(fld: Field, a: int, b: int) -> int:
+    """Field product by coefficient convolution and long reduction modulo fld.poly."""
+    p, n = fld.p, fld.n
+    ca, cb = _coeffs(fld, a), _coeffs(fld, b)
+    conv = [0] * (2 * n - 1)
+    for i in range(n):
+        for j in range(n):
+            conv[i + j] = (conv[i + j] + ca[i] * cb[j]) % p
+    for k in range(2 * n - 2, n - 1, -1):
+        lead = conv[k]
+        if lead:
+            conv[k] = 0
+            for i, c in enumerate(fld.poly[:-1]):
+                conv[k - n + i] = (conv[k - n + i] - lead * c) % p
+    return fld.element(conv[:n])
+
+
+def _coeffs(fld: Field, e: int) -> list[int]:
+    """Base-p digits of e, lowest first, computed here rather than read from the field."""
+    out = []
+    for _ in range(fld.n):
+        e, c = divmod(e, fld.p)
+        out.append(c)
+    return out
+
+
 def scalar_rref(fld: Field, mat) -> tuple[np.ndarray, list[int]]:
     """Gauss-Jordan elimination one scalar Field call per entry: the oracle for rref_stack."""
     m = [[int(v) for v in row] for row in np.asarray(mat).tolist()]
