@@ -13,7 +13,12 @@ cover four parties:
 
 Tensoring such states systemwise preserves the property, which yields a
 construction for every dimension that is odd or a multiple of four.  For
-d = 2 mod 4 no construction is known (and none is attempted here).
+d = 2 mod 4 none is implemented.  Such states do exist for every d = 2 mod 4
+except 2: d = 2 is impossible (Higuchi and Sudbery, quant-ph/0005013); d = 6
+has a state that is not a permutation of basis kets (Rather et al.,
+arXiv:2104.05122); every other such d has a pair of orthogonal Latin
+squares (Bose, Shrikhande and Parker, 1960), whose orthogonal array
+{(i, j, L1(i, j), L2(i, j))} is the support of one.
 """
 
 from __future__ import annotations
@@ -142,13 +147,29 @@ def _prime_factors(d: int) -> list[int]:
     return out
 
 
+def _refusal(d: int) -> str:
+    """Why build_mes has no state for a dimension d = 2 mod 4."""
+    if d == 2:
+        return ("no 4-party maximally entangled state of dimension 2 exists "
+                "(Higuchi and Sudbery, quant-ph/0005013)")
+    if d == 6:
+        source = ("one that is not a permutation of basis kets is known "
+                  "(Rather et al., arXiv:2104.05122)")
+    else:
+        source = (f"a pair of orthogonal Latin squares of order {d} gives one "
+                  "(Bose, Shrikhande and Parker, 1960)")
+    return (f"a 4-party maximally entangled state of dimension {d} exists: {source}; "
+            "no construction for it is implemented here")
+
+
 def build_mes(d: int, tol: float = DEFAULT_TOL) -> MesConstruction:
     """Construct a 4-party maximally entangled state of per-system dimension d.
 
     Odd d >= 3 uses the ring square state; multiples of four tensor a
     GF(2^m) square state (smallest admissible twist, element index 2) with
     one ring factor per odd prime.  Dimensions of the form 2 mod 4 are
-    refused: no such state is known, and the even ring construction fails.
+    refused, with the reason: none exists for d = 2, and for the others one
+    exists but none is constructed here (the even ring construction fails).
     tol decides compose_mes's check of the factors.
     """
     if d < 2:
@@ -156,11 +177,7 @@ def build_mes(d: int, tol: float = DEFAULT_TOL) -> MesConstruction:
     if d % 2 == 1:
         return MesConstruction(d, True, ring_square_state(d), f"ring({d})")
     if d % 4 != 0:
-        return MesConstruction(
-            d, False, None, "none",
-            reason=f"no 4-party maximally entangled state of dimension {d} is known; "
-                   "existence for dimensions 2 mod 4 is an open question (conjectured not to exist)",
-        )
+        return MesConstruction(d, False, None, "none", reason=_refusal(d))
     factors = _prime_factors(d)
     m = factors.count(2)
     odd = [p for p in factors if p != 2]
@@ -184,6 +201,7 @@ class BipartitionRecord:
     flat: bool
     maximally_mixed: bool
     deviation: float
+    method: str  # "diagonal" (exact marginal) or "spectrum" (dense eigvalsh)
 
 
 @dataclass
@@ -191,9 +209,16 @@ class BipartitionReport:
     verdict: bool
     records: list[BipartitionRecord]
 
+    @property
+    def decided_by(self) -> str:
+        if all(r.method == "diagonal" for r in self.records):
+            return "diagonal-marginals"
+        return "dense-spectrum"
+
     def to_dict(self) -> dict:
         return {
             "verdict": self.verdict,
+            "decided_by": self.decided_by,
             "bipartitions": [
                 {
                     "A": list(r.subset),
@@ -201,10 +226,32 @@ class BipartitionReport:
                     "flat": r.flat,
                     "maximally_mixed": r.maximally_mixed,
                     "deviation": r.deviation,
+                    "method": r.method,
                 }
                 for r in self.records
             ],
         }
+
+
+def _diagonal_marginal(weights: np.ndarray, digits: np.ndarray, d: int,
+                       subset: Sequence[int]) -> Optional[np.ndarray]:
+    """The marginal p(a) over the digits of subset, or None unless the RDM is diagonal.
+
+    weights are |psi|^2 over the support kets and digits[q] holds digit q + 1
+    of each.  The RDM is sum_b psi(a, b) psi*(a', b); when no two support
+    kets share their complement digits b, no term has a != a', so the RDM is
+    diagonal with diagonal p.
+    """
+    def index(wires):
+        out = np.zeros(len(weights), dtype=np.int64)
+        for q in wires:
+            out = out * d + digits[q - 1]
+        return out
+
+    b = np.sort(index(q for q in range(1, len(digits) + 1) if q not in subset))
+    if np.any(b[1:] == b[:-1]):
+        return None
+    return np.bincount(index(subset), weights=weights, minlength=d ** len(subset))
 
 
 def mes_verdict(state: StateVector | RingState, tol: float = DEFAULT_TOL) -> BipartitionReport:
@@ -214,6 +261,19 @@ def mes_verdict(state: StateVector | RingState, tol: float = DEFAULT_TOL) -> Bip
     two-against-two splits, each listed once from the side containing
     system 1.  Raises ValueError for fewer than two systems, which have no
     bipartition, and for a state whose norm is off 1 by more than tol.
+
+    A bipartition A|B is decided exactly when its RDM is provably diagonal:
+    when the exact support S (every nonzero amplitude, no threshold) maps
+    injectively onto the digits of B.  Then no two kets of S meet in an
+    off-diagonal term, the spectrum is the marginal p(a), the sum of |psi|^2
+    over the kets of S with A-digits a, and the record's method is
+    "diagonal".  Otherwise (in particular when |S| > d^|B|, which rules
+    injectivity out) the RDM is built densely and its eigvalsh spectrum
+    decides, with method "spectrum".  Both methods apply the same tol tests:
+    rank counts eigenvalues above tol, flat compares the nonzero ones, and
+    the deviation from I/d^|A| is the largest over every RDM entry.  Every
+    state build_mes makes, an orthogonal array of strength two, is decided
+    with no eigvalsh.
     """
     d, n, amps = state.d, state.n, state.amps
     if n < 2:
@@ -221,19 +281,34 @@ def mes_verdict(state: StateVector | RingState, tol: float = DEFAULT_TOL) -> Bip
     norm = float(np.linalg.norm(amps))
     if abs(norm - 1.0) > tol:
         raise ValueError(f"state norm {norm!r} differs from 1 by more than the tolerance {tol!r}")
+    support = np.flatnonzero(amps)
+    digits = weights = None
     records = []
     verdict = True
     for subset in bipartition_subsets(n):
-        rho = reduced_density_raw(amps, d, n, subset)
         dim = d ** len(subset)
-        dev = float(np.max(np.abs(rho - np.eye(dim) / dim)))
-        evals = spectrum(rho)
+        diag = None
+        if len(support) <= d ** (n - len(subset)):
+            if digits is None:
+                digits = support // d ** np.arange(n - 1, -1, -1)[:, None] % d
+                weights = amps.real[support] ** 2 + amps.imag[support] ** 2
+            diag = _diagonal_marginal(weights, digits, d, subset)
+        if diag is not None:
+            # off-diagonal entries are exactly zero, as they are in I/dim
+            dev = float(np.max(np.abs(diag - 1.0 / dim)))
+            evals = np.sort(diag)[::-1]
+            method = "diagonal"
+        else:
+            rho = reduced_density_raw(amps, d, n, subset)
+            dev = float(np.max(np.abs(rho - np.eye(dim) / dim)))
+            evals = spectrum(rho)
+            method = "spectrum"
         r = int(np.count_nonzero(evals > tol))
         nonzero = evals[:r] if r else evals[:1]
         flat = bool(nonzero.max() - nonzero.min() <= tol)
         mixed = dev <= tol
         verdict &= mixed
-        records.append(BipartitionRecord(subset, r, flat, mixed, dev))
+        records.append(BipartitionRecord(subset, r, flat, mixed, dev, method))
     return BipartitionReport(bool(verdict), records)
 
 

@@ -31,6 +31,7 @@ from . import kernels
 from .gf import Field
 
 STATE_SIZE_LIMIT = 2 ** 24
+GATE_TABLE_CACHE_ORDER = 64  # fields up to this order keep their gate digit tables (_source_digits)
 DEFAULT_TOL = 1e-10
 SIGNATURE_DIGITS = 8  # spectra are rounded to this many decimals before they are sorted or hashed
 
@@ -172,9 +173,7 @@ def _apply_gate_raw(field: Field, n: int, gate: Gate, amps: np.ndarray, out: np.
     if kind == "C":
         sc = _stride(d, n, gate.control)
         st = _stride(d, n, gate.target)
-        digits = np.arange(d)
-        src_digits = field.sub_arr(digits, field.mul_arr(gate.param, digits)[:, None])
-        kernels.cnot(amps, out, d, sc, st, src_digits)
+        kernels.cnot(amps, out, d, sc, st, _source_digits(field, kind, gate.param))
         return
     if kind == "W":
         sa = _stride(d, n, gate.wires[0])
@@ -182,15 +181,37 @@ def _apply_gate_raw(field: Field, n: int, gate: Gate, amps: np.ndarray, out: np.
         kernels.swap(amps, out, d, sa, sb)
         return
     s = _stride(d, n, gate.wires[0])
-    if kind == "A":
-        src_digit = field.sub_arr(np.arange(d), gate.param)
-    elif kind == "D":
-        src_digit = field.mul_arr(field.inv(gate.param), np.arange(d))
-    elif kind == "V":
+    if kind == "V":
         src_digit = field.reverse_table
-    else:  # pragma: no cover - validate_gate rules this out
-        raise ValueError(f"unknown gate kind {kind!r}")
+    else:
+        src_digit = _source_digits(field, kind, gate.param)
     kernels.axis_perm(amps, out, d, s, src_digit)
+
+
+def _source_digits(field: Field, kind: str, param: int) -> np.ndarray:
+    """Source digit of each output digit: a row for A and D, a d x d table [c, t] for C.
+
+    Tables of fields up to order GATE_TABLE_CACHE_ORDER are kept in
+    field.memo, at most about 2 MiB per field, so a run of tiny gates builds
+    each one once.  Above that order every table of a field would take up to
+    d^3 entries, and building one costs no more than the kernel pass that
+    reads it, which touches at least as many amplitudes as it has entries.
+    """
+    key = (kind, param)
+    table = field.memo.get(key)
+    if table is not None:
+        return table
+    digits = np.arange(field.d)
+    if kind == "A":
+        table = field.sub_arr(digits, param)
+    elif kind == "D":
+        table = field.mul_arr(field.inv(param), digits)
+    else:  # C
+        table = field.sub_arr(digits, field.mul_arr(param, digits)[:, None])
+    if field.d <= GATE_TABLE_CACHE_ORDER:
+        table.setflags(write=False)
+        field.memo[key] = table
+    return table
 
 
 def run_gates(state: StateVector, gates: Iterable[Gate]) -> StateVector:
@@ -404,10 +425,9 @@ def dump_state(amps: np.ndarray, d: int, n: int, header: Sequence[str] = ()) -> 
     """Debug dump: one `index_base_d re im` line per nonzero amplitude."""
     lines = [f"# quditgraph-state d={d} qudits={n}"]
     lines += [f"# {h}" for h in header]
-    for i in range(len(amps)):
+    for i in np.flatnonzero(np.abs(amps) > 1e-14).tolist():
         a = amps[i]
-        if abs(a) > 1e-14:
-            lines.append(f"{_index_digits(i, d, n)} {float(a.real)!r} {float(a.imag)!r}")
+        lines.append(f"{_index_digits(i, d, n)} {float(a.real)!r} {float(a.imag)!r}")
     return "\n".join(lines) + "\n"
 
 

@@ -135,10 +135,15 @@ def test_build_mes_multiple_of_four():
 
 
 def test_build_mes_refuses_twice_odd():
-    built = build_mes(6)
-    assert not built.ok and built.state is None
-    assert "open question" in built.reason
-    assert not build_mes(2).ok
+    two, six, ten = build_mes(2), build_mes(6), build_mes(10)
+    for built in (two, six, ten):
+        assert not built.ok and built.state is None and built.construction == "none"
+    assert "no 4-party maximally entangled state of dimension 2 exists" in two.reason
+    assert "quant-ph/0005013" in two.reason
+    assert "dimension 6 exists" in six.reason and "arXiv:2104.05122" in six.reason
+    assert "dimension 10 exists" in ten.reason and "orthogonal Latin squares of order 10" in ten.reason
+    for built in (six, ten):
+        assert "no construction for it is implemented here" in built.reason
 
 
 def test_build_mes_rejects_tiny_dimension():
@@ -252,3 +257,149 @@ def test_tripartite_checks_without_mes():
     assert report["trivial"]["marginals_maximally_mixed"]
     assert report["trivial"]["rank"] == 8
     assert not report["mes"]["available"]
+
+
+# ---------------------------------------------------------------------------
+# Diagonal-marginal verdicts against the dense per-bipartition path
+# ---------------------------------------------------------------------------
+
+def dense_records(state, tol=1e-10):
+    """(subset, rank, flat, maximally_mixed, deviation) of every cut from the dense RDM spectrum."""
+    from quditgraph.simulator import bipartition_subsets
+
+    out = []
+    for subset in bipartition_subsets(state.n):
+        rho = reduced_density_raw(state.amps, state.d, state.n, subset)
+        dim = rho.shape[0]
+        dev = float(np.max(np.abs(rho - np.eye(dim) / dim)))
+        evals = spectrum(rho)
+        r = int(np.count_nonzero(evals > tol))
+        nonzero = evals[:r] if r else evals[:1]
+        out.append((subset, r, bool(nonzero.max() - nonzero.min() <= tol), dev <= tol, dev))
+    return out
+
+
+def assert_matches_dense(state, methods):
+    """The report agrees with the dense oracle and decided each cut by the expected method."""
+    report = mes_verdict(state)
+    oracle = dense_records(state)
+    assert [r.subset for r in report.records] == [o[0] for o in oracle]
+    for rec, (_, rank, flat, mixed, dev) in zip(report.records, oracle):
+        assert (rec.rank, rec.flat, rec.maximally_mixed) == (rank, flat, mixed), rec.subset
+        assert abs(rec.deviation - dev) <= 1e-12, rec.subset
+    assert report.verdict == all(o[3] for o in oracle)
+    assert [r.method for r in report.records] == list(methods)
+    want = "diagonal-marginals" if set(methods) == {"diagonal"} else "dense-spectrum"
+    assert report.decided_by == want == report.to_dict()["decided_by"]
+    assert [b["method"] for b in report.to_dict()["bipartitions"]] == list(methods)
+    return report
+
+
+def relabelled(state, rng):
+    """The state with a seeded permutation of each party's basis labels (a local unitary)."""
+    d, n = state.d, state.n
+    t = state.amps.reshape([d] * n)
+    for axis in range(n):
+        t = np.take(t, rng.permutation(d), axis=axis)
+    return RingState(d, n, t.reshape(-1).copy())
+
+
+MES_ORACLE_DIMS = [3, 4, 5, 7, 8, 9, 12, 15, 16, 20]
+
+
+@pytest.mark.parametrize("d", MES_ORACLE_DIMS)
+def test_build_mes_decided_by_diagonal_marginals_with_random_phases(d):
+    rng = np.random.default_rng(d)
+    amps = build_mes(d).state.amps * np.exp(2j * np.pi * rng.random(d ** 4))
+    report = assert_matches_dense(RingState(d, 4, amps), ["diagonal"] * 7)
+    assert report.verdict
+
+
+@pytest.mark.parametrize("d", MES_ORACLE_DIMS)
+def test_build_mes_support_with_uneven_magnitudes(d):
+    rng = np.random.default_rng(100 + d)
+    amps = build_mes(d).state.amps * rng.uniform(0.2, 1.8, d ** 4)
+    amps /= np.linalg.norm(amps)
+    report = assert_matches_dense(RingState(d, 4, amps), ["diagonal"] * 7)
+    assert not report.verdict
+
+
+@pytest.mark.parametrize("d", [7, 16])
+def test_relabelled_degenerate_square_states(d):
+    rng = np.random.default_rng(d)
+    # twist 0 is an orthogonal array on every pair of parties but {1, 2}, and
+    # each cut still projects injectively; twist 1 repeats digit 2 in digit 4,
+    # so the {1, 3} cut is not injective and falls back to the spectrum
+    twist0 = assert_matches_dense(relabelled(square_state(field_for(d), 0), rng), ["diagonal"] * 7)
+    twist1 = assert_matches_dense(
+        relabelled(square_state(field_for(d), 1), rng), ["diagonal"] * 5 + ["spectrum", "diagonal"]
+    )
+    assert not twist0.verdict and not twist1.verdict
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_random_dense_states_fall_back_to_the_spectrum(n):
+    from quditgraph.simulator import bipartition_subsets
+
+    rng = np.random.default_rng(n)
+    for d in (2, 3):
+        amps = rng.standard_normal(d ** n) + 1j * rng.standard_normal(d ** n)
+        amps /= np.linalg.norm(amps)
+        assert_matches_dense(RingState(d, n, amps), ["spectrum"] * len(bipartition_subsets(n)))
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_product_states(n):
+    from quditgraph.simulator import bipartition_subsets
+
+    rng = np.random.default_rng(10 + n)
+    d = 3
+    for _ in range(6):
+        # each factor is a basis ket or a random vector with full support
+        kets = rng.random(n) < 0.5
+        amps = np.ones(1, dtype=np.complex128)
+        for is_ket in kets:
+            if is_ket:
+                factor = np.zeros(d, dtype=np.complex128)
+                factor[rng.integers(d)] = np.exp(2j * np.pi * rng.random())
+            else:
+                factor = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+                factor /= np.linalg.norm(factor)
+            amps = np.kron(amps, factor)
+        # the support projects injectively onto B exactly when every party of A holds one ket
+        methods = ["diagonal" if all(kets[q - 1] for q in subset) else "spectrum"
+                   for subset in bipartition_subsets(n)]
+        report = assert_matches_dense(RingState(d, n, amps), methods)
+        assert not report.verdict and all(r.rank == 1 for r in report.records)
+
+
+def test_support_is_exact_with_no_threshold():
+    # a 1e-300 amplitude on |1000> shares every digit but the first with
+    # |0000> in the support, so no cut whose side A holds party 1 projects
+    # injectively; those cuts must not be read as diagonal
+    amps = build_mes(3).state.amps.copy()
+    amps[27] = 1e-300
+    methods = ["spectrum"] + ["diagonal"] * 3 + ["spectrum"] * 3
+    assert assert_matches_dense(RingState(3, 4, amps), methods).verdict
+
+
+def test_make_and_verify_mes_32_run_no_eigvalsh(tmp_path, monkeypatch, capsys):
+    import json
+
+    import quditgraph.entangle
+    import quditgraph.simulator
+    from quditgraph.cli import main
+
+    def boom(*args, **kwargs):
+        raise AssertionError("eigvalsh called")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", boom)
+    monkeypatch.setattr(quditgraph.simulator, "spectrum", boom)
+    monkeypatch.setattr(quditgraph.entangle, "spectrum", boom)
+    path = tmp_path / "mes32.state"
+    assert main(["make-mes", "32", "--output", str(path)]) == 0
+    capsys.readouterr()
+    assert main(["verify-mes", str(path)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["verdict"] is True and report["decided_by"] == "diagonal-marginals"
+    assert [b["rank"] for b in report["bipartitions"]] == [32] * 4 + [1024] * 3

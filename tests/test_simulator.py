@@ -23,7 +23,7 @@ from quditgraph import (
 )
 from quditgraph.simulator import bipartition_subsets, sequence_source_map, validate_gate
 
-from util import field_for, random_cadw_circuit
+from util import dump_state_loop, field_for, random_cadw_circuit
 
 # ---------------------------------------------------------------------------
 # Initialization
@@ -296,3 +296,26 @@ def test_sorted_dump_order():
     st = init_state(field_for(2), 3, ["s", "s", "s"])
     lines = [l for l in dump_state(st.amps, 2, 3).splitlines() if not l.startswith("#")]
     assert [l.split()[0] for l in lines] == sorted(l.split()[0] for l in lines)
+
+
+def test_dump_matches_the_per_amplitude_loop():
+    rng = np.random.default_rng(5)
+    t = 1e-14
+    edge = [t, np.nextafter(t, 1), np.nextafter(t, 0), -t, -np.nextafter(t, 1), 2 * t, t / 2]
+    # magnitudes of complex amplitudes just above and below the threshold
+    edge += [complex(t, np.nextafter(0, 1)), complex(t / np.sqrt(2), t / np.sqrt(2)),
+             complex(0.6 * t, 0.8 * t * (1 + 1e-15)), complex(-0.6 * t, -0.8 * t * (1 - 1e-15))]
+    # negative zeros in either part
+    edge += [complex(-0.0, 0.5), complex(0.5, -0.0), complex(-0.0, -0.25), complex(-1e-3, -0.0)]
+    cases = []
+    amps = np.zeros(3 ** 4, dtype=np.complex128)
+    amps[rng.permutation(3 ** 4)[: len(edge)]] = edge
+    cases.append((amps, 3, 4, ["edge cases"]))
+    amps = rng.standard_normal(37 ** 2) + 1j * rng.standard_normal(37 ** 2)
+    amps[rng.random(37 ** 2) < 0.5] = 0
+    cases.append((amps, 37, 2, []))  # d > 36: comma-separated digits
+    cases.append((np.zeros(2 ** 5, dtype=np.complex128), 2, 5, ["all zero", "second header"]))
+    cases.append((square_state(field_for(4), 2).amps, 4, 4, []))
+    for amps, d, n, header in cases:
+        assert dump_state(amps, d, n, header) == dump_state_loop(amps, d, n, header)
+    assert dump_state(cases[2][0], 2, 5) == "# quditgraph-state d=2 qudits=5\n"

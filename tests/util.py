@@ -119,3 +119,24 @@ def scalar_matmul(fld: Field, a, b) -> np.ndarray:
                 acc = fld.add(acc, fld.mul(int(a[i][t]), int(b[t][j])))
             out[i, j] = acc
     return out
+
+
+def dump_state_loop(amps: np.ndarray, d: int, n: int, header=()) -> str:
+    """dump_state as one Python test per amplitude: the oracle for its vectorised form."""
+    lines = [f"# quditgraph-state d={d} qudits={n}"]
+    lines += [f"# {h}" for h in header]
+    for i in range(len(amps)):
+        a = amps[i]
+        if abs(a) > 1e-14:
+            digits = []
+            v = i
+            for _ in range(n):
+                v, r = divmod(v, d)
+                digits.append(r)
+            digits.reverse()
+            if d <= 36:
+                index = "".join("0123456789abcdefghijklmnopqrstuvwxyz"[r] for r in digits)
+            else:
+                index = ",".join(str(r) for r in digits)
+            lines.append(f"{index} {float(a.real)!r} {float(a.imag)!r}")
+    return "\n".join(lines) + "\n"
