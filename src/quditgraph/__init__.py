@@ -21,7 +21,6 @@ from .simulator import (
     parse_state_dump,
     rank,
     reduced_density,
-    reversal_matrix,
     run_gates,
     sequence_matrix,
     spectrum,

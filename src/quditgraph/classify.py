@@ -18,11 +18,11 @@ over GF(3), for instance).  That finer structure is data, not a class count.
 
 The invariant is the RDM rank profile, with no tolerance and no dense state:
 a graph state is uniform over an affine space, so each RDM is flat and one
-rank, d^(r_A + r_B - k) from the ranks of the two column blocks
-(symbolic_rdm_rank), fixes its spectrum.  Sorted (-rank, |A|) pairs order
-orbits exactly as sorted spectra do.  The sweep holds all labellings of one k
-as one array and gets r_A (or r_B) of every labelling from one rref_stack call
-per bipartition side.
+rank, d^(r_A + r_B - k) from the ranks of the two column blocks, fixes its
+spectrum.  Sorted (-rank, |A|) pairs order orbits exactly as sorted spectra
+do.  The sweep holds all labellings of one k as one array and gets the
+exponents r_A + r_B - k of every labelling and bipartition from one
+rewrite.rank_exponents call, the formula's one owner.
 The guard bounds what the sweep visits: at most 2^16 labellings, the sum
 over k = 1..N/2 of d^(k(N-k)).  The cost per labelling grows with N, not with
 the field's order: measured on a 2-core Xeon, N = 5 over GF(5) (16250
@@ -35,7 +35,7 @@ from __future__ import annotations
 import numpy as np
 
 from .gf import Field
-from .rewrite import rref_stack
+from .rewrite import rank_exponents
 from .simulator import ResourceGuardError, bipartition_subsets
 
 LABELLING_LIMIT = 2 ** 16
@@ -53,6 +53,7 @@ def classify(fld: Field, n_qudits: int) -> dict:
             shown = labellings if labellings < 10 ** 12 else f"2^{labellings.bit_length() - 1}"
             raise ResourceGuardError(f"classify {n_qudits} over GF({d}) sweeps at least {shown} labellings, over the 2^16 guard")
     subsets = bipartition_subsets(n_qudits)
+    sizes = np.array([len(subset) for subset in subsets])
     classes = []
     seen_keys: dict[tuple, int] = {}
     for k in range(1, n_qudits // 2 + 1):
@@ -67,15 +68,9 @@ def classify(fld: Field, n_qudits: int) -> dict:
             continue
         eye = np.broadcast_to(np.eye(k, dtype=np.int64), (total, k, k))
         matrices = np.concatenate([eye, labels.reshape(total, k, n_sinks)], axis=2)
-        # RDM rank d^e with e = r_A + r_B - k, coded so that codes order like
-        # the pairs (-rank, |A|): larger e first, then smaller |A|.
-        codes = np.empty((total, len(subsets)), dtype=np.int64)
-        for col, subset in enumerate(subsets):
-            side_a = [q - 1 for q in subset]
-            side_b = [q for q in range(n_qudits) if q + 1 not in subset]
-            r_a = rref_stack(fld, matrices[:, :, side_a])[1].sum(axis=1)
-            r_b = rref_stack(fld, matrices[:, :, side_b])[1].sum(axis=1)
-            codes[:, col] = (n_qudits - (r_a + r_b - k)) * n_qudits + len(subset)
+        # RDM rank d^e, coded so that codes order like the pairs (-rank, |A|):
+        # larger e first, then smaller |A|.
+        codes = (n_qudits - rank_exponents(fld, matrices, subsets)) * n_qudits + sizes
         codes.sort(axis=1)
         # unique rows come out in lexicographic order, i.e. sorted by key
         keys, first, counts = np.unique(codes, axis=0, return_index=True, return_counts=True)

@@ -119,7 +119,7 @@ def cmd_verify_mes(args) -> int:
 
 
 def cmd_make_mes(args) -> int:
-    built = build_mes(args.d, args.tolerance)
+    built = build_mes(args.d)
     if not built.ok:
         print(f"refused: {built.reason}", file=sys.stderr)
         _emit_json(built.to_dict())
@@ -198,7 +198,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("make-mes", help="construct a maximally entangled 4-party state")
     p.add_argument("d", type=int)
     p.add_argument("--output", help="write the state dump to this path")
-    add_tolerance(p)
     p.set_defaults(func=cmd_make_mes)
 
     p = sub.add_parser("relations-test", help="exact operator check of all rewrite rules")

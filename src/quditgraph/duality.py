@@ -29,10 +29,9 @@ from .simulator import (
     DEFAULT_TOL,
     Gate,
     ResourceGuardError,
-    fourier_matrix,
     gate_matrix,
-    reversal_matrix,
     run_gates,
+    sequence_matrix,
     signatures_match,
     states_equal_up_to_phase,
 )
@@ -55,22 +54,23 @@ def dual_graph(g: GraphState) -> GraphState:
 def check_conjugation_identity(fld: Field, a: int, tol: float = DEFAULT_TOL) -> dict:
     """Measure whether the H/V dressing reverses a two-wire CNOT of label a.
 
-    Builds both sides as dense d^2 x d^2 matrices and reports the maximum
-    entrywise deviation.  `a` must be nonzero.
+    The left-hand side is C_12(a) conjugated by (H^dagger V) on wire 1 and
+    (V H) on wire 2, with H^dagger expanded as H * D(-1) as dressing_gates
+    does.  Builds both sides as dense d^2 x d^2 matrices with
+    sequence_matrix and reports the maximum entrywise deviation.  `a` must
+    be nonzero.
     """
     if not 0 < a < fld.d:
         raise ValueError("label must be a nonzero field element")
-    d = fld.d
-    h = fourier_matrix(fld)
-    v = reversal_matrix(fld)
-    eye = np.eye(d)
-    h1, h2 = np.kron(h, eye), np.kron(eye, h)
-    v1, v2 = np.kron(v, eye), np.kron(eye, v)
-    c12 = gate_matrix(fld, 2, Gate("C", (1, 2), a))
+    minus_one = fld.neg(1)
+    lhs = sequence_matrix(fld, 2, [
+        Gate("H", (1,)), Gate("D", (1,), minus_one), Gate("V", (1,)),
+        Gate("V", (2,)), Gate("H", (2,)),
+        Gate("C", (1, 2), a),
+        Gate("H", (2,)), Gate("D", (2,), minus_one), Gate("V", (2,)),
+        Gate("V", (1,)), Gate("H", (1,)),
+    ])
     c21 = gate_matrix(fld, 2, Gate("C", (2, 1), a))
-    lhs = (
-        h1.conj().T @ v1 @ v2 @ h2 @ c12 @ h2.conj().T @ v2.conj().T @ v1.conj().T @ h1
-    )
     diff = np.abs(lhs - c21)
     dev = float(diff.max())
     holds = dev <= tol
@@ -102,7 +102,7 @@ def conjugation_report(fld: Field, tol: float = DEFAULT_TOL) -> dict:
     If any label fails for the field's polynomial, every other monic
     irreducible polynomial of the same degree is measured as well, so the
     outcome is recorded per representation rather than presumed (about d^7
-    work: d - 1 labels, nine dense d^2 x d^2 products each).
+    work: d - 1 labels, eleven dense d^2 x d^2 products each).
     """
     report = _labels_report(fld, tol)
     if not report["holds_all"]:

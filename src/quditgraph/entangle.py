@@ -12,7 +12,9 @@ cover four parties:
   maximally entangled for odd d and never for even d.
 
 Tensoring such states systemwise preserves the property, which yields a
-construction for every dimension that is odd or a multiple of four.  For
+construction for every dimension that is odd (ring(d)) or a multiple of
+four, d = 2^m * o with o odd (square(GF(2^m)) times ring(o) when o > 1).
+Every such state passes the 2^24 amplitude guard first, so d <= 64.  For
 d = 2 mod 4 none is implemented.  Such states do exist for every d = 2 mod 4
 except 2: d = 2 is impossible (Higuchi and Sudbery, quant-ph/0005013); d = 6
 has a state that is not a permutation of basis kets (Rather et al.,
@@ -29,20 +31,19 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .gf import Field
-from .rewrite import SymbolicState, rref_stack
+from .rewrite import SymbolicState, rank_exponents
 from .simulator import (
     DEFAULT_TOL,
-    ResourceGuardError,
     StateVector,
     bipartition_subsets,
+    check_state_size,
+    ket_digits,
+    ket_index,
     rank as dm_rank,
     reduced_density_raw,
     rho_partial_trace,
     spectrum,
 )
-
-COMPOSITE_DIM_LIMIT = 64  # keeps 4-party states within the 2^24 amplitude guard
-FACTOR_LIMIT = 10 ** 6
 
 
 @dataclass
@@ -75,14 +76,10 @@ def ring_square_state(d: int) -> RingState:
     """The Z_d square state d^-1 * sum |i, i-k, k, i+k> for any integer d >= 2."""
     if d < 2:
         raise ValueError("ring dimension must be at least 2")
-    if d ** 4 > 2 ** 24:
-        raise ResourceGuardError(f"{d}**4 amplitudes exceed the 2^24 guard")
+    check_state_size(d, 4)
+    i, k = np.indices((d, d)).reshape(2, -1)
     amps = np.zeros(d ** 4, dtype=np.complex128)
-    for i in range(d):
-        for k in range(d):
-            digits = (i, (i - k) % d, k, (i + k) % d)
-            idx = ((digits[0] * d + digits[1]) * d + digits[2]) * d + digits[3]
-            amps[idx] = 1.0 / d
+    amps[ket_index((i, (i - k) % d, k, (i + k) % d), d)] = 1.0 / d
     return RingState(d, 4, amps)
 
 
@@ -106,8 +103,7 @@ def compose_mes(states: Sequence[StateVector | RingState], tol: float = DEFAULT_
     d_total = 1
     for s in states:
         d_total *= s.d
-    if d_total > COMPOSITE_DIM_LIMIT:
-        raise ResourceGuardError(f"composite dimension {d_total} exceeds guard {COMPOSITE_DIM_LIMIT}")
+    check_state_size(d_total, n)
     acc = states[0].amps.reshape([states[0].d] * n)
     acc_d = states[0].d
     for s in states[1:]:
@@ -132,21 +128,6 @@ class MesConstruction:
         return {"d": self.d, "ok": self.ok, "construction": self.construction, "reason": self.reason}
 
 
-def _prime_factors(d: int) -> list[int]:
-    if d > FACTOR_LIMIT:
-        raise ResourceGuardError(f"refusing to factor {d} > {FACTOR_LIMIT}")
-    out = []
-    f = 2
-    while f * f <= d:
-        while d % f == 0:
-            out.append(f)
-            d //= f
-        f += 1
-    if d > 1:
-        out.append(d)
-    return out
-
-
 def _refusal(d: int) -> str:
     """Why build_mes has no state for a dimension d = 2 mod 4."""
     if d == 2:
@@ -162,32 +143,32 @@ def _refusal(d: int) -> str:
             "no construction for it is implemented here")
 
 
-def build_mes(d: int, tol: float = DEFAULT_TOL) -> MesConstruction:
+def build_mes(d: int) -> MesConstruction:
     """Construct a 4-party maximally entangled state of per-system dimension d.
 
-    Odd d >= 3 uses the ring square state; multiples of four tensor a
-    GF(2^m) square state (smallest admissible twist, element index 2) with
-    one ring factor per odd prime.  Dimensions of the form 2 mod 4 are
-    refused, with the reason: none exists for d = 2, and for the others one
-    exists but none is constructed here (the even ring construction fails).
-    tol decides compose_mes's check of the factors.
+    Odd d >= 3 uses the ring square state.  A multiple of four, d = 2^m * o
+    with o odd, tensors a GF(2^m) square state (smallest admissible twist,
+    element index 2) with the ring square state of o when o > 1.
+    Dimensions of the form 2 mod 4 are refused, with the reason: none exists
+    for d = 2, and for the others one exists but none is constructed here
+    (the even ring construction fails).  Every other d passes the 2^24
+    amplitude guard first (d <= 64).
     """
     if d < 2:
         raise ValueError("dimension must be at least 2")
+    if d % 4 == 2:
+        return MesConstruction(d, False, None, "none", reason=_refusal(d))
+    check_state_size(d, 4)
     if d % 2 == 1:
         return MesConstruction(d, True, ring_square_state(d), f"ring({d})")
-    if d % 4 != 0:
-        return MesConstruction(d, False, None, "none", reason=_refusal(d))
-    factors = _prime_factors(d)
-    m = factors.count(2)
-    odd = [p for p in factors if p != 2]
-    fld = Field(2, m)
-    parts: list[StateVector | RingState] = [square_state(fld, 2)]
-    parts += [ring_square_state(p) for p in odd]
+    m = (d & -d).bit_length() - 1
+    odd = d >> m
+    parts: list[StateVector | RingState] = [square_state(Field(2, m), 2)]
     label = f"square(GF(2^{m}),twist=2)"
-    if odd:
-        label += "".join(f" x ring({p})" for p in odd)
-    return MesConstruction(d, True, compose_mes(parts, tol), label)
+    if odd > 1:
+        parts.append(ring_square_state(odd))
+        label += f" x ring({odd})"
+    return MesConstruction(d, True, compose_mes(parts), label)
 
 
 # ---------------------------------------------------------------------------
@@ -242,16 +223,12 @@ def _diagonal_marginal(weights: np.ndarray, digits: np.ndarray, d: int,
     kets share their complement digits b, no term has a != a', so the RDM is
     diagonal with diagonal p.
     """
-    def index(wires):
-        out = np.zeros(len(weights), dtype=np.int64)
-        for q in wires:
-            out = out * d + digits[q - 1]
-        return out
-
-    b = np.sort(index(q for q in range(1, len(digits) + 1) if q not in subset))
+    rest = (digits[q - 1] for q in range(1, len(digits) + 1) if q not in subset)
+    b = np.sort(ket_index(rest, d))
     if np.any(b[1:] == b[:-1]):
         return None
-    return np.bincount(index(subset), weights=weights, minlength=d ** len(subset))
+    a = ket_index((digits[q - 1] for q in subset), d)
+    return np.bincount(a, weights=weights, minlength=d ** len(subset))
 
 
 def mes_verdict(state: StateVector | RingState, tol: float = DEFAULT_TOL) -> BipartitionReport:
@@ -290,7 +267,7 @@ def mes_verdict(state: StateVector | RingState, tol: float = DEFAULT_TOL) -> Bip
         diag = None
         if len(support) <= d ** (n - len(subset)):
             if digits is None:
-                digits = support // d ** np.arange(n - 1, -1, -1)[:, None] % d
+                digits = ket_digits(support, d, n)
                 weights = amps.real[support] ** 2 + amps.imag[support] ** 2
             diag = _diagonal_marginal(weights, digits, d, subset)
         if diag is not None:
@@ -315,23 +292,13 @@ def mes_verdict(state: StateVector | RingState, tol: float = DEFAULT_TOL) -> Bip
 def symbolic_rdm_rank(sym: SymbolicState, subset: Sequence[int]) -> int:
     """Rank of a reduced density matrix straight from the coefficient matrix.
 
-    For a state that is a uniform superposition over a rank-k row space the
-    spectrum of any marginal is flat, with rank d^(r_A + r_B - k) where r_A
-    and r_B are the ranks of the two column blocks.  Cross-checked against
-    dense ranks in the test suite.
+    d^e with e from rewrite.rank_exponents for this one state and subset.
+    Cross-checked against dense ranks in the test suite.
     """
     keep = sorted(set(subset))
     if not keep or len(keep) == sym.n or any(not 1 <= q <= sym.n for q in keep):
         raise ValueError("subset must be a nonempty proper subset of the wires")
-    fld = sym.field
-    cols_a = [q - 1 for q in keep]
-    cols_b = [q - 1 for q in range(1, sym.n + 1) if q not in keep]
-    # both blocks in one stack; zero columns pad the narrower without changing its rank
-    blocks = np.zeros((2, sym.k, max(len(cols_a), len(cols_b))), dtype=np.int64)
-    blocks[0, :, : len(cols_a)] = sym.matrix[:, cols_a]
-    blocks[1, :, : len(cols_b)] = sym.matrix[:, cols_b]
-    r_a, r_b = rref_stack(fld, blocks)[1].sum(axis=1)
-    return fld.d ** int(r_a + r_b - sym.k)
+    return sym.field.d ** int(rank_exponents(sym.field, sym.matrix[None], [keep])[0, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -360,7 +327,7 @@ def tripartite_marginal_checks(d: int, tol: float = DEFAULT_TOL) -> dict:
             "max_deviation": max(trivial_devs),
         },
     }
-    built = build_mes(d, tol)
+    built = build_mes(d)
     if not built.ok:
         report["mes"] = {"available": False, "reason": built.reason}
         return report

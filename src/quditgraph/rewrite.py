@@ -26,6 +26,7 @@ from .simulator import (
     StateVector,
     check_state_size,
     init_state,
+    ket_index,
     run_gates,
     sequence_matrix,
     sequence_source_map,
@@ -117,6 +118,26 @@ def rref_stack(fld: Field, mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return m[lanes[:, None], order], pivots
 
 
+def rank_exponents(fld: Field, matrices: np.ndarray, subsets: Sequence[Sequence[int]]) -> np.ndarray:
+    """RDM rank exponents of a (batch, k, N) stack of rank-k coefficient matrices.
+
+    A state uniform over a rank-k row space has, on each side A of a cut, a
+    flat reduced spectrum of rank d^e with e = r_A + r_B - k, where r_A and
+    r_B are the ranks of the two column blocks.  Returns e as a (batch,
+    len(subsets)) array, one column per subset of 1-based wires, with one
+    rref_stack call per subset and side.
+    """
+    batch, k, n = matrices.shape
+    out = np.empty((batch, len(subsets)), dtype=np.int64)
+    for col, subset in enumerate(subsets):
+        side_a = [q - 1 for q in subset]
+        side_b = [q for q in range(n) if q + 1 not in subset]
+        r_a = rref_stack(fld, matrices[:, :, side_a])[1].sum(axis=1)
+        r_b = rref_stack(fld, matrices[:, :, side_b])[1].sum(axis=1)
+        out[:, col] = r_a + r_b - k
+    return out
+
+
 def mat_rref(fld: Field, mat: np.ndarray) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form over the field; returns (rref, pivot columns)."""
     rref, pivots = rref_stack(fld, np.asarray(mat)[None])
@@ -204,16 +225,17 @@ class SymbolicState:
         """Reconstruct the dense amplitude vector."""
         fld, d, n, k = self.field, self.field.d, self.n, self.k
         check_state_size(d, n)
-        count = d ** k
-        grids = np.indices([d] * k).reshape(k, count) if k else np.zeros((0, 1), dtype=np.int64)
-        idx = np.zeros(count if k else 1, dtype=np.int64)
-        for q in range(n):
-            digit = np.full(count if k else 1, int(self.offsets[q]), dtype=np.int64)
+        elements = np.arange(d)
+
+        def wire_digits(q):
+            # digit of wire q for every u in F^k, u_1 slowest: one new axis per u_i
+            digit = self.offsets[q]
             for i in range(k):
-                digit = fld.add_arr(digit, fld.mul_arr(self.matrix[i, q], grids[i]))
-            idx = idx * d + digit
+                digit = fld.add_arr(digit[..., None], fld.mul_arr(self.matrix[i, q], elements))
+            return np.ravel(digit)
+
         amps = np.zeros(d ** n, dtype=np.complex128)
-        np.add.at(amps, idx, d ** (-k / 2) if k else 1.0)
+        np.add.at(amps, ket_index(map(wire_digits, range(n)), d), d ** (-k / 2))
         return amps
 
     def to_state(self) -> StateVector:

@@ -241,13 +241,6 @@ def fourier_matrix(field: Field) -> np.ndarray:
     return omega ** (field.digits @ field.digits.T % field.p) / math.sqrt(field.d)
 
 
-def reversal_matrix(field: Field) -> np.ndarray:
-    """d x d permutation sending |x> to the coefficient-reversed basis state."""
-    m = np.zeros((field.d, field.d), dtype=np.complex128)
-    m[field.reverse_table, np.arange(field.d)] = 1.0
-    return m
-
-
 def gate_source_map(field: Field, n_wires: int, gate: Gate) -> np.ndarray:
     """Gather map src with new_amps = amps[src], for permutation gates only."""
     return sequence_source_map(field, n_wires, (gate,))
@@ -397,15 +390,20 @@ def signatures_match(amps1: np.ndarray, amps2: np.ndarray, d: int, n: int, tol: 
 # State dump format
 # ---------------------------------------------------------------------------
 
-def _index_digits(i: int, d: int, n: int) -> str:
-    digits = []
-    for _ in range(n):
-        digits.append(i % d)
-        i //= d
-    digits.reverse()
-    if d <= 36:
-        return "".join(_DIGITS36[v] for v in digits)
-    return ",".join(str(v) for v in digits)
+def ket_digits(indices: np.ndarray, d: int, n: int) -> np.ndarray:
+    """Base-d digits of basis indices: row q - 1 holds the digit of qudit q."""
+    return indices // d ** np.arange(n - 1, -1, -1)[:, None] % d
+
+
+def ket_index(digit_columns: Iterable, d: int):
+    """Basis index of kets from their digits, one column per qudit, qudit 1 first.
+
+    Inverse of ket_digits; columns may be arrays or plain integers.
+    """
+    index = 0
+    for column in digit_columns:
+        index = index * d + column
+    return index
 
 
 def _parse_digits(text: str, d: int, n: int) -> int:
@@ -415,19 +413,21 @@ def _parse_digits(text: str, d: int, n: int) -> int:
         vals = [_DIGITS36.index(c) for c in text]
     if len(vals) != n or any(not 0 <= v < d for v in vals):
         raise ValueError(f"bad basis index {text!r} for d={d}, n={n}")
-    idx = 0
-    for v in vals:
-        idx = idx * d + v
-    return idx
+    return ket_index(vals, d)
 
 
 def dump_state(amps: np.ndarray, d: int, n: int, header: Sequence[str] = ()) -> str:
     """Debug dump: one `index_base_d re im` line per nonzero amplitude."""
     lines = [f"# quditgraph-state d={d} qudits={n}"]
     lines += [f"# {h}" for h in header]
-    for i in np.flatnonzero(np.abs(amps) > 1e-14).tolist():
-        a = amps[i]
-        lines.append(f"{_index_digits(i, d, n)} {float(a.real)!r} {float(a.imag)!r}")
+    support = np.flatnonzero(np.abs(amps) > 1e-14)
+    digits = ket_digits(support, d, n).T.tolist()
+    if d <= 36:
+        kets = ["".join(_DIGITS36[v] for v in row) for row in digits]
+    else:
+        kets = [",".join(map(str, row)) for row in digits]
+    for ket, a in zip(kets, amps[support].tolist()):
+        lines.append(f"{ket} {a.real!r} {a.imag!r}")
     return "\n".join(lines) + "\n"
 
 

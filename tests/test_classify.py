@@ -3,10 +3,11 @@ from itertools import product
 import numpy as np
 import pytest
 
-from quditgraph import Field, ResourceGuardError, SymbolicState, bipartition_subsets, classify, symbolic_rdm_rank
+from quditgraph import Field, ResourceGuardError, SymbolicState, bipartition_subsets, classify
+from quditgraph.rewrite import rank_exponents
 from quditgraph.simulator import signature_key
 
-from util import field_for
+from util import field_for, scalar_rref
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -97,10 +98,15 @@ def test_rank_profile_partitions_like_dense_spectra(d, n):
     fld = field_for(d)
     subsets = bipartition_subsets(n)
     dense, exact = [], []
+    by_k = {}
     for k, labels, matrix in _labelings(d, n):
         sym = SymbolicState(fld, n, matrix, np.zeros(n, dtype=np.int64))
         dense.append((signature_key(sym.dense_amps(), d, n), (k, labels)))
-        exact.append((tuple(sorted((-symbolic_rdm_rank(sym, a), len(a)) for a in subsets)), (k, labels)))
+        by_k.setdefault(k, []).append((labels, matrix))
+    for k, graphs in by_k.items():
+        exponents = rank_exponents(fld, np.array([matrix for _, matrix in graphs]), subsets)
+        for (labels, _), row in zip(graphs, exponents.tolist()):
+            exact.append((tuple(sorted((-d ** e, len(a)) for e, a in zip(row, subsets))), (k, labels)))
     groups = _partition(dense)
     assert _partition(exact) == groups
     reported = [
@@ -110,3 +116,25 @@ def test_rank_profile_partitions_like_dense_spectra(d, n):
     ]
     from_dense = sorted(((g[0][0], len(g), g[0][1]) for g in groups), key=lambda t: t[0])
     assert reported == from_dense
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 9])
+def test_rank_exponents_match_scalar_rref(d):
+    # e = r_A + r_B - k with r_A, r_B the scalar Gauss-Jordan ranks of the two
+    # column blocks; repeated, scaled and zero columns make blocks lose rank
+    fld = field_for(d)
+    rng = np.random.default_rng(d)
+    for n, k in [(2, 1), (3, 2), (4, 2), (5, 3), (6, 4)]:
+        mats = rng.integers(d, size=(24, k, n))
+        mats[::3, :, -1] = mats[::3, :, 0]
+        mats[1::3, :, -1] = fld.mul_arr(int(rng.integers(1, d)), mats[1::3, :, 0])
+        mats[2::3, :, n // 2] = 0
+        subsets = bipartition_subsets(n)
+        got = rank_exponents(fld, mats, subsets)
+        assert got.shape == (len(mats), len(subsets))
+        for mat, row in zip(mats, got.tolist()):
+            for subset, e in zip(subsets, row):
+                side_b = [q for q in range(1, n + 1) if q not in subset]
+                r_a = len(scalar_rref(fld, mat[:, [q - 1 for q in subset]])[1])
+                r_b = len(scalar_rref(fld, mat[:, [q - 1 for q in side_b]])[1])
+                assert e == r_a + r_b - k, (mat.tolist(), subset)

@@ -6,6 +6,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import quditgraph
 from quditgraph.cli import main
@@ -297,6 +298,28 @@ def test_make_mes_usage_error(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("d", ["131072", "1048576"])
+def test_make_mes_past_field_orders_hits_the_amplitude_guard(capsys, d):
+    # one 2^24 amplitude guard runs before any field is built or any factor sought
+    code, out, err = run_cli(capsys, "make-mes", d)
+    assert code == 3
+    assert out == ""
+    assert "2^24 guard" in err
+
+
+def test_make_mes_60_tensors_one_odd_ring(tmp_path, capsys):
+    # 60 = 4 * 15: the square state over GF(4) times the ring state of 15
+    out_path = tmp_path / "mes60.state"
+    code, out, _ = run_cli(capsys, "make-mes", "60", "--output", str(out_path))
+    assert code == 0
+    assert "square(GF(2^2),twist=2) x ring(15)" in out
+    code, out, _ = run_cli(capsys, "verify-mes", str(out_path))
+    assert code == 0
+    data = json.loads(out)
+    assert data["verdict"] is True
+    assert data["decided_by"] == "diagonal-marginals"
+
+
 def test_verify_mes_on_square_state_dump(tmp_path, capsys):
     from quditgraph import dump_state, square_state
     from util import field_for
@@ -373,6 +396,7 @@ def test_tolerance_only_on_verbs_that_read_it(tmp_path, capsys):
     path.write_text(BELL_CIRCUIT)
     assert run_cli(capsys, "simulate", str(path), "--tolerance", "1e-9")[0] == 2
     assert run_cli(capsys, "relations-test", "--fields", "2", "--tolerance", "1e-9")[0] == 2
+    assert run_cli(capsys, "make-mes", "5", "--tolerance", "1e-9")[0] == 2
 
 
 def test_unknown_verb_exit_2(capsys):
