@@ -8,7 +8,6 @@ and 4-party maximal-entanglement constructions and verdicts.
 from .gf import Field, default_irreducible, irreducible_polynomials, is_irreducible, is_prime
 from .kernels import BACKEND as KERNEL_BACKEND
 from .simulator import (
-    DensityMatrix,
     Gate,
     ResourceGuardError,
     StateVector,

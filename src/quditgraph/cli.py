@@ -135,6 +135,8 @@ def cmd_make_mes(args) -> int:
 
 
 def cmd_relations_test(args) -> int:
+    if args.samples < 1:
+        raise ValueError(f"--samples must be at least 1, got {args.samples}")
     fields = [Field.of_order(int(d_str)) for d_str in args.fields.split(",")]
     all_ok = True
     reports = []
@@ -147,7 +149,8 @@ def cmd_relations_test(args) -> int:
             print(f"field {fld.descriptor()} ({report['mode']}):")
             for name in sorted(report["relations"]):
                 entry = report["relations"][name]
-                status = "ok" if entry["ok"] else f"FAIL at {entry['first_failure']}"
+                failed = f"FAIL at {entry['first_failure']}" if entry["checked"] else "UNCHECKED"
+                status = "ok" if entry["ok"] else failed
                 print(f"  {name:24s} {entry['checked']:5d} cases  {status}")
     if args.format == "json":
         _emit_json(reports)

@@ -101,8 +101,8 @@ def conjugation_report(fld: Field, tol: float = DEFAULT_TOL) -> dict:
 
     If any label fails for the field's polynomial, every other monic
     irreducible polynomial of the same degree is measured as well, so the
-    outcome is recorded per representation rather than presumed (about d^7
-    work: d - 1 labels, eleven dense d^2 x d^2 products each).
+    outcome is recorded per representation rather than presumed (d - 1
+    labels, each eleven kernel passes over a d^4-entry identity).
     """
     report = _labels_report(fld, tol)
     if not report["holds_all"]:

@@ -283,7 +283,7 @@ class GraphState:
         s, o = set(self.s_wires), set(self.o_wires)
         if s & o:
             raise ValueError("source and sink wire sets overlap")
-        if s | o != set(range(1, len(s) + len(o) + 1)):
+        if s | o != set(range(1, self.n + 1)):  # a repeated wire leaves a gap
             raise ValueError("wires must cover 1..N")
         for i, j, b in self.edges:
             if i not in s or j not in o:
@@ -502,11 +502,11 @@ def relations_suite(fld: Field, exhaustive: bool = True, samples: int = 1000, se
     `samples` seeded (rule, parameters) tuples.  Each case compares the two
     sides with compare_sequences.  No rule holds an H gate, so each side is
     a basis permutation and the comparison is exact, with no tolerance.
+    A rule is ok only when it was checked at least once and never failed,
+    so a sample that misses a rule cannot pass it.
     """
     rhs_fn = rhs_fn or commute_pair
-    results: dict[str, dict] = {
-        name: {"checked": 0, "ok": True, "first_failure": None} for name in RELATIONS
-    }
+    results: dict[str, dict] = {name: {"checked": 0, "first_failure": None} for name in RELATIONS}
     cases: list[tuple[str, int, int]] = []
     if exhaustive:
         for name, (_, domains, _) in RELATIONS.items():
@@ -530,8 +530,9 @@ def relations_suite(fld: Field, exhaustive: bool = True, samples: int = 1000, se
         entry = results[name]
         entry["checked"] += 1
         if not ok and entry["first_failure"] is None:
-            entry["ok"] = False
             entry["first_failure"] = {"params": (a, b), "max_deviation": dev}
+    for entry in results.values():
+        entry["ok"] = entry["checked"] > 0 and entry["first_failure"] is None
     return {
         "field": fld.descriptor(),
         "mode": "exhaustive" if exhaustive else f"random[{samples}]",
@@ -633,9 +634,18 @@ def graph_to_json_dict(g: GraphState) -> dict:
 
 
 def graph_from_json_dict(data: dict) -> GraphState:
+    """Inverse of graph_to_json_dict; ValueError unless data has its layout."""
+    if not isinstance(data, dict):
+        raise ValueError(f"graph JSON must be an object, got {type(data).__name__}")
     fd = data["field"]
     fld = Field.from_descriptor(f"{fd['p']} {fd['n']} {fd['poly']}")
     edges = [(e["from"], e["to"], e["label"]) for e in data["edges"]]
+    # bool is an int subclass; a float or a string would be read as some other graph
+    bad = [v for v in (*data["S"], *data["O"], *(v for e in edges for v in e)) if type(v) is not int]
+    if bad:
+        raise ValueError(f"wire numbers and labels must be JSON integers, got {bad[0]!r}")
+    if len(data["S"]) + len(data["O"]) < 2:
+        raise ValueError("a graph needs at least two wires")
     return make_graph_state(fld, data["S"], data["O"], edges)
 
 

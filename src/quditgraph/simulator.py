@@ -15,12 +15,14 @@ Gates
     W m n   swap
 
 All gates except H permute basis states.  They are applied by the kernels
-module, the one place that knows how each gate maps digits; the gather maps
-and dense operators below are derived by running the same kernels.
+module, the one place that knows how each gate maps digits.  A gather map
+is the kernels run on an index array, a dense operator the kernels run on
+an identity; every dense builder counts its entries with check_state_size.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
@@ -154,10 +156,7 @@ def _stride(d: int, n: int, wire: int) -> int:
 
 def apply_gate(state: StateVector, gate: Gate) -> StateVector:
     """Apply one gate, returning a new StateVector."""
-    validate_gate(state.field, state.n, gate)
-    out = np.empty_like(state.amps)
-    _apply_gate_raw(state.field, state.n, gate, state.amps, out)
-    return StateVector(state.field, state.n, out)
+    return run_gates(state, (gate,))
 
 
 def _apply_gate_raw(field: Field, n: int, gate: Gate, amps: np.ndarray, out: np.ndarray) -> None:
@@ -261,78 +260,53 @@ def sequence_source_map(field: Field, n_wires: int, ops: Sequence[Gate]) -> np.n
 
 def gate_matrix(field: Field, n_wires: int, gate: Gate) -> np.ndarray:
     """Dense unitary of one gate on an n_wires register."""
-    if gate.kind == "H":
-        validate_gate(field, n_wires, gate)
-        h = fourier_matrix(field)
-        mats = [h if w == gate.wires[0] else np.eye(field.d) for w in range(1, n_wires + 1)]
-        out = mats[0]
-        for m in mats[1:]:
-            out = np.kron(out, m)
-        return out
-    src = gate_source_map(field, n_wires, gate)
-    return np.eye(field.d ** n_wires, dtype=np.complex128)[src]
+    return sequence_matrix(field, n_wires, (gate,))
 
 
 def sequence_matrix(field: Field, n_wires: int, ops: Sequence[Gate]) -> np.ndarray:
-    """Dense unitary of an operator product (ops[0] leftmost)."""
-    if all(g.kind != "H" for g in ops):
-        src = sequence_source_map(field, n_wires, ops)
-        return np.eye(field.d ** n_wires, dtype=np.complex128)[src]
-    out = np.eye(field.d ** n_wires, dtype=np.complex128)
+    """Dense unitary of an operator product (ops[0] leftmost), d^(2 n_wires) entries under the guard.
+
+    The kernels run on the identity as a 2 * n_wires wire register: its high
+    digits are the operator's wires, its low digits the column index.
+    """
     for gate in ops:
-        out = out @ gate_matrix(field, n_wires, gate)
-    return out
+        validate_gate(field, n_wires, gate)
+    check_state_size(field.d, 2 * n_wires)
+    dim = field.d ** n_wires
+    eye = np.eye(dim, dtype=np.complex128).reshape(-1)
+    return _run_raw(field, 2 * n_wires, reversed(ops), eye).reshape(dim, dim)
 
 
 # ---------------------------------------------------------------------------
 # Density matrices and spectra
 # ---------------------------------------------------------------------------
 
-@dataclass
-class DensityMatrix:
-    """Reduced density operator on the listed qudits."""
-
-    dims: tuple[int, ...]
-    entries: np.ndarray
-
-
-def reduced_density(state: StateVector, subset: Sequence[int]) -> DensityMatrix:
+def reduced_density(state: StateVector, subset: Sequence[int]) -> np.ndarray:
     """Partial trace onto `subset` (1-based qudit labels)."""
-    rho = reduced_density_raw(state.amps, state.d, state.n, subset)
-    return DensityMatrix(tuple(sorted(subset)), rho)
+    return reduced_density_raw(state.amps, state.d, state.n, subset)
 
 
 def reduced_density_raw(amps: np.ndarray, d: int, n: int, subset: Sequence[int]) -> np.ndarray:
+    """Partial trace of a pure n-qudit state onto `subset`: d^|A| x d^|A|, under the state-size guard."""
     keep = sorted(set(subset))
     if not keep or len(keep) == n:
         raise ValueError("subset must be nonempty and proper")
     if any(not 1 <= q <= n for q in keep):
         raise ValueError(f"subset {subset} out of range 1..{n}")
+    check_state_size(d, 2 * len(keep))
     rest = [q for q in range(1, n + 1) if q not in keep]
     axes = [q - 1 for q in keep] + [q - 1 for q in rest]
     m = amps.reshape([d] * n).transpose(axes).reshape(d ** len(keep), d ** len(rest))
     return m @ m.conj().T
 
 
-def rho_partial_trace(rho: np.ndarray, d: int, n: int, keep: Sequence[int]) -> np.ndarray:
-    """Partial trace of an n-system density matrix onto `keep` (1-based)."""
-    keep = sorted(set(keep))
-    rest = [q for q in range(1, n + 1) if q not in keep]
-    t = rho.reshape([d] * (2 * n))
-    for q in reversed(rest):
-        t = np.trace(t, axis1=q - 1, axis2=q - 1 + t.ndim // 2)
-    k = d ** len(keep)
-    return t.reshape(k, k)
-
-
-def spectrum(dm: DensityMatrix | np.ndarray) -> np.ndarray:
+def spectrum(rho: np.ndarray) -> np.ndarray:
     """Eigenvalues of a density matrix, descending."""
-    entries = dm.entries if isinstance(dm, DensityMatrix) else dm
-    return np.sort(np.linalg.eigvalsh(entries))[::-1]
+    return np.sort(np.linalg.eigvalsh(rho))[::-1]
 
 
-def rank(dm: DensityMatrix | np.ndarray, tol: float = DEFAULT_TOL) -> int:
-    return int(np.count_nonzero(spectrum(dm) > tol))
+def rank(rho: np.ndarray, tol: float = DEFAULT_TOL) -> int:
+    return int(np.count_nonzero(spectrum(rho) > tol))
 
 
 def states_equal_up_to_phase(s1: StateVector, s2: StateVector, tol: float = DEFAULT_TOL) -> bool:
@@ -432,17 +406,22 @@ def dump_state(amps: np.ndarray, d: int, n: int, header: Sequence[str] = ()) -> 
 
 
 def parse_state_dump(text: str) -> tuple[np.ndarray, int, int]:
-    """Inverse of dump_state; returns (amps, d, n)."""
+    """Inverse of dump_state; returns (amps, d, n).  Rejects d < 2, repeats and non-finite amplitudes."""
     d = n = None
     amps = None
+    seen: set[int] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
             continue
         if line.startswith("#"):
             if line.startswith("# quditgraph-state"):
+                if amps is not None:
+                    raise ValueError(f"line {lineno}: second '# quditgraph-state' header")
                 fields = dict(part.split("=") for part in line.split()[2:])
                 d, n = int(fields["d"]), int(fields["qudits"])
+                if d < 2:
+                    raise ValueError(f"line {lineno}: dimension d={d} must be at least 2")
                 check_state_size(d, n)
                 amps = np.zeros(d ** n, dtype=np.complex128)
             continue
@@ -451,7 +430,14 @@ def parse_state_dump(text: str) -> tuple[np.ndarray, int, int]:
         parts = line.split()
         if len(parts) != 3:
             raise ValueError(f"line {lineno}: expected 'index re im', got {raw!r}")
-        amps[_parse_digits(parts[0], d, n)] = complex(float(parts[1]), float(parts[2]))
+        index = _parse_digits(parts[0], d, n)
+        if index in seen:
+            raise ValueError(f"line {lineno}: ket {parts[0]!r} listed twice")
+        seen.add(index)
+        amp = complex(float(parts[1]), float(parts[2]))
+        if not cmath.isfinite(amp):
+            raise ValueError(f"line {lineno}: amplitude {amp!r} is not finite")
+        amps[index] = amp
     if amps is None:
         raise ValueError("state dump is missing its '# quditgraph-state d=.. qudits=..' header")
     return amps, d, n

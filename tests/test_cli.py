@@ -195,6 +195,34 @@ def test_dual_check_gf4_square(tmp_path, capsys):
     assert data["state_equivalence_holds"] is False
 
 
+BELL_GRAPH = {
+    "field": {"p": 3, "n": 1, "poly": 0},
+    "S": [1], "O": [2],
+    "edges": [{"from": 1, "to": 2, "label": 1}],
+}
+
+
+@pytest.mark.parametrize("graph, message", [
+    ({**BELL_GRAPH, "edges": [{"from": 1, "to": 2, "label": 1.5}]}, "must be JSON integers, got 1.5"),
+    ({**BELL_GRAPH, "edges": [{"from": 1, "to": 2, "label": True}]}, "must be JSON integers, got True"),
+    ({**BELL_GRAPH, "edges": [{"from": 1, "to": 2, "label": "1"}]}, "must be JSON integers, got '1'"),
+    ({**BELL_GRAPH, "S": ["1"]}, "must be JSON integers, got '1'"),
+    ({**BELL_GRAPH, "edges": [{"from": 1.0, "to": 2, "label": 1}]}, "must be JSON integers, got 1.0"),
+    ([], "graph JSON must be an object"),
+    ({**BELL_GRAPH, "O": [], "edges": []}, "at least two wires"),
+    ({**BELL_GRAPH, "S": [1, 1]}, "wires must cover 1..N"),
+], ids=["label-float", "label-bool", "label-string", "wire-string", "wire-float", "top-level-list", "one-wire",
+        "repeated-wire"])
+def test_dual_check_rejects_malformed_graph_json(tmp_path, capsys, graph, message):
+    # read as Python values, 1.5 and true would both become label 1: a different graph
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps(graph))
+    code, out, err = run_cli(capsys, "dual-check", str(path))
+    assert code == 2, err
+    assert out == ""
+    assert message in err
+
+
 def test_dual_check_gf257(tmp_path, capsys):
     # every field order up to 2^16 has the same tables, so dense states over GF(257) work
     graph = {
@@ -209,17 +237,40 @@ def test_dual_check_gf257(tmp_path, capsys):
     assert json.loads(out)["signature_match"] is True
 
 
-def _run_capped(tmp_path, *argv):
-    """Run the CLI in a child process whose address space is capped at 1.5 GiB."""
+def _run_capped(tmp_path, *argv, python_args=("-m", "quditgraph.cli")):
+    """Run python in a child process whose address space is capped at 1.5 GiB.
+
+    By default it runs the CLI on argv; python_args=("-c", source) runs a library call instead.
+    """
     def cap():
         resource.setrlimit(resource.RLIMIT_AS, (1536 << 20, 1536 << 20))
 
     src = str(Path(quditgraph.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     return subprocess.run(
-        [sys.executable, "-m", "quditgraph.cli", *argv],
+        [sys.executable, *python_args, *argv],
         capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120, preexec_fn=cap,
     )
+
+
+@pytest.mark.parametrize("call", [
+    "gate_matrix(Field(2, 2), 7, Gate('H', (1,)))",  # 4^14 = 2^28 entries
+    "sequence_matrix(Field(2, 7), 2, [Gate('H', (1,)), Gate('C', (1, 2), 3)])",  # 128^4 = 2^28
+    "tripartite_marginal_checks(32)",  # 32^6 = 2^30
+    "reduced_density_raw(np.zeros(2 ** 15), 2, 15, range(1, 15))",  # 2^28 RDM entries of a 2^15 state
+], ids=["gate_matrix", "sequence_matrix", "tripartite_marginal_checks", "reduced_density_raw"])
+def test_dense_builders_guard_before_allocating(tmp_path, call):
+    # under the cap an unguarded build dies by MemoryError instead of taking gigabytes
+    source = (
+        "import numpy as np\n"
+        "from quditgraph import Field, Gate, ResourceGuardError, gate_matrix, sequence_matrix, "
+        "tripartite_marginal_checks\n"
+        "from quditgraph.simulator import reduced_density_raw\n"
+        f"try:\n    {call}\nexcept ResourceGuardError as exc:\n    print('guarded:', exc)\n"
+    )
+    done = _run_capped(tmp_path, python_args=("-c", source))
+    assert done.returncode == 0, done.stderr
+    assert "guarded:" in done.stdout and "2^24 guard" in done.stdout
 
 
 def test_make_mes_dense_guard_exit_3(tmp_path):
@@ -350,6 +401,25 @@ def test_verify_mes_rejects_unnormalized_state(tmp_path, capsys):
     assert "norm 2.0" in err
 
 
+@pytest.mark.parametrize("text, message", [
+    ("# quditgraph-state d=2 qudits=2\n00 nan 0.0\n11 0.5 0.0\n", "not finite"),
+    ("# quditgraph-state d=2 qudits=2\n00 0.7071067811865476 0.0\n11 inf 0.0\n", "not finite"),
+    ("# quditgraph-state d=2 qudits=2\n00 0.7071067811865476 0.0\n00 0.7071067811865476 0.0\n",
+     "listed twice"),
+    ("# quditgraph-state d=2 qudits=2\n00 1.0 0.0\n# quditgraph-state d=2 qudits=2\n11 1.0 0.0\n",
+     "second '# quditgraph-state' header"),
+    ("# quditgraph-state d=1 qudits=4\n0000 1.0 0.0\n", "d=1 must be at least 2"),
+], ids=["nan", "inf", "repeated-ket", "second-header", "d1"])
+def test_verify_mes_rejects_malformed_dump(tmp_path, capsys, text, message):
+    # read as they stand, a nan would decide "false" (exit 1) and d=1 a vacuous "maximally entangled"
+    path = tmp_path / "bad.state"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, "verify-mes", str(path))
+    assert code == 2, err
+    assert out == ""
+    assert message in err
+
+
 # ---------------------------------------------------------------------------
 # relations-test / simulate
 # ---------------------------------------------------------------------------
@@ -366,6 +436,28 @@ def test_relations_cli_json(capsys):
     assert code == 0
     data = json.loads(out)
     assert data[0]["ok"] is True
+
+
+@pytest.mark.parametrize("samples", ["0", "-1"])
+def test_relations_cli_rejects_samples_below_one(capsys, samples):
+    code, out, err = run_cli(capsys, "relations-test", "--fields", "7", "--samples", samples)
+    assert code == 2
+    assert out == ""
+    assert "--samples must be at least 1" in err
+
+
+def test_relations_cli_unchecked_rule_fails(capsys):
+    # three random tuples cannot reach all 13 rules; a rule never checked is not ok
+    code, out, _ = run_cli(capsys, "relations-test", "--fields", "7", "--samples", "3")
+    assert code == 1
+    lines = [l for l in out.splitlines() if l.startswith("  ")]
+    assert len(lines) == 13
+    assert all(l.endswith("UNCHECKED") == (" 0 cases" in l) for l in lines)
+    assert sum(l.endswith("  ok") for l in lines) >= 1
+    code, out, _ = run_cli(capsys, "relations-test", "--fields", "7", "--samples", "3", "--format", "json")
+    relations = json.loads(out)[0]["relations"]
+    assert {name for name, r in relations.items() if r["checked"] == 0} == \
+        {name for name, r in relations.items() if not r["ok"]}
 
 
 def test_relations_cli_guards_operator_maps(capsys):

@@ -259,6 +259,47 @@ def test_tripartite_checks_without_mes():
     assert not report["mes"]["available"]
 
 
+def rho_partial_trace(rho, d, n, keep):
+    """Partial trace of an n-system density matrix onto `keep` (1-based): the mixed-state oracle."""
+    rest = [q for q in range(1, n + 1) if q not in keep]
+    t = rho.reshape([d] * (2 * n))
+    for q in reversed(rest):
+        t = np.trace(t, axis1=q - 1, axis2=q - 1 + t.ndim // 2)
+    k = d ** len(keep)
+    return t.reshape(k, k)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_tripartite_checks_match_density_matrix_oracle(d):
+    # the d^6-entry density matrices that the pure-state marginals replace
+    tol = 1e-10
+    report = tripartite_marginal_checks(d, tol)
+    pairs = [(1, 2), (1, 3), (2, 3)]
+    mixed = np.eye(d ** 2) / d ** 2
+    eye3 = np.eye(d ** 3) / d ** 3
+    trivial = [float(np.max(np.abs(rho_partial_trace(eye3, d, 3, p) - mixed))) for p in pairs]
+    assert report["trivial"]["marginals_maximally_mixed"] == all(dev <= tol for dev in trivial)
+    assert abs(report["trivial"]["max_deviation"] - max(trivial)) < 1e-12
+    built = build_mes(d)
+    assert report["mes"]["available"] == built.ok
+    if not built.ok:
+        return
+    psi = built.state.amps.reshape(d ** 3, d)  # rows: systems 1-3, columns: system 4
+    rho_abc = psi @ psi.conj().T
+    devs = [float(np.max(np.abs(rho_partial_trace(rho_abc, d, 3, p) - mixed))) for p in pairs]
+    rank_abc = int(np.count_nonzero(np.linalg.eigvalsh(rho_abc) > tol))
+    assert report["mes"]["rank"] == rank_abc
+    assert report["mes"]["rank_equals_d"] == (rank_abc == d)
+    assert report["mes"]["marginals_maximally_mixed"] == all(dev <= tol for dev in devs)
+    assert abs(report["mes"]["max_deviation"] - max(devs)) < 1e-12
+
+
+def test_tripartite_checks_guard_d6_entries():
+    # the purification of I/d^3 has d^6 amplitudes: d = 16 is the last under 2^24
+    with pytest.raises(ResourceGuardError):
+        tripartite_marginal_checks(17)
+
+
 # ---------------------------------------------------------------------------
 # Diagonal-marginal verdicts against the dense per-bipartition path
 # ---------------------------------------------------------------------------

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from quditgraph import (
-    DensityMatrix,
     Gate,
     ResourceGuardError,
     apply_gate,
@@ -23,7 +22,7 @@ from quditgraph import (
 )
 from quditgraph.simulator import bipartition_subsets, sequence_source_map, validate_gate
 
-from util import dump_state_loop, field_for, random_cadw_circuit
+from util import dump_state_loop, field_for, oracle_gate_matrix, oracle_sequence_matrix, random_cadw_circuit
 
 # ---------------------------------------------------------------------------
 # Initialization
@@ -189,8 +188,46 @@ def test_sequence_matrix_with_fourier():
     # H on each wire conjugates the CNOT into the opposite-direction CNOT
     ops = [Gate("H", (1,)), Gate("H", (2,)), Gate("C", (1, 2), 1), Gate("H", (1,)), Gate("H", (2,))]
     got = sequence_matrix(fld, 2, ops)
-    want = gate_matrix(fld, 2, Gate("C", (2, 1), 1))
+    want = oracle_sequence_matrix(fld, 2, [Gate("C", (2, 1), 1)])
     assert np.max(np.abs(got - want)) < 1e-10
+
+
+def random_gate(fld, n_wires, rng):
+    kinds = ["A", "D", "H", "V"] + (["C", "W"] if n_wires > 1 else [])
+    kind = kinds[rng.integers(len(kinds))]
+    if kind in ("C", "W"):
+        m, t = rng.permutation(n_wires)[:2] + 1
+        return Gate(kind, (int(m), int(t)), int(rng.integers(fld.d)) if kind == "C" else None)
+    wire = (int(rng.integers(n_wires)) + 1,)
+    if kind == "A":
+        return Gate("A", wire, int(rng.integers(fld.d)))
+    if kind == "D":
+        return Gate("D", wire, int(rng.integers(1, fld.d)))
+    return Gate(kind, wire)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 8, 9, 16])
+def test_sequence_matrix_matches_kronecker_oracle(d):
+    rng = np.random.default_rng(d)
+    fld = field_for(d)
+    for n_wires in (1, 2, 3):
+        if d ** n_wires > 729:  # the oracle multiplies d^n x d^n matrices once per gate
+            continue
+        for _ in range(3):
+            ops = [random_gate(fld, n_wires, rng) for _ in range(6)]
+            got = sequence_matrix(fld, n_wires, ops)
+            assert np.max(np.abs(got - oracle_sequence_matrix(fld, n_wires, ops))) < 1e-12, ops
+            g = ops[0]
+            assert np.max(np.abs(gate_matrix(fld, n_wires, g) - oracle_gate_matrix(fld, n_wires, g))) < 1e-12, g
+
+
+def test_sequence_matrix_validates_against_its_wires():
+    fld = field_for(3)
+    # the kernels run on 2 * n_wires wires; a gate must still fit the n_wires register
+    with pytest.raises(ValueError):
+        sequence_matrix(fld, 2, [Gate("H", (3,))])
+    with pytest.raises(ValueError):
+        gate_matrix(fld, 1, Gate("W", (1, 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +239,7 @@ def test_bell_marginal_is_maximally_mixed():
         fld = field_for(d)
         bell = run_gates(init_state(fld, 2, ["s", "0"]), [Gate("C", (1, 2), 1)])
         dm = reduced_density(bell, [1])
-        assert np.max(np.abs(dm.entries - np.eye(d) / d)) < 1e-12
+        assert np.max(np.abs(dm - np.eye(d) / d)) < 1e-12
         assert np.allclose(spectrum(dm), [1 / d] * d)
         assert rank(dm) == d
 
@@ -211,13 +248,13 @@ def test_product_state_marginal_is_pure():
     st = init_state(field_for(3), 2, ["0", "0"])
     dm = reduced_density(st, [1])
     assert rank(dm) == 1
-    assert abs(dm.entries[0, 0] - 1) < 1e-12
+    assert abs(dm[0, 0] - 1) < 1e-12
 
 
 def test_square_state_pair_marginal_f4():
     sq = square_state(field_for(4), 2)
     dm = reduced_density(sq, [1, 2])
-    assert np.max(np.abs(dm.entries - np.eye(16) / 16)) < 1e-12
+    assert np.max(np.abs(dm - np.eye(16) / 16)) < 1e-12
 
 
 def test_density_matrix_invariants():
@@ -226,8 +263,8 @@ def test_density_matrix_invariants():
     st = circ.simulate()
     for subset in bipartition_subsets(4):
         dm = reduced_density(st, subset)
-        assert np.max(np.abs(dm.entries - dm.entries.conj().T)) < 1e-12
-        assert abs(np.trace(dm.entries).real - 1) < 1e-10
+        assert np.max(np.abs(dm - dm.conj().T)) < 1e-12
+        assert abs(np.trace(dm).real - 1) < 1e-10
         assert spectrum(dm).min() > -1e-10
 
 
@@ -241,7 +278,7 @@ def test_reduced_density_subset_errors():
 
 def test_rank_of_maximally_mixed():
     for d in (2, 3, 4):
-        dm = DensityMatrix((1,), np.eye(d) / d)
+        dm = np.eye(d) / d
         assert rank(dm) == d
 
 

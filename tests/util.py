@@ -140,3 +140,46 @@ def dump_state_loop(amps: np.ndarray, d: int, n: int, header=()) -> str:
                 index = ",".join(str(r) for r in digits)
             lines.append(f"{index} {float(a.real)!r} {float(a.imag)!r}")
     return "\n".join(lines) + "\n"
+
+
+def oracle_gate_matrix(fld: Field, n_wires: int, gate: Gate) -> np.ndarray:
+    """Dense unitary of one gate from coefficient arithmetic, with no kernel.
+
+    H is the d x d Fourier matrix Kronecker-multiplied with identities on the
+    other wires; every other gate is the permutation matrix sending each
+    basis ket to its image, U[image(x), x] = 1.
+    """
+    d = fld.d
+    if gate.kind == "H":
+        omega = np.exp(2j * np.pi / fld.p)
+        h = np.array([[omega ** (sum(a * b for a, b in zip(_coeffs(fld, x), _coeffs(fld, y))) % fld.p)
+                       for y in range(d)] for x in range(d)]) / np.sqrt(d)
+        out = np.ones((1, 1), dtype=complex)
+        for w in range(1, n_wires + 1):
+            out = np.kron(out, h if w == gate.wires[0] else np.eye(d))
+        return out
+    out = np.zeros((d ** n_wires, d ** n_wires), dtype=complex)
+    m, t = gate.wires[0] - 1, gate.wires[-1] - 1
+    for index in range(d ** n_wires):
+        x = [index // d ** (n_wires - 1 - q) % d for q in range(n_wires)]  # x[q] is the digit of wire q + 1
+        y = list(x)
+        if gate.kind == "A":
+            y[m] = poly_add(fld, x[m], gate.param)
+        elif gate.kind == "D":
+            y[m] = poly_mul(fld, gate.param, x[m])
+        elif gate.kind == "V":
+            y[m] = fld.element(reversed(_coeffs(fld, x[m])))
+        elif gate.kind == "W":
+            y[m], y[t] = x[t], x[m]
+        else:  # C
+            y[t] = poly_add(fld, x[t], poly_mul(fld, gate.param, x[m]))
+        out[sum(v * d ** (n_wires - 1 - q) for q, v in enumerate(y)), index] = 1
+    return out
+
+
+def oracle_sequence_matrix(fld: Field, n_wires: int, ops) -> np.ndarray:
+    """Operator product (ops[0] leftmost) as one dense matrix product per gate: the oracle for sequence_matrix."""
+    out = np.eye(fld.d ** n_wires, dtype=complex)
+    for gate in ops:
+        out = out @ oracle_gate_matrix(fld, n_wires, gate)
+    return out
