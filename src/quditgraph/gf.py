@@ -174,7 +174,6 @@ class Field:
         self.d = d
         self.poly = tuple(poly)
         self.poly_index = _poly_index(self.poly, p)
-        self.memo: dict = {}  # read-only tables derived by other modules, keyed by them
         self._build_tables()
 
     # -- tables --------------------------------------------------------------

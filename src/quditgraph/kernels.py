@@ -12,10 +12,11 @@ one axis of a strided view:
 
 The kernels are dtype-agnostic: run on an integer arange they return the
 gate's gather map.  They call the ndarray.take method rather than np.take,
-whose wrapper overhead shows on the tiny registers of relations-test, and
-pass mode="clip" so take writes straight into `out`; every index is a digit
-in range(d), so clipping never changes one.  `amps` and `out` must be
-distinct C-contiguous arrays of the same size.
+whose wrapper overhead shows on tiny registers such as the dressed states
+of dual-check (256 amplitudes for 8 GF(2) wires), and pass mode="clip" so
+take writes straight into `out`; every index is a digit in range(d), so
+clipping never changes one.  `amps` and `out` must be distinct C-contiguous
+arrays of the same size.
 """
 
 from __future__ import annotations

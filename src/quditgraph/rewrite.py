@@ -28,8 +28,6 @@ from .simulator import (
     init_state,
     ket_index,
     run_gates,
-    sequence_matrix,
-    sequence_source_map,
     validate_gate,
 )
 
@@ -285,6 +283,8 @@ class GraphState:
             raise ValueError("source and sink wire sets overlap")
         if s | o != set(range(1, self.n + 1)):  # a repeated wire leaves a gap
             raise ValueError("wires must cover 1..N")
+        if len({(i, j) for i, j, _ in self.edges}) != len(self.edges):
+            raise ValueError("an edge between the same source and sink is listed twice")
         for i, j, b in self.edges:
             if i not in s or j not in o:
                 raise ValueError(f"edge {(i, j)} does not run from a source to a sink wire")
@@ -477,21 +477,24 @@ RELATIONS: dict[str, tuple[int, tuple, Callable]] = {
 }
 
 
-def compare_sequences(fld: Field, n_wires: int, lhs: Sequence[Gate], rhs: Sequence[Gate],
-                      tol: float = 1e-10) -> tuple[bool, float]:
-    """Check two operator products for equality; returns (ok, max deviation).
+def compare_sequences(fld: Field, n_wires: int, lhs: Sequence[Gate], rhs: Sequence[Gate]) -> tuple[bool, float]:
+    """Check two A/D/C/W operator products for equality; returns (ok, 0.0 or 1.0).
 
-    Permutation-only products compare exactly through their basis maps, with
-    deviation 0.0 or 1.0.  Only a product holding a Fourier gate H is
-    materialized as a dense matrix and compared entrywise within tol.
+    Such a product (ops[0] applied last) is the affine map |x> -> |xM + b>.
+    Its gates, run in time order on the all-superposition register, leave the
+    rows [M; b] of that map as the tracked rows, and two maps are equal
+    exactly when these rows are, so the verdict is exact.  Row spaces alone
+    would not do: every bijection spans the whole space.  H and V gates have
+    no affine form and raise ValueError.
     """
-    if all(g.kind != "H" for g in list(lhs) + list(rhs)):
-        same = np.array_equal(
-            sequence_source_map(fld, n_wires, lhs), sequence_source_map(fld, n_wires, rhs)
-        )
-        return bool(same), 0.0 if same else 1.0
-    dev = float(np.max(np.abs(sequence_matrix(fld, n_wires, lhs) - sequence_matrix(fld, n_wires, rhs))))
-    return dev <= tol, dev
+    def rows(ops: Sequence[Gate]) -> np.ndarray:
+        sym = SymbolicState.from_pattern(fld, ["s"] * n_wires)
+        for gate in reversed(ops):
+            sym.apply(gate)
+        return sym._rows
+
+    same = bool(np.array_equal(rows(lhs), rows(rhs)))
+    return same, 0.0 if same else 1.0
 
 
 def relations_suite(fld: Field, exhaustive: bool = True, samples: int = 1000, seed: int = 0,
@@ -499,9 +502,10 @@ def relations_suite(fld: Field, exhaustive: bool = True, samples: int = 1000, se
     """Verify every rewrite rule as an operator identity.
 
     Exhaustive mode sweeps all admissible parameter pairs; random mode draws
-    `samples` seeded (rule, parameters) tuples.  Each case compares the two
-    sides with compare_sequences.  No rule holds an H gate, so each side is
-    a basis permutation and the comparison is exact, with no tolerance.
+    `samples` seeded (rule, parameters) tuples, each parameter drawn in O(1)
+    from its domain range.  Each case compares the two sides with
+    compare_sequences, exactly and without a dense operator, so every field
+    order the Field class supports can be tested.
     A rule is ok only when it was checked at least once and never failed,
     so a sample that misses a rule cannot pass it.
     """
@@ -518,9 +522,9 @@ def relations_suite(fld: Field, exhaustive: bool = True, samples: int = 1000, se
         names = sorted(RELATIONS)
         for _ in range(samples):
             name = names[rng.integers(len(names))]
-            domains = RELATIONS[name][1]
-            a = int(rng.choice(np.fromiter(domains[0](fld), dtype=np.int64)))
-            b = int(rng.choice(np.fromiter(domains[1](fld), dtype=np.int64)))
+            lo_a, lo_b = (domain(fld)[0] for domain in RELATIONS[name][1])  # each domain is range(lo, d)
+            a = lo_a + int(rng.integers(fld.d - lo_a))
+            b = lo_b + int(rng.integers(fld.d - lo_b))
             cases.append((name, a, b))
     for name, a, b in cases:
         n_wires, _, lhs_builder = RELATIONS[name]
@@ -637,6 +641,9 @@ def graph_from_json_dict(data: dict) -> GraphState:
     """Inverse of graph_to_json_dict; ValueError unless data has its layout."""
     if not isinstance(data, dict):
         raise ValueError(f"graph JSON must be an object, got {type(data).__name__}")
+    if not (isinstance(data["field"], dict) and all(isinstance(data[key], list) for key in ("S", "O", "edges"))
+            and all(isinstance(e, dict) for e in data["edges"])):
+        raise ValueError("graph JSON needs a 'field' object, 'S' and 'O' lists and an 'edges' list of objects")
     fd = data["field"]
     fld = Field.from_descriptor(f"{fd['p']} {fd['n']} {fd['poly']}")
     edges = [(e["from"], e["to"], e["label"]) for e in data["edges"]]

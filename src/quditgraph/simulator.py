@@ -33,7 +33,6 @@ from . import kernels
 from .gf import Field
 
 STATE_SIZE_LIMIT = 2 ** 24
-GATE_TABLE_CACHE_ORDER = 64  # fields up to this order keep their gate digit tables (_source_digits)
 DEFAULT_TOL = 1e-10
 SIGNATURE_DIGITS = 8  # spectra are rounded to this many decimals before they are sorted or hashed
 
@@ -190,27 +189,15 @@ def _apply_gate_raw(field: Field, n: int, gate: Gate, amps: np.ndarray, out: np.
 def _source_digits(field: Field, kind: str, param: int) -> np.ndarray:
     """Source digit of each output digit: a row for A and D, a d x d table [c, t] for C.
 
-    Tables of fields up to order GATE_TABLE_CACHE_ORDER are kept in
-    field.memo, at most about 2 MiB per field, so a run of tiny gates builds
-    each one once.  Above that order every table of a field would take up to
-    d^3 entries, and building one costs no more than the kernel pass that
+    A table is built per gate: it costs no more than the kernel pass that
     reads it, which touches at least as many amplitudes as it has entries.
     """
-    key = (kind, param)
-    table = field.memo.get(key)
-    if table is not None:
-        return table
     digits = np.arange(field.d)
     if kind == "A":
-        table = field.sub_arr(digits, param)
-    elif kind == "D":
-        table = field.mul_arr(field.inv(param), digits)
-    else:  # C
-        table = field.sub_arr(digits, field.mul_arr(param, digits)[:, None])
-    if field.d <= GATE_TABLE_CACHE_ORDER:
-        table.setflags(write=False)
-        field.memo[key] = table
-    return table
+        return field.sub_arr(digits, param)
+    if kind == "D":
+        return field.mul_arr(field.inv(param), digits)
+    return field.sub_arr(digits, field.mul_arr(param, digits)[:, None])  # C
 
 
 def run_gates(state: StateVector, gates: Iterable[Gate]) -> StateVector:

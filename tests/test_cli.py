@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import quditgraph
+from quditgraph import kernels, simulator
 from quditgraph.cli import main
 
 EXAMPLE_CIRCUIT = """\
@@ -202,6 +203,9 @@ BELL_GRAPH = {
 }
 
 
+SHAPE_MESSAGE = "graph JSON needs a 'field' object, 'S' and 'O' lists and an 'edges' list of objects"
+
+
 @pytest.mark.parametrize("graph, message", [
     ({**BELL_GRAPH, "edges": [{"from": 1, "to": 2, "label": 1.5}]}, "must be JSON integers, got 1.5"),
     ({**BELL_GRAPH, "edges": [{"from": 1, "to": 2, "label": True}]}, "must be JSON integers, got True"),
@@ -211,8 +215,13 @@ BELL_GRAPH = {
     ([], "graph JSON must be an object"),
     ({**BELL_GRAPH, "O": [], "edges": []}, "at least two wires"),
     ({**BELL_GRAPH, "S": [1, 1]}, "wires must cover 1..N"),
+    ({**BELL_GRAPH, "edges": [{"from": 1, "to": 2, "label": 1}, {"from": 1, "to": 2, "label": 2}]}, "listed twice"),
+    ({**BELL_GRAPH, "edges": 5}, SHAPE_MESSAGE),
+    ({**BELL_GRAPH, "edges": [[1, 2, 1]]}, SHAPE_MESSAGE),
+    ({**BELL_GRAPH, "S": 1}, SHAPE_MESSAGE),
+    ({**BELL_GRAPH, "field": [3, 1, 0]}, SHAPE_MESSAGE),
 ], ids=["label-float", "label-bool", "label-string", "wire-string", "wire-float", "top-level-list", "one-wire",
-        "repeated-wire"])
+        "repeated-wire", "repeated-edge", "edges-int", "edge-list", "sources-int", "field-list"])
 def test_dual_check_rejects_malformed_graph_json(tmp_path, capsys, graph, message):
     # read as Python values, 1.5 and true would both become label 1: a different graph
     path = tmp_path / "graph.json"
@@ -460,11 +469,24 @@ def test_relations_cli_unchecked_rule_fails(capsys):
         {name for name, r in relations.items() if not r["ok"]}
 
 
-def test_relations_cli_guards_operator_maps(capsys):
-    # the three-wire rules need 257^3 > 2^24 entry maps
+def test_relations_cli_runs_past_order_256(capsys):
+    # the rules are compared as affine maps, so no d^3-entry map is built for three wires
     code, out, err = run_cli(capsys, "relations-test", "--fields", "257")
-    assert code == 3
-    assert "2^24 guard" in err
+    assert code == 0, err
+    assert "field 257 1 0 (random[1000]):" in out
+    assert "FAIL" not in out and "UNCHECKED" not in out
+
+
+def test_relations_cli_runs_no_gate_kernel(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("relations-test ran a dense gate kernel")
+
+    for name in ("cnot", "axis_perm", "swap"):
+        monkeypatch.setattr(kernels, name, refuse)
+    monkeypatch.setattr(simulator, "sequence_source_map", refuse)
+    code, out, err = run_cli(capsys, "relations-test", "--fields", "2,3,4,5,7,8,9")
+    assert code == 0, err
+    assert "FAIL" not in out and "UNCHECKED" not in out
 
 
 def test_relations_cli_rejects_non_prime_power(capsys):

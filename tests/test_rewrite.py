@@ -21,8 +21,17 @@ from quditgraph import (
     symbolic_apply,
 )
 from quditgraph.rewrite import compare_sequences, mat_rank, mat_rref, rref_stack
+from quditgraph.simulator import sequence_source_map
 
-from util import field_for, ket_strings, random_c_circuit, random_cadw_circuit, scalar_matmul, scalar_rref
+from util import (
+    field_for,
+    ket_strings,
+    random_c_circuit,
+    random_cadw_circuit,
+    random_gate,
+    scalar_matmul,
+    scalar_rref,
+)
 
 # ---------------------------------------------------------------------------
 # Symbolic tracking
@@ -236,14 +245,50 @@ def test_relations_suite_reports_corrupted_rule():
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
 def test_compare_sequences_exact_and_dense(d):
     fld = field_for(d)
-    # permutation products compare exactly through their basis maps
+    # A/D/C/W products compare exactly through their affine maps
     assert compare_sequences(fld, 2, [Gate("C", (1, 2), 1)], [Gate("C", (1, 2), 1)]) == (True, 0.0)
     assert compare_sequences(fld, 2, [Gate("C", (1, 2), 1)], [Gate("C", (2, 1), 1)]) == (False, 1.0)
-    # with H the products go dense: H^2 sends |x> to |-x>, which is D(-1)
-    ok, dev = compare_sequences(fld, 1, [Gate("H", (1,)), Gate("H", (1,))], [Gate("D", (1,), fld.neg(1))])
-    assert ok and dev < 1e-12
-    ok, dev = compare_sequences(fld, 1, [Gate("H", (1,))], [Gate("D", (1,), 1)])
-    assert not ok and dev > 0.1
+    # H and V are not affine maps of the field; the dense oracle decides products holding them
+    for other in (Gate("H", (1,)), Gate("V", (1,))):
+        with pytest.raises(ValueError, match="no affine representation"):
+            compare_sequences(fld, 1, [other], [Gate("D", (1,), 1)])
+
+
+def perturbed(fld, ops, rng):
+    """ops with one parameter moved to another admissible value, or None if none can move."""
+    movable = [i for i, g in enumerate(ops) if g.param is not None and fld.d - (g.kind == "D") > 1]
+    if not movable:
+        return None
+    i = movable[rng.integers(len(movable))]
+    g = ops[i]
+    lo = int(g.kind == "D")
+    param = lo + (g.param - lo + 1 + int(rng.integers(fld.d - lo - 1))) % (fld.d - lo)
+    return ops[:i] + [Gate(g.kind, g.wires, param)] + ops[i + 1:]
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 7, 8, 9, 16])
+def test_compare_sequences_matches_source_map_oracle(d):
+    # the affine verdict must equal equality of the dense gather maps: a rewritten
+    # pair gives an equal product, one moved parameter an unequal one
+    rng = np.random.default_rng(100 + d)
+    fld = field_for(d)
+    verdicts = []
+    for n_wires in (1, 2, 3):
+        for _ in range(12):
+            g1, g2 = random_gate(fld, n_wires, rng, "ADCW"), random_gate(fld, n_wires, rng, "ADCW")
+            try:
+                rewritten = commute_pair(fld, g1, g2)
+            except ValueError:  # no rule for this pair
+                continue
+            tail = [random_gate(fld, n_wires, rng, "ADCW") for _ in range(int(rng.integers(3)))]
+            lhs, rhs = [g1, g2] + tail, rewritten + tail
+            for other in (rhs, perturbed(fld, rhs, rng)):
+                if other is None:
+                    continue
+                want = np.array_equal(sequence_source_map(fld, n_wires, lhs), sequence_source_map(fld, n_wires, other))
+                assert compare_sequences(fld, n_wires, lhs, other) == (want, 0.0 if want else 1.0), (lhs, other)
+                verdicts.append(want)
+    assert any(verdicts) and not all(verdicts)
 
 
 def test_relations_random_mode_seeded():
@@ -345,6 +390,16 @@ def test_graph_invariants_enforced():
         GraphState(fld, (1,), (3,), ())
     with pytest.raises(ValueError):
         GraphState(fld, (1,), (2,), ((2, 1, 1),))
+
+
+@pytest.mark.parametrize("labels", [(1, 2), (1, 1)])
+def test_graph_rejects_repeated_edge(labels):
+    # matrix() keeps one label per (source, sink), so a second edge would be dropped unseen
+    fld = field_for(3)
+    with pytest.raises(ValueError, match="listed twice"):
+        make_graph_state(fld, [1], [2, 3], [(1, 2, labels[0]), (1, 3, 1), (1, 2, labels[1])])
+    # a zero label is no edge, so it cannot repeat one
+    assert make_graph_state(fld, [1], [2], [(1, 2, 0), (1, 2, 2)]).edges == ((1, 2, 2),)
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,14 @@ from quditgraph import (
 )
 from quditgraph.simulator import bipartition_subsets, sequence_source_map, validate_gate
 
-from util import dump_state_loop, field_for, oracle_gate_matrix, oracle_sequence_matrix, random_cadw_circuit
+from util import (
+    dump_state_loop,
+    field_for,
+    oracle_gate_matrix,
+    oracle_sequence_matrix,
+    random_cadw_circuit,
+    random_gate,
+)
 
 # ---------------------------------------------------------------------------
 # Initialization
@@ -192,18 +199,14 @@ def test_sequence_matrix_with_fourier():
     assert np.max(np.abs(got - want)) < 1e-10
 
 
-def random_gate(fld, n_wires, rng):
-    kinds = ["A", "D", "H", "V"] + (["C", "W"] if n_wires > 1 else [])
-    kind = kinds[rng.integers(len(kinds))]
-    if kind in ("C", "W"):
-        m, t = rng.permutation(n_wires)[:2] + 1
-        return Gate(kind, (int(m), int(t)), int(rng.integers(fld.d)) if kind == "C" else None)
-    wire = (int(rng.integers(n_wires)) + 1,)
-    if kind == "A":
-        return Gate("A", wire, int(rng.integers(fld.d)))
-    if kind == "D":
-        return Gate("D", wire, int(rng.integers(1, fld.d)))
-    return Gate(kind, wire)
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_fourier_squared_is_negation(d):
+    fld = field_for(d)
+    # H^2 sends |x> to |-x>, which is D(-1)
+    h2 = sequence_matrix(fld, 1, [Gate("H", (1,)), Gate("H", (1,))])
+    assert np.max(np.abs(h2 - oracle_sequence_matrix(fld, 1, [Gate("D", (1,), fld.neg(1))]))) < 1e-12
+    h = sequence_matrix(fld, 1, [Gate("H", (1,))])
+    assert np.max(np.abs(h - oracle_sequence_matrix(fld, 1, [Gate("D", (1,), 1)]))) > 0.1
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 8, 9, 16])

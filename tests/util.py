@@ -41,6 +41,21 @@ def random_cadw_circuit(fld: Field, n: int, k: int, n_gates: int, rng: np.random
     return Circuit(fld, n, init, tuple(gates))
 
 
+def random_gate(fld: Field, n_wires: int, rng: np.random.Generator, kinds: str = "ADHVCW") -> Gate:
+    """One random gate of the given kinds; C and W only on two or more wires."""
+    usable = [k for k in kinds if n_wires > 1 or k not in "CW"]
+    kind = usable[rng.integers(len(usable))]
+    if kind in ("C", "W"):
+        m, t = rng.permutation(n_wires)[:2] + 1
+        return Gate(kind, (int(m), int(t)), int(rng.integers(fld.d)) if kind == "C" else None)
+    wire = (int(rng.integers(n_wires)) + 1,)
+    if kind == "A":
+        return Gate("A", wire, int(rng.integers(fld.d)))
+    if kind == "D":
+        return Gate("D", wire, int(rng.integers(1, fld.d)))
+    return Gate(kind, wire)
+
+
 def ket_strings(amps: np.ndarray, d: int, n: int, tol: float = 1e-12) -> list[str]:
     """Digit strings of the nonzero basis kets, sorted by index."""
     out = []
