@@ -3,7 +3,9 @@
 Verbs: normalize, classify, dual-check, verify-mes, make-mes, relations-test,
 simulate.  Exit codes: 0 success / verdict true, 1 verdict false, 2 usage or
 parse error, 3 resource guard, 4 internal error (one `internal error: ...`
-line on stderr).  Only the verbs that decide by it take --tolerance.
+line on stderr).  Only the verbs that decide by it take --tolerance:
+dual-check and verify-mes.  normalize --verify decides exactly, by comparing
+the supports of the two dense states.
 """
 
 from __future__ import annotations
@@ -59,10 +61,13 @@ def cmd_normalize(args) -> int:
     perm, graph = canonicalize(circuit)
     verification = None
     if args.verify:
-        original = circuit.simulate()
-        rebuilt = graph.state()
-        dev = float(np.max(np.abs(original.amps - rebuilt.amps)))
-        verification = {"equal": dev <= args.tolerance, "max_deviation": dev}
+        # both sides are uniform over d^k kets, so equal supports decide exactly;
+        # the float deviation is reported for information
+        original = circuit.simulate().amps
+        rebuilt = graph.state().amps
+        support = original != 0
+        equal = bool(np.array_equal(support, rebuilt != 0) and np.count_nonzero(support) == circuit.field.d ** circuit.k)
+        verification = {"equal": equal, "max_deviation": float(np.max(np.abs(original - rebuilt)))}
     if args.format == "dot":
         out = graph_to_dot(graph)
         if verification is not None:
@@ -178,8 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("normalize", help="reduce a C-only circuit file to its bipartite graph")
     p.add_argument("circuit")
     p.add_argument("--format", choices=["json", "dot", "text"], default="json")
-    p.add_argument("--verify", action="store_true", help="re-simulate and compare dense states")
-    add_tolerance(p)
+    p.add_argument("--verify", action="store_true", help="re-simulate and compare dense supports")
     p.set_defaults(func=cmd_normalize)
 
     p = sub.add_parser("classify", help="enumerate and classify graph states at small N")

@@ -146,6 +146,32 @@ def mat_rank(fld: Field, mat: np.ndarray) -> int:
     return len(mat_rref(fld, mat)[1])
 
 
+def affine_update(fld: Field, rows: np.ndarray, kind: str, wires: Sequence[int], param) -> None:
+    """Apply one A/D/C/W gate in place to rows [M; b] of shape (..., k + 1, N).
+
+    Each (k + 1) x N matrix holds the k coefficient rows and then the offset
+    row of an affine image x -> xM + b, so a gate updates whole wire columns.
+    param is None, a scalar, or an array that broadcasts against (..., 1),
+    such as (batch, 1) for a (batch, k + 1, N) stack: one parameter per
+    matrix.  Nothing is range-checked; callers validate the gate and its
+    parameters first.  H and V gates have no affine form and raise ValueError.
+    """
+    if kind == "C":
+        m, n = wires[0] - 1, wires[1] - 1
+        rows[..., n] = fld.add_arr(rows[..., n], fld.mul_arr(param, rows[..., m]))
+    elif kind == "A":
+        q = wires[0] - 1
+        rows[..., -1:, q] = fld.add_arr(rows[..., -1:, q], param)
+    elif kind == "D":
+        q = wires[0] - 1
+        rows[..., q] = fld.mul_arr(param, rows[..., q])
+    elif kind == "W":
+        a, b = wires[0] - 1, wires[1] - 1
+        rows[..., [a, b]] = rows[..., [b, a]]
+    else:
+        raise ValueError(f"{kind} gate has no affine representation")
+
+
 # ---------------------------------------------------------------------------
 # Symbolic states
 # ---------------------------------------------------------------------------
@@ -196,27 +222,14 @@ class SymbolicState:
         return SymbolicState(self.field, self.n, self.matrix.copy(), self.offsets.copy())
 
     def apply(self, gate: Gate) -> "SymbolicState":
-        """Apply one gate in place.  Fourier and reversal gates are rejected.
+        """Apply one gate in place through affine_update, as a batch of one.
 
         Entries were range-checked on construction and validate_gate checks
-        the parameter, so the column updates are unchecked array ops.
+        the parameter, so the column update runs unchecked.  Fourier and
+        reversal gates raise ValueError.
         """
         validate_gate(self.field, self.n, gate)
-        fld, rows = self.field, self._rows
-        if gate.kind == "C":
-            m, n = gate.control - 1, gate.target - 1
-            rows[:, n] = fld.add_arr(rows[:, n], fld.mul_arr(gate.param, rows[:, m]))
-        elif gate.kind == "A":
-            q = gate.wires[0] - 1
-            self.offsets[q] = fld.add_arr(self.offsets[q], gate.param)
-        elif gate.kind == "D":
-            q = gate.wires[0] - 1
-            rows[:, q] = fld.mul_arr(gate.param, rows[:, q])
-        elif gate.kind == "W":
-            a, b = gate.wires[0] - 1, gate.wires[1] - 1
-            rows[:, [a, b]] = rows[:, [b, a]]
-        else:
-            raise ValueError(f"{gate.kind} gate has no affine representation")
+        affine_update(self.field, self._rows, gate.kind, gate.wires, gate.param)
         return self
 
     def dense_amps(self) -> np.ndarray:
@@ -477,23 +490,44 @@ RELATIONS: dict[str, tuple[int, tuple, Callable]] = {
 }
 
 
+def affine_maps_equal(fld: Field, n_wires: int, batch: int, lhs: Sequence[tuple], rhs: Sequence[tuple]) -> np.ndarray:
+    """Exact equality of a batch of A/D/C/W operator-product pairs of one shape.
+
+    Each side lists its factors (kind, wires, param) in operator order, the
+    first factor applied last.  param is None, or a (batch, 1) integer array
+    holding that factor's parameter in every pair of the batch.  Such a
+    product is the affine map |x> -> |xM + b>.  Each side starts from the
+    identity rows [I; 0] as one (batch, N + 1, N) stack, its factors are
+    applied in time order with affine_update, and a pair is equal exactly
+    when its rows are.  Row spaces alone would not do: every bijection spans
+    the whole space.  Returns a (batch,) boolean array.
+
+    validate_gate checks every factor once, with the smallest and the largest
+    parameter of the batch, so a parameter outside [0, d) or a D(0) raises
+    its ValueError; so does an H or V factor.
+    """
+    def rows(side: Sequence[tuple]) -> np.ndarray:
+        stack = np.zeros((batch, n_wires + 1, n_wires), dtype=np.int64)
+        stack[:, :n_wires] = np.eye(n_wires, dtype=np.int64)
+        for kind, wires, param in reversed(side):
+            extremes = (None,) if param is None else (int(param.min()), int(param.max()))
+            for value in extremes:
+                validate_gate(fld, n_wires, Gate(kind, wires, value))
+            affine_update(fld, stack, kind, wires, param)
+        return stack
+
+    return (rows(lhs) == rows(rhs)).all(axis=(1, 2))
+
+
 def compare_sequences(fld: Field, n_wires: int, lhs: Sequence[Gate], rhs: Sequence[Gate]) -> tuple[bool, float]:
     """Check two A/D/C/W operator products for equality; returns (ok, 0.0 or 1.0).
 
-    Such a product (ops[0] applied last) is the affine map |x> -> |xM + b>.
-    Its gates, run in time order on the all-superposition register, leave the
-    rows [M; b] of that map as the tracked rows, and two maps are equal
-    exactly when these rows are, so the verdict is exact.  Row spaces alone
-    would not do: every bijection spans the whole space.  H and V gates have
-    no affine form and raise ValueError.
+    The batch of one of affine_maps_equal, so the verdict is exact.
     """
-    def rows(ops: Sequence[Gate]) -> np.ndarray:
-        sym = SymbolicState.from_pattern(fld, ["s"] * n_wires)
-        for gate in reversed(ops):
-            sym.apply(gate)
-        return sym._rows
+    def side(ops: Sequence[Gate]) -> list[tuple]:
+        return [(g.kind, g.wires, None if g.param is None else np.array([[g.param]])) for g in ops]
 
-    same = bool(np.array_equal(rows(lhs), rows(rhs)))
+    same = bool(affine_maps_equal(fld, n_wires, 1, side(lhs), side(rhs))[0])
     return same, 0.0 if same else 1.0
 
 
@@ -503,11 +537,16 @@ def relations_suite(fld: Field, exhaustive: bool = True, samples: int = 1000, se
 
     Exhaustive mode sweeps all admissible parameter pairs; random mode draws
     `samples` seeded (rule, parameters) tuples, each parameter drawn in O(1)
-    from its domain range.  Each case compares the two sides with
-    compare_sequences, exactly and without a dense operator, so every field
+    from its domain range.  rhs_fn (commute_pair by default) rewrites each
+    case once.  The cases are then grouped by shape: the wire count and the
+    (kind, wires) of every factor on both sides, so a rule whose right-hand
+    side has two forms (cnot_opposed_pair at u = 0 and u != 0) makes two
+    groups.  Each group is decided by one affine_maps_equal call on its
+    parameter columns, exactly and without a dense operator, so every field
     order the Field class supports can be tested.
     A rule is ok only when it was checked at least once and never failed,
-    so a sample that misses a rule cannot pass it.
+    so a sample that misses a rule cannot pass it.  Its first failure is its
+    earliest failing case.
     """
     rhs_fn = rhs_fn or commute_pair
     results: dict[str, dict] = {name: {"checked": 0, "first_failure": None} for name in RELATIONS}
@@ -526,15 +565,27 @@ def relations_suite(fld: Field, exhaustive: bool = True, samples: int = 1000, se
             a = lo_a + int(rng.integers(fld.d - lo_a))
             b = lo_b + int(rng.integers(fld.d - lo_b))
             cases.append((name, a, b))
-    for name, a, b in cases:
+    # shape -> (case indices, parameters of each case); a shape records which
+    # factors carry a parameter, so the parameters of a group form columns
+    groups: dict[tuple, tuple[list[int], list[list[int]]]] = {}
+    for i, (name, a, b) in enumerate(cases):
         n_wires, _, lhs_builder = RELATIONS[name]
         lhs = lhs_builder(fld, a, b)
-        rhs = rhs_fn(fld, lhs[0], lhs[1])
-        ok, dev = compare_sequences(fld, n_wires, lhs, rhs)
-        entry = results[name]
-        entry["checked"] += 1
-        if not ok and entry["first_failure"] is None:
-            entry["first_failure"] = {"params": (a, b), "max_deviation": dev}
+        factors = (*lhs, *rhs_fn(fld, lhs[0], lhs[1]))
+        shape = (n_wires, len(lhs), tuple((g.kind, g.wires, g.param is None) for g in factors))
+        index, params = groups.setdefault(shape, ([], []))
+        index.append(i)
+        params.append([g.param for g in factors if g.param is not None])
+        results[name]["checked"] += 1
+    ok = np.ones(len(cases), dtype=bool)
+    for (n_wires, n_lhs, factors), (index, params) in groups.items():
+        columns = iter(np.array(params, dtype=np.int64).T[:, :, None])
+        side = [(kind, wires, None if no_param else next(columns)) for kind, wires, no_param in factors]
+        ok[index] = affine_maps_equal(fld, n_wires, len(index), side[:n_lhs], side[n_lhs:])
+    for i in np.flatnonzero(~ok):  # ascending, so each rule's first failure is its earliest case
+        name, a, b = cases[i]
+        if results[name]["first_failure"] is None:
+            results[name]["first_failure"] = {"params": (a, b), "max_deviation": 1.0}
     for entry in results.values():
         entry["ok"] = entry["checked"] > 0 and entry["first_failure"] is None
     return {

@@ -104,6 +104,56 @@ def test_normalize_text_output(tmp_path, capsys):
     assert "verification: OK" in out
 
 
+@pytest.mark.parametrize("fmt", ["json", "dot", "text"])
+def test_normalize_verify_mismatch_exit_1(tmp_path, capsys, monkeypatch, fmt):
+    # a graph whose support differs from the circuit's state is reported, whatever the format
+    from quditgraph import make_graph_state
+
+    path = tmp_path / "bell.qc"
+    path.write_text(BELL_CIRCUIT)
+    wrong = make_graph_state(quditgraph.Field(3, 1), [1], [2], [(1, 2, 2)])
+    monkeypatch.setattr("quditgraph.cli.canonicalize", lambda circuit: ((1, 2), wrong))
+    code, out, _ = run_cli(capsys, "normalize", str(path), "--verify", "--format", fmt)
+    assert code == 1
+    if fmt == "json":
+        assert json.loads(out)["verification"]["equal"] is False
+    else:
+        assert "verification: MISMATCH" in out
+
+
+def test_normalize_verify_decides_by_support_not_float_deviation(tmp_path, capsys, monkeypatch):
+    from quditgraph import GraphState, StateVector
+
+    path = tmp_path / "example.qc"
+    path.write_text(EXAMPLE_CIRCUIT)
+    exact = GraphState.state
+
+    def rounded(graph):
+        state = exact(graph)
+        return StateVector(state.field, state.n, state.amps * (1 + 1e-6))
+
+    monkeypatch.setattr(GraphState, "state", rounded)
+    code, out, _ = run_cli(capsys, "normalize", str(path), "--verify")
+    assert code == 0
+    verification = json.loads(out)["verification"]
+    assert verification["equal"] is True
+    assert 1e-8 < verification["max_deviation"] < 1e-6
+
+
+def test_normalize_verify_needs_the_full_support(tmp_path, capsys, monkeypatch):
+    # equal supports are not enough: both sides must cover d^k kets
+    from quditgraph import GraphState, StateVector
+
+    path = tmp_path / "bell.qc"
+    path.write_text(BELL_CIRCUIT)
+    one_ket = lambda obj: StateVector(obj.field, 2, np.eye(1, 9)[0])
+    monkeypatch.setattr(quditgraph.Circuit, "simulate", one_ket)
+    monkeypatch.setattr(GraphState, "state", one_ket)
+    code, out, _ = run_cli(capsys, "normalize", str(path), "--verify")
+    assert code == 1
+    assert json.loads(out)["verification"] == {"equal": False, "max_deviation": 0.0}
+
+
 def test_normalize_parse_error_exit_2(tmp_path, capsys):
     path = tmp_path / "bad.qc"
     path.write_text("field 3 1 0\nqudits 2\ninit s 0\nC 1\n")
@@ -489,6 +539,57 @@ def test_relations_cli_runs_no_gate_kernel(capsys, monkeypatch):
     assert "FAIL" not in out and "UNCHECKED" not in out
 
 
+DATA = Path(__file__).parent / "data"
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_relations_cli_golden_output(capsys, seed, fmt):
+    # stdout recorded from the per-case check that preceded the batched one
+    code, out, err = run_cli(capsys, "relations-test", "--fields", "2,3,4,5,7,8,9", "--seed", str(seed), "--format", fmt)
+    assert code == 0, err
+    assert out == (DATA / f"relations_seed{seed}.{'txt' if fmt == 'text' else 'json'}").read_text()
+
+
+def test_relations_cli_sign_flip_fails_where_minus_one_is_not_one(capsys, monkeypatch):
+    from quditgraph import rewrite
+
+    original = rewrite.commute_pair
+
+    def flipped(f, g1, g2):
+        out = original(f, g1, g2)
+        if g1.kind == g2.kind == "C" and g2.control == g1.target and g2.target != g1.control:  # reverse chain
+            out[-1] = quditgraph.Gate("C", out[-1].wires, f.neg(out[-1].param))
+        return out
+
+    monkeypatch.setattr(rewrite, "commute_pair", flipped)
+    # the golden files hold the per-case check's report of the same fault
+    code, out, err = run_cli(capsys, "relations-test", "--fields", "2,3,4,5,7,8,9", "--seed", "1")
+    assert code == 1, err
+    assert out == (DATA / "relations_sign_flip_seed1.txt").read_text()
+    code, out, err = run_cli(capsys, "relations-test", "--fields", "2,3,4,5,7,8,9", "--seed", "1", "--format", "json")
+    assert code == 1, err
+    assert out == (DATA / "relations_sign_flip_seed1.json").read_text()
+    for report in json.loads(out):
+        bad = {name for name, r in report["relations"].items() if not r["ok"]}
+        odd = int(report["field"].split()[0]) % 2
+        assert bad == ({"cnot_chain_reverse"} if odd else set()), report["field"]
+        assert all(r["checked"] for r in report["relations"].values())
+
+
+@pytest.mark.parametrize("extra", [quditgraph.Gate("H", (1,)), quditgraph.Gate("V", (1,)),
+                                   quditgraph.Gate("D", (1,), 0), quditgraph.Gate("A", (1,), 3)])
+def test_relations_cli_bad_right_hand_side_exit_2(capsys, monkeypatch, extra):
+    from quditgraph import rewrite
+
+    original = rewrite.commute_pair
+    monkeypatch.setattr(rewrite, "commute_pair", lambda f, g1, g2: original(f, g1, g2) + [extra])
+    code, out, err = run_cli(capsys, "relations-test", "--fields", "3")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+
+
 def test_relations_cli_rejects_non_prime_power(capsys):
     code, out, err = run_cli(capsys, "relations-test", "--fields", "6")
     assert code == 2
@@ -509,6 +610,7 @@ def test_tolerance_only_on_verbs_that_read_it(tmp_path, capsys):
     path = tmp_path / "bell.qc"
     path.write_text(BELL_CIRCUIT)
     assert run_cli(capsys, "simulate", str(path), "--tolerance", "1e-9")[0] == 2
+    assert run_cli(capsys, "normalize", str(path), "--verify", "--tolerance", "1e-9")[0] == 2
     assert run_cli(capsys, "relations-test", "--fields", "2", "--tolerance", "1e-9")[0] == 2
     assert run_cli(capsys, "make-mes", "5", "--tolerance", "1e-9")[0] == 2
 

@@ -20,7 +20,7 @@ from quditgraph import (
     states_equal_symbolic,
     symbolic_apply,
 )
-from quditgraph.rewrite import compare_sequences, mat_rank, mat_rref, rref_stack
+from quditgraph.rewrite import RELATIONS, affine_maps_equal, compare_sequences, mat_rank, mat_rref, rref_stack
 from quditgraph.simulator import sequence_source_map
 
 from util import (
@@ -289,6 +289,100 @@ def test_compare_sequences_matches_source_map_oracle(d):
                 assert compare_sequences(fld, n_wires, lhs, other) == (want, 0.0 if want else 1.0), (lhs, other)
                 verdicts.append(want)
     assert any(verdicts) and not all(verdicts)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 7, 8, 9, 16])
+def test_affine_maps_equal_batch_matches_source_map_oracle(d):
+    # one stack of pairs of one shape, decided per pair like the dense gather maps
+    rng = np.random.default_rng(200 + d)
+    fld = field_for(d)
+    for n_wires in (1, 2, 3):
+        ops = [random_gate(fld, n_wires, rng, "ADCW") for _ in range(4)]
+        batch = 12
+        lhs_params = np.array([[g.param for g in random_like(fld, ops, rng)] for _ in range(batch)], dtype=object)
+        rhs_params = lhs_params.copy()
+        rhs_params[batch // 2:] = [[g.param for g in random_like(fld, ops, rng)] for _ in range(batch - batch // 2)]
+
+        def side(params):
+            return [(g.kind, g.wires, None if g.param is None else params[:, [j]].astype(np.int64))
+                    for j, g in enumerate(ops)]
+
+        got = affine_maps_equal(fld, n_wires, batch, side(lhs_params), side(rhs_params))
+        for i in range(batch):
+            lhs = [Gate(g.kind, g.wires, lhs_params[i, j]) for j, g in enumerate(ops)]
+            rhs = [Gate(g.kind, g.wires, rhs_params[i, j]) for j, g in enumerate(ops)]
+            want = np.array_equal(sequence_source_map(fld, n_wires, lhs), sequence_source_map(fld, n_wires, rhs))
+            assert got[i] == want, (lhs, rhs)
+        assert got[: batch // 2].all()
+
+
+def random_like(fld, ops, rng):
+    """ops with every parameter redrawn from its domain."""
+    return [g if g.param is None else Gate(g.kind, g.wires, int(rng.integers(g.kind == "D", fld.d))) for g in ops]
+
+
+def opposed_branch(u_zero):
+    """commute_pair with the last gate of one cnot_opposed_pair branch moved by 1."""
+    def rhs_fn(f, g1, g2):
+        out = commute_pair(f, g1, g2)
+        if g1.kind == g2.kind == "C" and g2.wires == g1.wires[::-1] and (out[0].kind == "W") == u_zero:
+            out[-1] = Gate("C", out[-1].wires, f.add(out[-1].param, 1))
+        return out
+    return rhs_fn
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_cnot_opposed_pair_checks_both_right_hand_shapes(d):
+    fld = field_for(d)
+    _, domains, lhs_builder = RELATIONS["cnot_opposed_pair"]
+    shapes = set()
+    for a in domains[0](fld):
+        for b in domains[1](fld):
+            lhs = lhs_builder(fld, a, b)
+            shapes.add(tuple((g.kind, g.wires) for g in commute_pair(fld, lhs[0], lhs[1])))
+    assert len(shapes) == 2
+    # a fault in either shape fails the rule at a case of that shape, and nothing else
+    for u_zero in (True, False):
+        report = relations_suite(fld, exhaustive=True, rhs_fn=opposed_branch(u_zero))
+        assert {name for name, r in report["relations"].items() if not r["ok"]} == {"cnot_opposed_pair"}
+        first = next((a, b) for a in range(d) for b in range(d) if (fld.add(1, fld.mul(a, b)) == 0) == u_zero)
+        assert report["relations"]["cnot_opposed_pair"]["first_failure"]["params"] == first
+
+
+def spoil_last_cases(change):
+    """commute_pair with change(f, rewrite) applied to every case with a = b = d - 1."""
+    def rhs_fn(f, g1, g2):
+        out = commute_pair(f, g1, g2)
+        return change(f, out) if g1.param == g2.param == f.d - 1 else out
+    return rhs_fn
+
+
+def set_last_param(value):
+    return lambda f, out: out[:-1] + [Gate(out[-1].kind, out[-1].wires, value(f))]
+
+
+# (change, error message).  D0 and the parameters keep the shape of the
+# rewrite, so the bad value sits in the last case of a larger group and only
+# a check of the whole parameter column finds it; H and V change the shape.
+BAD_FACTORS = {
+    "H": (lambda f, out: out + [Gate("H", (1,))], "no affine representation"),
+    "V": (lambda f, out: out + [Gate("V", (1,))], "no affine representation"),
+    "D0": (lambda f, out: [Gate("D", g.wires, 0) if g.kind == "D" else g for g in out], "D\\(0\\) is not unitary"),
+    "param-d": (set_last_param(lambda f: f.d), "parameter \\d+ out of range"),
+    "param-negative": (set_last_param(lambda f: -1), "parameter -1 out of range"),
+}
+
+
+@pytest.mark.parametrize("bad", sorted(BAD_FACTORS))
+@pytest.mark.parametrize("d", [3, 4])
+def test_relations_suite_rejects_a_bad_factor_in_any_case(d, bad):
+    change, message = BAD_FACTORS[bad]
+    fld = field_for(d)
+    with pytest.raises(ValueError, match=message):
+        relations_suite(fld, exhaustive=True, rhs_fn=spoil_last_cases(change))
+    lhs = [Gate("D", (1,), d - 1), Gate("D", (1,), d - 1)]
+    with pytest.raises(ValueError, match=message):
+        compare_sequences(fld, 1, lhs, change(fld, commute_pair(fld, *lhs)))
 
 
 def test_relations_random_mode_seeded():
