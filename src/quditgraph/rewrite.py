@@ -24,10 +24,10 @@ from .gf import Field
 from .simulator import (
     Gate,
     StateVector,
+    _run_raw,
     check_state_size,
     init_state,
     ket_index,
-    run_gates,
     validate_gate,
 )
 
@@ -64,7 +64,8 @@ class Circuit:
         return sum(1 for t in self.init if t == "s")
 
     def simulate(self) -> StateVector:
-        return run_gates(init_state(self.field, self.n_qudits, self.init), self.gates)
+        amps = init_state(self.field, self.n_qudits, self.init).amps
+        return StateVector(self.field, self.n_qudits, _run_raw(self.field, self.n_qudits, self.gates, amps))
 
 
 # ---------------------------------------------------------------------------

@@ -14,10 +14,11 @@ Gates
     V m     coefficient reversal permutation
     W m n   swap
 
-All gates except H permute basis states.  They are applied by the kernels
-module, the one place that knows how each gate maps digits.  A gather map
-is the kernels run on an index array, a dense operator the kernels run on
-an identity; every dense builder counts its entries with check_state_size.
+All gates except H permute basis states.  Every gate is applied by the
+kernels module, the one place that knows how each gate acts on digits; each
+kernel writes straight into the second buffer of a ping-pong pair.  A gather
+map is the kernels run on an index array, a dense operator the kernels run
+on an identity; every dense builder counts its entries with check_state_size.
 """
 
 from __future__ import annotations
@@ -135,17 +136,14 @@ def init_state(field: Field, n_qudits: int, pattern: Sequence[str]) -> StateVect
         raise ValueError(f"pattern length {len(pattern)} != qudit count {n_qudits}")
     d = field.d
     check_state_size(d, n_qudits)
-    zero = np.zeros(d, dtype=np.complex128)
-    zero[0] = 1.0
-    uniform = np.full(d, 1.0 / math.sqrt(d), dtype=np.complex128)
-    amps = np.ones(1, dtype=np.complex128)
     for token in pattern:
-        if token == "s":
-            amps = np.kron(amps, uniform)
-        elif token == "0":
-            amps = np.kron(amps, zero)
-        else:
+        if token not in ("s", "0"):
             raise ValueError(f"pattern entries must be 's' or '0', got {token!r}")
+    amps = np.zeros(d ** n_qudits, dtype=np.complex128)
+    # the support is every ket with digit 0 on the '0' wires; its amplitude is
+    # multiplied out one 1/sqrt(d) factor per 's' wire, as a tensor product does
+    support = tuple(slice(None) if token == "s" else 0 for token in pattern)
+    amps.reshape([d] * n_qudits)[support] = math.prod([1.0 / math.sqrt(d)] * pattern.count("s"))
     return StateVector(field, n_qudits, amps)
 
 
@@ -162,11 +160,7 @@ def _apply_gate_raw(field: Field, n: int, gate: Gate, amps: np.ndarray, out: np.
     d = field.d
     kind = gate.kind
     if kind == "H":
-        h = fourier_matrix(field)
-        axis = gate.wires[0] - 1
-        nd = amps.reshape([d] * n)
-        mixed = np.tensordot(h, nd, axes=([1], [axis]))
-        out[:] = np.moveaxis(mixed, 0, axis).reshape(-1)
+        kernels.fourier(amps, out, d, _stride(d, n, gate.wires[0]), fourier_matrix(field))
         return
     if kind == "C":
         sc = _stride(d, n, gate.control)

@@ -531,7 +531,7 @@ def test_relations_cli_runs_no_gate_kernel(capsys, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("relations-test ran a dense gate kernel")
 
-    for name in ("cnot", "axis_perm", "swap"):
+    for name in ("cnot", "axis_perm", "swap", "fourier"):
         monkeypatch.setattr(kernels, name, refuse)
     monkeypatch.setattr(simulator, "sequence_source_map", refuse)
     code, out, err = run_cli(capsys, "relations-test", "--fields", "2,3,4,5,7,8,9")

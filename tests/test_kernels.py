@@ -1,25 +1,34 @@
-"""Permutation gates against a ket-by-ket oracle built from scalar field arithmetic.
+"""Gate kernels against oracles that share no code with them.
 
-The expected action of each gate is computed on Python ints with the scalar
-Field methods, one basis ket at a time, with qudit 1 as the most significant
-digit.  It shares no code with the kernels, so it checks both `apply_gate`
-and `gate_source_map` (from which `gate_matrix` is derived).  Registers of
-up to EXHAUSTIVE_SIZE kets are checked on every ket with every label; larger
-ones (GF(257) at N = 2) on seeded samples of kets and labels.
+The permutation gates are checked against a ket-by-ket oracle: the expected
+action of each gate is computed on Python ints with the scalar Field
+methods, one basis ket at a time, with qudit 1 as the most significant
+digit.  It checks both `apply_gate` and `gate_source_map` (from which
+`gate_matrix` is derived).  Registers of up to EXHAUSTIVE_SIZE kets are
+checked on every ket with every label; larger ones (GF(257) at N = 2) on
+seeded samples of kets and labels.  At N = 5 and 6 some C gates have digits
+before, between and after their two wires.  The Fourier gate is checked
+against its Kronecker operator I (x) h (x) I, and every gate against an
+allocation bound: no kernel allocates a temporary the size of the state.
 """
 
+import tracemalloc
 from itertools import permutations
 
 import numpy as np
 import pytest
 
-from quditgraph import Gate, StateVector, apply_gate
-from quditgraph.simulator import gate_source_map, sequence_source_map
+from quditgraph import Gate, StateVector, apply_gate, fourier_matrix, sequence_matrix
+from quditgraph.kernels import FOURIER_KRON_MAX
+from quditgraph.simulator import _apply_gate_raw, gate_source_map, sequence_source_map
 
 from util import field_for
 
-CASES = [(d, 3) for d in (2, 3, 4, 5, 7, 8, 9)] + [(d, 4) for d in (2, 3, 4)] + [(257, 2)]
+CASES = ([(d, 3) for d in (2, 3, 4, 5, 7, 8, 9)] + [(d, 4) for d in (2, 3, 4)]
+         + [(2, 6), (3, 5), (4, 5)] + [(257, 2)])
 EXHAUSTIVE_SIZE = 1024
+# (d, N): each register has a wire on either side of the d * stride <= FOURIER_KRON_MAX split
+FOURIER_CASES = [(2, 7), (3, 5), (4, 4), (5, 3), (8, 3), (9, 3)]
 
 
 def every_permutation_gate(n, labels):
@@ -112,3 +121,43 @@ def test_source_maps_reject_the_fourier_gate():
         gate_source_map(fld, 2, Gate("H", (1,)))
     with pytest.raises(ValueError, match="not a basis permutation"):
         sequence_source_map(fld, 2, [Gate("C", (1, 2), 1), Gate("H", (2,))])
+
+
+@pytest.mark.parametrize("d,n", FOURIER_CASES)
+def test_fourier_gate_matches_kronecker_operator(d, n):
+    fld = field_for(d)
+    h = fourier_matrix(fld)
+    rows = [d * d ** (n - m) for m in range(1, n + 1)]
+    assert min(rows) <= FOURIER_KRON_MAX < max(rows)
+    rng = np.random.default_rng(10 * d + n)
+    amps = rng.standard_normal(d ** n) + 1j * rng.standard_normal(d ** n)
+    state = StateVector(fld, n, amps)
+    for m in range(1, n + 1):
+        op = np.kron(np.kron(np.eye(d ** (m - 1)), h), np.eye(d ** (n - m)))
+        gate = Gate("H", (m,))
+        assert np.max(np.abs(apply_gate(state, gate).amps - op @ amps)) < 1e-12, gate
+        assert np.max(np.abs(sequence_matrix(fld, n, [gate]) - op)) < 1e-12, gate
+
+
+def test_gate_kernels_allocate_no_state_sized_temporary():
+    d, n = 2, 16
+    fld = field_for(d)
+    amps = np.random.default_rng(0).standard_normal(d ** n) + 0j
+    out = np.empty_like(amps)
+    slack = amps.nbytes // 16
+    gates = [Gate(kind, (m,), param) for m in range(1, n + 1)
+             for kind, param in (("A", 1), ("D", 1), ("V", None), ("H", None))]
+    gates += [Gate(kind, pair, param) for pair in permutations(range(1, n + 1), 2)
+              for kind, param in (("C", 1), ("W", None))]
+    tracemalloc.start()
+    try:
+        for gate in gates:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            _apply_gate_raw(fld, n, gate, amps, out)
+            peak = tracemalloc.get_traced_memory()[1] - before
+            # the C gate's index has d^2 * mid intp entries, mid the digits between its wires
+            index = 8 * d * d * d ** (abs(gate.wires[0] - gate.wires[-1]) - 1) if gate.kind == "C" else 0
+            assert peak < index + slack, (gate, peak, index + slack)
+    finally:
+        tracemalloc.stop()

@@ -57,6 +57,25 @@ def test_init_guard():
         init_state(field_for(2), 25, ["0"] * 25)
 
 
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 9])
+def test_init_state_is_the_tensor_product(d):
+    rng = np.random.default_rng(d)
+    zero, uniform = np.eye(d)[0], np.full(d, 1 / math.sqrt(d))
+    for n in (1, 2, 3, 4):
+        for pattern in (["s"] * n, ["0"] * n, list(rng.choice(["s", "0"], size=n))):
+            want = np.ones(1)
+            for token in pattern:
+                want = np.kron(want, uniform if token == "s" else zero)
+            assert np.array_equal(init_state(field_for(d), n, pattern).amps, want), pattern
+
+
+def test_init_rejects_bad_patterns():
+    with pytest.raises(ValueError, match="pattern length"):
+        init_state(field_for(3), 2, ["s"])
+    with pytest.raises(ValueError, match="must be 's' or '0'"):
+        init_state(field_for(3), 2, ["s", "1"])
+
+
 def test_dense_states_over_large_fields():
     # one GF(65521) qudit is a small state, but its d x d Fourier matrix is 64 GiB
     fld = field_for(65521)
