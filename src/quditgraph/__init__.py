@@ -42,7 +42,6 @@ from .rewrite import (
     rewrite_adjacent,
     serialize_circuit,
     states_equal_symbolic,
-    symbolic_apply,
 )
 from .duality import (
     DualityReport,

@@ -71,17 +71,12 @@ def _poly_mod(a: Sequence[int], m: Sequence[int], p: int) -> tuple[int, ...]:
     """Remainder of a modulo the monic polynomial m."""
     r = list(a)
     dm = len(m) - 1
-    while len(_poly_trim(r)) - 1 >= dm:
-        r = list(_poly_trim(r))
-        shift = len(r) - 1 - dm
-        lead = r[-1]
-        for i, mi in enumerate(m):
-            r[shift + i] = (r[shift + i] - lead * mi) % p
-    return _poly_trim(r)
-
-
-def _poly_divides(div: Sequence[int], a: Sequence[int], p: int) -> bool:
-    return len(_poly_mod(a, div, p)) == 0
+    for shift in range(len(r) - 1 - dm, -1, -1):
+        lead = r[shift + dm]
+        if lead:
+            for i, mi in enumerate(m):
+                r[shift + i] = (r[shift + i] - lead * mi) % p
+    return _poly_trim(r[:dm])
 
 
 def _poly_from_index(idx: int, p: int, degree: int) -> tuple[int, ...]:
@@ -112,7 +107,7 @@ def is_irreducible(poly: Sequence[int], p: int) -> bool:
     for div_deg in range(1, deg // 2 + 1):
         for idx in range(p ** div_deg):
             div = _poly_from_index(idx, p, div_deg)
-            if _poly_divides(div, poly, p):
+            if not _poly_mod(poly, div, p):  # div divides poly
                 return False
     return True
 
@@ -195,19 +190,15 @@ class Field:
         self.neg_table = self.sub_arr(0, np.arange(d))
         self.reverse_table = self.digits[:, ::-1] @ self.powers
 
-        # Multiplication by h is Z_p-linear on coefficient rows:
-        # coeffs(h e) = coeffs(e) @ times(h) mod p, from x^k mod poly (k < 2n - 1).
+        # x^k mod poly for k < 2n - 1, as [i, j] -> x^(i+j): mul_matrix reads it
         xpow = np.zeros((2 * n - 1, n), dtype=np.int64)
         for k in range(2 * n - 1):
             rem = _poly_mod([0] * k + [1], self.poly, p)
             xpow[k, : len(rem)] = rem
-        shifted = xpow[np.add.outer(np.arange(n), np.arange(n))]  # [i, j] -> x^(i+j)
-
-        def times(h: int) -> np.ndarray:
-            return np.tensordot(self.digits[h], shifted, axes=1) % p
+        self._shifted_xpow = xpow[np.add.outer(np.arange(n), np.arange(n))]
 
         def power(h: int, e: int) -> int:
-            row, t = self.digits[1], times(h)
+            row, t = self.digits[1], self.mul_matrix(h)
             while e:
                 if e & 1:
                     row = row @ t % p
@@ -221,7 +212,7 @@ class Field:
         # g^k for k < d - 1 by doubling: block [m, 2m) is block [0, m) times g^m
         rows = np.zeros((d - 1, n), dtype=np.int64)
         rows[0, 0] = 1
-        m, t = 1, times(g)
+        m, t = 1, self.mul_matrix(g)
         while m < d - 1:
             take = min(m, d - 1 - m)
             rows[m : m + take] = rows[:take] @ t % p
@@ -235,6 +226,14 @@ class Field:
         self.log[0] = 2 * (d - 1)
         self.inv_table = np.zeros(d, dtype=np.int64)
         self.inv_table[cycle] = self.exp[d - 1 : 0 : -1]  # 1 / g^k = g^(d-1-k)
+
+    def mul_matrix(self, a) -> np.ndarray:
+        """The n x n Z_p matrix M_a of multiplication by a: row j is the coefficients of a x^j.
+
+        Multiplication is Z_p-linear on coefficient rows, coeffs(a e) =
+        coeffs(e) @ M_a mod p.  An array of labels gives a (..., n, n) stack.
+        """
+        return np.tensordot(self.digits[a], self._shifted_xpow, axes=1) % self.p
 
     # -- representation -----------------------------------------------------
 

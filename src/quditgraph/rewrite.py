@@ -254,11 +254,6 @@ class SymbolicState:
         return StateVector(self.field, self.n, self.dense_amps())
 
 
-def symbolic_apply(sym: SymbolicState, gate: Gate) -> SymbolicState:
-    """Pure-function variant of SymbolicState.apply."""
-    return sym.copy().apply(gate)
-
-
 def states_equal_symbolic(s1: SymbolicState, s2: SymbolicState) -> bool:
     """Exact state equality: equal affine row spaces (same span, compatible offset)."""
     if s1.field != s2.field or s1.n != s2.n:

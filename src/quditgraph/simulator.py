@@ -217,8 +217,8 @@ def _run_raw(field: Field, n: int, gates: Iterable[Gate], cur: np.ndarray) -> np
 def fourier_matrix(field: Field) -> np.ndarray:
     """d x d Fourier gate: entry (x, y) = omega^(x.y)/sqrt(d), omega = exp(2 pi i/p)."""
     check_state_size(field.d, 2)  # d^2 entries, as many as a two-qudit state
-    omega = np.exp(2j * np.pi / field.p)
-    return omega ** (field.digits @ field.digits.T % field.p) / math.sqrt(field.d)
+    powers = np.exp(2j * np.pi / field.p) ** np.arange(field.p)
+    return powers[field.digits @ field.digits.T % field.p] / math.sqrt(field.d)
 
 
 def gate_source_map(field: Field, n_wires: int, gate: Gate) -> np.ndarray:

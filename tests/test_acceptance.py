@@ -164,7 +164,7 @@ def test_criterion_08a_conjugation_identity_prime_fields():
     for p in (2, 3, 5, 7):
         fld = field_for(p)
         for a in range(1, p):
-            frag = check_conjugation_identity(fld, a, tol=TOL)
+            frag = check_conjugation_identity(fld, a)
             assert frag["holds"], (p, a)
     _report(8, "(a) conjugation identity holds for all labels over the prime fields d=2,3,5,7", t0)
 
@@ -172,7 +172,7 @@ def test_criterion_08a_conjugation_identity_prime_fields():
 def test_criterion_08b_conjugation_identity_extension_fields():
     t0 = time.perf_counter()
     for d in (4, 8):
-        report = conjugation_report(field_for(d), tol=TOL)
+        report = conjugation_report(field_for(d))
         polys = [report] + report.get("alternative_polynomials", [])
         for sub in polys:
             for frag in sub["per_element"]:

@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 from quditgraph import (
+    Field,
     Gate,
     ResourceGuardError,
     check_conjugation_identity,
     conjugation_report,
     dual_graph,
     init_state,
+    irreducible_polynomials,
     make_graph_state,
     run_gates,
     states_equal_up_to_phase,
@@ -18,7 +20,7 @@ from quditgraph import (
 from quditgraph.duality import dressing_gates
 from quditgraph.simulator import signatures_match
 
-from util import field_for
+from util import dense_conjugation_holds, field_for
 
 # ---------------------------------------------------------------------------
 # Dual graph construction
@@ -80,6 +82,72 @@ def test_conjugation_identity_gf8_reported_per_polynomial():
         for frag in sub["per_element"]:
             assert isinstance(frag["holds"], bool)
             assert frag["holds"] == (frag["counterexample"] is None)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 7, 8, 9, 16])
+def test_exact_conjugation_check_agrees_with_dense_oracle(d):
+    p, n = field_for(d).p, field_for(d).n
+    for poly in irreducible_polynomials(p, n):
+        fld = Field(p, n, poly)
+        rep = conjugation_report(fld)
+        for frag in rep["per_element"]:
+            assert frag["holds"] == dense_conjugation_holds(fld, frag["a"]), (poly, frag)
+            assert frag == check_conjugation_identity(fld, frag["a"])
+
+
+def test_conjugation_counterexample_is_first_differing_entry():
+    fld = field_for(8)
+    for a in range(1, 8):
+        frag = check_conjugation_identity(fld, a)
+        m = fld.mul_matrix(a)
+        lhs = m[::-1, ::-1].T
+        bad = [(i, j) for i in range(3) for j in range(3) if lhs[i, j] != m[i, j]]
+        if not bad:
+            assert frag["holds"] and frag["counterexample"] is None
+            continue
+        i, j = bad[0]
+        assert frag["counterexample"] == {"entry": [i, j], "lhs": int(lhs[i, j]), "rhs": int(m[i, j])}
+
+
+def test_conjugation_holds_exactly_for_binomial_polynomials():
+    # the expected outcome is read off the polynomial alone: the identity
+    # holds for every label exactly when the modulus is a binomial x^n - c
+    # (every middle coefficient zero)
+    extension_fields = [(p, n) for p in (2, 3, 5, 7, 11, 13) for n in range(2, 8) if p ** n < 170]
+    checked = 0
+    for p, n in extension_fields:
+        for poly in irreducible_polynomials(p, n):
+            fld = Field(p, n, poly)
+            holds_all = all(check_conjugation_identity(fld, a)["holds"] for a in range(1, fld.d))
+            assert holds_all == (not any(poly[1:n])), poly
+            checked += 1
+    assert checked == 272
+    for p in (2, 3, 5, 7, 167):
+        assert conjugation_report(field_for(p))["holds_all"]
+
+
+def test_conjugation_holds_on_gf9_with_x2_plus_1():
+    fld = Field.from_descriptor("3 2 1")
+    assert fld.poly == (1, 0, 1)
+    rep = conjugation_report(fld)
+    assert rep["holds_all"] and "alternative_polynomials" not in rep
+    assert all(dense_conjugation_holds(fld, a) for a in range(1, 9))
+
+
+def test_conjugation_report_guard_at_both_sides_of_its_bound(monkeypatch):
+    # GF(1024): at most 102 polynomials x 1024 labels, under 2^17
+    rep = conjugation_report(field_for(1024))
+    assert not rep["holds_all"] and len(rep["alternative_polynomials"]) == 98
+
+    def boom(*args):
+        raise AssertionError("polynomials enumerated before the guard")
+
+    monkeypatch.setattr("quditgraph.duality.irreducible_polynomials", boom)
+    for q in (2048, 529, 1 << 16):
+        with pytest.raises(ResourceGuardError):
+            conjugation_report(field_for(q))
+    # a prime field checks one polynomial only, so GF(65521) is answered
+    assert conjugation_report(field_for(65521))["holds_all"]
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 7, 8, 9])

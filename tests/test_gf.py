@@ -156,6 +156,18 @@ def test_tables_agree_with_manual_polynomial_arithmetic():
             assert fld.mul(a, b) == poly_mul(fld, a, b), (fld, a, b)
 
 
+@pytest.mark.parametrize("p,n", [(2, 2), (2, 3), (3, 2), (2, 4), (5, 2), (3, 3)])
+def test_mul_matrix_rows_are_products_with_basis_powers(p, n):
+    # row j of M_a is the coefficient vector of a * x^j, from long reduction (tests/util.py)
+    for poly in irreducible_polynomials(p, n):
+        fld = Field(p, n, poly)
+        stack = fld.mul_matrix(np.arange(fld.d))
+        assert stack.shape == (fld.d, n, n)
+        for a in range(fld.d):
+            expected = [fld.coeffs(poly_mul(fld, a, p ** j)) for j in range(n)]
+            assert fld.mul_matrix(a).tolist() == stack[a].tolist() == [list(r) for r in expected], (poly, a)
+
+
 @pytest.mark.parametrize("p,n", [(2, 1), (3, 1), (2, 2), (5, 1), (3, 2)] + ORACLE_FIELDS)
 def test_exp_hits_every_nonzero_element_once(p, n):
     fld = Field(p, n)

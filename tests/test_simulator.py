@@ -132,6 +132,16 @@ def test_fourier_unitary(d):
     assert np.max(np.abs(h @ h.conj().T - np.eye(d))) < 1e-10
 
 
+@pytest.mark.parametrize("d", [2, 3, 4, 7, 8, 9, 257, 1024])
+def test_fourier_matrix_gathers_the_direct_powers_bit_for_bit(d):
+    # the p-entry table of omega powers, indexed by the dot products, gives
+    # exactly the entries of raising omega per entry
+    fld = field_for(d)
+    omega = np.exp(2j * np.pi / fld.p)
+    direct = omega ** (fld.digits @ fld.digits.T % fld.p) / math.sqrt(d)
+    assert np.array_equal(fourier_matrix(fld), direct)
+
+
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 7, 8, 9])
 def test_shift_fixes_uniform_superposition(d):
     fld = field_for(d)

@@ -6,7 +6,7 @@ import functools
 
 import numpy as np
 
-from quditgraph import Circuit, Field, Gate
+from quditgraph import Circuit, Field, Gate, gate_matrix, sequence_matrix
 
 field_for = functools.cache(Field.of_order)
 
@@ -198,3 +198,20 @@ def oracle_sequence_matrix(fld: Field, n_wires: int, ops) -> np.ndarray:
     for gate in ops:
         out = out @ oracle_gate_matrix(fld, n_wires, gate)
     return out
+
+
+def dense_conjugation_holds(fld: Field, a: int, tol: float = 1e-10) -> bool:
+    """The H/V conjugation identity on dense d^2 x d^2 operators: the oracle for check_conjugation_identity.
+
+    C_12(a) conjugated by (H^dagger V) on wire 1 and (V H) on wire 2, with
+    H^dagger expanded as H D(-1), is compared with C_21(a) entrywise.
+    """
+    minus_one = fld.neg(1)
+    lhs = sequence_matrix(fld, 2, [
+        Gate("H", (1,)), Gate("D", (1,), minus_one), Gate("V", (1,)),
+        Gate("V", (2,)), Gate("H", (2,)),
+        Gate("C", (1, 2), a),
+        Gate("H", (2,)), Gate("D", (2,), minus_one), Gate("V", (2,)),
+        Gate("V", (1,)), Gate("H", (1,)),
+    ])
+    return bool(np.abs(lhs - gate_matrix(fld, 2, Gate("C", (2, 1), a))).max() <= tol)
