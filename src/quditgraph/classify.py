@@ -18,16 +18,18 @@ over GF(3), for instance).  That finer structure is data, not a class count.
 
 The invariant is the RDM rank profile, with no tolerance and no dense state:
 a graph state is uniform over an affine space, so each RDM is flat and one
-rank, d^(r_A + r_B - k) from the ranks of the two column blocks, fixes its
-spectrum.  Sorted (-rank, |A|) pairs order orbits exactly as sorted spectra
-do.  The sweep holds all labellings of one k as one array and gets the
-exponents r_A + r_B - k of every labelling and bipartition from one
-rewrite.rank_exponents call, the formula's one owner.
+rank fixes its spectrum.  For the standard form [I_k | B] that rank is d^e
+with e = rank B[S - A, O & A] + rank B[S & A, O - A], read off the label
+block B alone.  Sorted (-rank, |A|) pairs order orbits exactly as sorted
+spectra do.  The sweep holds all label blocks of one k as one array and gets
+the exponents of every labelling and bipartition from one
+rewrite.rank_exponents call, the formula's one owner, which reduces two
+small sub-blocks of B per cut.
 The guard bounds what the sweep visits: at most 2^16 labellings, the sum
 over k = 1..N/2 of d^(k(N-k)).  The cost per labelling grows with N, not with
 the field's order: measured on a 2-core Xeon, N = 5 over GF(5) (16250
-labellings) takes about 0.35 s, some 21 us per labelling, N = 3 over GF(256)
-(65536) 0.08 s, and N = 2 over GF(65521) 0.02 s.
+labellings) takes about 0.1 s, some 6 us per labelling, N = 3 over GF(256)
+(65536) 0.03 s, and N = 2 over GF(65521) 0.01 s.
 """
 
 from __future__ import annotations
@@ -66,11 +68,9 @@ def classify(fld: Field, n_qudits: int) -> dict:
         total = len(labels)
         if total == 0:
             continue
-        eye = np.broadcast_to(np.eye(k, dtype=np.int64), (total, k, k))
-        matrices = np.concatenate([eye, labels.reshape(total, k, n_sinks)], axis=2)
         # RDM rank d^e, coded so that codes order like the pairs (-rank, |A|):
         # larger e first, then smaller |A|.
-        codes = (n_qudits - rank_exponents(fld, matrices, subsets)) * n_qudits + sizes
+        codes = (n_qudits - rank_exponents(fld, labels.reshape(total, k, n_sinks), subsets)) * n_qudits + sizes
         codes.sort(axis=1)
         # unique rows come out in lexicographic order, i.e. sorted by key
         keys, first, counts = np.unique(codes, axis=0, return_index=True, return_counts=True)

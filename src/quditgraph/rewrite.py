@@ -72,20 +72,15 @@ class Circuit:
 # Field linear algebra (whole-stack array ops)
 # ---------------------------------------------------------------------------
 
-def rref_stack(fld: Field, mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Reduced row echelon forms of a (batch, rows, cols) stack over the field.
+def _eliminate(fld: Field, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Jordan elimination of a checked int64 (batch, rows, cols) stack, in place.
 
-    Returns the RREF stack and a (batch, cols) boolean mask of the pivot
-    columns.  Each column step works on every matrix at once with field
-    array ops: the first nonzero entry among the rows holding no pivot yet
-    becomes the pivot, and the column is cleared in every other row; a matrix
-    with no such entry is left unchanged.  Rows are put in echelon order at
-    the end.  Raises ValueError for an entry outside [0, d).
+    Returns m, its rows reduced but not yet in echelon order, and the
+    (batch, cols) pivot mask.  Each column step works on every matrix at once
+    with field array ops: the first nonzero entry among the rows holding no
+    pivot yet becomes the pivot, and the column is cleared in every other
+    row; a matrix with no such entry is left unchanged.
     """
-    m = np.array(mats, dtype=np.int64)
-    if m.ndim != 3:
-        raise ValueError(f"rref_stack expects a (batch, rows, cols) stack, got shape {m.shape}")
-    fld.check_arr(m)
     batch, rows, cols = m.shape
     pivots = np.zeros((batch, cols), dtype=bool)
     if m.size == 0:
@@ -111,29 +106,67 @@ def rref_stack(fld: Field, mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         pivots[:, c] = has
         if not free.any():
             break
-    # Pivot rows in the order of their pivot columns, then the zero rows.
-    lead = np.where(m.any(axis=2), (m != 0).argmax(axis=2), cols)
-    order = np.argsort(lead, axis=1, kind="stable")
-    return m[lanes[:, None], order], pivots
+    return m, pivots
 
 
-def rank_exponents(fld: Field, matrices: np.ndarray, subsets: Sequence[Sequence[int]]) -> np.ndarray:
-    """RDM rank exponents of a (batch, k, N) stack of rank-k coefficient matrices.
+def rref_stack(fld: Field, mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Reduced row echelon forms of a (batch, rows, cols) stack over the field.
 
-    A state uniform over a rank-k row space has, on each side A of a cut, a
-    flat reduced spectrum of rank d^e with e = r_A + r_B - k, where r_A and
-    r_B are the ranks of the two column blocks.  Returns e as a (batch,
-    len(subsets)) array, one column per subset of 1-based wires, with one
-    rref_stack call per subset and side.
+    Returns the RREF stack and a (batch, cols) boolean mask of the pivot
+    columns: the elimination of _eliminate, then the rows put in echelon
+    order.  Raises ValueError for an entry outside [0, d).
     """
-    batch, k, n = matrices.shape
+    m = np.array(mats, dtype=np.int64)
+    if m.ndim != 3:
+        raise ValueError(f"rref_stack expects a (batch, rows, cols) stack, got shape {m.shape}")
+    fld.check_arr(m)
+    m, pivots = _eliminate(fld, m)
+    if m.size == 0:
+        return m, pivots
+    # Pivot rows in the order of their pivot columns, then the zero rows.
+    lead = np.where(m.any(axis=2), (m != 0).argmax(axis=2), m.shape[2])
+    order = np.argsort(lead, axis=1, kind="stable")
+    return m[np.arange(len(m))[:, None], order], pivots
+
+
+def rank_exponents(fld: Field, blocks: np.ndarray, subsets: Sequence[Sequence[int]]) -> np.ndarray:
+    """RDM rank exponents of standard-form graph states from their label blocks.
+
+    blocks is a (batch, k, N - k) stack: the state is uniform over the row
+    space of [I_k | B], with sources S = wires 1..k and sinks O = wires
+    k+1..N.  On each side A of a cut its reduced spectrum is flat of rank
+    d^e, e = rank B[S - A, O & A] + rank B[S & A, O - A] (the rank of
+    [I_k | B] on the columns of A is |S & A| + rank B[S - A, O & A]).
+    Returns e as a (batch, len(subsets)) array, one column per subset of
+    1-based wires.  Each nonempty sub-block is reduced by the elimination of
+    rref_stack, with no echelon sort, and its rank is its pivot count; an
+    empty block has rank 0.  Raises ValueError for an entry outside [0, d)
+    or a wire outside 1..N.
+    """
+    blocks = np.asarray(blocks, dtype=np.int64)
+    if blocks.ndim != 3:
+        raise ValueError(f"rank_exponents expects a (batch, k, N - k) stack, got shape {blocks.shape}")
+    fld.check_arr(blocks)
+    batch, k, n_sinks = blocks.shape
+
+    def rank(rows: list, cols: list) -> np.ndarray:
+        if not rows or not cols:
+            return np.zeros(batch, dtype=np.int64)
+        sub = blocks[:, rows][:, :, cols]
+        if len(rows) < len(cols):  # one column step per column: eliminate the narrow way
+            sub = sub.transpose(0, 2, 1)
+        return _eliminate(fld, sub)[1].sum(axis=1)
+
     out = np.empty((batch, len(subsets)), dtype=np.int64)
     for col, subset in enumerate(subsets):
-        side_a = [q - 1 for q in subset]
-        side_b = [q for q in range(n) if q + 1 not in subset]
-        r_a = rref_stack(fld, matrices[:, :, side_a])[1].sum(axis=1)
-        r_b = rref_stack(fld, matrices[:, :, side_b])[1].sum(axis=1)
-        out[:, col] = r_a + r_b - k
+        side = set(subset)
+        if not side <= set(range(1, k + n_sinks + 1)):
+            raise ValueError(f"subset {tuple(subset)} names a wire outside 1..{k + n_sinks}")
+        s_in = [i for i in range(k) if i + 1 in side]
+        s_out = [i for i in range(k) if i + 1 not in side]
+        o_in = [j for j in range(n_sinks) if k + j + 1 in side]
+        o_out = [j for j in range(n_sinks) if k + j + 1 not in side]
+        out[:, col] = rank(s_out, o_in) + rank(s_in, o_out)
     return out
 
 
@@ -216,20 +249,23 @@ class SymbolicState:
     def from_circuit(cls, circuit: Circuit) -> "SymbolicState":
         sym = cls.from_pattern(circuit.field, circuit.init)
         for g in circuit.gates:
-            sym.apply(g)
+            sym.apply(g, validated=True)  # Circuit validated every gate on construction
         return sym
 
     def copy(self) -> "SymbolicState":
         return SymbolicState(self.field, self.n, self.matrix.copy(), self.offsets.copy())
 
-    def apply(self, gate: Gate) -> "SymbolicState":
+    def apply(self, gate: Gate, validated: bool = False) -> "SymbolicState":
         """Apply one gate in place through affine_update, as a batch of one.
 
         Entries were range-checked on construction and validate_gate checks
-        the parameter, so the column update runs unchecked.  Fourier and
-        reversal gates raise ValueError.
+        the parameter, so the column update runs unchecked.  validated=True
+        skips validate_gate for a gate already checked against this field and
+        wire count, such as one of a Circuit.  Fourier and reversal gates
+        raise ValueError.
         """
-        validate_gate(self.field, self.n, gate)
+        if not validated:
+            validate_gate(self.field, self.n, gate)
         affine_update(self.field, self._rows, gate.kind, gate.wires, gate.param)
         return self
 

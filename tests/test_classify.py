@@ -1,4 +1,5 @@
 from itertools import product
+from math import comb
 
 import numpy as np
 import pytest
@@ -104,7 +105,7 @@ def test_rank_profile_partitions_like_dense_spectra(d, n):
         dense.append((signature_key(sym.dense_amps(), d, n), (k, labels)))
         by_k.setdefault(k, []).append((labels, matrix))
     for k, graphs in by_k.items():
-        exponents = rank_exponents(fld, np.array([matrix for _, matrix in graphs]), subsets)
+        exponents = rank_exponents(fld, np.array([matrix[:, k:] for _, matrix in graphs]), subsets)
         for (labels, _), row in zip(graphs, exponents.tolist()):
             exact.append((tuple(sorted((-d ** e, len(a)) for e, a in zip(row, subsets))), (k, labels)))
     groups = _partition(dense)
@@ -121,20 +122,51 @@ def test_rank_profile_partitions_like_dense_spectra(d, n):
 @pytest.mark.parametrize("d", [2, 3, 4, 9])
 def test_rank_exponents_match_scalar_rref(d):
     # e = r_A + r_B - k with r_A, r_B the scalar Gauss-Jordan ranks of the two
-    # column blocks; repeated, scaled and zero columns make blocks lose rank
+    # column blocks of [I_k | B]; zero rows and columns and repeated and
+    # scaled columns of B make its sub-blocks lose rank
     fld = field_for(d)
     rng = np.random.default_rng(d)
-    for n, k in [(2, 1), (3, 2), (4, 2), (5, 3), (6, 4)]:
-        mats = rng.integers(d, size=(24, k, n))
-        mats[::3, :, -1] = mats[::3, :, 0]
-        mats[1::3, :, -1] = fld.mul_arr(int(rng.integers(1, d)), mats[1::3, :, 0])
-        mats[2::3, :, n // 2] = 0
+    for n, k in [(2, 1), (3, 1), (4, 2), (5, 2), (5, 3), (6, 2), (6, 4), (7, 3)]:
+        blocks = rng.integers(d, size=(30, k, n - k))
+        blocks[::5, :, -1] = blocks[::5, :, 0]
+        blocks[1::5, :, -1] = fld.mul_arr(int(rng.integers(1, d)), blocks[1::5, :, 0])
+        blocks[2::5, :, (n - k) // 2] = 0
+        blocks[3::5, k // 2, :] = 0
+        blocks[4::5, 0, :] = fld.mul_arr(int(rng.integers(1, d)), blocks[4::5, -1, :])
         subsets = bipartition_subsets(n)
-        got = rank_exponents(fld, mats, subsets)
-        assert got.shape == (len(mats), len(subsets))
-        for mat, row in zip(mats, got.tolist()):
+        got = rank_exponents(fld, blocks, subsets)
+        assert got.shape == (len(blocks), len(subsets))
+        for block, row in zip(blocks, got.tolist()):
+            mat = np.hstack([np.eye(k, dtype=np.int64), block])
             for subset, e in zip(subsets, row):
                 side_b = [q for q in range(1, n + 1) if q not in subset]
                 r_a = len(scalar_rref(fld, mat[:, [q - 1 for q in subset]])[1])
                 r_b = len(scalar_rref(fld, mat[:, [q - 1 for q in side_b]])[1])
-                assert e == r_a + r_b - k, (mat.tolist(), subset)
+                assert e == r_a + r_b - k, (block.tolist(), subset)
+
+
+def test_rank_exponents_rejects_bad_input():
+    fld = field_for(3)
+    with pytest.raises(ValueError):
+        rank_exponents(fld, np.array([[1, 2]]), [(1,)])  # not a stack of blocks
+    with pytest.raises(ValueError):
+        rank_exponents(fld, np.array([[[1, 3]]]), [(1,)])  # label outside GF(3)
+    with pytest.raises(ValueError):
+        rank_exponents(fld, np.array([[[1, 2]]]), [(4,)])  # wire outside 1..3
+
+
+def _product_free_count(d, k, m):
+    """k x m matrices over GF(d) with no zero row and no zero column, by inclusion-exclusion."""
+    return sum((-1) ** (i + j) * comb(k, i) * comb(m, j) * d ** ((k - i) * (m - j))
+               for i in range(k + 1) for j in range(m + 1))
+
+
+@pytest.mark.parametrize("d,n", [(d, n) for d in (2, 3, 4, 5) for n in (2, 3, 4, 5)] + [(7, 4), (8, 4), (9, 4)])
+def test_class_sizes_match_product_free_count(d, n):
+    # an independent count: every class holds all k x (N-k) label blocks
+    # with no isolated source (zero row) and no isolated sink (zero column)
+    report = classify(field_for(d), n)
+    assert [cls["sources"] for cls in report["classes"]] == list(range(1, n // 2 + 1))
+    for cls in report["classes"]:
+        assert cls["graphs"] == _product_free_count(d, cls["sources"], cls["sinks"])
+        assert sum(orbit["count"] for orbit in cls["signature_orbits"]) == cls["graphs"]

@@ -15,9 +15,10 @@ from quditgraph import (
     symbolic_rdm_rank,
     tripartite_marginal_checks,
 )
-from quditgraph.simulator import reduced_density_raw, spectrum
+from quditgraph.rewrite import mat_rref
+from quditgraph.simulator import bipartition_subsets, reduced_density_raw, spectrum
 
-from util import field_for, ket_strings, random_c_circuit
+from util import field_for, ket_strings, random_c_circuit, random_cadw_circuit
 
 # Expected expansion of the twist-2 square state over GF(4): every ket
 # |i, i+2k, k, i+k| with field arithmetic from the x^2+x+1 tables.
@@ -214,6 +215,31 @@ def test_symbolic_rank_matches_dense_rank(d):
         m = dense.reshape([d] * n).transpose(a_axes + b_axes).reshape(d ** len(subset), -1)
         dense_rank = np.linalg.matrix_rank(m, tol=1e-10)
         assert symbolic_rdm_rank(sym, subset) == dense_rank
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 9])
+def test_symbolic_rank_off_the_first_wires_matches_dense_rank(d):
+    # A/D/C/W circuits on a random s/0 pattern: the pivot wires of the
+    # coefficient matrix are rarely 1..k, so the label block is taken in a
+    # permuted wire order and the subset must follow it
+    fld = field_for(d)
+    rng = np.random.default_rng(310 + d)
+    moved = 0
+    for _ in range(40):
+        n = int(rng.integers(3, 6))
+        k = int(rng.integers(1, n))
+        circ = random_cadw_circuit(fld, n, k, int(rng.integers(5, 25)), rng)
+        sym = SymbolicState.from_circuit(circ)
+        pivots = mat_rref(fld, sym.matrix)[1]
+        assert len(pivots) == k
+        moved += pivots != list(range(k))
+        dense = circ.simulate().amps.reshape([d] * n)
+        for subset in bipartition_subsets(n):
+            a_axes = [q - 1 for q in subset]
+            b_axes = [q for q in range(n) if q + 1 not in subset]
+            m = dense.transpose(a_axes + b_axes).reshape(d ** len(subset), -1)
+            assert symbolic_rdm_rank(sym, subset) == np.linalg.matrix_rank(m, tol=1e-10), (circ, subset)
+    assert moved >= 10
 
 
 def test_symbolic_rank_subset_validation():

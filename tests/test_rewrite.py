@@ -19,8 +19,9 @@ from quditgraph import (
     serialize_circuit,
     states_equal_symbolic,
 )
+from quditgraph import rewrite
 from quditgraph.rewrite import RELATIONS, affine_maps_equal, compare_sequences, mat_rank, mat_rref, rref_stack
-from quditgraph.simulator import sequence_source_map
+from quditgraph.simulator import sequence_source_map, validate_gate
 
 from util import (
     field_for,
@@ -90,6 +91,26 @@ def test_symbolic_rejects_fourier_and_reversal():
         sym.apply(Gate("V", (1,)))
     with pytest.raises(ValueError):
         sym.copy().apply(Gate("D", (1,), 0))
+
+
+def test_from_circuit_validates_each_gate_once(monkeypatch):
+    # Circuit checks its gates on construction; tracking does not check them again
+    calls = []
+
+    def counting(fld, n, gate):
+        calls.append(gate)
+        validate_gate(fld, n, gate)
+
+    monkeypatch.setattr(rewrite, "validate_gate", counting)
+    fld = field_for(5)
+    circ = random_cadw_circuit(fld, 4, 2, 30, np.random.default_rng(5))
+    assert len(calls) == 30
+    sym = SymbolicState.from_circuit(circ)
+    assert len(calls) == 30
+    assert np.max(np.abs(sym.dense_amps() - circ.simulate().amps)) < 1e-12
+    with pytest.raises(ValueError):  # outside callers are still checked
+        sym.apply(Gate("C", (1, 5), 1))
+    assert len(calls) == 31
 
 
 def test_states_equal_symbolic_examples():
