@@ -29,6 +29,7 @@ from .simulator import (
     DEFAULT_TOL,
     Gate,
     ResourceGuardError,
+    check_state_size,
     run_gates,
     signatures_match,
     states_equal_up_to_phase,
@@ -122,6 +123,9 @@ def conjugation_report(fld: Field) -> dict:
 # Dual-state equivalence
 # ---------------------------------------------------------------------------
 
+RDM_ROWS_LIMIT = 2 ** 10  # rows of the largest RDM one dual-check diagonalizes (2 x 35 of them at 8 wires)
+
+
 @dataclass
 class DualityReport:
     field_descriptor: str
@@ -168,10 +172,16 @@ def verify_dual_equivalence(g: GraphState, tol: float = DEFAULT_TOL) -> DualityR
     The explicit route applies the H/V dressing and tests equality up to a
     global phase.  The invariant route compares the sorted multiset of
     bipartite RDM spectra, which must agree for the dual pair even where the
-    explicit dressing fails; it is the verdict (signature_match).
+    explicit dressing fails; it is the verdict (signature_match).  Before
+    building a state it raises ResourceGuardError above 8 qudits, past the
+    2^24 amplitude guard, or when the largest RDM of the signature, d^(N//2)
+    rows, exceeds RDM_ROWS_LIMIT (8 wires over GF(8): 4096).
     """
     if g.n > 8:
         raise ResourceGuardError("dual-state verification is limited to 8 qudits")
+    check_state_size(g.field.d, g.n)
+    if g.field.d ** (g.n // 2) > RDM_ROWS_LIMIT:
+        raise ResourceGuardError(f"signature RDMs of {g.field.d}^{g.n // 2} rows exceed the {RDM_ROWS_LIMIT}-row limit")
     state = g.state()
     dual = dual_graph(g)
     dual_state = dual.state()

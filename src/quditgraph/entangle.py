@@ -14,13 +14,14 @@ cover four parties:
 Tensoring such states systemwise preserves the property, which yields a
 construction for every dimension that is odd (ring(d)) or a multiple of
 four, d = 2^m * o with o odd (square(GF(2^m)) times ring(o) when o > 1).
-Every such state passes the 2^24 amplitude guard first, so d <= 64.  For
-d = 2 mod 4 none is implemented.  Such states do exist for every d = 2 mod 4
-except 2: d = 2 is impossible (Higuchi and Sudbery, quant-ph/0005013); d = 6
-has a state that is not a permutation of basis kets (Rather et al.,
-arXiv:2104.05122); every other such d has a pair of orthogonal Latin
-squares (Bose, Shrikhande and Parker, 1960), whose orthogonal array
-{(i, j, L1(i, j), L2(i, j))} is the support of one.
+Every such state passes the 2^24 amplitude guard first, so d <= 64; each is
+an orthogonal array, decided from its exact support by mes_verdict and
+tripartite_marginal_checks.  For d = 2 mod 4 none is implemented.  Such
+states do exist for every d = 2 mod 4 except 2: d = 2 is impossible (Higuchi
+and Sudbery, quant-ph/0005013); d = 6 has a state that is not a permutation
+of basis kets (Rather et al., arXiv:2104.05122); every other such d has a
+pair of orthogonal Latin squares (Bose, Shrikhande and Parker, 1960), whose
+orthogonal array {(i, j, L1(i, j), L2(i, j))} is the support of one.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ from .simulator import (
     check_state_size,
     ket_digits,
     ket_index,
-    rank as dm_rank,
     reduced_density_raw,
     spectrum,
 )
@@ -82,17 +82,16 @@ def ring_square_state(d: int) -> RingState:
     return RingState(d, 4, amps)
 
 
-def compose_mes(states: Sequence[StateVector | RingState], tol: float = DEFAULT_TOL) -> StateVector | RingState:
+def compose_mes(states: Sequence[StateVector | RingState]) -> StateVector | RingState:
     """Systemwise tensor product of maximally entangled states.
 
     System q of the output is the tuple of the inputs' systems q, so the
-    per-system dimension multiplies.  Each input must pass mes_verdict at
-    tol, else ValueError.
+    per-system dimension multiplies.  A non-maximal input raises ValueError.
     """
     if not states:
         raise ValueError("need at least one state")
     for s in states:
-        if not mes_verdict(s, tol).verdict:
+        if not mes_verdict(s).verdict:
             raise ValueError("compose_mes inputs must be maximally entangled")
     if len(states) == 1:
         return states[0]
@@ -315,22 +314,20 @@ def symbolic_rdm_rank(sym: SymbolicState, subset: Sequence[int]) -> int:
 def tripartite_marginal_checks(d: int, tol: float = DEFAULT_TOL) -> dict:
     """Rank facts about tripartite states whose pair marginals are I/d^2.
 
-    Part one: the trivial state I/d^3 has all pair marginals maximally mixed
-    and rank d^3 >= d.  Part two (when a 4-party construction exists):
-    tracing one system from the maximally entangled state leaves a rank-d
-    tripartite state with the same marginal property.
-
-    Marginals of I/d^3 are read from its six-wire purification (d^6
-    amplitudes under the guard: d <= 16), and rank rho_ABC as rank rho_D.
+    Part one: I/d^3, of rank d^3 >= d, is diagonal with weight d^-3 on each
+    ket, so each pair marginal is a bincount of pair digits.  Part two, for
+    every d that build_mes builds (d <= 64): tracing system 4 from its state
+    leaves rho_ABC of rank d with the same marginals, read from one
+    mes_verdict: pairs (1, 2) and (1, 3) and rank rho_ABC = rank rho_D from
+    their own records, pair (2, 3) from its complement (1, 4).  Both sides of
+    a cut of a pure state share their spectrum, and a flat full-rank spectrum
+    on d^2 dimensions is I/d^2.
     """
-    check_state_size(d, 6)
-    mixed = np.eye(d ** 2) / d ** 2
-
-    def pair_deviation(amps: np.ndarray, n: int) -> float:  # max |rho_pair - I/d^2| over pairs of systems 1-3
-        return max(float(np.max(np.abs(reduced_density_raw(amps, d, n, pair) - mixed)))
-                   for pair in ((1, 2), (1, 3), (2, 3)))
-
-    trivial_dev = pair_deviation(np.eye(d ** 3).reshape(-1) / d ** 1.5, 6)
+    check_state_size(d, 3)
+    kets = np.arange(d ** 3)
+    marginals = (np.bincount(ket_index((kets // d ** (3 - q) % d for q in pair), d)) / d ** 3
+                 for pair in ((1, 2), (1, 3), (2, 3)))
+    trivial_dev = max(float(np.max(np.abs(m - 1.0 / d ** 2))) for m in marginals)
     report = {
         "d": d,
         "trivial": {
@@ -343,14 +340,16 @@ def tripartite_marginal_checks(d: int, tol: float = DEFAULT_TOL) -> dict:
     if not built.ok:
         report["mes"] = {"available": False, "reason": built.reason}
         return report
-    dev = pair_deviation(built.state.amps, 4)
-    rank_abc = dm_rank(reduced_density_raw(built.state.amps, d, 4, (4,)), tol)
+    verdict = mes_verdict(built.state, tol)
+    records = {r.subset: r for r in verdict.records}
+    pairs = [records[cut] for cut in ((1, 2), (1, 3), (1, 4))]  # (1, 4) stands for its complement (2, 3)
     report["mes"] = {
         "available": True,
         "construction": built.construction,
-        "rank": rank_abc,
-        "rank_equals_d": rank_abc == d,
-        "marginals_maximally_mixed": dev <= tol,
-        "max_deviation": dev,
+        "decided_by": verdict.decided_by,
+        "rank": records[(4,)].rank,
+        "rank_equals_d": records[(4,)].rank == d,
+        "marginals_maximally_mixed": all(r.maximally_mixed for r in pairs),
+        "max_deviation": max(r.deviation for r in pairs),
     }
     return report

@@ -33,7 +33,7 @@ single digit for a prime field.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -96,6 +96,11 @@ def _poly_index(poly: Sequence[int], p: int) -> int:
     return idx
 
 
+def _monic(p: int, degree: int) -> Iterator[tuple[int, ...]]:
+    """Every monic polynomial of the given degree over Z_p, by index order."""
+    return (_poly_from_index(idx, p, degree) for idx in range(p ** degree))
+
+
 def is_irreducible(poly: Sequence[int], p: int) -> bool:
     """Trial division by every monic polynomial of degree 1..deg/2."""
     poly = _poly_trim(poly)
@@ -105,8 +110,7 @@ def is_irreducible(poly: Sequence[int], p: int) -> bool:
     if deg == 1:
         return True
     for div_deg in range(1, deg // 2 + 1):
-        for idx in range(p ** div_deg):
-            div = _poly_from_index(idx, p, div_deg)
+        for div in _monic(p, div_deg):
             if not _poly_mod(poly, div, p):  # div divides poly
                 return False
     return True
@@ -114,21 +118,25 @@ def is_irreducible(poly: Sequence[int], p: int) -> bool:
 
 def default_irreducible(p: int, n: int) -> tuple[int, ...]:
     """Monic irreducible polynomial of degree n with the smallest index."""
-    for idx in range(p ** n):
-        poly = _poly_from_index(idx, p, n)
-        if is_irreducible(poly, p):
-            return poly
-    raise RuntimeError(f"no irreducible polynomial found for p={p}, n={n}")
+    return next(poly for poly in _monic(p, n) if is_irreducible(poly, p))
 
 
 def irreducible_polynomials(p: int, n: int) -> list[tuple[int, ...]]:
     """All monic irreducible polynomials of degree n over Z_p, by index order."""
-    out = []
-    for idx in range(p ** n):
-        poly = _poly_from_index(idx, p, n)
-        if is_irreducible(poly, p):
-            out.append(poly)
-    return out
+    return [poly for poly in _monic(p, n) if is_irreducible(poly, p)]
+
+
+def _field_order(p: int, n: int) -> int:
+    """p^n, or ValueError unless p is prime, n >= 1 and p^n <= ORDER_LIMIT."""
+    if not all(isinstance(v, (int, np.integer)) for v in (p, n)) or n < 1:
+        raise ValueError(f"need an integer p and a positive integer degree n, got {p!r} and {n!r}")
+    p, n = int(p), int(n)
+    # p^n >= 2^n: p and n are bounded before is_prime and the power, which take unbounded time
+    if p > ORDER_LIMIT or n >= ORDER_LIMIT.bit_length() or p ** n > ORDER_LIMIT:
+        raise ValueError(f"field order {p}^{n} exceeds supported limit {ORDER_LIMIT}")
+    if not is_prime(p):
+        raise ValueError(f"p must be prime, got {p!r}")
+    return p ** n
 
 
 # ---------------------------------------------------------------------------
@@ -148,14 +156,8 @@ class Field:
     """
 
     def __init__(self, p: int, n: int, poly: Optional[Sequence[int]] = None):
-        if not isinstance(p, (int, np.integer)) or not is_prime(int(p)):
-            raise ValueError(f"p must be prime, got {p!r}")
-        if not isinstance(n, (int, np.integer)) or n < 1:
-            raise ValueError(f"extension degree must be a positive integer, got {n!r}")
+        d = _field_order(p, n)
         p, n = int(p), int(n)
-        d = p ** n
-        if d > ORDER_LIMIT:
-            raise ValueError(f"field order {d} exceeds supported limit {ORDER_LIMIT}")
         if poly is None:
             poly = default_irreducible(p, n)
         else:
@@ -354,15 +356,12 @@ class Field:
     @classmethod
     def from_descriptor(cls, text: str) -> "Field":
         parts = text.split()
-        if len(parts) == 2:
-            p, n = int(parts[0]), int(parts[1])
-            return cls(p, n)
-        if len(parts) != 3:
+        if len(parts) not in (2, 3):
             raise ValueError(f"field descriptor must be 'p n [poly_index]', got {text!r}")
-        p, n, idx = (int(v) for v in parts)
-        if not (is_prime(p) and n >= 1 and 0 <= idx < p ** n):
-            raise ValueError(f"invalid field descriptor {text!r}")
-        return cls(p, n, _poly_from_index(idx, p, n))
+        p, n, *index = (int(v) for v in parts)
+        if index and not 0 <= index[0] < _field_order(p, n):
+            raise ValueError(f"polynomial index {index[0]} out of range in field descriptor {text!r}")
+        return cls(p, n, _poly_from_index(index[0], p, n) if index else None)
 
     def __eq__(self, other: object) -> bool:
         return (

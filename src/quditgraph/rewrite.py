@@ -22,6 +22,7 @@ import numpy as np
 
 from .gf import Field
 from .simulator import (
+    GATE_ARITY,
     Gate,
     StateVector,
     _run_raw,
@@ -663,24 +664,13 @@ def parse_circuit(text: str) -> Circuit:
                 init = tuple(parts[1:])
                 stage = 3
             else:
-                kind = parts[0]
-                if kind in ("C", "W"):
-                    want = 4 if kind == "C" else 3
-                    if len(parts) != want:
-                        raise CircuitParseError(f"{kind} gate takes {want - 1} arguments", lineno)
-                    wires = (int(parts[1]), int(parts[2]))
-                    param = int(parts[3]) if kind == "C" else None
-                elif kind in ("A", "D"):
-                    if len(parts) != 3:
-                        raise CircuitParseError(f"{kind} gate takes 2 arguments", lineno)
-                    wires, param = (int(parts[1]),), int(parts[2])
-                elif kind in ("H", "V"):
-                    if len(parts) != 2:
-                        raise CircuitParseError(f"{kind} gate takes 1 argument", lineno)
-                    wires, param = (int(parts[1]),), None
-                else:
-                    raise CircuitParseError(f"unknown gate {kind!r}", lineno)
-                gates.append(Gate(kind, wires, param))
+                if parts[0] not in GATE_ARITY:
+                    raise CircuitParseError(f"unknown gate {parts[0]!r}", lineno)
+                n_wires, has_param = GATE_ARITY[parts[0]]
+                if len(parts) != 1 + n_wires + has_param:
+                    raise CircuitParseError(f"{parts[0]} gate takes {n_wires + has_param} argument(s)", lineno)
+                wires = (int(parts[1]), int(parts[2])) if n_wires == 2 else (int(parts[1]),)
+                gates.append(Gate(parts[0], wires, int(parts[-1]) if has_param else None))
         except CircuitParseError:
             raise
         except (ValueError, IndexError) as exc:

@@ -37,9 +37,8 @@ STATE_SIZE_LIMIT = 2 ** 24
 DEFAULT_TOL = 1e-10
 SIGNATURE_DIGITS = 8  # spectra are rounded to this many decimals before they are sorted or hashed
 
-GATE_KINDS = ("A", "D", "C", "H", "V", "W")
-_PARAM_KINDS = ("A", "D", "C")
-_TWO_WIRE_KINDS = ("C", "W")
+# kind -> (wire count, takes a field parameter): the one record of each gate's arity
+GATE_ARITY = {"A": (1, True), "D": (1, True), "C": (2, True), "H": (1, False), "V": (1, False), "W": (2, False)}
 
 _DIGITS36 = "0123456789abcdefghijklmnopqrstuvwxyz"
 
@@ -72,9 +71,9 @@ class Gate:
 
 
 def validate_gate(field: Field, n_qudits: int, gate: Gate) -> None:
-    if gate.kind not in GATE_KINDS:
+    if gate.kind not in GATE_ARITY:
         raise ValueError(f"unknown gate kind {gate.kind!r}")
-    want = 2 if gate.kind in _TWO_WIRE_KINDS else 1
+    want, has_param = GATE_ARITY[gate.kind]
     if len(gate.wires) != want:
         raise ValueError(f"{gate.kind} gate takes {want} wire(s), got {gate.wires}")
     for w in gate.wires:
@@ -82,7 +81,7 @@ def validate_gate(field: Field, n_qudits: int, gate: Gate) -> None:
             raise ValueError(f"wire {w} out of range 1..{n_qudits}")
     if len(set(gate.wires)) != len(gate.wires):
         raise ValueError(f"wires of a two-qudit gate must be distinct: {gate.wires}")
-    if gate.kind in _PARAM_KINDS:
+    if has_param:
         if gate.param is None:
             raise ValueError(f"{gate.kind} gate requires a field parameter")
         if not 0 <= gate.param < field.d:
@@ -387,7 +386,7 @@ def dump_state(amps: np.ndarray, d: int, n: int, header: Sequence[str] = ()) -> 
 
 
 def parse_state_dump(text: str) -> tuple[np.ndarray, int, int]:
-    """Inverse of dump_state; returns (amps, d, n).  Rejects d < 2, repeats and non-finite amplitudes."""
+    """Inverse of dump_state; returns (amps, d, n).  Rejects d < 2, qudits < 1, repeats and non-finite amplitudes."""
     d = n = None
     amps = None
     seen: set[int] = set()
@@ -403,6 +402,8 @@ def parse_state_dump(text: str) -> tuple[np.ndarray, int, int]:
                 d, n = int(fields["d"]), int(fields["qudits"])
                 if d < 2:
                     raise ValueError(f"line {lineno}: dimension d={d} must be at least 2")
+                if n < 1:
+                    raise ValueError(f"line {lineno}: qudit count qudits={n} must be at least 1")
                 check_state_size(d, n)
                 amps = np.zeros(d ** n, dtype=np.complex128)
             continue

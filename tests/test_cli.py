@@ -3,6 +3,7 @@ import os
 import resource
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -315,7 +316,7 @@ def _run_capped(tmp_path, *argv, python_args=("-m", "quditgraph.cli")):
 @pytest.mark.parametrize("call", [
     "gate_matrix(Field(2, 2), 7, Gate('H', (1,)))",  # 4^14 = 2^28 entries
     "sequence_matrix(Field(2, 7), 2, [Gate('H', (1,)), Gate('C', (1, 2), 3)])",  # 128^4 = 2^28
-    "tripartite_marginal_checks(32)",  # 32^6 = 2^30
+    "tripartite_marginal_checks(1024)",  # 1024^3 = 2^30
     "reduced_density_raw(np.zeros(2 ** 15), 2, 15, range(1, 15))",  # 2^28 RDM entries of a 2^15 state
 ], ids=["gate_matrix", "sequence_matrix", "tripartite_marginal_checks", "reduced_density_raw"])
 def test_dense_builders_guard_before_allocating(tmp_path, call):
@@ -351,6 +352,41 @@ def test_dual_check_dense_guard_exit_3(tmp_path):
     done = _run_capped(tmp_path, "dual-check", str(path))  # 16^7 = 2^28 amplitudes
     assert done.returncode == 3, done.stderr
     assert "2^24 guard" in done.stderr
+
+
+def test_dual_check_rdm_guard_exit_3(tmp_path, capsys):
+    # 8^8 = 2^24 amplitudes pass the state guard, but the signature diagonalizes
+    # 70 RDMs of 8^4 = 4096 rows: over 14 minutes unguarded
+    graph = {
+        "field": {"p": 2, "n": 3, "poly": quditgraph.Field(2, 3).poly_index},
+        "S": [1, 2, 3, 4], "O": [5, 6, 7, 8],
+        "edges": [{"from": i, "to": j, "label": 1} for i in (1, 2, 3, 4) for j in (5, 6, 7, 8)],
+    }
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps(graph))
+    t0 = time.perf_counter()
+    code, out, err = run_cli(capsys, "dual-check", str(path))
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 3 and out == "" and "8^4 rows" in err
+    done = _run_capped(tmp_path, "dual-check", str(path))
+    assert done.returncode == 3, done.stderr
+    assert "8^4 rows" in done.stderr
+
+
+@pytest.mark.parametrize("p, n, poly", [
+    (1000000000000000003, 1, None), (3, 1000000000, 0), (2, 1000000000, None),
+], ids=["huge-p", "huge-n-with-poly", "huge-n"])
+def test_huge_field_orders_exit_2_at_once(tmp_path, capsys, p, n, poly):
+    descriptor = f"{p} {n}" if poly is None else f"{p} {n} {poly}"
+    graph = {"field": {"p": p, "n": n, "poly": poly or 0}, "S": [1], "O": [2],
+             "edges": [{"from": 1, "to": 2, "label": 1}]}
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps(graph))
+    for argv in (["classify", "2", "--field", descriptor], ["dual-check", str(path)]):
+        t0 = time.perf_counter()
+        code, out, _ = run_cli(capsys, *argv)
+        assert time.perf_counter() - t0 < 0.5, argv
+        assert code == 2 and out == "", argv
 
 
 def test_dual_check_does_not_measure_the_field(tmp_path, capsys, monkeypatch):
@@ -468,7 +504,9 @@ def test_verify_mes_rejects_unnormalized_state(tmp_path, capsys):
     ("# quditgraph-state d=2 qudits=2\n00 1.0 0.0\n# quditgraph-state d=2 qudits=2\n11 1.0 0.0\n",
      "second '# quditgraph-state' header"),
     ("# quditgraph-state d=1 qudits=4\n0000 1.0 0.0\n", "d=1 must be at least 2"),
-], ids=["nan", "inf", "repeated-ket", "second-header", "d1"])
+    ("# quditgraph-state d=2 qudits=-1\n", "line 1: qudit count qudits=-1 must be at least 1"),
+    ("# quditgraph-state d=2 qudits=0\n", "line 1: qudit count qudits=0 must be at least 1"),
+], ids=["nan", "inf", "repeated-ket", "second-header", "d1", "qudits-negative", "qudits0"])
 def test_verify_mes_rejects_malformed_dump(tmp_path, capsys, text, message):
     # read as they stand, a nan would decide "false" (exit 1) and d=1 a vacuous "maximally entangled"
     path = tmp_path / "bad.state"

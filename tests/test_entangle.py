@@ -320,10 +320,36 @@ def test_tripartite_checks_match_density_matrix_oracle(d):
     assert abs(report["mes"]["max_deviation"] - max(devs)) < 1e-12
 
 
-def test_tripartite_checks_guard_d6_entries():
-    # the purification of I/d^3 has d^6 amplitudes: d = 16 is the last under 2^24
+def test_tripartite_checks_guard_d3_entries():
+    # every array holds at most d^3 entries, so every d that build_mes builds is answered;
+    # I/d^3 itself passes the 2^24 guard up to d = 256
+    for d in (17, 32, 64):
+        report = tripartite_marginal_checks(d)
+        assert report["mes"]["rank"] == d
+        assert report["mes"]["marginals_maximally_mixed"]
     with pytest.raises(ResourceGuardError):
-        tripartite_marginal_checks(17)
+        tripartite_marginal_checks(257)
+
+
+def test_tripartite_checks_build_no_density_matrix(monkeypatch):
+    def boom(*args, **kwargs):
+        raise AssertionError("tripartite_marginal_checks built a dense density matrix")
+
+    for target in ("quditgraph.entangle.reduced_density_raw", "quditgraph.entangle.spectrum",
+                   "quditgraph.simulator.reduced_density_raw", "quditgraph.simulator.spectrum",
+                   "numpy.linalg.eigvalsh"):
+        monkeypatch.setattr(target, boom)
+    for d in (3, 4, 5, 12, 17, 32, 60, 64):
+        report = tripartite_marginal_checks(d)
+        assert report["trivial"] == {"rank": d ** 3, "marginals_maximally_mixed": True, "max_deviation": 0.0}
+        mes = report["mes"]
+        assert mes["rank"] == d and mes["rank_equals_d"], (d, mes)
+        assert mes["marginals_maximally_mixed"] and mes["max_deviation"] < 1e-12, (d, mes)
+        assert mes["decided_by"] == "diagonal-marginals"
+    for d in (2, 6):
+        report = tripartite_marginal_checks(d)
+        assert report["trivial"]["rank"] == d ** 3 and report["trivial"]["marginals_maximally_mixed"]
+        assert report["mes"]["available"] is False
 
 
 # ---------------------------------------------------------------------------

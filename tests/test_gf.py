@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -251,6 +253,20 @@ def test_descriptor_errors():
         Field.from_descriptor("2")
     with pytest.raises(ValueError):
         Field.from_descriptor("2 2 9")  # poly index out of range
+
+
+@pytest.mark.parametrize("p, n, text", [
+    (1000000000000000003, 1, "1000000000000000003 1"),  # trial division by is_prime runs for minutes
+    (3, 1000000000, "3 1000000000 0"),  # 3^n alone runs for minutes
+    (2, 1000000000, "2 1000000000"),
+], ids=["huge-p", "huge-n-with-poly", "huge-n"])
+def test_field_bounds_order_before_primality_and_powers(p, n, text):
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError, match="exceeds supported limit"):
+        Field(p, n)
+    with pytest.raises(ValueError, match="exceeds supported limit"):
+        Field.from_descriptor(text)
+    assert time.perf_counter() - t0 < 0.5
 
 
 def test_of_order():

@@ -469,6 +469,23 @@ def test_parse_reports_line_numbers():
         parse_circuit("field 2 1\nqudits 2\n")  # missing init
 
 
+@pytest.mark.parametrize("line", [
+    "X 1", "C 1 2", "C 1 2 1 1", "W 1", "W 1 2 1", "A 1", "D 1 2 1", "H", "H 1 1", "V 1 2",
+])
+def test_parse_rejects_unknown_kinds_and_argument_counts(line):
+    with pytest.raises(CircuitParseError) as err:
+        parse_circuit(f"field 3 1\nqudits 2\ninit s 0\n{line}\n")
+    assert err.value.line == 4
+
+
+def test_parse_reads_every_kind_from_the_arity_table():
+    text = "field 3 1\nqudits 2\ninit s 0\nA 1 2\nD 2 2\nC 1 2 1\nH 1\nV 2\nW 1 2\n"
+    assert parse_circuit(text).gates == (
+        Gate("A", (1,), 2), Gate("D", (2,), 2), Gate("C", (1, 2), 1),
+        Gate("H", (1,)), Gate("V", (2,)), Gate("W", (1, 2)),
+    )
+
+
 def test_parse_all_gate_kinds():
     text = "field 3 1 0\nqudits 3\ninit s 0 0\nC 1 2 2\nA 1 1\nD 2 2\nH 3\nV 1\nW 2 3\n"
     circ = parse_circuit(text)
