@@ -11,6 +11,7 @@ from .simulator import (
     Gate,
     ResourceGuardError,
     StateVector,
+    SupportState,
     apply_gate,
     bipartition_subsets,
     dump_state,
@@ -53,7 +54,6 @@ from .duality import (
 from .entangle import (
     BipartitionReport,
     MesConstruction,
-    RingState,
     build_mes,
     compose_mes,
     mes_verdict,

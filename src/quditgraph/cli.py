@@ -20,7 +20,7 @@ import numpy as np
 
 from .classify import classify
 from .duality import verify_dual_equivalence
-from .entangle import RingState, build_mes, mes_verdict
+from .entangle import build_mes, mes_verdict
 from .gf import Field
 from .rewrite import (
     CircuitParseError,
@@ -31,11 +31,7 @@ from .rewrite import (
     parse_circuit,
     relations_suite,
 )
-from .simulator import (
-    ResourceGuardError,
-    dump_state,
-    parse_state_dump,
-)
+from .simulator import ResourceGuardError, SupportState, dump_state, ket_digits, parse_state
 
 EXIT_OK = 0
 EXIT_FALSE = 1
@@ -49,7 +45,10 @@ def _emit_json(obj) -> None:
 
 
 def _field_arg(text: str) -> Field:
-    return Field.from_descriptor(text)
+    try:
+        return Field.from_descriptor(text)
+    except ValueError as exc:  # argparse would print only "invalid _field_arg value"
+        raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -117,8 +116,7 @@ def cmd_dual_check(args) -> int:
 
 
 def cmd_verify_mes(args) -> int:
-    amps, d, n = parse_state_dump(Path(args.state).read_text())
-    report = mes_verdict(RingState(d, n, amps), args.tolerance)
+    report = mes_verdict(parse_state(Path(args.state).read_text()), args.tolerance)
     _emit_json(report.to_dict())
     return EXIT_OK if report.verdict else EXIT_FALSE
 
@@ -129,8 +127,7 @@ def cmd_make_mes(args) -> int:
         print(f"refused: {built.reason}", file=sys.stderr)
         _emit_json(built.to_dict())
         return EXIT_FALSE
-    state = built.state
-    text = dump_state(state.amps, state.d, state.n, header=[f"construction {built.construction}"])
+    text = dump_state(built.state, header=[f"construction {built.construction}"])
     if args.output:
         Path(args.output).write_text(text)
         print(f"wrote {args.output} ({built.construction})")
@@ -165,7 +162,8 @@ def cmd_relations_test(args) -> int:
 def cmd_simulate(args) -> int:
     circuit = parse_circuit(Path(args.circuit).read_text())
     state = circuit.simulate()
-    print(dump_state(state.amps, state.d, state.n), end="")
+    kets = np.flatnonzero(np.abs(state.amps) > 1e-14)  # anything smaller is H-gate rounding residue, not a ket
+    print(dump_state(SupportState(state.d, state.n, ket_digits(kets, state.d, state.n), state.amps[kets])), end="")
     return EXIT_OK
 
 

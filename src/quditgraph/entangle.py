@@ -14,18 +14,19 @@ cover four parties:
 Tensoring such states systemwise preserves the property, which yields a
 construction for every dimension that is odd (ring(d)) or a multiple of
 four, d = 2^m * o with o odd (square(GF(2^m)) times ring(o) when o > 1).
-Every such state passes the 2^24 amplitude guard first, so d <= 64; each is
-an orthogonal array, decided from its exact support by mes_verdict and
-tripartite_marginal_checks.  For d = 2 mod 4 none is implemented.  Such
-states do exist for every d = 2 mod 4 except 2: d = 2 is impossible (Higuchi
-and Sudbery, quant-ph/0005013); d = 6 has a state that is not a permutation
-of basis kets (Rather et al., arXiv:2104.05122); every other such d has a
-pair of orthogonal Latin squares (Bose, Shrikhande and Parker, 1960), whose
-orthogonal array {(i, j, L1(i, j), L2(i, j))} is the support of one.
+Each is an orthogonal array of d^2 kets, built as a SupportState (d <= 64
+by the 2^24 guard on d^4 amplitudes) and decided from that exact support.
+For d = 2 mod 4 none is implemented.  Such states do exist for every d = 2
+mod 4 except 2: d = 2 is impossible (Higuchi and Sudbery, quant-ph/0005013);
+d = 6 has a state that is not a permutation of basis kets (Rather et al.,
+arXiv:2104.05122); every other such d has a pair of orthogonal Latin squares
+(Bose, Shrikhande and Parker, 1960), whose orthogonal array
+{(i, j, L1(i, j), L2(i, j))} is the support of one.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -35,58 +36,50 @@ from .gf import Field
 from .rewrite import SymbolicState, mat_rref, rank_exponents
 from .simulator import (
     DEFAULT_TOL,
-    StateVector,
+    ResourceGuardError,
+    SupportState,
     bipartition_subsets,
     check_state_size,
-    ket_digits,
     ket_index,
     reduced_density_raw,
     spectrum,
 )
 
 
-@dataclass
-class RingState:
-    """Four(-or-more)-party state over the plain ring Z_d."""
-
-    d: int
-    n: int
-    amps: np.ndarray
-
-
 # ---------------------------------------------------------------------------
 # Constructions
 # ---------------------------------------------------------------------------
 
-def square_state(fld: Field, twist: int) -> StateVector:
+def square_state(fld: Field, twist: int) -> SupportState:
     """Four-qudit square-graph state with edge labels (1, 1, 1, twist).
 
-    Amplitude d^-1 on every ket |i, i + twist*k, k, i + k> for i, k in the
-    field.  Any twist is accepted; mes_verdict flags the degenerate choices
-    0 and 1.
+    Amplitude d^-1 on the d^2 kets |i, i + twist*k, k, i + k> for i, k in the
+    field, listed in ascending order as a dump lists them.  Any twist is
+    accepted; mes_verdict flags the degenerate choices 0 and 1.
     """
     if not 0 <= twist < fld.d:
         raise ValueError(f"twist {twist} out of range for order-{fld.d} field")
-    zeros = np.zeros(4, dtype=np.int64)
-    return SymbolicState(fld, 4, [[1, 1, 0, 1], [0, twist, 1, 1]], zeros).to_state()
+    check_state_size(fld.d, 4)
+    i, k = np.indices((fld.d, fld.d)).reshape(2, -1)
+    digits = np.stack([i, fld.add_arr(i, fld.mul_arr(twist, k)), k, fld.add_arr(i, k)])
+    return SupportState(fld.d, 4, digits[:, np.lexsort(digits[::-1])], np.full(i.size, 1.0 / fld.d, dtype=complex))
 
 
-def ring_square_state(d: int) -> RingState:
+def ring_square_state(d: int) -> SupportState:
     """The Z_d square state d^-1 * sum |i, i-k, k, i+k> for any integer d >= 2."""
     if d < 2:
         raise ValueError("ring dimension must be at least 2")
     check_state_size(d, 4)
     i, k = np.indices((d, d)).reshape(2, -1)
-    amps = np.zeros(d ** 4, dtype=np.complex128)
-    amps[ket_index((i, (i - k) % d, k, (i + k) % d), d)] = 1.0 / d
-    return RingState(d, 4, amps)
+    digits = np.stack([i, (i - k) % d, k, (i + k) % d])
+    return SupportState(d, 4, digits[:, np.lexsort(digits[::-1])], np.full(i.size, 1.0 / d, dtype=complex))
 
 
-def compose_mes(states: Sequence[StateVector | RingState]) -> StateVector | RingState:
+def compose_mes(states: Sequence[SupportState]) -> SupportState:
     """Systemwise tensor product of maximally entangled states.
 
-    System q of the output is the tuple of the inputs' systems q, so the
-    per-system dimension multiplies.  A non-maximal input raises ValueError.
+    System q of the output is the tuple of the inputs' systems q, one
+    mixed-radix digit.  A non-maximal input raises ValueError.
     """
     if not states:
         raise ValueError("need at least one state")
@@ -98,27 +91,21 @@ def compose_mes(states: Sequence[StateVector | RingState]) -> StateVector | Ring
     n = states[0].n
     if any(s.n != n for s in states):
         raise ValueError("all states must have the same number of systems")
-    d_total = 1
-    for s in states:
-        d_total *= s.d
+    d_total = math.prod(s.d for s in states)
     check_state_size(d_total, n)
-    acc = states[0].amps.reshape([states[0].d] * n)
-    acc_d = states[0].d
-    for s in states[1:]:
-        cur = s.amps.reshape([s.d] * n)
-        prod = np.multiply.outer(acc, cur)
-        # interleave axes so each system becomes one mixed-radix digit
-        order = [ax for q in range(n) for ax in (q, n + q)]
-        acc = prod.transpose(order).reshape([acc_d * s.d] * n)
-        acc_d *= s.d
-    return RingState(d_total, n, acc.reshape(-1))
+    digits, amps = np.zeros((n, 1), dtype=np.int64), np.ones(1, dtype=np.complex128)
+    for s in states:
+        digits = (digits[:, :, None] * s.d + s.digits[:, None, :]).reshape(n, -1)
+        amps = np.multiply.outer(amps, s.amps).reshape(-1)
+    order = np.lexsort(digits[::-1])
+    return SupportState(d_total, n, digits[:, order], amps[order])
 
 
 @dataclass
 class MesConstruction:
     d: int
     ok: bool
-    state: Optional[StateVector | RingState]
+    state: Optional[SupportState]
     construction: str
     reason: Optional[str] = None
 
@@ -149,8 +136,8 @@ def build_mes(d: int) -> MesConstruction:
     element index 2) with the ring square state of o when o > 1.
     Dimensions of the form 2 mod 4 are refused, with the reason: none exists
     for d = 2, and for the others one exists but none is constructed here
-    (the even ring construction fails).  Every other d passes the 2^24
-    amplitude guard first (d <= 64).
+    (the even ring construction fails).  Every other d passes the guard on
+    d^4 amplitudes first (d <= 64); the state holds its d^2 kets.
     """
     if d < 2:
         raise ValueError("dimension must be at least 2")
@@ -161,7 +148,7 @@ def build_mes(d: int) -> MesConstruction:
         return MesConstruction(d, True, ring_square_state(d), f"ring({d})")
     m = (d & -d).bit_length() - 1
     odd = d >> m
-    parts: list[StateVector | RingState] = [square_state(Field(2, m), 2)]
+    parts = [square_state(Field(2, m), 2)]
     label = f"square(GF(2^{m}),twist=2)"
     if odd > 1:
         parts.append(ring_square_state(odd))
@@ -229,7 +216,7 @@ def _diagonal_marginal(weights: np.ndarray, digits: np.ndarray, d: int,
     return np.bincount(a, weights=weights, minlength=d ** len(subset))
 
 
-def mes_verdict(state: StateVector | RingState, tol: float = DEFAULT_TOL) -> BipartitionReport:
+def mes_verdict(state: SupportState, tol: float = DEFAULT_TOL) -> BipartitionReport:
     """Check every bipartition's smaller side against the maximally mixed state.
 
     For 4 parties the report covers the 4 singletons plus the 3 unordered
@@ -238,43 +225,38 @@ def mes_verdict(state: StateVector | RingState, tol: float = DEFAULT_TOL) -> Bip
     bipartition, and for a state whose norm is off 1 by more than tol.
 
     A bipartition A|B is decided exactly when its RDM is provably diagonal:
-    when the exact support S (every nonzero amplitude, no threshold) maps
-    injectively onto the digits of B.  Then no two kets of S meet in an
-    off-diagonal term, the spectrum is the marginal p(a), the sum of |psi|^2
-    over the kets of S with A-digits a, and the record's method is
+    when the exact support S (the state's kets of nonzero amplitude, no
+    threshold) maps injectively onto the digits of B.  Then no two kets of S
+    meet in an off-diagonal term, the spectrum is the marginal p(a), the sum
+    of |psi|^2 over the kets of S with A-digits a, and the record's method is
     "diagonal".  Otherwise (in particular when |S| > d^|B|, which rules
-    injectivity out) the RDM is built densely and its eigvalsh spectrum
-    decides, with method "spectrum".  Both methods apply the same tol tests:
-    rank counts eigenvalues above tol, flat compares the nonzero ones, and
-    the deviation from I/d^|A| is the largest over every RDM entry.  Every
-    state build_mes makes, an orthogonal array of strength two, is decided
-    with no eigvalsh.
+    injectivity out) the RDM is built from the guarded dense amplitudes and
+    its eigvalsh spectrum decides, with method "spectrum".  Both methods
+    apply the same tol tests: rank counts eigenvalues above tol, flat
+    compares the nonzero ones, and the deviation from I/d^|A| is the largest
+    over every RDM entry.  Every state build_mes makes, an orthogonal array
+    of strength two, is decided from its d^2 kets with no dense array.
     """
-    d, n, amps = state.d, state.n, state.amps
+    d, n = state.d, state.n
     if n < 2:
         raise ValueError(f"maximal entanglement needs at least 2 systems, got {n}")
+    digits, amps = state.digits[:, state.amps != 0], state.amps[state.amps != 0]
     norm = float(np.linalg.norm(amps))
     if abs(norm - 1.0) > tol:
         raise ValueError(f"state norm {norm!r} differs from 1 by more than the tolerance {tol!r}")
-    support = np.flatnonzero(amps)
-    digits = weights = None
+    weights = amps.real ** 2 + amps.imag ** 2
     records = []
     verdict = True
     for subset in bipartition_subsets(n):
         dim = d ** len(subset)
-        diag = None
-        if len(support) <= d ** (n - len(subset)):
-            if digits is None:
-                digits = ket_digits(support, d, n)
-                weights = amps.real[support] ** 2 + amps.imag[support] ** 2
-            diag = _diagonal_marginal(weights, digits, d, subset)
+        diag = _diagonal_marginal(weights, digits, d, subset)
         if diag is not None:
             # off-diagonal entries are exactly zero, as they are in I/dim
             dev = float(np.max(np.abs(diag - 1.0 / dim)))
             evals = np.sort(diag)[::-1]
             method = "diagonal"
         else:
-            rho = reduced_density_raw(amps, d, n, subset)
+            rho = reduced_density_raw(state.dense(), d, n, subset)
             dev = float(np.max(np.abs(rho - np.eye(dim) / dim)))
             evals = spectrum(rho)
             method = "spectrum"
@@ -316,12 +298,12 @@ def tripartite_marginal_checks(d: int, tol: float = DEFAULT_TOL) -> dict:
 
     Part one: I/d^3, of rank d^3 >= d, is diagonal with weight d^-3 on each
     ket, so each pair marginal is a bincount of pair digits.  Part two, for
-    every d that build_mes builds (d <= 64): tracing system 4 from its state
-    leaves rho_ABC of rank d with the same marginals, read from one
-    mes_verdict: pairs (1, 2) and (1, 3) and rank rho_ABC = rank rho_D from
-    their own records, pair (2, 3) from its complement (1, 4).  Both sides of
-    a cut of a pure state share their spectrum, and a flat full-rank spectrum
-    on d^2 dimensions is I/d^2.
+    every d that build_mes builds (d <= 64, else the reason it does not):
+    tracing system 4 from its state leaves rho_ABC of rank d with the same
+    marginals, read from one mes_verdict: pairs (1, 2) and (1, 3) and rank
+    rho_ABC = rank rho_D from their own records, pair (2, 3) from its
+    complement (1, 4).  Both sides of a cut of a pure state share their
+    spectrum, and a flat full-rank spectrum on d^2 dimensions is I/d^2.
     """
     check_state_size(d, 3)
     kets = np.arange(d ** 3)
@@ -336,7 +318,10 @@ def tripartite_marginal_checks(d: int, tol: float = DEFAULT_TOL) -> dict:
             "max_deviation": trivial_dev,
         },
     }
-    built = build_mes(d)
+    try:
+        built = build_mes(d)
+    except ResourceGuardError as exc:
+        built = MesConstruction(d, False, None, "none", reason=str(exc))
     if not built.ok:
         report["mes"] = {"available": False, "reason": built.reason}
         return report

@@ -287,9 +287,6 @@ class SymbolicState:
         np.add.at(amps, ket_index(map(wire_digits, range(n)), d), d ** (-k / 2))
         return amps
 
-    def to_state(self) -> StateVector:
-        return StateVector(self.field, self.n, self.dense_amps())
-
 
 def states_equal_symbolic(s1: SymbolicState, s2: SymbolicState) -> bool:
     """Exact state equality: equal affine row spaces (same span, compatible offset)."""
@@ -359,7 +356,7 @@ class GraphState:
         return Circuit(self.field, self.n, init, gates)
 
     def state(self) -> StateVector:
-        return self.to_symbolic().to_state()
+        return StateVector(self.field, self.n, self.to_symbolic().dense_amps())
 
 
 def make_graph_state(fld: Field, s_wires: Iterable[int], o_wires: Iterable[int],

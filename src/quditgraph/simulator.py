@@ -120,6 +120,23 @@ class StateVector:
         return f"StateVector(d={self.d}, n={self.n})"
 
 
+@dataclass
+class SupportState:
+    """A pure state by its K kets: digits (n, K) in the ket_digits layout, amps (K,); other kets are 0."""
+
+    d: int
+    n: int
+    digits: np.ndarray
+    amps: np.ndarray
+
+    def dense(self) -> np.ndarray:
+        """The d^n amplitude vector, under the state-size guard."""
+        check_state_size(self.d, self.n)
+        amps = np.zeros(self.d ** self.n, dtype=np.complex128)
+        amps[ket_index(self.digits, self.d)] = self.amps
+        return amps
+
+
 def check_state_size(d: int, n: int) -> None:
     if d ** n > STATE_SIZE_LIMIT:
         raise ResourceGuardError(f"state of {d}**{n} amplitudes exceeds the 2^24 guard")
@@ -370,33 +387,31 @@ def _parse_digits(text: str, d: int, n: int) -> int:
     return ket_index(vals, d)
 
 
-def dump_state(amps: np.ndarray, d: int, n: int, header: Sequence[str] = ()) -> str:
-    """Debug dump: one `index_base_d re im` line per nonzero amplitude."""
-    lines = [f"# quditgraph-state d={d} qudits={n}"]
+def dump_state(state: SupportState, header: Sequence[str] = ()) -> str:
+    """Debug dump: one `index_base_d re im` line per ket of state, in its order."""
+    lines = [f"# quditgraph-state d={state.d} qudits={state.n}"]
     lines += [f"# {h}" for h in header]
-    support = np.flatnonzero(np.abs(amps) > 1e-14)
-    digits = ket_digits(support, d, n).T.tolist()
-    if d <= 36:
+    digits = state.digits.T.tolist()
+    if state.d <= 36:
         kets = ["".join(_DIGITS36[v] for v in row) for row in digits]
     else:
         kets = [",".join(map(str, row)) for row in digits]
-    for ket, a in zip(kets, amps[support].tolist()):
+    for ket, a in zip(kets, state.amps.tolist()):
         lines.append(f"{ket} {a.real!r} {a.imag!r}")
     return "\n".join(lines) + "\n"
 
 
-def parse_state_dump(text: str) -> tuple[np.ndarray, int, int]:
-    """Inverse of dump_state; returns (amps, d, n).  Rejects d < 2, qudits < 1, repeats and non-finite amplitudes."""
+def parse_state(text: str) -> SupportState:
+    """Inverse of dump_state.  Rejects d < 2, qudits < 1, d^n over the guard, repeats and non-finite amplitudes."""
     d = n = None
-    amps = None
-    seen: set[int] = set()
+    kets: dict[int, complex] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
             continue
         if line.startswith("#"):
             if line.startswith("# quditgraph-state"):
-                if amps is not None:
+                if d is not None:
                     raise ValueError(f"line {lineno}: second '# quditgraph-state' header")
                 fields = dict(part.split("=") for part in line.split()[2:])
                 d, n = int(fields["d"]), int(fields["qudits"])
@@ -405,21 +420,26 @@ def parse_state_dump(text: str) -> tuple[np.ndarray, int, int]:
                 if n < 1:
                     raise ValueError(f"line {lineno}: qudit count qudits={n} must be at least 1")
                 check_state_size(d, n)
-                amps = np.zeros(d ** n, dtype=np.complex128)
             continue
-        if amps is None:
+        if d is None:
             raise ValueError("state dump is missing its '# quditgraph-state d=.. qudits=..' header")
         parts = line.split()
         if len(parts) != 3:
             raise ValueError(f"line {lineno}: expected 'index re im', got {raw!r}")
         index = _parse_digits(parts[0], d, n)
-        if index in seen:
+        if index in kets:
             raise ValueError(f"line {lineno}: ket {parts[0]!r} listed twice")
-        seen.add(index)
         amp = complex(float(parts[1]), float(parts[2]))
         if not cmath.isfinite(amp):
             raise ValueError(f"line {lineno}: amplitude {amp!r} is not finite")
-        amps[index] = amp
-    if amps is None:
+        kets[index] = amp
+    if d is None:
         raise ValueError("state dump is missing its '# quditgraph-state d=.. qudits=..' header")
-    return amps, d, n
+    digits = ket_digits(np.array(list(kets), dtype=np.int64), d, n)
+    return SupportState(d, n, digits, np.array(list(kets.values()), dtype=np.complex128))
+
+
+def parse_state_dump(text: str) -> tuple[np.ndarray, int, int]:
+    """parse_state as dense amplitudes; returns (amps, d, n)."""
+    state = parse_state(text)
+    return state.dense(), state.d, state.n

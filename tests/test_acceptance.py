@@ -101,9 +101,10 @@ def test_criterion_04_square_state_literal():
         "3303", "3112", "3021", "3230",
     ]
     sq = square_state(field_for(4), 2)
-    assert sorted(ket_strings(sq.amps, 4, 4)) == sorted(expected)
-    nz = np.abs(sq.amps) > 1e-12
-    assert np.allclose(sq.amps[nz], 0.25, atol=1e-15)
+    assert sorted(ket_strings(sq.dense(), 4, 4)) == sorted(expected)
+    dense = sq.dense()
+    nz = np.abs(dense) > 1e-12
+    assert np.allclose(dense[nz], 0.25, atol=1e-15)
     _report(4, "twist-2 square state over GF(4) reproduces the 16-term expansion at amplitude 1/4", t0)
 
 
@@ -145,7 +146,7 @@ def test_criterion_07_composite_dimension_12():
     t0 = time.perf_counter()
     built = build_mes(12)
     assert built.ok
-    assert built.state.d == 12 and built.state.amps.size == 12 ** 4
+    assert built.state.d == 12 and built.state.amps.size == 12 ** 2  # the support: an orthogonal array of d^2 kets
     report = mes_verdict(built.state, tol=1e-9)
     assert report.verdict
     assert len(report.records) == 7

@@ -334,8 +334,8 @@ def test_dense_builders_guard_before_allocating(tmp_path, call):
 
 
 def test_make_mes_dense_guard_exit_3(tmp_path):
-    # the GF(128) square state has 128^4 = 2^28 amplitudes (4 GiB); without the
-    # guard the allocation fails under the cap and exits 4
+    # the GF(128) square state would have 128^4 = 2^28 amplitudes as a dense
+    # vector; the guard on d^4 refuses it before any field or ket is built
     done = _run_capped(tmp_path, "make-mes", "128")
     assert done.returncode == 3, done.stderr
     assert "2^24 guard" in done.stderr
@@ -384,9 +384,10 @@ def test_huge_field_orders_exit_2_at_once(tmp_path, capsys, p, n, poly):
     path.write_text(json.dumps(graph))
     for argv in (["classify", "2", "--field", descriptor], ["dual-check", str(path)]):
         t0 = time.perf_counter()
-        code, out, _ = run_cli(capsys, *argv)
+        code, out, err = run_cli(capsys, *argv)
         assert time.perf_counter() - t0 < 0.5, argv
         assert code == 2 and out == "", argv
+        assert f"field order {p}^{n} exceeds supported limit 65536" in err, (argv, err)
 
 
 def test_dual_check_does_not_measure_the_field(tmp_path, capsys, monkeypatch):
@@ -466,13 +467,46 @@ def test_make_mes_60_tensors_one_odd_ring(tmp_path, capsys):
     assert data["decided_by"] == "diagonal-marginals"
 
 
+def test_make_and_verify_mes_64_allocate_no_dense_state(tmp_path, capsys):
+    # the 64^4 = 2^24 amplitudes of a dense state take 256 MiB; the dump lists 4096 kets
+    import tracemalloc
+
+    path = tmp_path / "mes64.state"
+    for argv in (["make-mes", "64", "--output", str(path)], ["verify-mes", str(path)]):
+        tracemalloc.start()
+        try:
+            code = main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0, argv
+        assert peak < 16 << 20, (argv, peak)
+    assert json.loads(capsys.readouterr().out.split("\n", 1)[1])["decided_by"] == "diagonal-marginals"
+
+
+@pytest.mark.parametrize("zero", ["0.0 0.0", "-0.0 0.0", "0.0 -0.0"])
+def test_verify_mes_zero_amplitude_line_is_not_a_ket(tmp_path, capsys, zero):
+    # |1000> is no ket of the ring(5) state and shares digits 2-4 with |0000>: read
+    # as a ket, it would send every cut whose side A holds party 1 to the spectrum
+    path = tmp_path / "mes5.state"
+    assert run_cli(capsys, "make-mes", "5", "--output", str(path))[0] == 0
+    code, plain, _ = run_cli(capsys, "verify-mes", str(path))
+    assert code == 0
+    with_zero = tmp_path / "mes5-zero.state"
+    with_zero.write_text(path.read_text() + f"1000 {zero}\n")
+    assert run_cli(capsys, "verify-mes", str(with_zero)) == (0, plain, "")
+    report = json.loads(plain)
+    assert report["decided_by"] == "diagonal-marginals"
+    assert [b["rank"] for b in report["bipartitions"]] == [5] * 4 + [25] * 3
+
+
 def test_verify_mes_on_square_state_dump(tmp_path, capsys):
     from quditgraph import dump_state, square_state
     from util import field_for
 
     sq = square_state(field_for(4), 2)
     path = tmp_path / "square.state"
-    path.write_text(dump_state(sq.amps, 4, 4))
+    path.write_text(dump_state(sq))
     code, out, _ = run_cli(capsys, "verify-mes", str(path))
     assert code == 0
     assert json.loads(out)["verdict"] is True

@@ -5,7 +5,7 @@ from quditgraph import (
     Circuit,
     Gate,
     ResourceGuardError,
-    RingState,
+    SupportState,
     SymbolicState,
     build_mes,
     compose_mes,
@@ -18,7 +18,7 @@ from quditgraph import (
 from quditgraph.rewrite import mat_rref
 from quditgraph.simulator import bipartition_subsets, reduced_density_raw, spectrum
 
-from util import field_for, ket_strings, random_c_circuit, random_cadw_circuit
+from util import field_for, ket_strings, random_c_circuit, random_cadw_circuit, support_of
 
 # Expected expansion of the twist-2 square state over GF(4): every ket
 # |i, i+2k, k, i+k| with field arithmetic from the x^2+x+1 tables.
@@ -36,9 +36,9 @@ SQUARE_GF4_TWIST2_KETS = [
 
 def test_square_state_gf4_twist2_literal_terms():
     sq = square_state(field_for(4), 2)
-    assert sorted(ket_strings(sq.amps, 4, 4)) == sorted(SQUARE_GF4_TWIST2_KETS)
-    nz = np.abs(sq.amps) > 1e-12
-    assert np.allclose(sq.amps[nz], 0.25)
+    assert ket_strings(sq.dense(), 4, 4) == sorted(SQUARE_GF4_TWIST2_KETS)
+    assert ["".join(map(str, ket)) for ket in sq.digits.T] == sorted(SQUARE_GF4_TWIST2_KETS)  # ascending
+    assert np.array_equal(sq.amps, np.full(16, 0.25))
 
 
 def test_square_state_degenerate_twists_fail_verdict():
@@ -107,6 +107,38 @@ def test_compose_two_rings_gives_d15_mes():
     assert mes_verdict(composite, tol=1e-9).verdict
 
 
+def test_constructions_match_their_dense_formulas():
+    # the deleted dense constructions as oracles: the square state from its coefficient
+    # matrix, the ring state filled ket by ket, the composite as an interleaved outer product
+    for d in (2, 3, 4, 5, 7, 8, 9):
+        fld = field_for(d)
+        for twist in range(d):
+            sym = SymbolicState(fld, 4, np.array([[1, 1, 0, 1], [0, twist, 1, 1]]), np.zeros(4, dtype=np.int64))
+            assert np.array_equal(square_state(fld, twist).dense(), sym.dense_amps()), (d, twist)
+    for d in (2, 3, 6, 7):
+        ring = np.zeros([d] * 4)
+        for i in range(d):
+            for k in range(d):
+                ring[i, (i - k) % d, k, (i + k) % d] = 1 / d
+        assert np.array_equal(ring_square_state(d).dense(), ring.reshape(-1)), d
+    states = []
+    for parts in ([square_state(field_for(4), 2), ring_square_state(3)], [ring_square_state(3)] * 3):
+        want = np.ones([1] * 4)
+        for part in parts:
+            prod = np.multiply.outer(want, part.dense().reshape([part.d] * 4))
+            dim = want.shape[0] * part.d
+            want = prod.transpose([0, 4, 1, 5, 2, 6, 3, 7]).reshape([dim] * 4)
+        composite = compose_mes(parts)
+        assert composite.d == dim and composite.amps.size == dim ** 2
+        assert np.array_equal(composite.dense(), want.reshape(-1))
+        states += parts + [composite]
+    for state in states:
+        index = state.digits[0]
+        for row in state.digits[1:]:
+            index = index * state.d + row
+        assert np.all(np.diff(index) > 0), state.d  # kets listed once each, ascending
+
+
 def test_compose_rejects_non_mes_inputs():
     with pytest.raises(ValueError):
         compose_mes([ring_square_state(3), ring_square_state(2)])
@@ -164,7 +196,7 @@ def test_two_bell_pairs_are_not_four_party_mes():
     for a in range(d):
         for b in range(d):
             amps[((a * d + a) * d + b) * d + b] = 1 / d
-    report = mes_verdict(RingState(d, 4, amps))
+    report = mes_verdict(support_of(amps, d, 4))
     assert not report.verdict
     by_subset = {r.subset: r for r in report.records}
     for q in range(1, 5):
@@ -177,7 +209,7 @@ def test_ghz_fails_pair_check():
     fld = field_for(3)
     gates = (Gate("C", (1, 2), 1), Gate("C", (1, 3), 1), Gate("C", (1, 4), 1))
     circ = Circuit(fld, 4, ("s", "0", "0", "0"), gates)
-    report = mes_verdict(circ.simulate())
+    report = mes_verdict(support_of(circ.simulate().amps, 3, 4))
     assert not report.verdict
     pair = next(r for r in report.records if r.subset == (1, 2))
     assert pair.rank == 3 and not pair.maximally_mixed
@@ -310,7 +342,7 @@ def test_tripartite_checks_match_density_matrix_oracle(d):
     assert report["mes"]["available"] == built.ok
     if not built.ok:
         return
-    psi = built.state.amps.reshape(d ** 3, d)  # rows: systems 1-3, columns: system 4
+    psi = built.state.dense().reshape(d ** 3, d)  # rows: systems 1-3, columns: system 4
     rho_abc = psi @ psi.conj().T
     devs = [float(np.max(np.abs(rho_partial_trace(rho_abc, d, 3, p) - mixed))) for p in pairs]
     rank_abc = int(np.count_nonzero(np.linalg.eigvalsh(rho_abc) > tol))
@@ -322,11 +354,14 @@ def test_tripartite_checks_match_density_matrix_oracle(d):
 
 def test_tripartite_checks_guard_d3_entries():
     # every array holds at most d^3 entries, so every d that build_mes builds is answered;
-    # I/d^3 itself passes the 2^24 guard up to d = 256
+    # I/d^3 itself passes the 2^24 guard up to d = 256; past d = 64 the MES part reports the d^4 guard
     for d in (17, 32, 64):
         report = tripartite_marginal_checks(d)
         assert report["mes"]["rank"] == d
         assert report["mes"]["marginals_maximally_mixed"]
+    report = tripartite_marginal_checks(256)
+    assert report["trivial"] == {"rank": 256 ** 3, "marginals_maximally_mixed": True, "max_deviation": 0.0}
+    assert report["mes"] == {"available": False, "reason": "state of 256**4 amplitudes exceeds the 2^24 guard"}
     with pytest.raises(ResourceGuardError):
         tripartite_marginal_checks(257)
 
@@ -362,7 +397,7 @@ def dense_records(state, tol=1e-10):
 
     out = []
     for subset in bipartition_subsets(state.n):
-        rho = reduced_density_raw(state.amps, state.d, state.n, subset)
+        rho = reduced_density_raw(state.dense(), state.d, state.n, subset)
         dim = rho.shape[0]
         dev = float(np.max(np.abs(rho - np.eye(dim) / dim)))
         evals = spectrum(rho)
@@ -373,7 +408,7 @@ def dense_records(state, tol=1e-10):
 
 
 def assert_matches_dense(state, methods):
-    """The report agrees with the dense oracle and decided each cut by the expected method."""
+    """The report on a SupportState agrees with the dense oracle built from it and used the expected methods."""
     report = mes_verdict(state)
     oracle = dense_records(state)
     assert [r.subset for r in report.records] == [o[0] for o in oracle]
@@ -390,11 +425,8 @@ def assert_matches_dense(state, methods):
 
 def relabelled(state, rng):
     """The state with a seeded permutation of each party's basis labels (a local unitary)."""
-    d, n = state.d, state.n
-    t = state.amps.reshape([d] * n)
-    for axis in range(n):
-        t = np.take(t, rng.permutation(d), axis=axis)
-    return RingState(d, n, t.reshape(-1).copy())
+    digits = np.stack([rng.permutation(state.d)[row] for row in state.digits])
+    return SupportState(state.d, state.n, digits, state.amps)
 
 
 MES_ORACLE_DIMS = [3, 4, 5, 7, 8, 9, 12, 15, 16, 20]
@@ -403,17 +435,19 @@ MES_ORACLE_DIMS = [3, 4, 5, 7, 8, 9, 12, 15, 16, 20]
 @pytest.mark.parametrize("d", MES_ORACLE_DIMS)
 def test_build_mes_decided_by_diagonal_marginals_with_random_phases(d):
     rng = np.random.default_rng(d)
-    amps = build_mes(d).state.amps * np.exp(2j * np.pi * rng.random(d ** 4))
-    report = assert_matches_dense(RingState(d, 4, amps), ["diagonal"] * 7)
+    state = build_mes(d).state
+    amps = state.amps * np.exp(2j * np.pi * rng.random(d ** 2))
+    report = assert_matches_dense(SupportState(d, 4, state.digits, amps), ["diagonal"] * 7)
     assert report.verdict
 
 
 @pytest.mark.parametrize("d", MES_ORACLE_DIMS)
 def test_build_mes_support_with_uneven_magnitudes(d):
     rng = np.random.default_rng(100 + d)
-    amps = build_mes(d).state.amps * rng.uniform(0.2, 1.8, d ** 4)
+    state = build_mes(d).state
+    amps = state.amps * rng.uniform(0.2, 1.8, d ** 2)
     amps /= np.linalg.norm(amps)
-    report = assert_matches_dense(RingState(d, 4, amps), ["diagonal"] * 7)
+    report = assert_matches_dense(SupportState(d, 4, state.digits, amps), ["diagonal"] * 7)
     assert not report.verdict
 
 
@@ -438,7 +472,7 @@ def test_random_dense_states_fall_back_to_the_spectrum(n):
     for d in (2, 3):
         amps = rng.standard_normal(d ** n) + 1j * rng.standard_normal(d ** n)
         amps /= np.linalg.norm(amps)
-        assert_matches_dense(RingState(d, n, amps), ["spectrum"] * len(bipartition_subsets(n)))
+        assert_matches_dense(support_of(amps, d, n), ["spectrum"] * len(bipartition_subsets(n)))
 
 
 @pytest.mark.parametrize("n", [2, 3, 5])
@@ -462,7 +496,7 @@ def test_product_states(n):
         # the support projects injectively onto B exactly when every party of A holds one ket
         methods = ["diagonal" if all(kets[q - 1] for q in subset) else "spectrum"
                    for subset in bipartition_subsets(n)]
-        report = assert_matches_dense(RingState(d, n, amps), methods)
+        report = assert_matches_dense(support_of(amps, d, n), methods)
         assert not report.verdict and all(r.rank == 1 for r in report.records)
 
 
@@ -470,10 +504,10 @@ def test_support_is_exact_with_no_threshold():
     # a 1e-300 amplitude on |1000> shares every digit but the first with
     # |0000> in the support, so no cut whose side A holds party 1 projects
     # injectively; those cuts must not be read as diagonal
-    amps = build_mes(3).state.amps.copy()
-    amps[27] = 1e-300
+    state = build_mes(3).state
+    tiny = SupportState(3, 4, np.hstack([state.digits, [[1], [0], [0], [0]]]), np.append(state.amps, 1e-300))
     methods = ["spectrum"] + ["diagonal"] * 3 + ["spectrum"] * 3
-    assert assert_matches_dense(RingState(3, 4, amps), methods).verdict
+    assert assert_matches_dense(tiny, methods).verdict
 
 
 def test_make_and_verify_mes_32_run_no_eigvalsh(tmp_path, monkeypatch, capsys):

@@ -20,7 +20,13 @@ from quditgraph import (
     square_state,
     states_equal_up_to_phase,
 )
-from quditgraph.simulator import bipartition_subsets, sequence_source_map, validate_gate
+from quditgraph.simulator import (
+    bipartition_subsets,
+    parse_state,
+    reduced_density_raw,
+    sequence_source_map,
+    validate_gate,
+)
 
 from util import (
     dump_state_loop,
@@ -29,6 +35,7 @@ from util import (
     oracle_sequence_matrix,
     random_cadw_circuit,
     random_gate,
+    support_of,
 )
 
 # ---------------------------------------------------------------------------
@@ -285,7 +292,7 @@ def test_product_state_marginal_is_pure():
 
 def test_square_state_pair_marginal_f4():
     sq = square_state(field_for(4), 2)
-    dm = reduced_density(sq, [1, 2])
+    dm = reduced_density_raw(sq.dense(), 4, 4, [1, 2])
     assert np.max(np.abs(dm - np.eye(16) / 16)) < 1e-12
 
 
@@ -336,10 +343,13 @@ def test_states_equal_up_to_phase():
 
 def test_dump_round_trip():
     sq = square_state(field_for(4), 2)
-    text = dump_state(sq.amps, 4, 4, header=["construction test"])
+    text = dump_state(sq, header=["construction test"])
     amps, d, n = parse_state_dump(text)
     assert (d, n) == (4, 4)
-    assert np.allclose(amps, sq.amps)
+    assert np.array_equal(amps, sq.dense())
+    parsed = parse_state(text)
+    assert (parsed.d, parsed.n) == (4, 4)
+    assert np.array_equal(parsed.digits, sq.digits) and np.array_equal(parsed.amps, sq.amps)
     first_data = next(l for l in text.splitlines() if not l.startswith("#"))
     assert first_data.split()[0] == "0000"
 
@@ -348,7 +358,7 @@ def test_dump_round_trip_large_dimension():
     rng = np.random.default_rng(0)
     amps = rng.standard_normal(12 ** 2) + 1j * rng.standard_normal(12 ** 2)
     amps /= np.linalg.norm(amps)
-    text = dump_state(amps, 12, 2, header=[])
+    text = dump_state(support_of(amps, 12, 2), header=[])
     parsed, d, n = parse_state_dump(text)
     assert (d, n) == (12, 2)
     assert np.max(np.abs(parsed - amps)) < 1e-15
@@ -363,7 +373,7 @@ def test_dump_parse_errors():
 
 def test_sorted_dump_order():
     st = init_state(field_for(2), 3, ["s", "s", "s"])
-    lines = [l for l in dump_state(st.amps, 2, 3).splitlines() if not l.startswith("#")]
+    lines = [l for l in dump_state(support_of(st.amps, 2, 3)).splitlines() if not l.startswith("#")]
     assert [l.split()[0] for l in lines] == sorted(l.split()[0] for l in lines)
 
 
@@ -384,7 +394,7 @@ def test_dump_matches_the_per_amplitude_loop():
     amps[rng.random(37 ** 2) < 0.5] = 0
     cases.append((amps, 37, 2, []))  # d > 36: comma-separated digits
     cases.append((np.zeros(2 ** 5, dtype=np.complex128), 2, 5, ["all zero", "second header"]))
-    cases.append((square_state(field_for(4), 2).amps, 4, 4, []))
+    cases.append((square_state(field_for(4), 2).dense(), 4, 4, []))
     for amps, d, n, header in cases:
-        assert dump_state(amps, d, n, header) == dump_state_loop(amps, d, n, header)
-    assert dump_state(cases[2][0], 2, 5) == "# quditgraph-state d=2 qudits=5\n"
+        assert dump_state(support_of(amps, d, n, 1e-14), header) == dump_state_loop(amps, d, n, header)
+    assert dump_state(support_of(cases[2][0], 2, 5)) == "# quditgraph-state d=2 qudits=5\n"

@@ -6,7 +6,8 @@ import functools
 
 import numpy as np
 
-from quditgraph import Circuit, Field, Gate, gate_matrix, sequence_matrix
+from quditgraph import Circuit, Field, Gate, SupportState, gate_matrix, sequence_matrix
+from quditgraph.simulator import ket_digits
 
 field_for = functools.cache(Field.of_order)
 
@@ -134,6 +135,12 @@ def scalar_matmul(fld: Field, a, b) -> np.ndarray:
                 acc = fld.add(acc, fld.mul(int(a[i][t]), int(b[t][j])))
             out[i, j] = acc
     return out
+
+
+def support_of(amps: np.ndarray, d: int, n: int, tol: float = 0.0) -> SupportState:
+    """A dense amplitude vector in the support form: its kets of magnitude above tol, ascending."""
+    kets = np.flatnonzero(np.abs(amps) > tol)
+    return SupportState(d, n, ket_digits(kets, d, n), amps[kets])
 
 
 def dump_state_loop(amps: np.ndarray, d: int, n: int, header=()) -> str:
