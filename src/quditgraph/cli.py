@@ -3,9 +3,9 @@
 Verbs: normalize, classify, dual-check, verify-mes, make-mes, relations-test,
 simulate.  Exit codes: 0 success / verdict true, 1 verdict false, 2 usage or
 parse error, 3 resource guard, 4 internal error (one `internal error: ...`
-line on stderr).  Only the verbs that decide by it take --tolerance:
-dual-check and verify-mes.  normalize --verify decides exactly, by comparing
-the supports of the two dense states.
+line on stderr).  Only the verbs that decide by it take --tolerance, a
+number 0 <= tol < 1: dual-check and verify-mes.  normalize --verify decides
+exactly, comparing the circuit's nonzero amplitudes with the graph's kets.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from .rewrite import (
     parse_circuit,
     relations_suite,
 )
-from .simulator import ResourceGuardError, SupportState, dump_state, ket_digits, parse_state
+from .simulator import ResourceGuardError, SupportState, dump_state, ket_digits, ket_index, parse_state
 
 EXIT_OK = 0
 EXIT_FALSE = 1
@@ -51,6 +51,13 @@ def _field_arg(text: str) -> Field:
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
+def _tolerance_arg(text: str) -> float:
+    tol = float(text)  # argparse reports a ValueError as an invalid value
+    if not 0 <= tol < 1:  # false for nan; from 1 up every deviation and spectrum check passes
+        raise argparse.ArgumentTypeError(f"tolerance must be a finite number with 0 <= tol < 1, got {text}")
+    return tol
+
+
 # ---------------------------------------------------------------------------
 # Verb handlers
 # ---------------------------------------------------------------------------
@@ -60,13 +67,13 @@ def cmd_normalize(args) -> int:
     perm, graph = canonicalize(circuit)
     verification = None
     if args.verify:
-        # both sides are uniform over d^k kets, so equal supports decide exactly;
-        # the float deviation is reported for information
-        original = circuit.simulate().amps
-        rebuilt = graph.state().amps
-        support = original != 0
-        equal = bool(np.array_equal(support, rebuilt != 0) and np.count_nonzero(support) == circuit.field.d ** circuit.k)
-        verification = {"equal": equal, "max_deviation": float(np.max(np.abs(original - rebuilt)))}
+        # the graph's d^k kets are distinct, so equal supports decide; the deviation is for information
+        amps = circuit.simulate().amps
+        support = graph.to_symbolic().support()
+        kets = ket_index(support.digits, support.d)
+        equal = bool(np.array_equal(np.flatnonzero(amps), kets))
+        amps[kets] -= support.amps
+        verification = {"equal": equal, "max_deviation": float(np.max(np.abs(amps)))}
     if args.format == "dot":
         out = graph_to_dot(graph)
         if verification is not None:
@@ -176,12 +183,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="verb", required=True)
 
     def add_tolerance(p):
-        p.add_argument("--tolerance", type=float, default=1e-10)
+        p.add_argument("--tolerance", type=_tolerance_arg, default=1e-10, help="0 <= tol < 1")
 
     p = sub.add_parser("normalize", help="reduce a C-only circuit file to its bipartite graph")
     p.add_argument("circuit")
     p.add_argument("--format", choices=["json", "dot", "text"], default="json")
-    p.add_argument("--verify", action="store_true", help="re-simulate and compare dense supports")
+    p.add_argument("--verify", action="store_true", help="re-simulate and compare supports")
     p.set_defaults(func=cmd_normalize)
 
     p = sub.add_parser("classify", help="enumerate and classify graph states at small N")
@@ -208,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("relations-test", help="exact operator check of all rewrite rules")
     p.add_argument("--fields", default="2,3,4,5", help="comma-separated prime powers")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--samples", type=int, default=1000, help="random tuples for d > 5")
+    p.add_argument("--samples", type=int, default=1000, help="random tuples for d > 5, at most 2^20")
     p.add_argument("--format", choices=["json", "text"], default="text")
     p.set_defaults(func=cmd_relations_test)
 

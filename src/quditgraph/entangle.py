@@ -54,15 +54,13 @@ def square_state(fld: Field, twist: int) -> SupportState:
     """Four-qudit square-graph state with edge labels (1, 1, 1, twist).
 
     Amplitude d^-1 on the d^2 kets |i, i + twist*k, k, i + k> for i, k in the
-    field, listed in ascending order as a dump lists them.  Any twist is
-    accepted; mes_verdict flags the degenerate choices 0 and 1.
+    field: the support of rows [1, 1, 0, 1] and [0, twist, 1, 1], ascending as
+    a dump lists them.  Any twist is accepted; mes_verdict flags 0 and 1.
     """
     if not 0 <= twist < fld.d:
         raise ValueError(f"twist {twist} out of range for order-{fld.d} field")
     check_state_size(fld.d, 4)
-    i, k = np.indices((fld.d, fld.d)).reshape(2, -1)
-    digits = np.stack([i, fld.add_arr(i, fld.mul_arr(twist, k)), k, fld.add_arr(i, k)])
-    return SupportState(fld.d, 4, digits[:, np.lexsort(digits[::-1])], np.full(i.size, 1.0 / fld.d, dtype=complex))
+    return SymbolicState(fld, 4, [[1, 1, 0, 1], [0, twist, 1, 1]], np.zeros(4, dtype=np.int64)).support()
 
 
 def ring_square_state(d: int) -> SupportState:
@@ -297,7 +295,8 @@ def tripartite_marginal_checks(d: int, tol: float = DEFAULT_TOL) -> dict:
     """Rank facts about tripartite states whose pair marginals are I/d^2.
 
     Part one: I/d^3, of rank d^3 >= d, is diagonal with weight d^-3 on each
-    ket, so each pair marginal is a bincount of pair digits.  Part two, for
+    ket, so each pair marginal counts the kets of each pair of digits: the
+    sum over the third axis of a (d, d, d) array of ones.  Part two, for
     every d that build_mes builds (d <= 64, else the reason it does not):
     tracing system 4 from its state leaves rho_ABC of rank d with the same
     marginals, read from one mes_verdict: pairs (1, 2) and (1, 3) and rank
@@ -306,9 +305,8 @@ def tripartite_marginal_checks(d: int, tol: float = DEFAULT_TOL) -> dict:
     spectrum, and a flat full-rank spectrum on d^2 dimensions is I/d^2.
     """
     check_state_size(d, 3)
-    kets = np.arange(d ** 3)
-    marginals = (np.bincount(ket_index((kets // d ** (3 - q) % d for q in pair), d)) / d ** 3
-                 for pair in ((1, 2), (1, 3), (2, 3)))
+    ones = np.ones((d, d, d), dtype=np.uint8)  # one byte per ket: 16 MiB at d = 256
+    marginals = (ones.sum(axis=axis).ravel() / d ** 3 for axis in (2, 1, 0))  # pairs (1, 2), (1, 3), (2, 3)
     trivial_dev = max(float(np.max(np.abs(m - 1.0 / d ** 2))) for m in marginals)
     report = {
         "d": d,

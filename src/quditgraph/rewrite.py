@@ -4,7 +4,7 @@ A circuit of A/D/C/W gates acting on a register initialized to a mix of
 uniform-superposition wires and zero wires produces a uniform superposition
 over an affine row space.  The SymbolicState tracks that space exactly as a
 k x N coefficient matrix over the field plus an offset vector, where k is
-the number of superposition wires.
+the number of superposition wires, and support() lists its d^k kets.
 
 Canonicalization reduces any C-only circuit to a directed bipartite graph:
 source vertices are the wires carrying the superposition, sink vertices the
@@ -24,11 +24,12 @@ from .gf import Field
 from .simulator import (
     GATE_ARITY,
     Gate,
+    ResourceGuardError,
     StateVector,
+    SupportState,
     _run_raw,
     check_state_size,
     init_state,
-    ket_index,
     validate_gate,
 )
 
@@ -270,22 +271,22 @@ class SymbolicState:
         affine_update(self.field, self._rows, gate.kind, gate.wires, gate.param)
         return self
 
-    def dense_amps(self) -> np.ndarray:
-        """Reconstruct the dense amplitude vector."""
+    def support(self) -> SupportState:
+        """The d^k kets uM + b (u in F^k), ascending, each of amplitude d^(-k/2), under the d^n guard.
+
+        Dependent rows repeat a ket, once per u that reaches it; SupportState.dense adds repeats up.
+        """
         fld, d, n, k = self.field, self.field.d, self.n, self.k
         check_state_size(d, n)
-        elements = np.arange(d)
+        digits = self.offsets[:, None]  # (n, d^i) after i rows, one column per (u_1..u_i), u_1 slowest
+        for row in self.matrix:
+            digits = fld.add_arr(digits[:, :, None], fld.mul_arr(row[:, None, None], np.arange(d))).reshape(n, -1)
+        amps = np.full(d ** k, d ** (-k / 2), dtype=np.complex128)
+        return SupportState(d, n, digits[:, np.lexsort(digits[::-1])], amps)
 
-        def wire_digits(q):
-            # digit of wire q for every u in F^k, u_1 slowest: one new axis per u_i
-            digit = self.offsets[q]
-            for i in range(k):
-                digit = fld.add_arr(digit[..., None], fld.mul_arr(self.matrix[i, q], elements))
-            return np.ravel(digit)
-
-        amps = np.zeros(d ** n, dtype=np.complex128)
-        np.add.at(amps, ket_index(map(wire_digits, range(n)), d), d ** (-k / 2))
-        return amps
+    def dense_amps(self) -> np.ndarray:
+        """Reconstruct the dense amplitude vector."""
+        return self.support().dense()
 
 
 def states_equal_symbolic(s1: SymbolicState, s2: SymbolicState) -> bool:
@@ -561,6 +562,9 @@ def compare_sequences(fld: Field, n_wires: int, lhs: Sequence[Gate], rhs: Sequen
     return same, 0.0 if same else 1.0
 
 
+RELATIONS_SAMPLES_LIMIT = 2 ** 20  # random cases of one relations_suite call: about 25 us and 0.25 KiB each
+
+
 def relations_suite(fld: Field, exhaustive: bool = True, samples: int = 1000, seed: int = 0,
                     rhs_fn: Optional[Callable] = None) -> dict:
     """Verify every rewrite rule as an operator identity.
@@ -576,8 +580,11 @@ def relations_suite(fld: Field, exhaustive: bool = True, samples: int = 1000, se
     order the Field class supports can be tested.
     A rule is ok only when it was checked at least once and never failed,
     so a sample that misses a rule cannot pass it.  Its first failure is its
-    earliest failing case.
+    earliest failing case.  More than RELATIONS_SAMPLES_LIMIT samples raise
+    ResourceGuardError before any case is drawn, in either mode.
     """
+    if samples > RELATIONS_SAMPLES_LIMIT:
+        raise ResourceGuardError(f"{samples} relation samples exceed the limit of {RELATIONS_SAMPLES_LIMIT} per field")
     rhs_fn = rhs_fn or commute_pair
     results: dict[str, dict] = {name: {"checked": 0, "first_failure": None} for name in RELATIONS}
     cases: list[tuple[str, int, int]] = []

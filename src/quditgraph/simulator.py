@@ -130,10 +130,10 @@ class SupportState:
     amps: np.ndarray
 
     def dense(self) -> np.ndarray:
-        """The d^n amplitude vector, under the state-size guard."""
+        """The d^n amplitude vector, under the state-size guard; a repeated ket's amplitudes add up."""
         check_state_size(self.d, self.n)
         amps = np.zeros(self.d ** self.n, dtype=np.complex128)
-        amps[ket_index(self.digits, self.d)] = self.amps
+        np.add.at(amps, ket_index(self.digits, self.d), self.amps)
         return amps
 
 

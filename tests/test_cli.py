@@ -123,17 +123,17 @@ def test_normalize_verify_mismatch_exit_1(tmp_path, capsys, monkeypatch, fmt):
 
 
 def test_normalize_verify_decides_by_support_not_float_deviation(tmp_path, capsys, monkeypatch):
-    from quditgraph import GraphState, StateVector
+    from quditgraph import Circuit, StateVector
 
     path = tmp_path / "example.qc"
     path.write_text(EXAMPLE_CIRCUIT)
-    exact = GraphState.state
+    exact = Circuit.simulate
 
-    def rounded(graph):
-        state = exact(graph)
+    def rounded(circuit):
+        state = exact(circuit)
         return StateVector(state.field, state.n, state.amps * (1 + 1e-6))
 
-    monkeypatch.setattr(GraphState, "state", rounded)
+    monkeypatch.setattr(Circuit, "simulate", rounded)
     code, out, _ = run_cli(capsys, "normalize", str(path), "--verify")
     assert code == 0
     verification = json.loads(out)["verification"]
@@ -142,17 +142,34 @@ def test_normalize_verify_decides_by_support_not_float_deviation(tmp_path, capsy
 
 
 def test_normalize_verify_needs_the_full_support(tmp_path, capsys, monkeypatch):
-    # equal supports are not enough: both sides must cover d^k kets
-    from quditgraph import GraphState, StateVector
+    # a simulated state on one of the graph's d^k kets has no ket outside its support, yet differs
+    from quditgraph import StateVector
 
     path = tmp_path / "bell.qc"
     path.write_text(BELL_CIRCUIT)
-    one_ket = lambda obj: StateVector(obj.field, 2, np.eye(1, 9)[0])
+    one_ket = lambda circuit: StateVector(circuit.field, 2, np.eye(1, 9, dtype=complex)[0])
     monkeypatch.setattr(quditgraph.Circuit, "simulate", one_ket)
-    monkeypatch.setattr(GraphState, "state", one_ket)
     code, out, _ = run_cli(capsys, "normalize", str(path), "--verify")
     assert code == 1
-    assert json.loads(out)["verification"] == {"equal": False, "max_deviation": 0.0}
+    verification = json.loads(out)["verification"]
+    assert verification["equal"] is False
+    assert verification["max_deviation"] == pytest.approx(3 ** -0.5)
+
+
+def test_normalize_verify_builds_no_dense_graph_state(tmp_path, capsys, monkeypatch):
+    # the graph side of the comparison is its exact support, never a dense vector
+    from quditgraph import GraphState, SymbolicState
+
+    def refuse(self):
+        raise AssertionError("normalize --verify built a dense graph state")
+
+    path = tmp_path / "example.qc"
+    path.write_text(EXAMPLE_CIRCUIT)
+    expected = run_cli(capsys, "normalize", str(path), "--verify")
+    monkeypatch.setattr(SymbolicState, "dense_amps", refuse)
+    monkeypatch.setattr(GraphState, "state", refuse)
+    assert run_cli(capsys, "normalize", str(path), "--verify") == expected
+    assert expected[0] == 0
 
 
 def test_normalize_parse_error_exit_2(tmp_path, capsys):
@@ -577,6 +594,26 @@ def test_relations_cli_rejects_samples_below_one(capsys, samples):
     assert "--samples must be at least 1" in err
 
 
+def test_relations_samples_bound(capsys, monkeypatch):
+    # past the bound the count is refused before a case is drawn, whatever the mode
+    from quditgraph import rewrite
+
+    limit = rewrite.RELATIONS_SAMPLES_LIMIT
+    assert limit == 2 ** 20
+    for argv in (["--fields", "7"], ["--fields", "2,7"], ["--fields", "7", "--format", "json"]):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "relations-test", *argv, "--samples", str(limit + 1))
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (3, "")
+        assert f"{limit + 1} relation samples exceed the limit of {limit} per field" in err
+    with pytest.raises(quditgraph.ResourceGuardError):
+        quditgraph.relations_suite(quditgraph.Field(7, 1), exhaustive=False, samples=10 ** 9)
+    monkeypatch.setattr(rewrite, "RELATIONS_SAMPLES_LIMIT", 400)  # both sides of the bound, at a size a test can run
+    code, out, _ = run_cli(capsys, "relations-test", "--fields", "7", "--samples", "400")
+    assert code == 0 and "field 7 1 0 (random[400]):" in out
+    assert run_cli(capsys, "relations-test", "--fields", "7", "--samples", "401")[0] == 3
+
+
 def test_relations_cli_unchecked_rule_fails(capsys):
     # three random tuples cannot reach all 13 rules; a rule never checked is not ok
     code, out, _ = run_cli(capsys, "relations-test", "--fields", "7", "--samples", "3")
@@ -685,6 +722,23 @@ def test_tolerance_only_on_verbs_that_read_it(tmp_path, capsys):
     assert run_cli(capsys, "normalize", str(path), "--verify", "--tolerance", "1e-9")[0] == 2
     assert run_cli(capsys, "relations-test", "--fields", "2", "--tolerance", "1e-9")[0] == 2
     assert run_cli(capsys, "make-mes", "5", "--tolerance", "1e-9")[0] == 2
+
+
+@pytest.mark.parametrize("tolerance", ["nan", "inf", "-inf", "-1", "1", "1.5", "abc"])
+def test_tolerance_must_lie_in_0_1(tmp_path, capsys, tolerance):
+    # nan made every check false, inf every check true; at tol >= 1 every deviation passes
+    dump = tmp_path / "mes5.state"
+    assert run_cli(capsys, "make-mes", "5", "--output", str(dump))[0] == 0
+    graph = tmp_path / "graph.json"
+    graph.write_text('{"field": {"p": 3, "n": 1, "poly": 0}, "S": [1], "O": [2], "edges": [{"from": 1, "to": 2, "label": 1}]}')
+    for argv in (["verify-mes", str(dump)], ["dual-check", str(graph)]):
+        code, out, err = run_cli(capsys, *argv, f"--tolerance={tolerance}")
+        assert (code, out) == (2, ""), argv
+        assert "argument --tolerance:" in err
+        if tolerance != "abc":
+            assert f"tolerance must be a finite number with 0 <= tol < 1, got {tolerance}" in err
+        assert run_cli(capsys, *argv, "--tolerance", "0")[0] != 2  # both ends of [0, 1) are accepted
+        assert run_cli(capsys, *argv, "--tolerance", "0.999")[0] == 0
 
 
 def test_unknown_verb_exit_2(capsys):

@@ -108,13 +108,16 @@ def test_compose_two_rings_gives_d15_mes():
 
 
 def test_constructions_match_their_dense_formulas():
-    # the deleted dense constructions as oracles: the square state from its coefficient
-    # matrix, the ring state filled ket by ket, the composite as an interleaved outer product
+    # the deleted dense constructions as oracles: the square and ring states filled
+    # ket by ket, the composite as an interleaved outer product
     for d in (2, 3, 4, 5, 7, 8, 9):
         fld = field_for(d)
         for twist in range(d):
-            sym = SymbolicState(fld, 4, np.array([[1, 1, 0, 1], [0, twist, 1, 1]]), np.zeros(4, dtype=np.int64))
-            assert np.array_equal(square_state(fld, twist).dense(), sym.dense_amps()), (d, twist)
+            square = np.zeros([d] * 4)
+            for i in range(d):
+                for k in range(d):
+                    square[i, fld.add(i, fld.mul(twist, k)), k, fld.add(i, k)] = 1 / d
+            assert np.array_equal(square_state(fld, twist).dense(), square.reshape(-1)), (d, twist)
     for d in (2, 3, 6, 7):
         ring = np.zeros([d] * 4)
         for i in range(d):
@@ -355,11 +358,19 @@ def test_tripartite_checks_match_density_matrix_oracle(d):
 def test_tripartite_checks_guard_d3_entries():
     # every array holds at most d^3 entries, so every d that build_mes builds is answered;
     # I/d^3 itself passes the 2^24 guard up to d = 256; past d = 64 the MES part reports the d^4 guard
+    import tracemalloc
+
     for d in (17, 32, 64):
         report = tripartite_marginal_checks(d)
         assert report["mes"]["rank"] == d
         assert report["mes"]["marginals_maximally_mixed"]
-    report = tripartite_marginal_checks(256)
+    tracemalloc.start()
+    try:
+        report = tripartite_marginal_checks(256)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2 ** 20, peak  # one byte per ket of I/d^3, no d^3-entry int64 array
     assert report["trivial"] == {"rank": 256 ** 3, "marginals_maximally_mixed": True, "max_deviation": 0.0}
     assert report["mes"] == {"available": False, "reason": "state of 256**4 amplitudes exceeds the 2^24 guard"}
     with pytest.raises(ResourceGuardError):

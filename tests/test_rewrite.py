@@ -6,6 +6,7 @@ from quditgraph import (
     CircuitParseError,
     Gate,
     GraphState,
+    ResourceGuardError,
     SymbolicState,
     canonicalize,
     commute_pair,
@@ -24,6 +25,7 @@ from quditgraph.rewrite import RELATIONS, affine_maps_equal, compare_sequences, 
 from quditgraph.simulator import sequence_source_map, validate_gate
 
 from util import (
+    dense_amps_scatter,
     field_for,
     ket_strings,
     random_c_circuit,
@@ -81,6 +83,35 @@ def test_symbolic_semantics_match_dense_simulation(d):
         sym = SymbolicState.from_circuit(circ)
         assert mat_rank(fld, sym.matrix) == circ.k  # unitary gates keep full rank
         assert np.max(np.abs(sym.dense_amps() - circ.simulate().amps)) < 1e-12
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 7, 8, 9])
+def test_support_lists_the_affine_kets(d):
+    # support().dense() against the wire-by-wire scatter; the kets come ascending and distinct
+    fld = field_for(d)
+    rng = np.random.default_rng(300 + d)
+    for _ in range(60):
+        n = int(rng.integers(2, 6 if d < 7 else 5))
+        k = int(rng.integers(1, n))
+        sym = SymbolicState.from_circuit(random_cadw_circuit(fld, n, k, int(rng.integers(1, 31)), rng))
+        support = sym.support()
+        assert np.array_equal(support.dense(), dense_amps_scatter(sym))
+        assert np.array_equal(sym.dense_amps(), dense_amps_scatter(sym))
+        index = np.ravel_multi_index(tuple(support.digits), (d,) * n)
+        assert support.amps.size == d ** k and np.all(np.diff(index) > 0)
+        assert np.all(support.amps == d ** (-k / 2))
+    with pytest.raises(ResourceGuardError):  # the dense guard on d^n, before any ket is listed
+        SymbolicState.from_pattern(fld, ("s",) + ("0",) * 24).support()
+
+
+def test_support_of_dependent_rows_sums_repeated_kets():
+    # rows [1, 1] and [2, 2] reach each of |00>, |11>, |22> from three u, each at amplitude 1/3
+    sym = SymbolicState(field_for(3), 2, np.array([[1, 1], [2, 2]]), np.zeros(2, dtype=np.int64))
+    support = sym.support()
+    assert support.amps.size == 9
+    assert np.array_equal(support.digits, np.repeat([[0, 1, 2], [0, 1, 2]], 3, axis=1))
+    assert np.array_equal(sym.dense_amps(), dense_amps_scatter(sym))
+    assert np.allclose(sym.dense_amps(), np.eye(3).reshape(-1))
 
 
 def test_symbolic_rejects_fourier_and_reversal():

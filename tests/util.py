@@ -6,8 +6,8 @@ import functools
 
 import numpy as np
 
-from quditgraph import Circuit, Field, Gate, SupportState, gate_matrix, sequence_matrix
-from quditgraph.simulator import ket_digits
+from quditgraph import Circuit, Field, Gate, SupportState, SymbolicState, gate_matrix, sequence_matrix
+from quditgraph.simulator import ket_digits, ket_index
 
 field_for = functools.cache(Field.of_order)
 
@@ -141,6 +141,23 @@ def support_of(amps: np.ndarray, d: int, n: int, tol: float = 0.0) -> SupportSta
     """A dense amplitude vector in the support form: its kets of magnitude above tol, ascending."""
     kets = np.flatnonzero(np.abs(amps) > tol)
     return SupportState(d, n, ket_digits(kets, d, n), amps[kets])
+
+
+def dense_amps_scatter(sym: SymbolicState) -> np.ndarray:
+    """SymbolicState.dense_amps as a wire-by-wire scatter: the oracle for support().dense()."""
+    fld, d, n, k = sym.field, sym.field.d, sym.n, sym.k
+    elements = np.arange(d)
+
+    def wire_digits(q):
+        # digit of wire q for every u in F^k, u_1 slowest: one new axis per u_i
+        digit = sym.offsets[q]
+        for i in range(k):
+            digit = fld.add_arr(digit[..., None], fld.mul_arr(sym.matrix[i, q], elements))
+        return np.ravel(digit)
+
+    amps = np.zeros(d ** n, dtype=np.complex128)
+    np.add.at(amps, ket_index(map(wire_digits, range(n)), d), d ** (-k / 2))
+    return amps
 
 
 def dump_state_loop(amps: np.ndarray, d: int, n: int, header=()) -> str:
