@@ -24,7 +24,7 @@ block B alone.  Sorted (-rank, |A|) pairs order orbits exactly as sorted
 spectra do.  The sweep holds all label blocks of one k as one array and gets
 the exponents of every labelling and bipartition from one
 rewrite.rank_exponents call, the formula's one owner, which reduces two
-small sub-blocks of B per cut.
+small sub-blocks of B per cut with _eliminate, shared with mat_rref.
 The guard bounds what the sweep visits: at most 2^16 labellings, the sum
 over k = 1..N/2 of d^(k(N-k)).  The cost per labelling grows with N, not with
 the field's order: measured on a 2-core Xeon, N = 5 over GF(5) (16250

@@ -33,7 +33,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .gf import Field
-from .rewrite import SymbolicState, mat_rref, rank_exponents
+from .rewrite import SymbolicState, rank_exponents
 from .simulator import (
     DEFAULT_TOL,
     ResourceGuardError,
@@ -270,20 +270,19 @@ def mes_verdict(state: SupportState, tol: float = DEFAULT_TOL) -> BipartitionRep
 def symbolic_rdm_rank(sym: SymbolicState, subset: Sequence[int]) -> int:
     """Rank of a reduced density matrix straight from the coefficient matrix.
 
-    The state is uniform over the row space of the matrix, whose RREF is a
-    standard form [I_k | B] once its k pivot wires are read as the sources
-    and the rest as the sinks (as in rewrite.graph_from_symbolic).  The rank
-    is d^e with e from rewrite.rank_exponents on that label block B and the
-    subset in the same wire order.  Cross-checked against dense ranks in the
-    test suite.
+    The state is uniform over the row space of the matrix, whose standard
+    form (SymbolicState.standard_form) is [I_r | B] with the r pivot wires
+    as the sources and the rest as the sinks.  The rank is d^e with e from
+    rewrite.rank_exponents on that label block B and the subset in the same
+    wire order; offsets are local shifts and leave it unchanged.
+    Cross-checked against dense ranks in the test suite.
     """
     keep = sorted(set(subset))
     if not keep or len(keep) == sym.n or any(not 1 <= q <= sym.n for q in keep):
         raise ValueError("subset must be a nonempty proper subset of the wires")
-    rref, pivots = mat_rref(sym.field, sym.matrix)
-    sinks = [q for q in range(sym.n) if q not in pivots]
-    position = {q + 1: i + 1 for i, q in enumerate(pivots + sinks)}
-    block = rref[: len(pivots), sinks]
+    pivots, block, _ = sym.standard_form()
+    order = pivots + sorted(set(range(sym.n)) - set(pivots))
+    position = {q + 1: i + 1 for i, q in enumerate(order)}
     return sym.field.d ** int(rank_exponents(sym.field, block[None], [[position[q] for q in keep]])[0, 0])
 
 

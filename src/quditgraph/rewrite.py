@@ -111,26 +111,6 @@ def _eliminate(fld: Field, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return m, pivots
 
 
-def rref_stack(fld: Field, mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Reduced row echelon forms of a (batch, rows, cols) stack over the field.
-
-    Returns the RREF stack and a (batch, cols) boolean mask of the pivot
-    columns: the elimination of _eliminate, then the rows put in echelon
-    order.  Raises ValueError for an entry outside [0, d).
-    """
-    m = np.array(mats, dtype=np.int64)
-    if m.ndim != 3:
-        raise ValueError(f"rref_stack expects a (batch, rows, cols) stack, got shape {m.shape}")
-    fld.check_arr(m)
-    m, pivots = _eliminate(fld, m)
-    if m.size == 0:
-        return m, pivots
-    # Pivot rows in the order of their pivot columns, then the zero rows.
-    lead = np.where(m.any(axis=2), (m != 0).argmax(axis=2), m.shape[2])
-    order = np.argsort(lead, axis=1, kind="stable")
-    return m[np.arange(len(m))[:, None], order], pivots
-
-
 def rank_exponents(fld: Field, blocks: np.ndarray, subsets: Sequence[Sequence[int]]) -> np.ndarray:
     """RDM rank exponents of standard-form graph states from their label blocks.
 
@@ -140,10 +120,10 @@ def rank_exponents(fld: Field, blocks: np.ndarray, subsets: Sequence[Sequence[in
     d^e, e = rank B[S - A, O & A] + rank B[S & A, O - A] (the rank of
     [I_k | B] on the columns of A is |S & A| + rank B[S - A, O & A]).
     Returns e as a (batch, len(subsets)) array, one column per subset of
-    1-based wires.  Each nonempty sub-block is reduced by the elimination of
-    rref_stack, with no echelon sort, and its rank is its pivot count; an
-    empty block has rank 0.  Raises ValueError for an entry outside [0, d)
-    or a wire outside 1..N.
+    1-based wires.  Each nonempty sub-block is reduced by _eliminate, the
+    loop of mat_rref, without its echelon sort, and its rank is its pivot
+    count; an empty block has rank 0.  Raises ValueError for an entry
+    outside [0, d) or a wire outside 1..N.
     """
     blocks = np.asarray(blocks, dtype=np.int64)
     if blocks.ndim != 3:
@@ -173,13 +153,21 @@ def rank_exponents(fld: Field, blocks: np.ndarray, subsets: Sequence[Sequence[in
 
 
 def mat_rref(fld: Field, mat: np.ndarray) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form over the field; returns (rref, pivot columns)."""
-    rref, pivots = rref_stack(fld, np.asarray(mat)[None])
-    return rref[0], np.flatnonzero(pivots[0]).tolist()
+    """Reduced row echelon form over the field; returns (rref, pivot columns).
 
-
-def mat_rank(fld: Field, mat: np.ndarray) -> int:
-    return len(mat_rref(fld, mat)[1])
+    _eliminate on a copy of mat, then the pivot rows in pivot-column order:
+    each pivot column holds a single 1, in its pivot row, and the other rows
+    are zero.  Raises ValueError for a non-matrix or an entry outside [0, d).
+    """
+    m = np.array(mat, dtype=np.int64)
+    if m.ndim != 2:
+        raise ValueError(f"mat_rref expects a (rows, cols) matrix, got shape {m.shape}")
+    fld.check_arr(m)
+    stack, mask = _eliminate(fld, m[None])
+    m, pivots = stack[0], np.flatnonzero(mask[0])
+    rref = np.zeros_like(m)
+    rref[: pivots.size] = m[np.nonzero(m[:, pivots].T)[1]]
+    return rref, pivots.tolist()
 
 
 def affine_update(fld: Field, rows: np.ndarray, kind: str, wires: Sequence[int], param) -> None:
@@ -288,24 +276,35 @@ class SymbolicState:
         """Reconstruct the dense amplitude vector."""
         return self.support().dense()
 
+    def standard_form(self) -> tuple[list[int], np.ndarray, np.ndarray]:
+        """The paper's standard form [I_r | B]; returns (pivots, block, residual).
+
+        pivots: the 0-based, lexicographically earliest independent columns,
+        from mat_rref.  block: the r x (N - r) labels B on the other columns,
+        ascending.  residual: the offsets on those columns once the pivot
+        offsets are absorbed into u, i.e. the offset reduced modulo the row
+        space, a canonical representative (zero for C-only circuits).
+        """
+        fld = self.field
+        rref, pivots = mat_rref(fld, self.matrix)
+        sinks = sorted(set(range(self.n)) - set(pivots))
+        block = rref[: len(pivots), sinks]
+        residual = self.offsets[sinks]
+        for row, c in enumerate(pivots):
+            residual = fld.sub_arr(residual, fld.mul_arr(self.offsets[c], block[row]))
+        return pivots, block, residual
+
 
 def states_equal_symbolic(s1: SymbolicState, s2: SymbolicState) -> bool:
-    """Exact state equality: equal affine row spaces (same span, compatible offset)."""
-    if s1.field != s2.field or s1.n != s2.n:
+    """Exact state equality: same field, wire count and row count k, and equal standard forms.
+
+    k fixes the weight of each ket (dependent rows repeat it), so two row
+    spaces alike with different k are different states.
+    """
+    if s1.field != s2.field or s1.n != s2.n or s1.k != s2.k:
         return False
-    fld = s1.field
-    r1, p1 = mat_rref(fld, s1.matrix)
-    r2, p2 = mat_rref(fld, s2.matrix)
-    if p1 != p2 or len(p1) != len(p2):
-        return False
-    if s1.k != s2.k:
-        # different superposition weight per point even if the spans agree
-        return False
-    if not np.array_equal(r1[: len(p1)], r2[: len(p2)]):
-        return False
-    delta = fld.sub_arr(s1.offsets, s2.offsets)
-    stacked = np.vstack([r1[: len(p1)], delta])
-    return mat_rank(fld, stacked) == len(p1)
+    (p1, b1, r1), (p2, b2, r2) = s1.standard_form(), s2.standard_form()
+    return p1 == p2 and np.array_equal(b1, b2) and np.array_equal(r1, r2)
 
 
 # ---------------------------------------------------------------------------
@@ -368,31 +367,22 @@ def make_graph_state(fld: Field, s_wires: Iterable[int], o_wires: Iterable[int],
 
 
 def graph_from_symbolic(sym: SymbolicState) -> tuple[GraphState, dict[int, int]]:
-    """Extract the bipartite graph and any residual local shifts.
+    """Read the bipartite graph and any residual local shifts off sym.standard_form().
 
-    The pivot wires (lexicographically earliest independent columns) become
-    the sources.  Offsets on pivot wires are absorbed by relabeling the
-    summation index; whatever shift survives on sink wires is returned as a
-    residual map wire -> field element (empty for C-only circuits).
+    The pivot wires become the sources and the block's nonzero labels the
+    edges.  Whatever shift survives on sink wires is returned as a residual
+    map wire -> field element (empty for C-only circuits).
     """
-    fld = sym.field
-    rref, pivots = mat_rref(fld, sym.matrix)
-    k = sym.k
-    if len(pivots) != k:
+    pivots, block, residual = sym.standard_form()
+    if len(pivots) != sym.k:
         raise RuntimeError("coefficient matrix lost rank; inputs must be unitary gate images")
-    if k == 0 or k == sym.n:
-        raise ValueError("graph extraction needs 1 <= k <= N-1 superposition wires")
+    if sym.k == 0 or sym.k == sym.n:
+        raise ValueError("standard form needs at least one 's' and one '0' wire (1 <= k <= N - 1)")
     s_wires = tuple(c + 1 for c in pivots)
-    sinks = sorted(set(range(sym.n)) - set(pivots))
-    o_wires = tuple(c + 1 for c in sinks)
-    block = rref[:k, sinks]
+    o_wires = tuple(sorted(set(range(1, sym.n + 1)) - set(s_wires)))
     edges = [(s_wires[row], o_wires[col], int(block[row, col])) for row, col in zip(*np.nonzero(block))]
-    # Offsets on pivot wires relabel u; what they leave on a sink is its residual.
-    acc = sym.offsets[sinks]
-    for row, c in enumerate(pivots):
-        acc = fld.sub_arr(acc, fld.mul_arr(sym.offsets[c], block[row]))
-    residual = {j: int(v) for j, v in zip(o_wires, acc) if v}
-    return make_graph_state(fld, s_wires, o_wires, edges), residual
+    shifts = {j: int(v) for j, v in zip(o_wires, residual) if v}
+    return make_graph_state(sym.field, s_wires, o_wires, edges), shifts
 
 
 def canonicalize(circuit: Circuit) -> tuple[tuple[int, ...], GraphState]:
@@ -406,10 +396,7 @@ def canonicalize(circuit: Circuit) -> tuple[tuple[int, ...], GraphState]:
     for g in circuit.gates:
         if g.kind != "C":
             raise ValueError(f"canonicalize expects a C-only circuit, found {g.kind} gate")
-    if circuit.k == 0 or circuit.k == circuit.n_qudits:
-        raise ValueError("standard form needs at least one 's' and one '0' wire")
-    sym = SymbolicState.from_circuit(circuit)
-    graph, residual = graph_from_symbolic(sym)
+    graph, residual = graph_from_symbolic(SymbolicState.from_circuit(circuit))
     if residual:  # pragma: no cover - impossible for C-only circuits
         raise RuntimeError("C-only circuit produced affine offsets")
     return graph.s_wires + graph.o_wires, graph
@@ -563,15 +550,17 @@ def compare_sequences(fld: Field, n_wires: int, lhs: Sequence[Gate], rhs: Sequen
 
 
 RELATIONS_SAMPLES_LIMIT = 2 ** 20  # random cases of one relations_suite call: about 25 us and 0.25 KiB each
+RELATIONS_EXHAUSTIVE_MAX_D = 5  # exhaustive mode lists 13 d^2 cases at most: 325 at d = 5
 
 
-def relations_suite(fld: Field, exhaustive: bool = True, samples: int = 1000, seed: int = 0,
-                    rhs_fn: Optional[Callable] = None) -> dict:
+def relations_suite(fld: Field, samples: int = 1000, seed: int = 0, rhs_fn: Optional[Callable] = None) -> dict:
     """Verify every rewrite rule as an operator identity.
 
-    Exhaustive mode sweeps all admissible parameter pairs; random mode draws
-    `samples` seeded (rule, parameters) tuples, each parameter drawn in O(1)
-    from its domain range.  rhs_fn (commute_pair by default) rewrites each
+    The field picks the mode.  Up to order RELATIONS_EXHAUSTIVE_MAX_D it is
+    exhaustive: all admissible parameter pairs, at most 13 d^2 cases.  Past
+    it the mode is random: `samples` seeded (rule, parameters) tuples, each
+    parameter drawn in O(1) from its domain range, so the case count does
+    not grow with d.  rhs_fn (commute_pair by default) rewrites each
     case once.  The cases are then grouped by shape: the wire count and the
     (kind, wires) of every factor on both sides, so a rule whose right-hand
     side has two forms (cnot_opposed_pair at u = 0 and u != 0) makes two
@@ -580,11 +569,15 @@ def relations_suite(fld: Field, exhaustive: bool = True, samples: int = 1000, se
     order the Field class supports can be tested.
     A rule is ok only when it was checked at least once and never failed,
     so a sample that misses a rule cannot pass it.  Its first failure is its
-    earliest failing case.  More than RELATIONS_SAMPLES_LIMIT samples raise
-    ResourceGuardError before any case is drawn, in either mode.
+    earliest failing case.  Both sample bounds hold in either mode, before
+    any case is drawn: fewer than 1 sample raises ValueError, more than
+    RELATIONS_SAMPLES_LIMIT raise ResourceGuardError.
     """
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
     if samples > RELATIONS_SAMPLES_LIMIT:
         raise ResourceGuardError(f"{samples} relation samples exceed the limit of {RELATIONS_SAMPLES_LIMIT} per field")
+    exhaustive = fld.d <= RELATIONS_EXHAUSTIVE_MAX_D
     rhs_fn = rhs_fn or commute_pair
     results: dict[str, dict] = {name: {"checked": 0, "first_failure": None} for name in RELATIONS}
     cases: list[tuple[str, int, int]] = []
@@ -643,6 +636,7 @@ def parse_circuit(text: str) -> Circuit:
     n_qudits = None
     init = None
     gates: list[Gate] = []
+    lines: list[int] = []  # the init line, then the line of each gate
     stage = 0
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -666,6 +660,7 @@ def parse_circuit(text: str) -> Circuit:
                 if parts[0] != "init" or len(parts) != n_qudits + 1:
                     raise CircuitParseError(f"expected 'init' with {n_qudits} entries", lineno)
                 init = tuple(parts[1:])
+                lines.append(lineno)
                 stage = 3
             else:
                 if parts[0] not in GATE_ARITY:
@@ -675,6 +670,7 @@ def parse_circuit(text: str) -> Circuit:
                     raise CircuitParseError(f"{parts[0]} gate takes {n_wires + has_param} argument(s)", lineno)
                 wires = (int(parts[1]), int(parts[2])) if n_wires == 2 else (int(parts[1]),)
                 gates.append(Gate(parts[0], wires, int(parts[-1]) if has_param else None))
+                lines.append(lineno)
         except CircuitParseError:
             raise
         except (ValueError, IndexError) as exc:
@@ -684,7 +680,27 @@ def parse_circuit(text: str) -> Circuit:
     try:
         return Circuit(fld, n_qudits, init, tuple(gates))
     except ValueError as exc:
-        raise CircuitParseError(str(exc)) from exc
+        raise CircuitParseError(str(exc), _rejected_line(fld, n_qudits, init, gates, lines)) from exc
+
+
+def _rejected_line(fld: Field, n_qudits: int, init: tuple[str, ...], gates: list[Gate],
+                   lines: list[int]) -> Optional[int]:
+    """Line of the init entries or of the first gate that Circuit rejects.
+
+    Circuit checks init before any gate, so an init that passes alone puts
+    the fault in a gate.  Run on the error path only: a good circuit is
+    checked once, by Circuit.
+    """
+    try:
+        Circuit(fld, n_qudits, init, ())
+    except ValueError:
+        return lines[0]
+    for gate, lineno in zip(gates, lines[1:]):
+        try:
+            validate_gate(fld, n_qudits, gate)
+        except ValueError:
+            return lineno
+    return None
 
 
 def serialize_circuit(circuit: Circuit) -> str:

@@ -180,6 +180,32 @@ def test_normalize_parse_error_exit_2(tmp_path, capsys):
     assert "line 4" in err
 
 
+@pytest.mark.parametrize("text, line", [
+    ("field 2 1 0\nqudits 3\ninit s 0 0\nC 1 5 1\n", 4),  # wire out of range
+    ("field 3 1 0\nqudits 3\ninit s 0 0\nC 1 2 1\nD 2 0\n", 5),  # D(0)
+    ("field 3 1 0\nqudits 3\ninit s 0 x\n", 3),  # bad init entry
+])
+def test_normalize_names_the_line_circuit_rejects(tmp_path, capsys, text, line):
+    path = tmp_path / "bad.qc"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, "normalize", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"parse error: line {line}: ")
+
+
+NORMALIZE_GOLDEN = ["gf2", "gf3", "gf4", "gf9", "sinks", "wide48"]  # tests/data/normalize/<name>.qc
+
+
+@pytest.mark.parametrize("fmt, ext", [("json", "json"), ("text", "txt"), ("dot", "dot")])
+@pytest.mark.parametrize("name", NORMALIZE_GOLDEN)
+def test_normalize_golden_output(capsys, name, fmt, ext):
+    # wide48 has 48 wires, past the dense guard, so it runs without --verify
+    verify = [] if name == "wide48" else ["--verify"]
+    code, out, _ = run_cli(capsys, "normalize", str(DATA / "normalize" / f"{name}.qc"), "--format", fmt, *verify)
+    assert code == 0
+    assert out == (DATA / "normalize" / f"{name}.{ext}").read_text()
+
+
 def test_normalize_rejects_non_cnot_gates(tmp_path, capsys):
     path = tmp_path / "h.qc"
     path.write_text("field 2 1 0\nqudits 2\ninit s 0\nH 1\n")
@@ -588,10 +614,12 @@ def test_relations_cli_json(capsys):
 
 @pytest.mark.parametrize("samples", ["0", "-1"])
 def test_relations_cli_rejects_samples_below_one(capsys, samples):
-    code, out, err = run_cli(capsys, "relations-test", "--fields", "7", "--samples", samples)
-    assert code == 2
-    assert out == ""
-    assert "--samples must be at least 1" in err
+    # relations_suite owns the bound, so an exhaustive field refuses the count too
+    for fields in ("7", "2", "2,7"):
+        code, out, err = run_cli(capsys, "relations-test", "--fields", fields, "--samples", samples)
+        assert code == 2
+        assert out == ""
+        assert f"samples must be at least 1, got {samples}" in err
 
 
 def test_relations_samples_bound(capsys, monkeypatch):
@@ -607,7 +635,7 @@ def test_relations_samples_bound(capsys, monkeypatch):
         assert (code, out) == (3, "")
         assert f"{limit + 1} relation samples exceed the limit of {limit} per field" in err
     with pytest.raises(quditgraph.ResourceGuardError):
-        quditgraph.relations_suite(quditgraph.Field(7, 1), exhaustive=False, samples=10 ** 9)
+        quditgraph.relations_suite(quditgraph.Field(7, 1), samples=10 ** 9)
     monkeypatch.setattr(rewrite, "RELATIONS_SAMPLES_LIMIT", 400)  # both sides of the bound, at a size a test can run
     code, out, _ = run_cli(capsys, "relations-test", "--fields", "7", "--samples", "400")
     assert code == 0 and "field 7 1 0 (random[400]):" in out

@@ -21,7 +21,7 @@ from quditgraph import (
     states_equal_symbolic,
 )
 from quditgraph import rewrite
-from quditgraph.rewrite import RELATIONS, affine_maps_equal, compare_sequences, mat_rank, mat_rref, rref_stack
+from quditgraph.rewrite import RELATIONS, affine_maps_equal, compare_sequences, mat_rref
 from quditgraph.simulator import sequence_source_map, validate_gate
 
 from util import (
@@ -81,7 +81,7 @@ def test_symbolic_semantics_match_dense_simulation(d):
         k = int(rng.integers(1, n))
         circ = random_cadw_circuit(fld, n, k, int(rng.integers(1, 31)), rng)
         sym = SymbolicState.from_circuit(circ)
-        assert mat_rank(fld, sym.matrix) == circ.k  # unitary gates keep full rank
+        assert len(mat_rref(fld, sym.matrix)[1]) == circ.k  # unitary gates keep full rank
         assert np.max(np.abs(sym.dense_amps() - circ.simulate().amps)) < 1e-12
 
 
@@ -149,6 +149,11 @@ def test_states_equal_symbolic_examples():
     row = lambda vals: SymbolicState(fld, 2, np.array([vals]), np.zeros(2))
     assert states_equal_symbolic(row([1, 1]), row([2, 2]))
     assert not states_equal_symbolic(row([1, 1]), row([1, 0]))
+    # dependent rows: each ket is reached three times, so k = 2 differs from k = 1 on the same span
+    two = SymbolicState(fld, 2, [[1, 1], [2, 2]], [0, 0])
+    assert states_equal_symbolic(two, SymbolicState(fld, 2, [[2, 2], [1, 1]], [1, 1]))
+    assert not states_equal_symbolic(two, SymbolicState(fld, 2, [[2, 2], [1, 1]], [1, 2]))
+    assert not states_equal_symbolic(row([1, 1]), two)
 
 
 def test_states_equal_symbolic_offsets():
@@ -159,6 +164,85 @@ def test_states_equal_symbolic_offsets():
     assert states_equal_symbolic(base, shifted_inside)  # (2,2) lies in the row space
     assert not states_equal_symbolic(base, shifted_outside)
     assert np.max(np.abs(base.dense_amps() - shifted_inside.dense_amps())) < 1e-15
+
+
+def random_invertible(fld, k: int, rng) -> np.ndarray:
+    while True:
+        g = rng.integers(0, fld.d, size=(k, k))
+        if len(scalar_rref(fld, g)[1]) == k:
+            return g
+
+
+def row_space_shift(sym: SymbolicState, rng) -> np.ndarray:
+    """A random element uM of the row space, from scalar Field calls."""
+    return scalar_matmul(sym.field, rng.integers(0, sym.field.d, size=(1, sym.k)), sym.matrix)[0]
+
+
+def shifted(sym: SymbolicState, rows: np.ndarray, shift: np.ndarray) -> SymbolicState:
+    """The state of coefficient rows `rows` and offset sym.offsets + shift."""
+    return SymbolicState(sym.field, sym.n, rows, sym.field.add_arr(sym.offsets, shift))
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 7, 8, 9])
+def test_states_equal_symbolic_matches_dense_equality(d):
+    # the oracle is exact equality of the dense amplitude vectors, with no row reduction
+    fld = field_for(d)
+    rng = np.random.default_rng(700 + d)
+    verdicts = []
+
+    def check(s1, s2):
+        want = np.array_equal(s1.dense_amps(), s2.dense_amps())
+        assert states_equal_symbolic(s1, s2) == want
+        assert states_equal_symbolic(s2, s1) == want
+        verdicts.append(want)
+
+    for _ in range(40):
+        n = int(rng.integers(2, 6 if d < 7 else 5))
+        k = int(rng.integers(1, n))
+        sym = SymbolicState.from_circuit(random_cadw_circuit(fld, n, k, int(rng.integers(1, 21)), rng))
+        mixed = scalar_matmul(fld, random_invertible(fld, k, rng), sym.matrix)
+        check(sym, shifted(sym, mixed, row_space_shift(sym, rng)))  # equal
+        check(sym, shifted(sym, mixed, rng.integers(0, d, size=n)))  # a shift inside or outside
+        other = random_cadw_circuit(fld, n, k, int(rng.integers(1, 21)), rng)
+        check(sym, SymbolicState(fld, n, SymbolicState.from_circuit(other).matrix, sym.offsets))
+        # dependent rows: k + 1 rows in the span of r <= k independent ones, against row operations
+        # on them and against other k + 1 rows in that span
+        r = int(rng.integers(1, k + 1))
+        basis = sym.matrix[:r]
+        rows = scalar_matmul(fld, rng.integers(0, d, size=(k + 1, r)), basis)
+        deps = SymbolicState(fld, n, rows, sym.offsets)
+        check(deps, shifted(deps, scalar_matmul(fld, random_invertible(fld, k + 1, rng), rows),
+                            row_space_shift(deps, rng)))
+        check(deps, SymbolicState(fld, n, scalar_matmul(fld, rng.integers(0, d, size=(k + 1, r)), basis), deps.offsets))
+        check(deps, SymbolicState(fld, n, sym.matrix, sym.offsets))  # a different k
+    assert 40 <= sum(verdicts) <= len(verdicts) - 40  # both verdicts occur often
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 7, 8, 9])
+def test_standard_form_is_invariant_and_matches_oracles(d):
+    fld = field_for(d)
+    rng = np.random.default_rng(800 + d)
+    for trial in range(30):
+        n = int(rng.integers(2, 6 if d < 7 else 5))
+        k = int(rng.integers(1, n))
+        make = random_c_circuit if trial % 2 else random_cadw_circuit
+        sym = SymbolicState.from_circuit(make(fld, n, k, int(rng.integers(1, 21)), rng))
+        pivots, block, residual = sym.standard_form()
+        want, want_pivots = scalar_rref(fld, sym.matrix)
+        sinks = [c for c in range(n) if c not in want_pivots]
+        assert pivots == want_pivots
+        assert np.array_equal(block, want[: len(pivots), sinks])
+        # the residual is the one ket of the support that is zero on every pivot wire
+        digits = sym.support().digits
+        at_zero = digits[:, ~digits[pivots].any(axis=0)]
+        assert at_zero.shape[1] == 1 and np.array_equal(at_zero[sinks, 0], residual)
+        if make is random_c_circuit:
+            assert not residual.any()
+        for _ in range(3):  # row operations and shifts inside the row space leave it unchanged
+            mixed = scalar_matmul(fld, random_invertible(fld, k, rng), sym.matrix)
+            other = shifted(sym, mixed, row_space_shift(sym, rng)).standard_form()
+            assert other[0] == pivots
+            assert np.array_equal(other[1], block) and np.array_equal(other[2], residual)
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +356,7 @@ def test_commute_pair_no_rule_raises():
 
 @pytest.mark.parametrize("d", [2, 3])
 def test_all_relations_hold_as_dense_operators(d):
-    report = relations_suite(field_for(d), exhaustive=True)
+    report = relations_suite(field_for(d))
     assert report["ok"], report
 
 
@@ -285,7 +369,7 @@ def test_relations_suite_reports_corrupted_rule():
             return [Gate("C", g1.wires, f.add(f.add(g1.param, g2.param), 1))]
         return out
 
-    report = relations_suite(fld, exhaustive=True, rhs_fn=corrupt)
+    report = relations_suite(fld, rhs_fn=corrupt)
     assert not report["ok"]
     bad = report["relations"]["cnot_merge"]
     assert bad["first_failure"] is not None
@@ -394,7 +478,7 @@ def test_cnot_opposed_pair_checks_both_right_hand_shapes(d):
     assert len(shapes) == 2
     # a fault in either shape fails the rule at a case of that shape, and nothing else
     for u_zero in (True, False):
-        report = relations_suite(fld, exhaustive=True, rhs_fn=opposed_branch(u_zero))
+        report = relations_suite(fld, rhs_fn=opposed_branch(u_zero))
         assert {name for name, r in report["relations"].items() if not r["ok"]} == {"cnot_opposed_pair"}
         first = next((a, b) for a in range(d) for b in range(d) if (fld.add(1, fld.mul(a, b)) == 0) == u_zero)
         assert report["relations"]["cnot_opposed_pair"]["first_failure"]["params"] == first
@@ -430,7 +514,7 @@ def test_relations_suite_rejects_a_bad_factor_in_any_case(d, bad):
     change, message = BAD_FACTORS[bad]
     fld = field_for(d)
     with pytest.raises(ValueError, match=message):
-        relations_suite(fld, exhaustive=True, rhs_fn=spoil_last_cases(change))
+        relations_suite(fld, rhs_fn=spoil_last_cases(change))
     lhs = [Gate("D", (1,), d - 1), Gate("D", (1,), d - 1)]
     with pytest.raises(ValueError, match=message):
         compare_sequences(fld, 1, lhs, change(fld, commute_pair(fld, *lhs)))
@@ -438,10 +522,25 @@ def test_relations_suite_rejects_a_bad_factor_in_any_case(d, bad):
 
 def test_relations_random_mode_seeded():
     fld = field_for(7)
-    r1 = relations_suite(fld, exhaustive=False, samples=60, seed=5)
-    r2 = relations_suite(fld, exhaustive=False, samples=60, seed=5)
+    r1 = relations_suite(fld, samples=60, seed=5)
+    r2 = relations_suite(fld, samples=60, seed=5)
     assert r1 == r2
-    assert r1["ok"]
+    assert r1["ok"] and r1["mode"] == "random[60]"
+
+
+def test_relations_suite_mode_follows_the_field():
+    # exhaustive up to d = 5, 13 d^2 cases at most; random past it, GF(64) included
+    for d, mode, cases in [(2, "exhaustive", None), (5, "exhaustive", None), (7, "random[1000]", 1000),
+                           (64, "random[1000]", 1000)]:
+        fld = field_for(d)
+        report = relations_suite(fld)
+        want = cases or sum(len(a(fld)) * len(b(fld)) for _, (a, b), _ in RELATIONS.values())
+        assert report["mode"] == mode and report["ok"], report
+        assert sum(r["checked"] for r in report["relations"].values()) == want
+    for d in (2, 7):  # both sample bounds hold in either mode
+        for samples in (0, -1):
+            with pytest.raises(ValueError, match=f"samples must be at least 1, got {samples}"):
+                relations_suite(field_for(d), samples=samples)
 
 
 def test_random_rewrites_preserve_the_state():
@@ -498,6 +597,18 @@ def test_parse_reports_line_numbers():
     assert err.value.line == 8
     with pytest.raises(CircuitParseError):
         parse_circuit("field 2 1\nqudits 2\n")  # missing init
+
+
+@pytest.mark.parametrize("text, line, message", [
+    ("field 2 1\nqudits 3\ninit s 0 0\nC 1 2 1\nC 1 5 1\n", 5, "wire 5 out of range 1..3"),
+    ("field 3 1\nqudits 3\ninit s 0 0\n# comment\nC 1 2 1\n\nD 2 0\n", 7, "D(0) is not unitary"),
+    ("field 3 1\nqudits 3\ninit s 0 x\nC 1 2 1\n", 3, "init entries must be 's' or '0', got 'x'"),
+])
+def test_parse_names_the_line_of_a_rejected_gate_or_init(text, line, message):
+    with pytest.raises(CircuitParseError) as err:
+        parse_circuit(text)
+    assert err.value.line == line
+    assert str(err.value) == f"line {line}: {message}"
 
 
 @pytest.mark.parametrize("line", [
@@ -574,8 +685,7 @@ def test_rref_basics():
     r, pivots = mat_rref(fld, m)
     assert pivots == [0, 2]
     assert np.array_equal(r, [[1, 1, 0], [0, 0, 1]])
-    assert mat_rank(fld, m) == 2
-    assert mat_rank(fld, np.array([[2, 2, 1], [1, 1, 2]])) == 1  # second row = 2 * first
+    assert len(mat_rref(fld, np.array([[2, 2, 1], [1, 1, 2]]))[1]) == 1  # second row = 2 * first
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 7, 8, 9, 257, 512])
@@ -588,20 +698,16 @@ def test_rref_stack_matches_scalar_oracle(d):
             coeffs = rng.integers(0, d, size=(rows, rank))
             basis = rng.integers(0, d, size=(rank, cols))
             mats.append(scalar_matmul(fld, coeffs, basis))
-        stack = np.array(mats)
-        rref, pivots = rref_stack(fld, stack)
-        assert np.array_equal(stack, mats)  # the input is not modified
-        for mat, got, mask in zip(mats, rref, pivots):
+        for mat in mats:
+            before = mat.copy()
+            got, pivots = mat_rref(fld, mat)
+            assert np.array_equal(mat, before)  # the input is not modified
             want, want_pivots = scalar_rref(fld, mat)
             assert np.array_equal(got, want)
-            assert np.flatnonzero(mask).tolist() == want_pivots
-    for shape in [(0, 3, 4), (2, 0, 4), (2, 3, 0)]:
-        rref, pivots = rref_stack(fld, np.zeros(shape, dtype=np.int64))
-        assert rref.shape == shape
-        assert pivots.shape == (shape[0], shape[2]) and not pivots.any()
-    r, pivots = mat_rref(fld, np.zeros((0, 3), dtype=np.int64))
-    assert r.shape == (0, 3) and pivots == []
-    assert mat_rank(fld, np.zeros((2, 0), dtype=np.int64)) == 0
+            assert pivots == want_pivots
+    for shape in [(0, 4), (3, 0), (0, 3), (2, 0)]:
+        rref, pivots = mat_rref(fld, np.zeros(shape, dtype=np.int64))
+        assert rref.shape == shape and pivots == []
 
 
 def test_entries_range_checked_at_entry_points():
@@ -610,13 +716,12 @@ def test_entries_range_checked_at_entry_points():
         with pytest.raises(ValueError, match="out of range"):
             mat_rref(fld, np.array(bad))
         with pytest.raises(ValueError, match="out of range"):
-            rref_stack(fld, np.array([bad]))
-        with pytest.raises(ValueError, match="out of range"):
             SymbolicState(fld, 2, bad, [0, 0])
     with pytest.raises(ValueError, match="out of range"):
         SymbolicState(fld, 2, [[1, 1]], [0, 3])
-    with pytest.raises(ValueError):
-        rref_stack(fld, np.array([1, 2]))  # not a stack of matrices
+    for not_a_matrix in (np.array([1, 2]), np.zeros((1, 2, 2), dtype=np.int64)):
+        with pytest.raises(ValueError, match="expects a \\(rows, cols\\) matrix"):
+            mat_rref(fld, not_a_matrix)
 
 
 def test_canonicalize_untabulated_field_matches_scalar_oracle():

@@ -102,7 +102,7 @@ def _coeffs(fld: Field, e: int) -> list[int]:
 
 
 def scalar_rref(fld: Field, mat) -> tuple[np.ndarray, list[int]]:
-    """Gauss-Jordan elimination one scalar Field call per entry: the oracle for rref_stack."""
+    """Gauss-Jordan elimination one scalar Field call per entry: the oracle for mat_rref."""
     m = [[int(v) for v in row] for row in np.asarray(mat).tolist()]
     rows, cols = np.shape(mat)
     pivots: list[int] = []
