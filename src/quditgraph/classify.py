@@ -43,6 +43,19 @@ from .simulator import ResourceGuardError, bipartition_subsets
 LABELLING_LIMIT = 2 ** 16
 
 
+def unique_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """np.unique(rows, axis=0, return_index=True, return_counts=True) of a nonempty 2-d integer array.
+
+    One lexsort over the columns, first column most significant, and a
+    comparison of neighbouring sorted rows.  lexsort is stable, so the first
+    row of each run is the first occurrence of its key.
+    """
+    order = np.lexsort(rows.T[::-1])
+    ranked = rows[order]
+    starts = np.flatnonzero(np.concatenate([[True], (ranked[1:] != ranked[:-1]).any(axis=1)]))
+    return ranked[starts], order[starts], np.diff(np.append(starts, len(rows)))
+
+
 def classify(fld: Field, n_qudits: int) -> dict:
     """Classify product-free standard-form graph states on n_qudits wires."""
     d = fld.d
@@ -73,7 +86,7 @@ def classify(fld: Field, n_qudits: int) -> dict:
         codes = (n_qudits - rank_exponents(fld, labels.reshape(total, k, n_sinks), subsets)) * n_qudits + sizes
         codes.sort(axis=1)
         # unique rows come out in lexicographic order, i.e. sorted by key
-        keys, first, counts = np.unique(codes, axis=0, return_index=True, return_counts=True)
+        keys, first, counts = unique_rows(codes)
         for key in map(tuple, keys.tolist()):
             if seen_keys.setdefault(key, k) != k:
                 raise RuntimeError("invariant signature crossed class boundaries")

@@ -11,9 +11,12 @@ exactly, comparing the circuit's nonzero amplitudes with the graph's kets.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import traceback
+from itertools import chain
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -41,7 +44,43 @@ EXIT_INTERNAL = 4
 
 
 def _emit_json(obj) -> None:
-    print(json.dumps(obj, indent=2, sort_keys=True))
+    print(_json_text(obj))
+
+
+def _json_text(obj, indent: str = "") -> str:
+    """json.dumps(obj, indent=2, sort_keys=True), byte for byte, with its bulk written at C speed.
+
+    indent is the indentation of the line obj starts on.  Dicts with string
+    keys and nonempty lists and tuples are written here; a list of ints is
+    one join, and a list of dicts with the same keys and int values
+    (graph edges) one format of a template per dict.  Everything else goes
+    to json.dumps, re-indented: JSON text holds no raw newline but those
+    between its lines.
+    """
+    inner = indent + "  "
+    if type(obj) is dict and obj and all(type(key) is str for key in obj):
+        items = (f"{inner}{json.dumps(key)}: {_json_text(obj[key], inner)}" for key in sorted(obj))
+        return "{\n" + ",\n".join(items) + "\n" + indent + "}"
+    if type(obj) in (list, tuple) and obj:
+        types = set(map(type, obj))
+        if types == {int}:
+            body = inner + (",\n" + inner).join(map(int.__repr__, obj))
+        elif types == {dict} and _same_int_records(obj):
+            keys = sorted(obj[0])
+            fields = ",\n".join(inner + "  " + json.dumps(key).replace("%", "%%") + ": %d" for key in keys)
+            template = inner + "{\n" + fields + "\n" + inner + "}"
+            body = ",\n".join(map(template.__mod__, map(itemgetter(*keys), obj)))
+        else:
+            body = ",\n".join(inner + _json_text(item, inner) for item in obj)
+        return "[\n" + body + "\n" + indent + "]"
+    return json.dumps(obj, indent=2, sort_keys=True).replace("\n", "\n" + indent)
+
+
+def _same_int_records(rows: list) -> bool:
+    """True when the dicts share two or more string keys and hold only ints."""
+    keys = rows[0].keys()
+    return (len(keys) > 1 and all(type(key) is str for key in keys) and all(map(keys.__eq__, map(dict.keys, rows)))
+            and set(map(type, chain.from_iterable(map(dict.values, rows)))) == {int})
 
 
 def _field_arg(text: str) -> Field:
@@ -81,14 +120,16 @@ def cmd_normalize(args) -> int:
             out += f"// verification: {status} (max deviation {verification['max_deviation']:.3e})\n"
         print(out, end="")
     elif args.format == "text":
-        print(f"permutation: {' '.join(str(w) for w in perm)}")
-        print(f"S: {' '.join(str(w) for w in graph.s_wires)}")
-        print(f"O: {' '.join(str(w) for w in graph.o_wires)}")
-        for i, j, b in graph.edges:
-            print(f"edge {i} -> {j} label {b}")
+        lines = [
+            f"permutation: {' '.join(map(str, perm))}",
+            f"S: {' '.join(map(str, graph.s_wires))}",
+            f"O: {' '.join(map(str, graph.o_wires))}",
+            *(f"edge {i} -> {j} label {b}" for i, j, b in graph.edges),
+        ]
         if verification is not None:
             status = "OK" if verification["equal"] else "MISMATCH"
-            print(f"verification: {status} (max deviation {verification['max_deviation']:.3e})")
+            lines.append(f"verification: {status} (max deviation {verification['max_deviation']:.3e})")
+        print("\n".join(lines))
     else:
         _emit_json({
             "permutation": list(perm),
@@ -223,10 +264,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """build_parser, once per process: parse_args fills a fresh namespace on every call."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:

@@ -15,22 +15,36 @@ sources, which makes the output deterministic and idempotent.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence
+from itertools import chain, repeat
+from operator import itemgetter
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 import numpy as np
 
 from .gf import Field
 from .simulator import (
     GATE_ARITY,
+    GATE_KINDS,
     Gate,
+    GateColumns,
+    GateError,
+    KIND_A,
+    KIND_C,
+    KIND_D,
+    KIND_HAS_PARAM,
+    KIND_TWO_WIRES,
+    KIND_W,
     ResourceGuardError,
     StateVector,
     SupportState,
     _run_raw,
+    check_gates,
     check_state_size,
     init_state,
-    validate_gate,
+    int_column,
+    validate_gates,
 )
 
 
@@ -45,25 +59,45 @@ class CircuitParseError(ValueError):
 # Circuits
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class Circuit:
-    field: Field
-    n_qudits: int
-    init: tuple[str, ...]
-    gates: tuple[Gate, ...]
+    """A circuit over a field: its wire count, s/0 init pattern and gates as GateColumns.
 
-    def __post_init__(self):
-        if len(self.init) != self.n_qudits:
+    gates may be given as GateColumns or as Gate objects, which are turned
+    into columns first.  The init pattern and then every gate are checked
+    once, on construction: a bad init entry raises ValueError, a bad gate
+    GateError, whose index names it.  The gates property builds the Gate
+    tuple when it is first read.
+    """
+
+    def __init__(self, field: Field, n_qudits: int, init: Sequence[str], gates: Union[GateColumns, Iterable[Gate]]):
+        self.field = field
+        self.n_qudits = n_qudits
+        self.init = tuple(init)
+        if len(self.init) != n_qudits:
             raise ValueError("init pattern length must equal the qudit count")
         for token in self.init:
             if token not in ("s", "0"):
                 raise ValueError(f"init entries must be 's' or '0', got {token!r}")
-        for g in self.gates:
-            validate_gate(self.field, self.n_qudits, g)
+        columns = gates if isinstance(gates, GateColumns) else GateColumns.from_gates(gates)
+        check_gates(field, n_qudits, columns)
+        self.columns = GateColumns(*(np.asarray(a, dtype=np.int64) for a in columns.arrays))
+
+    @functools.cached_property
+    def gates(self) -> tuple[Gate, ...]:
+        return self.columns.gates()
 
     @property
     def k(self) -> int:
         return sum(1 for t in self.init if t == "s")
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Circuit):
+            return NotImplemented
+        return (self.field == other.field and self.n_qudits == other.n_qudits and self.init == other.init
+                and self.columns == other.columns)
+
+    def __repr__(self) -> str:
+        return f"Circuit(field={self.field!r}, n_qudits={self.n_qudits}, init={self.init}, gates={len(self.columns)})"
 
     def simulate(self) -> StateVector:
         amps = init_state(self.field, self.n_qudits, self.init).amps
@@ -170,15 +204,18 @@ def mat_rref(fld: Field, mat: np.ndarray) -> tuple[np.ndarray, list[int]]:
     return rref, pivots.tolist()
 
 
-def affine_update(fld: Field, rows: np.ndarray, kind: str, wires: Sequence[int], param) -> None:
-    """Apply one A/D/C/W gate in place to rows [M; b] of shape (..., k + 1, N).
+def affine_update(fld: Field, rows: np.ndarray, kind: str, wires: Sequence, param) -> None:
+    """Apply A/D/C/W gates of one kind in place to rows [M; b] of shape (..., k + 1, N).
 
     Each (k + 1) x N matrix holds the k coefficient rows and then the offset
     row of an affine image x -> xM + b, so a gate updates whole wire columns.
-    param is None, a scalar, or an array that broadcasts against (..., 1),
-    such as (batch, 1) for a (batch, k + 1, N) stack: one parameter per
-    matrix.  Nothing is range-checked; callers validate the gate and its
-    parameters first.  H and V gates have no affine form and raise ValueError.
+    wires holds the 1-based wire numbers, scalars for one gate or (L,) arrays
+    for L gates acting at once: every column is read before any is written,
+    and no two of the gates may write the same wire.  param is None, a
+    scalar, or an array that broadcasts against (..., L) or (..., 1), such
+    as (batch, 1) for a (batch, k + 1, N) stack: one parameter per matrix.
+    Nothing is range-checked; callers validate the gates first.  H and V
+    gates have no affine form and raise ValueError.
     """
     if kind == "C":
         m, n = wires[0] - 1, wires[1] - 1
@@ -194,6 +231,57 @@ def affine_update(fld: Field, rows: np.ndarray, kind: str, wires: Sequence[int],
         rows[..., [a, b]] = rows[..., [b, a]]
     else:
         raise ValueError(f"{kind} gate has no affine representation")
+
+
+def _c_first(kind: np.ndarray) -> np.ndarray:
+    """Sort key of kind codes that puts C gates first and groups the other kinds."""
+    return np.where(kind == KIND_C, -1, kind)
+
+
+def _check_affine(kind: np.ndarray) -> None:
+    """ValueError naming the first H or V gate: they have no affine form."""
+    affine = np.isin(kind, (KIND_A, KIND_D, KIND_C, KIND_W))
+    if not affine.all():
+        raise ValueError(f"{GATE_KINDS[kind[affine.argmin()]]} gate has no affine representation")
+
+
+def asap_layers(columns: GateColumns, n_qudits: int) -> list[GateColumns]:
+    """Split validated A/D/C/W gates into ASAP layers, each a GateColumns with its C gates first.
+
+    A gate goes into the first layer after the last write of any wire it
+    reads or writes, and not before the last read of any wire it writes.
+    Every gate reads the wires it writes; a C gate also reads its control.
+    No wire is then written twice in a layer, nor written before a read of
+    the same layer that came earlier in time.  Only a C gate reads a wire it
+    does not write, so with the C gates updated first every gate of a layer
+    reads the columns as they stood before it: applying the layers in order
+    (SymbolicState.apply) gives the same rows as applying the gates in order.
+    An H or V gate raises ValueError, as it has no affine form.
+    """
+    _check_affine(columns.kind)
+    last_write = [0] * (n_qudits + 1)  # layers count from 1; 0 is before the first
+    last_read = [0] * (n_qudits + 1)
+    layer = []
+    for kind, a, b in zip(columns.kind.tolist(), columns.wire1.tolist(), columns.wire2.tolist()):
+        if kind == KIND_C:  # reads a and b, writes b; the branch of C-only circuits, kept free of calls
+            at = (last_write[a] if last_write[a] > last_write[b] else last_write[b]) + 1
+            if last_read[b] > at:
+                at = last_read[b]
+            last_write[b] = at
+            if last_read[a] < at:
+                last_read[a] = at
+        elif kind == KIND_W:  # reads and writes a and b
+            at = max(last_write[a] + 1, last_write[b] + 1, last_read[a], last_read[b])
+            last_write[a] = last_write[b] = at
+        else:  # A or D: reads and writes a
+            at = max(last_write[a] + 1, last_read[a])
+            last_write[a] = at
+        layer.append(at)
+    layer = np.array(layer, dtype=np.int64)
+    order = np.lexsort((_c_first(columns.kind), layer))  # by layer, then kind, C first; then in time order
+    ordered = columns[order]
+    bounds = [0, *(np.flatnonzero(np.diff(layer[order])) + 1).tolist(), len(order)]
+    return [ordered[start:stop] for start, stop in zip(bounds, bounds[1:]) if stop > start]
 
 
 # ---------------------------------------------------------------------------
@@ -237,26 +325,48 @@ class SymbolicState:
 
     @classmethod
     def from_circuit(cls, circuit: Circuit) -> "SymbolicState":
+        """Track a circuit's gates, one apply call per ASAP layer (asap_layers)."""
         sym = cls.from_pattern(circuit.field, circuit.init)
-        for g in circuit.gates:
-            sym.apply(g, validated=True)  # Circuit validated every gate on construction
+        for layer in asap_layers(circuit.columns, circuit.n_qudits):
+            sym.apply(layer, validated=True)  # Circuit validated every gate on construction
         return sym
 
     def copy(self) -> "SymbolicState":
         return SymbolicState(self.field, self.n, self.matrix.copy(), self.offsets.copy())
 
-    def apply(self, gate: Gate, validated: bool = False) -> "SymbolicState":
-        """Apply one gate in place through affine_update, as a batch of one.
+    def apply(self, gates: Union[Gate, GateColumns], validated: bool = False) -> "SymbolicState":
+        """Apply one layer of gates in place, through affine_update once per gate kind.
 
-        Entries were range-checked on construction and validate_gate checks
-        the parameter, so the column update runs unchecked.  validated=True
-        skips validate_gate for a gate already checked against this field and
-        wire count, such as one of a Circuit.  Fourier and reversal gates
-        raise ValueError.
+        gates is one Gate, a layer of one, or GateColumns whose gates act at
+        once: each reads the columns as they stood before the layer, so no two
+        may write the same wire (ValueError).  A gate list in time order
+        becomes such layers through asap_layers.  Entries were range-checked
+        on construction and check_gates checks the gates, so the column
+        updates run unchecked.  validated=True skips those checks, and the
+        sort that puts C gates first, for a layer of asap_layers over gates
+        already checked against this field and wire count, such as those of
+        a Circuit.  Fourier and reversal gates raise ValueError.
         """
+        if isinstance(gates, Gate):
+            gates = GateColumns.from_gates((gates,))
+        kind = gates.kind
+        if not len(kind):
+            return self
         if not validated:
-            validate_gate(self.field, self.n, gate)
-        affine_update(self.field, self._rows, gate.kind, gate.wires, gate.param)
+            check_gates(self.field, self.n, gates)
+            _check_affine(kind)
+            writes = np.concatenate([np.where(kind == KIND_C, gates.wire2, gates.wire1), gates.wire2[kind == KIND_W]])
+            if np.unique(writes).size != writes.size:
+                raise ValueError("gates of one layer must write distinct wires")
+            gates = gates[np.argsort(_c_first(kind), kind="stable")]
+            kind = gates.kind
+        # C gates first: only they read a wire they do not write (their control)
+        bounds = [0, len(kind)]
+        if kind[0] != kind[-1]:  # more than one kind, each in one run
+            bounds[1:1] = (np.flatnonzero(kind[1:] != kind[:-1]) + 1).tolist()
+        for start, stop in zip(bounds, bounds[1:]):
+            group = gates[start:stop]
+            affine_update(self.field, self._rows, GATE_KINDS[kind[start]], (group.wire1, group.wire2), group.param)
         return self
 
     def support(self) -> SupportState:
@@ -352,8 +462,8 @@ class GraphState:
 
     def to_circuit(self) -> Circuit:
         init = tuple("s" if q in self.s_wires else "0" for q in range(1, self.n + 1))
-        gates = tuple(Gate("C", (i, j), b) for i, j, b in self.edges)
-        return Circuit(self.field, self.n, init, gates)
+        wires = np.array(self.edges, dtype=np.int64).reshape(-1, 3).T
+        return Circuit(self.field, self.n, init, GateColumns(np.full(len(self.edges), KIND_C), *wires))
 
     def state(self) -> StateVector:
         return StateVector(self.field, self.n, self.to_symbolic().dense_amps())
@@ -393,9 +503,9 @@ def canonicalize(circuit: Circuit) -> tuple[tuple[int, ...], GraphState]:
     i.e. the particle permutation that moves the graph into the
     sources-first layout.
     """
-    for g in circuit.gates:
-        if g.kind != "C":
-            raise ValueError(f"canonicalize expects a C-only circuit, found {g.kind} gate")
+    other = circuit.columns.kind != KIND_C
+    if other.any():
+        raise ValueError(f"canonicalize expects a C-only circuit, found {GATE_KINDS[circuit.columns.kind[other.argmax()]]} gate")
     graph, residual = graph_from_symbolic(SymbolicState.from_circuit(circuit))
     if residual:  # pragma: no cover - impossible for C-only circuits
         raise RuntimeError("C-only circuit produced affine offsets")
@@ -520,17 +630,16 @@ def affine_maps_equal(fld: Field, n_wires: int, batch: int, lhs: Sequence[tuple]
     when its rows are.  Row spaces alone would not do: every bijection spans
     the whole space.  Returns a (batch,) boolean array.
 
-    validate_gate checks every factor once, with the smallest and the largest
-    parameter of the batch, so a parameter outside [0, d) or a D(0) raises
-    its ValueError; so does an H or V factor.
+    validate_gates checks every factor of a side at once, with the smallest
+    and the largest parameter of the batch, so a parameter outside [0, d) or
+    a D(0) raises its ValueError; so does an H or V factor.
     """
     def rows(side: Sequence[tuple]) -> np.ndarray:
+        validate_gates(fld, n_wires, [Gate(kind, wires, value) for kind, wires, param in side
+                                      for value in ((None,) if param is None else (int(param.min()), int(param.max())))])
         stack = np.zeros((batch, n_wires + 1, n_wires), dtype=np.int64)
         stack[:, :n_wires] = np.eye(n_wires, dtype=np.int64)
         for kind, wires, param in reversed(side):
-            extremes = (None,) if param is None else (int(param.min()), int(param.max()))
-            for value in extremes:
-                validate_gate(fld, n_wires, Gate(kind, wires, value))
             affine_update(fld, stack, kind, wires, param)
         return stack
 
@@ -630,15 +739,26 @@ def relations_suite(fld: Field, samples: int = 1000, seed: int = 0, rhs_fn: Opti
 # Circuit file format
 # ---------------------------------------------------------------------------
 
+# kind -> kind code, and tokens on a gate line by kind code; code -1, an unknown kind, expects none
+_KIND_CODE = {kind: code for code, kind in enumerate(GATE_KINDS)}
+_LINE_TOKENS = np.append(2 + KIND_TWO_WIRES + KIND_HAS_PARAM, 0)
+
+
 def parse_circuit(text: str) -> Circuit:
-    """Parse the line-oriented circuit format (see serialize_circuit)."""
+    """Parse the line-oriented circuit format (see serialize_circuit).
+
+    The field, qudits and init lines are read one by one, the gate lines at
+    once into GateColumns.  A parse error names the first line at fault: a
+    gate line with an unknown kind, a wrong argument count or a non-integer
+    first, then a bad init entry, then the first gate that Circuit rejects.
+    """
+    lines = text.splitlines()
     fld = None
     n_qudits = None
     init = None
-    gates: list[Gate] = []
-    lines: list[int] = []  # the init line, then the line of each gate
     stage = 0
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    lineno = 0
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -656,51 +776,63 @@ def parse_circuit(text: str) -> Circuit:
                 if n_qudits < 1:
                     raise CircuitParseError("qudit count must be positive", lineno)
                 stage = 2
-            elif stage == 2:
+            else:
                 if parts[0] != "init" or len(parts) != n_qudits + 1:
                     raise CircuitParseError(f"expected 'init' with {n_qudits} entries", lineno)
                 init = tuple(parts[1:])
-                lines.append(lineno)
                 stage = 3
-            else:
-                if parts[0] not in GATE_ARITY:
-                    raise CircuitParseError(f"unknown gate {parts[0]!r}", lineno)
-                n_wires, has_param = GATE_ARITY[parts[0]]
-                if len(parts) != 1 + n_wires + has_param:
-                    raise CircuitParseError(f"{parts[0]} gate takes {n_wires + has_param} argument(s)", lineno)
-                wires = (int(parts[1]), int(parts[2])) if n_wires == 2 else (int(parts[1]),)
-                gates.append(Gate(parts[0], wires, int(parts[-1]) if has_param else None))
-                lines.append(lineno)
+                break
         except CircuitParseError:
             raise
         except (ValueError, IndexError) as exc:
             raise CircuitParseError(str(exc), lineno) from exc
     if stage != 3:
         raise CircuitParseError("incomplete circuit: need field, qudits and init lines")
+    tokens = [raw.split("#", 1)[0].split() for raw in lines[lineno:]]
+    gate_lines = [n for n, parts in enumerate(tokens, start=lineno + 1) if parts]
+    columns = _gate_columns(list(filter(None, tokens)), gate_lines)
     try:
-        return Circuit(fld, n_qudits, init, tuple(gates))
-    except ValueError as exc:
-        raise CircuitParseError(str(exc), _rejected_line(fld, n_qudits, init, gates, lines)) from exc
+        return Circuit(fld, n_qudits, init, columns)
+    except GateError as exc:
+        raise CircuitParseError(str(exc), gate_lines[exc.index]) from exc
+    except ValueError as exc:  # Circuit checks the init entries before any gate
+        raise CircuitParseError(str(exc), lineno) from exc
 
 
-def _rejected_line(fld: Field, n_qudits: int, init: tuple[str, ...], gates: list[Gate],
-                   lines: list[int]) -> Optional[int]:
-    """Line of the init entries or of the first gate that Circuit rejects.
+def _gate_columns(tokens: list[list[str]], lines: list[int]) -> GateColumns:
+    """GateColumns of gate lines split into tokens, unchecked but for their form.
 
-    Circuit checks init before any gate, so an init that passes alone puts
-    the fault in a gate.  Run on the error path only: a good circuit is
-    checked once, by Circuit.
+    CircuitParseError names the first line with an unknown kind, a wrong
+    argument count or a token that is not an integer.
     """
+    kind = np.fromiter(map(_KIND_CODE.get, map(itemgetter(0), tokens), repeat(-1)), dtype=np.int64, count=len(tokens))
+    malformed = np.fromiter(map(len, tokens), dtype=np.int64, count=len(tokens)) != _LINE_TOKENS[kind]
     try:
-        Circuit(fld, n_qudits, init, ())
+        values = list(map(int, chain.from_iterable(map(itemgetter(slice(1, None)), tokens))))
     except ValueError:
-        return lines[0]
-    for gate, lineno in zip(gates, lines[1:]):
-        try:
-            validate_gate(fld, n_qudits, gate)
-        except ValueError:
-            return lineno
-    return None
+        values = None
+    if values is None or malformed.any():
+        for parts, line, bad in zip(tokens, lines, malformed.tolist()):
+            if parts[0] not in GATE_ARITY:
+                raise CircuitParseError(f"unknown gate {parts[0]!r}", line)
+            if bad:
+                n_wires, has_param = GATE_ARITY[parts[0]]
+                raise CircuitParseError(f"{parts[0]} gate takes {n_wires + has_param} argument(s)", line)
+            try:
+                for token in parts[1:]:
+                    int(token)
+            except ValueError as exc:
+                raise CircuitParseError(str(exc), line) from exc
+    n_args = _LINE_TOKENS[kind] - 1
+    first = np.cumsum(n_args) - n_args  # index of each gate's first argument in values
+    values = int_column(values + [0])  # the 0 pads the second-argument read of a final one-argument gate
+    n_wires = 1 + KIND_TWO_WIRES[kind]
+    return GateColumns(
+        kind,
+        values[first],
+        np.where(n_wires == 2, values[first + 1], 0),
+        np.where(KIND_HAS_PARAM[kind], values[first + n_wires], 0),
+    )
 
 
 def serialize_circuit(circuit: Circuit) -> str:

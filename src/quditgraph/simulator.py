@@ -24,6 +24,7 @@ on an identity; every dense builder counts its entries with check_state_size.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
@@ -70,26 +71,127 @@ class Gate:
         return f"<{self.kind} {body}>"
 
 
+GATE_KINDS = tuple(GATE_ARITY)  # kind code -> kind: a gate's code is the index of its kind here
+KIND_TWO_WIRES = np.array([GATE_ARITY[kind][0] == 2 for kind in GATE_KINDS])  # by kind code
+KIND_HAS_PARAM = np.array([GATE_ARITY[kind][1] for kind in GATE_KINDS])  # by kind code
+KIND_A, KIND_D, KIND_C, KIND_W = (GATE_KINDS.index(kind) for kind in "ADCW")
+
+
+def int_column(values: Sequence[int]) -> np.ndarray:
+    """values as an int64 array, or as an object array of Python ints if one lies past int64."""
+    column = np.array(values)
+    return column if column.size else np.zeros(0, dtype=np.int64)
+
+
+class GateError(ValueError):
+    """A gate that validation rejects; index is its position in the checked list."""
+
+    def __init__(self, message: str, index: int):
+        super().__init__(message)
+        self.index = index
+
+
+@dataclass(frozen=True, eq=False)
+class GateColumns:
+    """A gate list as four integer arrays, one entry per gate.
+
+    kind is the code of each gate (its index in GATE_KINDS), wire1 and wire2
+    its 1-based wires (wire2 is 0 for a one-wire gate) and param its field
+    parameter (0 where the kind takes none).  The arrays are int64, or object
+    arrays of Python ints while they hold a value past int64; validation
+    rejects any such value, so a validated list is int64.
+    """
+
+    kind: np.ndarray
+    wire1: np.ndarray
+    wire2: np.ndarray
+    param: np.ndarray
+
+    @classmethod
+    def from_gates(cls, gates: Iterable[Gate]) -> "GateColumns":
+        """Columns of Gate objects.
+
+        Raises GateError for the first gate with an unknown kind, the wrong
+        number of wires, or a missing or unexpected parameter; the values
+        themselves are left to check_gates.
+        """
+        kinds, wire1, wire2, params = [], [], [], []
+        for i, gate in enumerate(gates):
+            if gate.kind not in GATE_ARITY:
+                raise GateError(f"unknown gate kind {gate.kind!r}", i)
+            want, has_param = GATE_ARITY[gate.kind]
+            if len(gate.wires) != want:
+                raise GateError(f"{gate.kind} gate takes {want} wire(s), got {gate.wires}", i)
+            if has_param and gate.param is None:
+                raise GateError(f"{gate.kind} gate requires a field parameter", i)
+            if not has_param and gate.param is not None:
+                raise GateError(f"{gate.kind} gate takes no parameter", i)
+            kinds.append(GATE_KINDS.index(gate.kind))
+            wire1.append(gate.wires[0])
+            wire2.append(gate.wires[1] if want == 2 else 0)
+            params.append(gate.param or 0)
+        return cls(np.array(kinds, dtype=np.int64), int_column(wire1), int_column(wire2), int_column(params))
+
+    @property
+    def arrays(self) -> tuple[np.ndarray, ...]:
+        return self.kind, self.wire1, self.wire2, self.param
+
+    def __len__(self) -> int:
+        return len(self.kind)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, GateColumns):
+            return NotImplemented
+        return all(map(np.array_equal, self.arrays, other.arrays))
+
+    def __getitem__(self, index) -> "GateColumns":
+        """The gates at a slice, mask or index array, as columns."""
+        return GateColumns(*(a[index] for a in self.arrays))
+
+    def gates(self) -> tuple[Gate, ...]:
+        """Gate objects holding Python ints."""
+        two, has = KIND_TWO_WIRES.tolist(), KIND_HAS_PARAM.tolist()
+        return tuple(
+            Gate(GATE_KINDS[k], (a, b) if two[k] else (a,), p if has[k] else None)
+            for k, a, b, p in zip(*(column.tolist() for column in self.arrays))
+        )
+
+
+def check_gates(field: Field, n_qudits: int, cols: GateColumns) -> None:
+    """Raise GateError for the first gate whose wires or parameter are out of range.
+
+    Each check is one array comparison over the whole list, in a fixed
+    order: first wire, second wire, distinct wires, parameter range, D(0).
+    The first gate failing any of them is reported, with the message of the
+    first check it fails.
+    """
+    kind, w1, w2, param = cols.arrays
+    two, has = KIND_TWO_WIRES[kind], KIND_HAS_PARAM[kind]
+    checks = (
+        ((w1 < 1) | (w1 > n_qudits), lambda i: f"wire {w1[i]} out of range 1..{n_qudits}"),
+        (two & ((w2 < 1) | (w2 > n_qudits)), lambda i: f"wire {w2[i]} out of range 1..{n_qudits}"),
+        (two & (w1 == w2), lambda i: f"wires of a two-qudit gate must be distinct: ({w1[i]}, {w2[i]})"),
+        (has & ((param < 0) | (param >= field.d)), lambda i: f"parameter {param[i]} out of range for order-{field.d} field"),
+        ((kind == KIND_D) & (param == 0), lambda i: "D(0) is not unitary"),
+    )
+    bad = np.zeros(len(kind), dtype=bool)
+    for mask, _ in checks:
+        bad |= mask
+    if bad.any():
+        i = int(bad.argmax())
+        raise GateError(next(message(i) for mask, message in checks if mask[i]), i)
+
+
+def validate_gates(field: Field, n_qudits: int, gates: Iterable[Gate]) -> tuple[Gate, ...]:
+    """Check a gate list once: GateColumns.from_gates, then check_gates.  Returns the gates as a tuple."""
+    gates = tuple(gates)
+    check_gates(field, n_qudits, GateColumns.from_gates(gates))
+    return gates
+
+
 def validate_gate(field: Field, n_qudits: int, gate: Gate) -> None:
-    if gate.kind not in GATE_ARITY:
-        raise ValueError(f"unknown gate kind {gate.kind!r}")
-    want, has_param = GATE_ARITY[gate.kind]
-    if len(gate.wires) != want:
-        raise ValueError(f"{gate.kind} gate takes {want} wire(s), got {gate.wires}")
-    for w in gate.wires:
-        if not 1 <= w <= n_qudits:
-            raise ValueError(f"wire {w} out of range 1..{n_qudits}")
-    if len(set(gate.wires)) != len(gate.wires):
-        raise ValueError(f"wires of a two-qudit gate must be distinct: {gate.wires}")
-    if has_param:
-        if gate.param is None:
-            raise ValueError(f"{gate.kind} gate requires a field parameter")
-        if not 0 <= gate.param < field.d:
-            raise ValueError(f"parameter {gate.param} out of range for order-{field.d} field")
-        if gate.kind == "D" and gate.param == 0:
-            raise ValueError("D(0) is not unitary")
-    elif gate.param is not None:
-        raise ValueError(f"{gate.kind} gate takes no parameter")
+    """validate_gates on a list of one."""
+    validate_gates(field, n_qudits, (gate,))
 
 
 # ---------------------------------------------------------------------------
@@ -211,16 +313,16 @@ def _source_digits(field: Field, kind: str, param: int) -> np.ndarray:
 
 
 def run_gates(state: StateVector, gates: Iterable[Gate]) -> StateVector:
-    """Apply a time-ordered gate sequence (first gate acts first)."""
+    """Apply a time-ordered gate sequence (first gate acts first), validated once."""
+    gates = validate_gates(state.field, state.n, gates)
     amps = _run_raw(state.field, state.n, gates, state.amps.copy())
     return StateVector(state.field, state.n, amps)
 
 
 def _run_raw(field: Field, n: int, gates: Iterable[Gate], cur: np.ndarray) -> np.ndarray:
-    """Apply gates in order, ping-ponging between cur, which is overwritten, and one more buffer."""
+    """Apply validated gates in order, ping-ponging between cur, which is overwritten, and one more buffer."""
     buf = np.empty_like(cur)
     for gate in gates:
-        validate_gate(field, n, gate)
         _apply_gate_raw(field, n, gate, cur, buf)
         cur, buf = buf, cur
     return cur
@@ -230,11 +332,17 @@ def _run_raw(field: Field, n: int, gates: Iterable[Gate], cur: np.ndarray) -> np
 # Dense operators
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=4)
 def fourier_matrix(field: Field) -> np.ndarray:
-    """d x d Fourier gate: entry (x, y) = omega^(x.y)/sqrt(d), omega = exp(2 pi i/p)."""
+    """d x d Fourier gate: entry (x, y) = omega^(x.y)/sqrt(d), omega = exp(2 pi i/p).
+
+    Built once per field and shared, so the array is read-only.
+    """
     check_state_size(field.d, 2)  # d^2 entries, as many as a two-qudit state
     powers = np.exp(2j * np.pi / field.p) ** np.arange(field.p)
-    return powers[field.digits @ field.digits.T % field.p] / math.sqrt(field.d)
+    h = powers[field.digits @ field.digits.T % field.p] / math.sqrt(field.d)
+    h.flags.writeable = False
+    return h
 
 
 def gate_source_map(field: Field, n_wires: int, gate: Gate) -> np.ndarray:
@@ -249,6 +357,7 @@ def sequence_source_map(field: Field, n_wires: int, ops: Sequence[Gate]) -> np.n
     a permutation gate sends amps to amps[src].  The map has d^n_wires
     entries, so it falls under the state-size guard.
     """
+    ops = validate_gates(field, n_wires, ops)
     if any(g.kind == "H" for g in ops):
         raise ValueError("the Fourier gate is not a basis permutation")
     check_state_size(field.d, n_wires)
@@ -266,8 +375,7 @@ def sequence_matrix(field: Field, n_wires: int, ops: Sequence[Gate]) -> np.ndarr
     The kernels run on the identity as a 2 * n_wires wire register: its high
     digits are the operator's wires, its low digits the column index.
     """
-    for gate in ops:
-        validate_gate(field, n_wires, gate)
+    ops = validate_gates(field, n_wires, ops)
     check_state_size(field.d, 2 * n_wires)
     dim = field.d ** n_wires
     eye = np.eye(dim, dtype=np.complex128).reshape(-1)

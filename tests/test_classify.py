@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from quditgraph import Field, ResourceGuardError, SymbolicState, bipartition_subsets, classify
+from quditgraph.classify import unique_rows
 from quditgraph.rewrite import rank_exponents
 from quditgraph.simulator import signature_key
 
@@ -170,3 +171,14 @@ def test_class_sizes_match_product_free_count(d, n):
     for cls in report["classes"]:
         assert cls["graphs"] == _product_free_count(d, cls["sources"], cls["sinks"])
         assert sum(orbit["count"] for orbit in cls["signature_orbits"]) == cls["graphs"]
+
+
+@pytest.mark.parametrize("shape, high", [((1, 1), 3), ((1, 5), 4), ((40, 1), 3), ((25, 3), 1), ((300, 4), 2),
+                                         ((1000, 6), 3), ((60, 2), 10 ** 6)])
+def test_unique_rows_matches_np_unique(shape, high):
+    # keys in lexicographic order, the first index of each key and its count, as np.unique gives them
+    rows = np.random.default_rng(shape[0] * high).integers(0, high, size=shape)
+    want = np.unique(rows, axis=0, return_index=True, return_counts=True)
+    got = unique_rows(rows)
+    for w, g in zip(want, got):
+        assert w.dtype == g.dtype and np.array_equal(w, g)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import quditgraph
-from quditgraph import kernels, simulator
+from quditgraph import cli, graph_to_json_dict, kernels, make_graph_state, simulator
 from quditgraph.cli import main
 
 EXAMPLE_CIRCUIT = """\
@@ -193,14 +193,54 @@ def test_normalize_names_the_line_circuit_rejects(tmp_path, capsys, text, line):
     assert err.startswith(f"parse error: line {line}: ")
 
 
-NORMALIZE_GOLDEN = ["gf2", "gf3", "gf4", "gf9", "sinks", "wide48"]  # tests/data/normalize/<name>.qc
+HEADER = "field 3 1 0\nqudits 3\ninit s 0 0\n"
+
+
+@pytest.mark.parametrize("text, line, message", [
+    (HEADER + "C 1 2\n", 4, "C gate takes 3 argument(s)"),
+    (HEADER + "A 1 2 3\n", 4, "A gate takes 2 argument(s)"),
+    (HEADER + "C 1 x 1\n", 4, "invalid literal for int() with base 10: 'x'"),
+    (HEADER + "C 1 2 1.5\n", 4, "invalid literal for int() with base 10: '1.5'"),
+    (HEADER + "C 0 2 1\n", 4, "wire 0 out of range 1..3"),
+    (HEADER + "C 1 4 1\n", 4, "wire 4 out of range 1..3"),
+    (HEADER + "A -1 1\n", 4, "wire -1 out of range 1..3"),
+    (HEADER + "C 2 2 1\n", 4, "wires of a two-qudit gate must be distinct: (2, 2)"),
+    (HEADER + "W 3 3\n", 4, "wires of a two-qudit gate must be distinct: (3, 3)"),
+    (HEADER + "C 1 2 3\n", 4, "parameter 3 out of range for order-3 field"),
+    (HEADER + "C 1 2 -1\n", 4, "parameter -1 out of range for order-3 field"),
+    (HEADER + "C 1 2 1\nD 2 0\n", 5, "D(0) is not unitary"),
+    (HEADER + "H 1 1\n", 4, "H gate takes 1 argument(s)"),
+    (HEADER + "X 1 1\n", 4, "unknown gate 'X'"),
+    ("field 3 1 0\nqudits 3\ninit s 0 x\n", 3, "init entries must be 's' or '0', got 'x'"),
+    ("field 3 1 0\nqudits 3\ninit s 0\n", 3, "expected 'init' with 3 entries"),
+    # a bad init entry is named before a gate out of range
+    ("field 3 1 0\nqudits 3\ninit s 0 x\nC 1 9 1\n", 3, "init entries must be 's' or '0', got 'x'"),
+    # comments and blank lines keep their line numbers; the first bad gate is named
+    (HEADER + "C 1 2 1\n# c\n\nC 1 2 1\nA 3 7\nC 0 1 1\n", 8, "parameter 7 out of range for order-3 field"),
+    # a line that is no gate at all is named before an earlier gate out of range
+    (HEADER + "C 1 5 1\nC 1 x 1\n", 5, "invalid literal for int() with base 10: 'x'"),
+    (HEADER + "C 1 5 1\nC 1 2\n", 5, "C gate takes 3 argument(s)"),
+    (HEADER + "C 1 5 1\nQ 1\n", 5, "unknown gate 'Q'"),
+    # values past int64 are reported as written
+    (HEADER + "C 1 2 99999999999999999999999\n", 4, "parameter 99999999999999999999999 out of range for order-3 field"),
+    (HEADER + "C 99999999999999999999999 2 1\n", 4, "wire 99999999999999999999999 out of range 1..3"),
+    ("field 2 8\nqudits 2\ninit s 0\nC 1 2 255\nC 1 2 256\n", 5, "parameter 256 out of range for order-256 field"),
+])
+@pytest.mark.parametrize("verb", ["normalize", "simulate"])
+def test_parse_errors_name_the_first_bad_line(tmp_path, capsys, verb, text, line, message):
+    path = tmp_path / "bad.qc"
+    path.write_text(text)
+    assert run_cli(capsys, verb, str(path)) == (2, "", f"parse error: line {line}: {message}\n")
+
+
+NORMALIZE_GOLDEN = ["gf2", "gf3", "gf4", "gf9", "sinks", "wide48", "wide96"]  # tests/data/normalize/<name>.qc
 
 
 @pytest.mark.parametrize("fmt, ext", [("json", "json"), ("text", "txt"), ("dot", "dot")])
 @pytest.mark.parametrize("name", NORMALIZE_GOLDEN)
 def test_normalize_golden_output(capsys, name, fmt, ext):
-    # wide48 has 48 wires, past the dense guard, so it runs without --verify
-    verify = [] if name == "wide48" else ["--verify"]
+    # the wide circuits have 48 and 96 wires, past the dense guard, so they run without --verify
+    verify = [] if name.startswith("wide") else ["--verify"]
     code, out, _ = run_cli(capsys, "normalize", str(DATA / "normalize" / f"{name}.qc"), "--format", fmt, *verify)
     assert code == 0
     assert out == (DATA / "normalize" / f"{name}.{ext}").read_text()
@@ -767,6 +807,84 @@ def test_tolerance_must_lie_in_0_1(tmp_path, capsys, tolerance):
             assert f"tolerance must be a finite number with 0 <= tol < 1, got {tolerance}" in err
         assert run_cli(capsys, *argv, "--tolerance", "0")[0] != 2  # both ends of [0, 1) are accepted
         assert run_cli(capsys, *argv, "--tolerance", "0.999")[0] == 0
+
+
+def test_back_to_back_calls_get_fresh_defaults(tmp_path, capsys, monkeypatch):
+    # the argument parser is built once per process; each call still starts from the defaults
+    path = tmp_path / "bell.qc"
+    path.write_text(BELL_CIRCUIT)
+    code, out, _ = run_cli(capsys, "normalize", str(path), "--verify")
+    assert code == 0 and json.loads(out)["verification"]["equal"]
+    code, out, _ = run_cli(capsys, "normalize", str(path))
+    assert code == 0 and json.loads(out)["verification"] is None
+    tolerances = []
+    real = cli.verify_dual_equivalence
+    monkeypatch.setattr(cli, "verify_dual_equivalence", lambda g, tol: tolerances.append(tol) or real(g, tol))
+    graph = tmp_path / "graph.json"
+    graph.write_text('{"field": {"p": 3, "n": 1, "poly": 0}, "S": [1], "O": [2], "edges": [{"from": 1, "to": 2, "label": 1}]}')
+    assert run_cli(capsys, "dual-check", str(graph), "--tolerance", "0.5")[0] == 0
+    assert run_cli(capsys, "dual-check", str(graph))[0] == 0
+    assert tolerances == [0.5, 1e-10]
+
+
+def json_reference(obj) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+def test_emit_json_matches_json_dumps_on_every_verb(tmp_path, capsys, monkeypatch):
+    emitted = []
+    real = cli._json_text
+
+    def recording(obj, indent=""):
+        if not indent:
+            emitted.append(obj)
+        return real(obj, indent)
+
+    monkeypatch.setattr(cli, "_json_text", recording)
+    circuit = tmp_path / "example.qc"
+    circuit.write_text(EXAMPLE_CIRCUIT)
+    graph = tmp_path / "graph.json"
+    square_graph = make_graph_state(quditgraph.Field.of_order(4), [1, 2], [3, 4], [(1, 3, 1), (1, 4, 1), (2, 3, 1), (2, 4, 2)])
+    graph.write_text(json.dumps(graph_to_json_dict(square_graph)))
+    dump = tmp_path / "mes5.state"
+    assert run_cli(capsys, "make-mes", "5", "--output", str(dump))[0] == 0
+    square = tmp_path / "square.state"
+    square.write_text(quditgraph.dump_state(quditgraph.square_state(quditgraph.Field(5, 1), 0)))
+    verbs = [
+        ["normalize", str(circuit)],
+        ["normalize", str(circuit), "--verify"],
+        ["normalize", str(DATA / "normalize" / "wide96.qc")],
+        ["classify", "4", "--field", "3 1"],
+        ["classify", "3", "--field", "2 2 3"],
+        ["dual-check", str(graph)],
+        ["verify-mes", str(dump)],
+        ["verify-mes", str(square)],
+        ["make-mes", "6"],
+        ["relations-test", "--fields", "2,3,7", "--format", "json"],
+    ]
+    for argv in verbs:
+        code, out, _ = run_cli(capsys, *argv)
+        assert code in (0, 1), argv
+        assert out == json_reference(emitted[-1]), argv
+    assert len(emitted) == len(verbs)
+
+
+def test_emit_json_matches_json_dumps_on_random_graphs(capsys):
+    rng = np.random.default_rng(19)
+    for d in (2, 3, 4, 7, 8, 9, 257):
+        fld = quditgraph.Field.of_order(d)
+        n = int(rng.integers(2, 40))
+        k = int(rng.integers(1, n))
+        wires = rng.permutation(n) + 1
+        edges = [(int(i), int(j), int(rng.integers(1, d))) for i in wires[:k] for j in wires[k:] if rng.random() < 0.5]
+        graph = make_graph_state(fld, wires[:k].tolist(), wires[k:].tolist(), edges)
+        report = {"permutation": list(graph.s_wires + graph.o_wires), "graph": graph_to_json_dict(graph), "verification": None}
+        cli._emit_json(report)
+        assert capsys.readouterr().out == json_reference(report)
+    for obj in ([], {}, {"a": [], "b": {}}, [1, True, None, 1.5, "x"], {"e": [{"a": 1, "b": False}]},
+                {"e": [{"a": 1, "b": 2}, {"a": 1, "c": 2}]}, {"%d": [{"%s": 1, "b": -2}]}, [(1, 2), [float("nan")]]):
+        cli._emit_json(obj)
+        assert capsys.readouterr().out == json_reference(obj)
 
 
 def test_unknown_verb_exit_2(capsys):

@@ -21,8 +21,8 @@ from quditgraph import (
     states_equal_symbolic,
 )
 from quditgraph import rewrite
-from quditgraph.rewrite import RELATIONS, affine_maps_equal, compare_sequences, mat_rref
-from quditgraph.simulator import sequence_source_map, validate_gate
+from quditgraph.rewrite import RELATIONS, affine_maps_equal, asap_layers, compare_sequences, mat_rref
+from quditgraph.simulator import GateColumns, check_gates, sequence_source_map
 
 from util import (
     dense_amps_scatter,
@@ -114,6 +114,94 @@ def test_support_of_dependent_rows_sums_repeated_kets():
     assert np.allclose(sym.dense_amps(), np.eye(3).reshape(-1))
 
 
+def gate_by_gate(circ: Circuit) -> SymbolicState:
+    sym = SymbolicState.from_pattern(circ.field, circ.init)
+    for gate in circ.gates:
+        sym.apply(gate)
+    return sym
+
+
+def layer_of(circ: Circuit) -> dict[Gate, int]:
+    """Layer index of each gate of a circuit whose gates are all distinct."""
+    return {g: i for i, layer in enumerate(asap_layers(circ.columns, circ.n_qudits)) for g in layer.gates()}
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 8, 9, 257])
+def test_layered_from_circuit_matches_gate_by_gate(d):
+    fld = field_for(d)
+    rng = np.random.default_rng(d)
+    for n, k, n_gates in [(2, 1, 10), (4, 2, 40), (6, 3, 80), (9, 4, 200)]:
+        circ = random_cadw_circuit(fld, n, k, n_gates, rng)
+        layered = SymbolicState.from_circuit(circ)
+        assert np.array_equal(layered._rows, gate_by_gate(circ)._rows)
+        layers = asap_layers(circ.columns, n)
+        assert sum(map(len, layers)) == n_gates
+        assert len(layers) < n_gates  # some gates share a layer
+
+
+@pytest.mark.parametrize("gates, shared", [
+    # W next to a C that reads one of its wires: the C reads wire 1 before the W writes it
+    ([Gate("C", (1, 3), 2), Gate("W", (1, 2))], True),
+    # ... but a C reading a wire the W wrote comes a layer later
+    ([Gate("W", (1, 2)), Gate("C", (1, 3), 2)], False),
+    # D on a control that a C of the same layer reads
+    ([Gate("C", (1, 2), 1), Gate("D", (1,), 2)], True),
+    ([Gate("D", (1,), 2), Gate("C", (1, 2), 1)], False),
+    # A on a C control, and two C gates sharing a control
+    ([Gate("C", (1, 2), 1), Gate("A", (1,), 2)], True),
+    ([Gate("C", (1, 2), 1), Gate("C", (1, 3), 2)], True),
+    # a C whose target another C of the layer reads as its control
+    ([Gate("C", (2, 3), 1), Gate("C", (1, 2), 2)], True),
+    ([Gate("C", (1, 2), 2), Gate("C", (2, 3), 1)], False),
+    # two writes of one wire
+    ([Gate("C", (1, 3), 1), Gate("C", (2, 3), 1)], False),
+])
+def test_layers_share_only_safe_gates(gates, shared):
+    fld = field_for(3)
+    for init in (("s", "0", "0"), ("s", "s", "0"), ("0", "s", "s")):
+        circ = Circuit(fld, 3, init, [Gate("C", (2, 1), 1), Gate("A", (3,), 1), *gates])
+        layers = layer_of(circ)
+        assert (layers[gates[0]] == layers[gates[1]]) is shared
+        assert np.array_equal(SymbolicState.from_circuit(circ)._rows, gate_by_gate(circ)._rows)
+
+
+def test_layers_put_c_gates_first_and_write_each_wire_once():
+    fld = field_for(5)
+    circ = random_cadw_circuit(fld, 6, 3, 300, np.random.default_rng(1))
+    for layer in asap_layers(circ.columns, 6):
+        kinds = [g.kind for g in layer.gates()]
+        assert kinds == sorted(kinds, key=lambda kind: (kind != "C", kind))
+        writes = [w for g in layer.gates() for w in (g.wires if g.kind == "W" else g.wires[-1:])]
+        assert len(writes) == len(set(writes))
+
+
+def test_apply_takes_a_layer_and_rejects_two_writes_of_a_wire():
+    fld = field_for(3)
+    start = SymbolicState.from_pattern(fld, ("s", "s", "0"))
+    # a layer acts at once: C 3 <- 1 reads wire 1 as it was before D 1 writes it
+    layer = GateColumns.from_gates([Gate("D", (1,), 2), Gate("C", (1, 3), 1)])
+    at_once = start.copy().apply(layer)
+    in_order = start.copy().apply(Gate("C", (1, 3), 1)).apply(Gate("D", (1,), 2))
+    assert np.array_equal(at_once._rows, in_order._rows)
+    assert np.array_equal(start.copy().apply(GateColumns.from_gates([]))._rows, start._rows)
+    with pytest.raises(ValueError, match="distinct wires"):
+        start.copy().apply(GateColumns.from_gates([Gate("C", (1, 3), 1), Gate("A", (3,), 1)]))
+    with pytest.raises(ValueError, match="out of range"):
+        start.copy().apply(GateColumns.from_gates([Gate("C", (1, 4), 1)]))
+    sym = start.copy()
+    with pytest.raises(ValueError, match="^V gate has no affine representation"):
+        sym.apply(GateColumns.from_gates([Gate("C", (1, 3), 1), Gate("V", (2,))]))
+    assert np.array_equal(sym._rows, start._rows)  # refused before any column changed
+
+
+def test_from_circuit_names_the_first_non_affine_gate():
+    fld = field_for(3)
+    for gates, kind in [([Gate("C", (1, 2), 1), Gate("V", (2,)), Gate("H", (1,))], "V"),
+                        ([Gate("H", (2,)), Gate("V", (1,))], "H")]:
+        with pytest.raises(ValueError, match=f"^{kind} gate has no affine representation"):
+            SymbolicState.from_circuit(Circuit(fld, 2, ("s", "0"), gates))
+
+
 def test_symbolic_rejects_fourier_and_reversal():
     sym = SymbolicState.from_pattern(field_for(2), ("s", "0"))
     with pytest.raises(ValueError):
@@ -124,24 +212,24 @@ def test_symbolic_rejects_fourier_and_reversal():
         sym.copy().apply(Gate("D", (1,), 0))
 
 
-def test_from_circuit_validates_each_gate_once(monkeypatch):
-    # Circuit checks its gates on construction; tracking does not check them again
+def test_from_circuit_validates_each_circuit_once(monkeypatch):
+    # Circuit checks all its gates at once on construction; tracking does not check them again
     calls = []
 
-    def counting(fld, n, gate):
-        calls.append(gate)
-        validate_gate(fld, n, gate)
+    def counting(fld, n, columns):
+        calls.append(len(columns))
+        check_gates(fld, n, columns)
 
-    monkeypatch.setattr(rewrite, "validate_gate", counting)
+    monkeypatch.setattr(rewrite, "check_gates", counting)
     fld = field_for(5)
     circ = random_cadw_circuit(fld, 4, 2, 30, np.random.default_rng(5))
-    assert len(calls) == 30
+    assert calls == [30]
     sym = SymbolicState.from_circuit(circ)
-    assert len(calls) == 30
+    assert calls == [30]
     assert np.max(np.abs(sym.dense_amps() - circ.simulate().amps)) < 1e-12
     with pytest.raises(ValueError):  # outside callers are still checked
         sym.apply(Gate("C", (1, 5), 1))
-    assert len(calls) == 31
+    assert calls == [30, 1]
 
 
 def test_states_equal_symbolic_examples():

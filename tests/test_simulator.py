@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -20,12 +21,15 @@ from quditgraph import (
     square_state,
     states_equal_up_to_phase,
 )
+from quditgraph import simulator
 from quditgraph.simulator import (
+    GateError,
     bipartition_subsets,
     parse_state,
     reduced_density_raw,
     sequence_source_map,
     validate_gate,
+    validate_gates,
 )
 
 from util import (
@@ -181,6 +185,54 @@ def test_norm_preserved_by_random_circuits():
         gates = [Gate("H", (1,)), Gate("V", (2,)), Gate("H", (3,))]
         st = run_gates(st, gates)
         assert abs(st.norm() - 1) < 1e-10
+
+
+def test_gate_lists_are_validated_once(monkeypatch):
+    calls = []
+    real = simulator.check_gates
+    monkeypatch.setattr(simulator, "check_gates", lambda fld, n, cols: calls.append(len(cols)) or real(fld, n, cols))
+    fld = field_for(3)
+    gates = [Gate("C", (1, 2), 1), Gate("H", (2,)), Gate("A", (1,), 2), Gate("W", (1, 2)), Gate("V", (1,))]
+    run_gates(init_state(fld, 2, ["s", "0"]), gates)
+    sequence_source_map(fld, 2, [g for g in gates if g.kind != "H"])
+    sequence_matrix(fld, 2, gates)
+    assert calls == [5, 4, 5]
+    with pytest.raises(ValueError, match="parameter 3 out of range"):
+        run_gates(init_state(fld, 2, ["s", "0"]), gates + [Gate("C", (2, 1), 3)])
+
+
+def test_gate_errors_name_the_first_bad_gate():
+    fld = field_for(5)
+    cases = [
+        ([Gate("C", (1, 2), 1), Gate("A", (4,), 1), Gate("D", (1,), 0)], 1, "wire 4 out of range 1..3"),
+        ([Gate("C", (3, 4), 1)], 0, "wire 4 out of range 1..3"),
+        ([Gate("W", (2, 2))], 0, "wires of a two-qudit gate must be distinct: (2, 2)"),
+        ([Gate("A", (1,), 4), Gate("D", (1,), 0)], 1, "D(0) is not unitary"),
+        ([Gate("C", (1, 2), 5)], 0, "parameter 5 out of range for order-5 field"),
+        ([Gate("A", (1,), 1), Gate("X", (1,))], 1, "unknown gate kind 'X'"),
+        ([Gate("C", (1,), 1)], 0, "C gate takes 2 wire(s), got (1,)"),
+        ([Gate("D", (1,))], 0, "D gate requires a field parameter"),
+        ([Gate("H", (1,), 1)], 0, "H gate takes no parameter"),
+        ([Gate("C", (1, 2), 10 ** 30)], 0, f"parameter {10 ** 30} out of range for order-5 field"),
+    ]
+    for gates, index, message in cases:
+        with pytest.raises(GateError) as err:
+            validate_gates(fld, 3, gates)
+        assert (err.value.index, str(err.value)) == (index, message)
+        if len(gates) == 1:
+            with pytest.raises(ValueError, match=re.escape(message)):
+                validate_gate(fld, 3, gates[0])
+
+
+def test_fourier_matrix_is_built_once_per_field_and_read_only():
+    fld = field_for(7)
+    h = fourier_matrix(fld)
+    assert fourier_matrix(field_for(7)) is h
+    assert not h.flags.writeable
+    with pytest.raises(ValueError):
+        h[0, 0] = 0
+    with pytest.raises(ResourceGuardError):  # the guard is not cached away
+        fourier_matrix(field_for(8192))
 
 
 def test_gate_validation_errors():
