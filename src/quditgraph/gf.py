@@ -192,12 +192,13 @@ class Field:
         self.neg_table = self.sub_arr(0, np.arange(d))
         self.reverse_table = self.digits[:, ::-1] @ self.powers
 
-        # x^k mod poly for k < 2n - 1, as [i, j] -> x^(i+j): mul_matrix reads it
+        # x^k mod poly for k < 2n - 1, as [i, j * n + l] -> coefficient l of
+        # x^(i+j): mul_matrix reads it
         xpow = np.zeros((2 * n - 1, n), dtype=np.int64)
         for k in range(2 * n - 1):
             rem = _poly_mod([0] * k + [1], self.poly, p)
             xpow[k, : len(rem)] = rem
-        self._shifted_xpow = xpow[np.add.outer(np.arange(n), np.arange(n))]
+        self._shifted_xpow = xpow[np.add.outer(np.arange(n), np.arange(n))].reshape(n, n * n)
 
         def power(h: int, e: int) -> int:
             row, t = self.digits[1], self.mul_matrix(h)
@@ -235,7 +236,8 @@ class Field:
         Multiplication is Z_p-linear on coefficient rows, coeffs(a e) =
         coeffs(e) @ M_a mod p.  An array of labels gives a (..., n, n) stack.
         """
-        return np.tensordot(self.digits[a], self._shifted_xpow, axes=1) % self.p
+        coeffs = self.digits[a]
+        return (coeffs @ self._shifted_xpow).reshape(coeffs.shape[:-1] + (self.n, self.n)) % self.p
 
     # -- representation -----------------------------------------------------
 

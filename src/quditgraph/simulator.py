@@ -15,16 +15,22 @@ Gates
     W m n   swap
 
 All gates except H permute basis states.  Every gate is applied by the
-kernels module, the one place that knows how each gate acts on digits; each
-kernel writes straight into the second buffer of a ping-pong pair.  A gather
-map is the kernels run on an index array, a dense operator the kernels run
-on an identity; every dense builder counts its entries with check_state_size.
+kernels module; each kernel writes straight into the second buffer of a
+ping-pong pair.  Over GF(2^m) the digits of a wire are m bits of the
+amplitude index, and every permutation gate is an affine map of those bits
+over Z_2, so _run_raw composes each run of them between H gates into one
+map (_xor_source_map) and applies it as one kernels.xor_gather pass.  H,
+and every gate over an odd-p field, is one kernel pass per gate.  A gather
+map is this gate loop run on an index array, a dense operator the loop run
+on an identity; every dense builder counts its entries with
+check_state_size.
 """
 
 from __future__ import annotations
 
 import cmath
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
@@ -320,12 +326,67 @@ def run_gates(state: StateVector, gates: Iterable[Gate]) -> StateVector:
 
 
 def _run_raw(field: Field, n: int, gates: Iterable[Gate], cur: np.ndarray) -> np.ndarray:
-    """Apply validated gates in order, ping-ponging between cur, which is overwritten, and one more buffer."""
+    """Apply validated gates in order, ping-ponging between cur, which is overwritten, and one more buffer.
+
+    Over a field of characteristic 2 each maximal run of gates other than H
+    is one XOR-affine map of the index bits (_xor_source_map) and takes one
+    kernels.xor_gather pass.  H gates, and every gate over an odd-p field,
+    whose digit maps carry mod p across the bits of the index, take one
+    _apply_gate_raw pass each.
+    """
     buf = np.empty_like(cur)
-    for gate in gates:
-        _apply_gate_raw(field, n, gate, cur, buf)
-        cur, buf = buf, cur
+    fuse = field.p == 2
+    for permutes, run in itertools.groupby(gates, key=lambda gate: fuse and gate.kind != "H"):
+        if permutes:
+            kernels.xor_gather(cur, buf, *_xor_source_map(field, n, tuple(run)))
+            cur, buf = buf, cur
+            continue
+        for gate in run:
+            _apply_gate_raw(field, n, gate, cur, buf)
+            cur, buf = buf, cur
     return cur
+
+
+def _xor_source_map(field: Field, n: int, gates: Sequence[Gate]) -> tuple[int, list[int]]:
+    """(c, cols) of a run of validated A/D/C/V/W gates over GF(2^m), applied in order.
+
+    The run sends amps to amps[src], src(y) = L y + c over Z_2 on the m * n
+    index bits, where bit i of wire w sits at position m * (n - w) + i.  L
+    starts as the identity and takes one column update per gate, src <-
+    src o g^-1, with M_a = Field.mul_matrix(a) acting on coefficient columns
+    as its transpose:
+        A(a) on w        c ^= L[:, w] bits(a)
+        D(a) on w        L[:, w] <- L[:, w] M_{1/a}^T
+        C(a) from w to t L[:, w] ^= L[:, t] M_a^T
+        V on w           the columns of wire w reversed
+        W on w and t     the column blocks of w and t exchanged
+    cols are the columns of L packed into integers, bit r holding row r.
+    """
+    m = field.n
+    lin = np.eye(m * n, dtype=np.int64)
+    c = np.zeros(m * n, dtype=np.int64)
+    # one mul_matrix call for the whole run: M_{1/a} for D, M_a for C, unused for the rest
+    labels = [field.inv(g.param) if g.kind == "D" else g.param if g.kind == "C" else 1 for g in gates]
+    mats = field.mul_matrix(np.array(labels, dtype=np.int64)).swapaxes(1, 2)
+
+    def block(wire: int) -> slice:
+        return slice(m * (n - wire), m * (n - wire + 1))
+
+    for gate, mat in zip(gates, mats):
+        kind, w = gate.kind, block(gate.wires[0])
+        if kind == "A":
+            c ^= lin[:, w] @ field.digits[gate.param] % 2
+        elif kind == "D":
+            lin[:, w] = lin[:, w] @ mat % 2
+        elif kind == "C":
+            lin[:, w] ^= lin[:, block(gate.wires[1])] @ mat % 2
+        elif kind == "V":
+            lin[:, w] = lin[:, w][:, ::-1]  # numpy copies an overlapping right-hand side first
+        else:  # W
+            t = block(gate.wires[1])
+            lin[:, w], lin[:, t] = lin[:, t], lin[:, w].copy()
+    weights = 1 << np.arange(m * n, dtype=np.int64)
+    return int(c @ weights), (weights @ lin).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -499,11 +560,11 @@ def dump_state(state: SupportState, header: Sequence[str] = ()) -> str:
     """Debug dump: one `index_base_d re im` line per ket of state, in its order."""
     lines = [f"# quditgraph-state d={state.d} qudits={state.n}"]
     lines += [f"# {h}" for h in header]
-    digits = state.digits.T.tolist()
-    if state.d <= 36:
-        kets = ["".join(_DIGITS36[v] for v in row) for row in digits]
+    if state.d <= 36:  # one character per digit: a table gather, one decode, then a slice per ket
+        text = np.frombuffer(_DIGITS36.encode(), dtype=np.uint8)[state.digits.T].tobytes().decode()
+        kets = [text[i : i + state.n] for i in range(0, len(text), state.n)]
     else:
-        kets = [",".join(map(str, row)) for row in digits]
+        kets = [",".join(map(str, row)) for row in state.digits.T.tolist()]
     for ket, a in zip(kets, state.amps.tolist()):
         lines.append(f"{ket} {a.real!r} {a.imag!r}")
     return "\n".join(lines) + "\n"

@@ -10,6 +10,11 @@ seeded samples of kets and labels.  At N = 5 and 6 some C gates have digits
 before, between and after their two wires.  The Fourier gate is checked
 against its Kronecker operator I (x) h (x) I, and every gate against an
 allocation bound: no kernel allocates a temporary the size of the state.
+
+Over fields of characteristic 2, _run_raw applies each run of permutation
+gates between H gates as one XOR-affine gather.  Those runs are checked bit
+for bit against a ping-pong loop of single-gate kernels, and their source
+maps against the composition of the ket-by-ket oracle maps.
 """
 
 import tracemalloc
@@ -19,10 +24,10 @@ import numpy as np
 import pytest
 
 from quditgraph import Gate, StateVector, apply_gate, fourier_matrix, sequence_matrix
-from quditgraph.kernels import FOURIER_KRON_MAX
-from quditgraph.simulator import _apply_gate_raw, gate_source_map, sequence_source_map
+from quditgraph.kernels import FOURIER_KRON_MAX, XOR_CHUNK_BITS, xor_gather
+from quditgraph.simulator import _apply_gate_raw, _run_raw, _xor_source_map, gate_source_map, sequence_source_map
 
-from util import field_for
+from util import field_for, random_gate
 
 CASES = ([(d, 3) for d in (2, 3, 4, 5, 7, 8, 9)] + [(d, 4) for d in (2, 3, 4)]
          + [(2, 6), (3, 5), (4, 5)] + [(257, 2)])
@@ -123,6 +128,65 @@ def test_source_maps_reject_the_fourier_gate():
         sequence_source_map(fld, 2, [Gate("C", (1, 2), 1), Gate("H", (2,))])
 
 
+def spanning_gates(fld, n):
+    """C and W gates between wires 1 and n, the pair with every other wire's digits between them."""
+    return [Gate("C", (1, n), fld.d - 1), Gate("C", (n, 1), 1), Gate("W", (1, n)), Gate("W", (n, 1))]
+
+
+def runs_split_by_h(fld, n, rng):
+    """A/D/C/V/W runs of length 0 (two adjacent H), 1 and more, each followed by an H gate."""
+    gates = []
+    for length in (0, 1, 0, 5, 1, 12, 3):
+        run = [random_gate(fld, n, rng, "ADCVW") for _ in range(length)]
+        if length > 2:
+            run[1:1] = [spanning_gates(fld, n)[rng.integers(4)]]
+        gates += run + [Gate("H", (int(rng.integers(n)) + 1,))]
+    gates += [random_gate(fld, n, rng, "ADCVW") for _ in range(4)] + spanning_gates(fld, n)
+    return gates
+
+
+@pytest.mark.parametrize("d,n", [(2, 1), (2, 5), (2, 13), (4, 2), (4, 6), (8, 3), (8, 4), (16, 2), (16, 3)])
+def test_fused_runs_match_the_per_gate_loop(d, n):
+    fld = field_for(d)
+    rng = np.random.default_rng(300 + 10 * d + n)
+    for _ in range(3):
+        gates = runs_split_by_h(fld, n, rng) if n > 1 else [random_gate(fld, 1, rng) for _ in range(20)]
+        amps = rng.standard_normal(d ** n) + 1j * rng.standard_normal(d ** n)
+        cur, buf = amps.copy(), np.empty_like(amps)
+        for gate in gates:
+            _apply_gate_raw(fld, n, gate, cur, buf)
+            cur, buf = buf, cur
+        assert np.array_equal(_run_raw(fld, n, gates, amps.copy()), cur), gates
+
+
+@pytest.mark.parametrize("d,n", [(2, 1), (2, 4), (2, 6), (4, 3), (8, 2), (8, 3), (16, 2)])
+def test_fused_source_maps_compose_oracle_maps(d, n):
+    fld = field_for(d)
+    rng = np.random.default_rng(400 + 10 * d + n)
+    for length in (1, 2, 7, 25):
+        ops = [random_gate(fld, n, rng, "ADCVW") for _ in range(length)]
+        if n > 1 and length > 2:
+            ops[1:1] = spanning_gates(fld, n)
+        want = np.arange(fld.d ** n)
+        for gate in ops:  # ops[-1] acts first, so its map is the outermost gather
+            want = oracle_source_map(fld, n, gate)[want]
+        assert np.array_equal(sequence_source_map(fld, n, ops), want), ops
+
+
+def test_xor_gather_matches_the_xor_of_columns():
+    rng = np.random.default_rng(7)
+    for bits in (0, 3, XOR_CHUNK_BITS, XOR_CHUNK_BITS + 3):
+        cols = rng.integers(1 << bits, size=bits).tolist()
+        c = int(rng.integers(1 << bits))
+        y = np.arange(1 << bits)
+        idx = np.full(1 << bits, c)
+        for j, col in enumerate(cols):
+            idx ^= (y >> j & 1) * col
+        amps = rng.standard_normal(1 << bits) + 1j * rng.standard_normal(1 << bits)
+        assert np.array_equal(xor_gather(amps, np.empty_like(amps), c, cols), amps[idx])
+        assert np.array_equal(xor_gather(y, np.empty_like(y), c, cols), idx)  # any dtype
+
+
 @pytest.mark.parametrize("d,n", FOURIER_CASES)
 def test_fourier_gate_matches_kronecker_operator(d, n):
     fld = field_for(d)
@@ -161,3 +225,26 @@ def test_gate_kernels_allocate_no_state_sized_temporary():
             assert peak < index + slack, (gate, peak, index + slack)
     finally:
         tracemalloc.stop()
+
+
+def test_fused_run_allocates_no_state_sized_temporary():
+    d, n = 2, 16
+    fld = field_for(d)
+    rng = np.random.default_rng(1)
+    amps = rng.standard_normal(d ** n) + 0j
+    out = np.empty_like(amps)
+    slack = amps.nbytes // 16
+    gates = spanning_gates(fld, n) + [random_gate(fld, n, rng, "ADCVW") for _ in range(46)]
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        xor_gather(amps, out, *_xor_source_map(fld, n, gates))
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < slack, (peak, slack)
+    cur, buf = amps.copy(), np.empty_like(amps)
+    for gate in gates:
+        _apply_gate_raw(fld, n, gate, cur, buf)
+        cur, buf = buf, cur
+    assert np.array_equal(out, cur)

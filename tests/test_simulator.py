@@ -442,11 +442,14 @@ def test_dump_matches_the_per_amplitude_loop():
     amps = np.zeros(3 ** 4, dtype=np.complex128)
     amps[rng.permutation(3 ** 4)[: len(edge)]] = edge
     cases.append((amps, 3, 4, ["edge cases"]))
-    amps = rng.standard_normal(37 ** 2) + 1j * rng.standard_normal(37 ** 2)
-    amps[rng.random(37 ** 2) < 0.5] = 0
-    cases.append((amps, 37, 2, []))  # d > 36: comma-separated digits
-    cases.append((np.zeros(2 ** 5, dtype=np.complex128), 2, 5, ["all zero", "second header"]))
+    for d in (36, 37):  # the last single-character digit set, then comma-separated digits
+        amps = rng.standard_normal(d ** 2) + 1j * rng.standard_normal(d ** 2)
+        amps[rng.random(d ** 2) < 0.5] = 0
+        cases.append((amps, d, 2, []))
+    cases.append((rng.standard_normal(2 ** 11) + 0j, 2, 11, []))
+    zero = np.zeros(2 ** 5, dtype=np.complex128)
+    cases.append((zero, 2, 5, ["all zero", "second header"]))
     cases.append((square_state(field_for(4), 2).dense(), 4, 4, []))
     for amps, d, n, header in cases:
         assert dump_state(support_of(amps, d, n, 1e-14), header) == dump_state_loop(amps, d, n, header)
-    assert dump_state(support_of(cases[2][0], 2, 5)) == "# quditgraph-state d=2 qudits=5\n"
+    assert dump_state(support_of(zero, 2, 5)) == "# quditgraph-state d=2 qudits=5\n"
