@@ -9,10 +9,10 @@ from .gf import Field, default_irreducible, irreducible_polynomials, is_irreduci
 from .kernels import BACKEND as KERNEL_BACKEND
 from .simulator import (
     Gate,
+    GateColumns,
     ResourceGuardError,
     StateVector,
     SupportState,
-    apply_gate,
     bipartition_subsets,
     dump_state,
     fourier_matrix,

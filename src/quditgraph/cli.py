@@ -34,7 +34,7 @@ from .rewrite import (
     parse_circuit,
     relations_suite,
 )
-from .simulator import ResourceGuardError, SupportState, dump_state, ket_digits, ket_index, parse_state
+from .simulator import DEFAULT_TOL, ResourceGuardError, SupportState, dump_state, ket_digits, ket_index, parse_state
 
 EXIT_OK = 0
 EXIT_FALSE = 1
@@ -221,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="verb", required=True)
 
     def add_tolerance(p):
-        p.add_argument("--tolerance", type=_tolerance_arg, default=1e-10, help="0 <= tol < 1")
+        p.add_argument("--tolerance", type=_tolerance_arg, default=DEFAULT_TOL, help="0 <= tol < 1")
 
     p = sub.add_parser("normalize", help="reduce a C-only circuit file to its bipartite graph")
     p.add_argument("circuit")

@@ -32,7 +32,6 @@ from .simulator import (
     check_state_size,
     run_gates,
     signatures_match,
-    states_equal_up_to_phase,
 )
 
 
@@ -187,8 +186,8 @@ def verify_dual_equivalence(g: GraphState, tol: float = DEFAULT_TOL) -> DualityR
     dual_state = dual.state()
 
     dressed = run_gates(state, dressing_gates(g))
-    equal = states_equal_up_to_phase(dressed, dual_state, tol)
     overlap = np.vdot(dual_state.amps, dressed.amps)
+    equal = bool(abs(abs(overlap) - 1.0) <= tol)  # equal up to a global phase
     phase = overlap / abs(overlap) if abs(overlap) > 1e-14 else 1.0
     dressing_dev = float(np.max(np.abs(dressed.amps - phase * dual_state.amps)))
 

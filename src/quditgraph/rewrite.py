@@ -19,7 +19,7 @@ import functools
 from dataclasses import dataclass
 from itertools import chain, repeat
 from operator import itemgetter
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -30,6 +30,7 @@ from .simulator import (
     Gate,
     GateColumns,
     GateError,
+    GateList,
     KIND_A,
     KIND_C,
     KIND_D,
@@ -40,7 +41,6 @@ from .simulator import (
     StateVector,
     SupportState,
     _run_raw,
-    check_gates,
     check_state_size,
     init_state,
     int_column,
@@ -62,14 +62,14 @@ class CircuitParseError(ValueError):
 class Circuit:
     """A circuit over a field: its wire count, s/0 init pattern and gates as GateColumns.
 
-    gates may be given as GateColumns or as Gate objects, which are turned
-    into columns first.  The init pattern and then every gate are checked
-    once, on construction: a bad init entry raises ValueError, a bad gate
-    GateError, whose index names it.  The gates property builds the Gate
-    tuple when it is first read.
+    gates may be given as GateColumns or as Gate objects.  The init pattern
+    and then every gate (validate_gates) are checked once, on construction:
+    a bad init entry raises ValueError, a bad gate GateError, whose index
+    names it.  The gates property builds the Gate tuple when it is first
+    read.
     """
 
-    def __init__(self, field: Field, n_qudits: int, init: Sequence[str], gates: Union[GateColumns, Iterable[Gate]]):
+    def __init__(self, field: Field, n_qudits: int, init: Sequence[str], gates: GateList):
         self.field = field
         self.n_qudits = n_qudits
         self.init = tuple(init)
@@ -78,9 +78,7 @@ class Circuit:
         for token in self.init:
             if token not in ("s", "0"):
                 raise ValueError(f"init entries must be 's' or '0', got {token!r}")
-        columns = gates if isinstance(gates, GateColumns) else GateColumns.from_gates(gates)
-        check_gates(field, n_qudits, columns)
-        self.columns = GateColumns(*(np.asarray(a, dtype=np.int64) for a in columns.arrays))
+        self.columns = validate_gates(field, n_qudits, gates)
 
     @functools.cached_property
     def gates(self) -> tuple[Gate, ...]:
@@ -101,7 +99,7 @@ class Circuit:
 
     def simulate(self) -> StateVector:
         amps = init_state(self.field, self.n_qudits, self.init).amps
-        return StateVector(self.field, self.n_qudits, _run_raw(self.field, self.n_qudits, self.gates, amps))
+        return StateVector(self.field, self.n_qudits, _run_raw(self.field, self.n_qudits, self.columns, amps))
 
 
 # ---------------------------------------------------------------------------
@@ -233,18 +231,6 @@ def affine_update(fld: Field, rows: np.ndarray, kind: str, wires: Sequence, para
         raise ValueError(f"{kind} gate has no affine representation")
 
 
-def _c_first(kind: np.ndarray) -> np.ndarray:
-    """Sort key of kind codes that puts C gates first and groups the other kinds."""
-    return np.where(kind == KIND_C, -1, kind)
-
-
-def _check_affine(kind: np.ndarray) -> None:
-    """ValueError naming the first H or V gate: they have no affine form."""
-    affine = np.isin(kind, (KIND_A, KIND_D, KIND_C, KIND_W))
-    if not affine.all():
-        raise ValueError(f"{GATE_KINDS[kind[affine.argmin()]]} gate has no affine representation")
-
-
 def asap_layers(columns: GateColumns, n_qudits: int) -> list[GateColumns]:
     """Split validated A/D/C/W gates into ASAP layers, each a GateColumns with its C gates first.
 
@@ -258,7 +244,9 @@ def asap_layers(columns: GateColumns, n_qudits: int) -> list[GateColumns]:
     (SymbolicState.apply) gives the same rows as applying the gates in order.
     An H or V gate raises ValueError, as it has no affine form.
     """
-    _check_affine(columns.kind)
+    affine = np.isin(columns.kind, (KIND_A, KIND_D, KIND_C, KIND_W))
+    if not affine.all():
+        raise ValueError(f"{GATE_KINDS[columns.kind[affine.argmin()]]} gate has no affine representation")
     last_write = [0] * (n_qudits + 1)  # layers count from 1; 0 is before the first
     last_read = [0] * (n_qudits + 1)
     layer = []
@@ -278,7 +266,7 @@ def asap_layers(columns: GateColumns, n_qudits: int) -> list[GateColumns]:
             last_write[a] = at
         layer.append(at)
     layer = np.array(layer, dtype=np.int64)
-    order = np.lexsort((_c_first(columns.kind), layer))  # by layer, then kind, C first; then in time order
+    order = np.lexsort((np.where(columns.kind == KIND_C, -1, columns.kind), layer))  # layer, kind (C first), time
     ordered = columns[order]
     bounds = [0, *(np.flatnonzero(np.diff(layer[order])) + 1).tolist(), len(order)]
     return [ordered[start:stop] for start, stop in zip(bounds, bounds[1:]) if stop > start]
@@ -325,48 +313,28 @@ class SymbolicState:
 
     @classmethod
     def from_circuit(cls, circuit: Circuit) -> "SymbolicState":
-        """Track a circuit's gates, one apply call per ASAP layer (asap_layers)."""
-        sym = cls.from_pattern(circuit.field, circuit.init)
-        for layer in asap_layers(circuit.columns, circuit.n_qudits):
-            sym.apply(layer, validated=True)  # Circuit validated every gate on construction
-        return sym
+        return cls.from_pattern(circuit.field, circuit.init).apply(circuit.columns)
 
     def copy(self) -> "SymbolicState":
         return SymbolicState(self.field, self.n, self.matrix.copy(), self.offsets.copy())
 
-    def apply(self, gates: Union[Gate, GateColumns], validated: bool = False) -> "SymbolicState":
-        """Apply one layer of gates in place, through affine_update once per gate kind.
+    def apply(self, gates: GateList) -> "SymbolicState":
+        """Apply a time-ordered gate list in place: one affine_update per gate kind of each ASAP layer.
 
-        gates is one Gate, a layer of one, or GateColumns whose gates act at
-        once: each reads the columns as they stood before the layer, so no two
-        may write the same wire (ValueError).  A gate list in time order
-        becomes such layers through asap_layers.  Entries were range-checked
-        on construction and check_gates checks the gates, so the column
-        updates run unchecked.  validated=True skips those checks, and the
-        sort that puts C gates first, for a layer of asap_layers over gates
-        already checked against this field and wire count, such as those of
-        a Circuit.  Fourier and reversal gates raise ValueError.
+        The gates are checked once (validate_gates), and H and V gates, which
+        have no affine form, raise ValueError, before any column changes.
+        asap_layers puts the C gates of each layer first, so every gate reads
+        the columns as they stood before its layer: the same rows as applying
+        the gates one by one.
         """
-        if isinstance(gates, Gate):
-            gates = GateColumns.from_gates((gates,))
-        kind = gates.kind
-        if not len(kind):
-            return self
-        if not validated:
-            check_gates(self.field, self.n, gates)
-            _check_affine(kind)
-            writes = np.concatenate([np.where(kind == KIND_C, gates.wire2, gates.wire1), gates.wire2[kind == KIND_W]])
-            if np.unique(writes).size != writes.size:
-                raise ValueError("gates of one layer must write distinct wires")
-            gates = gates[np.argsort(_c_first(kind), kind="stable")]
-            kind = gates.kind
-        # C gates first: only they read a wire they do not write (their control)
-        bounds = [0, len(kind)]
-        if kind[0] != kind[-1]:  # more than one kind, each in one run
-            bounds[1:1] = (np.flatnonzero(kind[1:] != kind[:-1]) + 1).tolist()
-        for start, stop in zip(bounds, bounds[1:]):
-            group = gates[start:stop]
-            affine_update(self.field, self._rows, GATE_KINDS[kind[start]], (group.wire1, group.wire2), group.param)
+        for layer in asap_layers(validate_gates(self.field, self.n, gates), self.n):
+            kind = layer.kind
+            bounds = [0, len(kind)]
+            if kind[0] != kind[-1]:  # more than one kind, each in one run
+                bounds[1:1] = (np.flatnonzero(kind[1:] != kind[:-1]) + 1).tolist()
+            for start, stop in zip(bounds, bounds[1:]):
+                group = layer[start:stop]
+                affine_update(self.field, self._rows, GATE_KINDS[kind[start]], (group.wire1, group.wire2), group.param)
         return self
 
     def support(self) -> SupportState:
@@ -869,10 +837,13 @@ def graph_from_json_dict(data: dict) -> GraphState:
     if not (isinstance(data["field"], dict) and all(isinstance(data[key], list) for key in ("S", "O", "edges"))
             and all(isinstance(e, dict) for e in data["edges"])):
         raise ValueError("graph JSON needs a 'field' object, 'S' and 'O' lists and an 'edges' list of objects")
+    # bool is an int subclass; a float or a string would be read as some other graph or field
     fd = data["field"]
+    bad = [v for v in (fd["p"], fd["n"], fd["poly"]) if type(v) is not int]
+    if bad:
+        raise ValueError(f"field p, n and poly must be JSON integers, got {bad[0]!r}")
     fld = Field.from_descriptor(f"{fd['p']} {fd['n']} {fd['poly']}")
     edges = [(e["from"], e["to"], e["label"]) for e in data["edges"]]
-    # bool is an int subclass; a float or a string would be read as some other graph
     bad = [v for v in (*data["S"], *data["O"], *(v for e in edges for v in e)) if type(v) is not int]
     if bad:
         raise ValueError(f"wire numbers and labels must be JSON integers, got {bad[0]!r}")

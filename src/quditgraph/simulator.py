@@ -30,10 +30,9 @@ from __future__ import annotations
 
 import cmath
 import functools
-import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -80,7 +79,7 @@ class Gate:
 GATE_KINDS = tuple(GATE_ARITY)  # kind code -> kind: a gate's code is the index of its kind here
 KIND_TWO_WIRES = np.array([GATE_ARITY[kind][0] == 2 for kind in GATE_KINDS])  # by kind code
 KIND_HAS_PARAM = np.array([GATE_ARITY[kind][1] for kind in GATE_KINDS])  # by kind code
-KIND_A, KIND_D, KIND_C, KIND_W = (GATE_KINDS.index(kind) for kind in "ADCW")
+KIND_A, KIND_D, KIND_C, KIND_H, KIND_V, KIND_W = (GATE_KINDS.index(kind) for kind in "ADCHVW")
 
 
 def int_column(values: Sequence[int]) -> np.ndarray:
@@ -114,13 +113,15 @@ class GateColumns:
     param: np.ndarray
 
     @classmethod
-    def from_gates(cls, gates: Iterable[Gate]) -> "GateColumns":
-        """Columns of Gate objects.
+    def from_gates(cls, gates: "GateList") -> "GateColumns":
+        """Columns of Gate objects; GateColumns pass through unchanged.
 
         Raises GateError for the first gate with an unknown kind, the wrong
         number of wires, or a missing or unexpected parameter; the values
         themselves are left to check_gates.
         """
+        if isinstance(gates, GateColumns):
+            return gates
         kinds, wire1, wire2, params = [], [], [], []
         for i, gate in enumerate(gates):
             if gate.kind not in GATE_ARITY:
@@ -169,9 +170,14 @@ def check_gates(field: Field, n_qudits: int, cols: GateColumns) -> None:
     Each check is one array comparison over the whole list, in a fixed
     order: first wire, second wire, distinct wires, parameter range, D(0).
     The first gate failing any of them is reported, with the message of the
-    first check it fails.
+    first check it fails.  Before them, a kind code outside GATE_KINDS, which
+    only columns built by hand can hold, is reported on its own.
     """
     kind, w1, w2, param = cols.arrays
+    unknown = (kind < 0) | (kind >= len(GATE_KINDS))
+    if unknown.any():
+        i = int(unknown.argmax())
+        raise GateError(f"unknown gate kind code {kind[i]}", i)
     two, has = KIND_TWO_WIRES[kind], KIND_HAS_PARAM[kind]
     checks = (
         ((w1 < 1) | (w1 > n_qudits), lambda i: f"wire {w1[i]} out of range 1..{n_qudits}"),
@@ -188,16 +194,14 @@ def check_gates(field: Field, n_qudits: int, cols: GateColumns) -> None:
         raise GateError(next(message(i) for mask, message in checks if mask[i]), i)
 
 
-def validate_gates(field: Field, n_qudits: int, gates: Iterable[Gate]) -> tuple[Gate, ...]:
-    """Check a gate list once: GateColumns.from_gates, then check_gates.  Returns the gates as a tuple."""
-    gates = tuple(gates)
-    check_gates(field, n_qudits, GateColumns.from_gates(gates))
-    return gates
+GateList = Union[GateColumns, Iterable[Gate]]  # a time-ordered gate list, as a caller may give it
 
 
-def validate_gate(field: Field, n_qudits: int, gate: Gate) -> None:
-    """validate_gates on a list of one."""
-    validate_gates(field, n_qudits, (gate,))
+def validate_gates(field: Field, n_qudits: int, gates: GateList) -> GateColumns:
+    """The one check of a gate list: GateColumns.from_gates, then check_gates.  Returns the checked int64 columns."""
+    cols = GateColumns.from_gates(gates)
+    check_gates(field, n_qudits, cols)
+    return GateColumns(*(np.asarray(a, dtype=np.int64) for a in cols.arrays))
 
 
 # ---------------------------------------------------------------------------
@@ -275,11 +279,6 @@ def _stride(d: int, n: int, wire: int) -> int:
     return d ** (n - wire)
 
 
-def apply_gate(state: StateVector, gate: Gate) -> StateVector:
-    """Apply one gate, returning a new StateVector."""
-    return run_gates(state, (gate,))
-
-
 def _apply_gate_raw(field: Field, n: int, gate: Gate, amps: np.ndarray, out: np.ndarray) -> None:
     d = field.d
     kind = gate.kind
@@ -318,36 +317,37 @@ def _source_digits(field: Field, kind: str, param: int) -> np.ndarray:
     return field.sub_arr(digits, field.mul_arr(param, digits)[:, None])  # C
 
 
-def run_gates(state: StateVector, gates: Iterable[Gate]) -> StateVector:
-    """Apply a time-ordered gate sequence (first gate acts first), validated once."""
-    gates = validate_gates(state.field, state.n, gates)
-    amps = _run_raw(state.field, state.n, gates, state.amps.copy())
+def run_gates(state: StateVector, gates: GateList) -> StateVector:
+    """Apply a time-ordered gate list (first gate acts first), validated once."""
+    cols = validate_gates(state.field, state.n, gates)
+    amps = _run_raw(state.field, state.n, cols, state.amps.copy())
     return StateVector(state.field, state.n, amps)
 
 
-def _run_raw(field: Field, n: int, gates: Iterable[Gate], cur: np.ndarray) -> np.ndarray:
+def _run_raw(field: Field, n: int, cols: GateColumns, cur: np.ndarray) -> np.ndarray:
     """Apply validated gates in order, ping-ponging between cur, which is overwritten, and one more buffer.
 
     Over a field of characteristic 2 each maximal run of gates other than H
     is one XOR-affine map of the index bits (_xor_source_map) and takes one
     kernels.xor_gather pass.  H gates, and every gate over an odd-p field,
     whose digit maps carry mod p across the bits of the index, take one
-    _apply_gate_raw pass each.
+    _apply_gate_raw pass each, as a Gate.
     """
     buf = np.empty_like(cur)
-    fuse = field.p == 2
-    for permutes, run in itertools.groupby(gates, key=lambda gate: fuse and gate.kind != "H"):
-        if permutes:
-            kernels.xor_gather(cur, buf, *_xor_source_map(field, n, tuple(run)))
-            cur, buf = buf, cur
-            continue
-        for gate in run:
-            _apply_gate_raw(field, n, gate, cur, buf)
-            cur, buf = buf, cur
+    fused = (cols.kind != KIND_H) & (field.p == 2)
+    singles = iter(cols[~fused].gates())
+    # a pass starts at every gate but a fused one right after a fused one
+    bounds = [*np.flatnonzero(~(fused & np.r_[False, fused[:-1]])).tolist(), len(cols)]
+    for start, stop in zip(bounds, bounds[1:]):
+        if fused[start]:
+            kernels.xor_gather(cur, buf, *_xor_source_map(field, n, cols[start:stop]))
+        else:
+            _apply_gate_raw(field, n, next(singles), cur, buf)
+        cur, buf = buf, cur
     return cur
 
 
-def _xor_source_map(field: Field, n: int, gates: Sequence[Gate]) -> tuple[int, list[int]]:
+def _xor_source_map(field: Field, n: int, run: GateColumns) -> tuple[int, list[int]]:
     """(c, cols) of a run of validated A/D/C/V/W gates over GF(2^m), applied in order.
 
     The run sends amps to amps[src], src(y) = L y + c over Z_2 on the m * n
@@ -365,25 +365,25 @@ def _xor_source_map(field: Field, n: int, gates: Sequence[Gate]) -> tuple[int, l
     m = field.n
     lin = np.eye(m * n, dtype=np.int64)
     c = np.zeros(m * n, dtype=np.int64)
+    kind, wire1, wire2, param = run.arrays
     # one mul_matrix call for the whole run: M_{1/a} for D, M_a for C, unused for the rest
-    labels = [field.inv(g.param) if g.kind == "D" else g.param if g.kind == "C" else 1 for g in gates]
-    mats = field.mul_matrix(np.array(labels, dtype=np.int64)).swapaxes(1, 2)
+    mats = field.mul_matrix(np.where(kind == KIND_D, field.inv_arr(param), param)).swapaxes(1, 2)
 
     def block(wire: int) -> slice:
         return slice(m * (n - wire), m * (n - wire + 1))
 
-    for gate, mat in zip(gates, mats):
-        kind, w = gate.kind, block(gate.wires[0])
-        if kind == "A":
-            c ^= lin[:, w] @ field.digits[gate.param] % 2
-        elif kind == "D":
+    for k, w1, w2, a, mat in zip(kind.tolist(), wire1.tolist(), wire2.tolist(), param.tolist(), mats):
+        w = block(w1)
+        if k == KIND_A:
+            c ^= lin[:, w] @ field.digits[a] % 2
+        elif k == KIND_D:
             lin[:, w] = lin[:, w] @ mat % 2
-        elif kind == "C":
-            lin[:, w] ^= lin[:, block(gate.wires[1])] @ mat % 2
-        elif kind == "V":
+        elif k == KIND_C:
+            lin[:, w] ^= lin[:, block(w2)] @ mat % 2
+        elif k == KIND_V:
             lin[:, w] = lin[:, w][:, ::-1]  # numpy copies an overlapping right-hand side first
         else:  # W
-            t = block(gate.wires[1])
+            t = block(w2)
             lin[:, w], lin[:, t] = lin[:, t], lin[:, w].copy()
     weights = 1 << np.arange(m * n, dtype=np.int64)
     return int(c @ weights), (weights @ lin).tolist()
@@ -411,7 +411,7 @@ def gate_source_map(field: Field, n_wires: int, gate: Gate) -> np.ndarray:
     return sequence_source_map(field, n_wires, (gate,))
 
 
-def sequence_source_map(field: Field, n_wires: int, ops: Sequence[Gate]) -> np.ndarray:
+def sequence_source_map(field: Field, n_wires: int, ops: GateList) -> np.ndarray:
     """Gather map of an operator product (ops[0] applied last, ops[-1] first).
 
     Running the gates on the integer state src[i] = i leaves the map itself:
@@ -419,10 +419,10 @@ def sequence_source_map(field: Field, n_wires: int, ops: Sequence[Gate]) -> np.n
     entries, so it falls under the state-size guard.
     """
     ops = validate_gates(field, n_wires, ops)
-    if any(g.kind == "H" for g in ops):
+    if (ops.kind == KIND_H).any():
         raise ValueError("the Fourier gate is not a basis permutation")
     check_state_size(field.d, n_wires)
-    return _run_raw(field, n_wires, reversed(ops), np.arange(field.d ** n_wires, dtype=np.int64))
+    return _run_raw(field, n_wires, ops[::-1], np.arange(field.d ** n_wires, dtype=np.int64))
 
 
 def gate_matrix(field: Field, n_wires: int, gate: Gate) -> np.ndarray:
@@ -430,7 +430,7 @@ def gate_matrix(field: Field, n_wires: int, gate: Gate) -> np.ndarray:
     return sequence_matrix(field, n_wires, (gate,))
 
 
-def sequence_matrix(field: Field, n_wires: int, ops: Sequence[Gate]) -> np.ndarray:
+def sequence_matrix(field: Field, n_wires: int, ops: GateList) -> np.ndarray:
     """Dense unitary of an operator product (ops[0] leftmost), d^(2 n_wires) entries under the guard.
 
     The kernels run on the identity as a 2 * n_wires wire register: its high
@@ -440,7 +440,7 @@ def sequence_matrix(field: Field, n_wires: int, ops: Sequence[Gate]) -> np.ndarr
     check_state_size(field.d, 2 * n_wires)
     dim = field.d ** n_wires
     eye = np.eye(dim, dtype=np.complex128).reshape(-1)
-    return _run_raw(field, 2 * n_wires, reversed(ops), eye).reshape(dim, dim)
+    return _run_raw(field, 2 * n_wires, ops[::-1], eye).reshape(dim, dim)
 
 
 # ---------------------------------------------------------------------------

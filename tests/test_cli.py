@@ -354,8 +354,15 @@ SHAPE_MESSAGE = "graph JSON needs a 'field' object, 'S' and 'O' lists and an 'ed
     ({**BELL_GRAPH, "edges": [[1, 2, 1]]}, SHAPE_MESSAGE),
     ({**BELL_GRAPH, "S": 1}, SHAPE_MESSAGE),
     ({**BELL_GRAPH, "field": [3, 1, 0]}, SHAPE_MESSAGE),
+    # pasted into a descriptor, these would read as the field '3 1 2' or '3 1 0'
+    ({**BELL_GRAPH, "field": {"p": 3, "n": "1 2", "poly": ""}}, "field p, n and poly must be JSON integers, got '1 2'"),
+    ({**BELL_GRAPH, "field": {"p": "3", "n": 1, "poly": 0}}, "field p, n and poly must be JSON integers, got '3'"),
+    ({**BELL_GRAPH, "field": {"p": 3, "n": 1, "poly": " 0"}}, "field p, n and poly must be JSON integers, got ' 0'"),
+    ({**BELL_GRAPH, "field": {"p": 3, "n": True, "poly": 0}}, "field p, n and poly must be JSON integers, got True"),
+    ({**BELL_GRAPH, "field": {"p": 3.0, "n": 1, "poly": 0}}, "field p, n and poly must be JSON integers, got 3.0"),
 ], ids=["label-float", "label-bool", "label-string", "wire-string", "wire-float", "top-level-list", "one-wire",
-        "repeated-wire", "repeated-edge", "edges-int", "edge-list", "sources-int", "field-list"])
+        "repeated-wire", "repeated-edge", "edges-int", "edge-list", "sources-int", "field-list",
+        "field-n-string", "field-p-string", "field-poly-string", "field-n-bool", "field-p-float"])
 def test_dual_check_rejects_malformed_graph_json(tmp_path, capsys, graph, message):
     # read as Python values, 1.5 and true would both become label 1: a different graph
     path = tmp_path / "graph.json"

@@ -3,7 +3,7 @@
 The permutation gates are checked against a ket-by-ket oracle: the expected
 action of each gate is computed on Python ints with the scalar Field
 methods, one basis ket at a time, with qudit 1 as the most significant
-digit.  It checks both `apply_gate` and `gate_source_map` (from which
+digit.  It checks both `run_gates` and `gate_source_map` (from which
 `gate_matrix` is derived).  Registers of up to EXHAUSTIVE_SIZE kets are
 checked on every ket with every label; larger ones (GF(257) at N = 2) on
 seeded samples of kets and labels.  At N = 5 and 6 some C gates have digits
@@ -23,7 +23,7 @@ from itertools import permutations
 import numpy as np
 import pytest
 
-from quditgraph import Gate, StateVector, apply_gate, fourier_matrix, sequence_matrix
+from quditgraph import Gate, GateColumns, StateVector, fourier_matrix, run_gates, sequence_matrix
 from quditgraph.kernels import FOURIER_KRON_MAX, XOR_CHUNK_BITS, xor_gather
 from quditgraph.simulator import _apply_gate_raw, _run_raw, _xor_source_map, gate_source_map, sequence_source_map
 
@@ -106,7 +106,7 @@ def test_permutation_gates_match_ket_oracle(d, n):
         images = [index_of(image(fld, gate, digits_of(int(i), d, n)), d) for i in kets]
         # over every ket this also proves the oracle a permutation, since src[j] is one ket
         assert np.array_equal(gate_source_map(fld, n, gate)[images], kets), gate
-        assert np.array_equal(apply_gate(state, gate).amps[images], amps[kets]), gate
+        assert np.array_equal(run_gates(state, [gate]).amps[images], amps[kets]), gate
         checked += 1
     assert checked == n * (2 * len(labels) + 1 - (0 in labels)) + n * (n - 1) * (len(labels) + 1)
 
@@ -156,7 +156,7 @@ def test_fused_runs_match_the_per_gate_loop(d, n):
         for gate in gates:
             _apply_gate_raw(fld, n, gate, cur, buf)
             cur, buf = buf, cur
-        assert np.array_equal(_run_raw(fld, n, gates, amps.copy()), cur), gates
+        assert np.array_equal(_run_raw(fld, n, GateColumns.from_gates(gates), amps.copy()), cur), gates
 
 
 @pytest.mark.parametrize("d,n", [(2, 1), (2, 4), (2, 6), (4, 3), (8, 2), (8, 3), (16, 2)])
@@ -199,7 +199,7 @@ def test_fourier_gate_matches_kronecker_operator(d, n):
     for m in range(1, n + 1):
         op = np.kron(np.kron(np.eye(d ** (m - 1)), h), np.eye(d ** (n - m)))
         gate = Gate("H", (m,))
-        assert np.max(np.abs(apply_gate(state, gate).amps - op @ amps)) < 1e-12, gate
+        assert np.max(np.abs(run_gates(state, [gate]).amps - op @ amps)) < 1e-12, gate
         assert np.max(np.abs(sequence_matrix(fld, n, [gate]) - op)) < 1e-12, gate
 
 
@@ -238,7 +238,7 @@ def test_fused_run_allocates_no_state_sized_temporary():
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        xor_gather(amps, out, *_xor_source_map(fld, n, gates))
+        xor_gather(amps, out, *_xor_source_map(fld, n, GateColumns.from_gates(gates)))
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()

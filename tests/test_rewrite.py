@@ -20,9 +20,9 @@ from quditgraph import (
     serialize_circuit,
     states_equal_symbolic,
 )
-from quditgraph import rewrite
+from quditgraph import simulator
 from quditgraph.rewrite import RELATIONS, affine_maps_equal, asap_layers, compare_sequences, mat_rref
-from quditgraph.simulator import GateColumns, check_gates, sequence_source_map
+from quditgraph.simulator import sequence_source_map
 
 from util import (
     dense_amps_scatter,
@@ -43,7 +43,7 @@ def test_symbolic_cnot_column_update():
     fld = field_for(3)
     sym = SymbolicState.from_pattern(fld, ("s", "0"))
     assert np.array_equal(sym.matrix, [[1, 0]])
-    sym.apply(Gate("C", (1, 2), 1))
+    sym.apply([Gate("C", (1, 2), 1)])
     assert np.array_equal(sym.matrix, [[1, 1]])
 
 
@@ -52,9 +52,9 @@ def test_symbolic_cnot_merge_matches_single_gate():
     for a in fld.elements():
         for b in fld.elements():
             s1 = SymbolicState.from_pattern(fld, ("s", "0"))
-            s1.apply(Gate("C", (1, 2), a)).apply(Gate("C", (1, 2), b))
+            s1.apply([Gate("C", (1, 2), a)]).apply([Gate("C", (1, 2), b)])
             s2 = SymbolicState.from_pattern(fld, ("s", "0"))
-            s2.apply(Gate("C", (1, 2), fld.add(a, b)))
+            s2.apply([Gate("C", (1, 2), fld.add(a, b))])
             assert np.array_equal(s1.matrix, s2.matrix)
 
 
@@ -117,7 +117,7 @@ def test_support_of_dependent_rows_sums_repeated_kets():
 def gate_by_gate(circ: Circuit) -> SymbolicState:
     sym = SymbolicState.from_pattern(circ.field, circ.init)
     for gate in circ.gates:
-        sym.apply(gate)
+        sym.apply([gate])
     return sym
 
 
@@ -127,13 +127,14 @@ def layer_of(circ: Circuit) -> dict[Gate, int]:
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 8, 9, 257])
-def test_layered_from_circuit_matches_gate_by_gate(d):
+def test_apply_in_time_order_matches_gate_by_gate(d):
     fld = field_for(d)
     rng = np.random.default_rng(d)
     for n, k, n_gates in [(2, 1, 10), (4, 2, 40), (6, 3, 80), (9, 4, 200)]:
         circ = random_cadw_circuit(fld, n, k, n_gates, rng)
-        layered = SymbolicState.from_circuit(circ)
-        assert np.array_equal(layered._rows, gate_by_gate(circ)._rows)
+        one_by_one = gate_by_gate(circ)._rows
+        assert np.array_equal(SymbolicState.from_pattern(fld, circ.init).apply(circ.gates)._rows, one_by_one)
+        assert np.array_equal(SymbolicState.from_circuit(circ)._rows, one_by_one)
         layers = asap_layers(circ.columns, n)
         assert sum(map(len, layers)) == n_gates
         assert len(layers) < n_gates  # some gates share a layer
@@ -175,23 +176,21 @@ def test_layers_put_c_gates_first_and_write_each_wire_once():
         assert len(writes) == len(set(writes))
 
 
-def test_apply_takes_a_layer_and_rejects_two_writes_of_a_wire():
+@pytest.mark.parametrize("bad, message", [
+    (Gate("C", (1, 4), 1), "wire 4 out of range 1..3"),
+    (Gate("D", (2,), 0), r"D\(0\) is not unitary"),
+    (Gate("A", (3,), 3), "parameter 3 out of range for order-3 field"),
+    (Gate("H", (2,)), "^H gate has no affine representation"),
+    (Gate("V", (3,)), "^V gate has no affine representation"),
+])
+def test_apply_refuses_a_gate_list_before_any_column_changes(bad, message):
     fld = field_for(3)
     start = SymbolicState.from_pattern(fld, ("s", "s", "0"))
-    # a layer acts at once: C 3 <- 1 reads wire 1 as it was before D 1 writes it
-    layer = GateColumns.from_gates([Gate("D", (1,), 2), Gate("C", (1, 3), 1)])
-    at_once = start.copy().apply(layer)
-    in_order = start.copy().apply(Gate("C", (1, 3), 1)).apply(Gate("D", (1,), 2))
-    assert np.array_equal(at_once._rows, in_order._rows)
-    assert np.array_equal(start.copy().apply(GateColumns.from_gates([]))._rows, start._rows)
-    with pytest.raises(ValueError, match="distinct wires"):
-        start.copy().apply(GateColumns.from_gates([Gate("C", (1, 3), 1), Gate("A", (3,), 1)]))
-    with pytest.raises(ValueError, match="out of range"):
-        start.copy().apply(GateColumns.from_gates([Gate("C", (1, 4), 1)]))
     sym = start.copy()
-    with pytest.raises(ValueError, match="^V gate has no affine representation"):
-        sym.apply(GateColumns.from_gates([Gate("C", (1, 3), 1), Gate("V", (2,))]))
-    assert np.array_equal(sym._rows, start._rows)  # refused before any column changed
+    with pytest.raises(ValueError, match=message):
+        sym.apply([Gate("C", (1, 3), 1), Gate("A", (2,), 2), bad, Gate("W", (1, 2))])
+    assert np.array_equal(sym._rows, start._rows)
+    assert np.array_equal(sym.apply([])._rows, start._rows)
 
 
 def test_from_circuit_names_the_first_non_affine_gate():
@@ -205,31 +204,27 @@ def test_from_circuit_names_the_first_non_affine_gate():
 def test_symbolic_rejects_fourier_and_reversal():
     sym = SymbolicState.from_pattern(field_for(2), ("s", "0"))
     with pytest.raises(ValueError):
-        sym.apply(Gate("H", (1,)))
+        sym.apply([Gate("H", (1,))])
     with pytest.raises(ValueError):
-        sym.apply(Gate("V", (1,)))
+        sym.apply([Gate("V", (1,))])
     with pytest.raises(ValueError):
-        sym.copy().apply(Gate("D", (1,), 0))
+        sym.copy().apply([Gate("D", (1,), 0)])
 
 
-def test_from_circuit_validates_each_circuit_once(monkeypatch):
-    # Circuit checks all its gates at once on construction; tracking does not check them again
+def test_circuit_and_apply_each_check_the_gates_once(monkeypatch):
+    # Circuit checks all its gates at once on construction, and apply checks its gate list once
     calls = []
-
-    def counting(fld, n, columns):
-        calls.append(len(columns))
-        check_gates(fld, n, columns)
-
-    monkeypatch.setattr(rewrite, "check_gates", counting)
+    real = simulator.check_gates
+    monkeypatch.setattr(simulator, "check_gates", lambda fld, n, cols: calls.append(len(cols)) or real(fld, n, cols))
     fld = field_for(5)
     circ = random_cadw_circuit(fld, 4, 2, 30, np.random.default_rng(5))
     assert calls == [30]
     sym = SymbolicState.from_circuit(circ)
-    assert calls == [30]
+    assert calls == [30, 30]
     assert np.max(np.abs(sym.dense_amps() - circ.simulate().amps)) < 1e-12
-    with pytest.raises(ValueError):  # outside callers are still checked
-        sym.apply(Gate("C", (1, 5), 1))
-    assert calls == [30, 1]
+    with pytest.raises(ValueError):
+        sym.apply([Gate("C", (1, 2), 1), Gate("C", (1, 5), 1)])
+    assert calls == [30, 30, 2]
 
 
 def test_states_equal_symbolic_examples():

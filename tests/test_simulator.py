@@ -7,7 +7,6 @@ import pytest
 from quditgraph import (
     Gate,
     ResourceGuardError,
-    apply_gate,
     dump_state,
     fourier_matrix,
     gate_matrix,
@@ -23,12 +22,13 @@ from quditgraph import (
 )
 from quditgraph import simulator
 from quditgraph.simulator import (
+    KIND_C,
+    GateColumns,
     GateError,
     bipartition_subsets,
     parse_state,
     reduced_density_raw,
     sequence_source_map,
-    validate_gate,
     validate_gates,
 )
 
@@ -92,9 +92,9 @@ def test_dense_states_over_large_fields():
     fld = field_for(65521)
     st = init_state(fld, 1, ["s"])
     assert np.allclose(st.amps, 1 / math.sqrt(fld.d))
-    assert np.array_equal(apply_gate(st, Gate("D", (1,), 3)).amps, st.amps)
+    assert np.array_equal(run_gates(st, [Gate("D", (1,), 3)]).amps, st.amps)
     with pytest.raises(ResourceGuardError):
-        apply_gate(st, Gate("H", (1,)))
+        run_gates(st, [Gate("H", (1,))])
     with pytest.raises(ResourceGuardError):
         sequence_source_map(fld, 2, [Gate("C", (1, 2), 1)])
 
@@ -122,13 +122,13 @@ def test_identity_parameters_do_nothing():
         st = init_state(fld, 2, ["0", "0"])
         st.amps[:] = amps
         for g in (Gate("A", (1,), 0), Gate("D", (2,), 1), Gate("C", (1, 2), 0)):
-            assert np.allclose(apply_gate(st, g).amps, amps)
+            assert np.allclose(run_gates(st, [g]).amps, amps)
 
 
 def test_fourier_maps_zero_to_uniform():
     for d in (2, 3, 4, 5, 7, 8, 9):
         fld = field_for(d)
-        st = apply_gate(init_state(fld, 1, ["0"]), Gate("H", (1,)))
+        st = run_gates(init_state(fld, 1, ["0"]), [Gate("H", (1,))])
         assert np.allclose(st.amps, np.full(d, 1 / math.sqrt(d)))
 
 
@@ -158,7 +158,7 @@ def test_shift_fixes_uniform_superposition(d):
     fld = field_for(d)
     st = init_state(fld, 1, ["s"])
     for a in fld.elements():
-        assert np.allclose(apply_gate(st, Gate("A", (1,), a)).amps, st.amps)
+        assert np.allclose(run_gates(st, [Gate("A", (1,), a)]).amps, st.amps)
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
@@ -169,9 +169,9 @@ def test_cnot_on_superposition_factorizes(d):
     for aj in fld.elements():
         prepared = init_state(fld, 2, ["s", "0"])
         if aj:
-            prepared = apply_gate(prepared, Gate("A", (2,), aj))
+            prepared = run_gates(prepared, [Gate("A", (2,), aj)])
         for ak in range(1, fld.d):
-            lhs = apply_gate(prepared, Gate("C", (1, 2), ak))
+            lhs = run_gates(prepared, [Gate("C", (1, 2), ak)])
             rhs = run_gates(bell, [Gate("D", (2,), ak), Gate("A", (2,), aj)])
             assert np.max(np.abs(lhs.amps - rhs.amps)) < 1e-12
 
@@ -201,6 +201,24 @@ def test_gate_lists_are_validated_once(monkeypatch):
         run_gates(init_state(fld, 2, ["s", "0"]), gates + [Gate("C", (2, 1), 3)])
 
 
+@pytest.mark.parametrize("d", [2, 3, 4, 9])
+def test_gate_lists_and_their_columns_give_equal_results(d):
+    # a Gate list and its GateColumns are one gate list: validate_gates passes columns through
+    fld = field_for(d)
+    rng = np.random.default_rng(50 + d)
+    for n in (1, 2, 3):
+        gates = [random_gate(fld, n, rng) for _ in range(12)]
+        cols = GateColumns.from_gates(gates)
+        assert GateColumns.from_gates(cols) is cols
+        assert validate_gates(fld, n, gates) == validate_gates(fld, n, cols) == cols
+        state = init_state(fld, n, ["s"] + ["0"] * (n - 1))
+        assert np.array_equal(run_gates(state, gates).amps, run_gates(state, cols).amps)
+        assert np.array_equal(sequence_matrix(fld, n, gates), sequence_matrix(fld, n, cols))
+        permutations = [g for g in gates if g.kind != "H"]
+        assert np.array_equal(sequence_source_map(fld, n, permutations),
+                              sequence_source_map(fld, n, GateColumns.from_gates(permutations)))
+
+
 def test_gate_errors_name_the_first_bad_gate():
     fld = field_for(5)
     cases = [
@@ -215,13 +233,16 @@ def test_gate_errors_name_the_first_bad_gate():
         ([Gate("H", (1,), 1)], 0, "H gate takes no parameter"),
         ([Gate("C", (1, 2), 10 ** 30)], 0, f"parameter {10 ** 30} out of range for order-5 field"),
     ]
+    # hand-built columns: a kind code past GATE_KINDS, or a negative one that would index from the end
+    for code in (-2, 6):
+        cases.append((GateColumns(np.array([KIND_C, code]), np.array([1, 2]), np.array([2, 0]), np.array([1, 0])), 1,
+                      f"unknown gate kind code {code}"))
     for gates, index, message in cases:
         with pytest.raises(GateError) as err:
             validate_gates(fld, 3, gates)
         assert (err.value.index, str(err.value)) == (index, message)
-        if len(gates) == 1:
-            with pytest.raises(ValueError, match=re.escape(message)):
-                validate_gate(fld, 3, gates[0])
+        with pytest.raises(ValueError, match=re.escape(message)):
+            run_gates(init_state(fld, 3, ["s", "0", "0"]), gates)
 
 
 def test_fourier_matrix_is_built_once_per_field_and_read_only():
@@ -239,15 +260,15 @@ def test_gate_validation_errors():
     fld = field_for(3)
     st = init_state(fld, 2, ["s", "0"])
     with pytest.raises(ValueError):
-        apply_gate(st, Gate("D", (1,), 0))
+        run_gates(st, [Gate("D", (1,), 0)])
     with pytest.raises(ValueError):
-        apply_gate(st, Gate("A", (3,), 1))
+        run_gates(st, [Gate("A", (3,), 1)])
     with pytest.raises(ValueError):
-        apply_gate(st, Gate("C", (1, 1), 1))
+        run_gates(st, [Gate("C", (1, 1), 1)])
     with pytest.raises(ValueError):
-        apply_gate(st, Gate("C", (1, 2), 5))
+        run_gates(st, [Gate("C", (1, 2), 5)])
     with pytest.raises(ValueError):
-        validate_gate(fld, 2, Gate("H", (1,), 1))
+        validate_gates(fld, 2, [Gate("H", (1,), 1)])
 
 
 # ---------------------------------------------------------------------------
