@@ -34,10 +34,12 @@ labellings) takes about 0.1 s, some 6 us per labelling, N = 3 over GF(256)
 
 from __future__ import annotations
 
+import decimal
+
 import numpy as np
 
 from .gf import Field
-from .rewrite import rank_exponents
+from .rewrite import GraphState, graph_to_json_dict, rank_exponents
 from .simulator import ResourceGuardError, bipartition_subsets
 
 LABELLING_LIMIT = 2 ** 16
@@ -56,11 +58,20 @@ def unique_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return ranked[starts], order[starts], np.diff(np.append(starts, len(rows)))
 
 
+def _floor_log2_power(d: int, e: int) -> int:
+    """floor(log2(d^e)) without d^e: e log2 d is an integer (d = 2^m) or irrational, far from any integer."""
+    ctx = decimal.Context(prec=60 + len(str(e)))
+    return (d.bit_length() - 1) * e if d & (d - 1) == 0 else int(ctx.multiply(ctx.divide(ctx.ln(d), ctx.ln(2)), e))
+
+
 def classify(fld: Field, n_qudits: int) -> dict:
     """Classify product-free standard-form graph states on n_qudits wires."""
     d = fld.d
     if n_qudits < 2:
         raise ValueError("classification needs at least two qudits")
+    if n_qudits > 65:  # k = 1 alone sweeps d^(N - 1) > 2^64 labellings: refused before any power is computed
+        shown = f"2^{_floor_log2_power(d, n_qudits - 1)}"
+        raise ResourceGuardError(f"classify {n_qudits} over GF({d}) sweeps at least {shown} labellings, over the 2^16 guard")
     labellings = 0
     for k in range(1, n_qudits // 2 + 1):
         labellings += d ** (k * (n_qudits - k))
@@ -90,17 +101,15 @@ def classify(fld: Field, n_qudits: int) -> dict:
         for key in map(tuple, keys.tolist()):
             if seen_keys.setdefault(key, k) != k:
                 raise RuntimeError("invariant signature crossed class boundaries")
-        rep_edges = [
-            {"from": i + 1, "to": k + j + 1, "label": 1}
-            for i in range(k)
-            for j in range(n_sinks)
-        ]
+        representative = graph_to_json_dict(GraphState(fld, tuple(range(1, k + 1)), tuple(range(k + 1, n_qudits + 1)),
+                                                       np.ones((k, n_sinks), dtype=np.int64)))
+        del representative["field"]  # the report names the field once
         classes.append(
             {
                 "sources": k,
                 "sinks": n_sinks,
                 "graphs": total,
-                "representative": {"S": list(range(1, k + 1)), "O": list(range(k + 1, n_qudits + 1)), "edges": rep_edges},
+                "representative": representative,
                 "signature_orbits": [
                     {"count": int(c), "representative_labels": labels[i].tolist()}
                     for c, i in zip(counts, first)

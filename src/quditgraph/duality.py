@@ -18,13 +18,13 @@ bipartite RDM spectra), which matches for dual pairs regardless.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import asdict, dataclass, field as dc_field
 from typing import Optional
 
 import numpy as np
 
 from .gf import Field, irreducible_polynomials
-from .rewrite import GraphState, make_graph_state
+from .rewrite import GraphState
 from .simulator import (
     DEFAULT_TOL,
     Gate,
@@ -36,13 +36,8 @@ from .simulator import (
 
 
 def dual_graph(g: GraphState) -> GraphState:
-    """Swap vertex classes and reverse every edge, keeping labels."""
-    return make_graph_state(
-        g.field,
-        s_wires=g.o_wires,
-        o_wires=g.s_wires,
-        edges=[(j, i, b) for i, j, b in g.edges],
-    )
+    """Swap vertex classes and reverse every edge, keeping labels: the block B becomes B^T."""
+    return GraphState(g.field, g.o_wires, g.s_wires, g.block.T)
 
 
 # ---------------------------------------------------------------------------
@@ -135,14 +130,9 @@ class DualityReport:
     details: dict = dc_field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "field": self.field_descriptor,
-            "state_equivalence_holds": self.state_equivalence_holds,
-            "signature_match": self.signature_match,
-            "max_deviation": self.max_deviation,
-            "counterexample": self.counterexample,
-            "details": self.details,
-        }
+        report = asdict(self)
+        report["field"] = report.pop("field_descriptor")
+        return report
 
 
 def dressing_gates(g: GraphState) -> list[Gate]:

@@ -59,7 +59,6 @@ def square_state(fld: Field, twist: int) -> SupportState:
     """
     if not 0 <= twist < fld.d:
         raise ValueError(f"twist {twist} out of range for order-{fld.d} field")
-    check_state_size(fld.d, 4)
     return SymbolicState(fld, 4, [[1, 1, 0, 1], [0, twist, 1, 1]], np.zeros(4, dtype=np.int64)).support()
 
 
@@ -271,19 +270,18 @@ def symbolic_rdm_rank(sym: SymbolicState, subset: Sequence[int]) -> int:
     """Rank of a reduced density matrix straight from the coefficient matrix.
 
     The state is uniform over the row space of the matrix, whose standard
-    form (SymbolicState.standard_form) is [I_r | B] with the r pivot wires
-    as the sources and the rest as the sinks.  The rank is d^e with e from
-    rewrite.rank_exponents on that label block B and the subset in the same
-    wire order; offsets are local shifts and leave it unchanged.
+    form (SymbolicState.standard_form) is the GraphState [I_r | B] with the
+    r pivot wires as the sources and the rest as the sinks.  The rank is d^e
+    with e from rewrite.rank_exponents on its block B and the subset in the
+    same wire order; offsets are local shifts and leave it unchanged.
     Cross-checked against dense ranks in the test suite.
     """
     keep = sorted(set(subset))
     if not keep or len(keep) == sym.n or any(not 1 <= q <= sym.n for q in keep):
         raise ValueError("subset must be a nonempty proper subset of the wires")
-    pivots, block, _ = sym.standard_form()
-    order = pivots + sorted(set(range(sym.n)) - set(pivots))
-    position = {q + 1: i + 1 for i, q in enumerate(order)}
-    return sym.field.d ** int(rank_exponents(sym.field, block[None], [[position[q] for q in keep]])[0, 0])
+    graph, _ = sym.standard_form()
+    position = {q: i + 1 for i, q in enumerate(graph.s_wires + graph.o_wires)}
+    return sym.field.d ** int(rank_exponents(sym.field, graph.block[None], [[position[q] for q in keep]])[0, 0])
 
 
 # ---------------------------------------------------------------------------

@@ -354,12 +354,13 @@ class SymbolicState:
         """Reconstruct the dense amplitude vector."""
         return self.support().dense()
 
-    def standard_form(self) -> tuple[list[int], np.ndarray, np.ndarray]:
-        """The paper's standard form [I_r | B]; returns (pivots, block, residual).
+    def standard_form(self) -> tuple["GraphState", np.ndarray]:
+        """The paper's standard form [I_r | B]; returns (graph, residual).
 
-        pivots: the 0-based, lexicographically earliest independent columns,
-        from mat_rref.  block: the r x (N - r) labels B on the other columns,
-        ascending.  residual: the offsets on those columns once the pivot
+        graph: the GraphState whose sources are the wires of the
+        lexicographically earliest independent columns (the pivots of
+        mat_rref) and whose block B holds the labels on the other wires,
+        ascending.  residual: the offsets on those sink wires once the pivot
         offsets are absorbed into u, i.e. the offset reduced modulo the row
         space, a canonical representative (zero for C-only circuits).
         """
@@ -370,7 +371,7 @@ class SymbolicState:
         residual = self.offsets[sinks]
         for row, c in enumerate(pivots):
             residual = fld.sub_arr(residual, fld.mul_arr(self.offsets[c], block[row]))
-        return pivots, block, residual
+        return GraphState(fld, tuple(c + 1 for c in pivots), tuple(c + 1 for c in sinks), block), residual
 
 
 def states_equal_symbolic(s1: SymbolicState, s2: SymbolicState) -> bool:
@@ -381,22 +382,29 @@ def states_equal_symbolic(s1: SymbolicState, s2: SymbolicState) -> bool:
     """
     if s1.field != s2.field or s1.n != s2.n or s1.k != s2.k:
         return False
-    (p1, b1, r1), (p2, b2, r2) = s1.standard_form(), s2.standard_form()
-    return p1 == p2 and np.array_equal(b1, b2) and np.array_equal(r1, r2)
+    (g1, r1), (g2, r2) = s1.standard_form(), s2.standard_form()
+    return g1 == g2 and np.array_equal(r1, r2)
 
 
 # ---------------------------------------------------------------------------
 # Graph states
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GraphState:
-    """Directed bipartite graph: source wires -> sink wires with field labels."""
+    """A graph state in the paper's standard form: uniform over the row space of [I | B].
+
+    The sources S = s_wires carry I, the sinks O = o_wires the label block
+    B: block[r, c] labels the edge from s_wires[r] to o_wires[c], 0 where
+    there is none.  block is stored as a read-only |S| x |O| int64 copy, so
+    an edge cannot repeat or run from a sink.  make_graph_state is the entry
+    from an edge list.
+    """
 
     field: Field
     s_wires: tuple[int, ...]
     o_wires: tuple[int, ...]
-    edges: tuple[tuple[int, int, int], ...]  # (source, sink, nonzero label)
+    block: np.ndarray
 
     def __post_init__(self):
         s, o = set(self.s_wires), set(self.o_wires)
@@ -404,29 +412,32 @@ class GraphState:
             raise ValueError("source and sink wire sets overlap")
         if s | o != set(range(1, self.n + 1)):  # a repeated wire leaves a gap
             raise ValueError("wires must cover 1..N")
-        if len({(i, j) for i, j, _ in self.edges}) != len(self.edges):
-            raise ValueError("an edge between the same source and sink is listed twice")
-        for i, j, b in self.edges:
-            if i not in s or j not in o:
-                raise ValueError(f"edge {(i, j)} does not run from a source to a sink wire")
-            if not 0 < b < self.field.d:
-                raise ValueError(f"edge label {b} must be a nonzero field element")
+        block = np.array(self.block, dtype=np.int64)
+        if block.shape != (len(self.s_wires), len(self.o_wires)):
+            raise ValueError(f"label block of shape {block.shape}, expected ({len(self.s_wires)}, {len(self.o_wires)})")
+        self.field.check_arr(block)
+        block.flags.writeable = False
+        object.__setattr__(self, "block", block)
+
+    def __eq__(self, other: object) -> bool:
+        return (isinstance(other, GraphState) and self.field == other.field and self.s_wires == other.s_wires
+                and self.o_wires == other.o_wires and np.array_equal(self.block, other.block))
 
     @property
     def n(self) -> int:
         return len(self.s_wires) + len(self.o_wires)
 
-    def matrix(self) -> np.ndarray:
-        """k x N coefficient matrix of the graph state."""
-        m = np.zeros((len(self.s_wires), self.n), dtype=np.int64)
-        for row, i in enumerate(self.s_wires):
-            m[row, i - 1] = 1
-        for i, j, b in self.edges:
-            m[self.s_wires.index(i), j - 1] = b
-        return m
+    @functools.cached_property
+    def edges(self) -> tuple[tuple[int, int, int], ...]:
+        """(source, sink, label) of every nonzero label, in (source, sink) order."""
+        rows, cols = np.nonzero(self.block)
+        return tuple(sorted(zip(np.array(self.s_wires)[rows].tolist(), np.array(self.o_wires)[cols].tolist(),
+                                self.block[rows, cols].tolist())))
 
     def to_symbolic(self) -> SymbolicState:
-        return SymbolicState(self.field, self.n, self.matrix(), np.zeros(self.n, dtype=np.int64))
+        """The coefficient matrix [I | B], its columns moved onto the wires, with zero offsets."""
+        m = np.hstack([np.eye(len(self.s_wires), dtype=np.int64), self.block])
+        return SymbolicState(self.field, self.n, m[:, np.argsort(self.s_wires + self.o_wires)], np.zeros(self.n, dtype=np.int64))
 
     def to_circuit(self) -> Circuit:
         init = tuple("s" if q in self.s_wires else "0" for q in range(1, self.n + 1))
@@ -439,28 +450,42 @@ class GraphState:
 
 def make_graph_state(fld: Field, s_wires: Iterable[int], o_wires: Iterable[int],
                      edges: Iterable[tuple[int, int, int]]) -> GraphState:
-    """Normalize wire order, drop zero labels, and build a GraphState."""
-    cleaned = tuple(sorted((i, j, b) for i, j, b in edges if b != 0))
-    return GraphState(fld, tuple(sorted(s_wires)), tuple(sorted(o_wires)), cleaned)
+    """The GraphState of an edge list: sorts the wires, drops zero labels, and fills the block.
+
+    Checks in this order, each with ValueError: the wires (GraphState), a
+    (source, sink) pair listed twice, then each edge in sorted order, first
+    that it runs from a source to a sink, then that its label is a nonzero
+    field element, before it is written into int64.
+    """
+    s_wires, o_wires = tuple(sorted(s_wires)), tuple(sorted(o_wires))
+    block = np.zeros((len(s_wires), len(o_wires)), dtype=np.int64)
+    GraphState(fld, s_wires, o_wires, block)  # the wire checks come first
+    cleaned = sorted((i, j, b) for i, j, b in edges if b != 0)
+    if len({(i, j) for i, j, _ in cleaned}) != len(cleaned):
+        raise ValueError("an edge between the same source and sink is listed twice")
+    row, col = {w: r for r, w in enumerate(s_wires)}, {w: c for c, w in enumerate(o_wires)}
+    for i, j, b in cleaned:
+        if i not in row or j not in col:
+            raise ValueError(f"edge {(i, j)} does not run from a source to a sink wire")
+        if not 0 < b < fld.d:
+            raise ValueError(f"edge label {b} must be a nonzero field element")
+        block[row[i], col[j]] = b
+    return GraphState(fld, s_wires, o_wires, block)
 
 
 def graph_from_symbolic(sym: SymbolicState) -> tuple[GraphState, dict[int, int]]:
-    """Read the bipartite graph and any residual local shifts off sym.standard_form().
+    """The graph of sym.standard_form() and its residual as local shifts.
 
-    The pivot wires become the sources and the block's nonzero labels the
-    edges.  Whatever shift survives on sink wires is returned as a residual
+    sym must have full rank (else RuntimeError) and 1 <= k <= N - 1 (else
+    ValueError).  Whatever shift survives on sink wires is returned as a
     map wire -> field element (empty for C-only circuits).
     """
-    pivots, block, residual = sym.standard_form()
-    if len(pivots) != sym.k:
+    graph, residual = sym.standard_form()
+    if len(graph.s_wires) != sym.k:
         raise RuntimeError("coefficient matrix lost rank; inputs must be unitary gate images")
     if sym.k == 0 or sym.k == sym.n:
         raise ValueError("standard form needs at least one 's' and one '0' wire (1 <= k <= N - 1)")
-    s_wires = tuple(c + 1 for c in pivots)
-    o_wires = tuple(sorted(set(range(1, sym.n + 1)) - set(s_wires)))
-    edges = [(s_wires[row], o_wires[col], int(block[row, col])) for row, col in zip(*np.nonzero(block))]
-    shifts = {j: int(v) for j, v in zip(o_wires, residual) if v}
-    return make_graph_state(sym.field, s_wires, o_wires, edges), shifts
+    return graph, {graph.o_wires[c]: int(residual[c]) for c in np.flatnonzero(residual)}
 
 
 def canonicalize(circuit: Circuit) -> tuple[tuple[int, ...], GraphState]:

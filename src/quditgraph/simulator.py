@@ -250,7 +250,7 @@ class SupportState:
 
 
 def check_state_size(d: int, n: int) -> None:
-    if d ** n > STATE_SIZE_LIMIT:
+    if n >= 25 or d ** n > STATE_SIZE_LIMIT:  # d >= 2: n >= 25 is over 2^24, and d^n is not computed
         raise ResourceGuardError(f"state of {d}**{n} amplitudes exceeds the 2^24 guard")
 
 
@@ -547,10 +547,8 @@ def ket_index(digit_columns: Iterable, d: int):
 
 
 def _parse_digits(text: str, d: int, n: int) -> int:
-    if "," in text:
-        vals = [int(v) for v in text.split(",")]
-    else:
-        vals = [_DIGITS36.index(c) for c in text]
+    # dump_state writes the comma form for any d > 36, one qudit included
+    vals = [int(v) for v in text.split(",")] if d > 36 or "," in text else [_DIGITS36.index(c) for c in text]
     if len(vals) != n or any(not 0 <= v < d for v in vals):
         raise ValueError(f"bad basis index {text!r} for d={d}, n={n}")
     return ket_index(vals, d)

@@ -284,6 +284,46 @@ def test_classify_guard_counts_labellings(capsys):
     assert "120050 labellings" in err
 
 
+def test_guards_bound_the_exponent_first(tmp_path, capsys):
+    # 3^(10^12) amplitudes or labellings could never be computed; both guards refuse at once
+    big = 10 ** 12
+    path = tmp_path / "huge.state"
+    path.write_text(f"# quditgraph-state d=3 qudits={big}\n")
+    for argv, message in (
+        (["verify-mes", str(path)], f"state of 3**{big} amplitudes exceeds the 2^24 guard"),
+        (["classify", str(big), "--field", "3 1"], f"classify {big} over GF(3) sweeps at least 2^1584962500719 labellings"),
+    ):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, *argv)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (3, "")
+        assert message in err
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 7, 9, 49, 256, 65521])
+def test_classify_guard_message_counts_the_power(d):
+    # past N = 65 the power d^(N - 1) is not computed, but the message still shows floor(log2) of it exactly
+    fld = quditgraph.Field.of_order(d)
+    for n_qudits in (18, 40, 65, 66, 67, 100, 1000, 4097):
+        labellings = d ** (n_qudits - 1)  # k = 1 alone is over the guard
+        shown = labellings if labellings < 10 ** 12 else f"2^{labellings.bit_length() - 1}"
+        with pytest.raises(quditgraph.ResourceGuardError) as info:
+            quditgraph.classify(fld, n_qudits)
+        assert str(info.value) == f"classify {n_qudits} over GF({d}) sweeps at least {shown} labellings, over the 2^16 guard"
+
+
+CLASSIFY_GOLDEN = [("gf2", "2 1", n) for n in (2, 3, 4, 5)] + [("gf4", "2 2", 4), ("gf3", "3 1", 5)]
+
+
+@pytest.mark.parametrize("fmt, ext", [("json", "json"), ("text", "txt")])
+@pytest.mark.parametrize("name, field, n", CLASSIFY_GOLDEN)
+def test_classify_golden_output(capsys, name, field, n, fmt, ext):
+    # tests/data/classify/<name>_n<N>.<ext>, written before the representative came from graph_to_json_dict
+    code, out, _ = run_cli(capsys, "classify", str(n), "--field", field, "--format", fmt)
+    assert code == 0
+    assert out == (DATA / "classify" / f"{name}_n{n}.{ext}").read_text()
+
+
 def test_classify_untabulated_field(capsys):
     # GF(257), past the order-256 cap that the d x d tables once had
     code, out, _ = run_cli(capsys, "classify", "2", "--field", "257 1")
@@ -350,6 +390,12 @@ SHAPE_MESSAGE = "graph JSON needs a 'field' object, 'S' and 'O' lists and an 'ed
     ({**BELL_GRAPH, "O": [], "edges": []}, "at least two wires"),
     ({**BELL_GRAPH, "S": [1, 1]}, "wires must cover 1..N"),
     ({**BELL_GRAPH, "edges": [{"from": 1, "to": 2, "label": 1}, {"from": 1, "to": 2, "label": 2}]}, "listed twice"),
+    ({**BELL_GRAPH, "edges": [{"from": 2, "to": 1, "label": 1}]}, "edge (2, 1) does not run from a source to a sink wire"),
+    ({**BELL_GRAPH, "edges": [{"from": 1, "to": 2, "label": 3}]}, "edge label 3 must be a nonzero field element"),
+    ({**BELL_GRAPH, "edges": [{"from": 1, "to": 2, "label": -1}]}, "edge label -1 must be a nonzero field element"),
+    # range-checked before it is written into the int64 block, where it would overflow (exit 4)
+    ({**BELL_GRAPH, "edges": [{"from": 1, "to": 2, "label": 10 ** 30}]},
+     f"edge label {10 ** 30} must be a nonzero field element"),
     ({**BELL_GRAPH, "edges": 5}, SHAPE_MESSAGE),
     ({**BELL_GRAPH, "edges": [[1, 2, 1]]}, SHAPE_MESSAGE),
     ({**BELL_GRAPH, "S": 1}, SHAPE_MESSAGE),
@@ -361,7 +407,7 @@ SHAPE_MESSAGE = "graph JSON needs a 'field' object, 'S' and 'O' lists and an 'ed
     ({**BELL_GRAPH, "field": {"p": 3, "n": True, "poly": 0}}, "field p, n and poly must be JSON integers, got True"),
     ({**BELL_GRAPH, "field": {"p": 3.0, "n": 1, "poly": 0}}, "field p, n and poly must be JSON integers, got 3.0"),
 ], ids=["label-float", "label-bool", "label-string", "wire-string", "wire-float", "top-level-list", "one-wire",
-        "repeated-wire", "repeated-edge", "edges-int", "edge-list", "sources-int", "field-list",
+        "repeated-wire", "repeated-edge", "edge-from-sink", "label-d", "label-negative", "label-10e30", "edges-int", "edge-list", "sources-int", "field-list",
         "field-n-string", "field-p-string", "field-poly-string", "field-n-bool", "field-p-float"])
 def test_dual_check_rejects_malformed_graph_json(tmp_path, capsys, graph, message):
     # read as Python values, 1.5 and true would both become label 1: a different graph
@@ -788,6 +834,16 @@ def test_simulate_cli(tmp_path, capsys):
     lines = [l for l in out.splitlines() if not l.startswith("#")]
     assert [l.split()[0] for l in lines] == ["00", "11", "22"]
     assert all(abs(float(l.split()[1]) - 1 / np.sqrt(3)) < 1e-12 for l in lines)
+
+
+def test_simulate_one_qudit_dump_past_d36_parses(tmp_path, capsys):
+    # past d = 36 a digit is written in decimal, so one qudit's ket "40" is digit 40, not digits 4 and 0
+    path = tmp_path / "one.qc"
+    path.write_text("field 7 2\nqudits 1\ninit 0\nA 1 40\n")
+    code, out, _ = run_cli(capsys, "simulate", str(path))
+    assert code == 0 and out.splitlines()[-1] == "40 1.0 0.0"
+    state = simulator.parse_state(out)
+    assert (state.d, state.n, state.digits.tolist(), state.amps.tolist()) == (49, 1, [[40]], [1.0])
 
 
 def test_tolerance_only_on_verbs_that_read_it(tmp_path, capsys):

@@ -47,6 +47,25 @@ def test_dual_square_reverses_all_edges():
     assert set(d.edges) == {(2, 1, 1), (4, 1, 1), (4, 3, 1), (2, 3, 2)}
 
 
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 8, 9])
+def test_dual_is_the_transposed_block(d):
+    # the oracle reverses every edge of the list and rebuilds the graph from it
+    fld = field_for(d)
+    rng = np.random.default_rng(2200 + d)
+    for _ in range(40):
+        n = int(rng.integers(2, 9))
+        wires = rng.permutation(np.arange(1, n + 1)).tolist()
+        k = int(rng.integers(0, n + 1))
+        s_wires, o_wires = wires[:k], wires[k:]
+        edges = [(i, j, int(rng.integers(d))) for i in s_wires for j in o_wires if rng.random() < 0.6]
+        g = make_graph_state(fld, s_wires, o_wires, edges)
+        dual = dual_graph(g)
+        assert dual == make_graph_state(fld, g.o_wires, g.s_wires, [(j, i, b) for i, j, b in g.edges])
+        assert dual.edges == tuple(sorted((j, i, b) for i, j, b in g.edges))
+        assert np.array_equal(dual.block, g.block.T) and not dual.block.flags.writeable
+        assert dual_graph(dual) == g
+
+
 # ---------------------------------------------------------------------------
 # Conjugation identity
 # ---------------------------------------------------------------------------

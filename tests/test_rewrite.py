@@ -11,6 +11,7 @@ from quditgraph import (
     canonicalize,
     commute_pair,
     graph_from_json_dict,
+    graph_from_symbolic,
     graph_to_dot,
     graph_to_json_dict,
     make_graph_state,
@@ -310,11 +311,13 @@ def test_standard_form_is_invariant_and_matches_oracles(d):
         k = int(rng.integers(1, n))
         make = random_c_circuit if trial % 2 else random_cadw_circuit
         sym = SymbolicState.from_circuit(make(fld, n, k, int(rng.integers(1, 21)), rng))
-        pivots, block, residual = sym.standard_form()
+        graph, residual = sym.standard_form()
+        pivots = [w - 1 for w in graph.s_wires]
         want, want_pivots = scalar_rref(fld, sym.matrix)
         sinks = [c for c in range(n) if c not in want_pivots]
         assert pivots == want_pivots
-        assert np.array_equal(block, want[: len(pivots), sinks])
+        assert graph.o_wires == tuple(c + 1 for c in sinks)
+        assert np.array_equal(graph.block, want[: len(pivots), sinks])
         # the residual is the one ket of the support that is zero on every pivot wire
         digits = sym.support().digits
         at_zero = digits[:, ~digits[pivots].any(axis=0)]
@@ -324,8 +327,8 @@ def test_standard_form_is_invariant_and_matches_oracles(d):
         for _ in range(3):  # row operations and shifts inside the row space leave it unchanged
             mixed = scalar_matmul(fld, random_invertible(fld, k, rng), sym.matrix)
             other = shifted(sym, mixed, row_space_shift(sym, rng)).standard_form()
-            assert other[0] == pivots
-            assert np.array_equal(other[1], block) and np.array_equal(other[2], residual)
+            assert other[0] == graph  # the same wires and block
+            assert np.array_equal(other[1], residual)
 
 
 # ---------------------------------------------------------------------------
@@ -740,12 +743,82 @@ def test_zero_labels_dropped():
 
 def test_graph_invariants_enforced():
     fld = field_for(3)
-    with pytest.raises(ValueError):
-        GraphState(fld, (1,), (1, 2), ())
-    with pytest.raises(ValueError):
-        GraphState(fld, (1,), (3,), ())
-    with pytest.raises(ValueError):
-        GraphState(fld, (1,), (2,), ((2, 1, 1),))
+    with pytest.raises(ValueError, match="overlap"):
+        GraphState(fld, (1,), (1, 2), np.zeros((1, 2), dtype=np.int64))
+    with pytest.raises(ValueError, match="cover"):
+        GraphState(fld, (1,), (3,), np.zeros((1, 1), dtype=np.int64))
+    # a block has no entry for an edge out of a sink; the edge list is refused
+    with pytest.raises(ValueError, match="does not run from a source to a sink"):
+        make_graph_state(fld, (1,), (2,), ((2, 1, 1),))
+
+
+@pytest.mark.parametrize("s_wires, o_wires, edges, message", [
+    ([1], [1, 2], [(1, 2, 1), (1, 2, 2)], "source and sink wire sets overlap"),
+    ([1], [3], [(3, 1, 5)], "wires must cover 1..N"),
+    ([1, 1], [2], [], "wires must cover 1..N"),
+    ([1], [2, 3], [(2, 1, 1), (1, 3, 1), (1, 3, 2)], "an edge between the same source and sink is listed twice"),
+    ([1], [2], [(2, 1, 1)], "edge (2, 1) does not run from a source to a sink wire"),
+    ([1], [2], [(2, 1, 5)], "edge (2, 1) does not run from a source to a sink wire"),
+    ([1], [2], [(1, 5, 1)], "edge (1, 5) does not run from a source to a sink wire"),
+    ([1], [2, 3], [(1, 3, 7), (1, 2, -1)], "edge label -1 must be a nonzero field element"),
+    ([1], [2, 3], [(2, 1, 1), (1, 2, 7)], "edge label 7 must be a nonzero field element"),
+    ([1], [2], [(1, 2, 3)], "edge label 3 must be a nonzero field element"),
+    ([1], [2], [(1, 2, -1)], "edge label -1 must be a nonzero field element"),
+    ([1], [2], [(1, 2, 10 ** 30)], f"edge label {10 ** 30} must be a nonzero field element"),
+], ids=["overlap", "gap", "repeated-wire", "repeated-pair", "direction", "direction-before-label", "missing-wire",
+        "sorted-order", "sorted-order-label-first", "label-d", "label-minus-one", "label-10e30"])
+def test_make_graph_state_errors_in_order(s_wires, o_wires, edges, message):
+    # over GF(3): the wires first, then a repeated pair, then each edge in sorted order, its direction before its label
+    with pytest.raises(ValueError) as info:
+        make_graph_state(field_for(3), s_wires, o_wires, edges)
+    assert str(info.value) == message
+
+
+def test_make_graph_state_sorts_wires_and_drops_zero_labels():
+    fld = field_for(3)
+    graph = make_graph_state(fld, iter([2, 1]), iter([4, 3]), [(2, 3, 1), (1, 4, 2), (1, 3, 0), (4, 1, 0)])
+    assert (graph.s_wires, graph.o_wires) == ((1, 2), (3, 4))
+    assert graph.edges == ((1, 4, 2), (2, 3, 1))
+    assert np.array_equal(graph.block, [[0, 2], [1, 0]])
+    assert all(type(v) is int for edge in graph.edges for v in edge)
+
+
+def test_graph_block_is_checked_and_read_only():
+    fld = field_for(3)
+    with pytest.raises(ValueError, match=r"label block of shape \(2, 1\), expected \(1, 2\)"):
+        GraphState(fld, (1,), (2, 3), np.zeros((2, 1), dtype=np.int64))
+    with pytest.raises(ValueError, match=r"label block of shape \(1,\), expected \(1, 1\)"):
+        GraphState(fld, (1,), (2,), [1])
+    for bad in (3, -1):
+        with pytest.raises(ValueError, match="out of range for order-3 field"):
+            GraphState(fld, (1,), (2, 3), [[1, bad]])
+    block = np.array([[1, 2]])
+    graph = GraphState(fld, (1,), (2, 3), block)
+    block[0, 0] = 0  # the graph holds its own copy
+    assert graph.edges == ((1, 2, 1), (1, 3, 2)) and graph.block.dtype == np.int64
+    with pytest.raises(ValueError, match="read-only"):
+        graph.block[0, 0] = 2
+    assert graph == make_graph_state(fld, [1], [2, 3], [(1, 3, 2), (1, 2, 1)])
+    assert graph != GraphState(fld, (1,), (2, 3), [[1, 1]]) and graph != GraphState(field_for(5), (1,), (2, 3), block)
+    assert graph != GraphState(fld, (2,), (1, 3), [[1, 2]])
+    with pytest.raises(TypeError):
+        hash(graph)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 8, 9])
+def test_standard_form_graph_is_graph_from_symbolic(d):
+    fld = field_for(d)
+    rng = np.random.default_rng(1300 + d)
+    for trial in range(20):
+        n = int(rng.integers(2, 7))
+        k = int(rng.integers(1, n))
+        make = random_c_circuit if trial % 2 else random_cadw_circuit
+        sym = SymbolicState.from_circuit(make(fld, n, k, int(rng.integers(1, 25)), rng))
+        graph, residual = sym.standard_form()
+        got, shifts = graph_from_symbolic(sym)
+        assert graph == got
+        assert shifts == {j: int(v) for j, v in zip(graph.o_wires, residual) if v}
+        assert states_equal_symbolic(graph.to_symbolic(), SymbolicState(fld, n, sym.matrix, np.zeros(n, dtype=np.int64)))
 
 
 @pytest.mark.parametrize("labels", [(1, 2), (1, 1)])

@@ -437,6 +437,26 @@ def test_dump_round_trip_large_dimension():
     assert np.max(np.abs(parsed - amps)) < 1e-15
 
 
+@pytest.mark.parametrize("d, n", [(37, 1), (49, 1), (64, 1), (36, 2), (37, 2)])
+def test_dump_round_trip_either_side_of_d36(d, n):
+    # d <= 36 dumps one character per digit, d > 36 comma-separated numbers: one bare number for one qudit
+    rng = np.random.default_rng(100 * d + n)
+    amps = rng.standard_normal(d ** n) + 1j * rng.standard_normal(d ** n)
+    amps[rng.random(d ** n) < 0.3] = 0
+    state = support_of(amps, d, n)
+    parsed = parse_state(dump_state(state))
+    assert (parsed.d, parsed.n) == (d, n)
+    assert np.array_equal(parsed.digits, state.digits) and np.array_equal(parsed.amps, state.amps)
+
+
+def test_state_size_guard_bounds_the_exponent_first():
+    for d, n in ((2, 24), (3, 15), (4096, 2), (2 ** 24, 1)):
+        simulator.check_state_size(d, n)
+    for d, n in ((2, 25), (3, 16), (4097, 2), (2 ** 24 + 1, 1), (3, 10 ** 12), (10 ** 100, 10 ** 12)):
+        with pytest.raises(ResourceGuardError, match=re.escape(f"state of {d}**{n} amplitudes exceeds the 2^24 guard")):
+            simulator.check_state_size(d, n)
+
+
 def test_dump_parse_errors():
     with pytest.raises(ValueError):
         parse_state_dump("0 1.0 0.0\n")  # missing header
