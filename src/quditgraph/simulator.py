@@ -546,11 +546,16 @@ def ket_index(digit_columns: Iterable, d: int):
     return index
 
 
-def _parse_digits(text: str, d: int, n: int) -> int:
-    # dump_state writes the comma form for any d > 36, one qudit included
-    vals = [int(v) for v in text.split(",")] if d > 36 or "," in text else [_DIGITS36.index(c) for c in text]
+def _parse_digits(text: str, d: int, n: int, lineno: int) -> int:
+    # dump_state writes the comma form for any d > 36, one qudit included; its
+    # digits are ASCII decimal, so int()'s signs, underscores and other scripts
+    # do not pass, and a bad digit becomes -1
+    if d > 36 or "," in text:
+        vals = [int(v) if v.isascii() and v.isdecimal() else -1 for v in text.split(",")]
+    else:
+        vals = [_DIGITS36.find(c) for c in text]
     if len(vals) != n or any(not 0 <= v < d for v in vals):
-        raise ValueError(f"bad basis index {text!r} for d={d}, n={n}")
+        raise ValueError(f"line {lineno}: bad basis index {text!r} for d={d}, n={n}")
     return ket_index(vals, d)
 
 
@@ -593,7 +598,7 @@ def parse_state(text: str) -> SupportState:
         parts = line.split()
         if len(parts) != 3:
             raise ValueError(f"line {lineno}: expected 'index re im', got {raw!r}")
-        index = _parse_digits(parts[0], d, n)
+        index = _parse_digits(parts[0], d, n, lineno)
         if index in kets:
             raise ValueError(f"line {lineno}: ket {parts[0]!r} listed twice")
         amp = complex(float(parts[1]), float(parts[2]))

@@ -1,3 +1,4 @@
+import functools
 from itertools import product
 from math import comb
 
@@ -120,13 +121,30 @@ def test_rank_profile_partitions_like_dense_spectra(d, n):
     assert reported == from_dense
 
 
-@pytest.mark.parametrize("d", [2, 3, 4, 9])
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 7, 8, 9])
 def test_rank_exponents_match_scalar_rref(d):
     # e = r_A + r_B - k with r_A, r_B the scalar Gauss-Jordan ranks of the two
-    # column blocks of [I_k | B]; zero rows and columns and repeated and
-    # scaled columns of B make its sub-blocks lose rank
+    # column blocks of [I_k | B].  Batches of 0, 1 and 30 random blocks reduce
+    # most sub-blocks directly; zero rows and columns and repeated and scaled
+    # columns of B make their sub-blocks lose rank.  All d^(k(N-k)) labellings
+    # at once, where the oracle's cost allows, are a batch in which every
+    # sub-block shape is read from its rank table; over GF(2) and GF(3) that
+    # includes the full 2 x 3 block of N = 5, k = 2, transposed to 3 x 2.
     fld = field_for(d)
     rng = np.random.default_rng(d)
+    rank = functools.cache(lambda columns: len(scalar_rref(fld, np.array(columns, dtype=np.int64).T)[1]))
+
+    def check(blocks, n, k):
+        subsets = bipartition_subsets(n)
+        got = rank_exponents(fld, blocks, subsets)
+        assert got.shape == (len(blocks), len(subsets)) and got.dtype == np.int64
+        for block, row in zip(blocks, got.tolist()):
+            columns = [tuple(column) for column in np.hstack([np.eye(k, dtype=np.int64), block]).T.tolist()]
+            for subset, e in zip(subsets, row):
+                r_a = rank(tuple(columns[q - 1] for q in subset))
+                r_b = rank(tuple(columns[q - 1] for q in range(1, n + 1) if q not in subset))
+                assert e == r_a + r_b - k, (block.tolist(), subset)
+
     for n, k in [(2, 1), (3, 1), (4, 2), (5, 2), (5, 3), (6, 2), (6, 4), (7, 3)]:
         blocks = rng.integers(d, size=(30, k, n - k))
         blocks[::5, :, -1] = blocks[::5, :, 0]
@@ -134,16 +152,18 @@ def test_rank_exponents_match_scalar_rref(d):
         blocks[2::5, :, (n - k) // 2] = 0
         blocks[3::5, k // 2, :] = 0
         blocks[4::5, 0, :] = fld.mul_arr(int(rng.integers(1, d)), blocks[4::5, -1, :])
-        subsets = bipartition_subsets(n)
-        got = rank_exponents(fld, blocks, subsets)
-        assert got.shape == (len(blocks), len(subsets))
-        for block, row in zip(blocks, got.tolist()):
-            mat = np.hstack([np.eye(k, dtype=np.int64), block])
-            for subset, e in zip(subsets, row):
-                side_b = [q for q in range(1, n + 1) if q not in subset]
-                r_a = len(scalar_rref(fld, mat[:, [q - 1 for q in subset]])[1])
-                r_b = len(scalar_rref(fld, mat[:, [q - 1 for q in side_b]])[1])
-                assert e == r_a + r_b - k, (block.tolist(), subset)
+        for batch in (0, 1, 30):
+            check(blocks[:batch], n, k)
+        every = d ** (k * (n - k))
+        if every * 2 ** n <= 2 ** 16:  # the oracle's cost: labellings times cuts
+            check(np.indices((d,) * (k * (n - k))).reshape(k * (n - k), every).T.reshape(every, k, n - k), n, k)
+
+
+def test_rank_exponents_past_one_byte():
+    # exponents above 255 need more than the one byte that smaller blocks are counted in
+    fld = field_for(2)
+    got = rank_exponents(fld, np.eye(300, dtype=np.int64)[None], [tuple(range(1, 301)), (1, 301), (1, 302)])
+    assert got.tolist() == [[300, 0, 2]] and got.dtype == np.int64
 
 
 def test_rank_exponents_rejects_bad_input():

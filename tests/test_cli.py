@@ -312,13 +312,15 @@ def test_classify_guard_message_counts_the_power(d):
         assert str(info.value) == f"classify {n_qudits} over GF({d}) sweeps at least {shown} labellings, over the 2^16 guard"
 
 
-CLASSIFY_GOLDEN = [("gf2", "2 1", n) for n in (2, 3, 4, 5)] + [("gf4", "2 2", 4), ("gf3", "3 1", 5)]
+CLASSIFY_GOLDEN = [("gf2", "2 1", n) for n in (2, 3, 4, 5)] + [("gf4", "2 2", 4), ("gf4", "2 2", 5), ("gf3", "3 1", 5),
+                                                                ("gf5", "5 1", 4), ("gf5", "5 1", 5), ("gf7", "7 1", 4)]
 
 
 @pytest.mark.parametrize("fmt, ext", [("json", "json"), ("text", "txt")])
 @pytest.mark.parametrize("name, field, n", CLASSIFY_GOLDEN)
 def test_classify_golden_output(capsys, name, field, n, fmt, ext):
-    # tests/data/classify/<name>_n<N>.<ext>, written before the representative came from graph_to_json_dict
+    # tests/data/classify/<name>_n<N>.<ext>: GF(4) at N = 5, GF(5) and GF(7) written before rank_exponents read
+    # rank tables, the rest before the representative came from graph_to_json_dict
     code, out, _ = run_cli(capsys, "classify", str(n), "--field", field, "--format", fmt)
     assert code == 0
     assert out == (DATA / "classify" / f"{name}_n{n}.{ext}").read_text()
@@ -676,7 +678,11 @@ def test_verify_mes_rejects_unnormalized_state(tmp_path, capsys):
     ("# quditgraph-state d=1 qudits=4\n0000 1.0 0.0\n", "d=1 must be at least 2"),
     ("# quditgraph-state d=2 qudits=-1\n", "line 1: qudit count qudits=-1 must be at least 1"),
     ("# quditgraph-state d=2 qudits=0\n", "line 1: qudit count qudits=0 must be at least 1"),
-], ids=["nan", "inf", "repeated-ket", "second-header", "d1", "qudits-negative", "qudits0"])
+    ("# quditgraph-state d=3 qudits=2\n00 1.0 0.0\n03 0.0 0.0\n", "line 3: bad basis index '03' for d=3, n=2"),
+    ("# quditgraph-state d=49 qudits=2\n1,x 1.0 0.0\n", "line 2: bad basis index '1,x' for d=49, n=2"),
+    ("# quditgraph-state d=49 qudits=2\n1_0,+2 1.0 0.0\n", "line 2: bad basis index '1_0,+2' for d=49, n=2"),
+], ids=["nan", "inf", "repeated-ket", "second-header", "d1", "qudits-negative", "qudits0", "ket-digit-d",
+        "comma-digit-letter", "comma-digit-underscore-sign"])
 def test_verify_mes_rejects_malformed_dump(tmp_path, capsys, text, message):
     # read as they stand, a nan would decide "false" (exit 1) and d=1 a vacuous "maximally entangled"
     path = tmp_path / "bad.state"

@@ -805,6 +805,22 @@ def test_graph_block_is_checked_and_read_only():
         hash(graph)
 
 
+def test_graph_block_must_hold_integers():
+    # a float or bool block is refused, not truncated to int64
+    fld = field_for(3)
+    for bad, dtype in (([[1.5]], "float64"), ([[1.0]], "float64"), ([[True]], "bool"), (np.ones((1, 1), np.float32), "float32"),
+                       ([["1"]], "<U1"), ([[10 ** 30]], "object")):
+        with pytest.raises(ValueError) as info:
+            GraphState(fld, (1,), (2,), bad)
+        assert str(info.value) == f"label block must hold integers, got dtype {dtype}"
+    with pytest.raises(ValueError) as info:  # checked before the int64 copy, which would wrap it
+        GraphState(fld, (1,), (2,), np.array([[2 ** 63 + 1]], dtype=np.uint64))
+    assert str(info.value) == f"element index {2 ** 63 + 1} out of range for order-3 field"
+    for good in ([[2]], np.array([[2]], dtype=np.uint8), np.array([[2]], dtype=np.int32)):
+        graph = GraphState(fld, (1,), (2,), good)
+        assert graph.edges == ((1, 2, 2),) and graph.block.dtype == np.int64
+
+
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 8, 9])
 def test_standard_form_graph_is_graph_from_symbolic(d):
     fld = field_for(d)

@@ -464,6 +464,26 @@ def test_dump_parse_errors():
         parse_state_dump("# quditgraph-state d=2 qudits=1\n0 1.0\n")
 
 
+@pytest.mark.parametrize("d, n, ket", [
+    (3, 2, "03"), (3, 2, "0"), (3, 2, "000"), (3, 2, "0?"), (3, 2, "0A"),  # digit d, too few or many digits, no digit
+    (49, 2, "1,x"), (49, 2, "1,"), (49, 2, "1,2,3"), (49, 2, "1,49"),  # comma form: letter, empty, three digits, digit d
+    (49, 2, "1_0,+2"), (49, 2, "10,-2"), (49, 2, "1,\u0663"),  # int() reads these, but they are not ASCII decimal
+    (37, 1, "1_0"), (37, 1, "x"), (37, 1, "37"),  # one qudit past d = 36 takes the comma form without a comma
+])
+def test_parse_state_names_the_line_of_a_bad_ket(d, n, ket):
+    first = ",".join(["0"] * n) if d > 36 else "0" * n
+    text = f"# quditgraph-state d={d} qudits={n}\n\n{first} 1.0 0.0\n{ket} 0.5 0.0\n"
+    with pytest.raises(ValueError) as info:
+        parse_state(text)
+    assert str(info.value) == f"line 4: bad basis index {ket!r} for d={d}, n={n}"
+
+
+def test_parse_state_reads_ascii_decimal_comma_digits():
+    state = parse_state("# quditgraph-state d=49 qudits=2\n10,2 1.0 0.0\n048,00 0.0 1.0\n")
+    assert state.digits.T.tolist() == [[10, 2], [48, 0]]
+    assert parse_state("# quditgraph-state d=37 qudits=1\n36 1.0 0.0\n").digits.tolist() == [[36]]
+
+
 def test_sorted_dump_order():
     st = init_state(field_for(2), 3, ["s", "s", "s"])
     lines = [l for l in dump_state(support_of(st.amps, 2, 3)).splitlines() if not l.startswith("#")]
