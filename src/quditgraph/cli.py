@@ -4,8 +4,9 @@ Verbs: normalize, classify, dual-check, verify-mes, make-mes, relations-test,
 simulate.  Exit codes: 0 success / verdict true, 1 verdict false, 2 usage or
 parse error, 3 resource guard, 4 internal error (one `internal error: ...`
 line on stderr).  Only the verbs that decide by it take --tolerance, a
-number 0 <= tol < 1: dual-check and verify-mes.  normalize --verify decides
-exactly, comparing the circuit's nonzero amplitudes with the graph's kets.
+number 0 <= tol < 1: dual-check (its signature match only; the H/V dressing
+verdict is exact) and verify-mes.  normalize --verify decides exactly,
+comparing the circuit's nonzero amplitudes with the graph's kets.
 """
 
 from __future__ import annotations
@@ -220,8 +221,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="quditgraph", description=__doc__)
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def add_tolerance(p):
-        p.add_argument("--tolerance", type=_tolerance_arg, default=DEFAULT_TOL, help="0 <= tol < 1")
+    def add_tolerance(p, help_text="0 <= tol < 1"):
+        p.add_argument("--tolerance", type=_tolerance_arg, default=DEFAULT_TOL, help=help_text)
 
     p = sub.add_parser("normalize", help="reduce a C-only circuit file to its bipartite graph")
     p.add_argument("circuit")
@@ -237,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dual-check", help="verify a graph against its dual (JSON graph input)")
     p.add_argument("graph")
-    add_tolerance(p)
+    add_tolerance(p, "0 <= tol < 1; decides signature_match only, state_equivalence_holds is exact")
     p.set_defaults(func=cmd_dual_check)
 
     p = sub.add_parser("verify-mes", help="check a state dump for 4-party maximal entanglement")

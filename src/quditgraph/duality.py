@@ -1,19 +1,18 @@
 """Graph duality: reversing every edge is a local-unitary move.
 
 For a bipartite graph state, swapping the roles of the two vertex classes
-and reversing all edges (keeping labels) yields a dual state.  Over prime
-fields the two are connected by an explicit local dressing built from the
-Fourier gate H and the coefficient-reversal gate V: conjugating a
-generalized CNOT by (H^dagger V) on the control and (V H) on the target
-reverses its direction.
-
-For extension fields that identity holds for label a exactly when the n x n
-Z_p multiplication matrix M_a is persymmetric, which fails for some (field,
-polynomial) choices - e.g. GF(4) with x^2+x+1.  conjugation_report *decides
-exactly* that field-wide fact per element and polynomial.  dual-check reads
-only the given graph: verify_dual_equivalence applies the dressing and
-decides by the local-unitary invariant signature (sorted multiset of
-bipartite RDM spectra), which matches for dual pairs regardless.
+and reversing all edges (keeping labels) yields a dual state.  The H/V
+dressing, (H^dagger V) on every source and (V H) on every sink, turns a
+generalized CNOT of label a into the reversed CNOT with digit map R M_a^T R,
+where M_a is the n x n Z_p multiplication matrix and R the coefficient
+reversal.  So it reverses label a exactly when M_a is persymmetric: always
+over prime fields, but not for every (field, polynomial) choice - e.g.
+GF(4) with x^2+x+1.  One array core decides that per label, exactly:
+conjugation_report over the whole field and every polynomial,
+verify_dual_equivalence (dual-check) over the labels of the given graph.
+The dual pair also shares the local-unitary invariant signature (sorted
+multiset of bipartite RDM spectra), compared densely under a tolerance.
+dressed_state applies the dressing to the dense state: the tests' oracle.
 """
 
 from __future__ import annotations
@@ -29,6 +28,7 @@ from .simulator import (
     DEFAULT_TOL,
     Gate,
     ResourceGuardError,
+    StateVector,
     check_state_size,
     run_gates,
     signatures_match,
@@ -56,7 +56,7 @@ def _label_fragments(fld: Field, labels: np.ndarray) -> list[dict]:
     """
     rhs = fld.mul_matrix(labels)
     lhs = rhs[:, ::-1, ::-1].swapaxes(1, 2)
-    differs = (lhs != rhs).reshape(len(labels), -1)
+    differs = (lhs != rhs).reshape(len(labels), fld.n * fld.n)  # -1 cannot be inferred from no labels
     i, j = np.divmod(differs.argmax(axis=1), fld.n)
     rows = np.arange(len(labels))
     cells = zip(i.tolist(), j.tolist(), lhs[rows, i, j].tolist(), rhs[rows, i, j].tolist())
@@ -136,7 +136,7 @@ class DualityReport:
 
 
 def dressing_gates(g: GraphState) -> list[Gate]:
-    """Time-ordered local gates mapping the graph state onto its dual.
+    """Time-ordered local gates of the H/V dressing, which maps the graph state onto its dual where its labels hold.
 
     Source wires receive the operator H^dagger V and sink wires V H, with
     H^dagger expanded as H * D(-1).
@@ -155,48 +155,46 @@ def dressing_gates(g: GraphState) -> list[Gate]:
     return gates
 
 
-def verify_dual_equivalence(g: GraphState, tol: float = DEFAULT_TOL) -> DualityReport:
-    """Compare a graph state against its dual, two ways.
+def dressed_state(g: GraphState) -> StateVector:
+    """The dressing applied to g's dense state: the tests' oracle for the exact dressing verdict."""
+    return run_gates(g.state(), dressing_gates(g))
 
-    The explicit route applies the H/V dressing and tests equality up to a
-    global phase.  The invariant route compares the sorted multiset of
-    bipartite RDM spectra, which must agree for the dual pair even where the
-    explicit dressing fails; it is the verdict (signature_match).  Before
-    building a state it raises ResourceGuardError above 8 qudits, past the
-    2^24 amplitude guard, or when the largest RDM of the signature, d^(N//2)
-    rows, exceeds RDM_ROWS_LIMIT (8 wires over GF(8): 4096).
+
+def verify_dual_equivalence(g: GraphState, tol: float = DEFAULT_TOL) -> DualityReport:
+    """Compare a graph state with its dual: the dressing exactly, the signature within tol.
+
+    state_equivalence_holds reads the block's labels only.  The edge gates
+    C_{s->o}(a) commute, the dressing maps the graph's initial register (|s>
+    on the sources, |0> on the sinks) onto the dual's, and it conjugates
+    each edge gate into the reversed CNOT with digit map R M_a^T R.  So the
+    dressed state is the dual state exactly when that map is M_a for every
+    label a in the block; the counterexample names the smallest failing
+    label and its first differing entry.  signature_match, the verdict,
+    compares the sorted multisets of bipartite RDM spectra within tol, and
+    max_deviation is its deviation; a signature counterexample takes
+    precedence.  Before building a state it raises ResourceGuardError above
+    8 qudits, past the 2^24 amplitude guard, or when the signature's largest
+    RDM, d^(N//2) rows, exceeds RDM_ROWS_LIMIT (8 wires over GF(8): 4096).
     """
     if g.n > 8:
         raise ResourceGuardError("dual-state verification is limited to 8 qudits")
     check_state_size(g.field.d, g.n)
     if g.field.d ** (g.n // 2) > RDM_ROWS_LIMIT:
         raise ResourceGuardError(f"signature RDMs of {g.field.d}^{g.n // 2} rows exceed the {RDM_ROWS_LIMIT}-row limit")
-    state = g.state()
     dual = dual_graph(g)
-    dual_state = dual.state()
+    failing = [f for f in _label_fragments(g.field, np.unique(g.block[g.block != 0])) if not f["holds"]]
+    sig_ok, sig_dev = signatures_match(g.state().amps, dual.state().amps, g.field.d, g.n, tol)
 
-    dressed = run_gates(state, dressing_gates(g))
-    overlap = np.vdot(dual_state.amps, dressed.amps)
-    equal = bool(abs(abs(overlap) - 1.0) <= tol)  # equal up to a global phase
-    phase = overlap / abs(overlap) if abs(overlap) > 1e-14 else 1.0
-    dressing_dev = float(np.max(np.abs(dressed.amps - phase * dual_state.amps)))
-
-    sig_ok, sig_dev = signatures_match(state.amps, dual_state.amps, g.field.d, g.n, tol)
-
-    counterexample = None
-    if not equal:
-        counterexample = {"kind": "dressing", "max_deviation": dressing_dev}
+    counterexample = {"kind": "dressing", "label": failing[0]["a"], **failing[0]["counterexample"]} if failing else None
     if not sig_ok:
         counterexample = {"kind": "signature", "max_deviation": sig_dev}
-
     return DualityReport(
         field_descriptor=g.field.descriptor(),
-        state_equivalence_holds=equal,
+        state_equivalence_holds=not failing,
         signature_match=sig_ok,
-        max_deviation=max(dressing_dev, sig_dev),
+        max_deviation=sig_dev,
         counterexample=counterexample,
         details={
-            "dressing_deviation": dressing_dev,
             "signature_deviation": sig_dev,
             "dual": {"S": list(dual.s_wires), "O": list(dual.o_wires)},
         },

@@ -886,15 +886,29 @@ def graph_to_json_dict(g: GraphState) -> dict:
     }
 
 
+def _require_keys(obj: dict, keys: tuple[str, ...], where: str) -> None:
+    missing = [key for key in keys if key not in obj]
+    if missing:
+        raise ValueError(f"{where} is missing {missing[0]!r}")
+
+
 def graph_from_json_dict(data: dict) -> GraphState:
-    """Inverse of graph_to_json_dict; ValueError unless data has its layout."""
+    """Inverse of graph_to_json_dict; ValueError unless data has its layout.
+
+    A missing key is named with the object it is missing from, edges
+    counted from 1: "graph JSON edge 1 is missing 'label'".
+    """
     if not isinstance(data, dict):
         raise ValueError(f"graph JSON must be an object, got {type(data).__name__}")
+    _require_keys(data, ("field", "S", "O", "edges"), "graph JSON")
     if not (isinstance(data["field"], dict) and all(isinstance(data[key], list) for key in ("S", "O", "edges"))
             and all(isinstance(e, dict) for e in data["edges"])):
         raise ValueError("graph JSON needs a 'field' object, 'S' and 'O' lists and an 'edges' list of objects")
-    # bool is an int subclass; a float or a string would be read as some other graph or field
     fd = data["field"]
+    _require_keys(fd, ("p", "n", "poly"), "graph JSON field")
+    for number, e in enumerate(data["edges"], start=1):
+        _require_keys(e, ("from", "to", "label"), f"graph JSON edge {number}")
+    # bool is an int subclass; a float or a string would be read as some other graph or field
     bad = [v for v in (fd["p"], fd["n"], fd["poly"]) if type(v) is not int]
     if bad:
         raise ValueError(f"field p, n and poly must be JSON integers, got {bad[0]!r}")

@@ -573,8 +573,24 @@ def dump_state(state: SupportState, header: Sequence[str] = ()) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _parse_header(raw: str, lineno: int) -> tuple[int, int]:
+    """d and qudits of a '# quditgraph-state' line: key=value parts, no key repeated, other keys ignored."""
+    pairs = [part.split("=") for part in raw.split()[2:]]
+    fields = dict(pair for pair in pairs if len(pair) == 2)
+    try:
+        if len(fields) == len(pairs):  # else a part without exactly one '=', or a repeated key
+            return int(fields["d"]), int(fields["qudits"])
+    except (KeyError, ValueError):
+        pass
+    raise ValueError(f"line {lineno}: dump header needs d=<integer> and qudits=<integer>, got {raw!r}")
+
+
 def parse_state(text: str) -> SupportState:
-    """Inverse of dump_state.  Rejects d < 2, qudits < 1, d^n over the guard, repeats and non-finite amplitudes."""
+    """Inverse of dump_state.
+
+    Rejects a header without integer d= and qudits= or with a repeated key,
+    d < 2, qudits < 1, d^n over the guard, repeats and non-finite amplitudes.
+    """
     d = n = None
     kets: dict[int, complex] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -585,8 +601,7 @@ def parse_state(text: str) -> SupportState:
             if line.startswith("# quditgraph-state"):
                 if d is not None:
                     raise ValueError(f"line {lineno}: second '# quditgraph-state' header")
-                fields = dict(part.split("=") for part in line.split()[2:])
-                d, n = int(fields["d"]), int(fields["qudits"])
+                d, n = _parse_header(raw, lineno)
                 if d < 2:
                     raise ValueError(f"line {lineno}: dimension d={d} must be at least 2")
                 if n < 1:

@@ -365,11 +365,14 @@ def test_dual_check_gf4_square(tmp_path, capsys):
     }
     path = tmp_path / "square.json"
     path.write_text(json.dumps(graph))
-    code, out, _ = run_cli(capsys, "dual-check", str(path))
-    assert code == 0  # signature check is the authoritative verdict
-    data = json.loads(out)
-    assert data["signature_match"] is True
-    assert data["state_equivalence_holds"] is False
+    for tol in ("1e-10", "0.9"):  # the dressing verdict is exact: no tolerance turns it true
+        code, out, _ = run_cli(capsys, "dual-check", str(path), "--tolerance", tol)
+        assert code == 0  # signature check is the authoritative verdict
+        data = json.loads(out)
+        assert data["signature_match"] is True
+        assert data["state_equivalence_holds"] is False
+        assert data["counterexample"] == {"kind": "dressing", "label": 2, "entry": [0, 0], "lhs": 1, "rhs": 0}
+        assert set(data["details"]) == {"signature_deviation", "dual"}
 
 
 BELL_GRAPH = {
@@ -408,9 +411,16 @@ SHAPE_MESSAGE = "graph JSON needs a 'field' object, 'S' and 'O' lists and an 'ed
     ({**BELL_GRAPH, "field": {"p": 3, "n": 1, "poly": " 0"}}, "field p, n and poly must be JSON integers, got ' 0'"),
     ({**BELL_GRAPH, "field": {"p": 3, "n": True, "poly": 0}}, "field p, n and poly must be JSON integers, got True"),
     ({**BELL_GRAPH, "field": {"p": 3.0, "n": 1, "poly": 0}}, "field p, n and poly must be JSON integers, got 3.0"),
+    # a missing key is named with the object it is missing from, not as a bare KeyError repr
+    ({key: v for key, v in BELL_GRAPH.items() if key != "edges"}, "error: graph JSON is missing 'edges'\n"),
+    ({key: v for key, v in BELL_GRAPH.items() if key != "S"}, "error: graph JSON is missing 'S'\n"),
+    ({**BELL_GRAPH, "field": {"p": 3, "n": 1}}, "error: graph JSON field is missing 'poly'\n"),
+    ({**BELL_GRAPH, "edges": [{"from": 1, "to": 2, "label": 1}, {"from": 1, "to": 3}]},
+     "error: graph JSON edge 2 is missing 'label'\n"),
 ], ids=["label-float", "label-bool", "label-string", "wire-string", "wire-float", "top-level-list", "one-wire",
         "repeated-wire", "repeated-edge", "edge-from-sink", "label-d", "label-negative", "label-10e30", "edges-int", "edge-list", "sources-int", "field-list",
-        "field-n-string", "field-p-string", "field-poly-string", "field-n-bool", "field-p-float"])
+        "field-n-string", "field-p-string", "field-poly-string", "field-n-bool", "field-p-float",
+        "missing-edges", "missing-sources", "missing-poly", "missing-label"])
 def test_dual_check_rejects_malformed_graph_json(tmp_path, capsys, graph, message):
     # read as Python values, 1.5 and true would both become label 1: a different graph
     path = tmp_path / "graph.json"
@@ -666,6 +676,23 @@ def test_verify_mes_rejects_unnormalized_state(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert "norm 2.0" in err
+
+
+@pytest.mark.parametrize("header", [
+    "# quditgraph-state d=3",
+    "# quditgraph-state d=3 qudits",
+    "# quditgraph-state d=x qudits=2",
+    "# quditgraph-state d=3 qudits=2 d=5",
+    "# quditgraph-state d=3 qudits=2=2",
+    "# quditgraph-state",
+], ids=["no-qudits", "qudits-no-value", "d-not-integer", "repeated-d", "two-equals", "no-keys"])
+def test_verify_mes_names_a_bad_header(tmp_path, capsys, header):
+    # one message for every header without d=<integer> and qudits=<integer>; a repeated key is refused, not overwritten
+    path = tmp_path / "bad.state"
+    path.write_text(f"# construction test\n{header}\n000 1.0 0.0\n")
+    code, out, err = run_cli(capsys, "verify-mes", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"error: line 2: dump header needs d=<integer> and qudits=<integer>, got {header!r}\n"
 
 
 @pytest.mark.parametrize("text, message", [

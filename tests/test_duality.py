@@ -17,7 +17,7 @@ from quditgraph import (
     states_equal_up_to_phase,
     verify_dual_equivalence,
 )
-from quditgraph.duality import dressing_gates
+from quditgraph.duality import dressed_state, dressing_gates
 from quditgraph.simulator import signatures_match
 
 from util import dense_conjugation_holds, field_for
@@ -216,7 +216,64 @@ def test_dual_equivalence_gf4_square_signature_only():
     rep = verify_dual_equivalence(g)
     assert rep.signature_match
     assert not rep.state_equivalence_holds  # explicit dressing fails over GF(4)
-    assert rep.counterexample is not None and rep.counterexample["kind"] == "dressing"
+    # label 1 holds, so label 2 is the smallest failing one: R M_2^T R and M_2 differ first at (0, 0)
+    assert rep.counterexample == {"kind": "dressing", "label": 2, "entry": [0, 0], "lhs": 1, "rhs": 0}
+    assert rep.max_deviation == rep.details["signature_deviation"] < 1e-10
+
+
+def _random_graph(fld, rng, max_wires):
+    n = int(rng.integers(2, max_wires + 1))
+    wires = rng.permutation(np.arange(1, n + 1)).tolist()
+    k = int(rng.integers(0, n + 1))
+    s_wires, o_wires = wires[:k], wires[k:]
+    return make_graph_state(fld, s_wires, o_wires, [(i, j, int(rng.integers(fld.d))) for i in s_wires for j in o_wires])
+
+
+def test_exact_dressing_verdict_agrees_with_dense_oracle():
+    # the dressing applied to the dense state is compared with the dual's state;
+    # the exact verdict reads only the block's labels, and no tolerance moves it
+    outcomes = []
+    for d in (2, 3, 4, 5, 7, 8, 9, 16):
+        p, n = field_for(d).p, field_for(d).n
+        rng = np.random.default_rng(2400 + d)
+        for poly in irreducible_polynomials(p, n):
+            fld = Field(p, n, poly)
+            one_edge = [make_graph_state(fld, [1], [2], [(1, 2, a)]) for a in range(1, d)]  # every label alone
+            for g in one_edge + [_random_graph(fld, rng, 3 if d == 16 else 4) for _ in range(12)]:
+                dense = states_equal_up_to_phase(dressed_state(g), dual_graph(g).state())
+                for tol in (1e-10, 0.9):
+                    assert verify_dual_equivalence(g, tol).state_equivalence_holds == dense, (fld.poly, g.edges, tol)
+                outcomes.append(dense)
+    assert set(outcomes) == {True, False}
+
+
+def test_dressing_verdict_ignores_the_tolerance():
+    # |<dual|dressed>| = 1/4 here, so a tolerance of 0.9 on the overlap would call the two states equal
+    g = make_graph_state(field_for(4), [1], [2], [(1, 2, 2)])
+    for tol in (0.0, 1e-10, 0.5, 0.9):
+        rep = verify_dual_equivalence(g, tol)
+        assert rep.signature_match and not rep.state_equivalence_holds, tol
+        assert rep.counterexample == {"kind": "dressing", "label": 2, "entry": [0, 0], "lhs": 1, "rhs": 0}
+
+
+@pytest.mark.parametrize("s_wires, o_wires", [([1], [2, 3]), ([], [1, 2]), ([1, 2], [])])
+def test_edgeless_graph_holds(s_wires, o_wires):
+    g = make_graph_state(field_for(4), s_wires, o_wires, [])
+    rep = verify_dual_equivalence(g)
+    assert rep.state_equivalence_holds and rep.signature_match and rep.counterexample is None
+    assert states_equal_up_to_phase(dressed_state(g), dual_graph(g).state())
+
+
+def test_dressing_verdict_builds_no_dressed_state(monkeypatch):
+    def boom(*args):
+        raise AssertionError("the dressing verdict ran the dense dressing")
+
+    monkeypatch.setattr("quditgraph.duality.run_gates", boom)
+    fld = field_for(8)
+    holds = verify_dual_equivalence(make_graph_state(fld, [1], [2, 3], [(1, 2, 1), (1, 3, 1)]))
+    fails = verify_dual_equivalence(make_graph_state(fld, [1, 2], [3], [(1, 3, 1), (2, 3, 3)]))
+    assert holds.state_equivalence_holds and not fails.state_equivalence_holds
+    assert fails.counterexample["kind"] == "dressing" and fails.counterexample["label"] == 3
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -280,6 +337,7 @@ def test_report_serialization():
         "max_deviation", "counterexample", "details",
     }
     assert data["max_deviation"] >= 0.0
+    assert set(data["details"]) == {"signature_deviation", "dual"}
 
 
 def test_dual_equivalence_wire_guard():
