@@ -12,6 +12,10 @@ conjugation_report over the whole field and every polynomial,
 verify_dual_equivalence (dual-check) over the labels of the given graph.
 The dual pair also shares the local-unitary invariant signature (sorted
 multiset of bipartite RDM spectra), compared densely under a tolerance.
+Graph-state amplitudes are real (0 or d^(-k/2)), so simulator's
+bipartite_spectra forms each RDM as the float64 Gram m m^T and runs a
+real eigvalsh on it: the same matrices and spectra as in complex
+arithmetic, at a fraction of the cost.
 dressed_state applies the dressing to the dense state: the tests' oracle.
 """
 

@@ -41,6 +41,7 @@ from .simulator import (
     bipartition_subsets,
     check_state_size,
     ket_index,
+    real_if_exact,
     reduced_density_raw,
     spectrum,
 )
@@ -227,8 +228,9 @@ def mes_verdict(state: SupportState, tol: float = DEFAULT_TOL) -> BipartitionRep
     meet in an off-diagonal term, the spectrum is the marginal p(a), the sum
     of |psi|^2 over the kets of S with A-digits a, and the record's method is
     "diagonal".  Otherwise (in particular when |S| > d^|B|, which rules
-    injectivity out) the RDM is built from the guarded dense amplitudes and
-    its eigvalsh spectrum decides, with method "spectrum".  Both methods
+    injectivity out) the RDM is built from the guarded dense amplitudes
+    (built once, real when every amplitude is exactly real) and its eigvalsh
+    spectrum decides, with method "spectrum".  Both methods
     apply the same tol tests: rank counts eigenvalues above tol, flat
     compares the nonzero ones, and the deviation from I/d^|A| is the largest
     over every RDM entry.  Every state build_mes makes, an orthogonal array
@@ -244,6 +246,7 @@ def mes_verdict(state: SupportState, tol: float = DEFAULT_TOL) -> BipartitionRep
     weights = amps.real ** 2 + amps.imag ** 2
     records = []
     verdict = True
+    dense = None  # the guarded dense amplitudes, real when exactly so, built at the first cut that needs them
     for subset in bipartition_subsets(n):
         dim = d ** len(subset)
         diag = _diagonal_marginal(weights, digits, d, subset)
@@ -253,7 +256,9 @@ def mes_verdict(state: SupportState, tol: float = DEFAULT_TOL) -> BipartitionRep
             evals = np.sort(diag)[::-1]
             method = "diagonal"
         else:
-            rho = reduced_density_raw(state.dense(), d, n, subset)
+            if dense is None:
+                dense = real_if_exact(state.dense())
+            rho = reduced_density_raw(dense, d, n, subset)
             dev = float(np.max(np.abs(rho - np.eye(dim) / dim)))
             evals = spectrum(rho)
             method = "spectrum"

@@ -453,7 +453,13 @@ def reduced_density(state: StateVector, subset: Sequence[int]) -> np.ndarray:
 
 
 def reduced_density_raw(amps: np.ndarray, d: int, n: int, subset: Sequence[int]) -> np.ndarray:
-    """Partial trace of a pure n-qudit state onto `subset`: d^|A| x d^|A|, under the state-size guard."""
+    """Partial trace of a pure n-qudit state onto `subset`: d^|A| x d^|A|, under the state-size guard.
+
+    With amps reshaped to the d^|A| x d^|rest| matrix m, the RDM is the Gram
+    matrix m m^dagger.  For real amps (real_if_exact) m.conj() is m itself,
+    so the product is the float64 m m^T, which numpy forms as one syrk call;
+    complex amps give the complex128 m m^dagger.
+    """
     keep = sorted(set(subset))
     if not keep or len(keep) == n:
         raise ValueError("subset must be nonempty and proper")
@@ -466,9 +472,24 @@ def reduced_density_raw(amps: np.ndarray, d: int, n: int, subset: Sequence[int])
     return m @ m.conj().T
 
 
+def real_if_exact(amps: np.ndarray) -> np.ndarray:
+    """amps.real as a contiguous float64 array when every imaginary part is exactly 0, else amps.
+
+    No tolerance: a state with any nonzero imaginary part stays complex.  A
+    graph state in standard form passes, since every amplitude is 0 or the
+    real d^(-k/2).
+    """
+    return np.ascontiguousarray(amps.real) if not np.any(amps.imag) else amps
+
+
 def spectrum(rho: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a density matrix, descending."""
-    return np.sort(np.linalg.eigvalsh(rho))[::-1]
+    """Eigenvalues of a density matrix, descending.
+
+    eigvalsh returns them ascending, so they are reversed, not sorted.  A
+    real symmetric rho (the real Gram of reduced_density_raw) takes the real
+    eigensolver, whose eigenvalues are those of the same matrix as complex.
+    """
+    return np.linalg.eigvalsh(rho)[::-1]
 
 
 def rank(rho: np.ndarray, tol: float = DEFAULT_TOL) -> int:
@@ -504,7 +525,13 @@ def bipartition_subsets(n: int) -> list[tuple[int, ...]]:
 
 
 def bipartite_spectra(amps: np.ndarray, d: int, n: int) -> list[np.ndarray]:
-    """RDM spectra over all bipartitions, sorted into a canonical multiset order."""
+    """RDM spectra over all bipartitions, sorted into a canonical multiset order.
+
+    The state is tested once for an imaginary part that is exactly zero
+    (real_if_exact); if it passes, as every graph state does, each cut's RDM
+    and spectrum are computed in real arithmetic.
+    """
+    amps = real_if_exact(amps)
     specs = [spectrum(reduced_density_raw(amps, d, n, s)) for s in bipartition_subsets(n)]
     specs.sort(key=lambda s: tuple(np.round(s, SIGNATURE_DIGITS)))
     return specs
@@ -573,13 +600,25 @@ def dump_state(state: SupportState, header: Sequence[str] = ()) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _ascii_int(text: str) -> int:
+    """An optional '-' and ASCII decimal digits as an int; int()'s '+', '_' and other scripts raise ValueError."""
+    digits = text[1:] if text.startswith("-") else text
+    if not (digits.isascii() and digits.isdecimal()):
+        raise ValueError(text)
+    return int(text)
+
+
 def _parse_header(raw: str, lineno: int) -> tuple[int, int]:
-    """d and qudits of a '# quditgraph-state' line: key=value parts, no key repeated, other keys ignored."""
+    """d and qudits of a '# quditgraph-state' line: key=value parts, no key repeated, other keys ignored.
+
+    A value is an integer in ASCII decimal (_ascii_int); a negative one is
+    read, for parse_state to name the bound it misses.
+    """
     pairs = [part.split("=") for part in raw.split()[2:]]
     fields = dict(pair for pair in pairs if len(pair) == 2)
     try:
         if len(fields) == len(pairs):  # else a part without exactly one '=', or a repeated key
-            return int(fields["d"]), int(fields["qudits"])
+            return _ascii_int(fields["d"]), _ascii_int(fields["qudits"])
     except (KeyError, ValueError):
         pass
     raise ValueError(f"line {lineno}: dump header needs d=<integer> and qudits=<integer>, got {raw!r}")
@@ -589,7 +628,9 @@ def parse_state(text: str) -> SupportState:
     """Inverse of dump_state.
 
     Rejects a header without integer d= and qudits= or with a repeated key,
-    d < 2, qudits < 1, d^n over the guard, repeats and non-finite amplitudes.
+    d < 2, qudits < 1, d^n over the guard, repeats, and amplitudes that are
+    not finite or not ASCII numbers float() reads: float() alone also takes
+    '_' separators and digits of other scripts.
     """
     d = n = None
     kets: dict[int, complex] = {}
@@ -616,7 +657,13 @@ def parse_state(text: str) -> SupportState:
         index = _parse_digits(parts[0], d, n, lineno)
         if index in kets:
             raise ValueError(f"line {lineno}: ket {parts[0]!r} listed twice")
-        amp = complex(float(parts[1]), float(parts[2]))
+        re_im = parts[1] + parts[2]
+        try:
+            if not re_im.isascii() or "_" in re_im:
+                raise ValueError
+            amp = complex(float(parts[1]), float(parts[2]))
+        except ValueError:
+            raise ValueError(f"line {lineno}: amplitude needs re and im as ASCII numbers, got {raw!r}") from None
         if not cmath.isfinite(amp):
             raise ValueError(f"line {lineno}: amplitude {amp!r} is not finite")
         kets[index] = amp

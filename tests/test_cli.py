@@ -685,7 +685,10 @@ def test_verify_mes_rejects_unnormalized_state(tmp_path, capsys):
     "# quditgraph-state d=3 qudits=2 d=5",
     "# quditgraph-state d=3 qudits=2=2",
     "# quditgraph-state",
-], ids=["no-qudits", "qudits-no-value", "d-not-integer", "repeated-d", "two-equals", "no-keys"])
+    "# quditgraph-state d=+2 qudits=0_2",
+    "# quditgraph-state d=2 qudits=\u0662",
+], ids=["no-qudits", "qudits-no-value", "d-not-integer", "repeated-d", "two-equals", "no-keys", "sign-underscore",
+        "non-ascii-digit"])
 def test_verify_mes_names_a_bad_header(tmp_path, capsys, header):
     # one message for every header without d=<integer> and qudits=<integer>; a repeated key is refused, not overwritten
     path = tmp_path / "bad.state"
@@ -693,6 +696,15 @@ def test_verify_mes_names_a_bad_header(tmp_path, capsys, header):
     code, out, err = run_cli(capsys, "verify-mes", str(path))
     assert (code, out) == (2, "")
     assert err == f"error: line 2: dump header needs d=<integer> and qudits=<integer>, got {header!r}\n"
+
+
+def test_verify_mes_reads_a_dump_whose_comments_are_not_ascii(tmp_path, capsys):
+    # only the amplitude fields must be ASCII with no '_'; a comment may hold either
+    path = tmp_path / "bell.state"
+    path.write_text("# note_\u00e4\n# quditgraph-state d=2 qudits=2\n00 0.7071067811865476 0.0\n"
+                    "11 0.7071067811865476 -0.0\n")
+    code, out, _ = run_cli(capsys, "verify-mes", str(path))
+    assert code == 0 and json.loads(out)["verdict"] is True
 
 
 @pytest.mark.parametrize("text, message", [
@@ -708,8 +720,16 @@ def test_verify_mes_names_a_bad_header(tmp_path, capsys, header):
     ("# quditgraph-state d=3 qudits=2\n00 1.0 0.0\n03 0.0 0.0\n", "line 3: bad basis index '03' for d=3, n=2"),
     ("# quditgraph-state d=49 qudits=2\n1,x 1.0 0.0\n", "line 2: bad basis index '1,x' for d=49, n=2"),
     ("# quditgraph-state d=49 qudits=2\n1_0,+2 1.0 0.0\n", "line 2: bad basis index '1_0,+2' for d=49, n=2"),
+    # float() reads '_' separators and digits of other scripts; a dump's amplitudes are ASCII numbers
+    ("# quditgraph-state d=2 qudits=2\n00 0.707_1067811865476 0.0\n11 0.7071067811865476 0.0\n",
+     "line 2: amplitude needs re and im as ASCII numbers, got '00 0.707_1067811865476 0.0'"),
+    ("# quditgraph-state d=2 qudits=2\n00 0.7071067811865476 0.\u0660\n11 0.7071067811865476 0.0\n",
+     "line 2: amplitude needs re and im as ASCII numbers, got '00 0.7071067811865476 0.\u0660'"),
+    ("# quditgraph-state d=2 qudits=2\n00 0.7071067811865476 0.0\n11 0.7071067811865476 abc\n",
+     "line 3: amplitude needs re and im as ASCII numbers, got '11 0.7071067811865476 abc'"),
 ], ids=["nan", "inf", "repeated-ket", "second-header", "d1", "qudits-negative", "qudits0", "ket-digit-d",
-        "comma-digit-letter", "comma-digit-underscore-sign"])
+        "comma-digit-letter", "comma-digit-underscore-sign", "amplitude-underscore", "amplitude-non-ascii-digit",
+        "amplitude-not-a-number"])
 def test_verify_mes_rejects_malformed_dump(tmp_path, capsys, text, message):
     # read as they stand, a nan would decide "false" (exit 1) and d=1 a vacuous "maximally entangled"
     path = tmp_path / "bad.state"

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from quditgraph import (
+    Circuit,
     Field,
     Gate,
     ResourceGuardError,
@@ -18,7 +19,8 @@ from quditgraph import (
     verify_dual_equivalence,
 )
 from quditgraph.duality import dressed_state, dressing_gates
-from quditgraph.simulator import signatures_match
+from quditgraph import simulator
+from quditgraph.simulator import SIGNATURE_DIGITS, bipartite_spectra, bipartition_subsets, signatures_match
 
 from util import dense_conjugation_holds, field_for
 
@@ -304,6 +306,69 @@ def test_signatures_match_randomized_larger_fields(d):
         g = make_graph_state(fld, s_wires, o_wires, edges)
         ok, dev = signatures_match(g.state().amps, dual_graph(g).state().amps, d, n)
         assert ok, (d, n, edges, dev)
+
+
+def oracle_spectra(amps, d, n):
+    """Every cut's spectrum from the complex Hermitian Gram, eigvalsh(m @ m.conj().T), in bipartite_spectra's order."""
+    specs = []
+    for subset in bipartition_subsets(n):
+        rest = [q for q in range(1, n + 1) if q not in subset]
+        axes = [q - 1 for q in (*subset, *rest)]
+        m = np.asarray(amps, dtype=np.complex128).reshape([d] * n).transpose(axes).reshape(d ** len(subset), -1)
+        specs.append(np.linalg.eigvalsh(m @ m.conj().T)[::-1])
+    specs.sort(key=lambda s: tuple(np.round(s, SIGNATURE_DIGITS)))
+    return specs
+
+
+def gram_dtypes(monkeypatch):
+    """Record the dtype of every RDM reduced_density_raw returns."""
+    seen = []
+    raw = simulator.reduced_density_raw
+
+    def spy(*args):
+        rho = raw(*args)
+        seen.append(rho.dtype)
+        return rho
+
+    monkeypatch.setattr(simulator, "reduced_density_raw", spy)
+    return seen
+
+
+def assert_spectra_match_oracle(amps, d, n):
+    got, want = bipartite_spectra(amps, d, n), oracle_spectra(amps, d, n)
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.shape == b.shape and np.max(np.abs(a - b)) <= 1e-12
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 7, 8, 9])
+def test_graph_signatures_take_the_real_gram_and_match_the_complex_oracle(d, monkeypatch):
+    fld = field_for(d)
+    rng = np.random.default_rng(700 + d)
+    seen = gram_dtypes(monkeypatch)
+    for _ in range(6):
+        n = int(rng.integers(2, 6 if d < 7 else 5))
+        k = int(rng.integers(1, n))
+        edges = [(i, j, int(rng.integers(d))) for i in range(1, k + 1) for j in range(k + 1, n + 1)]
+        g = make_graph_state(fld, list(range(1, k + 1)), list(range(k + 1, n + 1)), edges)
+        amps, dual_amps = g.state().amps, dual_graph(g).state().amps
+        assert_spectra_match_oracle(amps, d, n)
+        assert_spectra_match_oracle(dual_amps, d, n)
+        oracle_dev = max(float(np.max(np.abs(a - b)))
+                         for a, b in zip(oracle_spectra(amps, d, n), oracle_spectra(dual_amps, d, n)))
+        ok, dev = signatures_match(amps, dual_amps, d, n)
+        assert ok and abs(dev - oracle_dev) <= 1e-12, (d, n, edges, dev, oracle_dev)
+    assert seen and set(seen) == {np.dtype(np.float64)}
+
+
+def test_complex_amplitudes_keep_the_complex_gram(monkeypatch):
+    # the H after the CNOTs gives |x, y, x, 2x> the phase omega^(xy) over GF(3); the real part alone has other spectra
+    gates = [Gate("C", (1, 2), 1), Gate("C", (1, 3), 1), Gate("C", (1, 4), 2), Gate("H", (2,))]
+    amps = Circuit(field_for(3), 4, "s000", gates).simulate().amps
+    assert np.max(np.abs(amps.imag)) > 0.1
+    seen = gram_dtypes(monkeypatch)
+    assert_spectra_match_oracle(amps, 3, 4)
+    assert seen and set(seen) == {np.dtype(np.complex128)}
 
 
 @pytest.mark.parametrize("d", [2, 3, 5])

@@ -521,6 +521,37 @@ def test_support_is_exact_with_no_threshold():
     assert assert_matches_dense(tiny, methods).verdict
 
 
+@pytest.mark.parametrize("phases", [False, True])
+def test_spectrum_fallback_builds_the_dense_state_once_in_real_arithmetic_when_real(phases, monkeypatch):
+    import quditgraph.entangle
+
+    rng = np.random.default_rng(5)
+    amps = rng.standard_normal(3 ** 3)
+    if phases:
+        amps = amps * np.exp(2j * np.pi * rng.random(3 ** 3))
+    state = support_of(amps / np.linalg.norm(amps), 3, 3)
+    dtypes, builds = [], []
+    raw, dense = quditgraph.entangle.reduced_density_raw, SupportState.dense
+
+    def spy_raw(*args):
+        rho = raw(*args)
+        dtypes.append(rho.dtype)
+        return rho
+
+    def spy_dense(self):
+        builds.append(self)
+        return dense(self)
+
+    monkeypatch.setattr(quditgraph.entangle, "reduced_density_raw", spy_raw)
+    monkeypatch.setattr(SupportState, "dense", spy_dense)
+    mes_verdict(state)
+    assert dtypes == [np.dtype(np.complex128 if phases else np.float64)] * 3
+    assert len(builds) == 1
+    monkeypatch.undo()
+    # the oracle cuts the complex128 dense state
+    assert_matches_dense(state, ["spectrum"] * 3)
+
+
 def test_make_and_verify_mes_32_run_no_eigvalsh(tmp_path, monkeypatch, capsys):
     import json
 

@@ -380,6 +380,18 @@ def test_density_matrix_invariants():
         assert spectrum(dm).min() > -1e-10
 
 
+@pytest.mark.parametrize("d, n", [(2, 5), (3, 4), (5, 3)])
+def test_real_amplitudes_give_the_real_gram(d, n):
+    # the float64 m m^T of real amps is the complex Hermitian Gram m m^dagger of the same amps
+    amps = np.random.default_rng(d).standard_normal(d ** n)
+    amps /= np.linalg.norm(amps)
+    for subset in bipartition_subsets(n):
+        real = reduced_density_raw(amps, d, n, subset)
+        gram = reduced_density_raw(amps.astype(np.complex128), d, n, subset)
+        assert real.dtype == np.float64 and gram.dtype == np.complex128
+        assert np.max(np.abs(real - gram)) <= 1e-15
+
+
 def test_reduced_density_subset_errors():
     st = init_state(field_for(2), 2, ["s", "0"])
     with pytest.raises(ValueError):
