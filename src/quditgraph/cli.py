@@ -3,10 +3,13 @@
 Verbs: normalize, classify, dual-check, verify-mes, make-mes, relations-test,
 simulate.  Exit codes: 0 success / verdict true, 1 verdict false, 2 usage or
 parse error, 3 resource guard, 4 internal error (one `internal error: ...`
-line on stderr).  Only the verbs that decide by it take --tolerance, a
-number 0 <= tol < 1: dual-check (its signature match only; the H/V dressing
-verdict is exact) and verify-mes.  normalize --verify decides exactly,
-comparing the circuit's nonzero amplitudes with the graph's kets.
+line on stderr).  No verb takes a tolerance: the two verdicts that compare
+floats, dual-check's signature match (its H/V dressing verdict is exact)
+and every cut of verify-mes, use the one tolerance simulator.DEFAULT_TOL =
+1e-10, which their JSON reports as "tolerance".  relations-test checks each
+field past order 5 on a fixed 1000 random samples drawn from --seed.
+normalize --verify decides exactly, comparing the circuit's nonzero
+amplitudes with the graph's kets.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from .rewrite import (
     parse_circuit,
     relations_suite,
 )
-from .simulator import DEFAULT_TOL, ResourceGuardError, SupportState, dump_state, ket_digits, ket_index, parse_state
+from .simulator import ResourceGuardError, SupportState, dump_state, ket_digits, ket_index, parse_state
 
 EXIT_OK = 0
 EXIT_FALSE = 1
@@ -89,13 +92,6 @@ def _field_arg(text: str) -> Field:
         return Field.from_descriptor(text)
     except ValueError as exc:  # argparse would print only "invalid _field_arg value"
         raise argparse.ArgumentTypeError(str(exc)) from exc
-
-
-def _tolerance_arg(text: str) -> float:
-    tol = float(text)  # argparse reports a ValueError as an invalid value
-    if not 0 <= tol < 1:  # false for nan; from 1 up every deviation and spectrum check passes
-        raise argparse.ArgumentTypeError(f"tolerance must be a finite number with 0 <= tol < 1, got {text}")
-    return tol
 
 
 # ---------------------------------------------------------------------------
@@ -159,13 +155,13 @@ def cmd_classify(args) -> int:
 
 def cmd_dual_check(args) -> int:
     graph = graph_from_json_dict(json.loads(Path(args.graph).read_text()))
-    report = verify_dual_equivalence(graph, args.tolerance)
+    report = verify_dual_equivalence(graph)
     _emit_json(report.to_dict())
     return EXIT_OK if report.signature_match else EXIT_FALSE
 
 
 def cmd_verify_mes(args) -> int:
-    report = mes_verdict(parse_state(Path(args.state).read_text()), args.tolerance)
+    report = mes_verdict(parse_state(Path(args.state).read_text()))
     _emit_json(report.to_dict())
     return EXIT_OK if report.verdict else EXIT_FALSE
 
@@ -190,7 +186,7 @@ def cmd_relations_test(args) -> int:
     all_ok = True
     reports = []
     for fld in fields:
-        report = relations_suite(fld, samples=args.samples, seed=args.seed)
+        report = relations_suite(fld, seed=args.seed)
         reports.append(report)
         all_ok &= report["ok"]
         if args.format == "text":
@@ -221,9 +217,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="quditgraph", description=__doc__)
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def add_tolerance(p, help_text="0 <= tol < 1"):
-        p.add_argument("--tolerance", type=_tolerance_arg, default=DEFAULT_TOL, help=help_text)
-
     p = sub.add_parser("normalize", help="reduce a C-only circuit file to its bipartite graph")
     p.add_argument("circuit")
     p.add_argument("--format", choices=["json", "dot", "text"], default="json")
@@ -238,12 +231,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dual-check", help="verify a graph against its dual (JSON graph input)")
     p.add_argument("graph")
-    add_tolerance(p, "0 <= tol < 1; decides signature_match only, state_equivalence_holds is exact")
     p.set_defaults(func=cmd_dual_check)
 
     p = sub.add_parser("verify-mes", help="check a state dump for 4-party maximal entanglement")
     p.add_argument("state")
-    add_tolerance(p)
     p.set_defaults(func=cmd_verify_mes)
 
     p = sub.add_parser("make-mes", help="construct a maximally entangled 4-party state")
@@ -254,7 +245,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("relations-test", help="exact operator check of all rewrite rules")
     p.add_argument("--fields", default="2,3,4,5", help="comma-separated prime powers")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--samples", type=int, default=1000, help="random tuples for d > 5, at most 2^20")
     p.add_argument("--format", choices=["json", "text"], default="text")
     p.set_defaults(func=cmd_relations_test)
 

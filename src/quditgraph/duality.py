@@ -11,7 +11,8 @@ GF(4) with x^2+x+1.  One array core decides that per label, exactly:
 conjugation_report over the whole field and every polynomial,
 verify_dual_equivalence (dual-check) over the labels of the given graph.
 The dual pair also shares the local-unitary invariant signature (sorted
-multiset of bipartite RDM spectra), compared densely under a tolerance.
+multiset of bipartite RDM spectra), compared densely within the one
+tolerance simulator.DEFAULT_TOL = 1e-10.
 Graph-state amplitudes are real (0 or d^(-k/2)), so simulator's
 bipartite_spectra forms each RDM as the float64 Gram m m^T and runs a
 real eigvalsh on it: the same matrices and spectra as in complex
@@ -136,6 +137,8 @@ class DualityReport:
     def to_dict(self) -> dict:
         report = asdict(self)
         report["field"] = report.pop("field_descriptor")
+        report["tolerance"] = DEFAULT_TOL
+        report["decided_by"] = {"state_equivalence_holds": "persymmetry", "signature_match": "dense-spectrum"}
         return report
 
 
@@ -164,8 +167,8 @@ def dressed_state(g: GraphState) -> StateVector:
     return run_gates(g.state(), dressing_gates(g))
 
 
-def verify_dual_equivalence(g: GraphState, tol: float = DEFAULT_TOL) -> DualityReport:
-    """Compare a graph state with its dual: the dressing exactly, the signature within tol.
+def verify_dual_equivalence(g: GraphState) -> DualityReport:
+    """Compare a graph state with its dual: the dressing exactly, the signature within DEFAULT_TOL.
 
     state_equivalence_holds reads the block's labels only.  The edge gates
     C_{s->o}(a) commute, the dressing maps the graph's initial register (|s>
@@ -174,11 +177,13 @@ def verify_dual_equivalence(g: GraphState, tol: float = DEFAULT_TOL) -> DualityR
     dressed state is the dual state exactly when that map is M_a for every
     label a in the block; the counterexample names the smallest failing
     label and its first differing entry.  signature_match, the verdict,
-    compares the sorted multisets of bipartite RDM spectra within tol, and
-    max_deviation is its deviation; a signature counterexample takes
-    precedence.  Before building a state it raises ResourceGuardError above
-    8 qudits, past the 2^24 amplitude guard, or when the signature's largest
-    RDM, d^(N//2) rows, exceeds RDM_ROWS_LIMIT (8 wires over GF(8): 4096).
+    compares the sorted multisets of bipartite RDM spectra within DEFAULT_TOL,
+    and max_deviation is its deviation; a signature counterexample takes
+    precedence.  The report's dict names that tolerance and the method
+    behind each verdict (tolerance, decided_by).  Before building a state
+    it raises ResourceGuardError above 8 qudits, past the 2^24 amplitude
+    guard, or when the signature's largest RDM, d^(N//2) rows, exceeds
+    RDM_ROWS_LIMIT (8 wires over GF(8): 4096).
     """
     if g.n > 8:
         raise ResourceGuardError("dual-state verification is limited to 8 qudits")
@@ -187,7 +192,7 @@ def verify_dual_equivalence(g: GraphState, tol: float = DEFAULT_TOL) -> DualityR
         raise ResourceGuardError(f"signature RDMs of {g.field.d}^{g.n // 2} rows exceed the {RDM_ROWS_LIMIT}-row limit")
     dual = dual_graph(g)
     failing = [f for f in _label_fragments(g.field, np.unique(g.block[g.block != 0])) if not f["holds"]]
-    sig_ok, sig_dev = signatures_match(g.state().amps, dual.state().amps, g.field.d, g.n, tol)
+    sig_ok, sig_dev = signatures_match(g.state().amps, dual.state().amps, g.field.d, g.n)
 
     counterexample = {"kind": "dressing", "label": failing[0]["a"], **failing[0]["counterexample"]} if failing else None
     if not sig_ok:

@@ -183,6 +183,7 @@ class BipartitionReport:
         return {
             "verdict": self.verdict,
             "decided_by": self.decided_by,
+            "tolerance": DEFAULT_TOL,
             "bipartitions": [
                 {
                     "A": list(r.subset),
@@ -214,13 +215,14 @@ def _diagonal_marginal(weights: np.ndarray, digits: np.ndarray, d: int,
     return np.bincount(a, weights=weights, minlength=d ** len(subset))
 
 
-def mes_verdict(state: SupportState, tol: float = DEFAULT_TOL) -> BipartitionReport:
+def mes_verdict(state: SupportState) -> BipartitionReport:
     """Check every bipartition's smaller side against the maximally mixed state.
 
     For 4 parties the report covers the 4 singletons plus the 3 unordered
     two-against-two splits, each listed once from the side containing
     system 1.  Raises ValueError for fewer than two systems, which have no
-    bipartition, and for a state whose norm is off 1 by more than tol.
+    bipartition, and for a state whose norm is off 1 by more than
+    DEFAULT_TOL = 1e-10, the one tolerance of every test below.
 
     A bipartition A|B is decided exactly when its RDM is provably diagonal:
     when the exact support S (the state's kets of nonzero amplitude, no
@@ -231,7 +233,7 @@ def mes_verdict(state: SupportState, tol: float = DEFAULT_TOL) -> BipartitionRep
     injectivity out) the RDM is built from the guarded dense amplitudes
     (built once, real when every amplitude is exactly real) and its eigvalsh
     spectrum decides, with method "spectrum".  Both methods
-    apply the same tol tests: rank counts eigenvalues above tol, flat
+    apply the same DEFAULT_TOL tests: rank counts eigenvalues above it, flat
     compares the nonzero ones, and the deviation from I/d^|A| is the largest
     over every RDM entry.  Every state build_mes makes, an orthogonal array
     of strength two, is decided from its d^2 kets with no dense array.
@@ -241,8 +243,8 @@ def mes_verdict(state: SupportState, tol: float = DEFAULT_TOL) -> BipartitionRep
         raise ValueError(f"maximal entanglement needs at least 2 systems, got {n}")
     digits, amps = state.digits[:, state.amps != 0], state.amps[state.amps != 0]
     norm = float(np.linalg.norm(amps))
-    if abs(norm - 1.0) > tol:
-        raise ValueError(f"state norm {norm!r} differs from 1 by more than the tolerance {tol!r}")
+    if abs(norm - 1.0) > DEFAULT_TOL:
+        raise ValueError(f"state norm {norm!r} differs from 1 by more than the tolerance {DEFAULT_TOL!r}")
     weights = amps.real ** 2 + amps.imag ** 2
     records = []
     verdict = True
@@ -262,10 +264,10 @@ def mes_verdict(state: SupportState, tol: float = DEFAULT_TOL) -> BipartitionRep
             dev = float(np.max(np.abs(rho - np.eye(dim) / dim)))
             evals = spectrum(rho)
             method = "spectrum"
-        r = int(np.count_nonzero(evals > tol))
+        r = int(np.count_nonzero(evals > DEFAULT_TOL))
         nonzero = evals[:r] if r else evals[:1]
-        flat = bool(nonzero.max() - nonzero.min() <= tol)
-        mixed = dev <= tol
+        flat = bool(nonzero.max() - nonzero.min() <= DEFAULT_TOL)
+        mixed = dev <= DEFAULT_TOL
         verdict &= mixed
         records.append(BipartitionRecord(subset, r, flat, mixed, dev, method))
     return BipartitionReport(bool(verdict), records)
@@ -293,7 +295,7 @@ def symbolic_rdm_rank(sym: SymbolicState, subset: Sequence[int]) -> int:
 # Tripartite marginal checks
 # ---------------------------------------------------------------------------
 
-def tripartite_marginal_checks(d: int, tol: float = DEFAULT_TOL) -> dict:
+def tripartite_marginal_checks(d: int) -> dict:
     """Rank facts about tripartite states whose pair marginals are I/d^2.
 
     Part one: I/d^3, of rank d^3 >= d, is diagonal with weight d^-3 on each
@@ -314,7 +316,7 @@ def tripartite_marginal_checks(d: int, tol: float = DEFAULT_TOL) -> dict:
         "d": d,
         "trivial": {
             "rank": d ** 3,
-            "marginals_maximally_mixed": trivial_dev <= tol,
+            "marginals_maximally_mixed": trivial_dev <= DEFAULT_TOL,
             "max_deviation": trivial_dev,
         },
     }
@@ -325,7 +327,7 @@ def tripartite_marginal_checks(d: int, tol: float = DEFAULT_TOL) -> dict:
     if not built.ok:
         report["mes"] = {"available": False, "reason": built.reason}
         return report
-    verdict = mes_verdict(built.state, tol)
+    verdict = mes_verdict(built.state)
     records = {r.subset: r for r in verdict.records}
     pairs = [records[cut] for cut in ((1, 2), (1, 3), (1, 4))]  # (1, 4) stands for its complement (2, 3)
     report["mes"] = {

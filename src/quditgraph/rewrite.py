@@ -37,7 +37,6 @@ from .simulator import (
     KIND_HAS_PARAM,
     KIND_TWO_WIRES,
     KIND_W,
-    ResourceGuardError,
     StateVector,
     SupportState,
     _run_raw,
@@ -682,34 +681,28 @@ def compare_sequences(fld: Field, n_wires: int, lhs: Sequence[Gate], rhs: Sequen
     return same, 0.0 if same else 1.0
 
 
-RELATIONS_SAMPLES_LIMIT = 2 ** 20  # random cases of one relations_suite call: about 25 us and 0.25 KiB each
+RELATIONS_SAMPLES = 1000  # random cases of one relations_suite call past RELATIONS_EXHAUSTIVE_MAX_D
 RELATIONS_EXHAUSTIVE_MAX_D = 5  # exhaustive mode lists 13 d^2 cases at most: 325 at d = 5
 
 
-def relations_suite(fld: Field, samples: int = 1000, seed: int = 0, rhs_fn: Optional[Callable] = None) -> dict:
+def relations_suite(fld: Field, seed: int = 0, rhs_fn: Optional[Callable] = None) -> dict:
     """Verify every rewrite rule as an operator identity.
 
     The field picks the mode.  Up to order RELATIONS_EXHAUSTIVE_MAX_D it is
     exhaustive: all admissible parameter pairs, at most 13 d^2 cases.  Past
-    it the mode is random: `samples` seeded (rule, parameters) tuples, each
-    parameter drawn in O(1) from its domain range, so the case count does
-    not grow with d.  rhs_fn (commute_pair by default) rewrites each
-    case once.  The cases are then grouped by shape: the wire count and the
-    (kind, wires) of every factor on both sides, so a rule whose right-hand
-    side has two forms (cnot_opposed_pair at u = 0 and u != 0) makes two
-    groups.  Each group is decided by one affine_maps_equal call on its
+    it the mode is random: RELATIONS_SAMPLES seeded (rule, parameters)
+    tuples, each parameter drawn in O(1) from its domain range, so the case
+    count does not grow with d.  rhs_fn (commute_pair by default) rewrites
+    each case once.  The cases are then grouped by shape: the wire count and
+    the (kind, wires) of every factor on both sides, so a rule whose
+    right-hand side has two forms (cnot_opposed_pair at u = 0 and u != 0)
+    makes two groups.  Each group is decided by one affine_maps_equal call on its
     parameter columns, exactly and without a dense operator, so every field
     order the Field class supports can be tested.
     A rule is ok only when it was checked at least once and never failed,
     so a sample that misses a rule cannot pass it.  Its first failure is its
-    earliest failing case.  Both sample bounds hold in either mode, before
-    any case is drawn: fewer than 1 sample raises ValueError, more than
-    RELATIONS_SAMPLES_LIMIT raise ResourceGuardError.
+    earliest failing case.
     """
-    if samples < 1:
-        raise ValueError(f"samples must be at least 1, got {samples}")
-    if samples > RELATIONS_SAMPLES_LIMIT:
-        raise ResourceGuardError(f"{samples} relation samples exceed the limit of {RELATIONS_SAMPLES_LIMIT} per field")
     exhaustive = fld.d <= RELATIONS_EXHAUSTIVE_MAX_D
     rhs_fn = rhs_fn or commute_pair
     results: dict[str, dict] = {name: {"checked": 0, "first_failure": None} for name in RELATIONS}
@@ -722,7 +715,7 @@ def relations_suite(fld: Field, samples: int = 1000, seed: int = 0, rhs_fn: Opti
     else:
         rng = np.random.default_rng(seed)
         names = sorted(RELATIONS)
-        for _ in range(samples):
+        for _ in range(RELATIONS_SAMPLES):
             name = names[rng.integers(len(names))]
             lo_a, lo_b = (domain(fld)[0] for domain in RELATIONS[name][1])  # each domain is range(lo, d)
             a = lo_a + int(rng.integers(fld.d - lo_a))
@@ -753,7 +746,7 @@ def relations_suite(fld: Field, samples: int = 1000, seed: int = 0, rhs_fn: Opti
         entry["ok"] = entry["checked"] > 0 and entry["first_failure"] is None
     return {
         "field": fld.descriptor(),
-        "mode": "exhaustive" if exhaustive else f"random[{samples}]",
+        "mode": "exhaustive" if exhaustive else f"random[{RELATIONS_SAMPLES}]",
         "relations": results,
         "ok": all(r["ok"] for r in results.values()),
     }

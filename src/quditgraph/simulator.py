@@ -268,10 +268,10 @@ def init_state(field: Field, n_qudits: int, pattern: Sequence[str]) -> StateVect
         if token not in ("s", "0"):
             raise ValueError(f"pattern entries must be 's' or '0', got {token!r}")
     amps = np.zeros(d ** n_qudits, dtype=np.complex128)
-    # the support is every ket with digit 0 on the '0' wires; its amplitude is
-    # multiplied out one 1/sqrt(d) factor per 's' wire, as a tensor product does
+    # the support is every ket with digit 0 on the '0' wires, each of amplitude
+    # d^(-k/2) for k 's' wires: the value SymbolicState.support() gives it
     support = tuple(slice(None) if token == "s" else 0 for token in pattern)
-    amps.reshape([d] * n_qudits)[support] = math.prod([1.0 / math.sqrt(d)] * pattern.count("s"))
+    amps.reshape([d] * n_qudits)[support] = d ** (-pattern.count("s") / 2)
     return StateVector(field, n_qudits, amps)
 
 
@@ -542,15 +542,15 @@ def signature_key(amps: np.ndarray, d: int, n: int) -> tuple:
     return tuple(tuple(np.round(s, SIGNATURE_DIGITS)) for s in bipartite_spectra(amps, d, n))
 
 
-def signatures_match(amps1: np.ndarray, amps2: np.ndarray, d: int, n: int, tol: float = DEFAULT_TOL) -> tuple[bool, float]:
-    """Compare the invariant signatures of two states; returns (match, max deviation)."""
+def signatures_match(amps1: np.ndarray, amps2: np.ndarray, d: int, n: int) -> tuple[bool, float]:
+    """Compare the invariant signatures of two states within DEFAULT_TOL; returns (match, max deviation)."""
     sp1 = bipartite_spectra(amps1, d, n)
     sp2 = bipartite_spectra(amps2, d, n)
     dev = max(
         float(np.max(np.abs(a - b))) if a.shape == b.shape else np.inf
         for a, b in zip(sp1, sp2)
     )
-    return dev <= tol, dev
+    return dev <= DEFAULT_TOL, dev
 
 
 # ---------------------------------------------------------------------------

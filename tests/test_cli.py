@@ -291,7 +291,7 @@ def test_guards_bound_the_exponent_first(tmp_path, capsys):
     path.write_text(f"# quditgraph-state d=3 qudits={big}\n")
     for argv, message in (
         (["verify-mes", str(path)], f"state of 3**{big} amplitudes exceeds the 2^24 guard"),
-        (["classify", str(big), "--field", "3 1"], f"classify {big} over GF(3) sweeps at least 2^1584962500719 labellings"),
+        (["classify", str(big), "--field", "3 1"], f"classify {big} over GF(3) sweeps at least 3^{big - 1} labellings"),
     ):
         start = time.perf_counter()
         code, out, err = run_cli(capsys, *argv)
@@ -302,11 +302,13 @@ def test_guards_bound_the_exponent_first(tmp_path, capsys):
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 7, 9, 49, 256, 65521])
 def test_classify_guard_message_counts_the_power(d):
-    # past N = 65 the power d^(N - 1) is not computed, but the message still shows floor(log2) of it exactly
+    # past N = 65 the power d^(N - 1) is not computed: the message names it as d^(N-1)
     fld = quditgraph.Field.of_order(d)
     for n_qudits in (18, 40, 65, 66, 67, 100, 1000, 4097):
         labellings = d ** (n_qudits - 1)  # k = 1 alone is over the guard
         shown = labellings if labellings < 10 ** 12 else f"2^{labellings.bit_length() - 1}"
+        if n_qudits > 65:
+            shown = f"{d}^{n_qudits - 1}"
         with pytest.raises(quditgraph.ResourceGuardError) as info:
             quditgraph.classify(fld, n_qudits)
         assert str(info.value) == f"classify {n_qudits} over GF({d}) sweeps at least {shown} labellings, over the 2^16 guard"
@@ -365,14 +367,15 @@ def test_dual_check_gf4_square(tmp_path, capsys):
     }
     path = tmp_path / "square.json"
     path.write_text(json.dumps(graph))
-    for tol in ("1e-10", "0.9"):  # the dressing verdict is exact: no tolerance turns it true
-        code, out, _ = run_cli(capsys, "dual-check", str(path), "--tolerance", tol)
-        assert code == 0  # signature check is the authoritative verdict
-        data = json.loads(out)
-        assert data["signature_match"] is True
-        assert data["state_equivalence_holds"] is False
-        assert data["counterexample"] == {"kind": "dressing", "label": 2, "entry": [0, 0], "lhs": 1, "rhs": 0}
-        assert set(data["details"]) == {"signature_deviation", "dual"}
+    code, out, _ = run_cli(capsys, "dual-check", str(path))
+    assert code == 0  # signature check is the authoritative verdict
+    data = json.loads(out)
+    assert data["signature_match"] is True
+    assert data["state_equivalence_holds"] is False
+    assert data["counterexample"] == {"kind": "dressing", "label": 2, "entry": [0, 0], "lhs": 1, "rhs": 0}
+    assert set(data["details"]) == {"signature_deviation", "dual"}
+    assert data["tolerance"] == 1e-10
+    assert data["decided_by"] == {"state_equivalence_holds": "persymmetry", "signature_match": "dense-spectrum"}
 
 
 BELL_GRAPH = {
@@ -569,10 +572,22 @@ def test_make_and_verify_mes_12(tmp_path, capsys):
     text = out_path.read_text()
     assert text.startswith("# quditgraph-state d=12 qudits=4")
     assert "# construction" in text
-    code, out, _ = run_cli(capsys, "verify-mes", str(out_path), "--tolerance", "1e-9")
+    code, out, _ = run_cli(capsys, "verify-mes", str(out_path))
     assert code == 0
     data = json.loads(out)
     assert data["verdict"] is True
+    assert data["tolerance"] == 1e-10
+    assert len(data["bipartitions"]) == 7
+
+
+@pytest.mark.parametrize("d", [3, 4, 5, 7, 8, 9])
+def test_verify_mes_passes_every_make_mes_dump(tmp_path, capsys, d):
+    # the program's own dumps are decided at the one tolerance, 1e-10, on all 7 cuts
+    path = tmp_path / f"mes{d}.state"
+    assert run_cli(capsys, "make-mes", str(d), "--output", str(path))[0] == 0
+    code, out, _ = run_cli(capsys, "verify-mes", str(path))
+    data = json.loads(out)
+    assert (code, data["verdict"], data["tolerance"]) == (0, True, 1e-10)
     assert len(data["bipartitions"]) == 7
 
 
@@ -758,45 +773,18 @@ def test_relations_cli_json(capsys):
     assert data[0]["ok"] is True
 
 
-@pytest.mark.parametrize("samples", ["0", "-1"])
-def test_relations_cli_rejects_samples_below_one(capsys, samples):
-    # relations_suite owns the bound, so an exhaustive field refuses the count too
-    for fields in ("7", "2", "2,7"):
-        code, out, err = run_cli(capsys, "relations-test", "--fields", fields, "--samples", samples)
-        assert code == 2
-        assert out == ""
-        assert f"samples must be at least 1, got {samples}" in err
-
-
-def test_relations_samples_bound(capsys, monkeypatch):
-    # past the bound the count is refused before a case is drawn, whatever the mode
+def test_relations_cli_unchecked_rule_fails(capsys, monkeypatch):
+    # three random tuples cannot reach all 13 rules; a rule never checked is not ok
     from quditgraph import rewrite
 
-    limit = rewrite.RELATIONS_SAMPLES_LIMIT
-    assert limit == 2 ** 20
-    for argv in (["--fields", "7"], ["--fields", "2,7"], ["--fields", "7", "--format", "json"]):
-        start = time.perf_counter()
-        code, out, err = run_cli(capsys, "relations-test", *argv, "--samples", str(limit + 1))
-        assert time.perf_counter() - start < 1.0
-        assert (code, out) == (3, "")
-        assert f"{limit + 1} relation samples exceed the limit of {limit} per field" in err
-    with pytest.raises(quditgraph.ResourceGuardError):
-        quditgraph.relations_suite(quditgraph.Field(7, 1), samples=10 ** 9)
-    monkeypatch.setattr(rewrite, "RELATIONS_SAMPLES_LIMIT", 400)  # both sides of the bound, at a size a test can run
-    code, out, _ = run_cli(capsys, "relations-test", "--fields", "7", "--samples", "400")
-    assert code == 0 and "field 7 1 0 (random[400]):" in out
-    assert run_cli(capsys, "relations-test", "--fields", "7", "--samples", "401")[0] == 3
-
-
-def test_relations_cli_unchecked_rule_fails(capsys):
-    # three random tuples cannot reach all 13 rules; a rule never checked is not ok
-    code, out, _ = run_cli(capsys, "relations-test", "--fields", "7", "--samples", "3")
+    monkeypatch.setattr(rewrite, "RELATIONS_SAMPLES", 3)
+    code, out, _ = run_cli(capsys, "relations-test", "--fields", "7")
     assert code == 1
     lines = [l for l in out.splitlines() if l.startswith("  ")]
     assert len(lines) == 13
     assert all(l.endswith("UNCHECKED") == (" 0 cases" in l) for l in lines)
     assert sum(l.endswith("  ok") for l in lines) >= 1
-    code, out, _ = run_cli(capsys, "relations-test", "--fields", "7", "--samples", "3", "--format", "json")
+    code, out, _ = run_cli(capsys, "relations-test", "--fields", "7", "--format", "json")
     relations = json.loads(out)[0]["relations"]
     assert {name for name, r in relations.items() if r["checked"] == 0} == \
         {name for name, r in relations.items() if not r["ok"]}
@@ -889,6 +877,29 @@ def test_simulate_cli(tmp_path, capsys):
     assert all(abs(float(l.split()[1]) - 1 / np.sqrt(3)) < 1e-12 for l in lines)
 
 
+def test_simulate_init_s_s_prints_exact_halves(tmp_path, capsys):
+    # |s>|s> over GF(2) is d^(-k/2) = 0.5 on every ket, not four rounded 1/sqrt(2) products
+    path = tmp_path / "ss.qc"
+    path.write_text("field 2 1\nqudits 2\ninit s s\n")
+    code, out, _ = run_cli(capsys, "simulate", str(path))
+    assert code == 0 and out.splitlines()[1:] == ["00 0.5 0.0", "01 0.5 0.0", "10 0.5 0.0", "11 0.5 0.0"]
+
+
+@pytest.mark.parametrize("field, init", [("2 1", "s s s 0"), ("3 1", "s s 0 0"), ("2 2", "s 0 s 0"),
+                                         ("5 1", "s s s 0"), ("3 2 1", "0 s s 0")])
+def test_h_free_amplitudes_are_exact(tmp_path, capsys, field, init):
+    # an H-free circuit's kets all carry d^(-k/2), the graph's own amplitude, so the deviation is exactly 0
+    path = tmp_path / "c_only.qc"
+    c_only = f"field {field}\nqudits 4\ninit {init}\nC 1 4 1\nC 2 4 1\nC 3 4 1\n"
+    path.write_text(c_only + "A 4 1\nD 2 1\nW 1 4\n")
+    code, out, _ = run_cli(capsys, "simulate", str(path))
+    d, k = quditgraph.Field.from_descriptor(field).d, init.count("s")
+    assert code == 0 and simulator.parse_state(out).amps.tolist() == [d ** (-k / 2)] * d ** k
+    path.write_text(c_only)
+    code, out, _ = run_cli(capsys, "normalize", str(path), "--verify")
+    assert code == 0 and json.loads(out)["verification"] == {"equal": True, "max_deviation": 0.0}
+
+
 def test_simulate_one_qudit_dump_past_d36_parses(tmp_path, capsys):
     # past d = 36 a digit is written in decimal, so one qudit's ket "40" is digit 40, not digits 4 and 0
     path = tmp_path / "one.qc"
@@ -899,30 +910,24 @@ def test_simulate_one_qudit_dump_past_d36_parses(tmp_path, capsys):
     assert (state.d, state.n, state.digits.tolist(), state.amps.tolist()) == (49, 1, [[40]], [1.0])
 
 
-def test_tolerance_only_on_verbs_that_read_it(tmp_path, capsys):
+def test_no_verb_takes_a_tolerance_or_a_sample_count(tmp_path, capsys):
+    # the verdicts use the one tolerance DEFAULT_TOL and relations-test its 1000 samples
     path = tmp_path / "bell.qc"
     path.write_text(BELL_CIRCUIT)
-    assert run_cli(capsys, "simulate", str(path), "--tolerance", "1e-9")[0] == 2
-    assert run_cli(capsys, "normalize", str(path), "--verify", "--tolerance", "1e-9")[0] == 2
-    assert run_cli(capsys, "relations-test", "--fields", "2", "--tolerance", "1e-9")[0] == 2
-    assert run_cli(capsys, "make-mes", "5", "--tolerance", "1e-9")[0] == 2
-
-
-@pytest.mark.parametrize("tolerance", ["nan", "inf", "-inf", "-1", "1", "1.5", "abc"])
-def test_tolerance_must_lie_in_0_1(tmp_path, capsys, tolerance):
-    # nan made every check false, inf every check true; at tol >= 1 every deviation passes
     dump = tmp_path / "mes5.state"
     assert run_cli(capsys, "make-mes", "5", "--output", str(dump))[0] == 0
     graph = tmp_path / "graph.json"
     graph.write_text('{"field": {"p": 3, "n": 1, "poly": 0}, "S": [1], "O": [2], "edges": [{"from": 1, "to": 2, "label": 1}]}')
-    for argv in (["verify-mes", str(dump)], ["dual-check", str(graph)]):
-        code, out, err = run_cli(capsys, *argv, f"--tolerance={tolerance}")
-        assert (code, out) == (2, ""), argv
-        assert "argument --tolerance:" in err
-        if tolerance != "abc":
-            assert f"tolerance must be a finite number with 0 <= tol < 1, got {tolerance}" in err
-        assert run_cli(capsys, *argv, "--tolerance", "0")[0] != 2  # both ends of [0, 1) are accepted
-        assert run_cli(capsys, *argv, "--tolerance", "0.999")[0] == 0
+    for argv in (["simulate", str(path)], ["normalize", str(path), "--verify"], ["relations-test", "--fields", "2"],
+                 ["make-mes", "5"], ["verify-mes", str(dump)], ["dual-check", str(graph)]):
+        for option in (["--tolerance", "1e-10"], ["--tolerance=0"]):
+            code, out, err = run_cli(capsys, *argv, *option)
+            assert (code, out) == (2, ""), argv
+            assert "unrecognized arguments: --tolerance" in err
+    for fields in ("2", "7"):
+        code, out, err = run_cli(capsys, "relations-test", "--fields", fields, "--samples", "1000")
+        assert (code, out) == (2, "")
+        assert "unrecognized arguments: --samples 1000" in err
 
 
 def test_back_to_back_calls_get_fresh_defaults(tmp_path, capsys, monkeypatch):
@@ -933,14 +938,12 @@ def test_back_to_back_calls_get_fresh_defaults(tmp_path, capsys, monkeypatch):
     assert code == 0 and json.loads(out)["verification"]["equal"]
     code, out, _ = run_cli(capsys, "normalize", str(path))
     assert code == 0 and json.loads(out)["verification"] is None
-    tolerances = []
-    real = cli.verify_dual_equivalence
-    monkeypatch.setattr(cli, "verify_dual_equivalence", lambda g, tol: tolerances.append(tol) or real(g, tol))
-    graph = tmp_path / "graph.json"
-    graph.write_text('{"field": {"p": 3, "n": 1, "poly": 0}, "S": [1], "O": [2], "edges": [{"from": 1, "to": 2, "label": 1}]}')
-    assert run_cli(capsys, "dual-check", str(graph), "--tolerance", "0.5")[0] == 0
-    assert run_cli(capsys, "dual-check", str(graph))[0] == 0
-    assert tolerances == [0.5, 1e-10]
+    seeds = []
+    real = cli.relations_suite
+    monkeypatch.setattr(cli, "relations_suite", lambda fld, seed: seeds.append(seed) or real(fld, seed=seed))
+    assert run_cli(capsys, "relations-test", "--fields", "2", "--seed", "5")[0] == 0
+    assert run_cli(capsys, "relations-test", "--fields", "2")[0] == 0
+    assert seeds == [5, 0]
 
 
 def json_reference(obj) -> str:

@@ -96,7 +96,7 @@ def test_compose_field_and_ring_gives_d12_mes():
     parts = [square_state(field_for(4), 2), ring_square_state(3)]
     composite = compose_mes(parts)
     assert composite.d == 12 and composite.n == 4
-    report = mes_verdict(composite, tol=1e-9)
+    report = mes_verdict(composite)
     assert report.verdict
     assert len(report.records) == 7
 
@@ -104,7 +104,7 @@ def test_compose_field_and_ring_gives_d12_mes():
 def test_compose_two_rings_gives_d15_mes():
     composite = compose_mes([ring_square_state(3), ring_square_state(5)])
     assert composite.d == 15
-    assert mes_verdict(composite, tol=1e-9).verdict
+    assert mes_verdict(composite).verdict
 
 
 def test_constructions_match_their_dense_formulas():
@@ -167,7 +167,7 @@ def test_build_mes_multiple_of_four():
     assert built.ok
     assert built.state.d == 12
     assert "GF(2^2)" in built.construction and "ring(3)" in built.construction
-    assert mes_verdict(built.state, tol=1e-9).verdict
+    assert mes_verdict(built.state).verdict
 
 
 def test_build_mes_refuses_twice_odd():
@@ -334,7 +334,7 @@ def rho_partial_trace(rho, d, n, keep):
 def test_tripartite_checks_match_density_matrix_oracle(d):
     # the d^6-entry density matrices that the pure-state marginals replace
     tol = 1e-10
-    report = tripartite_marginal_checks(d, tol)
+    report = tripartite_marginal_checks(d)
     pairs = [(1, 2), (1, 3), (2, 3)]
     mixed = np.eye(d ** 2) / d ** 2
     eye3 = np.eye(d ** 3) / d ** 3

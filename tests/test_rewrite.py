@@ -606,10 +606,13 @@ def test_relations_suite_rejects_a_bad_factor_in_any_case(d, bad):
         compare_sequences(fld, 1, lhs, change(fld, commute_pair(fld, *lhs)))
 
 
-def test_relations_random_mode_seeded():
+def test_relations_random_mode_seeded(monkeypatch):
+    from quditgraph import rewrite
+
+    monkeypatch.setattr(rewrite, "RELATIONS_SAMPLES", 60)
     fld = field_for(7)
-    r1 = relations_suite(fld, samples=60, seed=5)
-    r2 = relations_suite(fld, samples=60, seed=5)
+    r1 = relations_suite(fld, seed=5)
+    r2 = relations_suite(fld, seed=5)
     assert r1 == r2
     assert r1["ok"] and r1["mode"] == "random[60]"
 
@@ -623,10 +626,6 @@ def test_relations_suite_mode_follows_the_field():
         want = cases or sum(len(a(fld)) * len(b(fld)) for _, (a, b), _ in RELATIONS.values())
         assert report["mode"] == mode and report["ok"], report
         assert sum(r["checked"] for r in report["relations"].values()) == want
-    for d in (2, 7):  # both sample bounds hold in either mode
-        for samples in (0, -1):
-            with pytest.raises(ValueError, match=f"samples must be at least 1, got {samples}"):
-                relations_suite(field_for(d), samples=samples)
 
 
 def test_random_rewrites_preserve_the_state():

@@ -70,14 +70,17 @@ def test_init_guard():
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 9])
 def test_init_state_is_the_tensor_product(d):
+    # the product's support, each ket at the exact d^(-k/2) rather than k rounded 1/sqrt(d) factors multiplied
     rng = np.random.default_rng(d)
     zero, uniform = np.eye(d)[0], np.full(d, 1 / math.sqrt(d))
     for n in (1, 2, 3, 4):
         for pattern in (["s"] * n, ["0"] * n, list(rng.choice(["s", "0"], size=n))):
-            want = np.ones(1)
+            product = np.ones(1)
             for token in pattern:
-                want = np.kron(want, uniform if token == "s" else zero)
-            assert np.array_equal(init_state(field_for(d), n, pattern).amps, want), pattern
+                product = np.kron(product, uniform if token == "s" else zero)
+            amps = init_state(field_for(d), n, pattern).amps
+            assert np.array_equal(amps, (product != 0) * d ** (-pattern.count("s") / 2)), pattern
+            assert np.allclose(amps, product, rtol=1e-15, atol=0), pattern
 
 
 def test_init_rejects_bad_patterns():
