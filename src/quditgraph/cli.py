@@ -7,7 +7,12 @@ line on stderr).  No verb takes a tolerance: the two verdicts that compare
 floats, dual-check's signature match (its H/V dressing verdict is exact)
 and every cut of verify-mes, use the one tolerance simulator.DEFAULT_TOL =
 1e-10, which their JSON reports as "tolerance".  relations-test checks each
-field past order 5 on a fixed 1000 random samples drawn from --seed.
+field up to order 5 on every case and each field past it on a fixed 1000
+random cases drawn from --seed, the rules and then both parameters each in
+one array call; a case drawn twice is rewritten once, and every draw
+counts as checked.  Each field's JSON report gives "decided_by":
+"affine-rows".  --fields takes comma-separated decimal field orders, and
+names a bad entry in its usage error.
 normalize --verify decides exactly, comparing the circuit's nonzero
 amplitudes with the graph's kets.
 """
@@ -92,6 +97,19 @@ def _field_arg(text: str) -> Field:
         return Field.from_descriptor(text)
     except ValueError as exc:  # argparse would print only "invalid _field_arg value"
         raise argparse.ArgumentTypeError(str(exc)) from exc
+
+
+def _fields_arg(text: str) -> list[Field]:
+    """--fields: comma-separated field orders; a bad entry is named in the usage error."""
+    fields = []
+    for entry in text.split(","):
+        if not (entry.isascii() and entry.strip().isdigit()):
+            raise argparse.ArgumentTypeError(f"entry {entry!r} is not a decimal field order")
+        try:
+            fields.append(Field.of_order(int(entry)))
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from exc
+    return fields
 
 
 # ---------------------------------------------------------------------------
@@ -182,10 +200,9 @@ def cmd_make_mes(args) -> int:
 
 
 def cmd_relations_test(args) -> int:
-    fields = [Field.of_order(int(d_str)) for d_str in args.fields.split(",")]
     all_ok = True
     reports = []
-    for fld in fields:
+    for fld in args.fields:
         report = relations_suite(fld, seed=args.seed)
         reports.append(report)
         all_ok &= report["ok"]
@@ -243,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_make_mes)
 
     p = sub.add_parser("relations-test", help="exact operator check of all rewrite rules")
-    p.add_argument("--fields", default="2,3,4,5", help="comma-separated prime powers")
+    p.add_argument("--fields", type=_fields_arg, default="2,3,4,5", help="comma-separated prime powers")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--format", choices=["json", "text"], default="text")
     p.set_defaults(func=cmd_relations_test)

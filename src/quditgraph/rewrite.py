@@ -16,6 +16,7 @@ sources, which makes the output deterministic and idempotent.
 from __future__ import annotations
 
 import functools
+from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, repeat
 from operator import itemgetter
@@ -653,19 +654,24 @@ def affine_maps_equal(fld: Field, n_wires: int, batch: int, lhs: Sequence[tuple]
     when its rows are.  Row spaces alone would not do: every bijection spans
     the whole space.  Returns a (batch,) boolean array.
 
-    validate_gates checks every factor of a side at once, with the smallest
-    and the largest parameter of the batch, so a parameter outside [0, d) or
-    a D(0) raises its ValueError; so does an H or V factor.
+    One validate_gates call checks every factor of both sides, lhs first,
+    with the smallest and the largest parameter of the batch, so a
+    parameter outside [0, d) or a D(0) raises its ValueError; so does an H
+    or V factor.  An H or V factor of lhs raises before any check of rhs.
     """
+    def gates(side: Sequence[tuple]) -> list[Gate]:
+        return [Gate(kind, wires, value) for kind, wires, param in side
+                for value in ((None,) if param is None else (int(param.min()), int(param.max())))]
+
     def rows(side: Sequence[tuple]) -> np.ndarray:
-        validate_gates(fld, n_wires, [Gate(kind, wires, value) for kind, wires, param in side
-                                      for value in ((None,) if param is None else (int(param.min()), int(param.max())))])
         stack = np.zeros((batch, n_wires + 1, n_wires), dtype=np.int64)
         stack[:, :n_wires] = np.eye(n_wires, dtype=np.int64)
         for kind, wires, param in reversed(side):
             affine_update(fld, stack, kind, wires, param)
         return stack
 
+    lhs_affine = not {kind for kind, _, _ in lhs} & {"H", "V"}
+    validate_gates(fld, n_wires, gates(lhs) + gates(rhs) if lhs_affine else gates(lhs))
     return (rows(lhs) == rows(rhs)).all(axis=(1, 2))
 
 
@@ -685,61 +691,74 @@ RELATIONS_SAMPLES = 1000  # random cases of one relations_suite call past RELATI
 RELATIONS_EXHAUSTIVE_MAX_D = 5  # exhaustive mode lists 13 d^2 cases at most: 325 at d = 5
 
 
+def relations_cases(fld: Field, seed: int = 0) -> list[tuple[str, int, int]]:
+    """The (rule, a, b) cases relations_suite checks over fld, in check order.
+
+    Up to order RELATIONS_EXHAUSTIVE_MAX_D: every admissible parameter pair
+    of every rule, each once.  Past it: RELATIONS_SAMPLES cases from
+    default_rng(seed), drawn in three array calls, first the rule indices
+    into sorted(RELATIONS), then every a and then every b, each as
+    lo + integers(d - lo) with the lower end lo of its rule's domain
+    range(lo, d).  The case count does not grow with d, and a case may be
+    drawn more than once.
+    """
+    if fld.d <= RELATIONS_EXHAUSTIVE_MAX_D:
+        return [(name, a, b) for name, (_, (dom_a, dom_b), _) in RELATIONS.items()
+                for a in dom_a(fld) for b in dom_b(fld)]
+    names = sorted(RELATIONS)
+    lo = np.array([[domain(fld).start for domain in RELATIONS[name][1]] for name in names])
+    rng = np.random.default_rng(seed)
+    rule = rng.integers(len(names), size=RELATIONS_SAMPLES)
+    lo_a, lo_b = lo[rule].T
+    a = lo_a + rng.integers(fld.d - lo_a)
+    b = lo_b + rng.integers(fld.d - lo_b)
+    return list(zip(map(names.__getitem__, rule.tolist()), a.tolist(), b.tolist()))
+
+
 def relations_suite(fld: Field, seed: int = 0, rhs_fn: Optional[Callable] = None) -> dict:
     """Verify every rewrite rule as an operator identity.
 
-    The field picks the mode.  Up to order RELATIONS_EXHAUSTIVE_MAX_D it is
-    exhaustive: all admissible parameter pairs, at most 13 d^2 cases.  Past
-    it the mode is random: RELATIONS_SAMPLES seeded (rule, parameters)
-    tuples, each parameter drawn in O(1) from its domain range, so the case
-    count does not grow with d.  rhs_fn (commute_pair by default) rewrites
-    each case once.  The cases are then grouped by shape: the wire count and
-    the (kind, wires) of every factor on both sides, so a rule whose
+    The cases are relations_cases(fld, seed): exhaustive up to order
+    RELATIONS_EXHAUSTIVE_MAX_D, at most 13 d^2 of them, and RELATIONS_SAMPLES
+    seeded random cases past it.  rhs_fn (commute_pair by default) rewrites
+    each distinct case once, at its first draw; every draw still counts as
+    checked.  The distinct cases are then grouped by shape: the wire count
+    and the (kind, wires) of every factor on both sides, so a rule whose
     right-hand side has two forms (cnot_opposed_pair at u = 0 and u != 0)
-    makes two groups.  Each group is decided by one affine_maps_equal call on its
-    parameter columns, exactly and without a dense operator, so every field
-    order the Field class supports can be tested.
+    makes two groups.  Each group is decided by one affine_maps_equal call
+    on its parameter columns, exactly and without a dense operator, so every
+    field order the Field class supports can be tested.
     A rule is ok only when it was checked at least once and never failed,
     so a sample that misses a rule cannot pass it.  Its first failure is its
-    earliest failing case.
+    earliest failing case: the distinct cases are in the order of their
+    first draws.
     """
     exhaustive = fld.d <= RELATIONS_EXHAUSTIVE_MAX_D
     rhs_fn = rhs_fn or commute_pair
-    results: dict[str, dict] = {name: {"checked": 0, "first_failure": None} for name in RELATIONS}
-    cases: list[tuple[str, int, int]] = []
-    if exhaustive:
-        for name, (_, domains, _) in RELATIONS.items():
-            for a in domains[0](fld):
-                for b in domains[1](fld):
-                    cases.append((name, a, b))
-    else:
-        rng = np.random.default_rng(seed)
-        names = sorted(RELATIONS)
-        for _ in range(RELATIONS_SAMPLES):
-            name = names[rng.integers(len(names))]
-            lo_a, lo_b = (domain(fld)[0] for domain in RELATIONS[name][1])  # each domain is range(lo, d)
-            a = lo_a + int(rng.integers(fld.d - lo_a))
-            b = lo_b + int(rng.integers(fld.d - lo_b))
-            cases.append((name, a, b))
-    # shape -> (case indices, parameters of each case); a shape records which
-    # factors carry a parameter, so the parameters of a group form columns
+    cases = relations_cases(fld, seed)
+    distinct = list(dict.fromkeys(cases))
+    # shape -> (distinct case indices, parameters of each case); a shape records
+    # which factors carry a parameter, so the parameters of a group form columns
     groups: dict[tuple, tuple[list[int], list[list[int]]]] = {}
-    for i, (name, a, b) in enumerate(cases):
+    for j, (name, a, b) in enumerate(distinct):
         n_wires, _, lhs_builder = RELATIONS[name]
         lhs = lhs_builder(fld, a, b)
         factors = (*lhs, *rhs_fn(fld, lhs[0], lhs[1]))
-        shape = (n_wires, len(lhs), tuple((g.kind, g.wires, g.param is None) for g in factors))
-        index, params = groups.setdefault(shape, ([], []))
-        index.append(i)
-        params.append([g.param for g in factors if g.param is not None])
-        results[name]["checked"] += 1
-    ok = np.ones(len(cases), dtype=bool)
+        shape = (n_wires, len(lhs), tuple([(g.kind, g.wires, g.param is None) for g in factors]))
+        group = groups.get(shape)
+        if group is None:
+            group = groups[shape] = ([], [])
+        group[0].append(j)
+        group[1].append([g.param for g in factors if g.param is not None])
+    ok = np.ones(len(distinct), dtype=bool)
     for (n_wires, n_lhs, factors), (index, params) in groups.items():
         columns = iter(np.array(params, dtype=np.int64).T[:, :, None])
         side = [(kind, wires, None if no_param else next(columns)) for kind, wires, no_param in factors]
         ok[index] = affine_maps_equal(fld, n_wires, len(index), side[:n_lhs], side[n_lhs:])
-    for i in np.flatnonzero(~ok):  # ascending, so each rule's first failure is its earliest case
-        name, a, b = cases[i]
+    checked = Counter(map(itemgetter(0), cases))
+    results = {name: {"checked": checked[name], "first_failure": None} for name in RELATIONS}
+    for j in np.flatnonzero(~ok):  # ascending, so each rule's first failure is its earliest case
+        name, a, b = distinct[j]
         if results[name]["first_failure"] is None:
             results[name]["first_failure"] = {"params": (a, b), "max_deviation": 1.0}
     for entry in results.values():
@@ -747,6 +766,7 @@ def relations_suite(fld: Field, seed: int = 0, rhs_fn: Optional[Callable] = None
     return {
         "field": fld.descriptor(),
         "mode": "exhaustive" if exhaustive else f"random[{RELATIONS_SAMPLES}]",
+        "decided_by": "affine-rows",
         "relations": results,
         "ok": all(r["ok"] for r in results.values()),
     }

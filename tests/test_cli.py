@@ -816,7 +816,7 @@ DATA = Path(__file__).parent / "data"
 @pytest.mark.parametrize("fmt", ["text", "json"])
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_relations_cli_golden_output(capsys, seed, fmt):
-    # stdout recorded from the per-case check that preceded the batched one
+    # stdout of the batched suite, which test_rewrite.py checks case by case against the dense oracle
     code, out, err = run_cli(capsys, "relations-test", "--fields", "2,3,4,5,7,8,9", "--seed", str(seed), "--format", fmt)
     assert code == 0, err
     assert out == (DATA / f"relations_seed{seed}.{'txt' if fmt == 'text' else 'json'}").read_text()
@@ -834,7 +834,7 @@ def test_relations_cli_sign_flip_fails_where_minus_one_is_not_one(capsys, monkey
         return out
 
     monkeypatch.setattr(rewrite, "commute_pair", flipped)
-    # the golden files hold the per-case check's report of the same fault
+    # the golden files hold the batched suite's report of the same fault, checked case by case in test_rewrite.py
     code, out, err = run_cli(capsys, "relations-test", "--fields", "2,3,4,5,7,8,9", "--seed", "1")
     assert code == 1, err
     assert out == (DATA / "relations_sign_flip_seed1.txt").read_text()
@@ -865,6 +865,14 @@ def test_relations_cli_rejects_non_prime_power(capsys):
     code, out, err = run_cli(capsys, "relations-test", "--fields", "6")
     assert code == 2
     assert "6 is not a prime power" in err
+
+
+@pytest.mark.parametrize("fields, entry", [("7,", ""), ("", ""), ("7,,8", ""), ("2,x", "x"), ("3.5", "3.5"),
+                                           ("+7", "+7"), ("7_0", "7_0"), ("\u0667", "\u0667")])
+def test_relations_cli_names_a_bad_fields_entry(capsys, fields, entry):
+    code, out, err = run_cli(capsys, "relations-test", "--fields", fields)
+    assert (code, out) == (2, "")
+    assert f"argument --fields: entry {entry!r} is not a decimal field order" in err
 
 
 def test_simulate_cli(tmp_path, capsys):

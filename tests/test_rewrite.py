@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -22,7 +25,7 @@ from quditgraph import (
     states_equal_symbolic,
 )
 from quditgraph import simulator
-from quditgraph.rewrite import RELATIONS, affine_maps_equal, asap_layers, compare_sequences, mat_rref
+from quditgraph.rewrite import RELATIONS, affine_maps_equal, asap_layers, compare_sequences, mat_rref, relations_cases
 from quditgraph.simulator import sequence_source_map
 
 from util import (
@@ -473,6 +476,13 @@ def test_compare_sequences_exact_and_dense(d):
     for other in (Gate("H", (1,)), Gate("V", (1,))):
         with pytest.raises(ValueError, match="no affine representation"):
             compare_sequences(fld, 1, [other], [Gate("D", (1,), 1)])
+    # both sides are validated at once, lhs first: an H in lhs still raises before a bad rhs parameter
+    with pytest.raises(ValueError, match="no affine representation"):
+        compare_sequences(fld, 1, [Gate("H", (1,))], [Gate("A", (1,), d)])
+    with pytest.raises(ValueError, match=f"parameter {d} out of range"):
+        compare_sequences(fld, 1, [Gate("A", (1,), d)], [Gate("H", (1,))])
+    with pytest.raises(ValueError, match=f"parameter {d} out of range"):
+        compare_sequences(fld, 1, [Gate("A", (1,), 0)], [Gate("A", (1,), d), Gate("H", (1,))])
 
 
 def perturbed(fld, ops, rng):
@@ -626,6 +636,110 @@ def test_relations_suite_mode_follows_the_field():
         want = cases or sum(len(a(fld)) * len(b(fld)) for _, (a, b), _ in RELATIONS.values())
         assert report["mode"] == mode and report["ok"], report
         assert sum(r["checked"] for r in report["relations"].values()) == want
+
+
+def sign_flipped(f, g1, g2):
+    """commute_pair with the new CNOT of the reverse chain negated: wrong exactly where -1 != 1."""
+    out = commute_pair(f, g1, g2)
+    if g1.kind == g2.kind == "C" and g2.control == g1.target and g2.target != g1.control:
+        out[-1] = Gate("C", out[-1].wires, f.neg(out[-1].param))
+    return out
+
+
+def dense_relations_report(fld, seed, rhs_fn):
+    """relations_suite's report rebuilt case by case, each draw decided by the dense gather maps."""
+    results = {name: {"checked": 0, "first_failure": None} for name in RELATIONS}
+    for name, a, b in relations_cases(fld, seed):
+        n_wires, _, lhs_builder = RELATIONS[name]
+        lhs = lhs_builder(fld, a, b)
+        rhs = rhs_fn(fld, lhs[0], lhs[1])
+        entry = results[name]
+        entry["checked"] += 1
+        same = np.array_equal(sequence_source_map(fld, n_wires, lhs), sequence_source_map(fld, n_wires, rhs))
+        if not same and entry["first_failure"] is None:
+            entry["first_failure"] = {"params": (a, b), "max_deviation": 1.0}
+    for entry in results.values():
+        entry["ok"] = entry["checked"] > 0 and entry["first_failure"] is None
+    return {"field": fld.descriptor(), "mode": "exhaustive" if fld.d <= 5 else "random[1000]",
+            "decided_by": "affine-rows", "relations": results, "ok": all(r["ok"] for r in results.values())}
+
+
+GOLDEN = Path(__file__).parent / "data"
+
+
+@pytest.mark.parametrize("seed, rhs_fn, golden", [(1, commute_pair, "relations_seed1"),
+                                                  (2, commute_pair, "relations_seed2"),
+                                                  (3, commute_pair, "relations_seed3"),
+                                                  (1, sign_flipped, "relations_sign_flip_seed1")])
+def test_relations_goldens_match_the_dense_case_by_case_check(seed, rhs_fn, golden):
+    # the golden files of relations-test are the batched suite's output; the dense oracle certifies them
+    reports = []
+    for d in (2, 3, 4, 5, 7, 8, 9):
+        fld = field_for(d)
+        want = dense_relations_report(fld, seed, rhs_fn)
+        assert relations_suite(fld, seed=seed, rhs_fn=rhs_fn) == want, fld.descriptor()
+        reports.append(want)
+    assert json.loads(json.dumps(reports)) == json.loads((GOLDEN / f"{golden}.json").read_text())
+
+
+@pytest.mark.parametrize("d", [7, 8, 9, 64, 257])
+def test_relations_cases_draw_within_each_rule_domain(d):
+    fld = field_for(d)
+    for seed in (0, 1, 2):
+        cases = relations_cases(fld, seed)
+        assert len(cases) == 1000
+        assert all(a in RELATIONS[name][1][0](fld) and b in RELATIONS[name][1][1](fld) for name, a, b in cases)
+        assert all(type(a) is int and type(b) is int for _, a, b in cases)
+        assert {name for name, _, _ in cases} == set(RELATIONS)
+        report = relations_suite(fld, seed=seed)
+        assert sum(r["checked"] for r in report["relations"].values()) == 1000
+        assert report["relations"] == {name: {"checked": [c[0] for c in cases].count(name), "first_failure": None,
+                                              "ok": True} for name in RELATIONS}
+
+
+def test_relations_random_mode_depends_on_the_seed_alone():
+    fld = field_for(8)
+    assert relations_cases(fld, 4) == relations_cases(fld, 4)
+    assert relations_suite(fld, seed=4) == relations_suite(fld, seed=4)
+    assert relations_cases(fld, 4) != relations_cases(fld, 5)
+    assert relations_suite(fld, seed=4) != relations_suite(fld, seed=5)
+
+
+@pytest.mark.parametrize("d", [3, 7, 9])
+def test_relations_suite_rewrites_each_distinct_case_once(d):
+    fld = field_for(d)
+    calls = []
+
+    def counting(f, g1, g2):
+        calls.append((g1, g2))
+        return commute_pair(f, g1, g2)
+
+    report = relations_suite(fld, seed=1, rhs_fn=counting)
+    cases = relations_cases(fld, 1)
+    distinct = list(dict.fromkeys(cases))
+    assert report["ok"] and sum(r["checked"] for r in report["relations"].values()) == len(cases)
+    assert calls == [tuple(RELATIONS[name][2](fld, a, b)) for name, a, b in distinct]
+    assert (len(distinct) < len(cases)) == (d > 5)
+
+
+def test_relations_first_failure_is_the_earliest_draw_of_a_repeated_case():
+    # x and y of one rule both fail; x is drawn first and again after y, so the report names x
+    fld = field_for(7)
+    cases = relations_cases(fld, 1)
+    first, last = {}, {}
+    for i, case in enumerate(cases):
+        first.setdefault(case, i)
+        last[case] = i
+    x, y = next((x, y) for x in first for y in first if x[0] == y[0] and first[x] < first[y] < last[x])
+    faulty = [tuple(RELATIONS[name][2](fld, a, b)) for name, a, b in (x, y)]
+
+    def rhs_fn(f, g1, g2):
+        out = commute_pair(f, g1, g2)
+        return out + [Gate("A", (1,), 1)] if (g1, g2) in faulty else out
+
+    report = relations_suite(fld, seed=1, rhs_fn=rhs_fn)
+    assert {name for name, r in report["relations"].items() if not r["ok"]} == {x[0]}
+    assert report["relations"][x[0]]["first_failure"] == {"params": x[1:], "max_deviation": 1.0}
 
 
 def test_random_rewrites_preserve_the_state():
