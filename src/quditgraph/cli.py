@@ -12,7 +12,8 @@ random cases drawn from --seed, the rules and then both parameters each in
 one array call; a case drawn twice is rewritten once, and every draw
 counts as checked.  Each field's JSON report gives "decided_by":
 "affine-rows".  --fields takes comma-separated decimal field orders, and
-names a bad entry in its usage error.
+names a bad entry in its usage error; --seed takes a non-negative decimal
+integer, whichever fields it is read for.
 normalize --verify decides exactly, comparing the circuit's nonzero
 amplitudes with the graph's kets.
 """
@@ -110,6 +111,13 @@ def _fields_arg(text: str) -> list[Field]:
         except ValueError as exc:
             raise argparse.ArgumentTypeError(str(exc)) from exc
     return fields
+
+
+def _seed_arg(text: str) -> int:
+    """--seed: a non-negative ASCII decimal integer, checked here because only fields past order 5 read it."""
+    if not (text.isascii() and text.isdecimal()):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a non-negative decimal integer")
+    return int(text)
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +229,7 @@ def cmd_relations_test(args) -> int:
 def cmd_simulate(args) -> int:
     circuit = parse_circuit(Path(args.circuit).read_text())
     state = circuit.simulate()
-    kets = np.flatnonzero(np.abs(state.amps) > 1e-14)  # anything smaller is H-gate rounding residue, not a ket
+    kets = np.flatnonzero(np.abs(state.amps) > 1e-14)  # smaller is residue of odd-p H or of cancellation, not a ket
     print(dump_state(SupportState(state.d, state.n, ket_digits(kets, state.d, state.n), state.amps[kets])), end="")
     return EXIT_OK
 
@@ -261,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("relations-test", help="exact operator check of all rewrite rules")
     p.add_argument("--fields", type=_fields_arg, default="2,3,4,5", help="comma-separated prime powers")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed_arg, default=0)
     p.add_argument("--format", choices=["json", "text"], default="text")
     p.set_defaults(func=cmd_relations_test)
 

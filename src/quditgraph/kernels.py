@@ -22,11 +22,13 @@ No kernel allocates a temporary the size of the state: the largest ones are
 the C gate's index, which is the size of the state only for the wire pair
 (1, N), and xor_gather's index of one 2^XOR_CHUNK_BITS chunk.  The
 permutation kernels are dtype-agnostic: run on an integer arange they
-return the gather map.  They call the ndarray.take method rather than
-np.take, whose wrapper overhead shows on tiny registers such as the dressed
-states of dual-check (256 amplitudes for 8 GF(2) wires), and pass
-mode="clip" so take writes straight into `out`; every index is in range, so
-clipping never changes one.  `amps` and `out` must be distinct C-contiguous
+return the gather map.  fourier keeps the dtype of its operands: a real
+table on real amplitudes, as over characteristic 2, is a real dgemm.
+The permutation kernels call the ndarray.take method rather than np.take,
+whose wrapper overhead shows on tiny registers such as the dressed states
+of dual-check (256 amplitudes for 8 GF(2) wires), and pass mode="clip" so
+take writes straight into `out`; every index is in range, so clipping
+never changes one.  `amps` and `out` must be distinct C-contiguous
 arrays of the same size.
 """
 

@@ -366,7 +366,7 @@ class SymbolicState:
         return self
 
     def support(self) -> SupportState:
-        """The d^k kets uM + b (u in F^k), ascending, each of amplitude d^(-k/2), under the d^n guard.
+        """The d^k kets uM + b (u in F^k), ascending, each of the float64 amplitude d^(-k/2), under the d^n guard.
 
         Dependent rows repeat a ket, once per u that reaches it; SupportState.dense adds repeats up.
         """
@@ -375,7 +375,7 @@ class SymbolicState:
         digits = self.offsets[:, None]  # (n, d^i) after i rows, one column per (u_1..u_i), u_1 slowest
         for row in self.matrix:
             digits = fld.add_arr(digits[:, :, None], fld.mul_arr(row[:, None, None], np.arange(d))).reshape(n, -1)
-        amps = np.full(d ** k, d ** (-k / 2), dtype=np.complex128)
+        amps = np.full(d ** k, d ** (-k / 2))
         return SupportState(d, n, digits[:, np.lexsort(digits[::-1])], amps)
 
     def dense_amps(self) -> np.ndarray:

@@ -23,7 +23,11 @@ map (_xor_source_map) and applies it as one kernels.xor_gather pass.  H,
 and every gate over an odd-p field, is one kernel pass per gate.  A gather
 map is this gate loop run on an index array, a dense operator the loop run
 on an identity; every dense builder counts its entries with
-check_state_size.
+check_state_size.  Amplitudes are float64 where they are real by
+construction: under every gate but H, and under H over characteristic 2,
+where omega = -1 exactly.  _run_raw promotes a real state to complex128
+once, before its first pass, when the field is odd and the run holds an H;
+parsed dumps and other complex input stay complex128.
 """
 
 from __future__ import annotations
@@ -209,12 +213,13 @@ def validate_gates(field: Field, n_qudits: int, gates: GateList) -> GateColumns:
 # ---------------------------------------------------------------------------
 
 class StateVector:
-    """Dense complex amplitudes of an N-qudit register over a field."""
+    """Dense amplitudes of an N-qudit register over a field: float64 stays float64, the rest becomes complex128."""
 
     def __init__(self, field: Field, n_qudits: int, amps: np.ndarray):
         self.field = field
         self.n = int(n_qudits)
-        self.amps = np.asarray(amps, dtype=np.complex128).reshape(-1)
+        amps = np.asarray(amps)
+        self.amps = amps.astype(np.float64 if amps.dtype == np.float64 else np.complex128, copy=False).reshape(-1)
         if self.amps.size != field.d ** self.n:
             raise ValueError("amplitude array size does not match d**n")
 
@@ -242,9 +247,9 @@ class SupportState:
     amps: np.ndarray
 
     def dense(self) -> np.ndarray:
-        """The d^n amplitude vector, under the state-size guard; a repeated ket's amplitudes add up."""
+        """The d^n amplitude vector in the dtype of amps, under the state-size guard; a repeated ket's amplitudes add up."""
         check_state_size(self.d, self.n)
-        amps = np.zeros(self.d ** self.n, dtype=np.complex128)
+        amps = np.zeros(self.d ** self.n, dtype=self.amps.dtype)
         np.add.at(amps, ket_index(self.digits, self.d), self.amps)
         return amps
 
@@ -255,7 +260,7 @@ def check_state_size(d: int, n: int) -> None:
 
 
 def init_state(field: Field, n_qudits: int, pattern: Sequence[str]) -> StateVector:
-    """Tensor product of |s> (uniform superposition) and |0> factors.
+    """Tensor product of |s> (uniform superposition) and |0> factors, as float64 amplitudes.
 
     pattern entries are 's' for the uniform superposition and '0' for the
     computational zero state.
@@ -267,7 +272,7 @@ def init_state(field: Field, n_qudits: int, pattern: Sequence[str]) -> StateVect
     for token in pattern:
         if token not in ("s", "0"):
             raise ValueError(f"pattern entries must be 's' or '0', got {token!r}")
-    amps = np.zeros(d ** n_qudits, dtype=np.complex128)
+    amps = np.zeros(d ** n_qudits)
     # the support is every ket with digit 0 on the '0' wires, each of amplitude
     # d^(-k/2) for k 's' wires: the value SymbolicState.support() gives it
     support = tuple(slice(None) if token == "s" else 0 for token in pattern)
@@ -325,16 +330,19 @@ def run_gates(state: StateVector, gates: GateList) -> StateVector:
 
 
 def _run_raw(field: Field, n: int, cols: GateColumns, cur: np.ndarray) -> np.ndarray:
-    """Apply validated gates in order, ping-ponging between cur, which is overwritten, and one more buffer.
+    """Apply validated gates in order, ping-ponging between cur, which may be overwritten, and one more buffer.
 
     Over a field of characteristic 2 each maximal run of gates other than H
     is one XOR-affine map of the index bits (_xor_source_map) and takes one
     kernels.xor_gather pass.  H gates, and every gate over an odd-p field,
     whose digit maps carry mod p across the bits of the index, take one
-    _apply_gate_raw pass each, as a Gate.
+    _apply_gate_raw pass each, as a Gate.  A float64 cur becomes complex128
+    first only when the field is odd and the run holds an H.
     """
-    buf = np.empty_like(cur)
     fused = (cols.kind != KIND_H) & (field.p == 2)
+    if cur.dtype == np.float64 and field.p != 2 and (cols.kind == KIND_H).any():
+        cur = cur.astype(np.complex128)
+    buf = np.empty_like(cur)
     singles = iter(cols[~fused].gates())
     # a pass starts at every gate but a fused one right after a fused one
     bounds = [*np.flatnonzero(~(fused & np.r_[False, fused[:-1]])).tolist(), len(cols)]
@@ -397,10 +405,11 @@ def _xor_source_map(field: Field, n: int, run: GateColumns) -> tuple[int, list[i
 def fourier_matrix(field: Field) -> np.ndarray:
     """d x d Fourier gate: entry (x, y) = omega^(x.y)/sqrt(d), omega = exp(2 pi i/p).
 
-    Built once per field and shared, so the array is read-only.
+    Over characteristic 2 omega = -1 exactly, so the table is the float64
+    +-d^(-1/2).  Built once per field and shared, so the array is read-only.
     """
     check_state_size(field.d, 2)  # d^2 entries, as many as a two-qudit state
-    powers = np.exp(2j * np.pi / field.p) ** np.arange(field.p)
+    powers = np.array([1.0, -1.0]) if field.p == 2 else np.exp(2j * np.pi / field.p) ** np.arange(field.p)
     h = powers[field.digits @ field.digits.T % field.p] / math.sqrt(field.d)
     h.flags.writeable = False
     return h
@@ -475,11 +484,11 @@ def reduced_density_raw(amps: np.ndarray, d: int, n: int, subset: Sequence[int])
 def real_if_exact(amps: np.ndarray) -> np.ndarray:
     """amps.real as a contiguous float64 array when every imaginary part is exactly 0, else amps.
 
-    No tolerance: a state with any nonzero imaginary part stays complex.  A
-    graph state in standard form passes, since every amplitude is 0 or the
-    real d^(-k/2).
+    No tolerance: a state with any nonzero imaginary part stays complex.
+    Graph states are built float64 and pass through as they are, so the
+    test reads only parsed dumps and explicit complex input.
     """
-    return np.ascontiguousarray(amps.real) if not np.any(amps.imag) else amps
+    return np.ascontiguousarray(amps.real) if np.isrealobj(amps) or not np.any(amps.imag) else amps
 
 
 def spectrum(rho: np.ndarray) -> np.ndarray:

@@ -875,6 +875,15 @@ def test_relations_cli_names_a_bad_fields_entry(capsys, fields, entry):
     assert f"argument --fields: entry {entry!r} is not a decimal field order" in err
 
 
+@pytest.mark.parametrize("fields", ["2", "7"])
+@pytest.mark.parametrize("seed", ["-1", "+1", "1.0", "1_0", "\u0661", ""])
+def test_relations_cli_rejects_a_seed_that_is_not_a_nonnegative_decimal(capsys, fields, seed):
+    # the seed is read only past order 5, but checked for every --fields at parse time
+    code, out, err = run_cli(capsys, "relations-test", "--fields", fields, f"--seed={seed}")
+    assert (code, out) == (2, "")
+    assert f"argument --seed: {seed!r} is not a non-negative decimal integer" in err
+
+
 def test_simulate_cli(tmp_path, capsys):
     path = tmp_path / "bell.qc"
     path.write_text(BELL_CIRCUIT)
@@ -906,6 +915,18 @@ def test_h_free_amplitudes_are_exact(tmp_path, capsys, field, init):
     path.write_text(c_only)
     code, out, _ = run_cli(capsys, "normalize", str(path), "--verify")
     assert code == 0 and json.loads(out)["verification"] == {"equal": True, "max_deviation": 0.0}
+
+
+@pytest.mark.parametrize("field, real", [("2 2", True), ("2 3", True), ("3 1", False), ("5 1", False)])
+def test_simulate_prints_exact_zero_imaginary_parts_over_characteristic_2(tmp_path, capsys, field, real):
+    # over GF(2^m) omega = -1 and every amplitude is real, so each imaginary column is 0.0;
+    # an odd-p H on a shifted wire gives complex amplitudes
+    path = tmp_path / "h.qc"
+    path.write_text(f"field {field}\nqudits 3\ninit s 0 0\nA 2 1\nH 2\nC 1 3 1\nH 3\nV 1\nH 1\n")
+    code, out, _ = run_cli(capsys, "simulate", str(path))
+    imaginary = [line.split()[2] for line in out.splitlines() if not line.startswith("#")]
+    assert code == 0 and imaginary
+    assert all(im == "0.0" for im in imaginary) == real
 
 
 def test_simulate_one_qudit_dump_past_d36_parses(tmp_path, capsys):

@@ -25,6 +25,8 @@ from quditgraph.simulator import (
     KIND_C,
     GateColumns,
     GateError,
+    StateVector,
+    _run_raw,
     bipartition_subsets,
     parse_state,
     reduced_density_raw,
@@ -122,8 +124,7 @@ def test_identity_parameters_do_nothing():
         fld = field_for(d)
         amps = rng.standard_normal(d ** 2) + 1j * rng.standard_normal(d ** 2)
         amps /= np.linalg.norm(amps)
-        st = init_state(fld, 2, ["0", "0"])
-        st.amps[:] = amps
+        st = StateVector(fld, 2, amps)
         for g in (Gate("A", (1,), 0), Gate("D", (2,), 1), Gate("C", (1, 2), 0)):
             assert np.allclose(run_gates(st, [g]).amps, amps)
 
@@ -149,11 +150,49 @@ def test_fourier_unitary(d):
 @pytest.mark.parametrize("d", [2, 3, 4, 7, 8, 9, 257, 1024])
 def test_fourier_matrix_gathers_the_direct_powers_bit_for_bit(d):
     # the p-entry table of omega powers, indexed by the dot products, gives
-    # exactly the entries of raising omega per entry
+    # exactly the entries of raising omega per entry; over characteristic 2
+    # omega is -1 exactly, so the table is the real +-d^(-1/2)
     fld = field_for(d)
-    omega = np.exp(2j * np.pi / fld.p)
-    direct = omega ** (fld.digits @ fld.digits.T % fld.p) / math.sqrt(d)
-    assert np.array_equal(fourier_matrix(fld), direct)
+    dots = fld.digits @ fld.digits.T % fld.p
+    if fld.p == 2:
+        direct = np.where(dots == 0, 1.0, -1.0) / math.sqrt(d)
+    else:
+        direct = np.exp(2j * np.pi / fld.p) ** dots / math.sqrt(d)
+    h = fourier_matrix(fld)
+    assert h.dtype == direct.dtype and np.array_equal(h, direct)
+
+
+@pytest.mark.parametrize("d, n, kinds", [(2, 10, "ADHVCW"), (4, 5, "ADHVCW"), (8, 4, "ADHVCW"),
+                                         (3, 6, "ADVCW"), (5, 4, "ADVCW"), (7, 3, "ADVCW"), (9, 3, "ADVCW")])
+def test_real_lane_matches_the_complex_run_bit_for_bit(d, n, kinds):
+    # every gate over characteristic 2, and every gate but H over odd p, keeps
+    # float64 amplitudes float64; the same run on a complex128 copy gives
+    # exactly the same real parts and imaginary parts that are exactly 0
+    fld = field_for(d)
+    rng = np.random.default_rng(60 + d)
+    for _ in range(4):
+        cols = validate_gates(fld, n, [random_gate(fld, n, rng, kinds) for _ in range(3 * n)])
+        amps = rng.standard_normal(d ** n)
+        real = _run_raw(fld, n, cols, amps.copy())
+        full = _run_raw(fld, n, cols, amps.astype(np.complex128))
+        assert real.dtype == np.float64 and full.dtype == np.complex128
+        assert np.array_equal(real, full.real) and not full.imag.any()
+    assert init_state(fld, n, ["s"] * n).amps.dtype == np.float64
+
+
+@pytest.mark.parametrize("d", [3, 5])
+def test_odd_p_fourier_promotes_the_real_state_to_complex(d):
+    # H over odd p is the only gate with complex entries: the run promotes the
+    # float64 register once and matches the dense operator of the gate list
+    fld = field_for(d)
+    rng = np.random.default_rng(70 + d)
+    start = init_state(fld, 3, ["s", "0", "0"])
+    for _ in range(4):
+        gates = [random_gate(fld, 3, rng) for _ in range(8)] + [Gate("H", (2,)), Gate("C", (2, 3), 1)]
+        state = run_gates(start, gates)
+        assert start.amps.dtype == np.float64 and state.amps.dtype == np.complex128
+        want = sequence_matrix(fld, 3, gates[::-1]) @ start.amps
+        assert np.max(np.abs(state.amps - want)) <= 1e-12
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 7, 8, 9])
