@@ -14,8 +14,9 @@ cover four parties:
 Tensoring such states systemwise preserves the property, which yields a
 construction for every dimension that is odd (ring(d)) or a multiple of
 four, d = 2^m * o with o odd (square(GF(2^m)) times ring(o) when o > 1).
-Each is an orthogonal array of d^2 kets, built as a SupportState (d <= 64
-by the 2^24 guard on d^4 amplitudes) and decided from that exact support.
+Each is an orthogonal array of d^2 kets, built as a SupportState of float64
+amplitudes 1/d (d <= 64 by the 2^24 guard on d^4 amplitudes) and decided
+from that exact support.
 For d = 2 mod 4 none is implemented.  Such states do exist for every d = 2
 mod 4 except 2: d = 2 is impossible (Higuchi and Sudbery, quant-ph/0005013);
 d = 6 has a state that is not a permutation of basis kets (Rather et al.,
@@ -70,7 +71,7 @@ def ring_square_state(d: int) -> SupportState:
     check_state_size(d, 4)
     i, k = np.indices((d, d)).reshape(2, -1)
     digits = np.stack([i, (i - k) % d, k, (i + k) % d])
-    return SupportState(d, 4, digits[:, np.lexsort(digits[::-1])], np.full(i.size, 1.0 / d, dtype=complex))
+    return SupportState(d, 4, digits[:, np.lexsort(digits[::-1])], np.full(i.size, 1.0 / d))
 
 
 def compose_mes(states: Sequence[SupportState]) -> SupportState:
@@ -91,7 +92,7 @@ def compose_mes(states: Sequence[SupportState]) -> SupportState:
         raise ValueError("all states must have the same number of systems")
     d_total = math.prod(s.d for s in states)
     check_state_size(d_total, n)
-    digits, amps = np.zeros((n, 1), dtype=np.int64), np.ones(1, dtype=np.complex128)
+    digits, amps = np.zeros((n, 1), dtype=np.int64), np.ones(1)
     for s in states:
         digits = (digits[:, :, None] * s.d + s.digits[:, None, :]).reshape(n, -1)
         amps = np.multiply.outer(amps, s.amps).reshape(-1)

@@ -259,6 +259,13 @@ def affine_update(fld: Field, rows: np.ndarray, kind: str, wires: Sequence, para
         raise ValueError(f"{kind} gate has no affine representation")
 
 
+def _check_affine(columns: GateColumns) -> None:
+    """ValueError naming the first H or V gate: neither has an affine form."""
+    affine = np.isin(columns.kind, (KIND_A, KIND_D, KIND_C, KIND_W))
+    if not affine.all():
+        raise ValueError(f"{GATE_KINDS[columns.kind[affine.argmin()]]} gate has no affine representation")
+
+
 def asap_layers(columns: GateColumns, n_qudits: int) -> list[GateColumns]:
     """Split validated A/D/C/W gates into ASAP layers, each a GateColumns with its C gates first.
 
@@ -269,12 +276,13 @@ def asap_layers(columns: GateColumns, n_qudits: int) -> list[GateColumns]:
     the same layer that came earlier in time.  Only a C gate reads a wire it
     does not write, so with the C gates updated first every gate of a layer
     reads the columns as they stood before it: applying the layers in order
-    (SymbolicState.apply) gives the same rows as applying the gates in order.
-    An H or V gate raises ValueError, as it has no affine form.
+    gives the same rows as applying the gates in order.  SymbolicState.apply
+    takes this path for the fields whose elements do not pack into bytes
+    (packs_in_bytes): odd prime powers p^n with n >= 2, primes from 131 and
+    GF(2^m) with m >= 9.  An H or V gate raises ValueError, as it has no
+    affine form.
     """
-    affine = np.isin(columns.kind, (KIND_A, KIND_D, KIND_C, KIND_W))
-    if not affine.all():
-        raise ValueError(f"{GATE_KINDS[columns.kind[affine.argmin()]]} gate has no affine representation")
+    _check_affine(columns)
     last_write = [0] * (n_qudits + 1)  # layers count from 1; 0 is before the first
     last_read = [0] * (n_qudits + 1)
     layer = []
@@ -298,6 +306,72 @@ def asap_layers(columns: GateColumns, n_qudits: int) -> list[GateColumns]:
     ordered = columns[order]
     bounds = [0, *(np.flatnonzero(np.diff(layer[order])) + 1).tolist(), len(order)]
     return [ordered[start:stop] for start, stop in zip(bounds, bounds[1:]) if stop > start]
+
+
+def packs_in_bytes(fld: Field) -> bool:
+    """Whether SymbolicState.apply tracks fld gate by gate on byte-packed columns.
+
+    An element must fit in a byte, and adding two packed columns must be one
+    integer operation: XOR over GF(2^m) up to GF(256), integer addition over
+    a prime field up to p = 127, whose slot sums stay below 2p - 1 <= 253,
+    so no carry crosses into the next byte.
+    """
+    return fld.d <= 256 if fld.p == 2 else fld.n == 1 and fld.p <= 127
+
+
+def _track_packed(fld: Field, rows: np.ndarray, columns: GateColumns) -> None:
+    """Apply validated A/D/C/W gates in time order to rows [M; b] of shape (k + 1, N), in place.
+
+    Each wire's column becomes one Python int, row r in byte r and the
+    offset in byte k, so a gate is one big-int operation on whole columns:
+    a multiplication by a label is one bytes.translate through its 256-entry
+    table, a sum is one XOR (characteristic 2) or one addition followed by a
+    translate through the table of s mod p.  W swaps two ints.  fld must
+    pass packs_in_bytes.
+    """
+    size = rows.shape[0]
+    shift = 8 * (size - 1)  # the offset byte
+    packed = np.ascontiguousarray(rows.T, dtype=np.uint8).tobytes()
+    load = int.from_bytes
+    cols = [0, *(load(packed[i : i + size], "little") for i in range(0, len(packed), size))]  # by 1-based wire
+    labels = np.flatnonzero(np.bincount(columns.param, minlength=1))  # one table per parameter in use
+    slots = np.arange(256)
+    if fld.p == 2:
+        products = fld.mul_arr(labels[:, None], slots & (fld.d - 1))  # slots past d never occur
+    else:
+        products = labels[:, None] * (slots % fld.p) % fld.p
+    mul = dict(zip(labels.tolist(), map(np.ndarray.tobytes, products.astype(np.uint8))))
+    gates = zip(columns.kind.tolist(), columns.wire1.tolist(), columns.wire2.tolist(), columns.param.tolist())
+    if fld.p == 2:
+        for kind, a, b, x in gates:
+            if kind == KIND_C:
+                if x == 1:
+                    cols[b] ^= cols[a]
+                elif x:
+                    cols[b] ^= load(cols[a].to_bytes(size, "little").translate(mul[x]), "little")
+            elif kind == KIND_D:
+                cols[a] = load(cols[a].to_bytes(size, "little").translate(mul[x]), "little")
+            elif kind == KIND_A:
+                cols[a] ^= x << shift
+            else:
+                cols[a], cols[b] = cols[b], cols[a]
+    else:
+        mod = (slots % fld.p).astype(np.uint8).tobytes()
+        for kind, a, b, x in gates:
+            if kind == KIND_C:
+                if x == 1:
+                    cols[b] = load((cols[b] + cols[a]).to_bytes(size, "little").translate(mod), "little")
+                elif x:
+                    term = load(cols[a].to_bytes(size, "little").translate(mul[x]), "little")
+                    cols[b] = load((cols[b] + term).to_bytes(size, "little").translate(mod), "little")
+            elif kind == KIND_D:
+                cols[a] = load(cols[a].to_bytes(size, "little").translate(mul[x]), "little")
+            elif kind == KIND_A:
+                cols[a] = load((cols[a] + (x << shift)).to_bytes(size, "little").translate(mod), "little")
+            else:
+                cols[a], cols[b] = cols[b], cols[a]
+    unpacked = np.frombuffer(b"".join(c.to_bytes(size, "little") for c in cols[1:]), dtype=np.uint8)
+    rows[...] = unpacked.reshape(-1, size).T
 
 
 # ---------------------------------------------------------------------------
@@ -347,15 +421,26 @@ class SymbolicState:
         return SymbolicState(self.field, self.n, self.matrix.copy(), self.offsets.copy())
 
     def apply(self, gates: GateList) -> "SymbolicState":
-        """Apply a time-ordered gate list in place: one affine_update per gate kind of each ASAP layer.
+        """Apply a time-ordered gate list in place.
 
         The gates are checked once (validate_gates), and H and V gates, which
         have no affine form, raise ValueError, before any column changes.
-        asap_layers puts the C gates of each layer first, so every gate reads
-        the columns as they stood before its layer: the same rows as applying
-        the gates one by one.
+        The field alone picks one of two paths, with the same rows:
+        - GF(2^m) up to GF(256) and prime fields up to GF(127)
+          (packs_in_bytes): gate by gate in time order, each wire's column
+          packed into one Python int, one byte per row (_track_packed).  A
+          gate is then one or two C-level operations whatever k and N are.
+        - every other field: an element does not fit in a byte, or a sum of
+          packed columns is not one integer operation.  Per ASAP layer
+          (asap_layers), one affine_update per gate kind, C gates first, so
+          every gate reads the columns as they stood before its layer.
         """
-        for layer in asap_layers(validate_gates(self.field, self.n, gates), self.n):
+        columns = validate_gates(self.field, self.n, gates)
+        _check_affine(columns)
+        if packs_in_bytes(self.field):
+            _track_packed(self.field, self._rows, columns)
+            return self
+        for layer in asap_layers(columns, self.n):
             kind = layer.kind
             bounds = [0, len(kind)]
             if kind[0] != kind[-1]:  # more than one kind, each in one run
@@ -840,15 +925,17 @@ def _gate_columns(tokens: list[list[str]], lines: list[int]) -> GateColumns:
     """GateColumns of gate lines split into tokens, unchecked but for their form.
 
     CircuitParseError names the first line with an unknown kind, a wrong
-    argument count or a token that is not an integer.
+    argument count or a token that is not an integer.  Each distinct number
+    token is converted once.
     """
     kind = np.fromiter(map(_KIND_CODE.get, map(itemgetter(0), tokens), repeat(-1)), dtype=np.int64, count=len(tokens))
     malformed = np.fromiter(map(len, tokens), dtype=np.int64, count=len(tokens)) != _LINE_TOKENS[kind]
+    args = list(chain.from_iterable(map(itemgetter(slice(1, None)), tokens)))
     try:
-        values = list(map(int, chain.from_iterable(map(itemgetter(slice(1, None)), tokens))))
+        number = {token: int(token) for token in set(args)}
     except ValueError:
-        values = None
-    if values is None or malformed.any():
+        number = None
+    if number is None or malformed.any():
         for parts, line, bad in zip(tokens, lines, malformed.tolist()):
             if parts[0] not in GATE_ARITY:
                 raise CircuitParseError(f"unknown gate {parts[0]!r}", line)
@@ -862,7 +949,11 @@ def _gate_columns(tokens: list[list[str]], lines: list[int]) -> GateColumns:
                 raise CircuitParseError(str(exc), line) from exc
     n_args = _LINE_TOKENS[kind] - 1
     first = np.cumsum(n_args) - n_args  # index of each gate's first argument in values
-    values = int_column(values + [0])  # the 0 pads the second-argument read of a final one-argument gate
+    # the 0 pads the second-argument read of a final one-argument gate
+    if all(-(1 << 63) <= v < 1 << 63 for v in number.values()):
+        values = np.fromiter(chain(map(number.__getitem__, args), (0,)), dtype=np.int64, count=len(args) + 1)
+    else:
+        values = int_column([*map(number.__getitem__, args), 0])
     n_wires = 1 + KIND_TWO_WIRES[kind]
     return GateColumns(
         kind,

@@ -25,7 +25,16 @@ from quditgraph import (
     states_equal_symbolic,
 )
 from quditgraph import simulator
-from quditgraph.rewrite import RELATIONS, affine_maps_equal, asap_layers, compare_sequences, mat_rref, relations_cases
+from quditgraph.rewrite import (
+    RELATIONS,
+    affine_maps_equal,
+    affine_update,
+    asap_layers,
+    compare_sequences,
+    mat_rref,
+    packs_in_bytes,
+    relations_cases,
+)
 from quditgraph.simulator import sequence_source_map
 
 from util import (
@@ -118,11 +127,16 @@ def test_support_of_dependent_rows_sums_repeated_kets():
     assert np.allclose(sym.dense_amps(), np.eye(3).reshape(-1))
 
 
-def gate_by_gate(circ: Circuit) -> SymbolicState:
-    sym = SymbolicState.from_pattern(circ.field, circ.init)
-    for gate in circ.gates:
-        sym.apply([gate])
+def affine_oracle(start: SymbolicState, gates) -> SymbolicState:
+    """A copy of start with affine_update applied to its rows one gate at a time, in time order."""
+    sym = start.copy()
+    for gate in gates:
+        affine_update(sym.field, sym._rows, gate.kind, gate.wires, gate.param)
     return sym
+
+
+def gate_by_gate(circ: Circuit) -> SymbolicState:
+    return affine_oracle(SymbolicState.from_pattern(circ.field, circ.init), circ.gates)
 
 
 def layer_of(circ: Circuit) -> dict[Gate, int]:
@@ -142,6 +156,26 @@ def test_apply_in_time_order_matches_gate_by_gate(d):
         layers = asap_layers(circ.columns, n)
         assert sum(map(len, layers)) == n_gates
         assert len(layers) < n_gates  # some gates share a layer
+
+
+BYTE_FIELDS = [2, 3, 4, 7, 8, 127, 256]  # tracked gate by gate on byte-packed columns
+LAYER_FIELDS = [9, 131, 512]  # tracked by ASAP layers
+
+
+@pytest.mark.parametrize("d", BYTE_FIELDS + LAYER_FIELDS)
+def test_apply_matches_the_affine_update_oracle(d):
+    fld = field_for(d)
+    assert packs_in_bytes(fld) == (d in BYTE_FIELDS)
+    rng = np.random.default_rng(500 + d)
+    # 200 wires and 120 superposition wires: 121 rows, past one 64-byte word per packed column
+    for n, k, n_gates in [(2, 1, 20), (5, 2, 100), (9, 4, 400), (200, 120, 2000)]:
+        circ = random_cadw_circuit(fld, n, k, n_gates, rng)
+        assert np.array_equal(SymbolicState.from_circuit(circ)._rows, gate_by_gate(circ)._rows)
+        # start rows that are dependent (a scaled and a repeated copy) with nonzero offsets
+        basis = rng.integers(0, d, size=(k, n))
+        rows = np.concatenate([basis, fld.mul_arr(int(rng.integers(1, d)), basis[:2]), basis[:1]])
+        start = SymbolicState(fld, n, rows, rng.integers(0, d, size=n))
+        assert np.array_equal(start.copy().apply(circ.columns)._rows, affine_oracle(start, circ.gates)._rows)
 
 
 @pytest.mark.parametrize("gates, shared", [
@@ -195,6 +229,25 @@ def test_apply_refuses_a_gate_list_before_any_column_changes(bad, message):
         sym.apply([Gate("C", (1, 3), 1), Gate("A", (2,), 2), bad, Gate("W", (1, 2))])
     assert np.array_equal(sym._rows, start._rows)
     assert np.array_equal(sym.apply([])._rows, start._rows)
+
+
+@pytest.mark.parametrize("d", [2, 7])
+@pytest.mark.parametrize("bad", [
+    Gate("C", (1, 4), 1), Gate("D", (2,), 0), Gate("A", (3,), 9), Gate("H", (2,)), Gate("V", (3,)),
+])
+def test_packed_apply_refuses_a_gate_list_before_any_column_changes(d, bad):
+    # the byte path, from dependent rows with nonzero offsets; the first non-affine gate is the one named
+    fld = field_for(d)
+    assert packs_in_bytes(fld)
+    rng = np.random.default_rng(d)
+    start = SymbolicState(fld, 3, rng.integers(0, d, size=(3, 3)), rng.integers(1, d, size=3))
+    sym = start.copy()
+    message = {"C": "wire 4 out of range 1..3", "D": r"D\(0\) is not unitary",
+               "A": f"parameter 9 out of range for order-{d} field"}.get(bad.kind, f"^{bad.kind} gate has no affine")
+    with pytest.raises(ValueError, match=message):
+        sym.apply([Gate("C", (1, 3), d - 1), Gate("A", (2,), 1), Gate("D", (3,), d - 1), bad, Gate("W", (1, 2)),
+                   Gate("H" if bad.kind == "V" else "V", (1,))])
+    assert np.array_equal(sym._rows, start._rows)
 
 
 def test_from_circuit_names_the_first_non_affine_gate():
