@@ -18,7 +18,6 @@ from __future__ import annotations
 import functools
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, repeat
 from operator import itemgetter
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -40,6 +39,7 @@ from .simulator import (
     KIND_W,
     StateVector,
     SupportState,
+    _ascii_int,
     _run_raw,
     check_state_size,
     init_state,
@@ -154,11 +154,11 @@ def rank_exponents(fld: Field, blocks: np.ndarray, subsets: Sequence[Sequence[in
     Returns e as a (batch, len(subsets)) array, one column per subset of
     1-based wires.  An empty sub-block has rank 0.  Every nonempty one is
     gathered in its (r, c) orientation with r >= c, the narrow way for
-    _eliminate (the loop of mat_rref, without its echelon sort; one column
-    step per column), and the sub-blocks are grouped by that shape.  A group
-    of m sub-blocks per labelling with d^(rc) <= m * batch has no more
-    possible matrices than sub-blocks: all d^(rc) are reduced by one
-    _eliminate call into a table of pivot counts, and each sub-block's rank
+    _eliminate (the loop of _rref_eliminate, without its echelon sort;
+    one column step per column), and the sub-blocks are grouped by that
+    shape.  A group of m sub-blocks per labelling with d^(rc) <= m * batch
+    has no more possible matrices than sub-blocks: all d^(rc) are reduced
+    by one _eliminate call into a table of pivot counts, and each sub-block's rank
     is read at its code, the base-d number of its entries in the oriented
     layout (last entry least significant, the order of np.indices).  Every
     other sub-block (in classify the whole k x (N - k) block, and nearly all
@@ -215,19 +215,79 @@ def rank_exponents(fld: Field, blocks: np.ndarray, subsets: Sequence[Sequence[in
 def mat_rref(fld: Field, mat: np.ndarray) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form over the field; returns (rref, pivot columns).
 
-    _eliminate on a copy of mat, then the pivot rows in pivot-column order:
-    each pivot column holds a single 1, in its pivot row, and the other rows
-    are zero.  Raises ValueError for a non-matrix or an entry outside [0, d).
+    The pivot rows come first, in pivot-column order: each pivot column
+    holds a single 1, in its pivot row, and the other rows are zero.  The
+    form is unique, so both paths give the same output: rows packed one
+    byte per entry (_rref_packed) over every packs_in_bytes field, and
+    _eliminate (_rref_eliminate) over the rest.  Raises ValueError for a
+    non-matrix or an entry outside [0, d).
     """
     m = np.array(mat, dtype=np.int64)
     if m.ndim != 2:
         raise ValueError(f"mat_rref expects a (rows, cols) matrix, got shape {m.shape}")
     fld.check_arr(m)
-    stack, mask = _eliminate(fld, m[None])
+    return _rref_packed(fld, m) if packs_in_bytes(fld) else _rref_eliminate(fld, m)
+
+
+def _rref_eliminate(fld: Field, m: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """mat_rref of a checked int64 matrix by _eliminate on a copy, then the pivot rows sorted."""
+    stack, mask = _eliminate(fld, m.copy()[None])
     m, pivots = stack[0], np.flatnonzero(mask[0])
     rref = np.zeros_like(m)
     rref[: pivots.size] = m[np.nonzero(m[:, pivots].T)[1]]
     return rref, pivots.tolist()
+
+
+def _rref_packed(fld: Field, m: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """mat_rref of a checked int64 matrix over a packs_in_bytes field, on rows packed into Python ints.
+
+    Row i is one int with column c in byte c, so a row operation acts on a
+    whole row: the first row at or below the next pivot row with a nonzero
+    byte c becomes that pivot row, scaled to a leading 1 by one
+    bytes.translate, and every other row whose byte c holds some f != 0
+    sheds f times it, as one XOR over GF(2^m), or over GF(p) one addition
+    of -f times it and a translate through s mod p: the arithmetic of
+    _track_packed.  Each multiple of a pivot row is translated once.  The
+    pivot rows stay in order at the top, so no sort follows.
+    """
+    rows, cols = m.shape
+    mul, mod = _byte_tables(fld, np.arange(1, fld.d))
+    inv, neg = fld.inv_table.tolist(), fld.neg_table.tolist()
+    char2 = fld.p == 2
+    load = int.from_bytes
+    packed = m.astype(np.uint8).tobytes()
+    work = [load(packed[i * cols : (i + 1) * cols], "little") for i in range(rows)]
+    pivots: list[int] = []
+    for c in range(cols):
+        r = len(pivots)
+        if r == rows:
+            break
+        shift = 8 * c
+        i = next((i for i in range(r, rows) if work[i] >> shift & 255), None)
+        if i is None:
+            continue
+        prow, work[i] = work[i], work[r]
+        lead = prow >> shift & 255
+        if lead != 1:
+            prow = load(prow.to_bytes(cols, "little").translate(mul[inv[lead]]), "little")
+        work[r] = 0  # left out of its own clearing
+        pivots.append(c)
+        multiples = {1: prow}  # g -> g * prow, each translated once
+        for j, row in enumerate(work):
+            f = row >> shift & 255
+            if not f:
+                continue
+            g = f if char2 else neg[f]
+            term = multiples.get(g)
+            if term is None:
+                term = multiples[g] = load(prow.to_bytes(cols, "little").translate(mul[g]), "little")
+            work[j] = row ^ term if char2 else load((row + term).to_bytes(cols, "little").translate(mod), "little")
+        work[r] = prow
+    rref = np.zeros_like(m)
+    rank = len(pivots)
+    packed = b"".join(row.to_bytes(cols, "little") for row in work[:rank])
+    rref[:rank] = np.frombuffer(packed, dtype=np.uint8).reshape(rank, cols)
+    return rref, pivots
 
 
 def affine_update(fld: Field, rows: np.ndarray, kind: str, wires: Sequence, param) -> None:
@@ -319,6 +379,24 @@ def packs_in_bytes(fld: Field) -> bool:
     return fld.d <= 256 if fld.p == 2 else fld.n == 1 and fld.p <= 127
 
 
+def _byte_tables(fld: Field, labels: np.ndarray) -> tuple[dict[int, bytes], Optional[bytes]]:
+    """bytes.translate tables of a packs_in_bytes field, for elements packed one per byte.
+
+    Returns mul, which maps each label a to the 256-byte table of slot s ->
+    a * s, and over GF(p) the table of s -> s mod p, which turns a byte-wise
+    sum of two packed elements back into elements (None over GF(2^m), where
+    a sum is an XOR).  Slots that never hold an element map anywhere.
+    """
+    slots = np.arange(256)
+    if fld.p == 2:
+        products = fld.mul_arr(labels[:, None], slots & (fld.d - 1))
+        mod = None
+    else:
+        products = labels[:, None] * (slots % fld.p) % fld.p
+        mod = (slots % fld.p).astype(np.uint8).tobytes()
+    return dict(zip(labels.tolist(), map(np.ndarray.tobytes, products.astype(np.uint8)))), mod
+
+
 def _track_packed(fld: Field, rows: np.ndarray, columns: GateColumns) -> None:
     """Apply validated A/D/C/W gates in time order to rows [M; b] of shape (k + 1, N), in place.
 
@@ -334,13 +412,7 @@ def _track_packed(fld: Field, rows: np.ndarray, columns: GateColumns) -> None:
     packed = np.ascontiguousarray(rows.T, dtype=np.uint8).tobytes()
     load = int.from_bytes
     cols = [0, *(load(packed[i : i + size], "little") for i in range(0, len(packed), size))]  # by 1-based wire
-    labels = np.flatnonzero(np.bincount(columns.param, minlength=1))  # one table per parameter in use
-    slots = np.arange(256)
-    if fld.p == 2:
-        products = fld.mul_arr(labels[:, None], slots & (fld.d - 1))  # slots past d never occur
-    else:
-        products = labels[:, None] * (slots % fld.p) % fld.p
-    mul = dict(zip(labels.tolist(), map(np.ndarray.tobytes, products.astype(np.uint8))))
+    mul, mod = _byte_tables(fld, np.flatnonzero(np.bincount(columns.param, minlength=1)))  # the parameters in use
     gates = zip(columns.kind.tolist(), columns.wire1.tolist(), columns.wire2.tolist(), columns.param.tolist())
     if fld.p == 2:
         for kind, a, b, x in gates:
@@ -356,7 +428,6 @@ def _track_packed(fld: Field, rows: np.ndarray, columns: GateColumns) -> None:
             else:
                 cols[a], cols[b] = cols[b], cols[a]
     else:
-        mod = (slots % fld.p).astype(np.uint8).tobytes()
         for kind, a, b, x in gates:
             if kind == KIND_C:
                 if x == 1:
@@ -482,8 +553,9 @@ class SymbolicState:
         sinks = sorted(set(range(self.n)) - set(pivots))
         block = rref[: len(pivots), sinks]
         residual = self.offsets[sinks]
-        for row, c in enumerate(pivots):
-            residual = fld.sub_arr(residual, fld.mul_arr(self.offsets[c], block[row]))
+        shifts = self.offsets[pivots]
+        for row in np.flatnonzero(shifts).tolist():  # none for C-only circuits
+            residual = fld.sub_arr(residual, fld.mul_arr(shifts[row], block[row]))
         return GraphState(fld, tuple(c + 1 for c in pivots), tuple(c + 1 for c in sinks), block), residual
 
 
@@ -861,27 +933,52 @@ def relations_suite(fld: Field, seed: int = 0, rhs_fn: Optional[Callable] = None
 # Circuit file format
 # ---------------------------------------------------------------------------
 
-# kind -> kind code, and tokens on a gate line by kind code; code -1, an unknown kind, expects none
-_KIND_CODE = {kind: code for code, kind in enumerate(GATE_KINDS)}
+# tokens on a gate line by kind code; code -1, an unknown kind, expects none
 _LINE_TOKENS = np.append(2 + KIND_TWO_WIRES + KIND_HAS_PARAM, 0)
+# str.splitlines' line breaks past ASCII, each turned into the one-byte break \v before encoding
+_UNICODE_BREAKS = dict.fromkeys((0x85, 0x2028, 0x2029), "\x0b")
+_INT64_DIGITS = 18  # a number of at most 18 digits is read in int64, a longer one by int()
+
+
+def _byte_set(chars: bytes) -> np.ndarray:
+    table = np.zeros(256, dtype=bool)
+    table[list(chars)] = True
+    return table
+
+
+_IS_BREAK = _byte_set(b"\n\r\x0b\x0c\x1c\x1d\x1e")  # str.splitlines' ASCII breaks, \r\n counting once
+_IS_WORD = ~(_IS_BREAK | _byte_set(b" \t\x1f"))  # bytes other than str.split's ASCII whitespace
+_KIND_OF_BYTE = np.full(256, -1, dtype=np.int64)  # kind code of a one-letter token, -1 for any other byte
+_KIND_OF_BYTE[list("".join(GATE_KINDS).encode())] = np.arange(len(GATE_KINDS))
 
 
 def parse_circuit(text: str) -> Circuit:
     """Parse the line-oriented circuit format (see serialize_circuit).
 
-    The field, qudits and init lines are read one by one, the gate lines at
-    once into GateColumns.  A parse error names the first line at fault: a
-    gate line with an unknown kind, a wrong argument count or a non-integer
-    first, then a bad init entry, then the first gate that Circuit rejects.
+    Lines end where str.splitlines ends them, and '#' starts a comment that
+    runs to the end of its line.  The field, qudits and init lines, the
+    first three lines that hold more than a comment, are read one by one;
+    the gate lines after them at once, from the UTF-8 bytes of the text
+    (_scan_gate_lines).  A parse error names the first line at fault: a gate
+    line with a non-ASCII character outside its comment, an unknown kind, a
+    wrong argument count or an argument that is not an ASCII decimal
+    integer first, then a bad init entry, then the first gate that Circuit
+    rejects.
     """
-    lines = text.splitlines()
+    data = (text if text.isascii() else text.translate(_UNICODE_BREAKS)).encode("utf-8", "surrogatepass")
+    codes = np.frombuffer(data, dtype=np.uint8)
+    breaks = np.take(_IS_BREAK, codes)
+    breaks[:-1] &= (codes[:-1] != 13) | (codes[1:] != 10)  # of \r\n, the \n ends the line
+    ends = np.flatnonzero(breaks)
     fld = None
     n_qudits = None
     init = None
     stage = 0
-    lineno = 0
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0].strip()
+    start = 0
+    for lineno in range(1, len(ends) + 2):
+        stop = int(ends[lineno - 1]) if lineno <= len(ends) else len(data)
+        line = data[start:stop].decode("utf-8", "surrogatepass").split("#", 1)[0].strip()
+        start = stop + 1
         if not line:
             continue
         parts = line.split()
@@ -910,57 +1007,124 @@ def parse_circuit(text: str) -> Circuit:
             raise CircuitParseError(str(exc), lineno) from exc
     if stage != 3:
         raise CircuitParseError("incomplete circuit: need field, qudits and init lines")
-    tokens = [raw.split("#", 1)[0].split() for raw in lines[lineno:]]
-    gate_lines = [n for n, parts in enumerate(tokens, start=lineno + 1) if parts]
-    columns = _gate_columns(list(filter(None, tokens)), gate_lines)
+    scanned = _scan_gate_lines(codes[start:], breaks[start:])
+    if scanned is None:
+        raise _first_bad_gate_line(text.splitlines()[lineno:], lineno + 1)
+    columns, offsets = scanned
     try:
         return Circuit(fld, n_qudits, init, columns)
     except GateError as exc:
-        raise CircuitParseError(str(exc), gate_lines[exc.index]) from exc
+        below = int(np.count_nonzero(breaks[start : start + offsets[exc.index]]))  # lines before the gate's
+        raise CircuitParseError(str(exc), lineno + 1 + below) from exc
     except ValueError as exc:  # Circuit checks the init entries before any gate
         raise CircuitParseError(str(exc), lineno) from exc
 
 
-def _gate_columns(tokens: list[list[str]], lines: list[int]) -> GateColumns:
-    """GateColumns of gate lines split into tokens, unchecked but for their form.
+def _scan_gate_lines(codes: np.ndarray, breaks: np.ndarray) -> Optional[tuple[GateColumns, np.ndarray]]:
+    """The gate lines in the bytes codes as unchecked GateColumns, and the offset of each gate's line in codes.
 
-    CircuitParseError names the first line with an unknown kind, a wrong
-    argument count or a token that is not an integer.  Each distinct number
-    token is converted once.
+    breaks marks the byte that ends each line.  Each step is one array
+    operation over the bytes or the tokens: comments are blanked out from
+    each line's first '#' to its break, tokens are the runs of bytes that
+    are not ASCII whitespace, a gate's kind is its line's first token, and
+    the other tokens are read as numbers through a right-aligned matrix of
+    their last 18 digits, one row per digit place (int() reads a longer
+    one).  A number past int64 makes the columns object arrays of Python
+    ints, for Circuit's check to report as written.  Returns None when a
+    line has a token that is not a kind or not an optional '-' and ASCII
+    digits (a non-ASCII byte outside a comment makes one), or a wrong token
+    count for its kind: _first_bad_gate_line names it.
     """
-    kind = np.fromiter(map(_KIND_CODE.get, map(itemgetter(0), tokens), repeat(-1)), dtype=np.int64, count=len(tokens))
-    malformed = np.fromiter(map(len, tokens), dtype=np.int64, count=len(tokens)) != _LINE_TOKENS[kind]
-    args = list(chain.from_iterable(map(itemgetter(slice(1, None)), tokens)))
-    try:
-        number = {token: int(token) for token in set(args)}
-    except ValueError:
-        number = None
-    if number is None or malformed.any():
-        for parts, line, bad in zip(tokens, lines, malformed.tolist()):
-            if parts[0] not in GATE_ARITY:
-                raise CircuitParseError(f"unknown gate {parts[0]!r}", line)
-            if bad:
-                n_wires, has_param = GATE_ARITY[parts[0]]
-                raise CircuitParseError(f"{parts[0]} gate takes {n_wires + has_param} argument(s)", line)
-            try:
-                for token in parts[1:]:
-                    int(token)
-            except ValueError as exc:
-                raise CircuitParseError(str(exc), line) from exc
+    bounds = np.flatnonzero(breaks)
+    word = np.take(_IS_WORD, codes)
+    hashes = np.flatnonzero(codes == ord("#"))
+    if hashes.size:  # +1 at each line's first '#' and -1 at its break: a comment is where the sum is 1
+        line = np.searchsorted(bounds, hashes)
+        leading = np.ones(len(line), dtype=bool)
+        leading[1:] = line[1:] != line[:-1]
+        edge = np.zeros(len(codes) + 1, dtype=np.int8)
+        edge[hashes[leading]] = 1
+        edge[np.append(bounds, len(codes))[line[leading]]] = -1
+        word &= np.cumsum(edge[:-1], dtype=np.int8) == 0
+    edges = np.flatnonzero(np.diff(word, prepend=False, append=False))
+    starts, stops = edges[0::2], edges[1::2]
+    if not starts.size:
+        empty = np.zeros(0, dtype=np.int64)
+        return GateColumns(empty, empty, empty, empty), empty
+    first = np.zeros(len(starts), dtype=bool)  # a line's first token: the first after a break
+    first[0] = True
+    after = np.searchsorted(starts, bounds)
+    first[after[after < len(starts)]] = True
+    head = np.flatnonzero(first)
+    kind = np.where(stops[head] - starts[head] == 1, _KIND_OF_BYTE[codes[starts[head]]], -1)
+    if (np.diff(head, append=len(starts)) != _LINE_TOKENS[kind]).any():
+        return None
+    args = ~first
+    stop = stops[args]
+    start = starts[args]
+    neg = codes[start] == ord("-")
+    start += neg
+    if not (stop > start).all():
+        return None
+    width = min(int((stop - start).max()), _INT64_DIGITS)
+    at = stop - np.arange(width, 0, -1)[:, None]  # (width, args): the last row holds the units
+    digits = np.take(codes, np.maximum(at, 0)) - np.uint8(ord("0"))  # a byte that is no digit wraps past 9
+    digits[at < start] = 0
+    if (digits > 9).any():
+        return None
+    values = 10 ** np.arange(width - 1, -1, -1) @ digits
+    values[neg] *= -1
+    longer = np.flatnonzero(stop - start > _INT64_DIGITS)
+    if longer.size:
+        tokens = [codes[a:b].tobytes() for a, b in zip(start[longer].tolist(), stop[longer].tolist())]
+        if not all(map(bytes.isdigit, tokens)):
+            return None
+        exact = int_column([-int(token) if sign else int(token) for token, sign in zip(tokens, neg[longer].tolist())])
+        values = values.astype(exact.dtype)
+        values[longer] = exact
     n_args = _LINE_TOKENS[kind] - 1
-    first = np.cumsum(n_args) - n_args  # index of each gate's first argument in values
-    # the 0 pads the second-argument read of a final one-argument gate
-    if all(-(1 << 63) <= v < 1 << 63 for v in number.values()):
-        values = np.fromiter(chain(map(number.__getitem__, args), (0,)), dtype=np.int64, count=len(args) + 1)
-    else:
-        values = int_column([*map(number.__getitem__, args), 0])
+    at = np.cumsum(n_args) - n_args  # index of each gate's first argument in values
+    values = np.append(values, 0)  # pads the second-argument read of a final one-argument gate
     n_wires = 1 + KIND_TWO_WIRES[kind]
-    return GateColumns(
+    columns = GateColumns(
         kind,
-        values[first],
-        np.where(n_wires == 2, values[first + 1], 0),
-        np.where(KIND_HAS_PARAM[kind], values[first + n_wires], 0),
+        values[at],
+        np.where(n_wires == 2, values[at + 1], 0),
+        np.where(KIND_HAS_PARAM[kind], values[at + n_wires], 0),
     )
+    return columns, starts[head]
+
+
+def _first_bad_gate_line(lines: Sequence[str], first_line: int) -> Exception:
+    """The CircuitParseError of the first of lines that _scan_gate_lines rejects; lines count from first_line.
+
+    A line's checks run in this order: a non-ASCII character outside its
+    comment, its kind, its argument count, then each argument, with int()'s
+    own message when int() rejects it too.
+    """
+    for line_no, raw in enumerate(lines, start=first_line):
+        line = raw.split("#", 1)[0]
+        if not line.isascii():
+            char = next(c for c in line if not c.isascii())
+            return CircuitParseError(f"non-ASCII character {char!r} outside a comment", line_no)
+        parts = line.split()
+        if not parts:
+            continue
+        if parts[0] not in GATE_ARITY:
+            return CircuitParseError(f"unknown gate {parts[0]!r}", line_no)
+        n_wires, has_param = GATE_ARITY[parts[0]]
+        if len(parts) != 1 + n_wires + has_param:
+            return CircuitParseError(f"{parts[0]} gate takes {n_wires + has_param} argument(s)", line_no)
+        for token in parts[1:]:
+            try:
+                _ascii_int(token)
+            except ValueError:
+                try:
+                    int(token)
+                except ValueError as exc:
+                    return CircuitParseError(str(exc), line_no)
+                return CircuitParseError(f"argument {token!r} is not an ASCII decimal integer", line_no)
+    return RuntimeError("the gate-line scan rejected lines that pass the line check")
 
 
 def serialize_circuit(circuit: Circuit) -> str:

@@ -88,8 +88,10 @@ KIND_A, KIND_D, KIND_C, KIND_H, KIND_V, KIND_W = (GATE_KINDS.index(kind) for kin
 
 def int_column(values: Sequence[int]) -> np.ndarray:
     """values as an int64 array, or as an object array of Python ints if one lies past int64."""
-    column = np.array(values)
-    return column if column.size else np.zeros(0, dtype=np.int64)
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        return np.array(values, dtype=object)
 
 
 class GateError(ValueError):

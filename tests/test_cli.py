@@ -225,6 +225,16 @@ HEADER = "field 3 1 0\nqudits 3\ninit s 0 0\n"
     (HEADER + "C 1 2 99999999999999999999999\n", 4, "parameter 99999999999999999999999 out of range for order-3 field"),
     (HEADER + "C 99999999999999999999999 2 1\n", 4, "wire 99999999999999999999999 out of range 1..3"),
     ("field 2 8\nqudits 2\ninit s 0\nC 1 2 255\nC 1 2 256\n", 5, "parameter 256 out of range for order-256 field"),
+    # exact past int64, beside small values, in Circuit's order of checks: a D(0) before them is named first
+    (HEADER + "C 1 2 1\nC 1 2 9223372036854775808\n", 5, "parameter 9223372036854775808 out of range for order-3 field"),
+    (HEADER + "C 1 2 1\nC 18446744073709551616 2 1\n", 5, "wire 18446744073709551616 out of range 1..3"),
+    (HEADER + "C 1 2 1\nA -9223372036854775809 1\n", 5, "wire -9223372036854775809 out of range 1..3"),
+    (HEADER + "D 1 0\nC 1 2 18446744073709551616\n", 4, "D(0) is not unitary"),
+    # gate lines are ASCII outside comments, and their numbers ASCII decimal with an optional '-'
+    (HEADER + "C 1 2 1 # é\nC 1 2 +1\n", 5, "argument '+1' is not an ASCII decimal integer"),
+    (HEADER + "C 1 2 1_0\n", 4, "argument '1_0' is not an ASCII decimal integer"),
+    (HEADER + "C 1 2 \u0663\n", 4, "non-ASCII character '\u0663' outside a comment"),
+    (HEADER + "C 1\xa02 1\n", 4, "non-ASCII character '\\xa0' outside a comment"),
 ])
 @pytest.mark.parametrize("verb", ["normalize", "simulate"])
 def test_parse_errors_name_the_first_bad_line(tmp_path, capsys, verb, text, line, message):
@@ -244,6 +254,14 @@ def test_normalize_golden_output(capsys, name, fmt, ext):
     code, out, _ = run_cli(capsys, "normalize", str(DATA / "normalize" / f"{name}.qc"), "--format", fmt, *verify)
     assert code == 0
     assert out == (DATA / "normalize" / f"{name}.{ext}").read_text()
+
+
+@pytest.mark.parametrize("fmt, ext", [("json", "json"), ("text", "txt"), ("dot", "dot")])
+def test_normalize_layout_matches_the_plain_circuit(capsys, fmt, ext):
+    # layout.qc is gf3.qc with CRLF breaks, tabs, a form feed, blank lines, comments and no final break
+    code, out, _ = run_cli(capsys, "normalize", str(DATA / "normalize" / "layout.qc"), "--format", fmt, "--verify")
+    assert code == 0
+    assert out == (DATA / "normalize" / f"gf3.{ext}").read_text()
 
 
 def test_normalize_rejects_non_cnot_gates(tmp_path, capsys):
@@ -446,6 +464,21 @@ def test_dual_check_gf257(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "dual-check", str(path))
     assert code == 0
     assert json.loads(out)["signature_match"] is True
+
+
+def test_dual_check_leaves_numpy_ma_unimported(tmp_path):
+    # np.unique imports numpy.ma on its first call, about 20 ms of a process's start
+    graph = make_graph_state(quditgraph.Field.of_order(4), [1, 2], [3], [(1, 3, 2), (2, 3, 3)])
+    (tmp_path / "graph.json").write_text(json.dumps(graph_to_json_dict(graph)))
+    source = (
+        "import sys\n"
+        "from quditgraph.cli import main\n"
+        "assert main(['dual-check', 'graph.json']) == 0\n"
+        "print(sorted(name for name in sys.modules if name.split('.')[:2] == ['numpy', 'ma']))\n"
+    )
+    done = _run_capped(tmp_path, python_args=("-c", source))
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"
 
 
 def _run_capped(tmp_path, *argv, python_args=("-m", "quditgraph.cli")):

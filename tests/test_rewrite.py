@@ -27,6 +27,7 @@ from quditgraph import (
 from quditgraph import simulator
 from quditgraph.rewrite import (
     RELATIONS,
+    _rref_eliminate,
     affine_maps_equal,
     affine_update,
     asap_layers,
@@ -886,6 +887,113 @@ def test_parse_all_gate_kinds():
     assert [g.kind for g in circ.gates] == ["C", "A", "D", "H", "V", "W"]
 
 
+NORMALIZE_DATA = Path(__file__).parent / "data" / "normalize"
+
+
+def test_parse_layout_file_equals_its_plain_twin():
+    # CRLF breaks, tabs, a form feed, blank lines, comments and no final break
+    text = (NORMALIZE_DATA / "layout.qc").read_bytes().decode()
+    assert "\r\n" in text and "\t" in text and "\x0c" in text and not text.endswith("\n")
+    assert parse_circuit(text) == parse_circuit((NORMALIZE_DATA / "gf3.qc").read_text())
+
+
+# lines 1-9: a comment, a blank line, the header with a trailing comment and a
+# form feed, a comment line and a gate; the line under test is line 10
+LAYOUT_HEADER = ["# a comment", "", "field 3 1", "qudits 3   # wires", "\x0cinit s 0 0", "# gates", "\t", "C 1 2 1 # ok"]
+
+
+@pytest.mark.parametrize("brk", ["\n", "\r\n", "\r", "\x0b", "\x1e", "\x85", "\u2028"])
+@pytest.mark.parametrize("bad, line, message", [
+    ("X 1 2", 10, "unknown gate 'X'"),
+    ("C 1 2", 10, "C gate takes 3 argument(s)"),
+    ("C 1 x 1", 10, "invalid literal for int() with base 10: 'x'"),
+    ("C 1 4 1", 10, "wire 4 out of range 1..3"),
+    ("D 2 0 # é", 10, "D(0) is not unitary"),
+    (None, 6, "init entries must be 's' or '0', got 'x'"),
+])
+def test_parse_errors_keep_their_lines_under_every_line_break(brk, bad, line, message):
+    lines = [*LAYOUT_HEADER, bad or "C 1 3 2", "A 1 1"]
+    if bad is None:
+        lines[4] = "\x0cinit s 0 x"
+    with pytest.raises(CircuitParseError) as err:
+        parse_circuit(brk.join(lines) + brk)
+    assert (err.value.line, str(err.value)) == (line, f"line {line}: {message}")
+
+
+@pytest.mark.parametrize("bad, message", [
+    ("C 1 2 +1", "argument '+1' is not an ASCII decimal integer"),
+    ("C 1 2 1_0", "argument '1_0' is not an ASCII decimal integer"),
+    ("A -1 -", "invalid literal for int() with base 10: '-'"),
+    ("A 1 --1", "invalid literal for int() with base 10: '--1'"),
+    ("C 1 2 \u0663", "non-ASCII character '\u0663' outside a comment"),  # the Arabic-Indic digit 3
+    ("C 1\xa02 1", "non-ASCII character '\\xa0' outside a comment"),
+    ("C 1 2\u30001", "non-ASCII character '\\u3000' outside a comment"),
+    ("C\x001 2 1", "unknown gate 'C\\x001'"),
+])
+def test_parse_reads_gate_arguments_as_ascii_decimal_only(bad, message):
+    text = "field 3 1\r\nqudits 3\r\ninit s 0 0\r\n# é in a comment is fine\r\nC 1 2 1\r\n" + bad + "\r\n"
+    with pytest.raises(CircuitParseError) as err:
+        parse_circuit(text)
+    assert str(err.value) == f"line 6: {message}"
+
+
+def reference_gates(text: str):
+    """The gate list of a circuit text read line by line with str.splitlines, or ("error", line)."""
+    lines = text.splitlines()
+    header = [i for i, raw in enumerate(lines) if raw.split("#", 1)[0].strip()][:3]
+    gates, numbers = [], []
+    for line_no, raw in enumerate(lines[header[-1] + 1 :], start=header[-1] + 2):
+        line = raw.split("#", 1)[0]
+        parts = line.split()
+        if not line.isascii() or parts and (parts[0] not in simulator.GATE_ARITY
+                                            or len(parts) != 1 + sum(simulator.GATE_ARITY[parts[0]])):
+            return "error", line_no
+        try:
+            values = [simulator._ascii_int(token) for token in parts[1:]]
+        except ValueError:
+            return "error", line_no
+        if parts:
+            n_wires = simulator.GATE_ARITY[parts[0]][0]
+            gates.append(Gate(parts[0], tuple(values[:n_wires]), values[n_wires] if len(values) > n_wires else None))
+            numbers.append(line_no)
+    return gates, numbers
+
+
+def test_parse_matches_a_line_by_line_reference():
+    # seeded edits of a small circuit: every kind of break, blank and comment
+    # lines, odd tokens; the bulk scan and the line-by-line reading must agree
+    rng = np.random.default_rng(7)
+    pieces = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x85", "\u2028", " ", "\t", "\x1f", "#", "# c\n", "-",
+              "+", "_", "0", "7", "12", "-3", "00000000000000000000000000002", str(2 ** 63), "\xa0", "\u0663",
+              "x", "C", "A", "H", "W", "\x00", "1.5", "C 1 2 1\n", "A 3 2\n", "H 2\n", "W 1 3\n", "D 2 0\n"]
+    base = "field 3 1\nqudits 3\ninit s 0 s\nC 1 2 1\nA 3 2 # shift\n\nH 2\nW 1 3\nD 2 2\nC 3 1 2\n"
+    outcomes = set()
+    for _ in range(1500):
+        text = base
+        for _ in range(rng.integers(1, 5)):
+            at = int(rng.integers(base.index("C 1 2 1"), len(text) + 1))
+            if rng.random() < 0.7:
+                text = text[:at] + pieces[rng.integers(len(pieces))] + text[at:]
+            else:
+                text = text[:at] + text[at + int(rng.integers(1, 4)):]
+        want = reference_gates(text)
+        try:
+            got = parse_circuit(text)
+        except CircuitParseError as exc:
+            if want[0] != "error":
+                gates, numbers = want
+                with pytest.raises(simulator.GateError) as rejected:
+                    Circuit(field_for(3), 3, ("s", "0", "s"), gates)
+                want = ("error", numbers[rejected.value.index])
+            assert exc.line == want[1], text
+            outcomes.add("error")
+            continue
+        assert want[0] != "error", text
+        assert got.gates == tuple(want[0]), text
+        outcomes.add("ok")
+    assert outcomes == {"ok", "error"}
+
+
 def test_graph_json_round_trip():
     fld = field_for(4)
     graph = make_graph_state(fld, [1, 3], [2, 4], [(1, 2, 1), (1, 4, 1), (3, 4, 1), (3, 2, 2)])
@@ -1026,26 +1134,46 @@ def test_rref_basics():
     assert len(mat_rref(fld, np.array([[2, 2, 1], [1, 1, 2]]))[1]) == 1  # second row = 2 * first
 
 
-@pytest.mark.parametrize("d", [2, 3, 4, 5, 7, 8, 9, 257, 512])
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 7, 8, 9, 127, 131, 256, 257, 512])
 def test_rref_stack_matches_scalar_oracle(d):
+    # rows packed in bytes up to GF(256) and GF(127); _eliminate over GF(9), GF(131), GF(257) and GF(512)
     fld = field_for(d)
+    assert packs_in_bytes(fld) == (d not in (9, 131, 257, 512))
     rng = np.random.default_rng(d)
+    mats = [np.zeros(shape, dtype=np.int64) for shape in [(0, 4), (3, 0), (0, 3), (2, 0), (0, 0), (3, 5)]]
     for rows, cols in [(3, 5), (4, 4), (5, 3), (1, 6), (6, 1)]:
-        mats = [np.zeros((rows, cols), dtype=np.int64)]
         for rank in range(1, min(rows, cols) + 1):  # a rank-r product has rank at most r
             coeffs = rng.integers(0, d, size=(rows, rank))
             basis = rng.integers(0, d, size=(rank, cols))
             mats.append(scalar_matmul(fld, coeffs, basis))
-        for mat in mats:
-            before = mat.copy()
-            got, pivots = mat_rref(fld, mat)
-            assert np.array_equal(mat, before)  # the input is not modified
-            want, want_pivots = scalar_rref(fld, mat)
-            assert np.array_equal(got, want)
-            assert pivots == want_pivots
-    for shape in [(0, 4), (3, 0), (0, 3), (2, 0)]:
-        rref, pivots = mat_rref(fld, np.zeros(shape, dtype=np.int64))
-        assert rref.shape == shape and pivots == []
+    for rows, cols in [(1, 1), (2, 7), (12, 30), (30, 12)]:
+        mats.append(rng.integers(0, d, size=(rows, cols)))
+        # rank-deficient: a scaled copy and a repeated copy of other rows, shuffled in
+        basis = rng.integers(0, d, size=(max(rows - 2, 1), cols))
+        dependent = np.concatenate([basis, fld.mul_arr(int(rng.integers(1, d)), basis[:1]), basis[-1:]])
+        mats.append(dependent[rng.permutation(len(dependent))])
+    for mat in mats:
+        before = mat.copy()
+        got, pivots = mat_rref(fld, mat)
+        assert np.array_equal(mat, before)  # the input is not modified
+        want, want_pivots = scalar_rref(fld, mat)
+        assert got.dtype == np.int64 and got.shape == mat.shape and np.array_equal(got, want)
+        assert pivots == want_pivots
+        assert np.array_equal(got, _rref_eliminate(fld, mat)[0])
+
+
+@pytest.mark.parametrize("d", [2, 3, 256])
+def test_rref_packed_matches_eliminate_past_one_machine_word(d):
+    # rows of 300 bytes, and more rows than columns
+    fld = field_for(d)
+    rng = np.random.default_rng(d)
+    for rows, cols in [(150, 300), (300, 150)]:
+        mat = rng.integers(0, d, size=(rows, cols))
+        mat[rows // 2 :] = fld.mul_arr(mat[: rows - rows // 2], 1 + rng.integers(0, d - 1, size=(rows - rows // 2, 1)))
+        got, pivots = mat_rref(fld, mat)
+        want, want_pivots = _rref_eliminate(fld, mat)
+        assert np.array_equal(got, want) and pivots == want_pivots
+        assert len(pivots) <= rows - rows // 2
 
 
 def test_entries_range_checked_at_entry_points():

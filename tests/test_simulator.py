@@ -28,6 +28,7 @@ from quditgraph.simulator import (
     StateVector,
     _run_raw,
     bipartition_subsets,
+    int_column,
     parse_state,
     reduced_density_raw,
     sequence_source_map,
@@ -285,6 +286,23 @@ def test_gate_errors_name_the_first_bad_gate():
         assert (err.value.index, str(err.value)) == (index, message)
         with pytest.raises(ValueError, match=re.escape(message)):
             run_gates(init_state(fld, 3, ["s", "0", "0"]), gates)
+
+
+@pytest.mark.parametrize("big", [2 ** 63, 2 ** 64, -2 ** 63 - 1])
+def test_columns_keep_values_past_int64_exact(big):
+    # beside small ints, a value past int64 turns its column into exact Python ints, not floats
+    cols = GateColumns.from_gates([Gate("C", (1, 2), 1), Gate("C", (1, 2), big), Gate("A", (2,), 2)])
+    assert cols.param.dtype == object and cols.param.tolist() == [1, big, 2]
+    assert cols.wire1.dtype == np.int64 and cols.wire1.tolist() == [1, 1, 2]
+    assert int_column([1, 2]).dtype == np.int64 and int_column([]).dtype == np.int64
+    with pytest.raises(GateError) as err:
+        validate_gates(field_for(3), 2, cols)
+    assert (err.value.index, str(err.value)) == (1, f"parameter {big} out of range for order-3 field")
+    # the wire checks come before the parameter's, whatever the width of the values
+    wired = GateColumns.from_gates([Gate("C", (1, 2), 1), Gate("C", (big, 2), big)])
+    with pytest.raises(GateError) as err:
+        validate_gates(field_for(3), 2, wired)
+    assert (err.value.index, str(err.value)) == (1, f"wire {big} out of range 1..2")
 
 
 def test_fourier_matrix_is_built_once_per_field_and_read_only():
