@@ -13,7 +13,9 @@ one array call; a case drawn twice is rewritten once, and every draw
 counts as checked.  Each field's JSON report gives "decided_by":
 "affine-rows".  --fields takes comma-separated decimal field orders, and
 names a bad entry in its usage error; --seed takes a non-negative decimal
-integer, whichever fields it is read for.
+integer, whichever fields it is read for.  Every integer argument, classify's
+N and make-mes's d included, is ASCII decimal (gf._ascii_int): '+', '_' and
+digits of other scripts are usage errors.
 normalize --verify decides exactly, comparing the circuit's nonzero
 amplitudes with the graph's kets.
 """
@@ -34,7 +36,7 @@ import numpy as np
 from .classify import classify
 from .duality import verify_dual_equivalence
 from .entangle import build_mes, mes_verdict
-from .gf import Field
+from .gf import Field, _ascii_int
 from .rewrite import (
     CircuitParseError,
     canonicalize,
@@ -100,14 +102,32 @@ def _field_arg(text: str) -> Field:
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
+def _int_arg(text: str) -> int:
+    """classify N and make-mes d: ASCII decimal with an optional '-' (_ascii_int); the verb checks the range."""
+    try:
+        return _ascii_int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
+
+
+def _unsigned_arg(text: str, message: str) -> int:
+    """_int_arg without the '-': any other text is a usage error carrying message."""
+    if text.startswith("-"):
+        raise argparse.ArgumentTypeError(message)
+    try:
+        return _int_arg(text)
+    except argparse.ArgumentTypeError:
+        raise argparse.ArgumentTypeError(message) from None
+
+
 def _fields_arg(text: str) -> list[Field]:
-    """--fields: comma-separated field orders; a bad entry is named in the usage error."""
+    """--fields: comma-separated field orders (ASCII, spaces allowed); a bad entry is named in the usage error."""
     fields = []
     for entry in text.split(","):
-        if not (entry.isascii() and entry.strip().isdigit()):
-            raise argparse.ArgumentTypeError(f"entry {entry!r} is not a decimal field order")
+        message = f"entry {entry!r} is not a decimal field order"
+        order = _unsigned_arg(entry.strip() if entry.isascii() else entry, message)
         try:
-            fields.append(Field.of_order(int(entry)))
+            fields.append(Field.of_order(order))
         except ValueError as exc:
             raise argparse.ArgumentTypeError(str(exc)) from exc
     return fields
@@ -115,9 +135,7 @@ def _fields_arg(text: str) -> list[Field]:
 
 def _seed_arg(text: str) -> int:
     """--seed: a non-negative ASCII decimal integer, checked here because only fields past order 5 read it."""
-    if not (text.isascii() and text.isdecimal()):
-        raise argparse.ArgumentTypeError(f"{text!r} is not a non-negative decimal integer")
-    return int(text)
+    return _unsigned_arg(text, f"{text!r} is not a non-negative decimal integer")
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_normalize)
 
     p = sub.add_parser("classify", help="enumerate and classify graph states at small N")
-    p.add_argument("n", type=int)
+    p.add_argument("n", type=_int_arg)
     p.add_argument("--field", type=_field_arg, required=True, metavar="'p n [poly]'")
     p.add_argument("--format", choices=["json", "text"], default="json")
     p.set_defaults(func=cmd_classify)
@@ -263,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify_mes)
 
     p = sub.add_parser("make-mes", help="construct a maximally entangled 4-party state")
-    p.add_argument("d", type=int)
+    p.add_argument("d", type=_int_arg)
     p.add_argument("--output", help="write the state dump to this path")
     p.set_defaults(func=cmd_make_mes)
 

@@ -126,6 +126,19 @@ def irreducible_polynomials(p: int, n: int) -> list[tuple[int, ...]]:
     return [poly for poly in _monic(p, n) if is_irreducible(poly, p)]
 
 
+def _ascii_int(text: str) -> int:
+    """An optional '-' and ASCII decimal digits as an int; int()'s '+', '_' and other scripts raise ValueError.
+
+    The one reader of the integers a user writes: field descriptors, the
+    header and gate lines of a circuit file, dump headers and the CLI's
+    integer arguments.
+    """
+    digits = text[1:] if text.startswith("-") else text
+    if not (digits.isascii() and digits.isdecimal()):
+        raise ValueError(f"{text!r} is not an ASCII decimal integer")
+    return int(text)
+
+
 def _field_order(p: int, n: int) -> int:
     """p^n, or ValueError unless p is prime, n >= 1 and p^n <= ORDER_LIMIT."""
     if not all(isinstance(v, (int, np.integer)) for v in (p, n)) or n < 1:
@@ -360,7 +373,7 @@ class Field:
         parts = text.split()
         if len(parts) not in (2, 3):
             raise ValueError(f"field descriptor must be 'p n [poly_index]', got {text!r}")
-        p, n, *index = (int(v) for v in parts)
+        p, n, *index = map(_ascii_int, parts)
         if index and not 0 <= index[0] < _field_order(p, n):
             raise ValueError(f"polynomial index {index[0]} out of range in field descriptor {text!r}")
         return cls(p, n, _poly_from_index(index[0], p, n) if index else None)

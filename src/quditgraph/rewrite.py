@@ -290,18 +290,16 @@ def _rref_packed(fld: Field, m: np.ndarray) -> tuple[np.ndarray, list[int]]:
     return rref, pivots
 
 
-def affine_update(fld: Field, rows: np.ndarray, kind: str, wires: Sequence, param) -> None:
-    """Apply A/D/C/W gates of one kind in place to rows [M; b] of shape (..., k + 1, N).
+def affine_update(fld: Field, rows: np.ndarray, kind: str, wires: Sequence[int], param) -> None:
+    """Apply one A/D/C/W gate in place to rows [M; b] of shape (..., k + 1, N).
 
     Each (k + 1) x N matrix holds the k coefficient rows and then the offset
     row of an affine image x -> xM + b, so a gate updates whole wire columns.
-    wires holds the 1-based wire numbers, scalars for one gate or (L,) arrays
-    for L gates acting at once: every column is read before any is written,
-    and no two of the gates may write the same wire.  param is None, a
-    scalar, or an array that broadcasts against (..., L) or (..., 1), such
-    as (batch, 1) for a (batch, k + 1, N) stack: one parameter per matrix.
-    Nothing is range-checked; callers validate the gates first.  H and V
-    gates have no affine form and raise ValueError.
+    wires holds the gate's 1-based wire numbers.  param is None, a scalar,
+    or an array that broadcasts against (..., 1), such as (batch, 1) for a
+    (batch, k + 1, N) stack: one parameter per matrix.  Nothing is
+    range-checked; callers validate the gate first.  H and V gates have no
+    affine form and raise ValueError.
     """
     if kind == "C":
         m, n = wires[0] - 1, wires[1] - 1
@@ -319,57 +317,8 @@ def affine_update(fld: Field, rows: np.ndarray, kind: str, wires: Sequence, para
         raise ValueError(f"{kind} gate has no affine representation")
 
 
-def _check_affine(columns: GateColumns) -> None:
-    """ValueError naming the first H or V gate: neither has an affine form."""
-    affine = np.isin(columns.kind, (KIND_A, KIND_D, KIND_C, KIND_W))
-    if not affine.all():
-        raise ValueError(f"{GATE_KINDS[columns.kind[affine.argmin()]]} gate has no affine representation")
-
-
-def asap_layers(columns: GateColumns, n_qudits: int) -> list[GateColumns]:
-    """Split validated A/D/C/W gates into ASAP layers, each a GateColumns with its C gates first.
-
-    A gate goes into the first layer after the last write of any wire it
-    reads or writes, and not before the last read of any wire it writes.
-    Every gate reads the wires it writes; a C gate also reads its control.
-    No wire is then written twice in a layer, nor written before a read of
-    the same layer that came earlier in time.  Only a C gate reads a wire it
-    does not write, so with the C gates updated first every gate of a layer
-    reads the columns as they stood before it: applying the layers in order
-    gives the same rows as applying the gates in order.  SymbolicState.apply
-    takes this path for the fields whose elements do not pack into bytes
-    (packs_in_bytes): odd prime powers p^n with n >= 2, primes from 131 and
-    GF(2^m) with m >= 9.  An H or V gate raises ValueError, as it has no
-    affine form.
-    """
-    _check_affine(columns)
-    last_write = [0] * (n_qudits + 1)  # layers count from 1; 0 is before the first
-    last_read = [0] * (n_qudits + 1)
-    layer = []
-    for kind, a, b in zip(columns.kind.tolist(), columns.wire1.tolist(), columns.wire2.tolist()):
-        if kind == KIND_C:  # reads a and b, writes b; the branch of C-only circuits, kept free of calls
-            at = (last_write[a] if last_write[a] > last_write[b] else last_write[b]) + 1
-            if last_read[b] > at:
-                at = last_read[b]
-            last_write[b] = at
-            if last_read[a] < at:
-                last_read[a] = at
-        elif kind == KIND_W:  # reads and writes a and b
-            at = max(last_write[a] + 1, last_write[b] + 1, last_read[a], last_read[b])
-            last_write[a] = last_write[b] = at
-        else:  # A or D: reads and writes a
-            at = max(last_write[a] + 1, last_read[a])
-            last_write[a] = at
-        layer.append(at)
-    layer = np.array(layer, dtype=np.int64)
-    order = np.lexsort((np.where(columns.kind == KIND_C, -1, columns.kind), layer))  # layer, kind (C first), time
-    ordered = columns[order]
-    bounds = [0, *(np.flatnonzero(np.diff(layer[order])) + 1).tolist(), len(order)]
-    return [ordered[start:stop] for start, stop in zip(bounds, bounds[1:]) if stop > start]
-
-
 def packs_in_bytes(fld: Field) -> bool:
-    """Whether SymbolicState.apply tracks fld gate by gate on byte-packed columns.
+    """Whether SymbolicState.apply tracks fld on byte-packed columns (else one affine_update per gate).
 
     An element must fit in a byte, and adding two packed columns must be one
     integer operation: XOR over GF(2^m) up to GF(256), integer addition over
@@ -492,33 +441,30 @@ class SymbolicState:
         return SymbolicState(self.field, self.n, self.matrix.copy(), self.offsets.copy())
 
     def apply(self, gates: GateList) -> "SymbolicState":
-        """Apply a time-ordered gate list in place.
+        """Apply a gate list in place, gate by gate in time order.
 
         The gates are checked once (validate_gates), and H and V gates, which
         have no affine form, raise ValueError, before any column changes.
-        The field alone picks one of two paths, with the same rows:
+        The field alone picks how a gate updates the columns, with the same
+        rows:
         - GF(2^m) up to GF(256) and prime fields up to GF(127)
-          (packs_in_bytes): gate by gate in time order, each wire's column
-          packed into one Python int, one byte per row (_track_packed).  A
-          gate is then one or two C-level operations whatever k and N are.
-        - every other field: an element does not fit in a byte, or a sum of
-          packed columns is not one integer operation.  Per ASAP layer
-          (asap_layers), one affine_update per gate kind, C gates first, so
-          every gate reads the columns as they stood before its layer.
+          (packs_in_bytes): each wire's column is packed into one Python int,
+          one byte per row (_track_packed), so a gate is one or two C-level
+          operations whatever k and N are.
+        - every other field, where an element does not fit in a byte or a
+          sum of packed columns is not one integer operation: one
+          affine_update per gate.
         """
         columns = validate_gates(self.field, self.n, gates)
-        _check_affine(columns)
+        affine = np.isin(columns.kind, (KIND_A, KIND_D, KIND_C, KIND_W))
+        if not affine.all():
+            raise ValueError(f"{GATE_KINDS[columns.kind[affine.argmin()]]} gate has no affine representation")
         if packs_in_bytes(self.field):
             _track_packed(self.field, self._rows, columns)
             return self
-        for layer in asap_layers(columns, self.n):
-            kind = layer.kind
-            bounds = [0, len(kind)]
-            if kind[0] != kind[-1]:  # more than one kind, each in one run
-                bounds[1:1] = (np.flatnonzero(kind[1:] != kind[:-1]) + 1).tolist()
-            for start, stop in zip(bounds, bounds[1:]):
-                group = layer[start:stop]
-                affine_update(self.field, self._rows, GATE_KINDS[kind[start]], (group.wire1, group.wire2), group.param)
+        for kind, a, b, x in zip(columns.kind.tolist(), columns.wire1.tolist(), columns.wire2.tolist(),
+                                 columns.param.tolist()):
+            affine_update(self.field, self._rows, GATE_KINDS[kind], (a, b), x)
         return self
 
     def support(self) -> SupportState:
@@ -991,7 +937,7 @@ def parse_circuit(text: str) -> Circuit:
             elif stage == 1:
                 if parts[0] != "qudits" or len(parts) != 2:
                     raise CircuitParseError("expected 'qudits N'", lineno)
-                n_qudits = int(parts[1])
+                n_qudits = _ascii_int(parts[1])
                 if n_qudits < 1:
                     raise CircuitParseError("qudit count must be positive", lineno)
                 stage = 2

@@ -41,7 +41,7 @@ from typing import Iterable, Optional, Sequence, Union
 import numpy as np
 
 from . import kernels
-from .gf import Field
+from .gf import Field, _ascii_int  # _ascii_int re-exported for rewrite
 
 STATE_SIZE_LIMIT = 2 ** 24
 DEFAULT_TOL = 1e-10
@@ -609,14 +609,6 @@ def dump_state(state: SupportState, header: Sequence[str] = ()) -> str:
     for ket, a in zip(kets, state.amps.tolist()):
         lines.append(f"{ket} {a.real!r} {a.imag!r}")
     return "\n".join(lines) + "\n"
-
-
-def _ascii_int(text: str) -> int:
-    """An optional '-' and ASCII decimal digits as an int; int()'s '+', '_' and other scripts raise ValueError."""
-    digits = text[1:] if text.startswith("-") else text
-    if not (digits.isascii() and digits.isdecimal()):
-        raise ValueError(text)
-    return int(text)
 
 
 def _parse_header(raw: str, lineno: int) -> tuple[int, int]:

@@ -235,6 +235,11 @@ HEADER = "field 3 1 0\nqudits 3\ninit s 0 0\n"
     (HEADER + "C 1 2 1_0\n", 4, "argument '1_0' is not an ASCII decimal integer"),
     (HEADER + "C 1 2 \u0663\n", 4, "non-ASCII character '\u0663' outside a comment"),
     (HEADER + "C 1\xa02 1\n", 4, "non-ASCII character '\\xa0' outside a comment"),
+    # so are the numbers of the field and qudits lines
+    ("field 3 1 0\nqudits +2\ninit s 0\n", 2, "'+2' is not an ASCII decimal integer"),
+    ("field 3 1 0\nqudits \u0663\ninit s 0 0\n", 2, "'\u0663' is not an ASCII decimal integer"),
+    ("# a comment\nfield +3 1\nqudits 2\ninit s 0\n", 2, "'+3' is not an ASCII decimal integer"),
+    ("field 3 1_0\nqudits 2\ninit s 0\n", 1, "'1_0' is not an ASCII decimal integer"),
 ])
 @pytest.mark.parametrize("verb", ["normalize", "simulate"])
 def test_parse_errors_name_the_first_bad_line(tmp_path, capsys, verb, text, line, message):
@@ -572,6 +577,21 @@ def test_huge_field_orders_exit_2_at_once(tmp_path, capsys, p, n, poly):
         assert time.perf_counter() - t0 < 0.5, argv
         assert code == 2 and out == "", argv
         assert f"field order {p}^{n} exceeds supported limit 65536" in err, (argv, err)
+
+
+@pytest.mark.parametrize("argv, argument, value", [
+    (["classify", "+4", "--field", "2 1"], "n", "+4"),
+    (["classify", "\u0664", "--field", "2 1"], "n", "\u0664"),
+    (["classify", "3", "--field", "+2 1"], "--field", "+2"),
+    (["classify", "3", "--field", "2 1_0"], "--field", "1_0"),
+    (["make-mes", "5_0"], "d", "5_0"),
+    (["make-mes", "+5"], "d", "+5"),
+])
+def test_integer_arguments_are_ascii_decimal(capsys, argv, argument, value):
+    # int() reads each of these; a typo must not run as another number
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert f"argument {argument}: {value!r} is not an ASCII decimal integer" in err
 
 
 def test_dual_check_does_not_measure_the_field(tmp_path, capsys, monkeypatch):

@@ -253,6 +253,9 @@ def test_descriptor_errors():
         Field.from_descriptor("2")
     with pytest.raises(ValueError):
         Field.from_descriptor("2 2 9")  # poly index out of range
+    for text in ("+3 1", "3 1_0", "\u0663 1", "3 1 +0", "3 1.0"):  # int() reads all but the last
+        with pytest.raises(ValueError, match="is not an ASCII decimal integer"):
+            Field.from_descriptor(text)
 
 
 @pytest.mark.parametrize("p, n, text", [
