@@ -639,6 +639,36 @@ def canonicalize(circuit: Circuit) -> tuple[tuple[int, ...], GraphState]:
     return graph.s_wires + graph.o_wires, graph
 
 
+def pulls_back_to_register(circuit: Circuit, graph: GraphState) -> bool:
+    """Exact check that graph is the state of an A/D/C/W circuit, with no dense state and no size guard.
+
+    The graph's rows [I | B] and its zero offset row (to_symbolic) run
+    back through the circuit, the inverse of each gate in reverse time
+    order, one affine_update per gate: C(a) becomes C(-a), A(a) becomes
+    A(-a), D(a) becomes D(1/a), and W stays W.  The circuit's map is
+    invertible, so the pulled-back rows stay independent, and they span the
+    register's s wires, the offset lying in that span, exactly when the
+    graph state is the circuit's state.  So the answer is true exactly when
+    the graph has circuit.k sources and every pulled-back row, offset
+    included, is zero on the circuit's 0 wires.  A graph over another field
+    or wire count is false.  Over packs_in_bytes fields this shares no code
+    with SymbolicState.apply (_track_packed), which produced the graph, so a
+    defect of that path cannot cancel out; over the others both run
+    affine_update, which the tests check against dense simulation.  An H or
+    V gate raises ValueError.
+    """
+    fld, columns = circuit.field, circuit.columns
+    if graph.field != fld or graph.n != circuit.n_qudits or len(graph.s_wires) != circuit.k:
+        return False
+    rows = np.asfortranarray(graph.to_symbolic()._rows)  # each wire's column contiguous
+    inverse = np.where(columns.kind == KIND_D, fld.inv_table[columns.param], fld.neg_table[columns.param])
+    for kind, a, b, x in zip(columns.kind[::-1].tolist(), columns.wire1[::-1].tolist(),
+                             columns.wire2[::-1].tolist(), inverse[::-1].tolist()):
+        affine_update(fld, rows, GATE_KINDS[kind], (a, b), x)
+    zero = [q for q, token in enumerate(circuit.init) if token == "0"]
+    return not rows[:, zero].any()
+
+
 # ---------------------------------------------------------------------------
 # Pairwise rewrite rules
 # ---------------------------------------------------------------------------

@@ -12,6 +12,9 @@ import pytest
 import quditgraph
 from quditgraph import cli, graph_to_json_dict, kernels, make_graph_state, simulator
 from quditgraph.cli import main
+from quditgraph.rewrite import pulls_back_to_register
+
+from util import dense_verification
 
 EXAMPLE_CIRCUIT = """\
 field 2 2 3
@@ -122,11 +125,12 @@ def test_normalize_verify_mismatch_exit_1(tmp_path, capsys, monkeypatch, fmt):
         assert "verification: MISMATCH" in out
 
 
-def test_normalize_verify_decides_by_support_not_float_deviation(tmp_path, capsys, monkeypatch):
+def test_normalize_verify_decides_by_support_not_float_deviation(monkeypatch):
+    # the dense oracle of --verify decides by support; a float deviation is only reported
     from quditgraph import Circuit, StateVector
 
-    path = tmp_path / "example.qc"
-    path.write_text(EXAMPLE_CIRCUIT)
+    circuit = quditgraph.parse_circuit(EXAMPLE_CIRCUIT)
+    graph = quditgraph.canonicalize(circuit)[1]
     exact = Circuit.simulate
 
     def rounded(circuit):
@@ -134,42 +138,78 @@ def test_normalize_verify_decides_by_support_not_float_deviation(tmp_path, capsy
         return StateVector(state.field, state.n, state.amps * (1 + 1e-6))
 
     monkeypatch.setattr(Circuit, "simulate", rounded)
-    code, out, _ = run_cli(capsys, "normalize", str(path), "--verify")
-    assert code == 0
-    verification = json.loads(out)["verification"]
+    verification = dense_verification(circuit, graph)
     assert verification["equal"] is True
     assert 1e-8 < verification["max_deviation"] < 1e-6
+    assert pulls_back_to_register(circuit, graph)
 
 
-def test_normalize_verify_needs_the_full_support(tmp_path, capsys, monkeypatch):
+def test_normalize_verify_needs_the_full_support(monkeypatch):
     # a simulated state on one of the graph's d^k kets has no ket outside its support, yet differs
     from quditgraph import StateVector
 
-    path = tmp_path / "bell.qc"
-    path.write_text(BELL_CIRCUIT)
+    circuit = quditgraph.parse_circuit(BELL_CIRCUIT)
+    graph = quditgraph.canonicalize(circuit)[1]
     one_ket = lambda circuit: StateVector(circuit.field, 2, np.eye(1, 9, dtype=complex)[0])
     monkeypatch.setattr(quditgraph.Circuit, "simulate", one_ket)
-    code, out, _ = run_cli(capsys, "normalize", str(path), "--verify")
-    assert code == 1
-    verification = json.loads(out)["verification"]
+    verification = dense_verification(circuit, graph)
     assert verification["equal"] is False
     assert verification["max_deviation"] == pytest.approx(3 ** -0.5)
 
 
 def test_normalize_verify_builds_no_dense_graph_state(tmp_path, capsys, monkeypatch):
-    # the graph side of the comparison is its exact support, never a dense vector
-    from quditgraph import GraphState, SymbolicState
+    # neither side of the check is a dense vector: no simulation, no initial state, no graph state
+    from quditgraph import Circuit, GraphState, SymbolicState, rewrite
 
-    def refuse(self):
-        raise AssertionError("normalize --verify built a dense graph state")
+    def refuse(*args, **kwargs):
+        raise AssertionError("normalize --verify built a dense state")
 
     path = tmp_path / "example.qc"
     path.write_text(EXAMPLE_CIRCUIT)
     expected = run_cli(capsys, "normalize", str(path), "--verify")
     monkeypatch.setattr(SymbolicState, "dense_amps", refuse)
     monkeypatch.setattr(GraphState, "state", refuse)
+    monkeypatch.setattr(Circuit, "simulate", refuse)
+    for module in (simulator, rewrite):  # rewrite holds its own references to both
+        monkeypatch.setattr(module, "_run_raw", refuse)
+        monkeypatch.setattr(module, "init_state", refuse)
     assert run_cli(capsys, "normalize", str(path), "--verify") == expected
     assert expected[0] == 0
+    assert json.loads(expected[1])["verification"] == {"decided_by": "inverse-circuit", "equal": True}
+
+
+def test_normalize_verify_answers_past_the_dense_guard(tmp_path, capsys):
+    # 2^30 amplitudes: the dense check exited 3 here; the pull-back needs no state vector
+    rng = np.random.default_rng(30)
+    control = rng.integers(1, 31, size=600)
+    target = (control + rng.integers(1, 30, size=600) - 1) % 30 + 1
+    gates = "".join(f"C {m} {t} 1\n" for m, t in zip(control.tolist(), target.tolist()))
+    path = tmp_path / "wide30.qc"
+    path.write_text("field 2 1\nqudits 30\ninit " + " ".join("s0" * 15) + "\n" + gates)
+    code, out, err = run_cli(capsys, "normalize", str(path), "--verify")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["verification"] == {"decided_by": "inverse-circuit", "equal": True}
+
+
+def test_normalize_verify_catches_a_defect_of_the_forward_tracking(tmp_path, capsys, monkeypatch):
+    # C(a) tracked as C(2a) gives a wrong graph; the pull-back runs its own inverse gates, so it is not fooled
+    from quditgraph import rewrite
+    from quditgraph.simulator import KIND_C, GateColumns
+
+    real = rewrite._track_packed
+
+    def doubled(fld, rows, columns):
+        param = np.where(columns.kind == KIND_C, fld.mul_arr(2, columns.param), columns.param)
+        real(fld, rows, GateColumns(columns.kind, columns.wire1, columns.wire2, param))
+
+    path = tmp_path / "example.qc"
+    path.write_text(EXAMPLE_CIRCUIT)
+    monkeypatch.setattr(rewrite, "_track_packed", doubled)
+    circuit = quditgraph.parse_circuit(EXAMPLE_CIRCUIT)
+    assert dense_verification(circuit, quditgraph.canonicalize(circuit)[1])["equal"] is False
+    code, out, _ = run_cli(capsys, "normalize", str(path), "--verify")
+    assert code == 1
+    assert json.loads(out)["verification"] == {"decided_by": "inverse-circuit", "equal": False}
 
 
 def test_normalize_parse_error_exit_2(tmp_path, capsys):
@@ -254,9 +294,8 @@ NORMALIZE_GOLDEN = ["gf2", "gf3", "gf4", "gf9", "sinks", "wide48", "wide96"]  # 
 @pytest.mark.parametrize("fmt, ext", [("json", "json"), ("text", "txt"), ("dot", "dot")])
 @pytest.mark.parametrize("name", NORMALIZE_GOLDEN)
 def test_normalize_golden_output(capsys, name, fmt, ext):
-    # the wide circuits have 48 and 96 wires, past the dense guard, so they run without --verify
-    verify = [] if name.startswith("wide") else ["--verify"]
-    code, out, _ = run_cli(capsys, "normalize", str(DATA / "normalize" / f"{name}.qc"), "--format", fmt, *verify)
+    # every circuit is verified, the wide ones (48 and 96 wires) far past the dense guard included
+    code, out, _ = run_cli(capsys, "normalize", str(DATA / "normalize" / f"{name}.qc"), "--format", fmt, "--verify")
     assert code == 0
     assert out == (DATA / "normalize" / f"{name}.{ext}").read_text()
 
@@ -967,7 +1006,9 @@ def test_h_free_amplitudes_are_exact(tmp_path, capsys, field, init):
     assert code == 0 and simulator.parse_state(out).amps.tolist() == [d ** (-k / 2)] * d ** k
     path.write_text(c_only)
     code, out, _ = run_cli(capsys, "normalize", str(path), "--verify")
-    assert code == 0 and json.loads(out)["verification"] == {"equal": True, "max_deviation": 0.0}
+    assert code == 0 and json.loads(out)["verification"] == {"decided_by": "inverse-circuit", "equal": True}
+    circuit = quditgraph.parse_circuit(c_only)
+    assert dense_verification(circuit, quditgraph.canonicalize(circuit)[1]) == {"equal": True, "max_deviation": 0.0}
 
 
 @pytest.mark.parametrize("field, real", [("2 2", True), ("2 3", True), ("3 1", False), ("5 1", False)])

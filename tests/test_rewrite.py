@@ -33,12 +33,14 @@ from quditgraph.rewrite import (
     compare_sequences,
     mat_rref,
     packs_in_bytes,
+    pulls_back_to_register,
     relations_cases,
 )
 from quditgraph.simulator import sequence_source_map
 
 from util import (
     dense_amps_scatter,
+    dense_verification,
     field_for,
     ket_strings,
     random_c_circuit,
@@ -407,6 +409,114 @@ def test_canonicalize_errors():
         canonicalize(Circuit(fld, 2, ("0", "0"), ()))
     with pytest.raises(ValueError):
         canonicalize(Circuit(fld, 2, ("s", "0"), (Gate("H", (1,)),)))
+
+
+# ---------------------------------------------------------------------------
+# The pull-back check of normalize --verify
+# ---------------------------------------------------------------------------
+
+def label_changed(graph: GraphState, r: int, c: int) -> GraphState:
+    block = graph.block.copy()
+    block[r, c] = (block[r, c] + 1) % graph.field.d
+    return GraphState(graph.field, graph.s_wires, graph.o_wires, block)
+
+
+def source_and_sink_swapped(graph: GraphState, r: int, c: int) -> GraphState:
+    s_wires, o_wires = list(graph.s_wires), list(graph.o_wires)
+    s_wires[r], o_wires[c] = o_wires[c], s_wires[r]
+    return GraphState(graph.field, tuple(s_wires), tuple(o_wires), graph.block)
+
+
+def source_row_dropped(graph: GraphState, r: int) -> GraphState:
+    """The graph without source r's row: that wire becomes an edgeless sink, k - 1 sources are left."""
+    gone = graph.s_wires[r]
+    return make_graph_state(graph.field, set(graph.s_wires) - {gone}, {*graph.o_wires, gone},
+                            [edge for edge in graph.edges if edge[0] != gone])
+
+
+def under_dense_guard(circ: Circuit) -> bool:
+    return circ.field.d ** circ.n_qudits <= 1 << 24
+
+
+@pytest.mark.parametrize("name", ["gf2", "gf3", "gf4", "gf9", "sinks", "layout", "wide48", "wide96"])
+def test_pull_back_matches_the_dense_oracle_on_the_golden_circuits(name):
+    circ = parse_circuit((NORMALIZE_DATA / f"{name}.qc").read_bytes().decode())
+    graph = canonicalize(circ)[1]
+    wrong = label_changed(graph, 0, 0)
+    assert pulls_back_to_register(circ, graph) is True
+    assert pulls_back_to_register(circ, wrong) is False
+    if under_dense_guard(circ):
+        assert dense_verification(circ, graph)["equal"] is True
+        assert dense_verification(circ, wrong)["equal"] is False
+    else:
+        assert name.startswith("wide")
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 7, 8, 9, 131])
+def test_pull_back_matches_the_dense_oracle_on_random_c_circuits(d):
+    # GF(9) and GF(131) do not pack into bytes; the rest are tracked on packed columns
+    fld = field_for(d)
+    rng = np.random.default_rng(3200 + d)
+    max_n = max(n for n in range(2, 7) if d ** n <= 1 << 24)
+    rejected = 0
+    for _ in range(40 if d < 131 else 8):
+        n = int(rng.integers(2, max_n + 1))
+        k = int(rng.integers(1, n))
+        circ = random_c_circuit(fld, n, k, int(rng.integers(1, 3 * n)), rng)
+        graph = canonicalize(circ)[1]
+        other = canonicalize(Circuit(fld, n, circ.init, random_c_circuit(fld, n, k, 3 * n, rng).columns))[1]
+        r, c = int(rng.integers(k)), int(rng.integers(n - k))
+        candidates = [graph, label_changed(graph, r, c), source_and_sink_swapped(graph, r, c),
+                      source_row_dropped(graph, r), other]
+        for candidate in candidates:
+            equal = pulls_back_to_register(circ, candidate)
+            assert equal == dense_verification(circ, candidate)["equal"], (circ, candidate.edges)
+            rejected += not equal
+        assert pulls_back_to_register(circ, graph)
+    assert rejected > 0
+
+
+@pytest.mark.parametrize("name", ["gf3", "gf9", "sinks", "wide96"])
+def test_pull_back_rejects_a_label_a_swap_a_dropped_row_and_another_circuit(name):
+    circ = parse_circuit((NORMALIZE_DATA / f"{name}.qc").read_text())
+    graph = canonicalize(circ)[1]
+    rng = np.random.default_rng(len(name))
+    gates = random_c_circuit(circ.field, circ.n_qudits, circ.k, 4 * circ.n_qudits, rng).columns
+    other = canonicalize(Circuit(circ.field, circ.n_qudits, circ.init, gates))[1]
+    assert other != graph
+    (r, c), = np.argwhere(graph.block != 0)[:1]  # an edge, so that the swap moves a label
+    wrong = [label_changed(graph, 0, 0), source_and_sink_swapped(graph, r, c), source_row_dropped(graph, 0), other]
+    for candidate in wrong:
+        assert pulls_back_to_register(circ, candidate) is False
+        if under_dense_guard(circ):
+            assert dense_verification(circ, candidate)["equal"] is False
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 7, 9, 131])
+def test_pull_back_inverts_a_d_and_w_gates(d):
+    # an A/D/C/W circuit's state is its standard-form graph exactly when the residual shifts are zero
+    fld = field_for(d)
+    rng = np.random.default_rng(3300 + d)
+    max_n = max(n for n in range(2, 6) if d ** n <= 1 << 22)
+    seen = set()
+    for _ in range(60 if d < 131 else 10):
+        n = int(rng.integers(2, max_n + 1))
+        circ = random_cadw_circuit(fld, n, int(rng.integers(1, n)), int(rng.integers(1, 16)), rng)
+        graph, residual = SymbolicState.from_circuit(circ).standard_form()
+        equal = pulls_back_to_register(circ, graph)
+        assert equal == (not residual.any()) == dense_verification(circ, graph)["equal"]
+        seen.add(equal)
+    assert seen == {True, False}
+
+
+def test_pull_back_answers_false_for_another_field_or_wire_count_and_refuses_h_and_v():
+    circ = Circuit(field_for(3), 2, ("s", "0"), (Gate("C", (1, 2), 1),))
+    graph = canonicalize(circ)[1]
+    assert not pulls_back_to_register(circ, make_graph_state(field_for(5), [1], [2], [(1, 2, 1)]))
+    assert not pulls_back_to_register(circ, make_graph_state(field_for(3), [1], [2, 3], [(1, 2, 1)]))
+    for kind in ("H", "V"):
+        with pytest.raises(ValueError, match=f"{kind} gate has no affine representation"):
+            pulls_back_to_register(Circuit(circ.field, 2, circ.init, (Gate("C", (1, 2), 1), Gate(kind, (2,)))), graph)
 
 
 def test_cancelling_gates_produce_edgeless_graph():

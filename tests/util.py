@@ -160,6 +160,20 @@ def dense_amps_scatter(sym: SymbolicState) -> np.ndarray:
     return amps
 
 
+def dense_verification(circuit: Circuit, graph) -> dict:
+    """normalize --verify by dense simulation: the oracle for rewrite.pulls_back_to_register.
+
+    The graph's d^k kets are distinct, so equal supports decide; the
+    deviation of the amplitudes is for information.
+    """
+    amps = circuit.simulate().amps
+    support = graph.to_symbolic().support()
+    kets = ket_index(support.digits, support.d)
+    equal = bool(np.array_equal(np.flatnonzero(amps), kets))
+    amps[kets] -= support.amps
+    return {"equal": equal, "max_deviation": float(np.max(np.abs(amps)))}
+
+
 def dump_state_loop(amps: np.ndarray, d: int, n: int, header=()) -> str:
     """dump_state as one Python test per amplitude: the oracle for its vectorised form."""
     lines = [f"# quditgraph-state d={d} qudits={n}"]
