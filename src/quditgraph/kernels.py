@@ -20,9 +20,9 @@ for odd p.
 
 No kernel allocates a temporary the size of the state: the largest ones are
 the C gate's index, which is the size of the state only for the wire pair
-(1, N), and xor_gather's index of one 2^XOR_CHUNK_BITS chunk.  The
-permutation kernels are dtype-agnostic: run on an integer arange they
-return the gather map.  fourier keeps the dtype of its operands: a real
+(1, N), and xor_gather's index of one chunk, 1/64 of the state or 2^12
+amplitudes, whichever is larger.  The permutation kernels are
+dtype-agnostic: run on an integer arange they return the gather map.  fourier keeps the dtype of its operands: a real
 table on real amplitudes, as over characteristic 2, is a real dgemm.
 The permutation kernels call the ndarray.take method rather than np.take,
 whose wrapper overhead shows on tiny registers such as the dressed states
@@ -43,9 +43,11 @@ BACKEND = "numpy"
 # the cap also keeps the kron matrix at 32 x 32 entries or fewer.
 FOURIER_KRON_MAX = 32
 
-# xor_gather fills its output in chunks of 2^XOR_CHUNK_BITS amplitudes; the
-# chunk's index is its one temporary, 32 KiB of intp.
-XOR_CHUNK_BITS = 12
+# xor_gather fills its output in chunks of 1/64 of the state, and never of
+# fewer than 2^XOR_CHUNK_MIN_BITS amplitudes; the chunk's index is its one
+# temporary, 32 KiB of intp up to 2^18 amplitudes and 1/64 of the state past it.
+XOR_CHUNK_MIN_BITS = 12
+XOR_CHUNK_SHARE_BITS = 6
 
 
 def _pair_shape(size: int, d: int, stride_a: int, stride_b: int) -> tuple[int, ...]:
@@ -98,15 +100,17 @@ def xor_gather(amps, out, c, cols):
     """out[y] = amps[c ^ XOR of cols[j] over the set bits j of y], for len(cols) = log2(amps.size).
 
     The gather of an XOR-affine map of the index bits, which is what a run
-    of permutation gates over a field of characteristic 2 is.  The index of
-    the low XOR_CHUNK_BITS bits of y is built once by XOR doubling; the
-    output is then gathered chunk by chunk, each chunk of out fixing the
-    high bits of y.  The chunks are visited in Gray-code order, so stepping
-    to the next one flips one high bit and XORs one column into the index,
-    in place: the index never grows past one chunk.
+    of permutation gates over a field of characteristic 2 is.  A chunk is
+    1/2^XOR_CHUNK_SHARE_BITS of the state, but at least 2^XOR_CHUNK_MIN_BITS
+    amplitudes, so a 2^20 state takes 64 Python-level chunk steps, not
+    256.  The index of a chunk's low bits of y is built once by XOR
+    doubling; the output is then gathered chunk by chunk, each chunk of out
+    fixing the high bits of y.  The chunks are visited in Gray-code order,
+    so stepping to the next one flips one high bit and XORs one column into
+    the index, in place: the index never grows past one chunk.
     """
     src, dst = amps.reshape(-1), out.reshape(-1)
-    low = min(len(cols), XOR_CHUNK_BITS)
+    low = min(len(cols), max(XOR_CHUNK_MIN_BITS, len(cols) - XOR_CHUNK_SHARE_BITS))
     size = 1 << low
     idx = np.empty(size, dtype=np.intp)
     idx[0] = c

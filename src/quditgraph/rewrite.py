@@ -39,11 +39,14 @@ from .simulator import (
     KIND_W,
     StateVector,
     SupportState,
+    _SPACE_RANGES,
     _ascii_int,
     _run_raw,
     check_state_size,
+    in_ranges,
     init_state,
     int_column,
+    line_bytes,
     validate_gates,
 )
 
@@ -299,11 +302,18 @@ def affine_update(fld: Field, rows: np.ndarray, kind: str, wires: Sequence[int],
     or an array that broadcasts against (..., 1), such as (batch, 1) for a
     (batch, k + 1, N) stack: one parameter per matrix.  Nothing is
     range-checked; callers validate the gate first.  H and V gates have no
-    affine form and raise ValueError.
+    affine form and raise ValueError.  A C gate with the scalar label 1
+    adds the control column as it is, over characteristic 2 as one
+    in-place XOR; any other label, an array of them included, multiplies.
     """
     if kind == "C":
         m, n = wires[0] - 1, wires[1] - 1
-        rows[..., n] = fld.add_arr(rows[..., n], fld.mul_arr(param, rows[..., m]))
+        if not (isinstance(param, (int, np.integer)) and param == 1):
+            rows[..., n] = fld.add_arr(rows[..., n], fld.mul_arr(param, rows[..., m]))
+        elif fld.p == 2:
+            rows[..., n] ^= rows[..., m]
+        else:
+            rows[..., n] = fld.add_arr(rows[..., n], rows[..., m])
     elif kind == "A":
         q = wires[0] - 1
         rows[..., -1:, q] = fld.add_arr(rows[..., -1:, q], param)
@@ -911,19 +921,7 @@ def relations_suite(fld: Field, seed: int = 0, rhs_fn: Optional[Callable] = None
 
 # tokens on a gate line by kind code; code -1, an unknown kind, expects none
 _LINE_TOKENS = np.append(2 + KIND_TWO_WIRES + KIND_HAS_PARAM, 0)
-# str.splitlines' line breaks past ASCII, each turned into the one-byte break \v before encoding
-_UNICODE_BREAKS = dict.fromkeys((0x85, 0x2028, 0x2029), "\x0b")
 _INT64_DIGITS = 18  # a number of at most 18 digits is read in int64, a longer one by int()
-
-
-def _byte_set(chars: bytes) -> np.ndarray:
-    table = np.zeros(256, dtype=bool)
-    table[list(chars)] = True
-    return table
-
-
-_IS_BREAK = _byte_set(b"\n\r\x0b\x0c\x1c\x1d\x1e")  # str.splitlines' ASCII breaks, \r\n counting once
-_IS_WORD = ~(_IS_BREAK | _byte_set(b" \t\x1f"))  # bytes other than str.split's ASCII whitespace
 _KIND_OF_BYTE = np.full(256, -1, dtype=np.int64)  # kind code of a one-letter token, -1 for any other byte
 _KIND_OF_BYTE[list("".join(GATE_KINDS).encode())] = np.arange(len(GATE_KINDS))
 
@@ -941,10 +939,7 @@ def parse_circuit(text: str) -> Circuit:
     integer first, then a bad init entry, then the first gate that Circuit
     rejects.
     """
-    data = (text if text.isascii() else text.translate(_UNICODE_BREAKS)).encode("utf-8", "surrogatepass")
-    codes = np.frombuffer(data, dtype=np.uint8)
-    breaks = np.take(_IS_BREAK, codes)
-    breaks[:-1] &= (codes[:-1] != 13) | (codes[1:] != 10)  # of \r\n, the \n ends the line
+    data, codes, breaks = line_bytes(text)
     ends = np.flatnonzero(breaks)
     fld = None
     n_qudits = None
@@ -1012,7 +1007,7 @@ def _scan_gate_lines(codes: np.ndarray, breaks: np.ndarray) -> Optional[tuple[Ga
     count for its kind: _first_bad_gate_line names it.
     """
     bounds = np.flatnonzero(breaks)
-    word = np.take(_IS_WORD, codes)
+    word = ~in_ranges(codes, _SPACE_RANGES)
     hashes = np.flatnonzero(codes == ord("#"))
     if hashes.size:  # +1 at each line's first '#' and -1 at its break: a comment is where the sum is 1
         line = np.searchsorted(bounds, hashes)

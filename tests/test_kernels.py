@@ -24,7 +24,7 @@ import numpy as np
 import pytest
 
 from quditgraph import Gate, GateColumns, StateVector, fourier_matrix, run_gates, sequence_matrix
-from quditgraph.kernels import FOURIER_KRON_MAX, XOR_CHUNK_BITS, xor_gather
+from quditgraph.kernels import FOURIER_KRON_MAX, XOR_CHUNK_MIN_BITS, XOR_CHUNK_SHARE_BITS, xor_gather
 from quditgraph.simulator import _apply_gate_raw, _run_raw, _xor_source_map, gate_source_map, sequence_source_map
 
 from util import field_for, random_gate
@@ -175,7 +175,8 @@ def test_fused_source_maps_compose_oracle_maps(d, n):
 
 def test_xor_gather_matches_the_xor_of_columns():
     rng = np.random.default_rng(7)
-    for bits in (0, 3, XOR_CHUNK_BITS, XOR_CHUNK_BITS + 3):
+    # one chunk, several of the smallest size, and chunks of 1/64 of the state past 2^18
+    for bits in (0, 3, XOR_CHUNK_MIN_BITS, XOR_CHUNK_MIN_BITS + 3, XOR_CHUNK_MIN_BITS + XOR_CHUNK_SHARE_BITS + 2):
         cols = rng.integers(1 << bits, size=bits).tolist()
         c = int(rng.integers(1 << bits))
         y = np.arange(1 << bits)
@@ -225,6 +226,23 @@ def test_gate_kernels_allocate_no_state_sized_temporary():
             assert peak < index + slack, (gate, peak, index + slack)
     finally:
         tracemalloc.stop()
+
+
+def test_xor_gather_index_is_a_sixty_fourth_of_a_large_state():
+    bits = 20
+    rng = np.random.default_rng(3)
+    cols = rng.integers(1 << bits, size=bits).tolist()
+    amps = np.zeros(1 << bits)
+    out = np.empty_like(amps)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        xor_gather(amps, out, 0, cols)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    chunk = 8 << (bits - XOR_CHUNK_SHARE_BITS)  # intp entries of one chunk's index
+    assert chunk <= peak < chunk + 4096, peak
 
 
 def test_fused_run_allocates_no_state_sized_temporary():

@@ -174,6 +174,25 @@ def test_apply_matches_the_affine_update_oracle(d):
         assert np.array_equal(start.copy().apply(circ.columns)._rows, affine_oracle(start, circ.gates)._rows)
 
 
+@pytest.mark.parametrize("d", [2, 3, 4, 9, 131])
+def test_affine_update_adds_the_control_column_for_label_one(d):
+    # a scalar 1, as int or numpy integer, takes the addition alone; a 0-d or (batch, 1) array
+    # of ones still multiplies, so it is the oracle, and labels other than 1 are untouched
+    fld = field_for(d)
+    rng = np.random.default_rng(d)
+    stack = rng.integers(0, d, size=(3, 4, 6))
+    for param in (1, np.int64(1), 2 % d, d - 1):
+        for wires in ((1, 2), (6, 3)):
+            got, want = stack.copy(), stack.copy()
+            affine_update(fld, got, "C", wires, param)
+            affine_update(fld, want, "C", wires, np.array(param))
+            assert np.array_equal(got, want), (param, wires)
+    got = stack.copy()
+    affine_update(fld, got, "C", (2, 5), np.ones((3, 1), dtype=np.int64))
+    affine_update(fld, stack, "C", (2, 5), 1)
+    assert np.array_equal(got, stack)
+
+
 @pytest.mark.parametrize("bad, message", [
     (Gate("C", (1, 4), 1), "wire 4 out of range 1..3"),
     (Gate("D", (2,), 0), r"D\(0\) is not unitary"),

@@ -1,3 +1,4 @@
+import functools
 import math
 import re
 
@@ -7,6 +8,7 @@ import pytest
 from quditgraph import (
     Gate,
     ResourceGuardError,
+    build_mes,
     dump_state,
     fourier_matrix,
     gate_matrix,
@@ -38,6 +40,7 @@ from quditgraph.simulator import (
 from util import (
     dump_state_loop,
     field_for,
+    parse_state_loop,
     oracle_gate_matrix,
     oracle_sequence_matrix,
     random_cadw_circuit,
@@ -586,3 +589,197 @@ def test_dump_matches_the_per_amplitude_loop():
     for amps, d, n, header in cases:
         assert dump_state(support_of(amps, d, n, 1e-14), header) == dump_state_loop(amps, d, n, header)
     assert dump_state(support_of(zero, 2, 5)) == "# quditgraph-state d=2 qudits=5\n"
+
+
+# ---------------------------------------------------------------------------
+# The bulk dump reader against the per-line loop
+# ---------------------------------------------------------------------------
+
+def assert_parses_like_the_loop(text: str) -> None:
+    """parse_state returns parse_state_loop's kets, in order, with bitwise equal amplitudes, or raises its error."""
+    try:
+        want = parse_state_loop(text)
+    except (ValueError, ResourceGuardError) as exc:
+        with pytest.raises(Exception) as info:
+            parse_state(text)
+        assert (type(info.value), str(info.value)) == (type(exc), str(exc)), text[:300]
+        return
+    got = parse_state(text)
+    assert (got.d, got.n) == (want.d, want.n), text[:300]
+    assert got.digits.dtype == want.digits.dtype and np.array_equal(got.digits, want.digits), text[:300]
+    assert got.amps.dtype == want.amps.dtype and got.amps.tobytes() == want.amps.tobytes(), text[:300]
+
+
+ODD_TOKENS = [
+    "+1", "-0", "+0.5", "1_0", "0.5_0", "0_1", "\u0663", "\uff11", "0.\u0660", "\u0663,1",  # signs, '_', other scripts
+    "nan", "-nan", "NaN", "inf", "-inf", "Infinity", "1e400", "-1e400", "1e-400", "1" * 400, "9" * 5000,  # not finite, huge
+    "0x1p3", "1,0", "1,", ",", ",,", "0,0,0,0", "00,1,2,3", "1,,1,1", "#", "# quditgraph-state", "A", "z", "\x00",
+]
+SPACES = [" ", "\t", "\x1f", "\xa0", "\u3000", "\u2007", "\u200b", "\x00", "\x0b", "\x85"]
+BREAKS = ["\r", "\r\n", "\f", "\x0b", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029", "\x00", "\n\r", "\r\r\n"]
+DIGITS36 = "0123456789abcdefghijklmnopqrstuvwxyz"
+
+
+def _pick(rng: np.random.Generator, options: list):
+    return options[int(rng.integers(len(options)))]
+
+
+def _comma_ket(rng: np.random.Generator, ket: str) -> str:
+    """ket in the comma form, now and then with an odd piece: leading zeros, a digit short or over, a sign, a huge number."""
+    pieces = [str(DIGITS36.find(c)) if c in DIGITS36 else c for c in ket]
+    kind = int(rng.integers(7))
+    j = int(rng.integers(len(pieces)))
+    if kind == 1:
+        pieces[j] = "00" + pieces[j]
+    elif kind == 2:
+        del pieces[j]
+    elif kind == 3:
+        pieces.insert(j, _pick(rng, ["", "0", "36", "+1", "1_0", "1" * 5000]))
+    elif kind == 4:
+        pieces[j] = _pick(rng, ["36", "64", "-1", "+1", "\u0661", "", "1" * 5000])
+    return ",".join(pieces)
+
+
+def mutate_dump(text: str, rng: np.random.Generator) -> str:
+    """text with one seeded change: an odd token, an odd break, or a line deleted, repeated or added."""
+    lines = text.split("\n")
+    i = int(rng.integers(len(lines)))
+    kind = int(rng.integers(9))
+    if kind == 0:  # a token replaced
+        parts = lines[i].split(" ")
+        parts[int(rng.integers(len(parts)))] = _pick(rng, ODD_TOKENS)
+        lines[i] = " ".join(parts)
+    elif kind == 1:  # a character or token put inside a line
+        at = int(rng.integers(len(lines[i]) + 1))
+        lines[i] = lines[i][:at] + _pick(rng, ODD_TOKENS + SPACES + ["_", "+", "-", ",", "."]) + lines[i][at:]
+    elif kind == 2:  # one line break changed
+        return "".join(line + (_pick(rng, BREAKS) if k == i else "\n") for k, line in enumerate(lines))[:-1]
+    elif kind == 3:  # every line break changed
+        return _pick(rng, BREAKS).join(lines)
+    elif kind == 4:
+        del lines[i]
+    elif kind == 5:
+        lines.insert(int(rng.integers(len(lines) + 1)), lines[i])
+    elif kind == 6:  # a second header
+        lines.insert(int(rng.integers(len(lines) + 1)), _pick(rng, [lines[0], "# quditgraph-state d=2 qudits=1"]))
+    elif kind == 7:  # the separators of a line changed
+        lines[i] = _pick(rng, SPACES[:-4]) + lines[i].replace(" ", _pick(rng, SPACES[:7])) + _pick(rng, SPACES[:7])
+    elif lines[i] and not lines[i].startswith("#"):  # the ket of a line in the comma form
+        ket, _, rest = lines[i].partition(" ")
+        lines[i] = _comma_ket(rng, ket) + " " + rest
+    return "\n".join(lines)
+
+
+def _mes_dump(d: int) -> str:
+    built = build_mes(d)
+    return dump_state(built.state, header=[f"construction {built.construction}"])
+
+
+def _simulate_dump(d: int, n: int, seed: int) -> str:
+    """A dump as simulate writes it, of a random circuit with H gates: complex amplitudes past characteristic 2."""
+    fld = field_for(d)
+    rng = np.random.default_rng(seed)
+    gates = [random_gate(fld, n, rng) for _ in range(4 * n)]
+    state = run_gates(init_state(fld, n, ["0"] * n), gates)
+    kets = np.flatnonzero(np.abs(state.amps) > 1e-14)
+    return dump_state(simulator.SupportState(d, n, simulator.ket_digits(kets, d, n), state.amps[kets]))
+
+
+HAND_WRITTEN = [
+    "",
+    "\n\n",
+    "# quditgraph-state d=2 qudits=1\n",
+    "# quditgraph-state d=49 qudits=2\n10,2 1.0 0.0\n048,00 0.0 1.0\n",
+    "# quditgraph-state d=37 qudits=1\n36 1.0 0.0\n",
+    "# quditgraph-state d=4 qudits=2\n0,3 1.0 0.0\n03 1.0 0.0\n",  # one ket in both forms
+    "# quditgraph-state d=4 qudits=2\n0,3 1.0 0.0\n10 -0.0 -0.0\n2,2 0.5 -0.5\n",
+    "  # a comment\n\t# quditgraph-state d=3 qudits=2 note=x\n\n# another\n02 1 0\n# mid\n  11\t.5\x1f-.5  \n",
+    "#\xa0quditgraph-state d=2 qudits=1\n0 1.0 0.0\n",  # not the header: str.strip keeps the inner NBSP
+    "\u3000# quditgraph-state\xa0d=2\u2007qudits=1\n\u20000\xa01.0\u30000.0\n",
+    "# quditgraph-statex d=2 qudits=1\n0 1.0 0.0\n",
+    "0 1.0 0.0\n# quditgraph-state d=2 qudits=1\n",
+    "# quditgraph-state d=2 qudits=1\n# quditgraph-state d=2 qudits=1\n",
+    "# quditgraph-state d=2 qudits=1\n0 1.0 0.0 # trailing\n",
+    "# quditgraph-state d=2 qudits=2 d=2\n",
+    "# quditgraph-state d=1 qudits=1\n",
+    "# quditgraph-state d=2 qudits=0\n",
+    "# quditgraph-state d=3 qudits=1000000000000\n0 1 0\n",
+    "# quditgraph-state d=2 qudits=2\n00 1e400 0\n00 1 0\n",
+    "# quditgraph-state d=2 qudits=2\n00 1 0\n00 1e400 0\n",
+    "# quditgraph-state d=2 qudits=2\n00 1 0\n01 1 \u0660\n",
+    "# quditgraph-state d=50 qudits=2\n" + "1" * 5000 + ",1 1 0\n",
+    "# quditgraph-state d=37 qudits=1\n" + "9" * 30 + " 1 0\n",  # past int64
+    "# quditgraph-state d=50 qudits=2\n1,1 1 0\n" + "1" * 19 + ",1 1 0\n",
+    "# quditgraph-state d=50 qudits=2\n" + "0" * 5000 + "1,1 1 0\n0001,01 1 0\n",
+    "# quditgraph-state d=2 qudits=1\r\n0 1 0\r\n1 0 1\r",
+    "# quditgraph-state d=2 qudits=1\n0 1.0 0.0\x1c1 0.5 0.0\x1d\x1e\x85\u2028\u2029",
+]
+
+
+DUMPS = {f"mes{d}": functools.partial(_mes_dump, d) for d in (4, 5, 12, 32, 37, 64)}
+DUMPS |= {f"simulate GF({d})^{n}": functools.partial(_simulate_dump, d, n, 10 * d + n) for d, n in ((2, 9), (3, 5), (4, 4), (5, 3))}
+
+
+@pytest.mark.parametrize("source", sorted(DUMPS))
+def test_parse_state_matches_the_line_loop_under_mutation(source):
+    text = DUMPS[source]()
+    assert_parses_like_the_loop(text)
+    rng = np.random.default_rng(list(map(ord, source)))
+    for _ in range(60):
+        mutated = text
+        for _ in range(int(rng.integers(1, 4))):
+            mutated = mutate_dump(mutated, rng)
+        assert_parses_like_the_loop(mutated)
+
+
+@pytest.mark.parametrize("text", HAND_WRITTEN)
+def test_parse_state_matches_the_line_loop_on_hand_written_dumps(text):
+    assert_parses_like_the_loop(text)
+    rng = np.random.default_rng(len(text))
+    for _ in range(20):
+        assert_parses_like_the_loop(mutate_dump(text, rng))
+
+
+def test_dump_reads_back_across_line_break_styles():
+    text = _mes_dump(32)
+    state = parse_state(text)
+    for brk in ("\r\n", "\r", "\u2028", "\x85", "\f"):
+        copy = parse_state(text.replace("\n", brk))
+        assert np.array_equal(copy.digits, state.digits) and copy.amps.tobytes() == state.amps.tobytes()
+
+
+def test_bad_lines_past_a_thousand_are_named():
+    lines = _mes_dump(32).split("\n")
+    assert len(lines) > 1000
+    cases = [
+        (1000, lines[1000].replace(lines[1000].split()[0], "0w00", 1), "line 1001: bad basis index '0w00' for d=32, n=4"),
+        (1010, lines[3], f"line 1011: ket {lines[3].split()[0]!r} listed twice"),
+        (1020, lines[1020].split()[0] + " nan 0.0", "line 1021: amplitude (nan+0j) is not finite"),
+    ]
+    for at, line, message in cases:
+        text = "\n".join(lines[:at] + [line] + lines[at + 1 :])
+        with pytest.raises(ValueError, match=re.escape(message)):
+            parse_state(text)
+        assert_parses_like_the_loop(text)
+
+
+def test_line_bytes_splits_lines_as_str_splitlines():
+    rng = np.random.default_rng(2)
+    alphabet = ["a", "#", " ", "\t", "\x1f", "\xa0", "\u3000", "\xe9", "\U0001f600", *BREAKS]
+    for _ in range(300):
+        text = "".join(_pick(rng, alphabet) for _ in range(int(rng.integers(12))))
+        for translation in (simulator._UNICODE_BREAKS, simulator._STATE_TRANSLATION):
+            data, codes, breaks = simulator.line_bytes(text, translation)
+            ends = [-1, *np.flatnonzero(breaks).tolist(), len(data)]
+            lines = [data[a + 1 : b].decode("utf-8", "surrogatepass") for a, b in zip(ends, ends[1:])]
+            lines = [line.rstrip("\r") for line in lines[:-1]] + lines[-1:]  # the \r of a \r\n, before its break
+            want = text.translate(translation).splitlines()
+            assert lines[: len(want)] == want and "".join(lines[len(want) :]) == "", repr(text)
+
+
+def test_state_translation_maps_every_unicode_space():
+    spaces = {c for c in range(128, 0x110000) if chr(c).isspace()}
+    breaks = {c for c in spaces if len(f"a{chr(c)}b".splitlines()) == 2}
+    assert {c for c, to in simulator._STATE_TRANSLATION.items() if to == "\x0b"} == breaks
+    assert {c for c, to in simulator._STATE_TRANSLATION.items() if to == "\x1f"} == spaces - breaks
+

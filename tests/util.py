@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import cmath
 import functools
 
 import numpy as np
 
 from quditgraph import Circuit, Field, Gate, SupportState, SymbolicState, gate_matrix, sequence_matrix
-from quditgraph.simulator import ket_digits, ket_index
+from quditgraph.gf import _ascii_int
+from quditgraph.simulator import check_state_size, ket_digits, ket_index
 
 field_for = functools.cache(Field.of_order)
 
@@ -193,6 +195,62 @@ def dump_state_loop(amps: np.ndarray, d: int, n: int, header=()) -> str:
                 index = ",".join(str(r) for r in digits)
             lines.append(f"{index} {float(a.real)!r} {float(a.imag)!r}")
     return "\n".join(lines) + "\n"
+
+
+def parse_state_loop(text: str) -> SupportState:
+    """parse_state as one Python pass per line, with its checks, their order and their messages: the oracle for its bulk form."""
+    d = n = None
+    kets: dict[int, complex] = {}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        if line.startswith("#"):
+            if line.startswith("# quditgraph-state"):
+                if d is not None:
+                    raise ValueError(f"line {lineno}: second '# quditgraph-state' header")
+                pairs = [part.split("=") for part in raw.split()[2:]]
+                fields = dict(pair for pair in pairs if len(pair) == 2)
+                try:
+                    if len(fields) != len(pairs):
+                        raise ValueError
+                    d, n = _ascii_int(fields["d"]), _ascii_int(fields["qudits"])
+                except (KeyError, ValueError):
+                    raise ValueError(f"line {lineno}: dump header needs d=<integer> and qudits=<integer>, got {raw!r}") from None
+                if d < 2:
+                    raise ValueError(f"line {lineno}: dimension d={d} must be at least 2")
+                if n < 1:
+                    raise ValueError(f"line {lineno}: qudit count qudits={n} must be at least 1")
+                check_state_size(d, n)
+            continue
+        if d is None:
+            raise ValueError("state dump is missing its '# quditgraph-state d=.. qudits=..' header")
+        parts = line.split()
+        if len(parts) != 3:
+            raise ValueError(f"line {lineno}: expected 'index re im', got {raw!r}")
+        if d > 36 or "," in parts[0]:
+            vals = [int(v) if v.isascii() and v.isdecimal() else -1 for v in parts[0].split(",")]
+        else:
+            vals = ["0123456789abcdefghijklmnopqrstuvwxyz".find(c) for c in parts[0]]
+        if len(vals) != n or any(not 0 <= v < d for v in vals):
+            raise ValueError(f"line {lineno}: bad basis index {parts[0]!r} for d={d}, n={n}")
+        index = ket_index(vals, d)
+        if index in kets:
+            raise ValueError(f"line {lineno}: ket {parts[0]!r} listed twice")
+        re_im = parts[1] + parts[2]
+        try:
+            if not re_im.isascii() or "_" in re_im:
+                raise ValueError
+            amp = complex(float(parts[1]), float(parts[2]))
+        except ValueError:
+            raise ValueError(f"line {lineno}: amplitude needs re and im as ASCII numbers, got {raw!r}") from None
+        if not cmath.isfinite(amp):
+            raise ValueError(f"line {lineno}: amplitude {amp!r} is not finite")
+        kets[index] = amp
+    if d is None:
+        raise ValueError("state dump is missing its '# quditgraph-state d=.. qudits=..' header")
+    digits = ket_digits(np.array(list(kets), dtype=np.int64), d, n)
+    return SupportState(d, n, digits, np.array(list(kets.values()), dtype=np.complex128))
 
 
 def oracle_gate_matrix(fld: Field, n_wires: int, gate: Gate) -> np.ndarray:
