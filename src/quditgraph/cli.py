@@ -20,6 +20,10 @@ normalize --verify decides exactly, with no dense state and so at any size:
 it runs the graph's rows back through the inverse circuit
 (rewrite.pulls_back_to_register), and its JSON gives "decided_by":
 "inverse-circuit".
+simulate is exact over GF(2^m), from the affine-quadratic form
+(simulator.quadratic_form_support), and dense over an odd p; on both lanes
+an output past the ket guard (simulator.check_ket_count) exits 3 before
+any ket is listed.
 """
 
 from __future__ import annotations
@@ -49,7 +53,15 @@ from .rewrite import (
     pulls_back_to_register,
     relations_suite,
 )
-from .simulator import ResourceGuardError, SupportState, dump_state, ket_digits, parse_state
+from .simulator import (
+    ResourceGuardError,
+    SupportState,
+    check_ket_count,
+    dump_state,
+    ket_digits,
+    parse_state,
+    quadratic_form_support,
+)
 
 EXIT_OK = 0
 EXIT_FALSE = 1
@@ -242,9 +254,15 @@ def cmd_relations_test(args) -> int:
 
 def cmd_simulate(args) -> int:
     circuit = parse_circuit(Path(args.circuit).read_text())
-    state = circuit.simulate()
-    kets = np.flatnonzero(np.abs(state.amps) > 1e-14)  # smaller is residue of odd-p H or of cancellation, not a ket
-    print(dump_state(SupportState(state.d, state.n, ket_digits(kets, state.d, state.n), state.amps[kets])), end="")
+    fld, n = circuit.field, circuit.n_qudits
+    if fld.p == 2:
+        state = quadratic_form_support(fld, n, circuit.init, circuit.columns)
+    else:
+        amps = circuit.simulate().amps
+        kets = np.flatnonzero(np.abs(amps) > 1e-14)  # smaller is residue of odd-p H, not a ket
+        check_ket_count(len(kets), n)
+        state = SupportState(fld.d, n, ket_digits(kets, fld.d, n), amps[kets])
+    print(dump_state(state), end="")
     return EXIT_OK
 
 

@@ -16,7 +16,9 @@ a contiguous view of the state that writes straight into `out`:
 Over a field of characteristic 2 a whole run of permutation gates is one
 XOR-affine map of the index bits, and xor_gather applies it in one pass,
 chunk by chunk; the simulator uses the single-gate permutation kernels only
-for odd p.
+for odd p.  The CLI simulates a circuit over characteristic 2 with no
+kernel (simulator.quadratic_form_support), so there the kernels serve the
+dense oracles only.
 
 No kernel allocates a temporary the size of the state: the largest ones are
 the C gate's index, which is the size of the state only for the wire pair

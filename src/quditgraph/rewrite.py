@@ -42,6 +42,7 @@ from .simulator import (
     _SPACE_RANGES,
     _ascii_int,
     _run_raw,
+    check_ket_count,
     check_state_size,
     in_ranges,
     init_state,
@@ -478,12 +479,12 @@ class SymbolicState:
         return self
 
     def support(self) -> SupportState:
-        """The d^k kets uM + b (u in F^k), ascending, each of the float64 amplitude d^(-k/2), under the d^n guard.
+        """The d^k kets uM + b (u in F^k), ascending, each of the float64 amplitude d^(-k/2), under the ket guard.
 
         Dependent rows repeat a ket, once per u that reaches it; SupportState.dense adds repeats up.
         """
         fld, d, n, k = self.field, self.field.d, self.n, self.k
-        check_state_size(d, n)
+        check_ket_count(d ** k, n)
         digits = self.offsets[:, None]  # (n, d^i) after i rows, one column per (u_1..u_i), u_1 slowest
         for row in self.matrix:
             digits = fld.add_arr(digits[:, :, None], fld.mul_arr(row[:, None, None], np.arange(d))).reshape(n, -1)
@@ -491,7 +492,8 @@ class SymbolicState:
         return SupportState(d, n, digits[:, np.lexsort(digits[::-1])], amps)
 
     def dense_amps(self) -> np.ndarray:
-        """Reconstruct the dense amplitude vector."""
+        """Reconstruct the dense amplitude vector, under the d^n guard before any ket is listed."""
+        check_state_size(self.field.d, self.n)
         return self.support().dense()
 
     def standard_form(self) -> tuple["GraphState", np.ndarray]:

@@ -1,4 +1,4 @@
-"""Dense state-vector simulation of N-qudit registers over GF(p^n).
+"""State-vector simulation of N-qudit registers over GF(p^n): dense, and exact over characteristic 2.
 
 Basis states are indexed by base-d digit strings with qudit 1 as the most
 significant digit, so a ket like |0 2 1 1> at d = 4 is amplitude index
@@ -28,6 +28,13 @@ construction: under every gate but H, and under H over characteristic 2,
 where omega = -1 exactly.  _run_raw promotes a real state to complex128
 once, before its first pass, when the field is odd and the run holds an H;
 parsed dumps and other complex input stay complex128.
+
+Over characteristic 2 a circuit's state is an affine-quadratic form on the
+index bits (_QuadraticForm), which quadratic_form_support tracks exactly
+at the cost of the gates and the output kets; the CLI's simulate reads it
+for every GF(2^m) circuit.  There the dense lane serves the oracles only
+(Circuit.simulate, run_gates, the gather maps and operators); over an odd
+p it is the simulation.
 """
 
 from __future__ import annotations
@@ -35,6 +42,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from itertools import compress
 from typing import Iterable, Optional, Sequence, Union
@@ -262,6 +270,20 @@ def check_state_size(d: int, n: int) -> None:
         raise ResourceGuardError(f"state of {d}**{n} amplitudes exceeds the 2^24 guard")
 
 
+# The memory a state's kets may take on their way to a dump.  dump_state
+# peaks at 211 + 11.6 n bytes per ket of n wires (tracemalloc, n = 4..256);
+# the (n, K) int64 digits and one temporary of their size add 16 n, so
+# check_ket_count counts 256 + 24 n bytes per ket.
+KET_BYTES_LIMIT = 2 ** 30
+
+
+def check_ket_count(kets: int, n: int) -> None:
+    """Raise ResourceGuardError before the digits of this many kets of n wires are built, if they pass KET_BYTES_LIMIT."""
+    if kets * (256 + 24 * n) > KET_BYTES_LIMIT:
+        count = kets if kets.bit_length() <= 64 else f"2^{kets.bit_length() - 1} or more"
+        raise ResourceGuardError(f"{count} kets of {n} wires exceed the {KET_BYTES_LIMIT >> 20} MiB ket guard")
+
+
 def init_state(field: Field, n_qudits: int, pattern: Sequence[str]) -> StateVector:
     """Tensor product of |s> (uniform superposition) and |0> factors, as float64 amplitudes.
 
@@ -371,33 +393,223 @@ def _xor_source_map(field: Field, n: int, run: GateColumns) -> tuple[int, list[i
         C(a) from w to t L[:, w] ^= L[:, t] M_a^T
         V on w           the columns of wire w reversed
         W on w and t     the column blocks of w and t exchanged
-    cols are the columns of L packed into integers, bit r holding row r.
+    cols are the columns of L as Python ints, bit r holding row r, and c is
+    one too, so a map of any number of index bits is exact; each update is a
+    few XORs of them.
     """
     m = field.n
-    lin = np.eye(m * n, dtype=np.int64)
-    c = np.zeros(m * n, dtype=np.int64)
+    cols = [1 << i for i in range(m * n)]
+    c = 0
     kind, wire1, wire2, param = run.arrays
     # one mul_matrix call for the whole run: M_{1/a} for D, M_a for C, unused for the rest
-    mats = field.mul_matrix(np.where(kind == KIND_D, field.inv_arr(param), param)).swapaxes(1, 2)
+    mats = field.mul_matrix(np.where(kind == KIND_D, field.inv_arr(param), param)).tolist()
 
-    def block(wire: int) -> slice:
-        return slice(m * (n - wire), m * (n - wire + 1))
+    def xor(picked: Iterable[int]) -> int:
+        return functools.reduce(operator.xor, picked, 0)
 
     for k, w1, w2, a, mat in zip(kind.tolist(), wire1.tolist(), wire2.tolist(), param.tolist(), mats):
-        w = block(w1)
-        if k == KIND_A:
-            c ^= lin[:, w] @ field.digits[a] % 2
-        elif k == KIND_D:
-            lin[:, w] = lin[:, w] @ mat % 2
+        w, t = m * (n - w1), m * (n - w2)  # the first columns of the wires' blocks
+        if k == KIND_A:  # over characteristic 2, bit i of a is its coefficient c_i
+            c ^= xor(compress(cols[w : w + m], [a >> i & 1 for i in range(m)]))
+        elif k == KIND_D:  # column i of the block M^T is the XOR of the columns k with M[i][k] = 1
+            cols[w : w + m] = [xor(compress(cols[w : w + m], row)) for row in mat]
         elif k == KIND_C:
-            lin[:, w] ^= lin[:, block(w2)] @ mat % 2
+            cols[w : w + m] = [col ^ xor(compress(cols[t : t + m], row)) for col, row in zip(cols[w : w + m], mat)]
         elif k == KIND_V:
-            lin[:, w] = lin[:, w][:, ::-1]  # numpy copies an overlapping right-hand side first
+            cols[w : w + m] = cols[w : w + m][::-1]
         else:  # W
-            t = block(w2)
-            lin[:, w], lin[:, t] = lin[:, t], lin[:, w].copy()
-    weights = 1 << np.arange(m * n, dtype=np.int64)
-    return int(c @ weights), (weights @ lin).tolist()
+            cols[w : w + m], cols[t : t + m] = cols[t : t + m], cols[w : w + m]
+    return c, cols
+
+
+# ---------------------------------------------------------------------------
+# Exact states over characteristic 2
+# ---------------------------------------------------------------------------
+
+FORM_BITS_LIMIT = 2 ** 15  # index bits m * n of a form: its M, Q and source maps hold a few (m n)^2 bits
+
+
+def _bits(x: int) -> Iterable[int]:
+    """The positions of the set bits of x, ascending."""
+    while x:
+        low = x & -x
+        yield low.bit_length() - 1
+        x ^= low
+
+
+class _QuadraticForm:
+    """A state over GF(2^m) as an affine-quadratic form on its m * n index bits:
+
+        psi(x) = 2^(-r/2) sum over u in Z_2^r of [x = b ^ M u] (-1)^(c0 + lin.u + sum_{i<j} Q_ij u_i u_j)
+
+    with bit i of wire w at m * (n - w) + i, as in _xor_source_map.  M has
+    full column rank, so the 2^r kets are distinct and each carries
+    +-2^(-r/2).  cols are the columns of M as Python ints, quad the rows of
+    the symmetric zero-diagonal Q and linear the vector lin, with bit j
+    standing for u_j; offset is b and sign is c0.
+    """
+
+    def __init__(self, field: Field, n: int, init: Sequence[str]):
+        m = field.n
+        if m * n > FORM_BITS_LIMIT:
+            raise ResourceGuardError(f"a form of {m * n} index bits exceeds the 2^15-bit guard")
+        self.field, self.n = field, n
+        self.cols = [1 << (m * (n - w) + i) for w, token in enumerate(init, start=1) if token == "s" for i in range(m)]
+        self.quad = [0] * len(self.cols)
+        self.linear = self.offset = self.sign = 0
+
+    def permute(self, run: GateColumns) -> None:
+        """Apply a run of A/D/C/V/W gates: M <- L M and b <- L b ^ c.
+
+        x -> L x ^ c, the map taking each ket to its image, is the source map
+        of the inverse run: the gates reversed, every D label inverted.
+        """
+        back = run[::-1]
+        param = np.where(back.kind == KIND_D, self.field.inv_arr(back.param), back.param)
+        c, lin = _xor_source_map(self.field, self.n, GateColumns(back.kind, back.wire1, back.wire2, param))
+
+        def image(x: int) -> int:
+            out = 0
+            while x:
+                low = x & -x
+                out ^= lin[low.bit_length() - 1]
+                x ^= low
+            return out
+
+        self.cols = list(map(image, self.cols))
+        self.offset = image(self.offset) ^ c
+
+    def hadamard(self, t: int) -> None:
+        """H on index bit t: psi(x) -> 2^(-1/2) sum over z of (-1)^(x_t z) psi(x with bit t set to z).
+
+        Column operations leave column j alone with bit t.  If M_rest e_j
+        is in the span of the other columns, u_j is summed out ("delta"):
+        column j is reduced to e_t, row t of M becomes Q_j, b_t becomes
+        lin_j and r shrinks by 1.  Otherwise ("fixed"), or when no column
+        has bit t, x_t becomes a new variable v with q += v (u_j + b_t), or
+        q += v b_t, and r grows by 1.
+        """
+        cols, quad = self.cols, self.quad
+        bit = 1 << t
+        b_t = self.offset >> t & 1
+        self.offset &= ~bit
+        hit = [j for j, col in enumerate(cols) if col & bit]
+        v = len(cols)
+        if hit:
+            j = hit[0]
+            for k in hit[1:]:
+                self._add_column(k, j)
+            combo = self._combination(cols[j] ^ bit, j)
+            if combo is not None:  # delta: the sum over u_j is 2 [x_t = lin_j + Q_j.u]
+                for i in _bits(combo):
+                    self._add_column(j, i)
+                row, lin_j = quad[j], self.linear >> j & 1
+                for i in _bits(row):
+                    cols[i] |= bit
+                self.offset |= lin_j << t
+                self.sign ^= b_t & lin_j
+                if b_t:
+                    self.linear ^= row
+                self._drop(j)
+                return
+            cols[j] ^= bit
+            quad[j] |= 1 << v
+            quad.append(1 << j)
+        else:
+            quad.append(0)
+        cols.append(bit)
+        self.linear |= b_t << v
+
+    def _add_column(self, k: int, j: int) -> None:
+        """Column k += column j, and u_j -> u_j + u_k in q: the state is unchanged."""
+        quad = self.quad
+        self.cols[k] ^= self.cols[j]
+        self.linear ^= ((self.linear >> j ^ quad[j] >> k) & 1) << k  # Q_jk u_j u_k gains Q_jk u_k^2 = Q_jk u_k
+        row = quad[j] & ~(1 << k)
+        quad[k] ^= row
+        for i in _bits(row):
+            quad[i] ^= 1 << k
+
+    def _combination(self, target: int, skip: int) -> Optional[int]:
+        """The variables other than skip whose columns XOR to target, as a bitmask; None outside their span."""
+        basis: dict[int, tuple[int, int]] = {}  # lowest set bit -> (vector, variables), by elimination
+
+        def reduce(vec: int, combo: int) -> tuple[int, int]:
+            while vec and (vec & -vec) in basis:
+                low, used = basis[vec & -vec]
+                vec, combo = vec ^ low, combo ^ used
+            return vec, combo
+
+        for i, col in enumerate(self.cols):
+            if i != skip:
+                vec, combo = reduce(col, 1 << i)
+                basis[vec & -vec] = vec, combo  # vec != 0: the columns are independent
+        vec, combo = reduce(target, 0)
+        return None if vec else combo
+
+    def _drop(self, j: int) -> None:
+        """Remove variable j, whose column and terms are gone, and renumber those past it."""
+        low = (1 << j) - 1
+
+        def squeeze(x: int) -> int:
+            return x >> 1 & ~low | x & low
+
+        del self.cols[j], self.quad[j]
+        self.quad[:] = map(squeeze, self.quad)
+        self.linear = squeeze(self.linear)
+
+    def support(self) -> SupportState:
+        """The 2^r kets, ascending as SymbolicState.support lists them, each of the float64 amplitude +-2.0 ** (-r/2).
+
+        Kets and signs are built by doubling, entry u + 2^j being entry u
+        with u_j = 1, under the ket guard; each ket is n per-wire digits.
+        """
+        m, n, r = self.field.n, self.n, len(self.cols)
+        check_ket_count(1 << r, n)
+        size = (m * n + 7) // 8
+        raw = np.frombuffer(b"".join(x.to_bytes(size, "little") for x in (self.offset, *self.cols)), dtype=np.uint8)
+        bits = np.unpackbits(raw.reshape(r + 1, size), axis=1, count=m * n, bitorder="little")
+        # row 0 the digits of b, row j + 1 those of column j; wire w's m bits start at m * (n - w)
+        digits = (bits.reshape(r + 1, n, m) @ (1 << np.arange(m)))[:, ::-1]
+        kets = np.empty((n, 1 << r), dtype=np.int64)
+        signs = np.empty(1 << r, dtype=np.uint8)
+        kets[:, 0], signs[0] = digits[0], self.sign
+        u = np.arange(1 << r)
+        for j in range(r):
+            s = 1 << j
+            np.bitwise_xor(kets[:, :s], digits[j + 1][:, None], out=kets[:, s : 2 * s])
+            # q(u + 2^j) - q(u) = lin_j + sum over i < j of Q_ij u_i
+            flip = (np.bitwise_count(u[:s] & (self.quad[j] & (s - 1))) & 1) ^ (self.linear >> j & 1)
+            np.bitwise_xor(signs[:s], flip, out=signs[s : 2 * s])
+        # lexsort on the wires' digits, as many wires to an int64 key as fit in 62 bits
+        per = max(1, 62 // m)
+        weights = 1 << m * np.arange(per - 1, -1, -1)
+        order = np.lexsort([weights[per - len(chunk) :] @ chunk for chunk in np.split(kets, range(per, n, per))][::-1])
+        amp = 2.0 ** (-r / 2)
+        return SupportState(2 ** m, n, kets[:, order], np.where(signs[order], -amp, amp))
+
+
+def quadratic_form_support(field: Field, n: int, init: Sequence[str], cols: GateColumns) -> SupportState:
+    """The exact kets of validated gates over GF(2^m) run on an s/0 register, from one _QuadraticForm.
+
+    Each run of gates between H gates is one permute, each H one hadamard
+    per bit of its wire (over characteristic 2 the Fourier gate is the
+    Hadamard on each coefficient bit).  The cost is that of the gates and
+    the output kets, not of the 2^(m n) amplitudes.
+    """
+    if field.p != 2:
+        raise ValueError(f"the affine-quadratic form needs characteristic 2, not {field.p}")
+    form = _QuadraticForm(field, n, init)
+    m, start = field.n, 0
+    for h in [*np.flatnonzero(cols.kind == KIND_H).tolist(), len(cols)]:
+        if h > start:
+            form.permute(cols[start:h])
+        if h < len(cols):
+            w = int(cols.wire1[h])
+            for i in range(m):
+                form.hadamard(m * (n - w) + i)
+        start = h + 1
+    return form.support()
 
 
 # ---------------------------------------------------------------------------
@@ -609,12 +821,20 @@ def in_ranges(codes: np.ndarray, ranges: Sequence[tuple[int, int]]) -> np.ndarra
 def line_bytes(text: str, translation: dict = _UNICODE_BREAKS) -> tuple[bytes, np.ndarray, np.ndarray]:
     """(data, codes, breaks): the UTF-8 bytes of text, as bytes and as uint8, and the mask of the bytes ending its lines.
 
-    A text that is not ASCII is translated first; the translation must turn
-    every line break past ASCII into \v and keep every other character one
-    character, so the lines of data are those of text.splitlines(), in
-    order.  The one line split of the circuit and state formats.
+    A text that is not ASCII is translated, as text.translate(translation)
+    would be; the translation must turn every line break past ASCII into \v
+    and keep every other character one character, so the lines of data are
+    those of text.splitlines(), in order.  It is applied to the encoded
+    bytes, one bytes.replace per code point that the text holds: UTF-8 is
+    self-synchronizing, so a character's sequence matches nowhere but at
+    that character.  The one line split of the circuit and state formats.
     """
-    data = (text if text.isascii() else text.translate(translation)).encode("utf-8", "surrogatepass")
+    data = text.encode("utf-8", "surrogatepass")
+    if not text.isascii():
+        for code, to in translation.items():
+            char = chr(code)
+            if char in text:
+                data = data.replace(char.encode(), to.encode())
     codes = np.frombuffer(data, dtype=np.uint8)
     breaks = in_ranges(codes, _BREAK_RANGES)
     breaks[:-1] &= (codes[:-1] != 13) | (codes[1:] != 10)  # of \r\n, the \n ends the line

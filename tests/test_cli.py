@@ -994,6 +994,33 @@ def test_simulate_init_s_s_prints_exact_halves(tmp_path, capsys):
     assert code == 0 and out.splitlines()[1:] == ["00 0.5 0.0", "01 0.5 0.0", "10 0.5 0.0", "11 0.5 0.0"]
 
 
+@pytest.mark.parametrize("body, want", [
+    ("qudits 1\ninit 0\nH 1\nH 1\n", ["0 1.0 0.0"]),  # H^2 = I exactly, not 0.9999999999999998
+    ("qudits 1\ninit 0\nH 1\n", ["0 0.7071067811865476 0.0", "1 0.7071067811865476 0.0"]),  # 2.0 ** -0.5
+    ("qudits 2\ninit s 0\nC 1 2 1\nH 1\n", ["00 0.5 0.0", "01 0.5 0.0", "10 0.5 0.0", "11 -0.5 0.0"]),
+])
+def test_simulate_over_characteristic_2_prints_exact_amplitudes(tmp_path, capsys, body, want):
+    path = tmp_path / "h.qc"
+    path.write_text("field 2 1\n" + body)
+    code, out, _ = run_cli(capsys, "simulate", str(path))
+    assert code == 0 and out.splitlines()[1:] == want
+
+
+@pytest.mark.parametrize("n", [25, 64, 1024])
+def test_simulate_over_characteristic_2_has_no_amplitude_guard(tmp_path, capsys, n):
+    # the form costs its 8 output kets, not 2^n amplitudes; init s on every wire is over the ket guard at once
+    path = tmp_path / "wide.qc"
+    gates = f"H 1\nH {n}\nC 1 {n} 1\nC {n} 1 1\nW 1 {n}\nH 12\n"
+    path.write_text(f"field 2 1\nqudits {n}\ninit {' '.join('0' * n)}\n{gates}")
+    code, out, _ = run_cli(capsys, "simulate", str(path))
+    assert code == 0 and len(out.splitlines()) == 9
+    path.write_text(f"field 2 1\nqudits {n}\ninit {' '.join('s' * n)}\n{gates}")
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "simulate", str(path))
+    assert (code, out) == (3, "") and "ket guard" in err
+    assert time.perf_counter() - start < 1.0
+
+
 @pytest.mark.parametrize("field, init", [("2 1", "s s s 0"), ("3 1", "s s 0 0"), ("2 2", "s 0 s 0"),
                                          ("5 1", "s s s 0"), ("3 2 1", "0 s s 0")])
 def test_h_free_amplitudes_are_exact(tmp_path, capsys, field, init):

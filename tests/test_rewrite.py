@@ -117,8 +117,12 @@ def test_support_lists_the_affine_kets(d):
         index = np.ravel_multi_index(tuple(support.digits), (d,) * n)
         assert support.amps.size == d ** k and np.all(np.diff(index) > 0)
         assert np.all(support.amps == d ** (-k / 2))
-    with pytest.raises(ResourceGuardError):  # the dense guard on d^n, before any ket is listed
-        SymbolicState.from_pattern(fld, ("s",) + ("0",) * 24).support()
+    with pytest.raises(ResourceGuardError, match="ket guard"):  # the ket guard on d^k, before any ket is listed
+        SymbolicState.from_pattern(fld, ("s",) * 40).support()
+    wide = SymbolicState.from_pattern(fld, ("s",) + ("0",) * 24)  # past the d^n guard, d kets
+    assert wide.support().digits.shape == (25, d)
+    with pytest.raises(ResourceGuardError, match="2\\^24 guard"):  # dense_amps keeps the d^n guard
+        wide.dense_amps()
 
 
 def test_support_of_dependent_rows_sums_repeated_kets():

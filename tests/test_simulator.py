@@ -1,13 +1,16 @@
 import functools
 import math
 import re
+import time
 
 import numpy as np
 import pytest
 
 from quditgraph import (
+    Field,
     Gate,
     ResourceGuardError,
+    SymbolicState,
     build_mes,
     dump_state,
     fourier_matrix,
@@ -783,3 +786,114 @@ def test_state_translation_maps_every_unicode_space():
     assert {c for c, to in simulator._STATE_TRANSLATION.items() if to == "\x0b"} == breaks
     assert {c for c, to in simulator._STATE_TRANSLATION.items() if to == "\x1f"} == spaces - breaks
 
+
+
+# ---------------------------------------------------------------------------
+# Exact states over characteristic 2
+# ---------------------------------------------------------------------------
+
+def form_kets(fld, n: int, init, gates) -> tuple[np.ndarray, np.ndarray, int]:
+    """(ket indices, amplitudes, r) of quadratic_form_support, its amplitudes checked to be +-2^(-r/2) exactly."""
+    support = simulator.quadratic_form_support(fld, n, init, validate_gates(fld, n, gates))
+    r = support.amps.size.bit_length() - 1
+    assert support.amps.size == 1 << r and support.digits.shape == (n, 1 << r)
+    assert np.all(np.abs(support.amps) == 2.0 ** (-r / 2))
+    return simulator.ket_index(support.digits, fld.d), support.amps, r
+
+
+@pytest.mark.parametrize("d", [2, 4, 8, 16])
+def test_quadratic_form_matches_dense_simulation(d):
+    # every gate kind, random registers: the same kets as the dense 1e-14 support, ascending, and the same signs
+    fld = field_for(d)
+    rng = np.random.default_rng(700 + d)
+    widest = {2: 9, 4: 5, 8: 3, 16: 3}[d]
+    for _ in range(300):
+        n = int(rng.integers(1, widest + 1))
+        init = ["s" if rng.random() < 0.5 else "0" for _ in range(n)]
+        gates = [random_gate(fld, n, rng) for _ in range(int(rng.integers(0, 4 * n + 3)))]
+        dense = run_gates(init_state(fld, n, init), gates).amps
+        kets, amps, _ = form_kets(fld, n, init, gates)
+        assert np.array_equal(kets, np.flatnonzero(np.abs(dense) > 1e-14))
+        assert np.array_equal(np.sign(amps), np.sign(dense[kets]))
+        assert np.max(np.abs(dense[kets] - amps)) < 1e-12
+
+
+@pytest.mark.parametrize("field, n, init, gates, want", [
+    # no column has the bit: H|0> and, with b_t = 1, H|1>
+    ("2 1", 1, "0", [Gate("H", (1,))], {0: 1, 1: 1}),
+    ("2 1", 1, "0", [Gate("A", (1,), 1), Gate("H", (1,))], {0: 1, 1: -1}),
+    ("2 1", 2, "00", [Gate("H", (2,))], {0: 1, 1: 1}),
+    # delta: the one column is e_t, so H H|0> = |0> and H H|1> = |1>, with r back at 0
+    ("2 1", 1, "0", [Gate("H", (1,)), Gate("H", (1,))], {0: 1}),
+    ("2 1", 1, "0", [Gate("A", (1,), 1), Gate("H", (1,)), Gate("H", (1,))], {1: 1}),
+    # delta with b_t = lin_j = 1, a global sign: X H X H|0> = -|1>
+    ("2 1", 1, "0", [Gate("A", (1,), 1), Gate("H", (1,)), Gate("A", (1,), 1), Gate("H", (1,))], {1: -1}),
+    # delta after column operations: H on both halves of a Bell pair reaches |00> + |11> again
+    ("2 1", 2, "s0", [Gate("C", (1, 2), 1), Gate("H", (1,)), Gate("H", (2,))], {0: 1, 3: 1}),
+    # delta whose row Q_j meets b_t = 1: the fixed case below, shifted on wire 1, then H on wire 1 again
+    ("2 1", 2, "s0", [Gate("C", (1, 2), 1), Gate("H", (1,)), Gate("A", (1,), 1), Gate("H", (1,))], {0: 1, 3: -1}),
+    # fixed: H on one half of a Bell pair, one minus sign on |11>
+    ("2 1", 2, "s0", [Gate("C", (1, 2), 1), Gate("H", (1,))], {0: 1, 1: 1, 2: 1, 3: -1}),
+    # GF(4): one H acts on both bits of the wire, |2> -> (|0> + |1> - |2> - |3>)/2
+    ("2 2", 1, "0", [Gate("A", (1,), 2), Gate("H", (1,))], {0: 1, 1: 1, 2: -1, 3: -1}),
+])
+def test_quadratic_form_hand_cases(field, n, init, gates, want):
+    fld = Field.from_descriptor(field)
+    kets, amps, r = form_kets(fld, n, list(init), gates)
+    assert dict(zip(kets.tolist(), np.sign(amps).astype(int).tolist())) == want
+    assert 1 << r == len(want)
+    dense = run_gates(init_state(fld, n, list(init)), gates).amps
+    assert np.max(np.abs(dense[kets] - amps)) < 1e-12
+
+
+@pytest.mark.parametrize("d, n, k", [(2, 64, 3), (4, 64, 2), (2, 1024, 3)])
+def test_quadratic_form_past_sixty_four_index_bits(d, n, k):
+    # adjacent H w; H w pairs are the identity over characteristic 2, so the kets are those the symbolic
+    # tracking lists for the circuit without them, all of amplitude d^(-k/2)
+    fld = field_for(d)
+    rng = np.random.default_rng(n + d)
+    circuit = random_cadw_circuit(fld, n, k, 4 * n, rng)
+    gates = list(circuit.gates)
+    for at in sorted(rng.choice(len(gates) + 1, size=40, replace=False).tolist(), reverse=True):
+        wire = gates[at - 1].wires[-1] if at and rng.random() < 0.5 else int(rng.integers(n)) + 1
+        gates[at:at] = [Gate("H", (wire,)), Gate("H", (wire,))]
+    support = simulator.quadratic_form_support(fld, n, circuit.init, validate_gates(fld, n, gates))
+    want = SymbolicState.from_circuit(circuit).support()
+    assert np.array_equal(support.digits, want.digits)
+    assert np.array_equal(support.amps, want.amps) and want.amps.size == d ** k
+
+
+def test_quadratic_form_refuses_before_listing_kets():
+    fld = field_for(2)
+    start = time.perf_counter()
+    with pytest.raises(ResourceGuardError, match=f"{2 ** 39} kets of 40 wires exceed the 1024 MiB ket guard"):
+        simulator.quadratic_form_support(fld, 40, ["s"] * 40, validate_gates(fld, 40, [Gate("H", (3,))]))
+    with pytest.raises(ResourceGuardError, match=r"2\^100 or more kets of 100 wires"):
+        simulator.quadratic_form_support(fld, 100, ["s"] * 100, validate_gates(fld, 100, []))
+    with pytest.raises(ResourceGuardError, match=r"a form of 32769 index bits exceeds the 2\^15-bit guard"):
+        simulator.quadratic_form_support(fld, 2 ** 15 + 1, ["0"] * (2 ** 15 + 1), validate_gates(fld, 1, []))
+    assert time.perf_counter() - start < 1.0
+    with pytest.raises(ValueError, match="characteristic 2"):
+        simulator.quadratic_form_support(field_for(3), 1, ["0"], validate_gates(field_for(3), 1, []))
+
+
+def test_ket_guard_counts_the_wires():
+    # 256 + 24 n bytes per ket against 2^30: the 25-wire GF(2) output of 2^24 kets is refused, 2^20 of 20 wires pass
+    simulator.check_ket_count(2 ** 20, 20)
+    for kets, n in ((2 ** 24, 25), (2 ** 22, 10), (3, 2 ** 30)):
+        with pytest.raises(ResourceGuardError, match=f"{kets} kets of {n} wires exceed the 1024 MiB ket guard"):
+            simulator.check_ket_count(kets, n)
+
+
+def test_line_bytes_translates_as_str_translate():
+    # the byte-level replacement gives the bytes of text.translate(...).encode(...) on any text
+    rng = np.random.default_rng(3)
+    pool = [*map(chr, simulator._STATE_TRANSLATION), "a", " ", "\n", "#", "\xe9", "⊗", "\U0001f600", "\ud800",
+            "€", "\u0085"]
+    for _ in range(500):
+        text = "".join(_pick(rng, pool) if rng.random() < 0.7 else chr(int(rng.integers(0x80, 0x3000)))
+                       for _ in range(int(rng.integers(30))))
+        for translation in (simulator._UNICODE_BREAKS, simulator._STATE_TRANSLATION):
+            data, codes, _ = simulator.line_bytes(text, translation)
+            assert data == text.translate(translation).encode("utf-8", "surrogatepass"), repr(text)
+            assert codes.tobytes() == data
