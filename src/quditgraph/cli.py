@@ -9,7 +9,9 @@ and every cut of verify-mes, use the one tolerance simulator.DEFAULT_TOL =
 1e-10, which their JSON reports as "tolerance".  relations-test checks each
 field up to order 5 on every case and each field past it on a fixed 1000
 random cases drawn from --seed, the rules and then both parameters each in
-one array call; a case drawn twice is rewritten once, and every draw
+one array call.  Each rule's right-hand side comes from the one rule table
+that commute_pair reads too (rewrite.RELATIONS), computed once over the
+rule's distinct cases; a case drawn twice is checked once, and every draw
 counts as checked.  Each field's JSON report gives "decided_by":
 "affine-rows".  --fields takes comma-separated decimal field orders, and
 names a bad entry in its usage error; --seed takes a non-negative decimal
@@ -31,9 +33,11 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 import traceback
 from itertools import chain
+from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from pathlib import Path
 
@@ -74,27 +78,55 @@ def _emit_json(obj) -> None:
     print(_json_text(obj))
 
 
+def _json_float(x: float) -> str:
+    """A float as json.dumps writes it: float.__repr__, or NaN, Infinity and -Infinity."""
+    if x != x:
+        return "NaN"
+    if x in (math.inf, -math.inf):
+        return "Infinity" if x > 0 else "-Infinity"
+    return float.__repr__(x)
+
+
+# leaf type -> its JSON text, as json.dumps writes it (ensure_ascii)
+_JSON_LEAVES = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    float: _json_float,
+    bool: lambda b: "true" if b else "false",
+    type(None): lambda _: "null",
+}
+
+
 def _json_text(obj, indent: str = "") -> str:
     """json.dumps(obj, indent=2, sort_keys=True), byte for byte, with its bulk written at C speed.
 
     indent is the indentation of the line obj starts on.  Dicts with string
-    keys and nonempty lists and tuples are written here; a list of ints is
-    one join, and a list of dicts with the same keys and int values
-    (graph edges) one format of a template per dict.  Everything else goes
-    to json.dumps, re-indented: JSON text holds no raw newline but those
-    between its lines.
+    keys, lists, tuples and the leaves of _JSON_LEAVES are written here,
+    each leaf by the function json itself uses for it; a list of ints is
+    one join, and a list of dicts with the same keys and int values (graph
+    edges) one format of a template per dict.  Everything else (a dict
+    with a key that is not a string, a numpy scalar) goes to json.dumps,
+    re-indented: JSON text holds no raw newline but those between its
+    lines.
     """
+    leaf = _JSON_LEAVES.get(type(obj))
+    if leaf is not None:
+        return leaf(obj)
     inner = indent + "  "
-    if type(obj) is dict and obj and all(type(key) is str for key in obj):
-        items = (f"{inner}{json.dumps(key)}: {_json_text(obj[key], inner)}" for key in sorted(obj))
+    if type(obj) is dict and all(type(key) is str for key in obj):
+        if not obj:
+            return "{}"
+        items = (f"{inner}{encode_basestring_ascii(key)}: {_json_text(obj[key], inner)}" for key in sorted(obj))
         return "{\n" + ",\n".join(items) + "\n" + indent + "}"
-    if type(obj) in (list, tuple) and obj:
+    if type(obj) in (list, tuple):
+        if not obj:
+            return "[]"
         types = set(map(type, obj))
         if types == {int}:
             body = inner + (",\n" + inner).join(map(int.__repr__, obj))
         elif types == {dict} and _same_int_records(obj):
             keys = sorted(obj[0])
-            fields = ",\n".join(inner + "  " + json.dumps(key).replace("%", "%%") + ": %d" for key in keys)
+            fields = ",\n".join(inner + "  " + encode_basestring_ascii(key).replace("%", "%%") + ": %d" for key in keys)
             template = inner + "{\n" + fields + "\n" + inner + "}"
             body = ",\n".join(map(template.__mod__, map(itemgetter(*keys), obj)))
         else:

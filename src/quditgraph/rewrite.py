@@ -16,10 +16,8 @@ sources, which makes the output deterministic and idempotent.
 from __future__ import annotations
 
 import functools
-from collections import Counter
 from dataclasses import dataclass
-from operator import itemgetter
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -165,9 +163,10 @@ def rank_exponents(fld: Field, blocks: np.ndarray, subsets: Sequence[Sequence[in
     by one _eliminate call into a table of pivot counts, and each sub-block's rank
     is read at its code, the base-d number of its entries in the oriented
     layout (last entry least significant, the order of np.indices).  Every
-    other sub-block (in classify the whole k x (N - k) block, and nearly all
-    of a batch of one) is reduced directly, its rank its pivot count.  So no
-    elimination stack is larger than the sub-blocks it ranks.  All 15625
+    other group (in classify the whole k x (N - k) block, and nearly all of
+    a batch of one) is reduced directly, all its sub-blocks of every
+    labelling stacked into one _eliminate call, each rank its pivot count.
+    So no elimination stack is larger than the sub-blocks it ranks.  All 15625
     2 x 3 blocks over GF(5) with N = 5 take about 17 ms on a 2-core Xeon, 60
     ms when each cut was eliminated over the whole stack.  Raises
     ValueError for an entry outside [0, d) or a wire outside 1..N.
@@ -200,17 +199,17 @@ def rank_exponents(fld: Field, blocks: np.ndarray, subsets: Sequence[Sequence[in
     entries = np.ascontiguousarray(blocks.reshape(batch, k * n_sinks).T)  # one row per entry of B
     ranks = np.zeros((2 * n_cuts, batch), dtype=np.min_scalar_type(min(k, n_sinks)))  # no e exceeds min(k, N - k)
     for (r, c), (slots, indices) in groups.items():
+        index = np.array(indices)  # (sub-blocks, r * c)
         if fld.d ** (r * c) <= len(slots) * batch:
             every = np.indices((fld.d,) * (r * c)).reshape(r * c, -1).T.reshape(-1, r, c)
             table = _eliminate(fld, every)[1].sum(axis=1)
-            index = np.array(indices)
             codes = entries[index[:, 0]]
             for e in range(1, r * c):
                 codes = codes * fld.d + entries[index[:, e]]
             ranks[slots] = table[codes]
         else:
-            for slot, index in zip(slots, indices):
-                ranks[slot] = _eliminate(fld, entries[index].T.reshape(batch, r, c))[1].sum(axis=1)
+            stack = entries[index].transpose(0, 2, 1).reshape(len(slots) * batch, r, c)
+            ranks[slots] = _eliminate(fld, stack)[1].sum(axis=1).reshape(len(slots), batch)
     exponents = ranks[:n_cuts]
     exponents += ranks[n_cuts:]
     return np.array(exponents.T, dtype=np.int64, order="C")
@@ -685,65 +684,107 @@ def pulls_back_to_register(circuit: Circuit, graph: GraphState) -> bool:
 # Pairwise rewrite rules
 # ---------------------------------------------------------------------------
 
+class Relation(NamedTuple):
+    """One rewrite rule: the operator product g1 * g2 (g2 acts first) on wires 1..n_wires and its equal product.
+
+    a ranges over range(lo[0], d) and b over range(lo[1], d): lo is 0 for
+    any element, 1 for a nonzero one.  lhs holds (kind, wires, "a" or "b")
+    of g1 and then of g2.  rhs(field, a, b) takes int64 arrays of the cases'
+    parameters, one entry per case, and returns the right-hand side as a
+    list of forms (where, factors): where is None (every case) or the
+    boolean mask of the cases the form holds for, and factors lists (kind,
+    wires, param) in operator order, param None or an array of one entry per
+    case, read only where its form holds.
+    """
+
+    n_wires: int
+    lo: tuple[int, int]
+    lhs: tuple[tuple[str, tuple[int, ...], str], tuple[str, tuple[int, ...], str]]
+    rhs: Callable[[Field, np.ndarray, np.ndarray], list]
+
+
+def _every(*factors) -> list:
+    """The one form of a right-hand side that holds for every case."""
+    return [(None, list(factors))]
+
+
+def _opposed_pair(f: Field, a: np.ndarray, b: np.ndarray) -> list:
+    """C(1,2)a * C(2,1)b: four factors where u = 1 + ab != 0, and where u = 0 (so b != 0) a swap and three."""
+    u = f.add_arr(1, f.mul_arr(a, b))
+    v = f.inv_arr(u)
+    return [(u != 0, [("D", (1,), v), ("D", (2,), u), ("C", (2, 1), f.mul_arr(u, b)), ("C", (1, 2), f.mul_arr(v, a))]),
+            (u == 0, [("W", (1, 2), None), ("D", (1,), a), ("D", (2,), b), ("C", (1, 2), f.inv_arr(b))])]
+
+
+# name -> Relation: the one record of each rule, read by commute_pair and relations_suite
+RELATIONS: dict[str, Relation] = {
+    "add_add_merge": Relation(1, (0, 0), (("A", (1,), "a"), ("A", (1,), "b")),
+                              lambda f, a, b: _every(("A", (1,), f.add_arr(a, b)))),
+    "scale_scale_merge": Relation(1, (1, 1), (("D", (1,), "a"), ("D", (1,), "b")),
+                                  lambda f, a, b: _every(("D", (1,), f.mul_arr(a, b)))),
+    "scale_add_exchange": Relation(1, (1, 0), (("D", (1,), "a"), ("A", (1,), "b")),
+                                   lambda f, a, b: _every(("A", (1,), f.mul_arr(a, b)), ("D", (1,), a))),
+    "cnot_control_add": Relation(2, (0, 0), (("C", (1, 2), "a"), ("A", (1,), "b")),
+                                 lambda f, a, b: _every(("A", (2,), f.mul_arr(a, b)), ("A", (1,), b), ("C", (1, 2), a))),
+    "cnot_target_add": Relation(2, (0, 0), (("C", (1, 2), "a"), ("A", (2,), "b")),
+                                lambda f, a, b: _every(("A", (2,), b), ("C", (1, 2), a))),
+    "cnot_control_scale": Relation(2, (0, 1), (("C", (1, 2), "a"), ("D", (1,), "b")),
+                                   lambda f, a, b: _every(("D", (1,), b), ("C", (1, 2), f.mul_arr(b, a)))),
+    "cnot_target_scale": Relation(2, (0, 1), (("C", (1, 2), "a"), ("D", (2,), "b")),
+                                  lambda f, a, b: _every(("D", (2,), b), ("C", (1, 2), f.mul_arr(f.inv_arr(b), a)))),
+    "cnot_merge": Relation(2, (0, 0), (("C", (1, 2), "a"), ("C", (1, 2), "b")),
+                           lambda f, a, b: _every(("C", (1, 2), f.add_arr(a, b)))),
+    "cnot_opposed_pair": Relation(2, (0, 0), (("C", (1, 2), "a"), ("C", (2, 1), "b")), _opposed_pair),
+    "cnot_shared_control": Relation(3, (0, 0), (("C", (1, 2), "a"), ("C", (1, 3), "b")),
+                                    lambda f, a, b: _every(("C", (1, 3), b), ("C", (1, 2), a))),
+    "cnot_shared_target": Relation(3, (0, 0), (("C", (1, 3), "a"), ("C", (2, 3), "b")),
+                                   lambda f, a, b: _every(("C", (2, 3), b), ("C", (1, 3), a))),
+    "cnot_chain": Relation(3, (0, 0), (("C", (2, 3), "b"), ("C", (1, 2), "a")),
+                           lambda f, a, b: _every(("C", (1, 3), f.mul_arr(a, b)), ("C", (1, 2), a), ("C", (2, 3), b))),
+    "cnot_chain_reverse": Relation(3, (0, 0), (("C", (1, 2), "a"), ("C", (2, 3), "b")),
+                                   lambda f, a, b: _every(("C", (2, 3), b), ("C", (1, 2), a),
+                                                          ("C", (1, 3), f.neg_table[f.mul_arr(a, b)]))),
+}
+
+
+def _match(rule: Relation, g1: Gate, g2: Gate) -> Optional[tuple[dict[int, int], dict[str, int]]]:
+    """(rule wire -> wire, {"a": ..., "b": ...}) under which g1 * g2 is rule's left-hand side, or None."""
+    wires: dict[int, int] = {}
+    params = {}
+    for (kind, rule_wires, name), g in zip(rule.lhs, (g1, g2)):
+        if g.kind != kind or any(wires.setdefault(r, w) != w for r, w in zip(rule_wires, g.wires)):
+            return None
+        params[name] = g.param
+    if len(set(wires.values())) != len(wires):  # two rule wires on one wire
+        return None
+    return wires, params
+
+
 def commute_pair(fld: Field, g1: Gate, g2: Gate) -> list[Gate]:
     """Rewrite the operator product g1*g2 (g2 acts first) as an equal product.
 
-    The pair must match one of the library's exchange/merge rules; gates on
-    disjoint wires simply swap.  The returned list is in operator order
-    (leftmost factor applied last).
+    Gates on disjoint wires simply swap.  Otherwise the pair must be the
+    left-hand side of one RELATIONS rule, its wires 1..3 put on distinct
+    wires of the pair; else ValueError.  The rule's rhs is read with
+    length-1 parameter arrays, in the form that holds for them, and its
+    wires are put back on the pair's, so this runs the code relations_suite
+    checks.  A parameter outside [0, d) raises ValueError.  The returned
+    list is in operator order (leftmost factor applied last).
     """
     if not set(g1.wires) & set(g2.wires):
         return [g2, g1]
-    k1, k2 = g1.kind, g2.kind
-
-    if k1 == "A" and k2 == "A":
-        return [Gate("A", g1.wires, fld.add(g1.param, g2.param))]
-    if k1 == "D" and k2 == "D":
-        return [Gate("D", g1.wires, fld.mul(g1.param, g2.param))]
-    if k1 == "D" and k2 == "A":
-        return [Gate("A", g1.wires, fld.mul(g1.param, g2.param)), g1]
-
-    if k1 == "C" and k2 == "A":
-        ai, aj = g1.param, g2.param
-        if g2.wires[0] == g1.control:
-            return [Gate("A", (g1.target,), fld.mul(ai, aj)), g2, g1]
-        return [g2, g1]  # shift on the target commutes through
-    if k1 == "C" and k2 == "D":
-        ai, aj = g1.param, g2.param
-        if g2.wires[0] == g1.control:
-            return [g2, Gate("C", g1.wires, fld.mul(aj, ai))]
-        return [g2, Gate("C", g1.wires, fld.mul(fld.inv(aj), ai))]
-
-    if k1 == "C" and k2 == "C":
-        m, n = g1.control, g1.target
-        ai, aj = g1.param, g2.param
-        if g2.wires == (m, n):
-            return [Gate("C", (m, n), fld.add(ai, aj))]
-        if g2.wires == (n, m):
-            u = fld.add(1, fld.mul(ai, aj))
-            if u != 0:
-                return [
-                    Gate("D", (m,), fld.inv(u)),
-                    Gate("D", (n,), u),
-                    Gate("C", (n, m), fld.mul(u, aj)),
-                    Gate("C", (m, n), fld.mul(fld.inv(u), ai)),
-                ]
-            return [
-                Gate("W", (m, n)),
-                Gate("D", (m,), ai),
-                Gate("D", (n,), aj),
-                Gate("C", (m, n), fld.inv(aj)),
-            ]
-        if g2.control == m:  # shared control
-            return [g2, g1]
-        if g2.target == n:  # shared target
-            return [g2, g1]
-        if g2.target == m:  # chain: g2 feeds g1's control
-            return [Gate("C", (g2.control, n), fld.mul(aj, ai)), g2, g1]
-        if g2.control == n:  # reverse chain: g1 feeds g2's control
-            return [g2, g1, Gate("C", (m, g2.target), fld.neg(fld.mul(ai, aj)))]
-
-    raise ValueError(f"no rewrite rule matches the product {g1!r} * {g2!r}")
+    for rule in RELATIONS.values():
+        match = _match(rule, g1, g2)
+        if match is not None:
+            break
+    else:
+        raise ValueError(f"no rewrite rule matches the product {g1!r} * {g2!r}")
+    wires, params = match
+    fld._check(params["a"], params["b"])
+    a, b = np.array([[params["a"]], [params["b"]]], dtype=np.int64)
+    factors = next(factors for where, factors in rule.rhs(fld, a, b) if where is None or where[0])
+    return [Gate(kind, tuple(wires[w] for w in ws), None if param is None else int(param[0]))
+            for kind, ws, param in factors]
 
 
 def rewrite_adjacent(fld: Field, gates: list[Gate], i: int) -> list[Gate]:
@@ -760,32 +801,6 @@ def rewrite_adjacent(fld: Field, gates: list[Gate], i: int) -> list[Gate]:
 # ---------------------------------------------------------------------------
 # Relation suite: every rewrite rule checked as an operator identity
 # ---------------------------------------------------------------------------
-
-def _nonzero(fld: Field):
-    return range(1, fld.d)
-
-
-def _all(fld: Field):
-    return range(fld.d)
-
-
-# name -> (number of wires, parameter domains, operator-order LHS builder)
-RELATIONS: dict[str, tuple[int, tuple, Callable]] = {
-    "add_add_merge": (1, (_all, _all), lambda f, a, b: [Gate("A", (1,), a), Gate("A", (1,), b)]),
-    "scale_scale_merge": (1, (_nonzero, _nonzero), lambda f, a, b: [Gate("D", (1,), a), Gate("D", (1,), b)]),
-    "scale_add_exchange": (1, (_nonzero, _all), lambda f, a, b: [Gate("D", (1,), a), Gate("A", (1,), b)]),
-    "cnot_control_add": (2, (_all, _all), lambda f, a, b: [Gate("C", (1, 2), a), Gate("A", (1,), b)]),
-    "cnot_target_add": (2, (_all, _all), lambda f, a, b: [Gate("C", (1, 2), a), Gate("A", (2,), b)]),
-    "cnot_control_scale": (2, (_all, _nonzero), lambda f, a, b: [Gate("C", (1, 2), a), Gate("D", (1,), b)]),
-    "cnot_target_scale": (2, (_all, _nonzero), lambda f, a, b: [Gate("C", (1, 2), a), Gate("D", (2,), b)]),
-    "cnot_merge": (2, (_all, _all), lambda f, a, b: [Gate("C", (1, 2), a), Gate("C", (1, 2), b)]),
-    "cnot_opposed_pair": (2, (_all, _all), lambda f, a, b: [Gate("C", (1, 2), a), Gate("C", (2, 1), b)]),
-    "cnot_shared_control": (3, (_all, _all), lambda f, a, b: [Gate("C", (1, 2), a), Gate("C", (1, 3), b)]),
-    "cnot_shared_target": (3, (_all, _all), lambda f, a, b: [Gate("C", (1, 3), a), Gate("C", (2, 3), b)]),
-    "cnot_chain": (3, (_all, _all), lambda f, a, b: [Gate("C", (2, 3), b), Gate("C", (1, 2), a)]),
-    "cnot_chain_reverse": (3, (_all, _all), lambda f, a, b: [Gate("C", (1, 2), a), Gate("C", (2, 3), b)]),
-}
-
 
 def affine_maps_equal(fld: Field, n_wires: int, batch: int, lhs: Sequence[tuple], rhs: Sequence[tuple]) -> np.ndarray:
     """Exact equality of a batch of A/D/C/W operator-product pairs of one shape.
@@ -836,81 +851,84 @@ RELATIONS_SAMPLES = 1000  # random cases of one relations_suite call past RELATI
 RELATIONS_EXHAUSTIVE_MAX_D = 5  # exhaustive mode lists 13 d^2 cases at most: 325 at d = 5
 
 
-def relations_cases(fld: Field, seed: int = 0) -> list[tuple[str, int, int]]:
-    """The (rule, a, b) cases relations_suite checks over fld, in check order.
+def relations_cases(fld: Field, seed: int = 0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The cases relations_suite checks over fld, in check order, as three int64 arrays: rule, a and b.
 
-    Up to order RELATIONS_EXHAUSTIVE_MAX_D: every admissible parameter pair
-    of every rule, each once.  Past it: RELATIONS_SAMPLES cases from
+    rule indexes list(RELATIONS).  Up to order RELATIONS_EXHAUSTIVE_MAX_D:
+    every admissible parameter pair of every rule, each once, rule by rule
+    in table order and a slowest.  Past it: RELATIONS_SAMPLES cases from
     default_rng(seed), drawn in three array calls, first the rule indices
     into sorted(RELATIONS), then every a and then every b, each as
     lo + integers(d - lo) with the lower end lo of its rule's domain
     range(lo, d).  The case count does not grow with d, and a case may be
     drawn more than once.
     """
-    if fld.d <= RELATIONS_EXHAUSTIVE_MAX_D:
-        return [(name, a, b) for name, (_, (dom_a, dom_b), _) in RELATIONS.items()
-                for a in dom_a(fld) for b in dom_b(fld)]
-    names = sorted(RELATIONS)
-    lo = np.array([[domain(fld).start for domain in RELATIONS[name][1]] for name in names])
+    lo = np.array([rule.lo for rule in RELATIONS.values()])
+    d = fld.d
+    if d <= RELATIONS_EXHAUSTIVE_MAX_D:
+        grids = [np.indices((d - lo_a, d - lo_b)).reshape(2, -1) + [[lo_a], [lo_b]] for lo_a, lo_b in lo.tolist()]
+        a, b = np.hstack(grids)
+        return np.repeat(np.arange(len(lo)), [grid.shape[1] for grid in grids]), a, b
+    names = list(RELATIONS)
     rng = np.random.default_rng(seed)
-    rule = rng.integers(len(names), size=RELATIONS_SAMPLES)
+    rule = np.argsort(names)[rng.integers(len(names), size=RELATIONS_SAMPLES)]  # sorted position -> table index
     lo_a, lo_b = lo[rule].T
-    a = lo_a + rng.integers(fld.d - lo_a)
-    b = lo_b + rng.integers(fld.d - lo_b)
-    return list(zip(map(names.__getitem__, rule.tolist()), a.tolist(), b.tolist()))
+    a = lo_a + rng.integers(d - lo_a)
+    b = lo_b + rng.integers(d - lo_b)
+    return rule, a, b
 
 
-def relations_suite(fld: Field, seed: int = 0, rhs_fn: Optional[Callable] = None) -> dict:
+def relations_suite(fld: Field, seed: int = 0) -> dict:
     """Verify every rewrite rule as an operator identity.
 
     The cases are relations_cases(fld, seed): exhaustive up to order
     RELATIONS_EXHAUSTIVE_MAX_D, at most 13 d^2 of them, and RELATIONS_SAMPLES
-    seeded random cases past it.  rhs_fn (commute_pair by default) rewrites
-    each distinct case once, at its first draw; every draw still counts as
-    checked.  The distinct cases are then grouped by shape: the wire count
-    and the (kind, wires) of every factor on both sides, so a rule whose
-    right-hand side has two forms (cnot_opposed_pair at u = 0 and u != 0)
-    makes two groups.  Each group is decided by one affine_maps_equal call
-    on its parameter columns, exactly and without a dense operator, so every
-    field order the Field class supports can be tested.
-    A rule is ok only when it was checked at least once and never failed,
-    so a sample that misses a rule cannot pass it.  Its first failure is its
-    earliest failing case: the distinct cases are in the order of their
-    first draws.
+    seeded random cases past it.  A case drawn twice is checked once, and
+    the distinct cases keep the order of their first draws; every draw
+    counts as checked.  Each rule's rhs is computed once, over the parameter
+    arrays of all its distinct cases, and each of its forms (cnot_opposed_pair
+    has two) is decided by one affine_maps_equal call on the parameter
+    columns of its cases, exactly and without a dense operator, so every
+    field order the Field class supports can be tested.  Those calls run in
+    the order of their forms' first cases, and each validates every factor
+    column, so a bad factor raises ValueError.  A rule is ok only when it
+    was checked at least once and never failed, so a sample that misses a
+    rule cannot pass it.  Its first failure is its earliest failing
+    distinct case.
     """
-    exhaustive = fld.d <= RELATIONS_EXHAUSTIVE_MAX_D
-    rhs_fn = rhs_fn or commute_pair
-    cases = relations_cases(fld, seed)
-    distinct = list(dict.fromkeys(cases))
-    # shape -> (distinct case indices, parameters of each case); a shape records
-    # which factors carry a parameter, so the parameters of a group form columns
-    groups: dict[tuple, tuple[list[int], list[list[int]]]] = {}
-    for j, (name, a, b) in enumerate(distinct):
-        n_wires, _, lhs_builder = RELATIONS[name]
-        lhs = lhs_builder(fld, a, b)
-        factors = (*lhs, *rhs_fn(fld, lhs[0], lhs[1]))
-        shape = (n_wires, len(lhs), tuple([(g.kind, g.wires, g.param is None) for g in factors]))
-        group = groups.get(shape)
-        if group is None:
-            group = groups[shape] = ([], [])
-        group[0].append(j)
-        group[1].append([g.param for g in factors if g.param is not None])
-    ok = np.ones(len(distinct), dtype=bool)
-    for (n_wires, n_lhs, factors), (index, params) in groups.items():
-        columns = iter(np.array(params, dtype=np.int64).T[:, :, None])
-        side = [(kind, wires, None if no_param else next(columns)) for kind, wires, no_param in factors]
-        ok[index] = affine_maps_equal(fld, n_wires, len(index), side[:n_lhs], side[n_lhs:])
-    checked = Counter(map(itemgetter(0), cases))
-    results = {name: {"checked": checked[name], "first_failure": None} for name in RELATIONS}
-    for j in np.flatnonzero(~ok):  # ascending, so each rule's first failure is its earliest case
-        name, a, b = distinct[j]
-        if results[name]["first_failure"] is None:
-            results[name]["first_failure"] = {"params": (a, b), "max_deviation": 1.0}
+    d = fld.d
+    rule, a, b = relations_cases(fld, seed)
+    first = np.sort(np.unique((rule * d + a) * d + b, return_index=True)[1])  # each distinct case's first draw
+    rule_of, a, b = rule[first], a[first], b[first]
+
+    def columns(side: list, at: np.ndarray) -> list[tuple]:
+        return [(kind, wires, None if param is None else param[at, None]) for kind, wires, param in side]
+
+    groups = []  # (distinct case indices, wire count, lhs, rhs) of each (rule, form), parameters as columns
+    for r, relation in enumerate(RELATIONS.values()):
+        index = np.flatnonzero(rule_of == r)
+        if not index.size:
+            continue
+        params = {"a": a[index], "b": b[index]}
+        lhs = [(kind, wires, params[name]) for kind, wires, name in relation.lhs]
+        for where, rhs in relation.rhs(fld, params["a"], params["b"]):
+            at = np.arange(index.size) if where is None else np.flatnonzero(where)
+            if at.size:
+                groups.append((index[at], relation.n_wires, columns(lhs, at), columns(rhs, at)))
+    ok = np.ones(len(first), dtype=bool)
+    for index, n_wires, lhs, rhs in sorted(groups, key=lambda group: group[0][0]):
+        ok[index] = affine_maps_equal(fld, n_wires, index.size, lhs, rhs)
+    names = list(RELATIONS)
+    checked = np.bincount(rule, minlength=len(names)).tolist()
+    results = {name: {"checked": checked[r], "first_failure": None} for r, name in enumerate(names)}
+    failed = np.flatnonzero(~ok)
+    for j in failed[np.unique(rule_of[failed], return_index=True)[1]].tolist():  # each rule's earliest
+        results[names[rule_of[j]]]["first_failure"] = {"params": (int(a[j]), int(b[j])), "max_deviation": 1.0}
     for entry in results.values():
         entry["ok"] = entry["checked"] > 0 and entry["first_failure"] is None
     return {
         "field": fld.descriptor(),
-        "mode": "exhaustive" if exhaustive else f"random[{RELATIONS_SAMPLES}]",
+        "mode": "exhaustive" if d <= RELATIONS_EXHAUSTIVE_MAX_D else f"random[{RELATIONS_SAMPLES}]",
         "decided_by": "affine-rows",
         "relations": results,
         "ok": all(r["ok"] for r in results.values()),

@@ -1,5 +1,5 @@
 import functools
-from itertools import product
+from itertools import combinations, product
 from math import comb
 
 import numpy as np
@@ -7,7 +7,8 @@ import pytest
 
 from quditgraph import Field, ResourceGuardError, SymbolicState, bipartition_subsets, classify
 from quditgraph.classify import unique_rows
-from quditgraph.rewrite import rank_exponents
+from quditgraph import rewrite
+from quditgraph.rewrite import mat_rref, rank_exponents
 from quditgraph.simulator import signature_key
 
 from util import field_for, scalar_rref
@@ -157,6 +158,43 @@ def test_rank_exponents_match_scalar_rref(d):
         every = d ** (k * (n - k))
         if every * 2 ** n <= 2 ** 16:  # the oracle's cost: labellings times cuts
             check(np.indices((d,) * (k * (n - k))).reshape(k * (n - k), every).T.reshape(every, k, n - k), n, k)
+
+
+def per_sub_block_exponents(fld, blocks, subsets):
+    """rank_exponents one sub-block at a time, each rank the pivot count of its mat_rref: the oracle for the stacked form."""
+    batch, k, n_sinks = blocks.shape
+    out = np.zeros((batch, len(subsets)), dtype=np.int64)
+    for j, subset in enumerate(subsets):
+        side = set(subset)
+        s_in, s_out = [r for r in range(k) if r + 1 in side], [r for r in range(k) if r + 1 not in side]
+        o_in = [c for c in range(n_sinks) if k + c + 1 in side]
+        o_out = [c for c in range(n_sinks) if k + c + 1 not in side]
+        for i, block in enumerate(blocks):
+            out[i, j] = sum(len(mat_rref(fld, block[np.ix_(rows, cols)])[1])
+                            for rows, cols in ((s_out, o_in), (s_in, o_out)) if rows and cols)
+    return out
+
+
+@pytest.mark.parametrize("d, n, k, batch", [(9, 12, 6, 1), (9, 12, 4, 1), (16, 10, 5, 1), (2, 13, 6, 1), (3, 10, 3, 3),
+                                            (5, 9, 4, 2), (7, 8, 4, 4)])
+def test_rank_exponents_reduce_each_sub_block_shape_in_one_elimination(d, n, k, batch, monkeypatch):
+    # half cuts of one to four labellings: most shapes are ranked directly, all their sub-blocks in one stack
+    fld = field_for(d)
+    rng = np.random.default_rng(1000 * d + n)
+    blocks = rng.integers(d, size=(batch, k, n - k))
+    blocks[:, :, -1] = fld.mul_arr(int(rng.integers(d)), blocks[:, :, 0])  # a dependent column
+    subsets = list(combinations(range(1, n + 1), n // 2))
+    shapes = []
+    real = rewrite._eliminate
+
+    def recording(f, m):
+        shapes.append(m.shape[1:])
+        return real(f, m)
+
+    monkeypatch.setattr(rewrite, "_eliminate", recording)
+    got = rank_exponents(fld, blocks, subsets)
+    assert len(shapes) == len(set(shapes)) > 1
+    assert np.array_equal(got, per_sub_block_exponents(fld, blocks, subsets))
 
 
 def test_rank_exponents_past_one_byte():

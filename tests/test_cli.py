@@ -14,7 +14,7 @@ from quditgraph import cli, graph_to_json_dict, kernels, make_graph_state, simul
 from quditgraph.cli import main
 from quditgraph.rewrite import pulls_back_to_register
 
-from util import dense_verification
+from util import dense_verification, negate_last, spoiled
 
 EXAMPLE_CIRCUIT = """\
 field 2 2 3
@@ -917,15 +917,8 @@ def test_relations_cli_golden_output(capsys, seed, fmt):
 def test_relations_cli_sign_flip_fails_where_minus_one_is_not_one(capsys, monkeypatch):
     from quditgraph import rewrite
 
-    original = rewrite.commute_pair
-
-    def flipped(f, g1, g2):
-        out = original(f, g1, g2)
-        if g1.kind == g2.kind == "C" and g2.control == g1.target and g2.target != g1.control:  # reverse chain
-            out[-1] = quditgraph.Gate("C", out[-1].wires, f.neg(out[-1].param))
-        return out
-
-    monkeypatch.setattr(rewrite, "commute_pair", flipped)
+    # the reverse chain's new CNOT negated, in the table entry that relations_suite and commute_pair read
+    monkeypatch.setitem(rewrite.RELATIONS, "cnot_chain_reverse", spoiled(rewrite.RELATIONS["cnot_chain_reverse"], negate_last))
     # the golden files hold the batched suite's report of the same fault, checked case by case in test_rewrite.py
     code, out, err = run_cli(capsys, "relations-test", "--fields", "2,3,4,5,7,8,9", "--seed", "1")
     assert code == 1, err
@@ -940,17 +933,22 @@ def test_relations_cli_sign_flip_fails_where_minus_one_is_not_one(capsys, monkey
         assert all(r["checked"] for r in report["relations"].values())
 
 
-@pytest.mark.parametrize("extra", [quditgraph.Gate("H", (1,)), quditgraph.Gate("V", (1,)),
-                                   quditgraph.Gate("D", (1,), 0), quditgraph.Gate("A", (1,), 3)])
+@pytest.mark.parametrize("extra", [(("H", (1,), None), "H gate has no affine representation"),
+                                   (("V", (1,), None), "V gate has no affine representation"),
+                                   (("D", (1,), 0), "D(0) is not unitary"),
+                                   (("A", (1,), 3), "parameter 3 out of range for order-3 field")])
 def test_relations_cli_bad_right_hand_side_exit_2(capsys, monkeypatch, extra):
     from quditgraph import rewrite
 
-    original = rewrite.commute_pair
-    monkeypatch.setattr(rewrite, "commute_pair", lambda f, g1, g2: original(f, g1, g2) + [extra])
+    extra, message = extra
+
+    # every rule's right-hand side gets the extra factor
+    for name, relation in list(rewrite.RELATIONS.items()):
+        monkeypatch.setitem(rewrite.RELATIONS, name, spoiled(relation, lambda f, factors: factors + [extra]))
     code, out, err = run_cli(capsys, "relations-test", "--fields", "3")
     assert code == 2
     assert out == ""
-    assert err.startswith("error: ")
+    assert err == f"error: {message}\n"
 
 
 def test_relations_cli_rejects_non_prime_power(capsys):
@@ -1154,6 +1152,34 @@ def test_emit_json_matches_json_dumps_on_random_graphs(capsys):
                 {"e": [{"a": 1, "b": 2}, {"a": 1, "c": 2}]}, {"%d": [{"%s": 1, "b": -2}]}, [(1, 2), [float("nan")]]):
         cli._emit_json(obj)
         assert capsys.readouterr().out == json_reference(obj)
+
+
+def random_json_object(rng, depth=0):
+    """A random nested object of the types json.dumps takes: non-ASCII and escaped text, special floats, empty containers."""
+    texts = ["", "a", "%d", 'q"uote', "back\\slash", "tab\tnew\nline", "\x00\x1f\x7f", "\u00e9t\u00e9", "\u2297",
+             "\U0001f600", "\ud800", "graph \u03c8"]
+    floats = [0.0, -0.0, 1.5, -2.25e-300, 1e300, 0.1, float("nan"), float("inf"), float("-inf"), 1 / 3]
+    leaves = [lambda: texts[rng.integers(len(texts))], lambda: int(rng.integers(-10 ** 6, 10 ** 6)), lambda: 2 ** 70,
+              lambda: floats[rng.integers(len(floats))], lambda: bool(rng.integers(2)), lambda: None]
+    pick = int(rng.integers(8 if depth < 4 else 6))
+    if pick < 6:
+        return leaves[pick]()
+    size = int(rng.integers(4))
+    if pick == 6:
+        items = [random_json_object(rng, depth + 1) for _ in range(size)]
+        return tuple(items) if rng.integers(2) else items
+    return {texts[rng.integers(len(texts))] + str(rng.integers(3)): random_json_object(rng, depth + 1) for _ in range(size)}
+
+
+def test_json_text_matches_json_dumps_on_random_nested_objects(capsys):
+    rng = np.random.default_rng(35)
+    kinds = set()
+    for _ in range(2000):
+        obj = random_json_object(rng)
+        kinds.add(type(obj))
+        cli._emit_json(obj)
+        assert capsys.readouterr().out == json_reference(obj), obj
+    assert kinds == {str, int, float, bool, type(None), list, tuple, dict}
 
 
 def test_unknown_verb_exit_2(capsys):

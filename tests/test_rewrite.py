@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -43,11 +44,15 @@ from util import (
     dense_verification,
     field_for,
     ket_strings,
+    negate_last,
     random_c_circuit,
     random_cadw_circuit,
     random_gate,
+    rule_lhs,
+    rule_rhs,
     scalar_matmul,
     scalar_rref,
+    spoiled,
 )
 
 # ---------------------------------------------------------------------------
@@ -578,14 +583,59 @@ def test_commute_pair_opposed_cnots_degenerate_branch():
 
 def test_commute_pair_disjoint_swap():
     fld = field_for(2)
-    g1, g2 = Gate("C", (1, 2), 1), Gate("C", (3, 4), 1)
-    assert commute_pair(fld, g1, g2) == [g2, g1]
+    for g1, g2 in [(Gate("C", (1, 2), 1), Gate("C", (3, 4), 1)), (Gate("H", (1,)), Gate("V", (2,))),
+                   (Gate("W", (1, 3)), Gate("C", (4, 2), 1)), (Gate("A", (2,), 1), Gate("D", (1,), 1))]:
+        assert commute_pair(fld, g1, g2) == [g2, g1]
 
 
 def test_commute_pair_no_rule_raises():
     fld = field_for(3)
-    with pytest.raises(ValueError):
-        commute_pair(fld, Gate("A", (1,), 1), Gate("C", (1, 2), 1))
+    for g1, g2 in [(Gate("A", (1,), 1), Gate("C", (1, 2), 1)),  # an A after a C: only C * A has a rule
+                   (Gate("D", (1,), 2), Gate("C", (1, 2), 1)),  # and only C * D
+                   (Gate("A", (2,), 1), Gate("D", (2,), 2)), (Gate("C", (1, 2), 1), Gate("W", (2, 3))),
+                   (Gate("W", (1, 2)), Gate("W", (1, 2))), (Gate("H", (1,)), Gate("A", (1,), 1)),
+                   (Gate("D", (3,), 1), Gate("V", (3,)))]:
+        with pytest.raises(ValueError, match="^no rewrite rule matches the product "):
+            commute_pair(fld, g1, g2)
+
+
+@pytest.mark.parametrize("g1, g2", [(Gate("A", (1,), 3), Gate("A", (1,), 0)), (Gate("C", (2, 1), 1), Gate("D", (1,), -1))])
+def test_commute_pair_rejects_a_parameter_outside_the_field(g1, g2):
+    with pytest.raises(ValueError, match="out of range for order-3 field"):
+        commute_pair(field_for(3), g1, g2)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 7, 8, 9, 16])
+def test_commute_pair_reads_the_rule_table(d):
+    # every case up to order 5, 1000 seeded ones past it: commute_pair of a rule's left-hand side is the
+    # table's right-hand side as gates, on wires 1..3 and on those wires moved onto any 3 of 5 wires
+    fld = field_for(d)
+    rng = np.random.default_rng(400 + d)
+    names = list(RELATIONS)
+    rule, a, b = relations_cases(fld, seed=d)
+    for n, (r, x, y) in enumerate(zip(rule.tolist(), a.tolist(), b.tolist())):
+        relation = RELATIONS[names[r]]
+        lhs = rule_lhs(relation, x, y)
+        assert commute_pair(fld, *lhs) == rule_rhs(fld, relation, x, y), (names[r], x, y)
+        wire_of = dict(zip((1, 2, 3), (rng.permutation(5)[:3] + 1).tolist()))
+        moved = [Gate(g.kind, tuple(map(wire_of.__getitem__, g.wires)), g.param) for g in lhs]
+        out = commute_pair(fld, *moved)
+        assert out == rule_rhs(fld, relation, x, y, wire_of), (names[r], x, y, wire_of)
+        if n < 40 and d <= 9:  # the moved rewrite is an equal product on the fewest wires that hold it
+            n_wires = max(wire_of[w] for w in range(1, relation.n_wires + 1))
+            assert np.array_equal(sequence_source_map(fld, n_wires, moved), sequence_source_map(fld, n_wires, out))
+
+
+def test_commute_pair_relabelled_wires():
+    fld = field_for(5)
+    # cnot_chain with its wires 1, 2, 3 on 4, 3, 1: C(3,1)*C(4,3) -> C(4,1)[ab] C(4,3) C(3,1)
+    assert commute_pair(fld, Gate("C", (3, 1), 2), Gate("C", (4, 3), 4)) == \
+        [Gate("C", (4, 1), 3), Gate("C", (4, 3), 4), Gate("C", (3, 1), 2)]
+    # cnot_target_scale on control 3, target 1: D(b) C(a / b)
+    assert commute_pair(fld, Gate("C", (3, 1), 4), Gate("D", (1,), 2)) == [Gate("D", (1,), 2), Gate("C", (3, 1), 2)]
+    # cnot_opposed_pair with 1 + ab = 0 on wires 3 and 1: the swap form
+    assert commute_pair(fld, Gate("C", (3, 1), 2), Gate("C", (1, 3), 2)) == \
+        [Gate("W", (3, 1)), Gate("D", (3,), 2), Gate("D", (1,), 2), Gate("C", (3, 1), 3)]
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -594,16 +644,15 @@ def test_all_relations_hold_as_dense_operators(d):
     assert report["ok"], report
 
 
-def test_relations_suite_reports_corrupted_rule():
+def test_relations_suite_reports_corrupted_rule(monkeypatch):
     fld = field_for(3)
 
-    def corrupt(f, g1, g2):
-        out = commute_pair(f, g1, g2)
-        if g1.kind == "C" and g2.kind == "C" and g1.wires == g2.wires and (g1.param or g2.param):
-            return [Gate("C", g1.wires, f.add(f.add(g1.param, g2.param), 1))]
-        return out
+    def plus_one(f, factors):
+        return [(kind, wires, f.add_arr(param, 1)) for kind, wires, param in factors]
 
-    report = relations_suite(fld, rhs_fn=corrupt)
+    # cnot_merge gives C(a + b + 1) unless a = b = 0
+    monkeypatch.setitem(RELATIONS, "cnot_merge", spoiled(RELATIONS["cnot_merge"], plus_one, lambda f, a, b: (a | b) != 0))
+    report = relations_suite(fld)
     assert not report["ok"]
     bad = report["relations"]["cnot_merge"]
     assert bad["first_failure"] is not None
@@ -698,67 +747,78 @@ def random_like(fld, ops, rng):
 
 
 def opposed_branch(u_zero):
-    """commute_pair with the last gate of one cnot_opposed_pair branch moved by 1."""
-    def rhs_fn(f, g1, g2):
-        out = commute_pair(f, g1, g2)
-        if g1.kind == g2.kind == "C" and g2.wires == g1.wires[::-1] and (out[0].kind == "W") == u_zero:
-            out[-1] = Gate("C", out[-1].wires, f.add(out[-1].param, 1))
-        return out
-    return rhs_fn
+    """The cnot_opposed_pair entry with the last factor of one form (u = 1 + ab = 0, or u != 0) moved by 1."""
+    def last_plus_one(f, factors):
+        kind, wires, param = factors[-1]
+        return factors[:-1] + [(kind, wires, f.add_arr(param, 1))]
+    return spoiled(RELATIONS["cnot_opposed_pair"], last_plus_one,
+                   lambda f, a, b: (f.add_arr(1, f.mul_arr(a, b)) == 0) == u_zero)
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
-def test_cnot_opposed_pair_checks_both_right_hand_shapes(d):
+def test_cnot_opposed_pair_checks_both_right_hand_shapes(d, monkeypatch):
     fld = field_for(d)
-    _, domains, lhs_builder = RELATIONS["cnot_opposed_pair"]
+    relation = RELATIONS["cnot_opposed_pair"]
     shapes = set()
-    for a in domains[0](fld):
-        for b in domains[1](fld):
-            lhs = lhs_builder(fld, a, b)
-            shapes.add(tuple((g.kind, g.wires) for g in commute_pair(fld, lhs[0], lhs[1])))
+    for a in range(relation.lo[0], d):
+        for b in range(relation.lo[1], d):
+            shapes.add(tuple((g.kind, g.wires) for g in commute_pair(fld, *rule_lhs(relation, a, b))))
     assert len(shapes) == 2
     # a fault in either shape fails the rule at a case of that shape, and nothing else
     for u_zero in (True, False):
-        report = relations_suite(fld, rhs_fn=opposed_branch(u_zero))
+        monkeypatch.setitem(RELATIONS, "cnot_opposed_pair", opposed_branch(u_zero))
+        report = relations_suite(fld)
+        monkeypatch.setitem(RELATIONS, "cnot_opposed_pair", relation)
         assert {name for name, r in report["relations"].items() if not r["ok"]} == {"cnot_opposed_pair"}
         first = next((a, b) for a in range(d) for b in range(d) if (fld.add(1, fld.mul(a, b)) == 0) == u_zero)
         assert report["relations"]["cnot_opposed_pair"]["first_failure"]["params"] == first
 
 
-def spoil_last_cases(change):
-    """commute_pair with change(f, rewrite) applied to every case with a = b = d - 1."""
-    def rhs_fn(f, g1, g2):
-        out = commute_pair(f, g1, g2)
-        return change(f, out) if g1.param == g2.param == f.d - 1 else out
-    return rhs_fn
-
-
 def set_last_param(value):
-    return lambda f, out: out[:-1] + [Gate(out[-1].kind, out[-1].wires, value(f))]
+    return lambda f, factors: factors[:-1] + [(*factors[-1][:2], value(f))]
 
 
-# (change, error message).  D0 and the parameters keep the shape of the
-# rewrite, so the bad value sits in the last case of a larger group and only
-# a check of the whole parameter column finds it; H and V change the shape.
+# (change of a right-hand side, error message).  The change applies at the
+# case a = b = d - 1 of every rule, the last one of each rule.  The changed
+# case is a form of its own, decided after the rule's other cases, so its
+# bad value must be found by the check of its form's factor columns.
 BAD_FACTORS = {
-    "H": (lambda f, out: out + [Gate("H", (1,))], "no affine representation"),
-    "V": (lambda f, out: out + [Gate("V", (1,))], "no affine representation"),
-    "D0": (lambda f, out: [Gate("D", g.wires, 0) if g.kind == "D" else g for g in out], "D\\(0\\) is not unitary"),
-    "param-d": (set_last_param(lambda f: f.d), "parameter \\d+ out of range"),
-    "param-negative": (set_last_param(lambda f: -1), "parameter -1 out of range"),
+    "H": (lambda f, factors: factors + [("H", (1,), None)], "H gate has no affine representation"),
+    "V": (lambda f, factors: factors + [("V", (1,), None)], "V gate has no affine representation"),
+    "D0": (lambda f, factors: [(kind, wires, 0 if kind == "D" else param) for kind, wires, param in factors],
+           "D(0) is not unitary"),
+    "param-d": (set_last_param(lambda f: f.d), "parameter {d} out of range for order-{d} field"),
+    "param-negative": (set_last_param(lambda f: -1), "parameter -1 out of range for order-{d} field"),
 }
 
 
 @pytest.mark.parametrize("bad", sorted(BAD_FACTORS))
 @pytest.mark.parametrize("d", [3, 4])
-def test_relations_suite_rejects_a_bad_factor_in_any_case(d, bad):
+def test_relations_suite_rejects_a_bad_factor_in_any_case(d, bad, monkeypatch):
     change, message = BAD_FACTORS[bad]
+    message = f"^{re.escape(message.format(d=d))}$"
     fld = field_for(d)
+    for name, relation in list(RELATIONS.items()):
+        monkeypatch.setitem(RELATIONS, name, spoiled(relation, change, lambda f, a, b: (a == f.d - 1) & (b == f.d - 1)))
     with pytest.raises(ValueError, match=message):
-        relations_suite(fld, rhs_fn=spoil_last_cases(change))
+        relations_suite(fld)
+    # commute_pair reads the same spoiled entry
     lhs = [Gate("D", (1,), d - 1), Gate("D", (1,), d - 1)]
     with pytest.raises(ValueError, match=message):
-        compare_sequences(fld, 1, lhs, change(fld, commute_pair(fld, *lhs)))
+        compare_sequences(fld, 1, lhs, commute_pair(fld, *lhs))
+
+
+def test_relations_suite_raises_for_the_rule_drawn_first(monkeypatch):
+    # two bad rules: the one drawn first raises, though the other comes first in the table
+    fld = field_for(7)
+    names = list(RELATIONS)
+    drawn_first = names[relations_cases(fld, 1)[0][0]]
+    assert names.index(drawn_first) > 0
+    monkeypatch.setitem(RELATIONS, names[0], spoiled(RELATIONS[names[0]], lambda f, factors: factors + [("H", (1,), None)]))
+    monkeypatch.setitem(RELATIONS, drawn_first,
+                        spoiled(RELATIONS[drawn_first], lambda f, factors: factors + [("V", (1,), None)]))
+    with pytest.raises(ValueError, match="^V gate has no affine representation$"):
+        relations_suite(fld, seed=1)
 
 
 def test_relations_random_mode_seeded(monkeypatch):
@@ -778,26 +838,20 @@ def test_relations_suite_mode_follows_the_field():
                            (64, "random[1000]", 1000)]:
         fld = field_for(d)
         report = relations_suite(fld)
-        want = cases or sum(len(a(fld)) * len(b(fld)) for _, (a, b), _ in RELATIONS.values())
+        want = cases or sum((d - lo_a) * (d - lo_b) for lo_a, lo_b in (r.lo for r in RELATIONS.values()))
         assert report["mode"] == mode and report["ok"], report
         assert sum(r["checked"] for r in report["relations"].values()) == want
 
 
-def sign_flipped(f, g1, g2):
-    """commute_pair with the new CNOT of the reverse chain negated: wrong exactly where -1 != 1."""
-    out = commute_pair(f, g1, g2)
-    if g1.kind == g2.kind == "C" and g2.control == g1.target and g2.target != g1.control:
-        out[-1] = Gate("C", out[-1].wires, f.neg(out[-1].param))
-    return out
-
-
-def dense_relations_report(fld, seed, rhs_fn):
-    """relations_suite's report rebuilt case by case, each draw decided by the dense gather maps."""
-    results = {name: {"checked": 0, "first_failure": None} for name in RELATIONS}
-    for name, a, b in relations_cases(fld, seed):
-        n_wires, _, lhs_builder = RELATIONS[name]
-        lhs = lhs_builder(fld, a, b)
-        rhs = rhs_fn(fld, lhs[0], lhs[1])
+def dense_relations_report(fld, seed):
+    """relations_suite's report rebuilt draw by draw: commute_pair rewrites each, the dense gather maps decide it."""
+    names = list(RELATIONS)
+    results = {name: {"checked": 0, "first_failure": None} for name in names}
+    for r, a, b in zip(*(column.tolist() for column in relations_cases(fld, seed))):
+        name = names[r]
+        n_wires = RELATIONS[name].n_wires
+        lhs = rule_lhs(RELATIONS[name], a, b)
+        rhs = commute_pair(fld, *lhs)
         entry = results[name]
         entry["checked"] += 1
         same = np.array_equal(sequence_source_map(fld, n_wires, lhs), sequence_source_map(fld, n_wires, rhs))
@@ -812,17 +866,20 @@ def dense_relations_report(fld, seed, rhs_fn):
 GOLDEN = Path(__file__).parent / "data"
 
 
-@pytest.mark.parametrize("seed, rhs_fn, golden", [(1, commute_pair, "relations_seed1"),
-                                                  (2, commute_pair, "relations_seed2"),
-                                                  (3, commute_pair, "relations_seed3"),
-                                                  (1, sign_flipped, "relations_sign_flip_seed1")])
-def test_relations_goldens_match_the_dense_case_by_case_check(seed, rhs_fn, golden):
-    # the golden files of relations-test are the batched suite's output; the dense oracle certifies them
+@pytest.mark.parametrize("seed, flip, golden", [(1, False, "relations_seed1"), (2, False, "relations_seed2"),
+                                               (3, False, "relations_seed3"), (1, True, "relations_sign_flip_seed1")],
+                         ids=["1-commute_pair-relations_seed1", "2-commute_pair-relations_seed2",
+                              "3-commute_pair-relations_seed3", "1-sign_flipped-relations_sign_flip_seed1"])
+def test_relations_goldens_match_the_dense_case_by_case_check(seed, flip, golden, monkeypatch):
+    # the golden files of relations-test are the batched suite's output; the dense oracle certifies them.
+    # flip negates the new CNOT of the reverse chain, in the entry that the suite and commute_pair both read
+    if flip:
+        monkeypatch.setitem(RELATIONS, "cnot_chain_reverse", spoiled(RELATIONS["cnot_chain_reverse"], negate_last))
     reports = []
     for d in (2, 3, 4, 5, 7, 8, 9):
         fld = field_for(d)
-        want = dense_relations_report(fld, seed, rhs_fn)
-        assert relations_suite(fld, seed=seed, rhs_fn=rhs_fn) == want, fld.descriptor()
+        want = dense_relations_report(fld, seed)
+        assert relations_suite(fld, seed=seed) == want, fld.descriptor()
         reports.append(want)
     assert json.loads(json.dumps(reports)) == json.loads((GOLDEN / f"{golden}.json").read_text())
 
@@ -830,61 +887,74 @@ def test_relations_goldens_match_the_dense_case_by_case_check(seed, rhs_fn, gold
 @pytest.mark.parametrize("d", [7, 8, 9, 64, 257])
 def test_relations_cases_draw_within_each_rule_domain(d):
     fld = field_for(d)
+    names = list(RELATIONS)
+    lo = np.array([relation.lo for relation in RELATIONS.values()])
     for seed in (0, 1, 2):
-        cases = relations_cases(fld, seed)
-        assert len(cases) == 1000
-        assert all(a in RELATIONS[name][1][0](fld) and b in RELATIONS[name][1][1](fld) for name, a, b in cases)
-        assert all(type(a) is int and type(b) is int for _, a, b in cases)
-        assert {name for name, _, _ in cases} == set(RELATIONS)
+        rule, a, b = relations_cases(fld, seed)
+        assert rule.shape == a.shape == b.shape == (1000,)
+        assert rule.dtype == a.dtype == b.dtype == np.int64
+        assert ((lo[rule, 0] <= a) & (a < d) & (lo[rule, 1] <= b) & (b < d)).all()
+        assert set(rule.tolist()) == set(range(len(names)))
         report = relations_suite(fld, seed=seed)
         assert sum(r["checked"] for r in report["relations"].values()) == 1000
-        assert report["relations"] == {name: {"checked": [c[0] for c in cases].count(name), "first_failure": None,
-                                              "ok": True} for name in RELATIONS}
+        assert report["relations"] == {name: {"checked": rule.tolist().count(r), "first_failure": None, "ok": True}
+                                       for r, name in enumerate(names)}
+        assert all(type(r["checked"]) is int for r in report["relations"].values())
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_relations_cases_list_every_case_rule_by_rule(d):
+    # exhaustive mode: table order, a slowest, each admissible pair once
+    fld = field_for(d)
+    want = [(r, a, b) for r, relation in enumerate(RELATIONS.values())
+            for a in range(relation.lo[0], d) for b in range(relation.lo[1], d)]
+    rule, a, b = relations_cases(fld, seed=7)
+    assert list(zip(rule.tolist(), a.tolist(), b.tolist())) == want
 
 
 def test_relations_random_mode_depends_on_the_seed_alone():
     fld = field_for(8)
-    assert relations_cases(fld, 4) == relations_cases(fld, 4)
+    assert np.array_equal(relations_cases(fld, 4), relations_cases(fld, 4))
     assert relations_suite(fld, seed=4) == relations_suite(fld, seed=4)
-    assert relations_cases(fld, 4) != relations_cases(fld, 5)
+    assert not np.array_equal(relations_cases(fld, 4), relations_cases(fld, 5))
     assert relations_suite(fld, seed=4) != relations_suite(fld, seed=5)
 
 
 @pytest.mark.parametrize("d", [3, 7, 9])
-def test_relations_suite_rewrites_each_distinct_case_once(d):
+def test_relations_suite_rewrites_each_distinct_case_once(d, monkeypatch):
+    # one rhs call per rule, over the rule's distinct cases in the order of their first draws
     fld = field_for(d)
     calls = []
-
-    def counting(f, g1, g2):
-        calls.append((g1, g2))
-        return commute_pair(f, g1, g2)
-
-    report = relations_suite(fld, seed=1, rhs_fn=counting)
-    cases = relations_cases(fld, 1)
+    for name, relation in list(RELATIONS.items()):
+        def recording(f, a, b, name=name, rhs=relation.rhs):
+            calls.append((name, a.tolist(), b.tolist()))
+            return rhs(f, a, b)
+        monkeypatch.setitem(RELATIONS, name, relation._replace(rhs=recording))
+    report = relations_suite(fld, seed=1)
+    cases = list(zip(*(column.tolist() for column in relations_cases(fld, 1))))
     distinct = list(dict.fromkeys(cases))
     assert report["ok"] and sum(r["checked"] for r in report["relations"].values()) == len(cases)
-    assert calls == [tuple(RELATIONS[name][2](fld, a, b)) for name, a, b in distinct]
+    assert calls == [(name, [a for i, a, _ in distinct if i == r], [b for i, _, b in distinct if i == r])
+                     for r, name in enumerate(RELATIONS)]
     assert (len(distinct) < len(cases)) == (d > 5)
 
 
-def test_relations_first_failure_is_the_earliest_draw_of_a_repeated_case():
+def test_relations_first_failure_is_the_earliest_draw_of_a_repeated_case(monkeypatch):
     # x and y of one rule both fail; x is drawn first and again after y, so the report names x
     fld = field_for(7)
-    cases = relations_cases(fld, 1)
+    cases = list(zip(*(column.tolist() for column in relations_cases(fld, 1))))
     first, last = {}, {}
     for i, case in enumerate(cases):
         first.setdefault(case, i)
         last[case] = i
     x, y = next((x, y) for x in first for y in first if x[0] == y[0] and first[x] < first[y] < last[x])
-    faulty = [tuple(RELATIONS[name][2](fld, a, b)) for name, a, b in (x, y)]
-
-    def rhs_fn(f, g1, g2):
-        out = commute_pair(f, g1, g2)
-        return out + [Gate("A", (1,), 1)] if (g1, g2) in faulty else out
-
-    report = relations_suite(fld, seed=1, rhs_fn=rhs_fn)
-    assert {name for name, r in report["relations"].items() if not r["ok"]} == {x[0]}
-    assert report["relations"][x[0]]["first_failure"] == {"params": x[1:], "max_deviation": 1.0}
+    name = list(RELATIONS)[x[0]]
+    faulty = [a * fld.d + b for _, a, b in (x, y)]
+    monkeypatch.setitem(RELATIONS, name, spoiled(RELATIONS[name], lambda f, factors: factors + [("A", (1,), 1)],
+                                                 lambda f, a, b: np.isin(a * f.d + b, faulty)))
+    report = relations_suite(fld, seed=1)
+    assert {name for name, r in report["relations"].items() if not r["ok"]} == {name}
+    assert report["relations"][name]["first_failure"] == {"params": x[1:], "max_deviation": 1.0}
 
 
 def test_random_rewrites_preserve_the_state():

@@ -59,6 +59,46 @@ def random_gate(fld: Field, n_wires: int, rng: np.random.Generator, kinds: str =
     return Gate(kind, wire)
 
 
+def rule_lhs(relation, a: int, b: int) -> list[Gate]:
+    """The left-hand side g1, g2 of a rewrite.RELATIONS entry as gates, at the parameters (a, b)."""
+    params = {"a": a, "b": b}
+    return [Gate(kind, wires, params[name]) for kind, wires, name in relation.lhs]
+
+
+def rule_rhs(fld: Field, relation, a: int, b: int, wire_of=None) -> list[Gate]:
+    """The right-hand side of a rewrite.RELATIONS entry as gates at (a, b), its wires put on wire_of[w] (else w)."""
+    forms = relation.rhs(fld, np.array([a]), np.array([b]))
+    held = [factors for where, factors in forms if where is None or where[0]]
+    assert len(held) == 1, forms  # the forms of a rule split its cases
+    return [Gate(kind, tuple(wires if wire_of is None else map(wire_of.__getitem__, wires)),
+                 None if param is None else int(param[0])) for kind, wires, param in held[0]]
+
+
+def spoiled(relation, change, hit=None):
+    """A rewrite.RELATIONS entry with change(field, factors) applied to its right-hand side where hit(field, a, b) holds.
+
+    With hit None the change applies to every case.  Each form splits in
+    two: its cases outside hit, unchanged, and those inside, changed.  An
+    int parameter in a changed factor holds for every case.
+    """
+    def rhs(f, a, b):
+        inside = np.ones(a.shape, dtype=bool) if hit is None else hit(f, a, b)
+        forms = []
+        for where, factors in relation.rhs(f, a, b):
+            held = np.ones(a.shape, dtype=bool) if where is None else where
+            changed = [(kind, wires, None if param is None else np.broadcast_to(param, a.shape))
+                       for kind, wires, param in change(f, factors)]
+            forms += [(held & ~inside, factors), (held & inside, changed)]
+        return forms
+    return relation._replace(rhs=rhs)
+
+
+def negate_last(f: Field, factors: list) -> list:
+    """A right-hand side with the parameter of its last factor negated: for the reverse chain, wrong where -1 != 1."""
+    kind, wires, param = factors[-1]
+    return factors[:-1] + [(kind, wires, f.neg_table[param])]
+
+
 def ket_strings(amps: np.ndarray, d: int, n: int, tol: float = 1e-12) -> list[str]:
     """Digit strings of the nonzero basis kets, sorted by index."""
     out = []
