@@ -3,8 +3,18 @@
 Duality lets the enumeration fix the source side as the smaller one, so only
 source-set sizes k = 1 .. floor(N/2) occur, and particle permutations let it
 fix the sources as wires 1..k.  Every labeling of the k x (N-k) edge matrix
-is swept, keeping graphs where no qudit stays in a product state (no
-isolated vertex).
+counts, keeping graphs where no qudit stays in a product state (no isolated
+vertex), but the sweep ranks one block per orbit of source scaling.  D(lambda)
+on source wire i is a local unitary that scales row i of the block B by
+lambda and keeps every RDM rank.  On product-free blocks, whose rows are all
+nonzero, the (d - 1)^k scalings act freely, so each orbit holds exactly
+(d - 1)^k blocks, and its first block in itertools.product order (last label
+fastest) is the one whose every row has first nonzero label 1, since element
+index 1 is the field's unit and 0 the only smaller index.  The sweep lists
+just those row-normalized blocks, in product order, and multiplies every
+class and orbit count by (d - 1)^k: counts, orbit order and
+representative_labels equal those of the full sweep (over GF(2) the sweep is
+the full one), with (d - 1)^k times fewer blocks ranked.
 
 Each k is one class of the reported table - that is the granularity at which
 the families of entangled types live (sweeping all labels of one class stays
@@ -21,15 +31,18 @@ a graph state is uniform over an affine space, so each RDM is flat and one
 rank fixes its spectrum.  For the standard form [I_k | B] that rank is d^e
 with e = rank B[S - A, O & A] + rank B[S & A, O - A], read off the label
 block B alone.  Sorted (-rank, |A|) pairs order orbits exactly as sorted
-spectra do.  The sweep holds all label blocks of one k as one array and gets
-the exponents of every labelling and bipartition from one
-rewrite.rank_exponents call, the formula's one owner: it ranks each shape of
-sub-block of B once, from a table of all its matrices, unless the shape has
-more matrices than sub-blocks (the full block, for one).  The sweep visits at
-most 2^16 labellings, the sum over k = 1..N/2 of d^(k(N-k)).  The cost per
-labelling grows with N, not with the field's order: measured on a 2-core Xeon,
-N = 5 over GF(5) (16250 labellings) takes about 18 ms, some 1.1 us per
-labelling, N = 3 over GF(256) (65536) 20 ms, and N = 2 over GF(65521) 8 ms.
+spectra do.  The sweep holds the swept label blocks of one k as one array
+and gets the exponents of every block and bipartition from one
+rewrite.rank_exponents call, the formula's one owner: it reads one-row and
+one-column sub-blocks as "is any entry nonzero" and ranks each larger shape
+of sub-block of B once, from a table of all its matrices, unless the shape
+has more matrices than sub-blocks (the full block, for one).  The 2^16 guard
+counts the labellings a sweep stands for, the sum over k = 1..N/2 of
+d^(k(N-k)), not the blocks it ranks, so the same inputs are refused as by a
+full sweep.  Measured in process on a 2-core Xeon: N = 5 over GF(5) (16250
+labellings, 920 blocks ranked) takes about 2.8 ms against 24 ms for the full
+sweep in the same session, N = 3 over GF(256) (65536) 5.2 ms against 30 ms,
+and N = 2 over GF(65521) 2 ms against 11 ms.
 """
 
 from __future__ import annotations
@@ -76,14 +89,17 @@ def classify(fld: Field, n_qudits: int) -> dict:
     seen_keys: dict[tuple, int] = {}
     for k in range(1, n_qudits // 2 + 1):
         n_sinks = n_qudits - k
-        # every k x (N-k) labelling, in itertools.product order (last label fastest)
-        labels = np.indices((d,) * (k * n_sinks)).reshape(k * n_sinks, -1).T
-        edge = labels.reshape(-1, k, n_sinks) != 0
-        # an isolated source stays in |s>, an isolated sink in |0>
-        labels = labels[edge.any(axis=2).all(axis=1) & edge.any(axis=1).all(axis=1)]
+        # one block per orbit of row scaling: every row's first nonzero label is 1
+        rows = np.indices((d,) * n_sinks).reshape(n_sinks, -1).T
+        rows = rows[rows[np.arange(len(rows)), (rows != 0).argmax(axis=1)] == 1]
+        # their k-row blocks in itertools.product order (last label fastest)
+        labels = rows[np.indices((len(rows),) * k).reshape(k, -1).T].reshape(-1, k * n_sinks)
+        # an isolated sink stays in |0> (no row is zero, so no source is isolated)
+        labels = labels[(labels.reshape(-1, k, n_sinks) != 0).any(axis=1).all(axis=1)]
         total = len(labels)
         if total == 0:
             continue
+        orbit = (d - 1) ** k  # the blocks each swept block stands for
         # RDM rank d^e, coded so that codes order like the pairs (-rank, |A|):
         # larger e first, then smaller |A|.
         codes = (n_qudits - rank_exponents(fld, labels.reshape(total, k, n_sinks), subsets)) * n_qudits + sizes
@@ -100,10 +116,10 @@ def classify(fld: Field, n_qudits: int) -> dict:
             {
                 "sources": k,
                 "sinks": n_sinks,
-                "graphs": total,
+                "graphs": total * orbit,
                 "representative": representative,
                 "signature_orbits": [
-                    {"count": int(c), "representative_labels": labels[i].tolist()}
+                    {"count": int(c) * orbit, "representative_labels": labels[i].tolist()}
                     for c, i in zip(counts, first)
                 ],
             }

@@ -42,6 +42,7 @@ from .simulator import (
     bipartition_subsets,
     check_state_size,
     ket_index,
+    ket_order,
     real_if_exact,
     reduced_density_raw,
     spectrum,
@@ -71,7 +72,7 @@ def ring_square_state(d: int) -> SupportState:
     check_state_size(d, 4)
     i, k = np.indices((d, d)).reshape(2, -1)
     digits = np.stack([i, (i - k) % d, k, (i + k) % d])
-    return SupportState(d, 4, digits[:, np.lexsort(digits[::-1])], np.full(i.size, 1.0 / d))
+    return SupportState(d, 4, digits[:, ket_order(d, digits)], np.full(i.size, 1.0 / d))
 
 
 def compose_mes(states: Sequence[SupportState]) -> SupportState:
@@ -96,7 +97,7 @@ def compose_mes(states: Sequence[SupportState]) -> SupportState:
     for s in states:
         digits = (digits[:, :, None] * s.d + s.digits[:, None, :]).reshape(n, -1)
         amps = np.multiply.outer(amps, s.amps).reshape(-1)
-    order = np.lexsort(digits[::-1])
+    order = ket_order(d_total, digits)
     return SupportState(d_total, n, digits[:, order], amps[order])
 
 

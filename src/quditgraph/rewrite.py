@@ -16,6 +16,7 @@ sources, which makes the output deterministic and idempotent.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
@@ -40,11 +41,13 @@ from .simulator import (
     _SPACE_RANGES,
     _ascii_int,
     _run_raw,
+    check_gates,
     check_ket_count,
     check_state_size,
     in_ranges,
     init_state,
     int_column,
+    ket_order,
     line_bytes,
     validate_gates,
 )
@@ -154,21 +157,26 @@ def rank_exponents(fld: Field, blocks: np.ndarray, subsets: Sequence[Sequence[in
     d^e, e = rank B[S - A, O & A] + rank B[S & A, O - A] (the rank of
     [I_k | B] on the columns of A is |S & A| + rank B[S - A, O & A]).
     Returns e as a (batch, len(subsets)) array, one column per subset of
-    1-based wires.  An empty sub-block has rank 0.  Every nonempty one is
+    1-based wires.
+
+    The subsets become one boolean cut-by-wire mask; the row and column
+    masks of all 2 * len(subsets) sub-blocks are its source and sink halves
+    and their negations, and the entry indices of every sub-block of one
+    shape come from one np.nonzero of those masks, with no step per cut.
+    An empty sub-block has rank 0, and a one-row or one-column sub-block
+    rank 1 exactly when one of its entries is nonzero.  Every other one is
     gathered in its (r, c) orientation with r >= c, the narrow way for
-    _eliminate (the loop of _rref_eliminate, without its echelon sort;
-    one column step per column), and the sub-blocks are grouped by that
-    shape.  A group of m sub-blocks per labelling with d^(rc) <= m * batch
-    has no more possible matrices than sub-blocks: all d^(rc) are reduced
-    by one _eliminate call into a table of pivot counts, and each sub-block's rank
+    _eliminate (the loop of _rref_eliminate, without its echelon sort; one
+    column step per column), and the sub-blocks are grouped by that shape.
+    A group of m sub-blocks per labelling with d^(rc) <= m * batch has no
+    more possible matrices than sub-blocks: all d^(rc) are reduced by one
+    _eliminate call into a table of pivot counts, and each sub-block's rank
     is read at its code, the base-d number of its entries in the oriented
     layout (last entry least significant, the order of np.indices).  Every
     other group (in classify the whole k x (N - k) block, and nearly all of
     a batch of one) is reduced directly, all its sub-blocks of every
     labelling stacked into one _eliminate call, each rank its pivot count.
-    So no elimination stack is larger than the sub-blocks it ranks.  All 15625
-    2 x 3 blocks over GF(5) with N = 5 take about 17 ms on a 2-core Xeon, 60
-    ms when each cut was eliminated over the whole stack.  Raises
+    So no elimination stack is larger than the sub-blocks it ranks.  Raises
     ValueError for an entry outside [0, d) or a wire outside 1..N.
     """
     blocks = np.asarray(blocks, dtype=np.int64)
@@ -177,30 +185,37 @@ def rank_exponents(fld: Field, blocks: np.ndarray, subsets: Sequence[Sequence[in
     fld.check_arr(blocks)
     batch, k, n_sinks = blocks.shape
     n_cuts = len(subsets)
-    # oriented shape (r, c) -> its sub-blocks' slots (cut, or n_cuts + cut for
-    # the second half) and their entries' indices into the flattened block
-    groups: dict[tuple[int, int], tuple[list[int], list[np.ndarray]]] = {}
-    for col, subset in enumerate(subsets):
-        side = set(subset)
-        if not side <= set(range(1, k + n_sinks + 1)):
-            raise ValueError(f"subset {tuple(subset)} names a wire outside 1..{k + n_sinks}")
-        s_in = [i for i in range(k) if i + 1 in side]
-        s_out = [i for i in range(k) if i + 1 not in side]
-        o_in = [j for j in range(n_sinks) if k + j + 1 in side]
-        o_out = [j for j in range(n_sinks) if k + j + 1 not in side]
-        for slot, rows, cols in [(col, s_out, o_in), (n_cuts + col, s_in, o_out)]:
-            if rows and cols:
-                index = np.add.outer(np.multiply(rows, n_sinks), cols)
-                if len(rows) < len(cols):
-                    index = index.T
-                slots, indices = groups.setdefault(index.shape, ([], []))
-                slots.append(slot)
-                indices.append(index.ravel())
+    sizes = np.fromiter(map(len, subsets), dtype=np.int64, count=n_cuts)
+    wires = np.fromiter(itertools.chain.from_iterable(subsets), dtype=np.int64, count=int(sizes.sum()))
+    cut = np.repeat(np.arange(n_cuts), sizes)
+    outside = (wires < 1) | (wires > k + n_sinks)
+    if outside.any():
+        raise ValueError(f"subset {tuple(subsets[cut[outside.argmax()]])} names a wire outside 1..{k + n_sinks}")
+    side = np.zeros((n_cuts, k + n_sinks), dtype=bool)
+    side[cut, wires - 1] = True
+    # slot j < n_cuts holds cut j's B[S - A, O & A], slot n_cuts + j its B[S & A, O - A]
+    row_mask = np.concatenate([~side[:, :k], side[:, :k]])
+    col_mask = np.concatenate([side[:, k:], ~side[:, k:]])
+    rows, cols = row_mask.sum(axis=1), col_mask.sum(axis=1)
+    # oriented shape (r, c), r >= c -> its sub-blocks' slots and their entries' indices into the flattened block
+    groups: dict[tuple[int, int], list[tuple[np.ndarray, np.ndarray]]] = {}
+    for r, c in sorted(set(zip(rows.tolist(), cols.tolist()))):
+        if r and c:
+            slots = np.flatnonzero((rows == r) & (cols == c))
+            row_at = np.nonzero(row_mask[slots])[1].reshape(len(slots), r)
+            col_at = np.nonzero(col_mask[slots])[1].reshape(len(slots), c)
+            index = row_at[:, :, None] * n_sinks + col_at[:, None, :]
+            if r < c:
+                index = index.transpose(0, 2, 1)
+            groups.setdefault(index.shape[1:], []).append((slots, index.reshape(len(slots), r * c)))
     entries = np.ascontiguousarray(blocks.reshape(batch, k * n_sinks).T)  # one row per entry of B
     ranks = np.zeros((2 * n_cuts, batch), dtype=np.min_scalar_type(min(k, n_sinks)))  # no e exceeds min(k, N - k)
-    for (r, c), (slots, indices) in groups.items():
-        index = np.array(indices)  # (sub-blocks, r * c)
-        if fld.d ** (r * c) <= len(slots) * batch:
+    for (r, c), parts in groups.items():
+        slots = np.concatenate([slots for slots, _ in parts])
+        index = np.concatenate([index for _, index in parts])  # (sub-blocks, r * c)
+        if c == 1:
+            ranks[slots] = (entries[index] != 0).any(axis=1)
+        elif fld.d ** (r * c) <= len(slots) * batch:
             every = np.indices((fld.d,) * (r * c)).reshape(r * c, -1).T.reshape(-1, r, c)
             table = _eliminate(fld, every)[1].sum(axis=1)
             codes = entries[index[:, 0]]
@@ -488,7 +503,7 @@ class SymbolicState:
         for row in self.matrix:
             digits = fld.add_arr(digits[:, :, None], fld.mul_arr(row[:, None, None], np.arange(d))).reshape(n, -1)
         amps = np.full(d ** k, d ** (-k / 2))
-        return SupportState(d, n, digits[:, np.lexsort(digits[::-1])], amps)
+        return SupportState(d, n, digits[:, ket_order(d, digits)], amps)
 
     def dense_amps(self) -> np.ndarray:
         """Reconstruct the dense amplitude vector, under the d^n guard before any ket is listed."""
@@ -814,15 +829,13 @@ def affine_maps_equal(fld: Field, n_wires: int, batch: int, lhs: Sequence[tuple]
     when its rows are.  Row spaces alone would not do: every bijection spans
     the whole space.  Returns a (batch,) boolean array.
 
-    One validate_gates call checks every factor of both sides, lhs first,
-    with the smallest and the largest parameter of the batch, so a
-    parameter outside [0, d) or a D(0) raises its ValueError; so does an H
-    or V factor.  An H or V factor of lhs raises before any check of rhs.
+    One check_gates call checks every factor of both sides, lhs first, on
+    columns that hold each factor once if it has no parameter and twice if
+    it has one, at the smallest and the largest parameter of the batch, so a
+    parameter outside [0, d) or a D(0) raises its GateError (a ValueError);
+    an H or V factor raises ValueError when its side is applied, and one in
+    lhs raises before any check of rhs.
     """
-    def gates(side: Sequence[tuple]) -> list[Gate]:
-        return [Gate(kind, wires, value) for kind, wires, param in side
-                for value in ((None,) if param is None else (int(param.min()), int(param.max())))]
-
     def rows(side: Sequence[tuple]) -> np.ndarray:
         stack = np.zeros((batch, n_wires + 1, n_wires), dtype=np.int64)
         stack[:, :n_wires] = np.eye(n_wires, dtype=np.int64)
@@ -831,7 +844,13 @@ def affine_maps_equal(fld: Field, n_wires: int, batch: int, lhs: Sequence[tuple]
         return stack
 
     lhs_affine = not {kind for kind, _, _ in lhs} & {"H", "V"}
-    validate_gates(fld, n_wires, gates(lhs) + gates(rhs) if lhs_affine else gates(lhs))
+    factors = [*lhs, *rhs] if lhs_affine else lhs
+    params = [param for _, _, param in factors if param is not None]
+    bounds = np.concatenate(params, axis=1) if params else np.zeros((batch, 0), dtype=np.int64)
+    low, high = iter(bounds.min(axis=0).tolist()), iter(bounds.max(axis=0).tolist())
+    columns = [(GATE_KINDS.index(kind), wires[0], wires[-1] if len(wires) == 2 else 0, value)
+               for kind, wires, param in factors for value in ((0,) if param is None else (next(low), next(high)))]
+    check_gates(fld, n_wires, GateColumns(*np.array(columns, dtype=np.int64).reshape(-1, 4).T))
     return (rows(lhs) == rows(rhs)).all(axis=(1, 2))
 
 

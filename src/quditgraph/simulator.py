@@ -581,10 +581,7 @@ class _QuadraticForm:
             # q(u + 2^j) - q(u) = lin_j + sum over i < j of Q_ij u_i
             flip = (np.bitwise_count(u[:s] & (self.quad[j] & (s - 1))) & 1) ^ (self.linear >> j & 1)
             np.bitwise_xor(signs[:s], flip, out=signs[s : 2 * s])
-        # lexsort on the wires' digits, as many wires to an int64 key as fit in 62 bits
-        per = max(1, 62 // m)
-        weights = 1 << m * np.arange(per - 1, -1, -1)
-        order = np.lexsort([weights[per - len(chunk) :] @ chunk for chunk in np.split(kets, range(per, n, per))][::-1])
+        order = ket_order(2 ** m, kets)
         amp = 2.0 ** (-r / 2)
         return SupportState(2 ** m, n, kets[:, order], np.where(signs[order], -amp, amp))
 
@@ -784,6 +781,20 @@ def signatures_match(amps1: np.ndarray, amps2: np.ndarray, d: int, n: int) -> tu
 def ket_digits(indices: np.ndarray, d: int, n: int) -> np.ndarray:
     """Base-d digits of basis indices: row q - 1 holds the digit of qudit q."""
     return indices // d ** np.arange(n - 1, -1, -1)[:, None] % d
+
+
+def ket_order(d: int, digits: np.ndarray) -> np.ndarray:
+    """The stable order that sorts kets, given as (n, K) per-wire digits, ascending with wire 1 most significant.
+
+    Each digit takes (d - 1).bit_length() bits, and as many wires as fit in
+    62 bits make one int64 key, the first wire highest, so the order is one
+    argsort of one key when the digits fit, else one lexsort of the keys.
+    """
+    bits = (d - 1).bit_length()
+    per = max(1, 62 // bits)
+    weights = 1 << bits * np.arange(per - 1, -1, -1)
+    keys = [weights[per - len(chunk):] @ chunk for chunk in np.split(digits, range(per, len(digits), per))]
+    return np.argsort(keys[0], kind="stable") if len(keys) == 1 else np.lexsort(keys[::-1])
 
 
 def ket_index(digit_columns: Iterable, d: int):

@@ -1,4 +1,6 @@
 import functools
+import re
+import sys
 from itertools import combinations, product
 from math import comb
 
@@ -11,7 +13,7 @@ from quditgraph import rewrite
 from quditgraph.rewrite import mat_rref, rank_exponents
 from quditgraph.simulator import signature_key
 
-from util import field_for, scalar_rref
+from util import classify_full_sweep, field_for, scalar_rref
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -76,6 +78,53 @@ def test_classify_deterministic():
     a = classify(field_for(3), 4)
     b = classify(field_for(3), 4)
     assert a == b
+
+
+ORACLE_FIELDS = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 25, 257, 65521]
+
+
+@pytest.mark.parametrize("d", ORACLE_FIELDS)
+def test_classify_equals_the_full_sweep(d):
+    # classify ranks one block per orbit of row scaling; the oracle ranks every
+    # block.  Reports match whole, and so do the guard and crossing errors.
+    fld = field_for(d)
+    answered = 0
+    for n in range(2, 8):
+        try:
+            expected = classify_full_sweep(fld, n)
+        except (ResourceGuardError, RuntimeError) as error:
+            with pytest.raises(Exception) as raised:
+                classify(fld, n)
+            assert type(raised.value) is type(error) and str(raised.value) == str(error)
+        else:
+            assert classify(fld, n) == expected
+            answered += 1
+    assert answered >= 1
+
+
+@pytest.mark.parametrize("d,n", [(2, 5), (3, 4), (4, 5), (5, 4), (7, 4), (9, 3)])
+def test_classify_ranks_one_block_per_row_scaling_orbit(d, n, monkeypatch):
+    # every block ranked has rows whose first nonzero label is 1, in product
+    # order, and there are (d - 1)^k times fewer of them than graphs
+    classify_module = sys.modules["quditgraph.classify"]  # the package's classify attribute is the function
+    fld = field_for(d)
+    ranked = []
+    real = classify_module.rank_exponents
+
+    def recording(f, blocks, subsets):
+        ranked.append(blocks.copy())
+        return real(f, blocks, subsets)
+
+    monkeypatch.setattr(classify_module, "rank_exponents", recording)
+    report = classify(fld, n)
+    assert [blocks.shape[1] for blocks in ranked] == [cls["sources"] for cls in report["classes"]]
+    for blocks, cls in zip(ranked, report["classes"]):
+        k = cls["sources"]
+        assert len(blocks) * (d - 1) ** k == cls["graphs"] == _product_free_count(d, k, n - k)
+        rows = blocks.reshape(-1, n - k)
+        assert (rows[np.arange(len(rows)), (rows != 0).argmax(axis=1)] == 1).all()
+        flat = blocks.reshape(len(blocks), -1).tolist()
+        assert flat == sorted(flat) and len(set(map(tuple, flat))) == len(flat)
 
 
 def _labelings(d, n):
@@ -146,7 +195,7 @@ def test_rank_exponents_match_scalar_rref(d):
                 r_b = rank(tuple(columns[q - 1] for q in range(1, n + 1) if q not in subset))
                 assert e == r_a + r_b - k, (block.tolist(), subset)
 
-    for n, k in [(2, 1), (3, 1), (4, 2), (5, 2), (5, 3), (6, 2), (6, 4), (7, 3)]:
+    for n, k in [(2, 1), (3, 1), (4, 1), (4, 3), (4, 2), (5, 2), (5, 3), (6, 2), (6, 4), (6, 5), (7, 1), (7, 3)]:
         blocks = rng.integers(d, size=(30, k, n - k))
         blocks[::5, :, -1] = blocks[::5, :, 0]
         blocks[1::5, :, -1] = fld.mul_arr(int(rng.integers(1, d)), blocks[1::5, :, 0])
@@ -176,7 +225,7 @@ def per_sub_block_exponents(fld, blocks, subsets):
 
 
 @pytest.mark.parametrize("d, n, k, batch", [(9, 12, 6, 1), (9, 12, 4, 1), (16, 10, 5, 1), (2, 13, 6, 1), (3, 10, 3, 3),
-                                            (5, 9, 4, 2), (7, 8, 4, 4)])
+                                            (5, 9, 4, 2), (7, 8, 4, 4), (4, 11, 3, 1), (3, 11, 8, 1)])
 def test_rank_exponents_reduce_each_sub_block_shape_in_one_elimination(d, n, k, batch, monkeypatch):
     # half cuts of one to four labellings: most shapes are ranked directly, all their sub-blocks in one stack
     fld = field_for(d)
@@ -197,6 +246,32 @@ def test_rank_exponents_reduce_each_sub_block_shape_in_one_elimination(d, n, k, 
     assert np.array_equal(got, per_sub_block_exponents(fld, blocks, subsets))
 
 
+@pytest.mark.parametrize("d, n, k, batch", [(3, 7, 1, 1), (5, 6, 5, 1), (4, 7, 2, 1), (7, 6, 4, 3), (16, 8, 1, 5),
+                                            (2, 9, 8, 1)])
+def test_rank_exponents_read_one_row_and_one_column_sub_blocks_without_elimination(d, n, k, batch, monkeypatch):
+    # a sub-block with one row or one column has rank 1 exactly when one entry is
+    # nonzero: no _eliminate call has such a shape, and every cut is ranked
+    fld = field_for(d)
+    rng = np.random.default_rng(7 * d + n)
+    blocks = rng.integers(d, size=(batch, k, n - k))
+    blocks[0, 0, :] = 0  # a zero row, and a zero column where there are two or more rows
+    if k > 1:
+        blocks[-1, :, -1] = 0
+    subsets = [subset for size in range(n + 1) for subset in combinations(range(1, n + 1), size)]
+    shapes = []
+    real = rewrite._eliminate
+
+    def recording(f, m):
+        shapes.append(m.shape[1:])
+        return real(f, m)
+
+    monkeypatch.setattr(rewrite, "_eliminate", recording)
+    got = rank_exponents(fld, blocks, subsets)
+    assert all(min(shape) >= 2 for shape in shapes)
+    assert (not shapes) == (min(k, n - k) == 1)
+    assert np.array_equal(got, per_sub_block_exponents(fld, blocks, subsets))
+
+
 def test_rank_exponents_past_one_byte():
     # exponents above 255 need more than the one byte that smaller blocks are counted in
     fld = field_for(2)
@@ -210,8 +285,10 @@ def test_rank_exponents_rejects_bad_input():
         rank_exponents(fld, np.array([[1, 2]]), [(1,)])  # not a stack of blocks
     with pytest.raises(ValueError):
         rank_exponents(fld, np.array([[[1, 3]]]), [(1,)])  # label outside GF(3)
-    with pytest.raises(ValueError):
-        rank_exponents(fld, np.array([[[1, 2]]]), [(4,)])  # wire outside 1..3
+    for subsets in ([(4,)], [(1, 2), (0,)], [(2,), (3, -1)], [(1,), (2, 3, 4)]):  # a wire outside 1..3
+        bad = next(subset for subset in subsets if not set(subset) <= {1, 2, 3})
+        with pytest.raises(ValueError, match=f"^subset {re.escape(str(tuple(bad)))} names a wire outside 1..3$"):
+            rank_exponents(fld, np.array([[[1, 2]]]), subsets)
 
 
 def _product_free_count(d, k, m):

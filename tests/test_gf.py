@@ -183,6 +183,19 @@ def test_exp_hits_every_nonzero_element_once(p, n):
     assert fld.mul_arr(0, 0) == 0 and fld.mul_arr(0, fld.d - 1) == 0 and fld.mul_arr(fld.d - 1, 0) == 0
 
 
+@pytest.mark.parametrize("p,n", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (2, 4), (17, 1), (5, 2)]
+                         + ORACLE_FIELDS)
+def test_element_one_is_the_unit(p, n):
+    # classify's row normalization rests on this: scaling a row by the inverse
+    # of its first nonzero label gives the row whose first nonzero label is index 1
+    fld = Field(p, n)
+    every = np.arange(fld.d)
+    assert np.array_equal(fld.mul_arr(1, every), every) and np.array_equal(fld.mul_arr(every, 1), every)
+    assert poly_mul(fld, 1, fld.d - 1) == fld.d - 1
+    nonzero = every[1:]
+    assert np.array_equal(fld.mul_arr(fld.inv_arr(nonzero), nonzero), np.ones(fld.d - 1, dtype=np.int64))
+
+
 def test_inv_zero_raises():
     with pytest.raises(ZeroDivisionError):
         field_for(5).inv(0)

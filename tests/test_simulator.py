@@ -863,6 +863,32 @@ def test_quadratic_form_past_sixty_four_index_bits(d, n, k):
     assert np.array_equal(support.amps, want.amps) and want.amps.size == d ** k
 
 
+@pytest.mark.parametrize("d", [2, 3, 4, 7, 16, 256, 65521, 2 ** 16, 10 ** 30])
+def test_ket_order_sorts_like_a_lexsort_of_the_digits(d):
+    # one int64 key per 62 // (d - 1).bit_length() wires; wider registers take
+    # several keys, and a digit past int64 takes a key of its own
+    rng = np.random.default_rng(d % 1000)
+    for n in (1, 2, 5, 20, 31, 32, 63, 70):
+        digits = rng.integers(min(d, 2 ** 62), size=(n, 257))
+        digits[:, ::5] = digits[:, 3:4]  # repeated kets keep their order
+        digits[: n // 2, 1::7] = 0
+        assert np.array_equal(simulator.ket_order(d, digits), np.lexsort(digits[::-1])), n
+    assert simulator.ket_order(d, np.zeros((0, 3), dtype=np.int64)).tolist() == [0, 1, 2]
+
+
+@pytest.mark.parametrize("d", [3, 5, 9])
+def test_symbolic_support_of_many_wires_is_ascending(d):
+    # 70 wires need three keys of 31 or 15 wires
+    fld = field_for(d)
+    rng = np.random.default_rng(d)
+    sym = SymbolicState.from_pattern(fld, ("s",) * 3 + ("0",) * 67)
+    sym.apply([Gate("C", (int(rng.integers(1, 4)), int(t)), int(rng.integers(1, d))) for t in rng.integers(4, 71, size=200)])
+    digits = sym.support().digits
+    assert digits.shape == (70, d ** 3)
+    assert [tuple(ket) for ket in digits.T.tolist()] == sorted(tuple(ket) for ket in digits.T.tolist())
+    assert len({tuple(ket) for ket in digits.T.tolist()}) == d ** 3
+
+
 def test_quadratic_form_refuses_before_listing_kets():
     fld = field_for(2)
     start = time.perf_counter()

@@ -7,8 +7,11 @@ import functools
 
 import numpy as np
 
-from quditgraph import Circuit, Field, Gate, SupportState, SymbolicState, gate_matrix, sequence_matrix
+from quditgraph import (Circuit, Field, Gate, GraphState, ResourceGuardError, SupportState, SymbolicState,
+                        bipartition_subsets, gate_matrix, sequence_matrix)
+from quditgraph.classify import LABELLING_LIMIT, unique_rows
 from quditgraph.gf import _ascii_int
+from quditgraph.rewrite import graph_to_json_dict, rank_exponents
 from quditgraph.simulator import check_state_size, ket_digits, ket_index
 
 field_for = functools.cache(Field.of_order)
@@ -97,6 +100,52 @@ def negate_last(f: Field, factors: list) -> list:
     """A right-hand side with the parameter of its last factor negated: for the reverse chain, wrong where -1 != 1."""
     kind, wires, param = factors[-1]
     return factors[:-1] + [(kind, wires, f.neg_table[param])]
+
+
+def classify_full_sweep(fld: Field, n_qudits: int) -> dict:
+    """classify ranking every k x (N-k) label block, no orbit of row scaling quotiented out: the oracle for classify."""
+    d = fld.d
+    if n_qudits < 2:
+        raise ValueError("classification needs at least two qudits")
+    if n_qudits > 65:
+        raise ResourceGuardError(f"classify {n_qudits} over GF({d}) sweeps at least {d}^{n_qudits - 1} labellings, "
+                                 "over the 2^16 guard")
+    labellings = 0
+    for k in range(1, n_qudits // 2 + 1):
+        labellings += d ** (k * (n_qudits - k))
+        if labellings > LABELLING_LIMIT:
+            shown = labellings if labellings < 10 ** 12 else f"2^{labellings.bit_length() - 1}"
+            raise ResourceGuardError(f"classify {n_qudits} over GF({d}) sweeps at least {shown} labellings, over the 2^16 guard")
+    subsets = bipartition_subsets(n_qudits)
+    sizes = np.array([len(subset) for subset in subsets])
+    classes = []
+    seen_keys: dict[tuple, int] = {}
+    for k in range(1, n_qudits // 2 + 1):
+        n_sinks = n_qudits - k
+        # every k x (N-k) labelling, in itertools.product order (last label fastest)
+        labels = np.indices((d,) * (k * n_sinks)).reshape(k * n_sinks, -1).T
+        edge = labels.reshape(-1, k, n_sinks) != 0
+        labels = labels[edge.any(axis=2).all(axis=1) & edge.any(axis=1).all(axis=1)]
+        if not len(labels):
+            continue
+        codes = (n_qudits - rank_exponents(fld, labels.reshape(-1, k, n_sinks), subsets)) * n_qudits + sizes
+        codes.sort(axis=1)
+        keys, first, counts = unique_rows(codes)
+        for key in map(tuple, keys.tolist()):
+            if seen_keys.setdefault(key, k) != k:
+                raise RuntimeError("invariant signature crossed class boundaries")
+        representative = graph_to_json_dict(GraphState(fld, tuple(range(1, k + 1)), tuple(range(k + 1, n_qudits + 1)),
+                                                       np.ones((k, n_sinks), dtype=np.int64)))
+        del representative["field"]
+        classes.append({
+            "sources": k,
+            "sinks": n_sinks,
+            "graphs": len(labels),
+            "representative": representative,
+            "signature_orbits": [{"count": int(c), "representative_labels": labels[i].tolist()}
+                                 for c, i in zip(counts, first)],
+        })
+    return {"field": fld.descriptor(), "n": n_qudits, "count": len(classes), "classes": classes}
 
 
 def ket_strings(amps: np.ndarray, d: int, n: int, tol: float = 1e-12) -> list[str]:
