@@ -337,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=["json", "text"], default="text")
     p.set_defaults(func=cmd_relations_test)
 
-    p = sub.add_parser("simulate", help="dense-simulate a circuit file and dump the state")
+    p = sub.add_parser("simulate", help="simulate a circuit file and dump the state: exact over GF(2^m), dense over odd p")
     p.add_argument("circuit")
     p.set_defaults(func=cmd_simulate)
 

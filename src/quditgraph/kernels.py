@@ -13,25 +13,21 @@ a contiguous view of the state that writes straight into `out`:
                 entries (C gate)
     fourier     one matrix product with the d x d Fourier matrix (H gate)
 
-Over a field of characteristic 2 a whole run of permutation gates is one
-XOR-affine map of the index bits, and xor_gather applies it in one pass,
-chunk by chunk; the simulator uses the single-gate permutation kernels only
-for odd p.  The CLI simulates a circuit over characteristic 2 with no
-kernel (simulator.quadratic_form_support), so there the kernels serve the
-dense oracles only.
+The simulator runs one kernel per gate over every field.  The CLI
+simulates a circuit over characteristic 2 with no kernel
+(simulator.quadratic_form_support), so there the kernels serve the dense
+oracles only.
 
-No kernel allocates a temporary the size of the state: the largest ones are
+No kernel allocates a temporary the size of the state: the largest one is
 the C gate's index, which is the size of the state only for the wire pair
-(1, N), and xor_gather's index of one chunk, 1/64 of the state or 2^12
-amplitudes, whichever is larger.  The permutation kernels are
-dtype-agnostic: run on an integer arange they return the gather map.  fourier keeps the dtype of its operands: a real
-table on real amplitudes, as over characteristic 2, is a real dgemm.
-The permutation kernels call the ndarray.take method rather than np.take,
-whose wrapper overhead shows on tiny registers such as the dressed states
-of dual-check (256 amplitudes for 8 GF(2) wires), and pass mode="clip" so
-take writes straight into `out`; every index is in range, so clipping
-never changes one.  `amps` and `out` must be distinct C-contiguous
-arrays of the same size.
+(1, N).  The permutation kernels are dtype-agnostic: run on an integer
+arange they return the gather map.  fourier keeps the dtype of its
+operands: a real table on real amplitudes, as over characteristic 2, is a
+real dgemm.  The permutation kernels call the ndarray.take method rather
+than np.take, whose wrapper overhead shows on tiny registers, and pass
+mode="clip" so take writes straight into `out`; every index is in range,
+so clipping never changes one.  `amps` and `out` must be distinct
+C-contiguous arrays of the same size.
 """
 
 from __future__ import annotations
@@ -44,12 +40,6 @@ BACKEND = "numpy"
 # per-matrix overhead than one gemm against kron(h, I_stride) wastes in zeros;
 # the cap also keeps the kron matrix at 32 x 32 entries or fewer.
 FOURIER_KRON_MAX = 32
-
-# xor_gather fills its output in chunks of 1/64 of the state, and never of
-# fewer than 2^XOR_CHUNK_MIN_BITS amplitudes; the chunk's index is its one
-# temporary, 32 KiB of intp up to 2^18 amplitudes and 1/64 of the state past it.
-XOR_CHUNK_MIN_BITS = 12
-XOR_CHUNK_SHARE_BITS = 6
 
 
 def _pair_shape(size: int, d: int, stride_a: int, stride_b: int) -> tuple[int, ...]:
@@ -95,34 +85,6 @@ def cnot(amps, out, d, stride_c, stride_t, src_digits):
             plane += shift
     shape = (outer, d * span, inner)
     amps.reshape(shape).take(idx.reshape(-1), axis=1, out=out.reshape(shape), mode="clip")
-    return out
-
-
-def xor_gather(amps, out, c, cols):
-    """out[y] = amps[c ^ XOR of cols[j] over the set bits j of y], for len(cols) = log2(amps.size).
-
-    The gather of an XOR-affine map of the index bits, which is what a run
-    of permutation gates over a field of characteristic 2 is.  A chunk is
-    1/2^XOR_CHUNK_SHARE_BITS of the state, but at least 2^XOR_CHUNK_MIN_BITS
-    amplitudes, so a 2^20 state takes 64 Python-level chunk steps, not
-    256.  The index of a chunk's low bits of y is built once by XOR
-    doubling; the output is then gathered chunk by chunk, each chunk of out
-    fixing the high bits of y.  The chunks are visited in Gray-code order,
-    so stepping to the next one flips one high bit and XORs one column into
-    the index, in place: the index never grows past one chunk.
-    """
-    src, dst = amps.reshape(-1), out.reshape(-1)
-    low = min(len(cols), max(XOR_CHUNK_MIN_BITS, len(cols) - XOR_CHUNK_SHARE_BITS))
-    size = 1 << low
-    idx = np.empty(size, dtype=np.intp)
-    idx[0] = c
-    for j in range(low):
-        np.bitwise_xor(idx[: 1 << j], cols[j], out=idx[1 << j : 2 << j])
-    src.take(idx, out=dst[:size], mode="clip")
-    for k in range(1, 1 << (len(cols) - low)):
-        idx ^= cols[low + (k & -k).bit_length() - 1]  # the high bit that k's Gray code flips
-        chunk = (k ^ (k >> 1)) * size
-        src.take(idx, out=dst[chunk : chunk + size], mode="clip")
     return out
 
 

@@ -14,20 +14,15 @@ Gates
     V m     coefficient reversal permutation
     W m n   swap
 
-All gates except H permute basis states.  Every gate is applied by the
-kernels module; each kernel writes straight into the second buffer of a
-ping-pong pair.  Over GF(2^m) the digits of a wire are m bits of the
-amplitude index, and every permutation gate is an affine map of those bits
-over Z_2, so _run_raw composes each run of them between H gates into one
-map (_xor_source_map) and applies it as one kernels.xor_gather pass.  H,
-and every gate over an odd-p field, is one kernel pass per gate.  A gather
-map is this gate loop run on an index array, a dense operator the loop run
-on an identity; every dense builder counts its entries with
-check_state_size.  Amplitudes are float64 where they are real by
-construction: under every gate but H, and under H over characteristic 2,
-where omega = -1 exactly.  _run_raw promotes a real state to complex128
-once, before its first pass, when the field is odd and the run holds an H;
-parsed dumps and other complex input stay complex128.
+All gates except H permute basis states.  _run_raw applies every gate,
+over every field, as one kernel pass that writes straight into the second
+buffer of a ping-pong pair.  A gather map is this gate loop run on an index
+array, a dense operator the loop run on an identity; every dense builder
+counts its entries with check_state_size.  Amplitudes are float64 where
+they are real by construction: under every gate but H, and under H over
+characteristic 2, where omega = -1 exactly.  _run_raw promotes a real state
+to complex128 once, before its first pass, when the field is odd and the
+run holds an H; parsed dumps and other complex input stay complex128.
 
 Over characteristic 2 a circuit's state is an affine-quadratic form on the
 index bits (_QuadraticForm), which quadratic_form_support tracks exactly
@@ -357,25 +352,14 @@ def run_gates(state: StateVector, gates: GateList) -> StateVector:
 def _run_raw(field: Field, n: int, cols: GateColumns, cur: np.ndarray) -> np.ndarray:
     """Apply validated gates in order, ping-ponging between cur, which may be overwritten, and one more buffer.
 
-    Over a field of characteristic 2 each maximal run of gates other than H
-    is one XOR-affine map of the index bits (_xor_source_map) and takes one
-    kernels.xor_gather pass.  H gates, and every gate over an odd-p field,
-    whose digit maps carry mod p across the bits of the index, take one
-    _apply_gate_raw pass each, as a Gate.  A float64 cur becomes complex128
+    Each gate is one _apply_gate_raw pass.  A float64 cur becomes complex128
     first only when the field is odd and the run holds an H.
     """
-    fused = (cols.kind != KIND_H) & (field.p == 2)
     if cur.dtype == np.float64 and field.p != 2 and (cols.kind == KIND_H).any():
         cur = cur.astype(np.complex128)
     buf = np.empty_like(cur)
-    singles = iter(cols[~fused].gates())
-    # a pass starts at every gate but a fused one right after a fused one
-    bounds = [*np.flatnonzero(~(fused & np.r_[False, fused[:-1]])).tolist(), len(cols)]
-    for start, stop in zip(bounds, bounds[1:]):
-        if fused[start]:
-            kernels.xor_gather(cur, buf, *_xor_source_map(field, n, cols[start:stop]))
-        else:
-            _apply_gate_raw(field, n, next(singles), cur, buf)
+    for gate in cols.gates():
+        _apply_gate_raw(field, n, gate, cur, buf)
         cur, buf = buf, cur
     return cur
 

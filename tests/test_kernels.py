@@ -11,10 +11,13 @@ before, between and after their two wires.  The Fourier gate is checked
 against its Kronecker operator I (x) h (x) I, and every gate against an
 allocation bound: no kernel allocates a temporary the size of the state.
 
-Over fields of characteristic 2, _run_raw applies each run of permutation
-gates between H gates as one XOR-affine gather.  Those runs are checked bit
-for bit against a ping-pong loop of single-gate kernels, and their source
-maps against the composition of the ket-by-ket oracle maps.
+Over fields of characteristic 2 a run of permutation gates is one
+XOR-affine map of the index bits (_xor_source_map), which the exact
+quadratic form reads.  That map, applied as a gather, is checked bit for
+bit against a ping-pong loop of single-gate kernels, on registers of more
+than 64 index bits against the ket-by-ket oracle, and the source maps of
+long runs against the composition of the ket-by-ket oracle maps.  The gate
+loop _run_raw holds one buffer beside the state over a whole run.
 """
 
 import tracemalloc
@@ -24,7 +27,7 @@ import numpy as np
 import pytest
 
 from quditgraph import Gate, GateColumns, StateVector, fourier_matrix, run_gates, sequence_matrix
-from quditgraph.kernels import FOURIER_KRON_MAX, XOR_CHUNK_MIN_BITS, XOR_CHUNK_SHARE_BITS, xor_gather
+from quditgraph.kernels import FOURIER_KRON_MAX
 from quditgraph.simulator import _apply_gate_raw, _run_raw, _xor_source_map, gate_source_map, sequence_source_map
 
 from util import field_for, random_gate
@@ -133,34 +136,51 @@ def spanning_gates(fld, n):
     return [Gate("C", (1, n), fld.d - 1), Gate("C", (n, 1), 1), Gate("W", (1, n)), Gate("W", (n, 1))]
 
 
-def runs_split_by_h(fld, n, rng):
-    """A/D/C/V/W runs of length 0 (two adjacent H), 1 and more, each followed by an H gate."""
-    gates = []
-    for length in (0, 1, 0, 5, 1, 12, 3):
-        run = [random_gate(fld, n, rng, "ADCVW") for _ in range(length)]
-        if length > 2:
-            run[1:1] = [spanning_gates(fld, n)[rng.integers(4)]]
-        gates += run + [Gate("H", (int(rng.integers(n)) + 1,))]
-    gates += [random_gate(fld, n, rng, "ADCVW") for _ in range(4)] + spanning_gates(fld, n)
-    return gates
-
-
 @pytest.mark.parametrize("d,n", [(2, 1), (2, 5), (2, 13), (4, 2), (4, 6), (8, 3), (8, 4), (16, 2), (16, 3)])
-def test_fused_runs_match_the_per_gate_loop(d, n):
+def test_xor_source_map_matches_the_per_gate_loop(d, n):
+    # the (c, cols) that _QuadraticForm.permute reads, as the gather amps[c ^ XOR of cols at the set bits of y]
     fld = field_for(d)
     rng = np.random.default_rng(300 + 10 * d + n)
-    for _ in range(3):
-        gates = runs_split_by_h(fld, n, rng) if n > 1 else [random_gate(fld, 1, rng) for _ in range(20)]
+    y = np.arange(d ** n)
+    for length in (0, 1, 5, 25):
+        gates = [random_gate(fld, n, rng, "ADCVW") for _ in range(length)]
+        if n > 1:
+            gates[1:1] = spanning_gates(fld, n)
+        c, cols = _xor_source_map(fld, n, GateColumns.from_gates(gates))
+        idx = np.full(d ** n, c)
+        for j, col in enumerate(cols):
+            idx ^= (y >> j & 1) * col
         amps = rng.standard_normal(d ** n) + 1j * rng.standard_normal(d ** n)
         cur, buf = amps.copy(), np.empty_like(amps)
         for gate in gates:
             _apply_gate_raw(fld, n, gate, cur, buf)
             cur, buf = buf, cur
-        assert np.array_equal(_run_raw(fld, n, GateColumns.from_gates(gates), amps.copy()), cur), gates
+        assert np.array_equal(amps[idx], cur), gates
+
+
+@pytest.mark.parametrize("d,n", [(2, 80), (16, 20)])
+def test_xor_source_map_of_a_wide_register_matches_the_ket_oracle(d, n):
+    # past 64 index bits the map's Python-int columns must stay exact: src(image(x)) = x, ket by ket
+    fld = field_for(d)
+    rng = np.random.default_rng(500 + d)
+    for length in (1, 5, 40):
+        gates = spanning_gates(fld, n) + [random_gate(fld, n, rng, "ADCVW") for _ in range(length)]
+        c, cols = _xor_source_map(fld, n, GateColumns.from_gates(gates))
+        assert len(cols) == fld.n * n and max(cols).bit_length() > 64
+        for _ in range(20):
+            x = rng.integers(d, size=n).tolist()
+            y = x
+            for gate in gates:
+                y = image(fld, gate, y)
+            src, index = c, index_of(y, d)
+            for j, col in enumerate(cols):
+                if index >> j & 1:
+                    src ^= col
+            assert src == index_of(x, d), (gates, x)
 
 
 @pytest.mark.parametrize("d,n", [(2, 1), (2, 4), (2, 6), (4, 3), (8, 2), (8, 3), (16, 2)])
-def test_fused_source_maps_compose_oracle_maps(d, n):
+def test_gf2m_source_maps_compose_oracle_maps(d, n):
     fld = field_for(d)
     rng = np.random.default_rng(400 + 10 * d + n)
     for length in (1, 2, 7, 25):
@@ -171,21 +191,6 @@ def test_fused_source_maps_compose_oracle_maps(d, n):
         for gate in ops:  # ops[-1] acts first, so its map is the outermost gather
             want = oracle_source_map(fld, n, gate)[want]
         assert np.array_equal(sequence_source_map(fld, n, ops), want), ops
-
-
-def test_xor_gather_matches_the_xor_of_columns():
-    rng = np.random.default_rng(7)
-    # one chunk, several of the smallest size, and chunks of 1/64 of the state past 2^18
-    for bits in (0, 3, XOR_CHUNK_MIN_BITS, XOR_CHUNK_MIN_BITS + 3, XOR_CHUNK_MIN_BITS + XOR_CHUNK_SHARE_BITS + 2):
-        cols = rng.integers(1 << bits, size=bits).tolist()
-        c = int(rng.integers(1 << bits))
-        y = np.arange(1 << bits)
-        idx = np.full(1 << bits, c)
-        for j, col in enumerate(cols):
-            idx ^= (y >> j & 1) * col
-        amps = rng.standard_normal(1 << bits) + 1j * rng.standard_normal(1 << bits)
-        assert np.array_equal(xor_gather(amps, np.empty_like(amps), c, cols), amps[idx])
-        assert np.array_equal(xor_gather(y, np.empty_like(y), c, cols), idx)  # any dtype
 
 
 @pytest.mark.parametrize("d,n", FOURIER_CASES)
@@ -228,39 +233,26 @@ def test_gate_kernels_allocate_no_state_sized_temporary():
         tracemalloc.stop()
 
 
-def test_xor_gather_index_is_a_sixty_fourth_of_a_large_state():
-    bits = 20
-    rng = np.random.default_rng(3)
-    cols = rng.integers(1 << bits, size=bits).tolist()
-    amps = np.zeros(1 << bits)
-    out = np.empty_like(amps)
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        xor_gather(amps, out, 0, cols)
-        peak = tracemalloc.get_traced_memory()[1] - before
-    finally:
-        tracemalloc.stop()
-    chunk = 8 << (bits - XOR_CHUNK_SHARE_BITS)  # intp entries of one chunk's index
-    assert chunk <= peak < chunk + 4096, peak
-
-
-def test_fused_run_allocates_no_state_sized_temporary():
+def test_gate_loop_holds_one_buffer_beside_the_state():
+    # _run_raw ping-pongs between the state and one buffer, so a long run peaks at
+    # that buffer plus the largest single-gate temporary, not a state per gate
     d, n = 2, 16
     fld = field_for(d)
     rng = np.random.default_rng(1)
     amps = rng.standard_normal(d ** n) + 0j
-    out = np.empty_like(amps)
     slack = amps.nbytes // 16
-    gates = spanning_gates(fld, n) + [random_gate(fld, n, rng, "ADCVW") for _ in range(46)]
+    gates = spanning_gates(fld, n) + [random_gate(fld, n, rng) for _ in range(46)]
+    cols = GateColumns.from_gates(gates)
+    index = 8 * d * d * d ** (n - 2)  # a spanning C gate's index
+    start = amps.copy()
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        xor_gather(amps, out, *_xor_source_map(fld, n, GateColumns.from_gates(gates)))
+        out = _run_raw(fld, n, cols, start)
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
-    assert peak < slack, (peak, slack)
+    assert peak < amps.nbytes + index + slack, (peak, amps.nbytes + index + slack)
     cur, buf = amps.copy(), np.empty_like(amps)
     for gate in gates:
         _apply_gate_raw(fld, n, gate, cur, buf)
