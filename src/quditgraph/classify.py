@@ -11,7 +11,9 @@ nonzero, the (d - 1)^k scalings act freely, so each orbit holds exactly
 (d - 1)^k blocks, and its first block in itertools.product order (last label
 fastest) is the one whose every row has first nonzero label 1, since element
 index 1 is the field's unit and 0 the only smaller index.  The sweep lists
-just those row-normalized blocks, in product order, and multiplies every
+just those row-normalized blocks, in product order, built from the
+row-normalized rows (normalized_rows lists them directly, never the other
+d^(N-k) - (d^(N-k) - 1)/(d - 1) rows), and multiplies every
 class and orbit count by (d - 1)^k: counts, orbit order and
 representative_labels equal those of the full sweep (over GF(2) the sweep is
 the full one), with (d - 1)^k times fewer blocks ranked.
@@ -41,8 +43,9 @@ counts the labellings a sweep stands for, the sum over k = 1..N/2 of
 d^(k(N-k)), not the blocks it ranks, so the same inputs are refused as by a
 full sweep.  Measured in process on a 2-core Xeon: N = 5 over GF(5) (16250
 labellings, 920 blocks ranked) takes about 2.8 ms against 24 ms for the full
-sweep in the same session, N = 3 over GF(256) (65536) 5.2 ms against 30 ms,
-and N = 2 over GF(65521) 2 ms against 11 ms.
+sweep in the same session; N = 3 over GF(256) (65536 labellings) takes
+0.22 ms and N = 2 over GF(65521) 0.14 ms, against 2.5 ms and 1.2 ms when
+the rows were filtered from all d^(N-k) rows.
 """
 
 from __future__ import annotations
@@ -69,6 +72,19 @@ def unique_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return ranked[starts], order[starts], np.diff(np.append(starts, len(rows)))
 
 
+def normalized_rows(d: int, length: int) -> np.ndarray:
+    """Every row of length labels over GF(d) whose first nonzero label is 1, in lexicographic order.
+
+    Listed directly, not filtered from all d^length rows.  Read as base-d
+    numbers, these rows are the integers in [d^t, 2 d^t) for t = 0 ..
+    length - 1: a leading 1 with t free digits after it, the blocks running
+    from most leading zeros to fewest.
+    """
+    starts = d ** np.arange(length)
+    numbers = np.concatenate([np.arange(start, 2 * start) for start in starts.tolist()])
+    return numbers[:, None] // starts[::-1] % d
+
+
 def classify(fld: Field, n_qudits: int) -> dict:
     """Classify product-free standard-form graph states on n_qudits wires."""
     d = fld.d
@@ -90,8 +106,7 @@ def classify(fld: Field, n_qudits: int) -> dict:
     for k in range(1, n_qudits // 2 + 1):
         n_sinks = n_qudits - k
         # one block per orbit of row scaling: every row's first nonzero label is 1
-        rows = np.indices((d,) * n_sinks).reshape(n_sinks, -1).T
-        rows = rows[rows[np.arange(len(rows)), (rows != 0).argmax(axis=1)] == 1]
+        rows = normalized_rows(d, n_sinks)
         # their k-row blocks in itertools.product order (last label fastest)
         labels = rows[np.indices((len(rows),) * k).reshape(k, -1).T].reshape(-1, k * n_sinks)
         # an isolated sink stays in |0> (no row is zero, so no source is isolated)

@@ -21,7 +21,10 @@ digits of other scripts are usage errors.
 normalize --verify decides exactly, with no dense state and so at any size:
 it runs the graph's rows back through the inverse circuit
 (rewrite.pulls_back_to_register), and its JSON gives "decided_by":
-"inverse-circuit".
+"inverse-circuit".  normalize writes its graph from the graph's edge table
+(GraphState.edge_table): JSON, text and DOT each render every edge in one %
+over a per-edge template (rewrite.format_rows), the JSON byte for byte as
+json.dumps(..., indent=2, sort_keys=True) writes graph_to_json_dict.
 simulate is exact over GF(2^m), from the affine-quadratic form
 (simulator.quadratic_form_support), and dense over an odd p; on both lanes
 an output past the ket guard (simulator.check_ket_count) exits 3 before
@@ -36,9 +39,7 @@ import json
 import math
 import sys
 import traceback
-from itertools import chain
 from json.encoder import encode_basestring_ascii
-from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -49,10 +50,11 @@ from .entangle import build_mes, mes_verdict
 from .gf import Field, _ascii_int
 from .rewrite import (
     CircuitParseError,
+    GraphState,
     canonicalize,
+    format_rows,
     graph_from_json_dict,
     graph_to_dot,
-    graph_to_json_dict,
     parse_circuit,
     pulls_back_to_register,
     relations_suite,
@@ -102,44 +104,51 @@ def _json_text(obj, indent: str = "") -> str:
 
     indent is the indentation of the line obj starts on.  Dicts with string
     keys, lists, tuples and the leaves of _JSON_LEAVES are written here,
-    each leaf by the function json itself uses for it; a list of ints is
-    one join, and a list of dicts with the same keys and int values (graph
-    edges) one format of a template per dict.  Everything else (a dict
-    with a key that is not a string, a numpy scalar) goes to json.dumps,
-    re-indented: JSON text holds no raw newline but those between its
-    lines.
+    each leaf by the function json itself uses for it (an int in a dict in
+    place), and a list of ints as one join.  A GraphState is written as
+    json.dumps writes its graph_to_json_dict, from its edge table
+    (_graph_json).  Everything else (a dict with a key that is not a
+    string, a numpy scalar) goes to json.dumps, re-indented: JSON text holds
+    no raw newline but those between its lines.
     """
     leaf = _JSON_LEAVES.get(type(obj))
     if leaf is not None:
         return leaf(obj)
+    if type(obj) is GraphState:
+        return _graph_json(obj, indent)
     inner = indent + "  "
     if type(obj) is dict and all(type(key) is str for key in obj):
         if not obj:
             return "{}"
-        items = (f"{inner}{encode_basestring_ascii(key)}: {_json_text(obj[key], inner)}" for key in sorted(obj))
+        # an int value (a count, a wire) is written in place, with no call
+        items = [f"{inner}{encode_basestring_ascii(key)}: {value if type(value) is int else _json_text(value, inner)}"
+                 for key, value in sorted(obj.items())]
         return "{\n" + ",\n".join(items) + "\n" + indent + "}"
     if type(obj) in (list, tuple):
         if not obj:
             return "[]"
-        types = set(map(type, obj))
-        if types == {int}:
+        if set(map(type, obj)) == {int}:
             body = inner + (",\n" + inner).join(map(int.__repr__, obj))
-        elif types == {dict} and _same_int_records(obj):
-            keys = sorted(obj[0])
-            fields = ",\n".join(inner + "  " + encode_basestring_ascii(key).replace("%", "%%") + ": %d" for key in keys)
-            template = inner + "{\n" + fields + "\n" + inner + "}"
-            body = ",\n".join(map(template.__mod__, map(itemgetter(*keys), obj)))
         else:
-            body = ",\n".join(inner + _json_text(item, inner) for item in obj)
+            body = ",\n".join([inner + _json_text(item, inner) for item in obj])
         return "[\n" + body + "\n" + indent + "]"
     return json.dumps(obj, indent=2, sort_keys=True).replace("\n", "\n" + indent)
 
 
-def _same_int_records(rows: list) -> bool:
-    """True when the dicts share two or more string keys and hold only ints."""
-    keys = rows[0].keys()
-    return (len(keys) > 1 and all(type(key) is str for key in keys) and all(map(keys.__eq__, map(dict.keys, rows)))
-            and set(map(type, chain.from_iterable(map(dict.values, rows)))) == {int})
+def _graph_json(g: GraphState, indent: str) -> str:
+    """_json_text(graph_to_json_dict(g), indent), its edges one format_rows of g.edge_table: no dict per edge."""
+    inner, item = indent + "  ", indent + "    "
+    edges = "[]"
+    if len(g.edge_table):
+        template = f'{item}{{\n{item}  "from": %d,\n{item}  "label": %d,\n{item}  "to": %d\n{item}}}'
+        edges = "[\n" + format_rows(template, g.edge_table[:, [0, 2, 1]], ",\n") + "\n" + inner + "]"
+    members = {
+        "O": _json_text(list(g.o_wires), inner),
+        "S": _json_text(list(g.s_wires), inner),
+        "edges": edges,
+        "field": _json_text({"n": g.field.n, "p": g.field.p, "poly": g.field.poly_index}, inner),
+    }
+    return "{\n" + ",\n".join(f'{inner}"{key}": {text}' for key, text in members.items()) + "\n" + indent + "}"
 
 
 def _field_arg(text: str) -> Field:
@@ -189,6 +198,12 @@ def _seed_arg(text: str) -> int:
 # Verb handlers
 # ---------------------------------------------------------------------------
 
+def _normalize_text(perm: tuple[int, ...], graph: GraphState) -> str:
+    """normalize --format text: the permutation, S and O lines, then one line per row of graph.edge_table."""
+    return (f"permutation: {' '.join(map(str, perm))}\nS: {' '.join(map(str, graph.s_wires))}\n"
+            f"O: {' '.join(map(str, graph.o_wires))}\n" + format_rows("edge %d -> %d label %d\n", graph.edge_table))
+
+
 def cmd_normalize(args) -> int:
     circuit = parse_circuit(Path(args.circuit).read_text())
     perm, graph = canonicalize(circuit)
@@ -196,27 +211,13 @@ def cmd_normalize(args) -> int:
     if args.verify:
         verification = {"decided_by": "inverse-circuit", "equal": pulls_back_to_register(circuit, graph)}
         status = f"verification: {'OK' if verification['equal'] else 'MISMATCH'} (inverse-circuit)"
-    if args.format == "dot":
-        out = graph_to_dot(graph)
-        if status is not None:
-            out += f"// {status}\n"
-        print(out, end="")
-    elif args.format == "text":
-        lines = [
-            f"permutation: {' '.join(map(str, perm))}",
-            f"S: {' '.join(map(str, graph.s_wires))}",
-            f"O: {' '.join(map(str, graph.o_wires))}",
-            *(f"edge {i} -> {j} label {b}" for i, j, b in graph.edges),
-        ]
-        if status is not None:
-            lines.append(status)
-        print("\n".join(lines))
+    if args.format == "json":
+        _emit_json({"permutation": list(perm), "graph": graph, "verification": verification})
     else:
-        _emit_json({
-            "permutation": list(perm),
-            "graph": graph_to_json_dict(graph),
-            "verification": verification,
-        })
+        out = graph_to_dot(graph) if args.format == "dot" else _normalize_text(perm, graph)
+        if status is not None:
+            out += ("// " if args.format == "dot" else "") + status + "\n"
+        print(out, end="")
     if verification is not None and not verification["equal"]:
         return EXIT_FALSE
     return EXIT_OK

@@ -588,11 +588,25 @@ class GraphState:
         return len(self.s_wires) + len(self.o_wires)
 
     @functools.cached_property
+    def edge_table(self) -> np.ndarray:
+        """The edge table: a read-only int64 row (source, sink, label) per nonzero label, in (source, sink) order.
+
+        np.nonzero of the block with its rows and columns put in ascending
+        wire order lists the edges in that order, with no sort.  edges,
+        to_circuit and every graph writer read this table.
+        """
+        s_wires, o_wires = np.array(self.s_wires, dtype=np.int64), np.array(self.o_wires, dtype=np.int64)
+        s_order, o_order = s_wires.argsort(), o_wires.argsort()
+        block = self.block[s_order[:, None], o_order]
+        rows, cols = block.nonzero()
+        table = np.array([s_wires[s_order][rows], o_wires[o_order][cols], block[rows, cols]]).T
+        table.flags.writeable = False
+        return table
+
+    @functools.cached_property
     def edges(self) -> tuple[tuple[int, int, int], ...]:
-        """(source, sink, label) of every nonzero label, in (source, sink) order."""
-        rows, cols = np.nonzero(self.block)
-        return tuple(sorted(zip(np.array(self.s_wires)[rows].tolist(), np.array(self.o_wires)[cols].tolist(),
-                                self.block[rows, cols].tolist())))
+        """The rows of edge_table as tuples: (source, sink, label) of every edge, in (source, sink) order."""
+        return tuple(map(tuple, self.edge_table.tolist()))
 
     def to_symbolic(self) -> SymbolicState:
         """The coefficient matrix [I | B], its columns moved onto the wires, with zero offsets."""
@@ -601,8 +615,8 @@ class GraphState:
 
     def to_circuit(self) -> Circuit:
         init = tuple("s" if q in self.s_wires else "0" for q in range(1, self.n + 1))
-        wires = np.array(self.edges, dtype=np.int64).reshape(-1, 3).T
-        return Circuit(self.field, self.n, init, GateColumns(np.full(len(self.edges), KIND_C), *wires))
+        wires = self.edge_table.T.copy()  # writable columns, as a parsed circuit's are
+        return Circuit(self.field, self.n, init, GateColumns(np.full(len(self.edge_table), KIND_C), *wires))
 
     def state(self) -> StateVector:
         return StateVector(self.field, self.n, self.to_symbolic().dense_amps())
@@ -1155,12 +1169,26 @@ def serialize_circuit(circuit: Circuit) -> str:
 # Graph serialization
 # ---------------------------------------------------------------------------
 
+def format_rows(template: str, rows: np.ndarray, sep: str = "") -> str:
+    """template filled in with each row of an integer table, the results joined by sep.
+
+    One % over the template repeated once per row, reading the table as one
+    flat list: no per-row format call.
+    """
+    return sep.join([template] * len(rows)) % tuple(rows.ravel().tolist())
+
+
 def graph_to_json_dict(g: GraphState) -> dict:
+    """The graph as a JSON-ready dict: its field, S, O and one {"from", "to", "label"} dict per row of g.edge_table.
+
+    The CLI writes the same JSON text from the edge table directly, with no
+    dict per edge.
+    """
     return {
         "field": {"p": g.field.p, "n": g.field.n, "poly": g.field.poly_index},
         "S": list(g.s_wires),
         "O": list(g.o_wires),
-        "edges": [{"from": i, "to": j, "label": b} for i, j, b in g.edges],
+        "edges": [{"from": i, "to": j, "label": b} for i, j, b in g.edge_table.tolist()],
     }
 
 
@@ -1201,13 +1229,8 @@ def graph_from_json_dict(data: dict) -> GraphState:
 
 
 def graph_to_dot(g: GraphState) -> str:
-    """DOT rendering: sources as doublecircles on one rank, sinks below."""
-    lines = ["digraph graphstate {", "  rankdir=TB;"]
+    """DOT rendering: sources as doublecircles on one rank, sinks below, the edges one format_rows of g.edge_table."""
     srow = " ".join(f"q{i} [shape=doublecircle, label=\"{i}\"];" for i in g.s_wires)
     orow = " ".join(f"q{j} [shape=circle, label=\"{j}\"];" for j in g.o_wires)
-    lines.append("  { rank=same; " + srow + " }")
-    lines.append("  { rank=same; " + orow + " }")
-    for i, j, b in g.edges:
-        lines.append(f"  q{i} -> q{j} [label=\"{b}\"];")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    return ("digraph graphstate {\n  rankdir=TB;\n  { rank=same; " + srow + " }\n  { rank=same; " + orow + " }\n"
+            + format_rows('  q%d -> q%d [label="%d"];\n', g.edge_table) + "}\n")

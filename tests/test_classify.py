@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from quditgraph import Field, ResourceGuardError, SymbolicState, bipartition_subsets, classify
-from quditgraph.classify import unique_rows
+from quditgraph.classify import normalized_rows, unique_rows
 from quditgraph import rewrite
 from quditgraph.rewrite import mat_rref, rank_exponents
 from quditgraph.simulator import signature_key
@@ -125,6 +125,17 @@ def test_classify_ranks_one_block_per_row_scaling_orbit(d, n, monkeypatch):
         assert (rows[np.arange(len(rows)), (rows != 0).argmax(axis=1)] == 1).all()
         flat = blocks.reshape(len(blocks), -1).tolist()
         assert flat == sorted(flat) and len(set(map(tuple, flat))) == len(flat)
+
+
+@pytest.mark.parametrize("d,length", [(2, 1), (2, 4), (3, 1), (3, 3), (4, 4), (5, 2), (7, 3), (9, 2), (16, 3),
+                                      (256, 2), (257, 1), (65521, 1)])
+def test_normalized_rows_are_the_filtered_product_rows(d, length):
+    # the rows of the full product, in order, whose first nonzero label is 1
+    rows = np.array(list(product(range(d), repeat=length)), dtype=np.int64)
+    want = rows[rows[np.arange(len(rows)), (rows != 0).argmax(axis=1)] == 1]
+    got = normalized_rows(d, length)
+    assert got.dtype == np.int64 and np.array_equal(got, want)
+    assert len(got) == (d ** length - 1) // (d - 1)
 
 
 def _labelings(d, n):

@@ -10,11 +10,12 @@ import numpy as np
 import pytest
 
 import quditgraph
-from quditgraph import cli, graph_to_json_dict, kernels, make_graph_state, simulator
+from quditgraph import cli, graph_to_dot, graph_to_json_dict, kernels, make_graph_state, simulator
 from quditgraph.cli import main
 from quditgraph.rewrite import pulls_back_to_register
 
-from util import dense_verification, negate_last, spoiled
+from util import (dense_verification, dot_oracle, edges_oracle, field_for, json_oracle, negate_last,
+                  normalize_text_oracle, random_c_circuit, random_graph_state, spoiled)
 
 EXAMPLE_CIRCUIT = """\
 field 2 2 3
@@ -1094,10 +1095,6 @@ def test_back_to_back_calls_get_fresh_defaults(tmp_path, capsys, monkeypatch):
     assert seeds == [5, 0]
 
 
-def json_reference(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
-
-
 def test_emit_json_matches_json_dumps_on_every_verb(tmp_path, capsys, monkeypatch):
     emitted = []
     real = cli._json_text
@@ -1132,7 +1129,7 @@ def test_emit_json_matches_json_dumps_on_every_verb(tmp_path, capsys, monkeypatc
     for argv in verbs:
         code, out, _ = run_cli(capsys, *argv)
         assert code in (0, 1), argv
-        assert out == json_reference(emitted[-1]), argv
+        assert out == json_oracle(emitted[-1]), argv
     assert len(emitted) == len(verbs)
 
 
@@ -1147,11 +1144,61 @@ def test_emit_json_matches_json_dumps_on_random_graphs(capsys):
         graph = make_graph_state(fld, wires[:k].tolist(), wires[k:].tolist(), edges)
         report = {"permutation": list(graph.s_wires + graph.o_wires), "graph": graph_to_json_dict(graph), "verification": None}
         cli._emit_json(report)
-        assert capsys.readouterr().out == json_reference(report)
+        assert capsys.readouterr().out == json_oracle(report)
     for obj in ([], {}, {"a": [], "b": {}}, [1, True, None, 1.5, "x"], {"e": [{"a": 1, "b": False}]},
                 {"e": [{"a": 1, "b": 2}, {"a": 1, "c": 2}]}, {"%d": [{"%s": 1, "b": -2}]}, [(1, 2), [float("nan")]]):
         cli._emit_json(obj)
-        assert capsys.readouterr().out == json_reference(obj)
+        assert capsys.readouterr().out == json_oracle(obj)
+
+
+def writer_cases():
+    """Graphs for the edge-table writers: random ones over each field, sources and sinks out of ascending order."""
+    rng = np.random.default_rng(38)
+    for d in (2, 3, 4, 7, 8, 9, 65521):
+        fld = field_for(d)
+        for _ in range(6):
+            yield random_graph_state(fld, int(rng.integers(2, 41)), rng, density=float(rng.random()))
+        yield random_graph_state(fld, int(rng.integers(2, 41)), rng, density=0.0)  # no edge
+    fld = field_for(65521)
+    labels = np.array([[7, 42, 0], [999, 1234, 65520]])  # one to five digits
+    yield quditgraph.GraphState(fld, (5, 2), (4, 1, 3), labels)
+    yield random_graph_state(field_for(8), 96, rng)
+
+
+def test_edge_table_writers_match_the_oracles():
+    cases = list(writer_cases())
+    assert {len(str(b)) for g in cases for _, _, b in g.edges} == {1, 2, 3, 4, 5}
+    assert any(g.n == 96 for g in cases) and any(not g.edges for g in cases)
+    assert any(list(g.s_wires) != sorted(g.s_wires) for g in cases)
+    rng = np.random.default_rng(3)
+    for g in cases:
+        assert g.edges == edges_oracle(g)
+        table = g.edge_table
+        assert table.dtype == np.int64 and table.shape == (len(g.edges), 3) and not table.flags.writeable
+        assert graph_to_json_dict(g)["edges"] == [{"from": i, "to": j, "label": b} for i, j, b in edges_oracle(g)]
+        perm = tuple((rng.permutation(g.n) + 1).tolist())
+        report = {"permutation": list(perm), "graph": g, "verification": None}
+        assert cli._json_text(report) + "\n" == json_oracle(report)
+        assert cli._json_text([{"nested": [g]}]) + "\n" == json_oracle([{"nested": [g]}])
+        assert cli._normalize_text(perm, g) == normalize_text_oracle(perm, g)
+        assert graph_to_dot(g) == dot_oracle(g)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 7, 8, 9, 65521])
+def test_normalize_writes_every_format_as_the_oracles(tmp_path, capsys, d):
+    rng = np.random.default_rng(d)
+    fld = field_for(d)
+    for n_wires in (2, 9, 30):
+        circuit = random_c_circuit(fld, n_wires, int(rng.integers(1, n_wires)), 4 * n_wires, rng)
+        path = tmp_path / "random.qc"
+        path.write_text(quditgraph.serialize_circuit(circuit))
+        perm, graph = quditgraph.canonicalize(circuit)
+        code, out, _ = run_cli(capsys, "normalize", str(path))
+        assert code == 0 and out == json_oracle({"permutation": list(perm), "graph": graph, "verification": None})
+        code, out, _ = run_cli(capsys, "normalize", str(path), "--format", "text")
+        assert code == 0 and out == normalize_text_oracle(perm, graph)
+        code, out, _ = run_cli(capsys, "normalize", str(path), "--format", "dot", "--verify")
+        assert code == 0 and out == dot_oracle(graph) + "// verification: OK (inverse-circuit)\n"
 
 
 def random_json_object(rng, depth=0):
@@ -1178,7 +1225,7 @@ def test_json_text_matches_json_dumps_on_random_nested_objects(capsys):
         obj = random_json_object(rng)
         kinds.add(type(obj))
         cli._emit_json(obj)
-        assert capsys.readouterr().out == json_reference(obj), obj
+        assert capsys.readouterr().out == json_oracle(obj), obj
     assert kinds == {str, int, float, bool, type(None), list, tuple, dict}
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import cmath
 import functools
+import json
 
 import numpy as np
 
@@ -146,6 +147,52 @@ def classify_full_sweep(fld: Field, n_qudits: int) -> dict:
                                  for c, i in zip(counts, first)],
         })
     return {"field": fld.descriptor(), "n": n_qudits, "count": len(classes), "classes": classes}
+
+
+def edges_oracle(g: GraphState) -> tuple[tuple[int, int, int], ...]:
+    """GraphState.edges as it was defined before the edge table: a Python sort of the nonzero labels."""
+    rows, cols = np.nonzero(g.block)
+    return tuple(sorted(zip(np.array(g.s_wires)[rows].tolist(), np.array(g.o_wires)[cols].tolist(),
+                            g.block[rows, cols].tolist())))
+
+
+def json_oracle(obj) -> str:
+    """json.dumps(obj, indent=2, sort_keys=True) plus a line break, each GraphState in obj written as graph_to_json_dict.
+
+    The edge dicts are built from edges_oracle, so the oracle does not read
+    the edge table it checks.
+    """
+    def graph_dict(value):
+        if type(value) is not GraphState:
+            raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+        edges = [{"from": i, "to": j, "label": b} for i, j, b in edges_oracle(value)]
+        return {**graph_to_json_dict(value), "edges": edges}
+    return json.dumps(obj, indent=2, sort_keys=True, default=graph_dict) + "\n"
+
+
+def normalize_text_oracle(perm, g: GraphState) -> str:
+    """normalize --format text without its verification line, one f-string per edge of edges_oracle."""
+    lines = [f"permutation: {' '.join(map(str, perm))}", f"S: {' '.join(map(str, g.s_wires))}",
+             f"O: {' '.join(map(str, g.o_wires))}", *(f"edge {i} -> {j} label {b}" for i, j, b in edges_oracle(g))]
+    return "\n".join(lines) + "\n"
+
+
+def dot_oracle(g: GraphState) -> str:
+    """graph_to_dot one line per edge of edges_oracle."""
+    lines = ["digraph graphstate {", "  rankdir=TB;"]
+    lines.append("  { rank=same; " + " ".join(f"q{i} [shape=doublecircle, label=\"{i}\"];" for i in g.s_wires) + " }")
+    lines.append("  { rank=same; " + " ".join(f"q{j} [shape=circle, label=\"{j}\"];" for j in g.o_wires) + " }")
+    lines += [f"  q{i} -> q{j} [label=\"{b}\"];" for i, j, b in edges_oracle(g)]
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+def random_graph_state(fld: Field, n: int, rng: np.random.Generator, density: float = 0.5) -> GraphState:
+    """A GraphState built directly, its sources and sinks each in a random (not ascending) wire order."""
+    wires = (rng.permutation(n) + 1).tolist()
+    k = int(rng.integers(1, n))
+    block = rng.integers(1, fld.d, size=(k, n - k)) * (rng.random((k, n - k)) < density)
+    return GraphState(fld, tuple(wires[:k]), tuple(wires[k:]), block)
 
 
 def ket_strings(amps: np.ndarray, d: int, n: int, tol: float = 1e-12) -> list[str]:
