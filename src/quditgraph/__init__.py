@@ -19,12 +19,9 @@ from .simulator import (
     gate_matrix,
     init_state,
     parse_state_dump,
-    rank,
-    reduced_density,
     run_gates,
     sequence_matrix,
     spectrum,
-    states_equal_up_to_phase,
 )
 from .rewrite import (
     Circuit,
@@ -32,7 +29,6 @@ from .rewrite import (
     GraphState,
     SymbolicState,
     canonicalize,
-    commute_pair,
     graph_from_json_dict,
     graph_from_symbolic,
     graph_to_dot,
@@ -40,8 +36,6 @@ from .rewrite import (
     make_graph_state,
     parse_circuit,
     relations_suite,
-    rewrite_adjacent,
-    serialize_circuit,
     states_equal_symbolic,
 )
 from .duality import (

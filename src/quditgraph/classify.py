@@ -53,7 +53,7 @@ from __future__ import annotations
 import numpy as np
 
 from .gf import Field
-from .rewrite import GraphState, graph_to_json_dict, rank_exponents
+from .rewrite import rank_exponents
 from .simulator import ResourceGuardError, bipartition_subsets
 
 LABELLING_LIMIT = 2 ** 16
@@ -111,9 +111,7 @@ def classify(fld: Field, n_qudits: int) -> dict:
         labels = rows[np.indices((len(rows),) * k).reshape(k, -1).T].reshape(-1, k * n_sinks)
         # an isolated sink stays in |0> (no row is zero, so no source is isolated)
         labels = labels[(labels.reshape(-1, k, n_sinks) != 0).any(axis=1).all(axis=1)]
-        total = len(labels)
-        if total == 0:
-            continue
+        total = len(labels)  # at least 1: the all-ones block is row-normalized and product-free
         orbit = (d - 1) ** k  # the blocks each swept block stands for
         # RDM rank d^e, coded so that codes order like the pairs (-rank, |A|):
         # larger e first, then smaller |A|.
@@ -124,9 +122,10 @@ def classify(fld: Field, n_qudits: int) -> dict:
         for key in map(tuple, keys.tolist()):
             if seen_keys.setdefault(key, k) != k:
                 raise RuntimeError("invariant signature crossed class boundaries")
-        representative = graph_to_json_dict(GraphState(fld, tuple(range(1, k + 1)), tuple(range(k + 1, n_qudits + 1)),
-                                                       np.ones((k, n_sinks), dtype=np.int64)))
-        del representative["field"]  # the report names the field once
+        # the all-ones block as graph_to_json_dict writes it, without "field": the report names the field once
+        sources, sinks = list(range(1, k + 1)), list(range(k + 1, n_qudits + 1))
+        representative = {"S": sources, "O": sinks,
+                          "edges": [{"from": i, "to": j, "label": 1} for i in sources for j in sinks]}
         classes.append(
             {
                 "sources": k,

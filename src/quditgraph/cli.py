@@ -9,15 +9,15 @@ and every cut of verify-mes, use the one tolerance simulator.DEFAULT_TOL =
 1e-10, which their JSON reports as "tolerance".  relations-test checks each
 field up to order 5 on every case and each field past it on a fixed 1000
 random cases drawn from --seed, the rules and then both parameters each in
-one array call.  Each rule's right-hand side comes from the one rule table
-that commute_pair reads too (rewrite.RELATIONS), computed once over the
-rule's distinct cases; a case drawn twice is checked once, and every draw
-counts as checked.  Each field's JSON report gives "decided_by":
-"affine-rows".  --fields takes comma-separated decimal field orders, and
-names a bad entry in its usage error; --seed takes a non-negative decimal
-integer, whichever fields it is read for.  Every integer argument, classify's
-N and make-mes's d included, is ASCII decimal (gf._ascii_int): '+', '_' and
-digits of other scripts are usage errors.
+one array call.  Each rule's right-hand side comes from the rule table
+(rewrite.RELATIONS), which this verb alone reads, computed once over all
+the rule's draws; every draw is checked and counted as drawn, a case drawn
+twice twice.  Each field's JSON report gives "decided_by": "affine-rows".
+--fields takes comma-separated decimal field orders, and names a bad entry
+in its usage error; --seed takes a non-negative decimal integer, whichever
+fields it is read for.  Every integer argument, classify's N and make-mes's
+d included, is ASCII decimal (gf._ascii_int): '+', '_' and digits of other
+scripts are usage errors.
 normalize --verify decides exactly, with no dense state and so at any size:
 it runs the graph's rows back through the inverse circuit
 (rewrite.pulls_back_to_register), and its JSON gives "decided_by":
@@ -60,6 +60,7 @@ from .rewrite import (
     relations_suite,
 )
 from .simulator import (
+    DEFAULT_TOL,
     ResourceGuardError,
     SupportState,
     check_ket_count,
@@ -303,8 +304,17 @@ def cmd_simulate(args) -> int:
 # Parser
 # ---------------------------------------------------------------------------
 
+DESCRIPTION = (
+    "Exact graph-state answers for generalized-CNOT circuits over GF(p^n).  "
+    "Verbs: normalize, classify, dual-check, verify-mes, make-mes, relations-test, simulate.  "
+    "Exit codes: 0 success or verdict true, 1 verdict false, 2 usage or parse error, "
+    "3 resource guard, 4 internal error.  "
+    f"No verb takes a tolerance: the float verdicts of dual-check and verify-mes use {DEFAULT_TOL:g}."
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="quditgraph", description=__doc__)
+    parser = argparse.ArgumentParser(prog="quditgraph", description=DESCRIPTION)
     sub = parser.add_subparsers(dest="verb", required=True)
 
     p = sub.add_parser("normalize", help="reduce a C-only circuit file to its bipartite graph")

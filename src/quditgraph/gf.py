@@ -33,7 +33,7 @@ single digit for a prime field.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -246,31 +246,11 @@ class Field:
     def mul_matrix(self, a) -> np.ndarray:
         """The n x n Z_p matrix M_a of multiplication by a: row j is the coefficients of a x^j.
 
-        Multiplication is Z_p-linear on coefficient rows, coeffs(a e) =
-        coeffs(e) @ M_a mod p.  An array of labels gives a (..., n, n) stack.
+        Multiplication is Z_p-linear on coefficient rows, digits[a e] =
+        digits[e] @ M_a mod p.  An array of labels gives a (..., n, n) stack.
         """
         coeffs = self.digits[a]
         return (coeffs @ self._shifted_xpow).reshape(coeffs.shape[:-1] + (self.n, self.n)) % self.p
-
-    # -- representation -----------------------------------------------------
-
-    def coeffs(self, e: int) -> tuple[int, ...]:
-        """Coefficient vector (length n, lowest degree first) of element e."""
-        self._check(e)
-        return tuple(self.digits[e].tolist())
-
-    def element(self, coeffs: Iterable[int]) -> int:
-        """Element index from a coefficient vector."""
-        coeffs = list(coeffs)
-        if len(coeffs) != self.n:
-            raise ValueError(f"expected {self.n} coefficients, got {len(coeffs)}")
-        e = 0
-        for c in reversed(coeffs):
-            e = e * self.p + (int(c) % self.p)
-        return e
-
-    def elements(self) -> range:
-        return range(self.d)
 
     def _check(self, *elems: int) -> None:
         for e in elems:

@@ -723,7 +723,8 @@ class Relation(NamedTuple):
     list of forms (where, factors): where is None (every case) or the
     boolean mask of the cases the form holds for, and factors lists (kind,
     wires, param) in operator order, param None or an array of one entry per
-    case, read only where its form holds.
+    case, read only where its form holds.  The rules are data, not a
+    gate-pair API: relations_suite is their one reader.
     """
 
     n_wires: int
@@ -745,7 +746,7 @@ def _opposed_pair(f: Field, a: np.ndarray, b: np.ndarray) -> list:
             (u == 0, [("W", (1, 2), None), ("D", (1,), a), ("D", (2,), b), ("C", (1, 2), f.inv_arr(b))])]
 
 
-# name -> Relation: the one record of each rule, read by commute_pair and relations_suite
+# name -> Relation: the one record of each rule; relations_suite (the relations-test verb) reads it
 RELATIONS: dict[str, Relation] = {
     "add_add_merge": Relation(1, (0, 0), (("A", (1,), "a"), ("A", (1,), "b")),
                               lambda f, a, b: _every(("A", (1,), f.add_arr(a, b)))),
@@ -774,57 +775,6 @@ RELATIONS: dict[str, Relation] = {
                                    lambda f, a, b: _every(("C", (2, 3), b), ("C", (1, 2), a),
                                                           ("C", (1, 3), f.neg_table[f.mul_arr(a, b)]))),
 }
-
-
-def _match(rule: Relation, g1: Gate, g2: Gate) -> Optional[tuple[dict[int, int], dict[str, int]]]:
-    """(rule wire -> wire, {"a": ..., "b": ...}) under which g1 * g2 is rule's left-hand side, or None."""
-    wires: dict[int, int] = {}
-    params = {}
-    for (kind, rule_wires, name), g in zip(rule.lhs, (g1, g2)):
-        if g.kind != kind or any(wires.setdefault(r, w) != w for r, w in zip(rule_wires, g.wires)):
-            return None
-        params[name] = g.param
-    if len(set(wires.values())) != len(wires):  # two rule wires on one wire
-        return None
-    return wires, params
-
-
-def commute_pair(fld: Field, g1: Gate, g2: Gate) -> list[Gate]:
-    """Rewrite the operator product g1*g2 (g2 acts first) as an equal product.
-
-    Gates on disjoint wires simply swap.  Otherwise the pair must be the
-    left-hand side of one RELATIONS rule, its wires 1..3 put on distinct
-    wires of the pair; else ValueError.  The rule's rhs is read with
-    length-1 parameter arrays, in the form that holds for them, and its
-    wires are put back on the pair's, so this runs the code relations_suite
-    checks.  A parameter outside [0, d) raises ValueError.  The returned
-    list is in operator order (leftmost factor applied last).
-    """
-    if not set(g1.wires) & set(g2.wires):
-        return [g2, g1]
-    for rule in RELATIONS.values():
-        match = _match(rule, g1, g2)
-        if match is not None:
-            break
-    else:
-        raise ValueError(f"no rewrite rule matches the product {g1!r} * {g2!r}")
-    wires, params = match
-    fld._check(params["a"], params["b"])
-    a, b = np.array([[params["a"]], [params["b"]]], dtype=np.int64)
-    factors = next(factors for where, factors in rule.rhs(fld, a, b) if where is None or where[0])
-    return [Gate(kind, tuple(wires[w] for w in ws), None if param is None else int(param[0]))
-            for kind, ws, param in factors]
-
-
-def rewrite_adjacent(fld: Field, gates: list[Gate], i: int) -> list[Gate]:
-    """Rewrite the time-adjacent pair (gates[i], gates[i+1]) via commute_pair.
-
-    Time order is the reverse of operator order, so the pair maps to
-    commute_pair(gates[i+1], gates[i]) and the result is spliced back
-    reversed.
-    """
-    rhs = commute_pair(fld, gates[i + 1], gates[i])
-    return gates[:i] + list(reversed(rhs)) + gates[i + 2:]
 
 
 # ---------------------------------------------------------------------------
@@ -868,18 +818,6 @@ def affine_maps_equal(fld: Field, n_wires: int, batch: int, lhs: Sequence[tuple]
     return (rows(lhs) == rows(rhs)).all(axis=(1, 2))
 
 
-def compare_sequences(fld: Field, n_wires: int, lhs: Sequence[Gate], rhs: Sequence[Gate]) -> tuple[bool, float]:
-    """Check two A/D/C/W operator products for equality; returns (ok, 0.0 or 1.0).
-
-    The batch of one of affine_maps_equal, so the verdict is exact.
-    """
-    def side(ops: Sequence[Gate]) -> list[tuple]:
-        return [(g.kind, g.wires, None if g.param is None else np.array([[g.param]])) for g in ops]
-
-    same = bool(affine_maps_equal(fld, n_wires, 1, side(lhs), side(rhs))[0])
-    return same, 0.0 if same else 1.0
-
-
 RELATIONS_SAMPLES = 1000  # random cases of one relations_suite call past RELATIONS_EXHAUSTIVE_MAX_D
 RELATIONS_EXHAUSTIVE_MAX_D = 5  # exhaustive mode lists 13 d^2 cases at most: 325 at d = 5
 
@@ -912,34 +850,31 @@ def relations_cases(fld: Field, seed: int = 0) -> tuple[np.ndarray, np.ndarray, 
 
 
 def relations_suite(fld: Field, seed: int = 0) -> dict:
-    """Verify every rewrite rule as an operator identity.
+    """Verify every rewrite rule as an operator identity: the one reader of RELATIONS.
 
     The cases are relations_cases(fld, seed): exhaustive up to order
     RELATIONS_EXHAUSTIVE_MAX_D, at most 13 d^2 of them, and RELATIONS_SAMPLES
-    seeded random cases past it.  A case drawn twice is checked once, and
-    the distinct cases keep the order of their first draws; every draw
-    counts as checked.  Each rule's rhs is computed once, over the parameter
-    arrays of all its distinct cases, and each of its forms (cnot_opposed_pair
-    has two) is decided by one affine_maps_equal call on the parameter
-    columns of its cases, exactly and without a dense operator, so every
-    field order the Field class supports can be tested.  Those calls run in
-    the order of their forms' first cases, and each validates every factor
-    column, so a bad factor raises ValueError.  A rule is ok only when it
-    was checked at least once and never failed, so a sample that misses a
-    rule cannot pass it.  Its first failure is its earliest failing
-    distinct case.
+    seeded random draws past it.  Every draw is checked and counted as
+    drawn, so a case drawn twice is checked twice.  Each rule's rhs is
+    computed once, over the parameter arrays of all its draws in draw
+    order, and each of its forms (cnot_opposed_pair has two) is decided by
+    one affine_maps_equal call on the parameter columns of its draws,
+    exactly and without a dense operator, so every field order the Field
+    class supports can be tested.  Those calls run in the order of their
+    forms' first draws, and each validates every factor column, so a bad
+    factor raises ValueError.  A rule is ok only when it was checked at
+    least once and never failed, so a sample that misses a rule cannot pass
+    it.  Its first failure is its earliest failing draw.
     """
     d = fld.d
     rule, a, b = relations_cases(fld, seed)
-    first = np.sort(np.unique((rule * d + a) * d + b, return_index=True)[1])  # each distinct case's first draw
-    rule_of, a, b = rule[first], a[first], b[first]
 
     def columns(side: list, at: np.ndarray) -> list[tuple]:
         return [(kind, wires, None if param is None else param[at, None]) for kind, wires, param in side]
 
-    groups = []  # (distinct case indices, wire count, lhs, rhs) of each (rule, form), parameters as columns
+    groups = []  # (draw indices, wire count, lhs, rhs) of each (rule, form), parameters as columns
     for r, relation in enumerate(RELATIONS.values()):
-        index = np.flatnonzero(rule_of == r)
+        index = np.flatnonzero(rule == r)
         if not index.size:
             continue
         params = {"a": a[index], "b": b[index]}
@@ -948,15 +883,15 @@ def relations_suite(fld: Field, seed: int = 0) -> dict:
             at = np.arange(index.size) if where is None else np.flatnonzero(where)
             if at.size:
                 groups.append((index[at], relation.n_wires, columns(lhs, at), columns(rhs, at)))
-    ok = np.ones(len(first), dtype=bool)
+    ok = np.ones(len(rule), dtype=bool)
     for index, n_wires, lhs, rhs in sorted(groups, key=lambda group: group[0][0]):
         ok[index] = affine_maps_equal(fld, n_wires, index.size, lhs, rhs)
     names = list(RELATIONS)
     checked = np.bincount(rule, minlength=len(names)).tolist()
     results = {name: {"checked": checked[r], "first_failure": None} for r, name in enumerate(names)}
     failed = np.flatnonzero(~ok)
-    for j in failed[np.unique(rule_of[failed], return_index=True)[1]].tolist():  # each rule's earliest
-        results[names[rule_of[j]]]["first_failure"] = {"params": (int(a[j]), int(b[j])), "max_deviation": 1.0}
+    for j in failed[np.unique(rule[failed], return_index=True)[1]].tolist():  # each rule's earliest
+        results[names[rule[j]]]["first_failure"] = {"params": (int(a[j]), int(b[j])), "max_deviation": 1.0}
     for entry in results.values():
         entry["ok"] = entry["checked"] > 0 and entry["first_failure"] is None
     return {
@@ -980,7 +915,7 @@ _KIND_OF_BYTE[list("".join(GATE_KINDS).encode())] = np.arange(len(GATE_KINDS))
 
 
 def parse_circuit(text: str) -> Circuit:
-    """Parse the line-oriented circuit format (see serialize_circuit).
+    """Parse the line-oriented circuit format (README, "Circuit file format").
 
     Lines end where str.splitlines ends them, and '#' starts a comment that
     runs to the end of its line.  The field, qudits and init lines, the
@@ -1149,20 +1084,6 @@ def _first_bad_gate_line(lines: Sequence[str], first_line: int) -> Exception:
                     return CircuitParseError(str(exc), line_no)
                 return CircuitParseError(f"argument {token!r} is not an ASCII decimal integer", line_no)
     return RuntimeError("the gate-line scan rejected lines that pass the line check")
-
-
-def serialize_circuit(circuit: Circuit) -> str:
-    lines = [
-        f"field {circuit.field.descriptor()}",
-        f"qudits {circuit.n_qudits}",
-        "init " + " ".join(circuit.init),
-    ]
-    for g in circuit.gates:
-        body = " ".join(str(w) for w in g.wires)
-        if g.param is not None:
-            body += f" {g.param}"
-        lines.append(f"{g.kind} {body}")
-    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------

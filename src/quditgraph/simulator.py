@@ -364,16 +364,16 @@ def _run_raw(field: Field, n: int, cols: GateColumns, cur: np.ndarray) -> np.nda
     return cur
 
 
-def _xor_source_map(field: Field, n: int, run: GateColumns) -> tuple[int, list[int]]:
+def _xor_image_map(field: Field, n: int, run: GateColumns) -> tuple[int, list[int]]:
     """(c, cols) of a run of validated A/D/C/V/W gates over GF(2^m), applied in order.
 
-    The run sends amps to amps[src], src(y) = L y + c over Z_2 on the m * n
+    The run sends each ket x to image(x) = L x + c over Z_2 on the m * n
     index bits, where bit i of wire w sits at position m * (n - w) + i.  L
-    starts as the identity and takes one column update per gate, src <-
-    src o g^-1, with M_a = Field.mul_matrix(a) acting on coefficient columns
-    as its transpose:
+    starts as the identity and takes one column update per gate of the run
+    read backwards, image <- image o g, with M_a = Field.mul_matrix(a)
+    acting on coefficient columns as its transpose:
         A(a) on w        c ^= L[:, w] bits(a)
-        D(a) on w        L[:, w] <- L[:, w] M_{1/a}^T
+        D(a) on w        L[:, w] <- L[:, w] M_a^T
         C(a) from w to t L[:, w] ^= L[:, t] M_a^T
         V on w           the columns of wire w reversed
         W on w and t     the column blocks of w and t exchanged
@@ -384,9 +384,8 @@ def _xor_source_map(field: Field, n: int, run: GateColumns) -> tuple[int, list[i
     m = field.n
     cols = [1 << i for i in range(m * n)]
     c = 0
-    kind, wire1, wire2, param = run.arrays
-    # one mul_matrix call for the whole run: M_{1/a} for D, M_a for C, unused for the rest
-    mats = field.mul_matrix(np.where(kind == KIND_D, field.inv_arr(param), param)).tolist()
+    kind, wire1, wire2, param = run[::-1].arrays
+    mats = field.mul_matrix(param).tolist()  # one call for the whole run: M_a for D and C, unused for the rest
 
     def xor(picked: Iterable[int]) -> int:
         return functools.reduce(operator.xor, picked, 0)
@@ -410,7 +409,7 @@ def _xor_source_map(field: Field, n: int, run: GateColumns) -> tuple[int, list[i
 # Exact states over characteristic 2
 # ---------------------------------------------------------------------------
 
-FORM_BITS_LIMIT = 2 ** 15  # index bits m * n of a form: its M, Q and source maps hold a few (m n)^2 bits
+FORM_BITS_LIMIT = 2 ** 15  # index bits m * n of a form: its M, Q and image maps hold a few (m n)^2 bits
 
 
 def _bits(x: int) -> Iterable[int]:
@@ -426,7 +425,7 @@ class _QuadraticForm:
 
         psi(x) = 2^(-r/2) sum over u in Z_2^r of [x = b ^ M u] (-1)^(c0 + lin.u + sum_{i<j} Q_ij u_i u_j)
 
-    with bit i of wire w at m * (n - w) + i, as in _xor_source_map.  M has
+    with bit i of wire w at m * (n - w) + i, as in _xor_image_map.  M has
     full column rank, so the 2^r kets are distinct and each carries
     +-2^(-r/2).  cols are the columns of M as Python ints, quad the rows of
     the symmetric zero-diagonal Q and linear the vector lin, with bit j
@@ -443,14 +442,8 @@ class _QuadraticForm:
         self.linear = self.offset = self.sign = 0
 
     def permute(self, run: GateColumns) -> None:
-        """Apply a run of A/D/C/V/W gates: M <- L M and b <- L b ^ c.
-
-        x -> L x ^ c, the map taking each ket to its image, is the source map
-        of the inverse run: the gates reversed, every D label inverted.
-        """
-        back = run[::-1]
-        param = np.where(back.kind == KIND_D, self.field.inv_arr(back.param), back.param)
-        c, lin = _xor_source_map(self.field, self.n, GateColumns(back.kind, back.wire1, back.wire2, param))
+        """Apply a run of A/D/C/V/W gates: M <- L M and b <- L b ^ c, with x -> L x ^ c the run's _xor_image_map."""
+        c, lin = _xor_image_map(self.field, self.n, run)
 
         def image(x: int) -> int:
             out = 0
@@ -652,11 +645,6 @@ def sequence_matrix(field: Field, n_wires: int, ops: GateList) -> np.ndarray:
 # Density matrices and spectra
 # ---------------------------------------------------------------------------
 
-def reduced_density(state: StateVector, subset: Sequence[int]) -> np.ndarray:
-    """Partial trace onto `subset` (1-based qudit labels)."""
-    return reduced_density_raw(state.amps, state.d, state.n, subset)
-
-
 def reduced_density_raw(amps: np.ndarray, d: int, n: int, subset: Sequence[int]) -> np.ndarray:
     """Partial trace of a pure n-qudit state onto `subset`: d^|A| x d^|A|, under the state-size guard.
 
@@ -695,16 +683,6 @@ def spectrum(rho: np.ndarray) -> np.ndarray:
     eigensolver, whose eigenvalues are those of the same matrix as complex.
     """
     return np.linalg.eigvalsh(rho)[::-1]
-
-
-def rank(rho: np.ndarray, tol: float = DEFAULT_TOL) -> int:
-    return int(np.count_nonzero(spectrum(rho) > tol))
-
-
-def states_equal_up_to_phase(s1: StateVector, s2: StateVector, tol: float = DEFAULT_TOL) -> bool:
-    if s1.field != s2.field or s1.n != s2.n:
-        return False
-    return bool(abs(abs(np.vdot(s1.amps, s2.amps)) - 1.0) <= tol)
 
 
 # ---------------------------------------------------------------------------

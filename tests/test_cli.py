@@ -15,7 +15,7 @@ from quditgraph.cli import main
 from quditgraph.rewrite import pulls_back_to_register
 
 from util import (dense_verification, dot_oracle, edges_oracle, field_for, json_oracle, negate_last,
-                  normalize_text_oracle, random_c_circuit, random_graph_state, spoiled)
+                  normalize_text_oracle, random_c_circuit, random_graph_state, serialize_circuit, spoiled)
 
 EXAMPLE_CIRCUIT = """\
 field 2 2 3
@@ -35,6 +35,19 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def test_help_states_the_contract_not_the_internals(capsys):
+    code, out, err = run_cli(capsys, "--help")
+    text = " ".join(out.split())  # argparse wraps the description anywhere
+    assert code == 0 and not err
+    for verb in ("normalize", "classify", "dual-check", "verify-mes", "make-mes", "relations-test", "simulate"):
+        assert f" {verb} " in text, verb
+    for status in ("0 success or verdict true", "1 verdict false", "2 usage or parse error", "3 resource guard",
+                   "4 internal error"):
+        assert status in text, status
+    assert "1e-10" in text
+    assert not any(name in out for name in ("rewrite.", "simulator.", "commute_pair"))
 
 
 # ---------------------------------------------------------------------------
@@ -77,7 +90,7 @@ def test_normalize_cancelling_gates(tmp_path, capsys):
 
 
 def test_normalize_round_trip_identical_json(tmp_path, capsys):
-    from quditgraph import graph_from_json_dict, serialize_circuit
+    from quditgraph import graph_from_json_dict
 
     path = tmp_path / "example.qc"
     path.write_text(EXAMPLE_CIRCUIT)
@@ -918,7 +931,7 @@ def test_relations_cli_golden_output(capsys, seed, fmt):
 def test_relations_cli_sign_flip_fails_where_minus_one_is_not_one(capsys, monkeypatch):
     from quditgraph import rewrite
 
-    # the reverse chain's new CNOT negated, in the table entry that relations_suite and commute_pair read
+    # the reverse chain's new CNOT negated, in the table entry that relations_suite reads
     monkeypatch.setitem(rewrite.RELATIONS, "cnot_chain_reverse", spoiled(rewrite.RELATIONS["cnot_chain_reverse"], negate_last))
     # the golden files hold the batched suite's report of the same fault, checked case by case in test_rewrite.py
     code, out, err = run_cli(capsys, "relations-test", "--fields", "2,3,4,5,7,8,9", "--seed", "1")
@@ -1191,7 +1204,7 @@ def test_normalize_writes_every_format_as_the_oracles(tmp_path, capsys, d):
     for n_wires in (2, 9, 30):
         circuit = random_c_circuit(fld, n_wires, int(rng.integers(1, n_wires)), 4 * n_wires, rng)
         path = tmp_path / "random.qc"
-        path.write_text(quditgraph.serialize_circuit(circuit))
+        path.write_text(serialize_circuit(circuit))
         perm, graph = quditgraph.canonicalize(circuit)
         code, out, _ = run_cli(capsys, "normalize", str(path))
         assert code == 0 and out == json_oracle({"permutation": list(perm), "graph": graph, "verification": None})

@@ -15,14 +15,13 @@ from quditgraph import (
     irreducible_polynomials,
     make_graph_state,
     run_gates,
-    states_equal_up_to_phase,
     verify_dual_equivalence,
 )
 from quditgraph.duality import dressed_state, dressing_gates
 from quditgraph import simulator
 from quditgraph.simulator import SIGNATURE_DIGITS, bipartite_spectra, bipartition_subsets, signatures_match
 
-from util import dense_conjugation_holds, field_for
+from util import dense_conjugation_holds, field_for, states_equal_up_to_phase
 
 # ---------------------------------------------------------------------------
 # Dual graph construction

@@ -12,12 +12,12 @@ against its Kronecker operator I (x) h (x) I, and every gate against an
 allocation bound: no kernel allocates a temporary the size of the state.
 
 Over fields of characteristic 2 a run of permutation gates is one
-XOR-affine map of the index bits (_xor_source_map), which the exact
-quadratic form reads.  That map, applied as a gather, is checked bit for
-bit against a ping-pong loop of single-gate kernels, on registers of more
-than 64 index bits against the ket-by-ket oracle, and the source maps of
-long runs against the composition of the ket-by-ket oracle maps.  The gate
-loop _run_raw holds one buffer beside the state over a whole run.
+XOR-affine map of the index bits, the image map that the exact quadratic
+form reads (_xor_image_map).  That map, applied as a scatter, is checked
+bit for bit against a ping-pong loop of single-gate kernels, on registers
+of more than 64 index bits against the ket-by-ket oracle, and the source
+maps of long runs against the composition of the ket-by-ket oracle maps.
+The gate loop _run_raw holds one buffer beside the state over a whole run.
 """
 
 import tracemalloc
@@ -28,7 +28,7 @@ import pytest
 
 from quditgraph import Gate, GateColumns, StateVector, fourier_matrix, run_gates, sequence_matrix
 from quditgraph.kernels import FOURIER_KRON_MAX
-from quditgraph.simulator import _apply_gate_raw, _run_raw, _xor_source_map, gate_source_map, sequence_source_map
+from quditgraph.simulator import _apply_gate_raw, _run_raw, _xor_image_map, gate_source_map, sequence_source_map
 
 from util import field_for, random_gate
 
@@ -138,7 +138,8 @@ def spanning_gates(fld, n):
 
 @pytest.mark.parametrize("d,n", [(2, 1), (2, 5), (2, 13), (4, 2), (4, 6), (8, 3), (8, 4), (16, 2), (16, 3)])
 def test_xor_source_map_matches_the_per_gate_loop(d, n):
-    # the (c, cols) that _QuadraticForm.permute reads, as the gather amps[c ^ XOR of cols at the set bits of y]
+    # _xor_image_map's (c, cols), which _QuadraticForm.permute reads, as a scatter:
+    # amps[y] goes to c ^ the XOR of cols at the set bits of y
     fld = field_for(d)
     rng = np.random.default_rng(300 + 10 * d + n)
     y = np.arange(d ** n)
@@ -146,7 +147,7 @@ def test_xor_source_map_matches_the_per_gate_loop(d, n):
         gates = [random_gate(fld, n, rng, "ADCVW") for _ in range(length)]
         if n > 1:
             gates[1:1] = spanning_gates(fld, n)
-        c, cols = _xor_source_map(fld, n, GateColumns.from_gates(gates))
+        c, cols = _xor_image_map(fld, n, GateColumns.from_gates(gates))
         idx = np.full(d ** n, c)
         for j, col in enumerate(cols):
             idx ^= (y >> j & 1) * col
@@ -155,28 +156,28 @@ def test_xor_source_map_matches_the_per_gate_loop(d, n):
         for gate in gates:
             _apply_gate_raw(fld, n, gate, cur, buf)
             cur, buf = buf, cur
-        assert np.array_equal(amps[idx], cur), gates
+        assert np.array_equal(cur[idx], amps), gates
 
 
 @pytest.mark.parametrize("d,n", [(2, 80), (16, 20)])
 def test_xor_source_map_of_a_wide_register_matches_the_ket_oracle(d, n):
-    # past 64 index bits the map's Python-int columns must stay exact: src(image(x)) = x, ket by ket
+    # past 64 index bits _xor_image_map's Python-int columns must stay exact: x goes to the oracle's image, ket by ket
     fld = field_for(d)
     rng = np.random.default_rng(500 + d)
     for length in (1, 5, 40):
         gates = spanning_gates(fld, n) + [random_gate(fld, n, rng, "ADCVW") for _ in range(length)]
-        c, cols = _xor_source_map(fld, n, GateColumns.from_gates(gates))
+        c, cols = _xor_image_map(fld, n, GateColumns.from_gates(gates))
         assert len(cols) == fld.n * n and max(cols).bit_length() > 64
         for _ in range(20):
             x = rng.integers(d, size=n).tolist()
             y = x
             for gate in gates:
                 y = image(fld, gate, y)
-            src, index = c, index_of(y, d)
+            dst, index = c, index_of(x, d)
             for j, col in enumerate(cols):
                 if index >> j & 1:
-                    src ^= col
-            assert src == index_of(x, d), (gates, x)
+                    dst ^= col
+            assert dst == index_of(y, d), (gates, x)
 
 
 @pytest.mark.parametrize("d,n", [(2, 1), (2, 4), (2, 6), (4, 3), (8, 2), (8, 3), (16, 2)])

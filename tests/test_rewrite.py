@@ -13,7 +13,6 @@ from quditgraph import (
     ResourceGuardError,
     SymbolicState,
     canonicalize,
-    commute_pair,
     graph_from_json_dict,
     graph_from_symbolic,
     graph_to_dot,
@@ -21,8 +20,6 @@ from quditgraph import (
     make_graph_state,
     parse_circuit,
     relations_suite,
-    rewrite_adjacent,
-    serialize_circuit,
     states_equal_symbolic,
 )
 from quditgraph import simulator
@@ -31,7 +28,6 @@ from quditgraph.rewrite import (
     _rref_eliminate,
     affine_maps_equal,
     affine_update,
-    compare_sequences,
     mat_rref,
     packs_in_bytes,
     pulls_back_to_register,
@@ -52,6 +48,7 @@ from util import (
     rule_rhs,
     scalar_matmul,
     scalar_rref,
+    serialize_circuit,
     spoiled,
 )
 
@@ -69,8 +66,8 @@ def test_symbolic_cnot_column_update():
 
 def test_symbolic_cnot_merge_matches_single_gate():
     fld = field_for(4)
-    for a in fld.elements():
-        for b in fld.elements():
+    for a in range(fld.d):
+        for b in range(fld.d):
             s1 = SymbolicState.from_pattern(fld, ("s", "0"))
             s1.apply([Gate("C", (1, 2), a)]).apply([Gate("C", (1, 2), b)])
             s2 = SymbolicState.from_pattern(fld, ("s", "0"))
@@ -571,71 +568,49 @@ def test_standard_form_gates_commute():
 
 def test_commute_pair_scale_past_add():
     fld = field_for(4)
-    out = commute_pair(fld, Gate("D", (1,), 2), Gate("A", (1,), 3))
-    assert out == [Gate("A", (1,), 1), Gate("D", (1,), 2)]  # 2*3 = 1 in GF(4)
+    relation = RELATIONS["scale_add_exchange"]
+    assert rule_lhs(relation, 2, 3) == [Gate("D", (1,), 2), Gate("A", (1,), 3)]
+    assert rule_rhs(fld, relation, 2, 3) == [Gate("A", (1,), 1), Gate("D", (1,), 2)]  # 2*3 = 1 in GF(4)
 
 
 def test_commute_pair_opposed_cnots_degenerate_branch():
     fld = field_for(3)
-    out = commute_pair(fld, Gate("C", (1, 2), 1), Gate("C", (2, 1), 2))
-    assert out == [Gate("W", (1, 2)), Gate("D", (1,), 1), Gate("D", (2,), 2), Gate("C", (1, 2), 2)]
-
-
-def test_commute_pair_disjoint_swap():
-    fld = field_for(2)
-    for g1, g2 in [(Gate("C", (1, 2), 1), Gate("C", (3, 4), 1)), (Gate("H", (1,)), Gate("V", (2,))),
-                   (Gate("W", (1, 3)), Gate("C", (4, 2), 1)), (Gate("A", (2,), 1), Gate("D", (1,), 1))]:
-        assert commute_pair(fld, g1, g2) == [g2, g1]
-
-
-def test_commute_pair_no_rule_raises():
-    fld = field_for(3)
-    for g1, g2 in [(Gate("A", (1,), 1), Gate("C", (1, 2), 1)),  # an A after a C: only C * A has a rule
-                   (Gate("D", (1,), 2), Gate("C", (1, 2), 1)),  # and only C * D
-                   (Gate("A", (2,), 1), Gate("D", (2,), 2)), (Gate("C", (1, 2), 1), Gate("W", (2, 3))),
-                   (Gate("W", (1, 2)), Gate("W", (1, 2))), (Gate("H", (1,)), Gate("A", (1,), 1)),
-                   (Gate("D", (3,), 1), Gate("V", (3,)))]:
-        with pytest.raises(ValueError, match="^no rewrite rule matches the product "):
-            commute_pair(fld, g1, g2)
-
-
-@pytest.mark.parametrize("g1, g2", [(Gate("A", (1,), 3), Gate("A", (1,), 0)), (Gate("C", (2, 1), 1), Gate("D", (1,), -1))])
-def test_commute_pair_rejects_a_parameter_outside_the_field(g1, g2):
-    with pytest.raises(ValueError, match="out of range for order-3 field"):
-        commute_pair(field_for(3), g1, g2)
+    relation = RELATIONS["cnot_opposed_pair"]
+    assert rule_lhs(relation, 1, 2) == [Gate("C", (1, 2), 1), Gate("C", (2, 1), 2)]  # 1 + 1*2 = 0 in GF(3)
+    assert rule_rhs(fld, relation, 1, 2) == [Gate("W", (1, 2)), Gate("D", (1,), 1), Gate("D", (2,), 2),
+                                             Gate("C", (1, 2), 2)]
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 7, 8, 9, 16])
 def test_commute_pair_reads_the_rule_table(d):
-    # every case up to order 5, 1000 seeded ones past it: commute_pair of a rule's left-hand side is the
-    # table's right-hand side as gates, on wires 1..3 and on those wires moved onto any 3 of 5 wires
+    # each rule's two sides as gates, their wires 1..3 moved onto any 3 of 5 wires (of 4 past order 9), are
+    # equal products on the fewest wires that hold them, by the dense gather maps: every case up to order 5,
+    # every tenth of the 1000 seeded ones past it
     fld = field_for(d)
     rng = np.random.default_rng(400 + d)
     names = list(RELATIONS)
-    rule, a, b = relations_cases(fld, seed=d)
-    for n, (r, x, y) in enumerate(zip(rule.tolist(), a.tolist(), b.tolist())):
+    cases = list(zip(*(column.tolist() for column in relations_cases(fld, seed=d))))
+    for r, x, y in cases if d <= 5 else cases[::10]:
         relation = RELATIONS[names[r]]
-        lhs = rule_lhs(relation, x, y)
-        assert commute_pair(fld, *lhs) == rule_rhs(fld, relation, x, y), (names[r], x, y)
-        wire_of = dict(zip((1, 2, 3), (rng.permutation(5)[:3] + 1).tolist()))
-        moved = [Gate(g.kind, tuple(map(wire_of.__getitem__, g.wires)), g.param) for g in lhs]
-        out = commute_pair(fld, *moved)
-        assert out == rule_rhs(fld, relation, x, y, wire_of), (names[r], x, y, wire_of)
-        if n < 40 and d <= 9:  # the moved rewrite is an equal product on the fewest wires that hold it
-            n_wires = max(wire_of[w] for w in range(1, relation.n_wires + 1))
-            assert np.array_equal(sequence_source_map(fld, n_wires, moved), sequence_source_map(fld, n_wires, out))
+        wire_of = dict(zip((1, 2, 3), (rng.permutation(5 if d <= 9 else 4)[:3] + 1).tolist()))
+        lhs, rhs = rule_lhs(relation, x, y, wire_of), rule_rhs(fld, relation, x, y, wire_of)
+        n_wires = max(wire_of[w] for w in range(1, relation.n_wires + 1))
+        assert np.array_equal(sequence_source_map(fld, n_wires, lhs), sequence_source_map(fld, n_wires, rhs)), \
+            (names[r], x, y, wire_of)
 
 
-def test_commute_pair_relabelled_wires():
-    fld = field_for(5)
-    # cnot_chain with its wires 1, 2, 3 on 4, 3, 1: C(3,1)*C(4,3) -> C(4,1)[ab] C(4,3) C(3,1)
-    assert commute_pair(fld, Gate("C", (3, 1), 2), Gate("C", (4, 3), 4)) == \
-        [Gate("C", (4, 1), 3), Gate("C", (4, 3), 4), Gate("C", (3, 1), 2)]
-    # cnot_target_scale on control 3, target 1: D(b) C(a / b)
-    assert commute_pair(fld, Gate("C", (3, 1), 4), Gate("D", (1,), 2)) == [Gate("D", (1,), 2), Gate("C", (3, 1), 2)]
-    # cnot_opposed_pair with 1 + ab = 0 on wires 3 and 1: the swap form
-    assert commute_pair(fld, Gate("C", (3, 1), 2), Gate("C", (1, 3), 2)) == \
-        [Gate("W", (3, 1)), Gate("D", (3,), 2), Gate("D", (1,), 2), Gate("C", (3, 1), 3)]
+def batch_of_one(gates) -> list[tuple]:
+    """A gate list as one side of affine_maps_equal with a batch of one pair."""
+    return [(g.kind, g.wires, None if g.param is None else np.array([[g.param]])) for g in gates]
+
+
+def rule_instance(fld, n_wires, rng):
+    """(lhs, rhs) gates of a random rule on at most n_wires wires, at random parameters and on random distinct wires."""
+    fitting = [r for r in RELATIONS.values() if r.n_wires <= n_wires]
+    relation = fitting[rng.integers(len(fitting))]
+    a, b = (int(rng.integers(lo, fld.d)) for lo in relation.lo)
+    wire_of = dict(zip((1, 2, 3), (rng.permutation(n_wires) + 1).tolist()))
+    return rule_lhs(relation, a, b, wire_of), rule_rhs(fld, relation, a, b, wire_of)
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -663,20 +638,24 @@ def test_relations_suite_reports_corrupted_rule(monkeypatch):
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
 def test_compare_sequences_exact_and_dense(d):
     fld = field_for(d)
+
+    def equal(n_wires, lhs, rhs):
+        return bool(affine_maps_equal(fld, n_wires, 1, batch_of_one(lhs), batch_of_one(rhs))[0])
+
     # A/D/C/W products compare exactly through their affine maps
-    assert compare_sequences(fld, 2, [Gate("C", (1, 2), 1)], [Gate("C", (1, 2), 1)]) == (True, 0.0)
-    assert compare_sequences(fld, 2, [Gate("C", (1, 2), 1)], [Gate("C", (2, 1), 1)]) == (False, 1.0)
+    assert equal(2, [Gate("C", (1, 2), 1)], [Gate("C", (1, 2), 1)])
+    assert not equal(2, [Gate("C", (1, 2), 1)], [Gate("C", (2, 1), 1)])
     # H and V are not affine maps of the field; the dense oracle decides products holding them
     for other in (Gate("H", (1,)), Gate("V", (1,))):
         with pytest.raises(ValueError, match="no affine representation"):
-            compare_sequences(fld, 1, [other], [Gate("D", (1,), 1)])
+            equal(1, [other], [Gate("D", (1,), 1)])
     # both sides are validated at once, lhs first: an H in lhs still raises before a bad rhs parameter
     with pytest.raises(ValueError, match="no affine representation"):
-        compare_sequences(fld, 1, [Gate("H", (1,))], [Gate("A", (1,), d)])
+        equal(1, [Gate("H", (1,))], [Gate("A", (1,), d)])
     with pytest.raises(ValueError, match=f"parameter {d} out of range"):
-        compare_sequences(fld, 1, [Gate("A", (1,), d)], [Gate("H", (1,))])
+        equal(1, [Gate("A", (1,), d)], [Gate("H", (1,))])
     with pytest.raises(ValueError, match=f"parameter {d} out of range"):
-        compare_sequences(fld, 1, [Gate("A", (1,), 0)], [Gate("A", (1,), d), Gate("H", (1,))])
+        equal(1, [Gate("A", (1,), 0)], [Gate("A", (1,), d), Gate("H", (1,))])
 
 
 def perturbed(fld, ops, rng):
@@ -693,25 +672,23 @@ def perturbed(fld, ops, rng):
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 7, 8, 9, 16])
 def test_compare_sequences_matches_source_map_oracle(d):
-    # the affine verdict must equal equality of the dense gather maps: a rewritten
-    # pair gives an equal product, one moved parameter an unequal one
+    # the affine verdict must equal equality of the dense gather maps: a rule's two sides, on random distinct
+    # wires and followed by the same random gates, give an equal product, one moved parameter an unequal one
     rng = np.random.default_rng(100 + d)
     fld = field_for(d)
     verdicts = []
     for n_wires in (1, 2, 3):
         for _ in range(12):
-            g1, g2 = random_gate(fld, n_wires, rng, "ADCW"), random_gate(fld, n_wires, rng, "ADCW")
-            try:
-                rewritten = commute_pair(fld, g1, g2)
-            except ValueError:  # no rule for this pair
-                continue
+            lhs, rewritten = rule_instance(fld, n_wires, rng)
             tail = [random_gate(fld, n_wires, rng, "ADCW") for _ in range(int(rng.integers(3)))]
-            lhs, rhs = [g1, g2] + tail, rewritten + tail
+            lhs, rhs = lhs + tail, rewritten + tail
             for other in (rhs, perturbed(fld, rhs, rng)):
                 if other is None:
                     continue
                 want = np.array_equal(sequence_source_map(fld, n_wires, lhs), sequence_source_map(fld, n_wires, other))
-                assert compare_sequences(fld, n_wires, lhs, other) == (want, 0.0 if want else 1.0), (lhs, other)
+                assert want or other is not rhs, (lhs, rhs)  # the table's rewrite holds on any wires
+                got = affine_maps_equal(fld, n_wires, 1, batch_of_one(lhs), batch_of_one(other))
+                assert got.tolist() == [want], (lhs, other)
                 verdicts.append(want)
     assert any(verdicts) and not all(verdicts)
 
@@ -762,7 +739,7 @@ def test_cnot_opposed_pair_checks_both_right_hand_shapes(d, monkeypatch):
     shapes = set()
     for a in range(relation.lo[0], d):
         for b in range(relation.lo[1], d):
-            shapes.add(tuple((g.kind, g.wires) for g in commute_pair(fld, *rule_lhs(relation, a, b))))
+            shapes.add(tuple((g.kind, g.wires) for g in rule_rhs(fld, relation, a, b)))
     assert len(shapes) == 2
     # a fault in either shape fails the rule at a case of that shape, and nothing else
     for u_zero in (True, False):
@@ -802,10 +779,11 @@ def test_relations_suite_rejects_a_bad_factor_in_any_case(d, bad, monkeypatch):
         monkeypatch.setitem(RELATIONS, name, spoiled(relation, change, lambda f, a, b: (a == f.d - 1) & (b == f.d - 1)))
     with pytest.raises(ValueError, match=message):
         relations_suite(fld)
-    # commute_pair reads the same spoiled entry
-    lhs = [Gate("D", (1,), d - 1), Gate("D", (1,), d - 1)]
+    # the spoiled entry's case a = b = d - 1, read from the table and checked on its own, raises the same error
+    relation = RELATIONS["scale_scale_merge"]
+    lhs, rhs = rule_lhs(relation, d - 1, d - 1), rule_rhs(fld, relation, d - 1, d - 1)
     with pytest.raises(ValueError, match=message):
-        compare_sequences(fld, 1, lhs, commute_pair(fld, *lhs))
+        affine_maps_equal(fld, 1, 1, batch_of_one(lhs), batch_of_one(rhs))
 
 
 def test_relations_suite_raises_for_the_rule_drawn_first(monkeypatch):
@@ -844,14 +822,13 @@ def test_relations_suite_mode_follows_the_field():
 
 
 def dense_relations_report(fld, seed):
-    """relations_suite's report rebuilt draw by draw: commute_pair rewrites each, the dense gather maps decide it."""
+    """relations_suite's report rebuilt draw by draw: rule_lhs and rule_rhs as gates, decided by the dense gather maps."""
     names = list(RELATIONS)
     results = {name: {"checked": 0, "first_failure": None} for name in names}
     for r, a, b in zip(*(column.tolist() for column in relations_cases(fld, seed))):
         name = names[r]
         n_wires = RELATIONS[name].n_wires
-        lhs = rule_lhs(RELATIONS[name], a, b)
-        rhs = commute_pair(fld, *lhs)
+        lhs, rhs = rule_lhs(RELATIONS[name], a, b), rule_rhs(fld, RELATIONS[name], a, b)
         entry = results[name]
         entry["checked"] += 1
         same = np.array_equal(sequence_source_map(fld, n_wires, lhs), sequence_source_map(fld, n_wires, rhs))
@@ -872,7 +849,7 @@ GOLDEN = Path(__file__).parent / "data"
                               "3-commute_pair-relations_seed3", "1-sign_flipped-relations_sign_flip_seed1"])
 def test_relations_goldens_match_the_dense_case_by_case_check(seed, flip, golden, monkeypatch):
     # the golden files of relations-test are the batched suite's output; the dense oracle certifies them.
-    # flip negates the new CNOT of the reverse chain, in the entry that the suite and commute_pair both read
+    # flip negates the new CNOT of the reverse chain, in the entry that the suite and rule_rhs both read
     if flip:
         monkeypatch.setitem(RELATIONS, "cnot_chain_reverse", spoiled(RELATIONS["cnot_chain_reverse"], negate_last))
     reports = []
@@ -921,8 +898,8 @@ def test_relations_random_mode_depends_on_the_seed_alone():
 
 
 @pytest.mark.parametrize("d", [3, 7, 9])
-def test_relations_suite_rewrites_each_distinct_case_once(d, monkeypatch):
-    # one rhs call per rule, over the rule's distinct cases in the order of their first draws
+def test_relations_suite_rewrites_each_rule_once(d, monkeypatch):
+    # one rhs call per rule, over the rule's draws in draw order, a case drawn twice passed twice
     fld = field_for(d)
     calls = []
     for name, relation in list(RELATIONS.items()):
@@ -932,11 +909,10 @@ def test_relations_suite_rewrites_each_distinct_case_once(d, monkeypatch):
         monkeypatch.setitem(RELATIONS, name, relation._replace(rhs=recording))
     report = relations_suite(fld, seed=1)
     cases = list(zip(*(column.tolist() for column in relations_cases(fld, 1))))
-    distinct = list(dict.fromkeys(cases))
     assert report["ok"] and sum(r["checked"] for r in report["relations"].values()) == len(cases)
-    assert calls == [(name, [a for i, a, _ in distinct if i == r], [b for i, _, b in distinct if i == r])
+    assert calls == [(name, [a for i, a, _ in cases if i == r], [b for i, _, b in cases if i == r])
                      for r, name in enumerate(RELATIONS)]
-    assert (len(distinct) < len(cases)) == (d > 5)
+    assert (len(set(cases)) < len(cases)) == (d > 5)
 
 
 def test_relations_first_failure_is_the_earliest_draw_of_a_repeated_case(monkeypatch):
@@ -958,24 +934,22 @@ def test_relations_first_failure_is_the_earliest_draw_of_a_repeated_case(monkeyp
 
 
 def test_random_rewrites_preserve_the_state():
+    # rule left-hand sides on random distinct wires spliced into random circuits; putting each rule's
+    # right-hand side in its place leaves the state unchanged, symbolically and densely
     fld = field_for(3)
     rng = np.random.default_rng(31)
-    for trial in range(5):
+    for trial in range(10):
         circ = random_c_circuit(fld, 4, 2, 10, rng)
-        original = SymbolicState.from_circuit(circ)
-        dense_ref = circ.simulate().amps
-        gates = list(circ.gates)
-        applied = 0
-        while applied < 50:
-            i = int(rng.integers(0, len(gates) - 1))
-            try:
-                gates = rewrite_adjacent(fld, gates, i)
-            except ValueError:
-                continue
-            applied += 1
-        rewritten = Circuit(fld, 4, circ.init, tuple(gates))
-        assert states_equal_symbolic(SymbolicState.from_circuit(rewritten), original)
-        assert np.max(np.abs(rewritten.simulate().amps - dense_ref)) < 1e-10
+        chunks = [([g], [g]) for g in circ.gates]
+        for _ in range(20):
+            lhs, rhs = rule_instance(fld, 4, rng)
+            # an operator product acts last factor first, so in time order each side runs reversed
+            chunks.insert(int(rng.integers(len(chunks) + 1)), (lhs[::-1], rhs[::-1]))
+        before, after = (Circuit(fld, 4, circ.init, tuple(g for chunk in chunks for g in chunk[side]))
+                         for side in (0, 1))
+        assert before.gates != after.gates
+        assert states_equal_symbolic(SymbolicState.from_circuit(after), SymbolicState.from_circuit(before))
+        assert np.max(np.abs(after.simulate().amps - before.simulate().amps)) < 1e-10
 
 
 # ---------------------------------------------------------------------------

@@ -18,13 +18,10 @@ from quditgraph import (
     gate_matrix,
     init_state,
     parse_state_dump,
-    rank,
-    reduced_density,
     run_gates,
     sequence_matrix,
     spectrum,
     square_state,
-    states_equal_up_to_phase,
 )
 from quditgraph import simulator
 from quditgraph.simulator import (
@@ -49,6 +46,8 @@ from util import (
     oracle_sequence_matrix,
     random_cadw_circuit,
     random_gate,
+    rank,
+    states_equal_up_to_phase,
     support_of,
 )
 
@@ -207,7 +206,7 @@ def test_odd_p_fourier_promotes_the_real_state_to_complex(d):
 def test_shift_fixes_uniform_superposition(d):
     fld = field_for(d)
     st = init_state(fld, 1, ["s"])
-    for a in fld.elements():
+    for a in range(fld.d):
         assert np.allclose(run_gates(st, [Gate("A", (1,), a)]).amps, st.amps)
 
 
@@ -216,7 +215,7 @@ def test_cnot_on_superposition_factorizes(d):
     # C_mn(a_k)|s, a_j> equals A_n(a_j) D_n(a_k) applied to the Bell state
     fld = field_for(d)
     bell = run_gates(init_state(fld, 2, ["s", "0"]), [Gate("C", (1, 2), 1)])
-    for aj in fld.elements():
+    for aj in range(fld.d):
         prepared = init_state(fld, 2, ["s", "0"])
         if aj:
             prepared = run_gates(prepared, [Gate("A", (2,), aj)])
@@ -417,7 +416,7 @@ def test_bell_marginal_is_maximally_mixed():
     for d in (2, 3):
         fld = field_for(d)
         bell = run_gates(init_state(fld, 2, ["s", "0"]), [Gate("C", (1, 2), 1)])
-        dm = reduced_density(bell, [1])
+        dm = reduced_density_raw(bell.amps, bell.d, bell.n, [1])
         assert np.max(np.abs(dm - np.eye(d) / d)) < 1e-12
         assert np.allclose(spectrum(dm), [1 / d] * d)
         assert rank(dm) == d
@@ -425,7 +424,7 @@ def test_bell_marginal_is_maximally_mixed():
 
 def test_product_state_marginal_is_pure():
     st = init_state(field_for(3), 2, ["0", "0"])
-    dm = reduced_density(st, [1])
+    dm = reduced_density_raw(st.amps, st.d, st.n, [1])
     assert rank(dm) == 1
     assert abs(dm[0, 0] - 1) < 1e-12
 
@@ -441,7 +440,7 @@ def test_density_matrix_invariants():
     circ = random_cadw_circuit(field_for(3), 4, 2, 15, rng)
     st = circ.simulate()
     for subset in bipartition_subsets(4):
-        dm = reduced_density(st, subset)
+        dm = reduced_density_raw(st.amps, st.d, st.n, subset)
         assert np.max(np.abs(dm - dm.conj().T)) < 1e-12
         assert abs(np.trace(dm).real - 1) < 1e-10
         assert spectrum(dm).min() > -1e-10
@@ -462,9 +461,9 @@ def test_real_amplitudes_give_the_real_gram(d, n):
 def test_reduced_density_subset_errors():
     st = init_state(field_for(2), 2, ["s", "0"])
     with pytest.raises(ValueError):
-        reduced_density(st, [])
+        reduced_density_raw(st.amps, st.d, st.n, [])
     with pytest.raises(ValueError):
-        reduced_density(st, [1, 2])
+        reduced_density_raw(st.amps, st.d, st.n, [1, 2])
 
 
 def test_rank_of_maximally_mixed():

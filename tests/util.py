@@ -13,7 +13,7 @@ from quditgraph import (Circuit, Field, Gate, GraphState, ResourceGuardError, Su
 from quditgraph.classify import LABELLING_LIMIT, unique_rows
 from quditgraph.gf import _ascii_int
 from quditgraph.rewrite import graph_to_json_dict, rank_exponents
-from quditgraph.simulator import check_state_size, ket_digits, ket_index
+from quditgraph.simulator import DEFAULT_TOL, StateVector, check_state_size, ket_digits, ket_index, spectrum
 
 field_for = functools.cache(Field.of_order)
 
@@ -63,10 +63,11 @@ def random_gate(fld: Field, n_wires: int, rng: np.random.Generator, kinds: str =
     return Gate(kind, wire)
 
 
-def rule_lhs(relation, a: int, b: int) -> list[Gate]:
-    """The left-hand side g1, g2 of a rewrite.RELATIONS entry as gates, at the parameters (a, b)."""
+def rule_lhs(relation, a: int, b: int, wire_of=None) -> list[Gate]:
+    """The left-hand side g1, g2 of a rewrite.RELATIONS entry as gates at (a, b), its wires put on wire_of[w] (else w)."""
     params = {"a": a, "b": b}
-    return [Gate(kind, wires, params[name]) for kind, wires, name in relation.lhs]
+    return [Gate(kind, tuple(wires if wire_of is None else map(wire_of.__getitem__, wires)), params[name])
+            for kind, wires, name in relation.lhs]
 
 
 def rule_rhs(fld: Field, relation, a: int, b: int, wire_of=None) -> list[Gate]:
@@ -210,7 +211,7 @@ def ket_strings(amps: np.ndarray, d: int, n: int, tol: float = 1e-12) -> list[st
 
 def poly_add(fld: Field, a: int, b: int) -> int:
     """Field sum from coefficient vectors: the independent oracle for Field arithmetic."""
-    return fld.element(ca + cb for ca, cb in zip(_coeffs(fld, a), _coeffs(fld, b)))
+    return element(fld, [ca + cb for ca, cb in zip(_coeffs(fld, a), _coeffs(fld, b))])
 
 
 def poly_mul(fld: Field, a: int, b: int) -> int:
@@ -227,7 +228,15 @@ def poly_mul(fld: Field, a: int, b: int) -> int:
             conv[k] = 0
             for i, c in enumerate(fld.poly[:-1]):
                 conv[k - n + i] = (conv[k - n + i] - lead * c) % p
-    return fld.element(conv[:n])
+    return element(fld, conv[:n])
+
+
+def element(fld: Field, coeffs) -> int:
+    """The element index of a coefficient vector of length n (lowest degree first), each coefficient taken mod p."""
+    e = 0
+    for c in reversed(list(coeffs)):
+        e = e * fld.p + int(c) % fld.p
+    return e
 
 
 def _coeffs(fld: Field, e: int) -> list[int]:
@@ -415,7 +424,7 @@ def oracle_gate_matrix(fld: Field, n_wires: int, gate: Gate) -> np.ndarray:
         elif gate.kind == "D":
             y[m] = poly_mul(fld, gate.param, x[m])
         elif gate.kind == "V":
-            y[m] = fld.element(reversed(_coeffs(fld, x[m])))
+            y[m] = element(fld, reversed(_coeffs(fld, x[m])))
         elif gate.kind == "W":
             y[m], y[t] = x[t], x[m]
         else:  # C
@@ -447,3 +456,30 @@ def dense_conjugation_holds(fld: Field, a: int, tol: float = 1e-10) -> bool:
         Gate("V", (1,)), Gate("H", (1,)),
     ])
     return bool(np.abs(lhs - gate_matrix(fld, 2, Gate("C", (2, 1), a))).max() <= tol)
+
+
+def rank(rho: np.ndarray, tol: float = DEFAULT_TOL) -> int:
+    """The number of eigenvalues of a density matrix above tol: the dense rank oracle."""
+    return int(np.count_nonzero(spectrum(rho) > tol))
+
+
+def states_equal_up_to_phase(s1: StateVector, s2: StateVector, tol: float = DEFAULT_TOL) -> bool:
+    """Same field and wire count, and |<s1|s2>| within tol of 1."""
+    if s1.field != s2.field or s1.n != s2.n:
+        return False
+    return bool(abs(abs(np.vdot(s1.amps, s2.amps)) - 1.0) <= tol)
+
+
+def serialize_circuit(circuit: Circuit) -> str:
+    """A circuit in the line format that parse_circuit reads: field, qudits and init lines, then one line per gate."""
+    lines = [
+        f"field {circuit.field.descriptor()}",
+        f"qudits {circuit.n_qudits}",
+        "init " + " ".join(circuit.init),
+    ]
+    for g in circuit.gates:
+        body = " ".join(str(w) for w in g.wires)
+        if g.param is not None:
+            body += f" {g.param}"
+        lines.append(f"{g.kind} {body}")
+    return "\n".join(lines) + "\n"
