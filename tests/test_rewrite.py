@@ -581,6 +581,43 @@ def test_commute_pair_opposed_cnots_degenerate_branch():
                                              Gate("C", (1, 2), 2)]
 
 
+def lhs_shape(gates) -> tuple:
+    """The kinds of a gate pair with its wires renamed 0, 1, ... in order of first use: what a rule's lhs fixes."""
+    names = {}
+    return tuple((g.kind, tuple(names.setdefault(w, len(names)) for w in g.wires)) for g in gates)
+
+
+RULE_SHAPES = {lhs_shape(rule_lhs(relation, 0, 0)) for relation in RELATIONS.values()}
+
+
+def test_commute_pair_disjoint_swap():
+    # gates on disjoint wires need no rule: every rule's lhs shares a wire, and each such pair swaps densely
+    fld = field_for(2)
+    assert all(set(g1.wires) & set(g2.wires) for g1, g2 in (rule_lhs(r, 0, 0) for r in RELATIONS.values()))
+    for g1, g2 in [(Gate("C", (1, 2), 1), Gate("C", (3, 4), 1)), (Gate("H", (1,)), Gate("V", (2,))),
+                   (Gate("W", (1, 3)), Gate("C", (4, 2), 1)), (Gate("A", (2,), 1), Gate("D", (1,), 1))]:
+        assert np.allclose(simulator.sequence_matrix(fld, 4, [g1, g2]), simulator.sequence_matrix(fld, 4, [g2, g1]))
+
+
+def test_commute_pair_no_rule_raises():
+    # the table holds no rule for these products on a shared wire, on any wires
+    for g1, g2 in [(Gate("A", (1,), 1), Gate("C", (1, 2), 1)),  # an A after a C: only C * A has a rule
+                   (Gate("D", (1,), 2), Gate("C", (1, 2), 1)),  # and only C * D
+                   (Gate("A", (2,), 1), Gate("D", (2,), 2)), (Gate("C", (1, 2), 1), Gate("W", (2, 3))),
+                   (Gate("W", (1, 2)), Gate("W", (1, 2))), (Gate("H", (1,)), Gate("A", (1,), 1)),
+                   (Gate("D", (3,), 1), Gate("V", (3,)))]:
+        assert set(g1.wires) & set(g2.wires) and lhs_shape([g1, g2]) not in RULE_SHAPES, (g1, g2)
+    assert lhs_shape([Gate("C", (3, 1), 1), Gate("A", (3,), 2)]) in RULE_SHAPES  # cnot_control_add on moved wires
+
+
+@pytest.mark.parametrize("g1, g2", [(Gate("A", (1,), 3), Gate("A", (1,), 0)), (Gate("C", (2, 1), 1), Gate("D", (1,), -1))])
+def test_commute_pair_rejects_a_parameter_outside_the_field(g1, g2):
+    # the one gate-list check, which every reader of a product runs first, names the parameter
+    for check in (simulator.validate_gates, simulator.sequence_source_map, simulator.sequence_matrix):
+        with pytest.raises(ValueError, match="out of range for order-3 field"):
+            check(field_for(3), 2, [g1, g2])
+
+
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 7, 8, 9, 16])
 def test_commute_pair_reads_the_rule_table(d):
     # each rule's two sides as gates, their wires 1..3 moved onto any 3 of 5 wires (of 4 past order 9), are
@@ -597,6 +634,23 @@ def test_commute_pair_reads_the_rule_table(d):
         n_wires = max(wire_of[w] for w in range(1, relation.n_wires + 1))
         assert np.array_equal(sequence_source_map(fld, n_wires, lhs), sequence_source_map(fld, n_wires, rhs)), \
             (names[r], x, y, wire_of)
+
+
+def test_commute_pair_relabelled_wires():
+    fld = field_for(5)
+    # cnot_chain with its wires 1, 2, 3 on 4, 3, 1: C(3,1)*C(4,3) -> C(4,1)[ab] C(4,3) C(3,1)
+    chain, wire_of = RELATIONS["cnot_chain"], {1: 4, 2: 3, 3: 1}
+    assert rule_lhs(chain, 4, 2, wire_of) == [Gate("C", (3, 1), 2), Gate("C", (4, 3), 4)]
+    assert rule_rhs(fld, chain, 4, 2, wire_of) == [Gate("C", (4, 1), 3), Gate("C", (4, 3), 4), Gate("C", (3, 1), 2)]
+    # cnot_target_scale on control 3, target 1: D(b) C(a / b)
+    scale, wire_of = RELATIONS["cnot_target_scale"], {1: 3, 2: 1}
+    assert rule_lhs(scale, 4, 2, wire_of) == [Gate("C", (3, 1), 4), Gate("D", (1,), 2)]
+    assert rule_rhs(fld, scale, 4, 2, wire_of) == [Gate("D", (1,), 2), Gate("C", (3, 1), 2)]
+    # cnot_opposed_pair with 1 + ab = 0 on wires 3 and 1: the swap form
+    opposed = RELATIONS["cnot_opposed_pair"]
+    assert rule_lhs(opposed, 2, 2, wire_of) == [Gate("C", (3, 1), 2), Gate("C", (1, 3), 2)]
+    assert rule_rhs(fld, opposed, 2, 2, wire_of) == \
+        [Gate("W", (3, 1)), Gate("D", (3,), 2), Gate("D", (1,), 2), Gate("C", (3, 1), 3)]
 
 
 def batch_of_one(gates) -> list[tuple]:
